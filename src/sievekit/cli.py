@@ -74,6 +74,14 @@ def _require_keys(cfg: dict, allowed: set[str], required: set[str], where: str) 
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
+def _strict_int(cfg: dict, key: str, where: str, default: int | None = None) -> int:
+    """An integer setting; floats, strings and booleans are refused."""
+    value = cfg.get(key, default)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{where}: {key} must be an integer, got {value!r}")
+    return value
+
+
 def _report_jsonable(report, instance=None) -> dict:
     return report.to_jsonable(instance)
 
@@ -283,30 +291,14 @@ def _family_tubings(cfg: dict) -> tuple[CyclicFamily, PolyFamily, bool]:
         {"max_rank"},
         "csp config",
     )
-    max_rank = int(cfg["max_rank"])
+    max_rank = _strict_int(cfg, "max_rank", "csp config")
+    colors = _strict_int(cfg, "colors", "csp config", 1)
     grading = cfg.get("grading", "tubes")
-    colors = int(cfg.get("colors", 1))
-    if colors != 1 and grading != "tubes":
-        raise ConfigError("csp config: colors only combine with the tubes grading")
-    if grading == "free":
-        fam = tb.tubings_by_free_vertices(max_rank)
-        poly = PolyFamily.from_function(
-            fam.instance, fam.window, lambda s: tb.free_vertex_polynomial(*s)
-        )
-    elif grading == "tubes":
-        fam = tb.tubings_by_tube_count(max_rank, colors)
-        poly = PolyFamily.from_function(
-            fam.instance,
-            fam.window,
-            lambda s: tb.tube_count_polynomial(s[0], s[1], colors),
-        )
-    elif grading == "all":
-        fam = tb.tubings_all_improper(max_rank)
-        poly = PolyFamily.from_function(
-            fam.instance, fam.window, tb.improper_total_polynomial
-        )
-    else:
-        raise ConfigError(f"csp config: unknown grading {grading!r}")
+    try:
+        tb.check_improper_job(max_rank, grading, colors)
+    except ValueError as e:
+        raise ConfigError(f"csp config: {e}")
+    fam, poly = tb.improper_cycle_family(max_rank, grading, colors)
     return fam, poly, False
 
 
@@ -353,7 +345,7 @@ def cmd_csp(cfg: dict) -> tuple[dict, int]:
 def cmd_bijection(cfg: dict) -> tuple[dict, int]:
     _require_keys(cfg, {"kind", "max_n"}, {"kind", "max_n"}, "bijection config")
     kind = cfg["kind"]
-    max_n = int(cfg["max_n"])
+    max_n = _strict_int(cfg, "max_n", "bijection config")
     if kind not in ("interval", "cycle"):
         raise ConfigError(f"bijection config: unknown kind {kind!r}")
     cap = tb.MAX_INTERVAL if kind == "interval" else tb.MAX_CYCLE

@@ -15,11 +15,14 @@ of length 2(n-1), through an intermediate marked path.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import Iterable, Mapping, Sequence
+from math import comb
+from typing import Callable, Iterable, Mapping
 
 from .gaussseq import TruncatedSeries, solve_functional_equation
 from .objects import CyclicFamily, CyclicObject
+from .qgauss import PolyFamily
 from .qpoly import IntPoly, ONE, ZERO, q_binomial, q_power
 from .semigroup import Chain, PositiveIntegers, Window
 
@@ -28,6 +31,8 @@ Tubing = frozenset
 
 MAX_INTERVAL = 12
 MAX_CYCLE = 10
+# csp jobs over improper cycle tubings predicting more objects are refused
+MAX_IMPROPER_OBJECTS = 400_000
 
 _STEP_X = {"U": 1, "D": 1, "F": 2}
 _STEP_Y = {"U": 1, "D": -1, "F": 0}
@@ -53,77 +58,131 @@ def cycle_tubes(n: int) -> list[Tube]:
     return [(start, length) for length in range(1, n) for start in range(n)]
 
 
+class _Graph:
+    """The tubes of one graph in enumeration order, as vertex masks.
+
+    Bit v of a mask is vertex v; bit i of a tube set is ``tubes[i]``.
+    ``compat()[i]`` is the set of tubes compatible with tube i (itself
+    included).  It is quadratic in the number of tubes, so it is built on
+    first use.
+    """
+
+    def __init__(self, n: int, kind: str) -> None:
+        if kind not in ("interval", "cycle"):
+            raise ValueError(f"unknown graph kind {kind!r}")
+        if n < 1:  # no vertices, so no tubes: only the empty tubing
+            tubes, n = [], 0
+        else:
+            tubes = interval_tubes(n) if kind == "interval" else cycle_tubes(n)
+        self.n, self.kind, self.full = n, kind, (1 << n) - 1
+        self.tubes = tubes
+        self.index = {t: i for i, t in enumerate(tubes)}
+        self.masks = []
+        for start, length in tubes:
+            mask = ((1 << length) - 1) << start
+            self.masks.append((mask | mask >> n) & self.full)  # wrap on the cycle
+        self._compat: list[int] | None = None
+
+    def indices(self, tubes: Iterable[Tube]) -> list[int]:
+        """Index of each tube; ValueError on a tube that does not fit."""
+        try:
+            return [self.index[t] for t in tubes]
+        except KeyError as e:
+            raise ValueError(
+                f"tube {e.args[0]!r} does not fit in the {self.n}-{self.kind}"
+            ) from None
+
+    def compat(self) -> list[int]:
+        if self._compat is None:
+            n, full = self.n, self.full
+            self._compat = []
+            for a in self.masks:
+                near = a | a << 1 | a >> 1  # a and its neighbours
+                if self.kind == "cycle":
+                    near |= a >> (n - 1) | a << (n - 1)
+                near &= full
+                row = 0
+                for j, b in enumerate(self.masks):
+                    both = a & b
+                    # nested, or disjoint with no edge between
+                    if both == a or both == b or not b & near:
+                        row |= 1 << j
+                self._compat.append(row)
+        return self._compat
+
+
+@functools.lru_cache(maxsize=None)
+def _graph(n: int, kind: str) -> _Graph:
+    return _Graph(n, kind)
+
+
+def _vertices(mask: int) -> list[int]:
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
 def tube_vertices(n: int, tube: Tube, kind: str = "interval") -> frozenset:
-    start, length = tube
-    if kind == "interval":
-        if not (0 <= start and start + length <= n and length >= 1):
-            raise ValueError(f"tube {tube!r} does not fit in the {n}-interval")
-        return frozenset(range(start, start + length))
-    if kind == "cycle":
-        if not (0 <= start < n and 1 <= length <= n - 1):
-            raise ValueError(f"tube {tube!r} does not fit in the {n}-cycle")
-        return frozenset((start + i) % n for i in range(length))
-    raise ValueError(f"unknown graph kind {kind!r}")
+    graph = _graph(n, kind)
+    (i,) = graph.indices((tube,))
+    return frozenset(_vertices(graph.masks[i]))
 
 
 def tubes_compatible(n: int, t1: Tube, t2: Tube, kind: str = "interval") -> bool:
     """Nested, or vertex-disjoint with no edge between the two tubes."""
-    a = tube_vertices(n, t1, kind)
-    b = tube_vertices(n, t2, kind)
-    if a <= b or b <= a:
-        return True
-    if a & b:
-        return False
-    for v in a:
-        if kind == "cycle":
-            if (v + 1) % n in b or (v - 1) % n in b:
-                return False
-        else:
-            if v + 1 in b or v - 1 in b:
-                return False
-    return True
+    graph = _graph(n, kind)
+    i, j = graph.indices((t1, t2))
+    return bool(graph.compat()[i] >> j & 1)
 
 
 def is_tubing(n: int, tubes: Iterable[Tube], kind: str = "interval") -> bool:
     tubes = list(tubes)
     if len(set(tubes)) != len(tubes):
         return False
-    for t in tubes:
-        tube_vertices(n, t, kind)
-    return all(
-        tubes_compatible(n, t1, t2, kind)
-        for t1, t2 in itertools.combinations(tubes, 2)
-    )
+    graph = _graph(n, kind)
+    indices = graph.indices(tubes)
+    chosen = 0
+    for i in indices:
+        chosen |= 1 << i
+    compat = graph.compat()
+    return all(chosen & compat[i] == chosen for i in indices)
 
 
 def enumerate_tubings(n: int, kind: str = "interval") -> list[Tubing]:
-    """Every tubing of the n-interval or n-cycle, the empty tubing included."""
+    """Every tubing of the n-interval or n-cycle, the empty tubing included.
+
+    Depth-first over tube indices: each branch carries the bitset of later
+    tubes still compatible with everything chosen, and takes them in
+    increasing index order.
+    """
     cap = MAX_INTERVAL if kind == "interval" else MAX_CYCLE
     if n > cap:
         raise ValueError(f"refusing to enumerate {kind} tubings beyond n = {cap}")
-    if kind not in ("interval", "cycle"):
-        raise ValueError(f"unknown graph kind {kind!r}")
-    tubes = interval_tubes(n) if kind == "interval" else cycle_tubes(n)
+    graph = _graph(n, kind)
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    tubes, compat = graph.tubes, graph.compat()
     out: list[Tubing] = []
     chosen: list[Tube] = []
 
-    def rec(i: int) -> None:
+    def rec(candidates: int) -> None:
         out.append(frozenset(chosen))
-        for t in range(i, len(tubes)):
-            if all(tubes_compatible(n, tubes[t], c, kind) for c in chosen):
-                chosen.append(tubes[t])
-                rec(t + 1)
-                chosen.pop()
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            t = low.bit_length() - 1
+            chosen.append(tubes[t])
+            rec(candidates & compat[t])
+            chosen.pop()
 
-    rec(0)
+    rec((1 << len(tubes)) - 1)
     return out
 
 
 def free_vertices(n: int, tubing: Iterable[Tube], kind: str = "interval") -> set[int]:
-    covered: set[int] = set()
-    for t in tubing:
-        covered |= tube_vertices(n, t, kind)
-    return set(range(n)) - covered
+    graph = _graph(n, kind)
+    covered = 0
+    for i in graph.indices(tubing):
+        covered |= graph.masks[i]
+    return set(_vertices(graph.full ^ covered))
 
 
 def is_proper(n: int, tubing: Iterable[Tube], kind: str = "interval") -> bool:
@@ -137,23 +196,21 @@ def final_vertices(n: int, tubing: Iterable[Tube], kind: str = "interval") -> di
     final vertex always exists, and distinct tubes get distinct finals.
     On the cycle "last" follows the tube's clockwise traversal.
     """
-    tubing = set(tubing)
+    tubes = list(set(tubing))
+    graph = _graph(n, kind)
+    masks = [graph.masks[i] for i in graph.indices(tubes)]
     out: dict[Tube, int] = {}
-    for tube in tubing:
-        mine = tube_vertices(n, tube, kind)
-        covered: set[int] = set()
-        for other in tubing:
-            if other != tube:
-                vs = tube_vertices(n, other, kind)
-                if vs < mine:
-                    covered |= vs
-        start, length = tube
-        walk = (
-            range(start, start + length)
-            if kind == "interval"
-            else ((start + i) % n for i in range(length))
-        )
-        out[tube] = [v for v in walk if v not in covered][-1]
+    for tube, mine in zip(tubes, masks):
+        rest = mine
+        for other in masks:
+            if other != mine and other & mine == other:
+                rest &= ~other
+        if not rest:
+            raise ValueError(f"tube {tube!r} is covered by its subtubes")
+        start = tube[0]
+        # rotate the tube's start to bit 0, so its traversal runs upwards
+        walk = (rest >> start | rest << (n - start)) & graph.full
+        out[tube] = (start + walk.bit_length() - 1) % n
     return out
 
 
@@ -247,18 +304,18 @@ def enumerate_paths(length: int, kind: str = "delannoy", flats: int | None = Non
 
 
 def interval_tubing_to_schroder(n: int, tubing: Iterable[Tube]) -> str:
-    """Walk the interval: a rise per tube started, outermost first, then a
-    fall at a final vertex or a flat otherwise."""
+    """Walk the interval: a rise per tube started, then a fall at a final
+    vertex or a flat otherwise."""
     tubing = set(tubing)
     if not is_tubing(n, tubing, "interval"):
         raise ValueError("not a valid interval tubing")
     finals = set(final_vertices(n, tubing).values())
-    steps: list[str] = []
-    for v in range(n):
-        opens = sorted((t for t in tubing if t[0] == v), key=lambda t: -t[1])
-        steps.extend("U" * len(opens))
-        steps.append("D" if v in finals else "F")
-    return "".join(steps)
+    opens = [0] * n
+    for start, _ in tubing:
+        opens[start] += 1
+    return "".join(
+        "U" * opens[v] + ("D" if v in finals else "F") for v in range(n)
+    )
 
 
 def schroder_to_interval_tubing(n: int, path: str) -> Tubing:
@@ -268,33 +325,22 @@ def schroder_to_interval_tubing(n: int, path: str) -> Tubing:
         raise ValueError(f"path {path!r} dips below height 0")
     if path_length(path) != 2 * n:
         raise ValueError(f"need length {2 * n}, got {path_length(path)}")
-    heights = step_heights(path)
-    m = len(path)
-    close_at: dict[int, list[int]] = {}
-    for t, s in enumerate(path):
-        if s != "U":
-            continue
-        slot = m
-        for u in range(t + 1, m):
-            if path[u] in ("D", "F") and heights[u] == heights[t]:
-                slot = u
-                break
-        close_at.setdefault(slot, []).append(t)
     tubes: list[Tube] = []
-    stack: list[tuple[int, int]] = []
-    vi = 0
-    for u in range(m + 1):
-        for t in sorted(close_at.get(u, ()), reverse=True):
-            opener, start = stack.pop()
-            if opener != t:
-                raise ValueError(f"mismatched tube brackets in {path!r}")
+    # (height, first vertex) of each rise not yet closed, innermost last;
+    # heights never decrease up the stack
+    rises: list[tuple[int, int]] = []
+    h = vi = 0
+    for s in path:
+        if s == "U":
+            rises.append((h, vi))
+            h += 1
+            continue
+        while rises and rises[-1][0] == h:
+            start = rises.pop()[1]
             tubes.append((start, vi - start))
-        if u == m:
-            break
-        if path[u] == "U":
-            stack.append((u, vi))
-        else:
-            vi += 1
+        vi += 1
+        h += _STEP_Y[s]
+    tubes.extend((start, vi - start) for _, start in rises)
     tubing = frozenset(tubes)
     if not is_tubing(n, tubing, "interval"):
         raise ValueError(f"path {path!r} does not decode to a tubing")
@@ -423,64 +469,99 @@ def cycle_tubing_object(n: int, tubing: Iterable[Tube], colors: Mapping | None =
     return CyclicObject("tubing", tuple(tuple(sorted(sl)) for sl in slots))
 
 
-def _tubing_sets(max_rank: int, colors: int):
-    per_n: dict[int, list[tuple[Tubing, dict]]] = {}
+def _improper_family(
+    max_rank: int,
+    colors: int,
+    instance: Chain | PositiveIntegers,
+    window: Window,
+    grade: Callable[[int, int, int], object],
+) -> CyclicFamily:
+    """Colored improper cycle tubings of lengths 1..max_rank, each put once
+    into the bucket of its grade(length, tube count, free-vertex count)."""
+    buckets: dict[object, list[CyclicObject]] = {}
     for n in range(1, max_rank + 1):
-        items = []
         for tubing in enumerate_tubings(n, "cycle"):
-            if not free_vertices(n, tubing, "cycle"):
+            free = len(free_vertices(n, tubing, "cycle"))
+            if not free:
                 continue
+            bucket = buckets.setdefault(grade(n, len(tubing), free), [])
             tubes = sorted(tubing)
             for assignment in itertools.product(range(1, colors + 1), repeat=len(tubes)):
-                items.append((tubing, dict(zip(tubes, assignment))))
-        per_n[n] = items
-    return per_n
+                bucket.append(cycle_tubing_object(n, tubing, dict(zip(tubes, assignment))))
+    return CyclicFamily.from_generator(instance, window, lambda s: buckets.pop(s, ()))
 
 
 def tubings_by_free_vertices(max_rank: int, colors: int = 1) -> CyclicFamily:
     """Improper cycle tubings graded by (length, free-vertex count)."""
-    per_n = _tubing_sets(max_rank, colors)
-    inst = Chain(PositiveIntegers(), "pos")
-    window = Window(max_rank, ((1, max_rank),))
-
-    def gen(s):
-        n, k = s
-        return [
-            cycle_tubing_object(n, tubing, assignment)
-            for tubing, assignment in per_n[n]
-            if len(free_vertices(n, tubing, "cycle")) == k
-        ]
-
-    return CyclicFamily.from_generator(inst, window, gen)
+    return _improper_family(
+        max_rank, colors, Chain(PositiveIntegers(), "pos"),
+        Window(max_rank, ((1, max_rank),)), lambda n, tubes, free: (n, free),
+    )
 
 
 def tubings_by_tube_count(max_rank: int, colors: int = 1) -> CyclicFamily:
     """Improper cycle tubings graded by (length, tube count)."""
-    per_n = _tubing_sets(max_rank, colors)
-    inst = Chain(PositiveIntegers(), "nonneg")
-    window = Window(max_rank, ((0, max_rank),))
-
-    def gen(s):
-        n, k = s
-        return [
-            cycle_tubing_object(n, tubing, assignment)
-            for tubing, assignment in per_n[n]
-            if len(tubing) == k
-        ]
-
-    return CyclicFamily.from_generator(inst, window, gen)
+    return _improper_family(
+        max_rank, colors, Chain(PositiveIntegers(), "nonneg"),
+        Window(max_rank, ((0, max_rank),)), lambda n, tubes, free: (n, tubes),
+    )
 
 
 def tubings_all_improper(max_rank: int) -> CyclicFamily:
     """All improper cycle tubings graded by length alone."""
-    per_n = _tubing_sets(max_rank, 1)
-    inst = PositiveIntegers()
-    window = Window(max_rank)
+    return _improper_family(
+        max_rank, 1, PositiveIntegers(), Window(max_rank), lambda n, tubes, free: n
+    )
 
-    def gen(n):
-        return [cycle_tubing_object(n, tubing) for tubing, _ in per_n[n]]
 
-    return CyclicFamily.from_generator(inst, window, gen)
+def improper_tubing_count(max_rank: int, colors: int = 1) -> int:
+    """Colored improper cycle tubings of lengths 1..max_rank: the sum of
+    the tube-count polynomials at q = 1, in plain integers."""
+    return sum(
+        comb(n + k - 1, k) * comb(n - 1, k) * colors**k
+        for n in range(1, max_rank + 1)
+        for k in range(n)
+    )
+
+
+def check_improper_job(max_rank: int, grading: str = "tubes", colors: int = 1) -> None:
+    """Refuse, before any enumeration, a family job that is malformed or
+    too large: a rank outside 1..MAX_CYCLE, an unknown grading, fewer than
+    one color, colors with a grading other than "tubes", or more than
+    MAX_IMPROPER_OBJECTS predicted objects."""
+    if not 1 <= max_rank <= MAX_CYCLE:
+        raise ValueError(f"max_rank must be in 1..{MAX_CYCLE}, got {max_rank}")
+    if grading not in ("free", "tubes", "all"):
+        raise ValueError(f"unknown grading {grading!r}")
+    if colors < 1:
+        raise ValueError(f"colors must be at least 1, got {colors}")
+    if colors != 1 and grading != "tubes":
+        raise ValueError("colors only combine with the tubes grading")
+    count = improper_tubing_count(max_rank, colors)
+    if count > MAX_IMPROPER_OBJECTS:
+        raise ValueError(
+            f"max_rank {max_rank} and colors {colors} predict {count} objects, "
+            f"above the cap of {MAX_IMPROPER_OBJECTS}"
+        )
+
+
+def improper_cycle_family(
+    max_rank: int, grading: str = "tubes", colors: int = 1
+) -> tuple[CyclicFamily, PolyFamily]:
+    """Improper cycle tubings of lengths 1..max_rank with their sieving
+    polynomials, graded by "free" vertex count, by "tubes" (the only
+    grading that takes colors), or by length alone ("all")."""
+    check_improper_job(max_rank, grading, colors)
+    if grading == "free":
+        fam = tubings_by_free_vertices(max_rank)
+        poly = lambda s: free_vertex_polynomial(*s)
+    elif grading == "tubes":
+        fam = tubings_by_tube_count(max_rank, colors)
+        poly = lambda s: tube_count_polynomial(s[0], s[1], colors)
+    else:
+        fam = tubings_all_improper(max_rank)
+        poly = improper_total_polynomial
+    return fam, PolyFamily.from_function(fam.instance, fam.window, poly)
 
 
 def only_last_free_count(n: int) -> int:
@@ -498,8 +579,6 @@ def free_vertex_polynomial(n: int, k: int) -> IntPoly:
     The m = n-k term only contributes on the diagonal k = n, where the
     empty tubing needs the q-binomial bottom-entry convention to count it.
     """
-    from .qpoly import ONE, ZERO, q_binomial, q_power
-
     total = ZERO
     for m in range(0, max(n - k, 0) + 1):
         exp2 = ONE if m == 0 else q_power(2, m)

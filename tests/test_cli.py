@@ -212,6 +212,46 @@ class TestBijection:
         assert res.returncode == 1
 
 
+TUBINGS = {"family": "tubings-cycle"}
+
+
+class TestTubingGuards:
+    """Malformed or oversized tubing jobs exit 1 at once, never coerced."""
+
+    @pytest.mark.parametrize(
+        "command, cfg",
+        [
+            ("bijection", {"kind": "interval", "max_n": 3.9}),
+            ("bijection", {"kind": "interval", "max_n": True}),
+            ("bijection", {"kind": "cycle", "max_n": "3"}),
+            ("csp", {**TUBINGS, "max_rank": 2.5}),
+            ("csp", {**TUBINGS, "max_rank": False}),
+            ("csp", {**TUBINGS, "max_rank": 3, "colors": 1.5}),
+            ("csp", {**TUBINGS, "max_rank": 3, "colors": -1}),
+            ("csp", {**TUBINGS, "max_rank": 3, "colors": 0}),
+            ("csp", {**TUBINGS, "max_rank": 0}),
+            ("csp", {**TUBINGS, "max_rank": 11}),
+        ],
+    )
+    def test_refused(self, tmp_path, command, cfg):
+        res = run_cli(tmp_path, command, cfg)
+        assert res.returncode == 1
+        assert res.stderr.startswith("config error:")
+        assert res.stdout == ""
+
+    def test_colored_count_cap_names_the_estimate(self, tmp_path):
+        res = run_cli(tmp_path, "csp", {**TUBINGS, "max_rank": 7, "colors": 9})
+        assert res.returncode == 1
+        assert res.stderr.startswith("config error:")
+        # the sum over n <= 7, k < n of C(n+k-1, k) C(n-1, k) 9^k
+        estimate = sum(
+            comb(n + k - 1, k) * comb(n - 1, k) * 9**k
+            for n in range(1, 8)
+            for k in range(n)
+        )
+        assert str(estimate) in res.stderr
+
+
 class TestRiordan:
     def test_catalan_table(self, tmp_path):
         cfg = {"series": {"numer": [1], "denom": [1, -1]}, "max_n": 6}

@@ -1,0 +1,136 @@
+"""Set-based tubing oracles for the differential tests.
+
+These are the straightforward definitions the mask-based library code in
+``sievekit.tubings`` replaced: tubes as frozensets of vertices, pairwise
+compatibility from the set definition, the depth-first enumerator that
+re-checks every chosen tube, and the decoder that scans ahead for each
+rise's closing step.  They import nothing from the library, so a
+regression there cannot hide behind its own code.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Iterable
+
+
+def tube_vertices(n: int, tube, kind: str = "interval") -> frozenset:
+    start, length = tube
+    if kind == "interval":
+        if not (0 <= start and start + length <= n and length >= 1):
+            raise ValueError(f"tube {tube!r} does not fit in the {n}-interval")
+        return frozenset(range(start, start + length))
+    if kind == "cycle":
+        if not (0 <= start < n and 1 <= length <= n - 1):
+            raise ValueError(f"tube {tube!r} does not fit in the {n}-cycle")
+        return frozenset((start + i) % n for i in range(length))
+    raise ValueError(f"unknown graph kind {kind!r}")
+
+
+def tubes_compatible(n: int, t1, t2, kind: str = "interval") -> bool:
+    """Nested, or vertex-disjoint with no edge between the two tubes."""
+    a = tube_vertices(n, t1, kind)
+    b = tube_vertices(n, t2, kind)
+    if a <= b or b <= a:
+        return True
+    if a & b:
+        return False
+    for v in a:
+        if kind == "cycle":
+            if (v + 1) % n in b or (v - 1) % n in b:
+                return False
+        else:
+            if v + 1 in b or v - 1 in b:
+                return False
+    return True
+
+
+def is_tubing(n: int, tubes: Iterable, kind: str = "interval") -> bool:
+    tubes = list(tubes)
+    if len(set(tubes)) != len(tubes):
+        return False
+    for t in tubes:
+        tube_vertices(n, t, kind)
+    return all(
+        tubes_compatible(n, t1, t2, kind)
+        for t1, t2 in itertools.combinations(tubes, 2)
+    )
+
+
+def final_vertices(n: int, tubing: Iterable, kind: str = "interval") -> dict:
+    """Each tube's last vertex, in traversal order, outside its subtubes."""
+    tubing = set(tubing)
+    out = {}
+    for tube in tubing:
+        mine = tube_vertices(n, tube, kind)
+        covered: set[int] = set()
+        for other in tubing:
+            if other != tube:
+                vs = tube_vertices(n, other, kind)
+                if vs < mine:
+                    covered |= vs
+        start, length = tube
+        walk = [(start + i) % n for i in range(length)]
+        out[tube] = [v for v in walk if v not in covered][-1]
+    return out
+
+
+def all_tubes(n: int, kind: str) -> list:
+    if kind == "interval":
+        return [(s, l) for l in range(1, n + 1) for s in range(0, n - l + 1)]
+    return [(s, l) for l in range(1, n) for s in range(n)]
+
+
+def enumerate_tubings(n: int, kind: str = "interval") -> list[frozenset]:
+    """Every tubing, the empty one included, in depth-first order."""
+    tubes = all_tubes(n, kind)
+    out: list[frozenset] = []
+    chosen: list = []
+
+    def rec(i: int) -> None:
+        out.append(frozenset(chosen))
+        for t in range(i, len(tubes)):
+            if all(tubes_compatible(n, tubes[t], c, kind) for c in chosen):
+                chosen.append(tubes[t])
+                rec(t + 1)
+                chosen.pop()
+
+    rec(0)
+    return out
+
+
+def schroder_to_interval_tubing(n: int, path: str) -> frozenset:
+    """Each rise opens a tube; it closes right before the next flat or fall
+    at the rise's height (found by scanning ahead), or at the end."""
+    heights = []
+    h = 0
+    for s in path:
+        heights.append(h)
+        h += {"U": 1, "D": -1, "F": 0}[s]
+    m = len(path)
+    close_at: dict[int, list[int]] = {}
+    for t, s in enumerate(path):
+        if s != "U":
+            continue
+        slot = m
+        for u in range(t + 1, m):
+            if path[u] in ("D", "F") and heights[u] == heights[t]:
+                slot = u
+                break
+        close_at.setdefault(slot, []).append(t)
+    tubes = []
+    stack: list[tuple[int, int]] = []
+    vi = 0
+    for u in range(m + 1):
+        for t in sorted(close_at.get(u, ()), reverse=True):
+            opener, start = stack.pop()
+            if opener != t:
+                raise ValueError(f"mismatched tube brackets in {path!r}")
+            tubes.append((start, vi - start))
+        if u == m:
+            break
+        if path[u] == "U":
+            stack.append((u, vi))
+        else:
+            vi += 1
+    return frozenset(tubes)

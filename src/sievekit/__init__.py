@@ -3,7 +3,7 @@
 The package is organised bottom-up:
 
 - ``arith``: divisor sums, Mobius and totient functions, Ramanujan sums.
-- ``qpoly``: integer polynomials in q, q-binomials, cyclotomic residues.
+- ``qpoly``: integer polynomials in q, q-binomials, values at roots of unity.
 - ``semigroup``: ranked commutative semigroups, windows and morphisms.
 - ``gaussseq``: integer sequences indexed by a semigroup and the divisibility
   congruences that tie them together.
@@ -15,8 +15,8 @@ The package is organised bottom-up:
   sieving polynomials.
 - ``cli``: a small command line front end over JSON job configs.
 
-All computation is exact: Python integers, integer polynomials and residues
-modulo cyclotomic polynomials.  Nothing here uses floating point.
+All computation is exact: Python integers, integer polynomials and their
+remainders modulo cyclotomic polynomials.  Nothing here uses floating point.
 """
 
 from __future__ import annotations

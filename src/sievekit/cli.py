@@ -13,7 +13,6 @@ import sys
 from typing import Callable
 
 from .gaussseq import (
-    GaussReport,
     NonIntegerWitness,
     SequenceSpec,
     TruncatedSeries,
@@ -53,7 +52,7 @@ from .semigroup import (
     PositiveIntegers,
     Window,
     encode_element,
-    instance_from_config,
+    strict_int,
     window_from_config,
 )
 from . import tubings as tb
@@ -76,14 +75,31 @@ def _require_keys(cfg: dict, allowed: set[str], required: set[str], where: str) 
 
 def _strict_int(cfg: dict, key: str, where: str, default: int | None = None) -> int:
     """An integer setting; floats, strings and booleans are refused."""
-    value = cfg.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{where}: {key} must be an integer, got {value!r}")
-    return value
+    try:
+        return strict_int(cfg.get(key, default), f"{where}: {key}")
+    except ValueError as e:
+        raise ConfigError(str(e))
 
 
-def _report_jsonable(report, instance=None) -> dict:
-    return report.to_jsonable(instance)
+def _sequence(cfg: dict, key: str) -> SequenceSpec:
+    try:
+        return sequence_from_config(cfg[key])
+    except (ValueError, KeyError, TypeError) as e:
+        raise ConfigError(str(e))
+
+
+def _beads(cfg: dict) -> FreeRanked:
+    try:
+        return FreeRanked(tuple((b, length) for b, length in cfg["beads"]))
+    except (ValueError, TypeError) as e:
+        raise ConfigError(str(e))
+
+
+def _window(cfg: dict) -> Window:
+    try:
+        return window_from_config(cfg["window"])
+    except (ValueError, TypeError) as e:
+        raise ConfigError(str(e))
 
 
 # -- seq ---------------------------------------------------------------------------
@@ -91,10 +107,7 @@ def _report_jsonable(report, instance=None) -> dict:
 
 def cmd_seq(cfg: dict) -> tuple[dict, int]:
     _require_keys(cfg, {"sequence"}, {"sequence"}, "seq config")
-    try:
-        spec = sequence_from_config(cfg["sequence"])
-    except (ValueError, KeyError, TypeError) as e:
-        raise ConfigError(str(e))
+    spec = _sequence(cfg, "sequence")
     payload: dict = {"command": "seq", "role": spec.role}
     try:
         if spec.role == "a":
@@ -114,13 +127,9 @@ def cmd_seq(cfg: dict) -> tuple[dict, int]:
             "detail": str(e),
         }
         return payload, 2
-    elements = list(spec.instance.elements(spec.window))
+    elements = spec.instance.elements(spec.window)
     payload["elements"] = [encode_element(spec.instance, s) for s in elements]
-    payload["rows"] = {
-        "a": [a.value(s) for s in elements],
-        "b": [b.value(s) for s in elements],
-        "c": [c.value(s) for s in elements],
-    }
+    payload["rows"] = {"a": a.row(), "b": b.row(), "c": c.row()}
     report = check_gauss(a)
     payload["ok"] = report.ok
     if not report.ok:
@@ -146,7 +155,7 @@ def _closed_form_family(cfg: dict) -> PolyFamily:
     _require_keys(
         cfg, {"name", "window", "base"}, {"name", "window"}, "closed_form config"
     )
-    window = window_from_config(cfg["window"])
+    window = _window(cfg)
     name = cfg["name"]
     if name == "q-binomial":
         inst = Chain(PositiveIntegers(), "nonneg")
@@ -154,7 +163,7 @@ def _closed_form_family(cfg: dict) -> PolyFamily:
             inst, window, lambda s: q_binomial(s[0], s[1])
         )
     if name == "q-power":
-        lam = int(cfg.get("base", 2))
+        lam = _strict_int(cfg, "base", "closed_form config", 2)
         return PolyFamily.from_function(
             PositiveIntegers(), window, lambda n: q_power(lam, n)
         )
@@ -181,22 +190,14 @@ def cmd_qgauss(cfg: dict) -> tuple[dict, int]:
         if name == "fund":
             if "beads" not in cfg or "window" not in cfg:
                 raise ConfigError("qgauss config: fund needs beads and window")
-            try:
-                beads = FreeRanked(tuple((b, int(l)) for b, l in cfg["beads"]))
-                window = window_from_config(cfg["window"])
-            except (ValueError, TypeError) as e:
-                raise ConfigError(str(e))
-            family = fund_family(beads, window)
+            family = fund_family(_beads(cfg), _window(cfg))
         else:
             if name not in _CONSTRUCTIONS:
                 raise ConfigError(f"qgauss config: unknown construction {name!r}")
             role, build = _CONSTRUCTIONS[name]
             if "sequence" not in cfg:
                 raise ConfigError("qgauss config: construction needs a sequence")
-            try:
-                spec = sequence_from_config(cfg["sequence"])
-            except (ValueError, KeyError, TypeError) as e:
-                raise ConfigError(str(e))
+            spec = _sequence(cfg, "sequence")
             if spec.role != role:
                 raise ConfigError(
                     f"qgauss config: {name} needs a role-{role} sequence, "
@@ -218,11 +219,11 @@ def cmd_qgauss(cfg: dict) -> tuple[dict, int]:
     ok = True
     if "definition" in checks:
         rep = check_qgauss_definition(family)
-        payload["checks"]["definition"] = _report_jsonable(rep, family.instance)
+        payload["checks"]["definition"] = rep.to_jsonable(family.instance)
         ok = ok and rep.ok
     if "roots" in checks:
         rep = check_qgauss_roots(family)
-        payload["checks"]["roots"] = _report_jsonable(rep, family.instance)
+        payload["checks"]["roots"] = rep.to_jsonable(family.instance)
         ok = ok and rep.ok
     payload["ok"] = ok
     return payload, 0 if ok else 2
@@ -233,11 +234,7 @@ def cmd_qgauss(cfg: dict) -> tuple[dict, int]:
 
 def _family_words(cfg: dict) -> tuple[CyclicFamily, PolyFamily, bool]:
     _require_keys(cfg, {"family", "beads", "window"}, {"beads", "window"}, "csp config")
-    try:
-        beads = FreeRanked(tuple((b, int(l)) for b, l in cfg["beads"]))
-        window = window_from_config(cfg["window"])
-    except (ValueError, TypeError) as e:
-        raise ConfigError(str(e))
+    beads, window = _beads(cfg), _window(cfg)
     if cfg.get("family") == "words":
         if set(beads.lengths) != {1}:
             raise ConfigError("csp config: words need all bead lengths equal to 1")
@@ -257,10 +254,7 @@ def _family_words(cfg: dict) -> tuple[CyclicFamily, PolyFamily, bool]:
 def _family_from_sequence(cfg: dict, name: str) -> tuple[CyclicFamily, PolyFamily, bool]:
     key = "b" if name == "festoons-repeated" else "c"
     _require_keys(cfg, {"family", key}, {key}, "csp config")
-    try:
-        spec = sequence_from_config(cfg[key])
-    except (ValueError, KeyError, TypeError) as e:
-        raise ConfigError(str(e))
+    spec = _sequence(cfg, key)
     if spec.role != key:
         raise ConfigError(
             f"csp config: {name} needs a role-{key} sequence, got role-{spec.role}"
@@ -326,13 +320,13 @@ def cmd_csp(cfg: dict) -> tuple[dict, int]:
     ok = True
     if signed:
         rep = verify_signed_csp(fam, poly)
-        checks["signed-csp"] = _report_jsonable(rep, fam.instance)
+        checks["signed-csp"] = rep.to_jsonable(fam.instance)
         ok = rep.ok
     else:
         rep_l = verify_lyndon(fam)
         rep_c = verify_csp(fam, poly)
-        checks["lyndon"] = _report_jsonable(rep_l, fam.instance)
-        checks["csp"] = _report_jsonable(rep_c, fam.instance)
+        checks["lyndon"] = rep_l.to_jsonable(fam.instance)
+        checks["csp"] = rep_c.to_jsonable(fam.instance)
         ok = rep_l.ok and rep_c.ok
     payload["checks"] = checks
     payload["ok"] = ok
@@ -346,11 +340,10 @@ def cmd_bijection(cfg: dict) -> tuple[dict, int]:
     _require_keys(cfg, {"kind", "max_n"}, {"kind", "max_n"}, "bijection config")
     kind = cfg["kind"]
     max_n = _strict_int(cfg, "max_n", "bijection config")
-    if kind not in ("interval", "cycle"):
-        raise ConfigError(f"bijection config: unknown kind {kind!r}")
-    cap = tb.MAX_INTERVAL if kind == "interval" else tb.MAX_CYCLE
-    if not 1 <= max_n <= cap:
-        raise ConfigError(f"bijection config: max_n must be in 1..{cap}")
+    try:
+        tb.check_bijection_job(kind, max_n)
+    except ValueError as e:
+        raise ConfigError(f"bijection config: {e}")
     payload: dict = {"command": "bijection", "kind": kind, "per_n": []}
     total = 0
     for n in range(1, max_n + 1):
@@ -397,7 +390,7 @@ def cmd_riordan(cfg: dict) -> tuple[dict, int]:
     _require_keys(cfg, {"series", "max_n"}, {"series", "max_n"}, "riordan config")
     series = cfg["series"]
     _require_keys(series, {"numer", "denom"}, {"numer"}, "riordan series")
-    max_n = int(cfg["max_n"])
+    max_n = _strict_int(cfg, "max_n", "riordan config")
     if not 1 <= max_n <= 24:
         raise ConfigError("riordan config: max_n must be in 1..24")
     order = max_n + 1
@@ -433,23 +426,9 @@ def _render_table(payload: dict) -> str:
     elif cmd == "qgauss" and "family" in payload:
         for entry in payload["family"]:
             lines.append(f"{json.dumps(entry['element'])}: {entry['poly']}")
-        for name, rep in sorted(payload.get("checks", {}).items()):
-            lines.append(
-                f"check {name}: {'ok' if rep['ok'] else 'FAILED'}"
-                f" ({rep['checked']} checked)"
-            )
-            for fl in rep.get("failures", [])[:5]:
-                lines.append(f"  failure: {json.dumps(fl)}")
     elif cmd == "csp" and "counts" in payload:
         for elem, count in payload["counts"]:
             lines.append(f"{json.dumps(elem)}: {count} objects")
-        for name, rep in sorted(payload.get("checks", {}).items()):
-            lines.append(
-                f"check {name}: {'ok' if rep['ok'] else 'FAILED'}"
-                f" ({rep['checked']} checked)"
-            )
-            for fl in rep.get("failures", [])[:5]:
-                lines.append(f"  failure: {json.dumps(fl)}")
     elif cmd == "bijection" and payload.get("ok"):
         for n, count in payload["per_n"]:
             lines.append(f"n={n}: {count} roundtrips")
@@ -457,6 +436,13 @@ def _render_table(payload: dict) -> str:
     elif cmd == "riordan":
         for n, row in payload["rows"]:
             lines.append(f"n={n}: " + " ".join(str(v) for v in row))
+    for name, rep in sorted(payload.get("checks", {}).items()):
+        lines.append(
+            f"check {name}: {'ok' if rep['ok'] else 'FAILED'}"
+            f" ({rep['checked']} checked)"
+        )
+        for fl in rep.get("failures", [])[:5]:
+            lines.append(f"  failure: {json.dumps(fl)}")
     if "witness" in payload and payload["witness"]:
         lines.append(f"verification failure: {json.dumps(payload['witness'], sort_keys=True)}")
     if not payload.get("ok", True) and "witness" not in payload:

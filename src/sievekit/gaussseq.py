@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
 from .arith import divisors, mobius
@@ -34,8 +35,9 @@ from .semigroup import (
     Window,
     _SemigroupBase,
     decode_element,
-    encode_element,
     instance_from_config,
+    strict_int,
+    window_table,
 )
 
 ROLES = ("a", "b", "c")
@@ -63,29 +65,23 @@ class NonIntegerWitness(ValueError):
 class SequenceSpec:
     """Integer values on a windowed instance, tagged with a role.
 
-    ``values`` is stored as a sorted tuple of (element, value) pairs.  For
-    roles "b" and "c" an element absent from the support reads as 0; a
-    role-"a" spec must cover every element it is asked about.
+    ``values`` is stored as a tuple of (element, value) pairs in canonical
+    element order.  For roles "b" and "c" an element absent from the support
+    reads as 0; a role-"a" spec must cover every element it is asked about.
     """
 
     instance: _SemigroupBase
     window: Window
     role: str
     values: tuple[tuple[object, int], ...]
+    _table: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.role not in ROLES:
             raise ValueError(f"SequenceSpec: unknown role {self.role!r}")
-        pairs = tuple(
-            sorted(self.values, key=lambda kv: self.instance.sort_key(kv[0]))
-        )
-        seen = set()
-        for s, _ in pairs:
-            self.instance.validate(s)
-            if s in seen:
-                raise ValueError(f"SequenceSpec: duplicate element {s!r}")
-            seen.add(s)
-        object.__setattr__(self, "values", pairs)
+        table = window_table(self.instance, self.values, "SequenceSpec")
+        object.__setattr__(self, "values", tuple(table.items()))
+        object.__setattr__(self, "_table", table)
 
     @classmethod
     def from_mapping(
@@ -97,40 +93,23 @@ class SequenceSpec:
     ) -> "SequenceSpec":
         return cls(instance, window, role, tuple(mapping.items()))
 
-    def as_dict(self) -> dict:
-        return dict(self.values)
+    def as_dict(self) -> Mapping:
+        return MappingProxyType(self._table)
 
     def value(self, s) -> int:
-        for t, v in self.values:
-            if t == s:
-                return v
-        if self.role == "a":
-            raise ValueError(f"role-a spec has no value at {s!r}")
-        return 0
+        try:
+            return self._table[s]
+        except KeyError:
+            if self.role == "a":
+                raise ValueError(f"role-a spec has no value at {s!r}") from None
+            return 0
 
     def support(self) -> tuple:
         return tuple(s for s, v in self.values if v)
 
     def row(self) -> list[int]:
         """Values in canonical window order (role "a" must be total)."""
-        d = self.as_dict()
-        out = []
-        for s in self.instance.elements(self.window):
-            if self.role == "a":
-                if s not in d:
-                    raise ValueError(f"role-a spec has no value at {s!r}")
-                out.append(d[s])
-            else:
-                out.append(d.get(s, 0))
-        return out
-
-    def to_jsonable(self) -> dict:
-        return {
-            "role": self.role,
-            "support": [
-                [encode_element(self.instance, s), v] for s, v in self.values if v
-            ],
-        }
+        return [self.value(s) for s in self.instance.elements(self.window)]
 
 
 def sequence_from_config(cfg: dict) -> SequenceSpec:
@@ -151,8 +130,16 @@ def sequence_from_config(cfg: dict) -> SequenceSpec:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise ValueError(f"sequence config: bad support entry {entry!r}")
         obj, v = entry
-        pairs.append((decode_element(instance, obj), int(v)))
-    return SequenceSpec(instance, window, role, tuple(pairs))
+        pairs.append(
+            (decode_element(instance, obj), strict_int(v, "sequence config: value"))
+        )
+    spec = SequenceSpec(instance, window, role, tuple(pairs))
+    if role == "a":  # the transforms and constructions read every element
+        have = spec.as_dict()
+        for s in instance.elements(window):
+            if s not in have:
+                raise ValueError(f"sequence config: role-a support misses {s!r}")
+    return spec
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .arith import divisors
 from .gaussseq import SequenceSpec
-from .qgauss import FamilyCheckFailure, FamilyReport, PolyFamily, _report
+from .qgauss import FamilyReport, PolyFamily, _require_role, check_divisors, root_total
 from .qpoly import IntPoly, eval_at_primitive_root
-from .semigroup import FreeRanked, Window, _SemigroupBase, encode_element
+from .semigroup import FreeRanked, Window, _SemigroupBase, window_table
 
 OBJECT_KINDS = ("word", "composition", "festoon", "signed-festoon", "tubing")
 
@@ -57,7 +56,7 @@ class CyclicObject:
 
 
 def _canonical(objs: Iterable[CyclicObject]) -> tuple[CyclicObject, ...]:
-    return tuple(sorted(set(objs)))
+    return tuple(sorted(dict.fromkeys(objs)))
 
 
 @dataclass(frozen=True)
@@ -69,12 +68,9 @@ class CyclicFamily:
     sets: tuple[tuple[object, tuple[CyclicObject, ...]], ...]
 
     def __post_init__(self) -> None:
-        pairs = []
-        for s, objs in self.sets:
-            self.instance.validate(s)
-            pairs.append((s, _canonical(objs)))
-        pairs.sort(key=lambda kv: self.instance.sort_key(kv[0]))
-        object.__setattr__(self, "sets", tuple(pairs))
+        pairs = ((s, _canonical(objs)) for s, objs in self.sets)
+        table = window_table(self.instance, pairs, "CyclicFamily")
+        object.__setattr__(self, "sets", tuple(table.items()))
 
     @classmethod
     def from_generator(
@@ -85,7 +81,7 @@ class CyclicFamily:
     ) -> "CyclicFamily":
         pairs = []
         for s in instance.elements(window):
-            objs = _canonical(fn(s))
+            objs = list(fn(s))
             n = instance.rank(s)
             for o in objs:
                 if o.n != n:
@@ -97,20 +93,8 @@ class CyclicFamily:
             pairs.append((s, objs))
         return cls(instance, window, tuple(pairs))
 
-    def objects(self, s) -> tuple[CyclicObject, ...]:
-        for t, objs in self.sets:
-            if t == s:
-                return objs
-        raise ValueError(f"CyclicFamily: no object set at {s!r}")
-
     def counts(self) -> dict:
         return {s: len(objs) for s, objs in self.sets}
-
-    def count_spec(self, role: str = "a") -> SequenceSpec:
-        """The cardinality sequence as a role-tagged integer sequence."""
-        return SequenceSpec.from_mapping(
-            self.instance, self.window, role, self.counts()
-        )
 
 
 # -- words and compositions ----------------------------------------------------
@@ -135,7 +119,8 @@ def words_with_content(alpha) -> list[CyclicObject]:
     comparable since the major index uses their order.
     """
     items = _content_items(alpha)
-    return sorted(CyclicObject("word", w) for w in set(itertools.permutations(items)))
+    perms = dict.fromkeys(itertools.permutations(items))
+    return sorted(CyclicObject("word", w) for w in perms)
 
 
 def maj(w) -> int:
@@ -251,41 +236,34 @@ def festoons_by_content(beads, alpha) -> list[CyclicObject]:
     items = []
     for (label, length), mult in zip(inst.beads, alpha):
         items.extend([(label, 0, length)] * mult)
-    out = set()
-    for perm in set(itertools.permutations(items)):
+    out: dict = {}  # dicts, not sets: the order must not depend on str hashing
+    for perm in dict.fromkeys(itertools.permutations(items)):
         for offset in range(n):
-            out.add(CyclicObject("festoon", _place_beads(n, perm, offset)))
+            out[CyclicObject("festoon", _place_beads(n, perm, offset))] = None
     return sorted(out)
 
 
-def _nonneg_support(seq: SequenceSpec, role: str) -> list:
-    if seq.role != role:
-        raise ValueError(f"expected a role-{role} sequence, got role-{seq.role}")
-    support = []
-    for t in seq.support():
-        v = seq.value(t)
+def _nonneg_support(seq: SequenceSpec, role: str) -> tuple:
+    _require_role(seq, role)
+    for t, v in seq.values:
         if v < 0:
-            raise ValueError(
-                f"negative weight {v} at {t!r}; use the signed variant"
-            )
-        if v:
-            support.append(t)
-    return support
+            raise ValueError(f"negative weight {v} at {t!r}; use the signed variant")
+    return seq.support()
 
 
 def _colored_festoons(c: SequenceSpec, s, signed: bool) -> list[CyclicObject]:
     inst = c.instance
     if signed:
-        support = [t for t in c.support() if c.value(t)]
+        support = c.support()
     else:
         support = _nonneg_support(c, "c")
     n = inst.rank(s)
     kind = "signed-festoon" if signed else "festoon"
-    out = set()
+    out: dict = {}
     for parts in inst.decompositions(s, support=support):
         negatives = sum(1 for t in parts if c.value(t) < 0)
         sign = -1 if signed and negatives % 2 else 1
-        for perm in set(itertools.permutations(parts)):
+        for perm in dict.fromkeys(itertools.permutations(parts)):
             lengths = [inst.rank(t) for t in perm]
             color_ranges = [range(1, abs(c.value(t)) + 1) for t in perm]
             for colors in itertools.product(*color_ranges):
@@ -294,7 +272,7 @@ def _colored_festoons(c: SequenceSpec, s, signed: bool) -> list[CyclicObject]:
                     for t, col, length in zip(perm, colors, lengths)
                 ]
                 for offset in range(n):
-                    out.add(CyclicObject(kind, _place_beads(n, beads, offset), sign))
+                    out[CyclicObject(kind, _place_beads(n, beads, offset), sign)] = None
     return sorted(out)
 
 
@@ -313,7 +291,7 @@ def festoons_repeated(b: SequenceSpec, s) -> list[CyclicObject]:
     Pick a unit divisor t of s, one of b_t colors, and one of rank(t)
     rotations; the count over a window is the divisor sum of rank(t) b_t.
     """
-    support = _nonneg_support(b, "b")
+    _nonneg_support(b, "b")  # refuses a wrong role or a negative weight
     inst = b.instance
     n = inst.rank(s)
     out = []
@@ -384,15 +362,9 @@ def _length_tilings(n: int) -> list[tuple]:
 
     def rec(left: int):
         if left == 0:
-            sizes = tuple(acc)
+            beads = [(length, 0, length) for length in acc]
             for offset in range(n):
-                slots: list = [None] * n
-                pos = offset
-                for length in sizes:
-                    for i in range(length):
-                        slots[(pos + i) % n] = (length, 0, i == 0)
-                    pos += length
-                tilings.add(tuple(slots))
+                tilings.add(_place_beads(n, beads, offset))
             return
         for x in range(1, left + 1):
             acc.append(x)
@@ -434,98 +406,53 @@ def verify_lyndon(family: CyclicFamily) -> FamilyReport:
     """Check the fixed-point law: C_d-invariants match root-set totals."""
     inst = family.instance
     lookup = dict(family.sets)
-    failures: list[FamilyCheckFailure] = []
-    checked = 0
-    for s, objs in family.sets:
-        n = inst.rank(s)
-        for d in divisors(n):
-            got = len(fixed_points(objs, d)) if objs else 0
-            expected = 0
-            for t in inst.root_set(s, d):
-                if t not in lookup:
-                    raise ValueError(
-                        f"family window does not cover the root {t!r} of {s!r}"
-                    )
-                expected += len(lookup[t])
-            checked += 1
-            if got != expected:
-                failures.append(
-                    FamilyCheckFailure(s, d, f"fixed {got} != {expected}")
-                )
-    return _report(checked, failures)
+
+    def compare(s, objs, d):
+        got = len(fixed_points(objs, d))
+        expected = root_total(inst, lookup, s, d, len)
+        if got != expected:
+            return f"fixed {got} != {expected}"
+
+    return check_divisors(inst, family.sets, compare)
+
+
+def _require_match(family: CyclicFamily, F: PolyFamily, who: str) -> None:
+    if family.instance != F.instance or family.window != F.window:
+        raise ValueError(f"{who} needs matching instance and window")
 
 
 def verify_csp(family: CyclicFamily, F: PolyFamily) -> FamilyReport:
     """Check cyclic sieving: root-of-unity values count C_d-invariants."""
-    if family.instance != F.instance or family.window != F.window:
-        raise ValueError("verify_csp needs matching instance and window")
-    inst = family.instance
-    failures: list[FamilyCheckFailure] = []
-    checked = 0
-    for s, objs in family.sets:
-        poly = F.value(s)
-        for d in divisors(inst.rank(s)):
-            got = eval_at_primitive_root(poly, d)
-            expected = len(fixed_points(objs, d)) if objs else 0
-            checked += 1
-            if not got.equals_int(expected):
-                failures.append(
-                    FamilyCheckFailure(
-                        s, d, f"value {got.coeffs} != fixed count {expected}"
-                    )
-                )
-    return _report(checked, failures)
+    _require_match(family, F, "verify_csp")
+
+    def compare(s, entry, d):
+        poly, objs = entry
+        got = eval_at_primitive_root(poly, d)
+        expected = len(fixed_points(objs, d))
+        if got != expected:
+            return f"value {got.coeffs} != fixed count {expected}"
+
+    items = ((s, (F.value(s), objs)) for s, objs in family.sets)
+    return check_divisors(family.instance, items, compare)
 
 
 def verify_signed_csp(family: CyclicFamily, F: PolyFamily) -> FamilyReport:
     """Signed sieving check at odd ranks: values match signed fixed counts."""
-    if family.instance != F.instance or family.window != F.window:
-        raise ValueError("verify_signed_csp needs matching instance and window")
+    _require_match(family, F, "verify_signed_csp")
     inst = family.instance
-    failures: list[FamilyCheckFailure] = []
-    checked = 0
-    for s, objs in family.sets:
-        n = inst.rank(s)
-        if n % 2 == 0:
-            continue
-        poly = F.value(s)
-        pos = [o for o in objs if o.sign > 0]
-        neg = [o for o in objs if o.sign < 0]
-        for d in divisors(n):
-            got = eval_at_primitive_root(poly, d)
-            expected = (len(fixed_points(pos, d)) if pos else 0) - (
-                len(fixed_points(neg, d)) if neg else 0
-            )
-            checked += 1
-            if not got.equals_int(expected):
-                failures.append(
-                    FamilyCheckFailure(
-                        s, d, f"value {got.coeffs} != signed fixed count {expected}"
-                    )
-                )
-    return _report(checked, failures)
 
+    def compare(s, entry, d):
+        poly, pos, neg = entry
+        got = eval_at_primitive_root(poly, d)
+        expected = len(fixed_points(pos, d)) - len(fixed_points(neg, d))
+        if got != expected:
+            return f"value {got.coeffs} != signed fixed count {expected}"
 
-def objects_to_jsonable(family: CyclicFamily) -> list[dict]:
-    """Dump records with a stable orbit id per rotation orbit."""
-    records = []
-    for s, objs in family.sets:
-        enc_s = encode_element(family.instance, s)
-        orbit_of: dict[CyclicObject, int] = {}
-        next_id = 0
-        for o in objs:
-            if o in orbit_of:
-                continue
-            for j in range(o.n):
-                orbit_of[o.rotated(j)] = next_id
-            next_id += 1
-        for o in objs:
-            records.append(
-                {
-                    "s": enc_s,
-                    "encoding": [list(x) if isinstance(x, tuple) else x for x in o.slots],
-                    "sign": o.sign,
-                    "orbit": orbit_of[o],
-                }
-            )
-    return records
+    def items():
+        for s, objs in family.sets:
+            if inst.rank(s) % 2:
+                pos = [o for o in objs if o.sign > 0]
+                neg = [o for o in objs if o.sign < 0]
+                yield s, (F.value(s), pos, neg)
+
+    return check_divisors(inst, items(), compare)

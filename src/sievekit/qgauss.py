@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping
 
 from .arith import divisors, mobius, ramanujan_sum
 from .gaussseq import SequenceSpec
@@ -42,6 +43,7 @@ from .semigroup import (
     _SemigroupBase,
     apply_morphism,
     encode_element,
+    window_table,
 )
 
 
@@ -74,23 +76,18 @@ class PolyFamily:
     instance: _SemigroupBase
     window: Window
     polys: tuple[tuple[object, IntPoly], ...]
+    _table: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        pairs = tuple(
-            sorted(self.polys, key=lambda kv: self.instance.sort_key(kv[0]))
-        )
-        have = set()
-        for s, p in pairs:
-            self.instance.validate(s)
+        table = window_table(self.instance, self.polys, "PolyFamily")
+        for s, p in table.items():
             if not isinstance(p, IntPoly):
                 raise ValueError(f"PolyFamily: value at {s!r} is not a polynomial")
-            if s in have:
-                raise ValueError(f"PolyFamily: duplicate element {s!r}")
-            have.add(s)
-        missing = [s for s in self.instance.elements(self.window) if s not in have]
-        if missing:
-            raise ValueError(f"PolyFamily: not total on window, missing {missing[0]!r}")
-        object.__setattr__(self, "polys", pairs)
+        for s in self.instance.elements(self.window):
+            if s not in table:
+                raise ValueError(f"PolyFamily: not total on window, missing {s!r}")
+        object.__setattr__(self, "polys", tuple(table.items()))
+        object.__setattr__(self, "_table", table)
 
     @classmethod
     def from_function(
@@ -102,26 +99,14 @@ class PolyFamily:
         pairs = tuple((s, fn(s)) for s in instance.elements(window))
         return cls(instance, window, pairs)
 
-    @classmethod
-    def from_mapping(
-        cls, instance: _SemigroupBase, window: Window, mapping: Mapping
-    ) -> "PolyFamily":
-        return cls(instance, window, tuple(mapping.items()))
-
-    def as_dict(self) -> dict:
-        return dict(self.polys)
+    def as_dict(self) -> Mapping:
+        return MappingProxyType(self._table)
 
     def value(self, s) -> IntPoly:
-        for t, p in self.polys:
-            if t == s:
-                return p
-        raise ValueError(f"PolyFamily: no polynomial at {s!r}")
-
-    def at_one(self, s) -> int:
-        return eval_at_one(self.value(s))
-
-    def elements(self) -> list:
-        return [s for s, _ in self.polys]
+        try:
+            return self._table[s]
+        except KeyError:
+            raise ValueError(f"PolyFamily: no polynomial at {s!r}") from None
 
     def canonical(self) -> "PolyFamily":
         """Reduce each entry mod q^rank - 1 (the equivalence-class normal form)."""
@@ -174,6 +159,35 @@ class FamilyReport:
 
 def _report(checked: int, failures: list[FamilyCheckFailure]) -> FamilyReport:
     return FamilyReport(not failures, checked, tuple(failures))
+
+
+def check_divisors(
+    inst: _SemigroupBase, items: Iterable, compare: Callable
+) -> FamilyReport:
+    """The sieve loop behind every root-of-unity check.
+
+    For each (s, x) in items and each d dividing rank(s), compare(s, x, d)
+    returns None when the check holds and a failure detail otherwise.
+    """
+    failures: list[FamilyCheckFailure] = []
+    checked = 0
+    for s, x in items:
+        for d in divisors(inst.rank(s)):
+            checked += 1
+            detail = compare(s, x, d)
+            if detail is not None:
+                failures.append(FamilyCheckFailure(s, d, detail))
+    return _report(checked, failures)
+
+
+def root_total(inst: _SemigroupBase, table: Mapping, s, d: int, weight: Callable) -> int:
+    """Sum of weight(table[t]) over the d-th roots t of s."""
+    total = 0
+    for t in inst.root_set(s, d):
+        if t not in table:
+            raise ValueError(f"family window does not cover the root {t!r} of {s!r}")
+        total += weight(table[t])
+    return total
 
 
 # -- the three constructions --------------------------------------------------
@@ -240,7 +254,7 @@ def construct_from_c(c: SequenceSpec) -> PolyFamily:
     """
     _require_role(c, "c")
     inst = c.instance
-    support = [t for t in c.support() if c.value(t)]
+    support = c.support()
 
     def build(s):
         rk = inst.rank(s)
@@ -289,25 +303,14 @@ def check_qgauss_roots(F: PolyFamily) -> FamilyReport:
     """
     inst = F.instance
     lookup = F.as_dict()
-    failures: list[FamilyCheckFailure] = []
-    checked = 0
-    for s, p in F.polys:
-        rk = inst.rank(s)
-        for d in divisors(rk):
-            expected = 0
-            for t in inst.root_set(s, d):
-                if t not in lookup:
-                    raise ValueError(
-                        f"family window does not cover the root {t!r} of {s!r}"
-                    )
-                expected += eval_at_one(lookup[t])
-            got = eval_at_primitive_root(p, d)
-            checked += 1
-            if not got.equals_int(expected):
-                failures.append(
-                    FamilyCheckFailure(s, d, f"value {got.coeffs} != {expected}")
-                )
-    return _report(checked, failures)
+
+    def compare(s, p, d):
+        expected = root_total(inst, lookup, s, d, eval_at_one)
+        got = eval_at_primitive_root(p, d)
+        if got != expected:
+            return f"value {got.coeffs} != {expected}"
+
+    return check_divisors(inst, F.polys, compare)
 
 
 def equivalent_mod(F: PolyFamily, G: PolyFamily) -> FamilyReport:
@@ -486,6 +489,17 @@ def _chain_shapes(F: PolyFamily, G: PolyFamily) -> tuple[Chain, Chain]:
     return F.instance, G.instance
 
 
+def _chain_product(F: PolyFamily, G: PolyFamily, bounds, g_key: Callable) -> PolyFamily:
+    """h at e is F(e minus its last coordinate) * G(g_key(e)), on F's chain
+    extended by G's extra, with the given extra bounds."""
+    f, g = F.as_dict(), G.as_dict()
+    return PolyFamily.from_function(
+        Chain(F.instance, G.instance.extra),
+        Window(F.window.max_rank, bounds),
+        lambda e: f[e[:-1]] * g[g_key(e)],
+    )
+
+
 def chain_prefix(F: PolyFamily, G: PolyFamily) -> PolyFamily:
     """Combine families sharing a base: h at (s, t, u) is F(s, t) * G(s, u).
 
@@ -499,15 +513,7 @@ def chain_prefix(F: PolyFamily, G: PolyFamily) -> PolyFamily:
     gb = gi.resolve_bounds(G.window)
     if F.window.max_rank != G.window.max_rank or fb[:-1] != gb[:-1]:
         raise ValueError("chain_prefix: base windows differ")
-    out_inst = Chain(fi, gi.extra)
-    out_window = Window(F.window.max_rank, fb + (gb[-1],))
-    f = F.as_dict()
-    g = G.as_dict()
-
-    def build(e):
-        return f[e[:-1]] * g[e[:-2] + (e[-1],)]
-
-    return PolyFamily.from_function(out_inst, out_window, build)
+    return _chain_product(F, G, fb + (gb[-1],), lambda e: e[:-2] + (e[-1],))
 
 
 def chain_suffix(F: PolyFamily, G: PolyFamily) -> PolyFamily:
@@ -528,12 +534,4 @@ def chain_suffix(F: PolyFamily, G: PolyFamily) -> PolyFamily:
         raise ValueError(
             "chain_suffix: middle bound exceeds the second family's window"
         )
-    out_inst = Chain(fi, gi.extra)
-    out_window = Window(F.window.max_rank, fb + (gb[-1],))
-    f = F.as_dict()
-    g = G.as_dict()
-
-    def build(e):
-        return f[e[:-1]] * g[(e[-2], e[-1])]
-
-    return PolyFamily.from_function(out_inst, out_window, build)
+    return _chain_product(F, G, fb + (gb[-1],), lambda e: (e[-2], e[-1]))

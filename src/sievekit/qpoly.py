@@ -6,17 +6,16 @@ the empty tuple and has degree ``None``.  Everything here stays in Z[q];
 division is only ever performed when it is exact, and a failed exactness
 check raises instead of falling back to floats.
 
-Residues modulo a cyclotomic polynomial represent evaluations at a primitive
-root of unity without ever leaving exact arithmetic.
+Remainders modulo a cyclotomic polynomial represent evaluations at a
+primitive root of unity without ever leaving exact arithmetic.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .arith import divisors, totient
+from .arith import divisors
 
 
 def _trim(coeffs: Iterable[int]) -> tuple[int, ...]:
@@ -341,73 +340,17 @@ def cyclotomic(d: int) -> IntPoly:
     return num
 
 
-@dataclass(frozen=True)
-class CyclotomicResidue:
-    """An element of Z[q] / (d-th cyclotomic polynomial).
+def eval_at_primitive_root(p: IntPoly, d: int) -> IntPoly:
+    """Exact value of p at a primitive d-th root of unity.
 
-    Stored as the canonical representative of degree < totient(d), so equal
-    residues compare equal as dataclasses.  Models exact evaluation of an
-    integer polynomial at a primitive d-th root of unity.
+    The value is the canonical remainder of p modulo the d-th cyclotomic
+    polynomial, of degree below totient(d); it is an integer exactly when
+    that remainder is constant.  The cyclotomic polynomial divides q^d - 1,
+    so p is folded modulo q^d - 1 first, which keeps the division short.
+
+    >>> eval_at_primitive_root(q_int(6), 3) == 0
+    True
+    >>> eval_at_primitive_root(q_int(2), 3).coeffs
+    (1, 1)
     """
-
-    order: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.order < 1:
-            raise ValueError(f"CyclotomicResidue: need order >= 1, got {self.order}")
-        reduced = divmod(IntPoly(self.coeffs), cyclotomic(self.order))[1]
-        object.__setattr__(self, "coeffs", reduced.coeffs)
-
-    @classmethod
-    def from_poly(cls, p: IntPoly, order: int) -> "CyclotomicResidue":
-        return cls(order, p.coeffs)
-
-    @classmethod
-    def from_int(cls, n: int, order: int) -> "CyclotomicResidue":
-        return cls(order, (n,))
-
-    def _lift(self) -> IntPoly:
-        return IntPoly(self.coeffs)
-
-    def _match(self, other: "CyclotomicResidue | int") -> "CyclotomicResidue":
-        if isinstance(other, int):
-            return CyclotomicResidue.from_int(other, self.order)
-        if other.order != self.order:
-            raise ValueError(f"mixed residue orders {self.order} and {other.order}")
-        return other
-
-    def __add__(self, other: "CyclotomicResidue | int") -> "CyclotomicResidue":
-        other = self._match(other)
-        return CyclotomicResidue.from_poly(self._lift() + other._lift(), self.order)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "CyclotomicResidue | int") -> "CyclotomicResidue":
-        other = self._match(other)
-        return CyclotomicResidue.from_poly(self._lift() - other._lift(), self.order)
-
-    def __mul__(self, other: "CyclotomicResidue | int") -> "CyclotomicResidue":
-        other = self._match(other)
-        return CyclotomicResidue.from_poly(self._lift() * other._lift(), self.order)
-
-    __rmul__ = __mul__
-
-    def is_integer(self) -> bool:
-        return len(self.coeffs) <= 1
-
-    def constant(self) -> int:
-        """The residue as a rational integer, if it is one."""
-        if not self.coeffs:
-            return 0
-        if len(self.coeffs) == 1:
-            return self.coeffs[0]
-        raise ValueError(f"residue {self.coeffs} of order {self.order} is not an integer")
-
-    def equals_int(self, n: int) -> bool:
-        return self == CyclotomicResidue.from_int(n, self.order)
-
-
-def eval_at_primitive_root(p: IntPoly, d: int) -> CyclotomicResidue:
-    """Exact value of p at a primitive d-th root of unity."""
-    return CyclotomicResidue.from_poly(p, d)
+    return divmod(reduce_mod_qn_minus_1(p, d), cyclotomic(d))[1]

@@ -36,6 +36,13 @@ EXTRA_KINDS = ("ints", "nonneg", "pos")
 _EXTRA_MIN = {"ints": None, "nonneg": 0, "pos": 1}
 
 
+def strict_int(value, what: str) -> int:
+    """The value itself if it is a true int; floats, strings and bools raise."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Window:
     """Finite viewport on a semigroup instance.
@@ -50,18 +57,34 @@ class Window:
     max_total: int | None = None
 
     def __post_init__(self) -> None:
-        if self.max_rank < 1:
+        if strict_int(self.max_rank, "Window: max_rank") < 1:
             raise ValueError(f"Window: need max_rank >= 1, got {self.max_rank}")
         eb = tuple(self.extra_bounds)
         if len(eb) == 2 and all(isinstance(b, int) for b in eb):
             eb = (tuple(eb),)  # a bare (lo, hi) pair means "every extra"
         eb = tuple(tuple(pair) for pair in eb)
         for lo, hi in eb:
-            if lo > hi:
+            if strict_int(lo, "Window: bound") > strict_int(hi, "Window: bound"):
                 raise ValueError(f"Window: empty bound range ({lo}, {hi})")
         object.__setattr__(self, "extra_bounds", eb)
-        if self.max_total is not None and self.max_total < 1:
+        max_total = self.max_total
+        if max_total is not None and strict_int(max_total, "Window: max_total") < 1:
             raise ValueError(f"Window: need max_total >= 1, got {self.max_total}")
+
+
+def window_table(instance: _SemigroupBase, pairs: Iterable, owner: str) -> dict:
+    """(element, value) pairs as a dict in canonical element order.
+
+    Each element is validated once (``sort_key`` goes through ``rank``,
+    which validates), and a repeated element is refused.
+    """
+    keyed: dict = {}
+    for s, v in pairs:
+        key = instance.sort_key(s)
+        if s in keyed:
+            raise ValueError(f"{owner}: duplicate element {s!r}")
+        keyed[s] = (key, v)
+    return {s: v for s, (_, v) in sorted(keyed.items(), key=lambda kv: kv[1][0])}
 
 
 class _SemigroupBase:
@@ -331,7 +354,10 @@ class FreeRanked(_SemigroupBase):
     beads: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        beads = tuple((str(label), int(length)) for label, length in self.beads)
+        beads = tuple(
+            (str(label), strict_int(length, "FreeRanked: bead length"))
+            for label, length in self.beads
+        )
         labels = [label for label, _ in beads]
         if not beads:
             raise ValueError("FreeRanked: need at least one bead")

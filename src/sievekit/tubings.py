@@ -31,7 +31,7 @@ Tubing = frozenset
 
 MAX_INTERVAL = 12
 MAX_CYCLE = 10
-# csp jobs over improper cycle tubings predicting more objects are refused
+# csp and bijection jobs predicting more tubings than this are refused
 MAX_IMPROPER_OBJECTS = 400_000
 
 _STEP_X = {"U": 1, "D": 1, "F": 2}
@@ -541,6 +541,36 @@ def check_improper_job(max_rank: int, grading: str = "tubes", colors: int = 1) -
     if count > MAX_IMPROPER_OBJECTS:
         raise ValueError(
             f"max_rank {max_rank} and colors {colors} predict {count} objects, "
+            f"above the cap of {MAX_IMPROPER_OBJECTS}"
+        )
+
+
+def bijection_roundtrips(kind: str, max_n: int) -> int:
+    """Tubings a bijection job over sizes 1..max_n round-trips: the sum of
+    the large Schröder numbers sum_k C(n,k) C(n+k,k)/(k+1) for "interval",
+    of the central Delannoy numbers (improper cycle tubings) for "cycle"."""
+    if kind == "cycle":
+        return improper_tubing_count(max_n)
+    return sum(
+        comb(n, k) * comb(n + k, k) // (k + 1)
+        for n in range(1, max_n + 1)
+        for k in range(n + 1)
+    )
+
+
+def check_bijection_job(kind: str, max_n: int) -> None:
+    """Refuse, before any enumeration, a bijection job of an unknown kind,
+    with max_n outside 1..MAX_INTERVAL or 1..MAX_CYCLE, or predicting more
+    than MAX_IMPROPER_OBJECTS round trips."""
+    if kind not in ("interval", "cycle"):
+        raise ValueError(f"unknown kind {kind!r}")
+    cap = MAX_INTERVAL if kind == "interval" else MAX_CYCLE
+    if not 1 <= max_n <= cap:
+        raise ValueError(f"max_n must be in 1..{cap}")
+    count = bijection_roundtrips(kind, max_n)
+    if count > MAX_IMPROPER_OBJECTS:
+        raise ValueError(
+            f"max_n {max_n} predicts {count} round trips, "
             f"above the cap of {MAX_IMPROPER_OBJECTS}"
         )
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 
 from sievekit.gaussseq import SequenceSpec, a_from_matrix_trace
+from sievekit.qgauss import PolyFamily
 from sievekit.qpoly import IntPoly, ZERO, q_binomial
 from sievekit.semigroup import PositiveIntegers, Window
 
@@ -80,6 +81,13 @@ def qb0(n: int, k: int) -> IntPoly:
     if n < 0 or k < 0 or k > n:
         return ZERO
     return q_binomial(n, k)
+
+
+def corrupt(F: PolyFamily, s) -> PolyFamily:
+    """Bump the entry at s by q^(rank-1); breaks the congruence at rank >= 2."""
+    bump = IntPoly.monomial(1, F.instance.rank(s) - 1)
+    pairs = tuple((t, p + bump if t == s else p) for t, p in F.polys)
+    return PolyFamily(F.instance, F.window, pairs)
 
 
 def ordered_decomposition_count(c: dict[int, int], n: int) -> int:

@@ -213,10 +213,14 @@ class TestBijection:
 
 
 TUBINGS = {"family": "tubings-cycle"}
+Q_POWER = {"name": "q-power", "window": {"max_rank": 4}}
+WORDS = {"family": "words", "window": {"max_rank": 3}}
+HALF_BOUND = {"max_rank": 3, "extra_bounds": [[0, 2.5]]}
+PARTIAL_A = zpos_sequence("a", {1: 1}, 2)  # a role-a support must cover the window
 
 
 class TestTubingGuards:
-    """Malformed or oversized tubing jobs exit 1 at once, never coerced."""
+    """Malformed or oversized jobs exit 1 at once, never coerced."""
 
     @pytest.mark.parametrize(
         "command, cfg",
@@ -231,6 +235,17 @@ class TestTubingGuards:
             ("csp", {**TUBINGS, "max_rank": 3, "colors": 0}),
             ("csp", {**TUBINGS, "max_rank": 0}),
             ("csp", {**TUBINGS, "max_rank": 11}),
+            ("bijection", {"kind": "interval", "max_n": 10}),
+            ("bijection", {"kind": "cycle", "max_n": 10}),
+            ("seq", {"sequence": zpos_sequence("c", {1: 1.7}, 3)}),
+            ("seq", {"sequence": zpos_sequence("c", {1: True}, 3)}),
+            ("seq", {"sequence": zpos_sequence("c", {1: 1}, 2.5)}),
+            ("qgauss", {"closed_form": {"name": "q-binomial", "window": HALF_BOUND}}),
+            ("seq", {"sequence": zpos_sequence("a", {1: 1, 3: 4}, 3)}),
+            ("qgauss", {"construction": "ramanujan", "sequence": PARTIAL_A}),
+            ("riordan", {"series": {"numer": [1, 1]}, "max_n": 3.9}),
+            ("qgauss", {"closed_form": {**Q_POWER, "base": 2.5}}),
+            ("csp", {**WORDS, "beads": [["a", 1.9], ["b", 1]]}),
         ],
     )
     def test_refused(self, tmp_path, command, cfg):

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -35,6 +39,29 @@ from sievekit.semigroup import Chain, FreeRanked, PositiveIntegers, Window
 from helpers import lucas_numbers, partition_numbers, qb0, sigma, zpos_spec
 
 ZPOS = PositiveIntegers()
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Builds one festoon family and prints how many object comparisons it took.
+COUNT_COMPARISONS = """
+from sievekit.objects import CyclicFamily, CyclicObject, festoons_by_content
+from sievekit.semigroup import FreeRanked, Window
+
+calls = 0
+less = CyclicObject.__lt__
+
+
+def counting_less(a, b):
+    global calls
+    calls += 1
+    return less(a, b)
+
+
+CyclicObject.__lt__ = counting_less
+beads = FreeRanked((("x", 1), ("y", 2), ("z", 3)))
+CyclicFamily.from_generator(beads, Window(7), lambda a: festoons_by_content(beads, a))
+print(calls)
+"""
 
 
 def congruent(p, q, n: int) -> bool:
@@ -333,7 +360,7 @@ class TestFamilyValidation:
         fam = CyclicFamily.from_generator(
             ZPOS, Window(5), lambda n: festoons_colored(c, n)
         )
-        spec = fam.count_spec()
+        spec = SequenceSpec.from_mapping(fam.instance, fam.window, "a", fam.counts())
         assert spec.role == "a"
         assert c_from_a(spec).as_dict() == c.as_dict() | {3: 0, 4: 0, 5: 0}
 
@@ -356,3 +383,18 @@ class TestFamilyValidation:
         )
         with pytest.raises(ValueError):
             verify_csp(fam, construct_from_c(zpos_spec("c", {1: 1}, 4)))
+
+    def test_comparisons_do_not_depend_on_the_hash_seed(self):
+        def comparisons(seed: str) -> int:
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [str(SRC), env.get("PYTHONPATH")])
+            )
+            res = subprocess.run(
+                [sys.executable, "-c", COUNT_COMPARISONS],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            return int(res.stdout)
+
+        counts = {comparisons(seed) for seed in ("1", "2", "3")}
+        assert len(counts) == 1 and counts.pop() > 0

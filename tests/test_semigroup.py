@@ -39,6 +39,21 @@ class TestWindow:
     def test_bare_pair_broadcasts(self):
         assert Window(5, (0, 4)).extra_bounds == ((0, 4),)
 
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [
+            ((2.5,), {}),
+            ((True,), {}),
+            (("3",), {}),
+            ((3, ((0, 1.5),)), {}),
+            ((3, ((False, 2),)), {}),
+            ((3,), {"max_total": 2.0}),
+        ],
+    )
+    def test_refuses_non_integers(self, args, kwargs):
+        with pytest.raises(ValueError, match="must be an integer"):
+            Window(*args, **kwargs)
+
 
 class TestPositiveIntegers:
     @given(st.integers(1, 60))
@@ -127,6 +142,8 @@ class TestFreeRanked:
             MIXED.validate((-1, 1))
         with pytest.raises(ValueError):
             FreeRanked((("a", 1), ("a", 2)))
+        with pytest.raises(ValueError, match="must be an integer"):
+            FreeRanked((("a", 1.9),))
 
     def test_elements_in_rank_window(self):
         elems = TWO_LETTERS.elements(Window(2))

@@ -8,6 +8,9 @@ from sievekit.objects import verify_csp, verify_lyndon
 from sievekit.qgauss import PolyFamily
 from sievekit.qpoly import ONE, q_power
 from sievekit.tubings import (
+    MAX_IMPROPER_OBJECTS,
+    bijection_roundtrips,
+    check_bijection_job,
     classify_path,
     classify_vertices,
     cycle_tubing_to_delannoy,
@@ -75,6 +78,38 @@ class TestEnumeration:
         }
         with pytest.raises(ValueError):
             classify_vertices(3, {(0, 3), (1, 1)}, "cycle")
+
+
+class TestBijectionJobs:
+    def test_predicted_roundtrips_match_the_enumeration(self):
+        interval = [len(enumerate_tubings(n, "interval")) for n in range(1, 7)]
+        assert [bijection_roundtrips("interval", n) for n in range(1, 7)] == [
+            sum(interval[:n]) for n in range(1, 7)
+        ]
+        cycle = [
+            sum(1 for t in enumerate_tubings(n, "cycle") if free_vertices(n, t, "cycle"))
+            for n in range(1, 7)
+        ]
+        assert [bijection_roundtrips("cycle", n) for n in range(1, 7)] == [
+            sum(cycle[:n]) for n in range(1, 7)
+        ]
+
+    @pytest.mark.parametrize(
+        "kind, allowed, refused",
+        [("interval", 258_562, 1_296_280), ("cycle", 325_441, 1_788_004)],
+    )
+    def test_cap_allows_nine_and_refuses_ten(self, kind, allowed, refused):
+        assert bijection_roundtrips(kind, 9) == allowed <= MAX_IMPROPER_OBJECTS
+        check_bijection_job(kind, 9)
+        with pytest.raises(ValueError, match=str(refused)):
+            check_bijection_job(kind, 10)
+
+    @pytest.mark.parametrize(
+        "kind, max_n", [("interval", 0), ("interval", 13), ("cycle", 11), ("path", 3)]
+    )
+    def test_malformed_jobs_are_refused(self, kind, max_n):
+        with pytest.raises(ValueError):
+            check_bijection_job(kind, max_n)
 
 
 class TestPaths:

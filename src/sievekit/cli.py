@@ -25,10 +25,12 @@ from .gaussseq import (
     sequence_from_config,
 )
 from .objects import (
+    MAX_OBJECTS,
     CyclicFamily,
     festoons_by_content,
     festoons_colored,
     festoons_repeated,
+    predicted_count,
     signed_festoons,
     verify_csp,
     verify_lyndon,
@@ -77,6 +79,17 @@ def _strict_int(cfg: dict, key: str, where: str, default: int | None = None) -> 
     """An integer setting; floats, strings and booleans are refused."""
     try:
         return strict_int(cfg.get(key, default), f"{where}: {key}")
+    except ValueError as e:
+        raise ConfigError(str(e))
+
+
+def _int_list(cfg: dict, key: str, where: str) -> list[int]:
+    """A list of integers; floats, strings and booleans are refused."""
+    value = cfg[key]
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: {key} must be a list of integers, got {value!r}")
+    try:
+        return [strict_int(v, f"{where}: {key} entry") for v in value]
     except ValueError as e:
         raise ConfigError(str(e))
 
@@ -232,6 +245,20 @@ def cmd_qgauss(cfg: dict) -> tuple[dict, int]:
 # -- csp ---------------------------------------------------------------------------
 
 
+def _refuse_oversized(name: str, source, window: Window | None = None) -> None:
+    """Refuse, before any enumeration, a malformed family or one predicting
+    more than MAX_OBJECTS objects."""
+    try:
+        count = predicted_count(name, source, window)
+    except ValueError as e:
+        raise ConfigError(f"csp config: {e}")
+    if count > MAX_OBJECTS:
+        raise ConfigError(
+            f"csp config: {name} predicts {count} objects, "
+            f"above the cap of {MAX_OBJECTS}"
+        )
+
+
 def _family_words(cfg: dict) -> tuple[CyclicFamily, PolyFamily, bool]:
     _require_keys(cfg, {"family", "beads", "window"}, {"beads", "window"}, "csp config")
     beads, window = _beads(cfg), _window(cfg)
@@ -247,6 +274,7 @@ def _family_words(cfg: dict) -> tuple[CyclicFamily, PolyFamily, bool]:
         def generate(alpha):
             return festoons_by_content(beads, alpha)
 
+    _refuse_oversized(cfg["family"], beads, window)
     fam = CyclicFamily.from_generator(beads, window, generate)
     return fam, fund_family(beads, window), False
 
@@ -259,6 +287,7 @@ def _family_from_sequence(cfg: dict, name: str) -> tuple[CyclicFamily, PolyFamil
         raise ConfigError(
             f"csp config: {name} needs a role-{key} sequence, got role-{spec.role}"
         )
+    _refuse_oversized(name, spec)
     if name == "festoons-colored":
         gen = lambda s: festoons_colored(spec, s)
         poly = construct_from_c(spec)
@@ -394,11 +423,12 @@ def cmd_riordan(cfg: dict) -> tuple[dict, int]:
     if not 1 <= max_n <= 24:
         raise ConfigError("riordan config: max_n must be in 1..24")
     order = max_n + 1
+    numer = _int_list(series, "numer", "riordan series")
+    denom = _int_list(series, "denom", "riordan series") if "denom" in series else [1]
+    if not denom or denom[0] not in (1, -1):
+        raise ConfigError(f"riordan series: denom must start with 1 or -1, got {denom}")
     try:
-        if "denom" in series:
-            D = TruncatedSeries.from_rational(series["numer"], series["denom"], order)
-        else:
-            D = TruncatedSeries.from_coeffs(series["numer"], order)
+        D = TruncatedSeries.from_rational(numer, denom, order)
     except (ValueError, ZeroDivisionError) as e:
         raise ConfigError(f"riordan series: {e}")
     rows = []

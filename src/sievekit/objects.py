@@ -16,43 +16,64 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from math import comb
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .gaussseq import SequenceSpec
+from .gaussseq import SequenceSpec, a_from_b, a_from_c
 from .qgauss import FamilyReport, PolyFamily, _require_role, check_divisors, root_total
 from .qpoly import IntPoly, eval_at_primitive_root
 from .semigroup import FreeRanked, Window, _SemigroupBase, window_table
 
 OBJECT_KINDS = ("word", "composition", "festoon", "signed-festoon", "tubing")
 
+# csp and bijection jobs predicting more objects than this are refused
+MAX_OBJECTS = 400_000
 
-@dataclass(frozen=True, order=True)
-class CyclicObject:
-    """One element of a cyclic family: symbols on the slots of a cycle."""
 
-    kind: str
-    slots: tuple
-    sign: int = 1
+class CyclicObject(tuple):
+    """One element of a cyclic family: symbols on the slots of a cycle.
 
-    def __post_init__(self) -> None:
-        if self.kind not in OBJECT_KINDS:
-            raise ValueError(f"CyclicObject: unknown kind {self.kind!r}")
-        if not self.slots:
+    A ``(kind, slots, sign)`` tuple, so hashing, equality and ordering run
+    in C; it compares equal to the plain tuple with the same entries.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, slots: tuple, sign: int = 1) -> "CyclicObject":
+        if kind not in OBJECT_KINDS:
+            raise ValueError(f"CyclicObject: unknown kind {kind!r}")
+        if not slots:
             raise ValueError("CyclicObject: empty encoding")
-        if self.sign not in (1, -1):
-            raise ValueError(f"CyclicObject: sign must be +-1, got {self.sign}")
+        if sign not in (1, -1):
+            raise ValueError(f"CyclicObject: sign must be +-1, got {sign}")
+        return tuple.__new__(cls, (kind, slots, sign))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"CyclicObject(kind={self[0]!r}, slots={self[1]!r}, sign={self[2]!r})"
+
+    # Bound in the class body, not inherited, so that a wrapper of the
+    # class's own comparison (bench/tracer.py counts calls) finds it.
+    __lt__ = tuple.__lt__
+
+    kind = property(itemgetter(0))
+    slots = property(itemgetter(1))
+    sign = property(itemgetter(2))
 
     @property
     def n(self) -> int:
-        return len(self.slots)
+        return len(self[1])
 
     def rotated(self, steps: int) -> "CyclicObject":
         """Rotate the encoding by the given number of slots."""
-        n = self.n
-        j = steps % n
+        kind, slots, sign = self
+        j = steps % len(slots)
         if j == 0:
             return self
-        return CyclicObject(self.kind, self.slots[j:] + self.slots[:j], self.sign)
+        return tuple.__new__(CyclicObject, (kind, slots[j:] + slots[:j], sign))
 
 
 def _canonical(objs: Iterable[CyclicObject]) -> tuple[CyclicObject, ...]:
@@ -88,7 +109,8 @@ class CyclicFamily:
                     raise ValueError(
                         f"generator emitted a length-{o.n} object at rank-{n} {s!r}"
                     )
-            if set(o.rotated(1) for o in objs) != set(objs):
+            members = set(objs)
+            if any(o.rotated(1) not in members for o in objs):
                 raise ValueError(f"object set at {s!r} is not closed under rotation")
             pairs.append((s, objs))
         return cls(instance, window, tuple(pairs))
@@ -112,6 +134,34 @@ def _content_items(alpha) -> list:
     return items
 
 
+def _multiset_permutations(items: Sequence) -> Iterator[tuple]:
+    """Every distinct ordering of the items, each once (Knuth's Algorithm L).
+
+    Steps through the next permutations of the sorted list of each item's
+    first-occurrence index, so items need only be hashable.  When equal
+    items stand together, the orderings come in lexicographic order of
+    positions, as ``itertools.permutations`` would first produce them.
+    """
+    first: dict = {}
+    for x in items:
+        first.setdefault(x, len(first))
+    distinct = list(first)
+    a = sorted(first[x] for x in items)
+    n = len(a)
+    while True:
+        yield tuple([distinct[i] for i in a])
+        j = n - 2
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
+            return
+        k = n - 1
+        while a[j] >= a[k]:
+            k -= 1
+        a[j], a[k] = a[k], a[j]
+        a[j + 1:] = a[:j:-1]
+
+
 def words_with_content(alpha) -> list[CyclicObject]:
     """All distinct arrangements of the given letter multiset.
 
@@ -119,8 +169,7 @@ def words_with_content(alpha) -> list[CyclicObject]:
     comparable since the major index uses their order.
     """
     items = _content_items(alpha)
-    perms = dict.fromkeys(itertools.permutations(items))
-    return sorted(CyclicObject("word", w) for w in perms)
+    return sorted(CyclicObject("word", w) for w in _multiset_permutations(items))
 
 
 def maj(w) -> int:
@@ -204,15 +253,16 @@ def compositions(n: int, k: int, alphabet) -> list[CyclicObject]:
 # -- festoons --------------------------------------------------------------------
 
 
-def _place_beads(n: int, beads: Sequence[tuple], offset: int) -> tuple:
-    """Tile the cycle with (type, color, length) beads, first start at offset."""
-    slots: list = [None] * n
-    pos = offset
-    for btype, color, length in beads:
-        for i in range(length):
-            slots[(pos + i) % n] = (btype, color, i == 0)
-        pos += length
-    return tuple(slots)
+def _placements(beads: Iterable[tuple]) -> list[tuple]:
+    """Tile the cycle with (type, color, length) beads whose lengths sum to
+    its length n, once with the first bead starting at each slot 0..n-1."""
+    line = tuple(
+        (btype, color, i == 0)
+        for btype, color, length in beads
+        for i in range(length)
+    )
+    n = len(line)
+    return [line[n - offset:] + line[:n - offset] for offset in range(n)]
 
 
 def festoons_by_content(beads, alpha) -> list[CyclicObject]:
@@ -232,14 +282,13 @@ def festoons_by_content(beads, alpha) -> list[CyclicObject]:
             mults[inst.label_index(label)] = mult
         alpha = tuple(mults)
     inst.validate(alpha)
-    n = inst.rank(alpha)
     items = []
     for (label, length), mult in zip(inst.beads, alpha):
         items.extend([(label, 0, length)] * mult)
     out: dict = {}  # dicts, not sets: the order must not depend on str hashing
-    for perm in dict.fromkeys(itertools.permutations(items)):
-        for offset in range(n):
-            out[CyclicObject("festoon", _place_beads(n, perm, offset))] = None
+    for perm in _multiset_permutations(items):
+        for slots in _placements(perm):
+            out[CyclicObject("festoon", slots)] = None
     return sorted(out)
 
 
@@ -257,22 +306,17 @@ def _colored_festoons(c: SequenceSpec, s, signed: bool) -> list[CyclicObject]:
         support = c.support()
     else:
         support = _nonneg_support(c, "c")
-    n = inst.rank(s)
     kind = "signed-festoon" if signed else "festoon"
     out: dict = {}
     for parts in inst.decompositions(s, support=support):
         negatives = sum(1 for t in parts if c.value(t) < 0)
         sign = -1 if signed and negatives % 2 else 1
-        for perm in dict.fromkeys(itertools.permutations(parts)):
+        for perm in _multiset_permutations(parts):
             lengths = [inst.rank(t) for t in perm]
             color_ranges = [range(1, abs(c.value(t)) + 1) for t in perm]
             for colors in itertools.product(*color_ranges):
-                beads = [
-                    (t, col, length)
-                    for t, col, length in zip(perm, colors, lengths)
-                ]
-                for offset in range(n):
-                    out[CyclicObject(kind, _place_beads(n, beads, offset), sign)] = None
+                for slots in _placements(zip(perm, colors, lengths)):
+                    out[CyclicObject(kind, slots, sign)] = None
     return sorted(out)
 
 
@@ -362,9 +406,7 @@ def _length_tilings(n: int) -> list[tuple]:
 
     def rec(left: int):
         if left == 0:
-            beads = [(length, 0, length) for length in acc]
-            for offset in range(n):
-                tilings.add(_place_beads(n, beads, offset))
+            tilings.update(_placements((length, 0, length) for length in acc))
             return
         for x in range(1, left + 1):
             acc.append(x)
@@ -373,6 +415,47 @@ def _length_tilings(n: int) -> list[tuple]:
 
     rec(n)
     return sorted(tilings)
+
+
+# -- sizes before enumeration -----------------------------------------------------
+
+
+def content_count(beads: FreeRanked, alpha) -> int:
+    """How many festoons have content alpha (words, when all beads have
+    length 1): the multinomial of alpha times rank(alpha) / |alpha|."""
+    count, total = 1, 0
+    for m in alpha:
+        total += m
+        count *= comb(total, m)
+    return count * beads.rank(alpha) // total
+
+
+def predicted_count(family: str, source, window: Window | None = None) -> int:
+    """Objects a csp family holds over its window, from its counting row
+    at q = 1, without enumerating them.
+
+    ``source`` is the FreeRanked beads for "words" and "festoons-content"
+    (``window`` is then required), the role-b spec for "festoons-repeated",
+    and the role-c spec for "festoons-colored" and "signed-festoons", which
+    are colored by |c|.  Raises ValueError on what the enumerators refuse:
+    beads shorter than 1 and negative weights outside the signed family.
+    """
+    if family in ("words", "festoons-content"):
+        if any(length < 1 for length in source.lengths):
+            raise ValueError("festoons need bead lengths >= 1")
+        return sum(content_count(source, alpha) for alpha in source.elements(window))
+    if family == "festoons-repeated":
+        _nonneg_support(source, "b")
+        return sum(a_from_b(source).row())
+    if family == "festoons-colored":
+        _nonneg_support(source, "c")
+    elif family == "signed-festoons":
+        _require_role(source, "c")
+        weights = tuple((t, abs(v)) for t, v in source.values)
+        source = SequenceSpec(source.instance, source.window, "c", weights)
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    return sum(a_from_c(source).row())
 
 
 # -- actions and verifiers --------------------------------------------------------
@@ -387,7 +470,7 @@ def fixed_points(objs: Sequence[CyclicObject], d: int) -> list[CyclicObject]:
     if d < 1 or n % d:
         raise ValueError(f"fixed_points: {d} does not divide the length {n}")
     step = n // d
-    return [o for o in objs if o.rotated(step) == o]
+    return [o for o in objs if o.slots[step:] == o.slots[:-step]]
 
 
 def orbit_census(objs: Sequence[CyclicObject]) -> dict[int, int]:

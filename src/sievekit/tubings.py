@@ -21,7 +21,7 @@ from math import comb
 from typing import Callable, Iterable, Mapping
 
 from .gaussseq import TruncatedSeries, solve_functional_equation
-from .objects import CyclicFamily, CyclicObject
+from .objects import MAX_OBJECTS, CyclicFamily, CyclicObject
 from .qgauss import PolyFamily
 from .qpoly import IntPoly, ONE, ZERO, q_binomial, q_power
 from .semigroup import Chain, PositiveIntegers, Window
@@ -31,8 +31,6 @@ Tubing = frozenset
 
 MAX_INTERVAL = 12
 MAX_CYCLE = 10
-# csp and bijection jobs predicting more tubings than this are refused
-MAX_IMPROPER_OBJECTS = 400_000
 
 _STEP_X = {"U": 1, "D": 1, "F": 2}
 _STEP_Y = {"U": 1, "D": -1, "F": 0}
@@ -528,7 +526,7 @@ def check_improper_job(max_rank: int, grading: str = "tubes", colors: int = 1) -
     """Refuse, before any enumeration, a family job that is malformed or
     too large: a rank outside 1..MAX_CYCLE, an unknown grading, fewer than
     one color, colors with a grading other than "tubes", or more than
-    MAX_IMPROPER_OBJECTS predicted objects."""
+    MAX_OBJECTS predicted objects."""
     if not 1 <= max_rank <= MAX_CYCLE:
         raise ValueError(f"max_rank must be in 1..{MAX_CYCLE}, got {max_rank}")
     if grading not in ("free", "tubes", "all"):
@@ -538,10 +536,10 @@ def check_improper_job(max_rank: int, grading: str = "tubes", colors: int = 1) -
     if colors != 1 and grading != "tubes":
         raise ValueError("colors only combine with the tubes grading")
     count = improper_tubing_count(max_rank, colors)
-    if count > MAX_IMPROPER_OBJECTS:
+    if count > MAX_OBJECTS:
         raise ValueError(
             f"max_rank {max_rank} and colors {colors} predict {count} objects, "
-            f"above the cap of {MAX_IMPROPER_OBJECTS}"
+            f"above the cap of {MAX_OBJECTS}"
         )
 
 
@@ -561,17 +559,17 @@ def bijection_roundtrips(kind: str, max_n: int) -> int:
 def check_bijection_job(kind: str, max_n: int) -> None:
     """Refuse, before any enumeration, a bijection job of an unknown kind,
     with max_n outside 1..MAX_INTERVAL or 1..MAX_CYCLE, or predicting more
-    than MAX_IMPROPER_OBJECTS round trips."""
+    than MAX_OBJECTS round trips."""
     if kind not in ("interval", "cycle"):
         raise ValueError(f"unknown kind {kind!r}")
     cap = MAX_INTERVAL if kind == "interval" else MAX_CYCLE
     if not 1 <= max_n <= cap:
         raise ValueError(f"max_n must be in 1..{cap}")
     count = bijection_roundtrips(kind, max_n)
-    if count > MAX_IMPROPER_OBJECTS:
+    if count > MAX_OBJECTS:
         raise ValueError(
             f"max_n {max_n} predicts {count} round trips, "
-            f"above the cap of {MAX_IMPROPER_OBJECTS}"
+            f"above the cap of {MAX_OBJECTS}"
         )
 
 

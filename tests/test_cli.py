@@ -246,6 +246,15 @@ class TestTubingGuards:
             ("riordan", {"series": {"numer": [1, 1]}, "max_n": 3.9}),
             ("qgauss", {"closed_form": {**Q_POWER, "base": 2.5}}),
             ("csp", {**WORDS, "beads": [["a", 1.9], ["b", 1]]}),
+            ("riordan", {"series": {"numer": [1, 0.5]}, "max_n": 3}),
+            ("riordan", {"series": {"numer": [1, "1/2"]}, "max_n": 3}),
+            ("riordan", {"series": {"numer": [1], "denom": [2, 1]}, "max_n": 3}),
+            ("riordan", {"series": {"numer": "11"}, "max_n": 3}),
+            ("riordan", {"series": {"numer": [1], "denom": [True, -1]}, "max_n": 3}),
+            ("riordan", {"series": {"numer": [1], "denom": []}, "max_n": 3}),
+            ("csp", {"family": "festoons-colored", "c": zpos_sequence("c", {1: -1}, 3)}),
+            ("csp", {"family": "festoons-content", "beads": [["e", 0], ["x", 1]],
+                     "window": {"max_rank": 3, "max_total": 3}}),
         ],
     )
     def test_refused(self, tmp_path, command, cfg):
@@ -264,6 +273,25 @@ class TestTubingGuards:
             for n in range(1, 8)
             for k in range(n)
         )
+        assert str(estimate) in res.stderr
+
+
+    @pytest.mark.parametrize(
+        "cfg, estimate",
+        [
+            ({"family": "words", "beads": [[x, 1] for x in "abcd"],
+              "window": {"max_rank": 11}}, sum(4**n for n in range(1, 12))),
+            ({"family": "festoons-colored", "c": zpos_sequence("c", {1: 2}, 18)},
+             2**19 - 2),
+            ({"family": "signed-festoons", "c": zpos_sequence("c", {1: -2}, 18)},
+             2**19 - 2),
+        ],
+        ids=["words", "festoons-colored", "signed-festoons"],
+    )
+    def test_object_count_cap_names_the_estimate(self, tmp_path, cfg, estimate):
+        res = run_cli(tmp_path, "csp", cfg)
+        assert res.returncode == 1
+        assert res.stderr.startswith("config error:")
         assert str(estimate) in res.stderr
 
 

@@ -8,7 +8,7 @@ from sievekit.objects import verify_csp, verify_lyndon
 from sievekit.qgauss import PolyFamily
 from sievekit.qpoly import ONE, q_power
 from sievekit.tubings import (
-    MAX_IMPROPER_OBJECTS,
+    MAX_OBJECTS,
     bijection_roundtrips,
     check_bijection_job,
     classify_path,
@@ -99,7 +99,7 @@ class TestBijectionJobs:
         [("interval", 258_562, 1_296_280), ("cycle", 325_441, 1_788_004)],
     )
     def test_cap_allows_nine_and_refuses_ten(self, kind, allowed, refused):
-        assert bijection_roundtrips(kind, 9) == allowed <= MAX_IMPROPER_OBJECTS
+        assert bijection_roundtrips(kind, 9) == allowed <= MAX_OBJECTS
         check_bijection_job(kind, 9)
         with pytest.raises(ValueError, match=str(refused)):
             check_bijection_job(kind, 10)

@@ -10,7 +10,7 @@ import tubings_oracle as oracle
 from sievekit.qpoly import ZERO
 from sievekit.tubings import (
     MAX_CYCLE,
-    MAX_IMPROPER_OBJECTS,
+    MAX_OBJECTS,
     enumerate_paths,
     enumerate_tubings,
     final_vertices,
@@ -148,7 +148,7 @@ def test_predicted_count_is_tube_count_polynomial_at_one():
 
 
 def test_job_guards_refuse_before_building():
-    assert improper_tubing_count(MAX_CYCLE - 1) <= MAX_IMPROPER_OBJECTS
+    assert improper_tubing_count(MAX_CYCLE - 1) <= MAX_OBJECTS
     for args in [
         (0, "tubes", 1),
         (MAX_CYCLE + 1, "tubes", 1),

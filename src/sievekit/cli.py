@@ -21,7 +21,7 @@ from .gaussseq import (
     b_from_a,
     c_from_a,
     check_gauss,
-    riordan_count,
+    riordan_rows,
     sequence_from_config,
 )
 from .objects import (
@@ -431,10 +431,7 @@ def cmd_riordan(cfg: dict) -> tuple[dict, int]:
         D = TruncatedSeries.from_rational(numer, denom, order)
     except (ValueError, ZeroDivisionError) as e:
         raise ConfigError(f"riordan series: {e}")
-    rows = []
-    for n in range(1, max_n + 1):
-        rows.append([n, [riordan_count(D, n, k) for k in range(1, n + 1)]])
-    return {"command": "riordan", "rows": rows, "ok": True}, 0
+    return {"command": "riordan", "rows": riordan_rows(D, max_n), "ok": True}, 0
 
 
 # -- rendering and entry -----------------------------------------------------------

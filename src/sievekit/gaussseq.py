@@ -579,8 +579,26 @@ def riordan_count(D: TruncatedSeries, n: int, k: int) -> int:
     """The x^(n-k) coefficient of D(x)^n, exact."""
     if n < 1:
         raise ValueError(f"riordan_count: need n >= 1, got {n}")
+    return _riordan_entry(D ** n, n, k)
+
+
+def riordan_rows(D: TruncatedSeries, max_n: int) -> list[list]:
+    """[n, [riordan_count(D, n, k) for k = 1..n]] for n = 1..max_n.
+
+    D^n is built once per row, as the previous row's power times D.
+    """
+    rows = []
+    power = D
+    for n in range(1, max_n + 1):
+        if n > 1:
+            power = power * D
+        rows.append([n, [_riordan_entry(power, n, k) for k in range(1, n + 1)]])
+    return rows
+
+
+def _riordan_entry(power: TruncatedSeries, n: int, k: int) -> int:
+    """The x^(n-k) coefficient of power = D^n, which must be an integer."""
     e = n - k
-    power = D ** n
     if e < power.low:
         return 0
     value = power.coeff(e)

@@ -19,6 +19,8 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import cycle
+from math import gcd
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
@@ -29,9 +31,11 @@ from .qpoly import (
     ZERO,
     eval_at_one,
     eval_at_primitive_root,
+    one_minus_q_pow,
     q_int,
     q_multinomial,
     q_power,
+    reduce_mod_q_int,
     reduce_mod_qn_minus_1,
 )
 from .semigroup import (
@@ -204,17 +208,26 @@ def construct_ramanujan(a: SequenceSpec) -> PolyFamily:
     Degree stays below rank(s) and the result is the unique representative
     of its class mod q^rank - 1 in that degree range.  Integer coefficients
     certify that the input satisfies the sieve congruence; a fractional one
-    raises NonIntegerCoefficient.
+    raises NonIntegerCoefficient.  The Ramanujan sum c_d(j) depends only on
+    gcd(j, d), so each d contributes one period row of length d, built
+    from one sum per divisor of d.
     """
     _require_role(a, "a")
     inst = a.instance
+    periods: dict[int, list[int]] = {}
 
     def build(s):
         rk = inst.rank(s)
-        pairs = [(a.value(t), d) for t, d in inst.unit_divisors(s)]
-        coeffs = []
-        for j in range(rk):
-            coeffs.append(sum(at * ramanujan_sum(j, d) for at, d in pairs))
+        coeffs = [0] * rk
+        for t, d in inst.unit_divisors(s):
+            at = a.value(t)
+            if not at:
+                continue
+            row = periods.get(d)
+            if row is None:
+                by_gcd = {g: ramanujan_sum(g, d) for g in divisors(d)}
+                row = periods[d] = [by_gcd[gcd(j, d)] for j in range(d)]
+            coeffs = [c + at * r for c, r in zip(coeffs, cycle(row))]
         try:
             return IntPoly(coeffs).scale_div(rk)
         except ArithmeticError:
@@ -241,9 +254,15 @@ def construct_from_b(b: SequenceSpec) -> PolyFamily:
 
 
 def _weighted_multinomial(weight: int, mults: list[int]) -> IntPoly:
-    """Exact ([weight]_q / [sum]_q) times the q-multinomial of mults."""
+    """Exact ([weight]_q / [sum]_q) times the q-multinomial of mults.
+
+    The ratio of q-integers is (1 - q^weight) / (1 - q^sum), so this is one
+    sparse product and one sparse exact division.
+    """
     total = sum(mults)
-    return (q_int(weight) * q_multinomial(mults)).exact_div(q_int(total))
+    return (q_multinomial(mults) * one_minus_q_pow(weight)).exact_div(
+        one_minus_q_pow(total)
+    )
 
 
 def construct_from_c(c: SequenceSpec) -> PolyFamily:
@@ -251,6 +270,9 @@ def construct_from_c(c: SequenceSpec) -> PolyFamily:
 
     Each decomposition of s into parts from the support of c contributes a
     weighted q-multinomial times a q-exponential factor per distinct part.
+    The weight [rank(s)]_q / [number of parts]_q depends on the decomposition
+    only through its number of parts, so it is applied once per part count,
+    as one product by 1 - q^rank(s) and one exact division.
     """
     _require_role(c, "c")
     inst = c.instance
@@ -258,15 +280,17 @@ def construct_from_c(c: SequenceSpec) -> PolyFamily:
 
     def build(s):
         rk = inst.rank(s)
-        total = ZERO
+        by_count: dict[int, IntPoly] = {}  # number of parts -> unweighted terms
         for parts in inst.decompositions(s, support=support):
             mults = Counter(parts)
-            term = _weighted_multinomial(rk, sorted(mults.values()))
+            term = q_multinomial(sorted(mults.values()))
             for t, m in mults.items():
                 term = term * q_power(c.value(t), m)
-                if not term:
-                    break
-            total = total + term
+            by_count[len(parts)] = by_count.get(len(parts), ZERO) + term
+        total = ZERO
+        for count, terms in by_count.items():
+            weighted = terms * one_minus_q_pow(rk)
+            total = total + weighted.exact_div(one_minus_q_pow(count))
         return total
 
     return PolyFamily.from_function(inst, c.window, build)
@@ -276,7 +300,11 @@ def construct_from_c(c: SequenceSpec) -> PolyFamily:
 
 
 def check_qgauss_definition(F: PolyFamily) -> FamilyReport:
-    """Exact-division test: Mobius-weighted divisor sum mod [rank(s)]_q."""
+    """Exact-division test: Mobius-weighted divisor sum mod [rank(s)]_q.
+
+    The remainder is read off the fold modulo q^rank - 1
+    (``reduce_mod_q_int``), with no long division.
+    """
     inst = F.instance
     lookup = F.as_dict()
     failures: list[FamilyCheckFailure] = []
@@ -288,7 +316,7 @@ def check_qgauss_definition(F: PolyFamily) -> FamilyReport:
             mu = mobius(d)
             if mu:
                 total = total + lookup[t].subst_power(d) * mu
-        _, rem = divmod(total, q_int(rk))
+        rem = reduce_mod_q_int(total, rk)
         checked += 1
         if rem:
             failures.append(FamilyCheckFailure(s, rk, f"remainder {rem}"))

@@ -6,6 +6,12 @@ the empty tuple and has degree ``None``.  Everything here stays in Z[q];
 division is only ever performed when it is exact, and a failed exactness
 check raises instead of falling back to floats.
 
+The q-analogues are products and quotients of the two-term factors
+1 - q^m: binomials, multinomials and cyclotomic polynomials directly, and
+q-powers as sums of such products.  No step divides by a dense polynomial:
+each division is by one factor 1 - q^m, costs time linear in the degree,
+and is checked to be exact.
+
 Remainders modulo a cyclotomic polynomial represent evaluations at a
 primitive root of unity without ever leaving exact arithmetic.
 """
@@ -13,9 +19,10 @@ primitive root of unity without ever leaving exact arithmetic.
 from __future__ import annotations
 
 import functools
+from math import comb
 from typing import Iterable, Sequence
 
-from .arith import divisors
+from .arith import divisors, mobius
 
 
 def _trim(coeffs: Iterable[int]) -> tuple[int, ...]:
@@ -91,15 +98,19 @@ class IntPoly:
         return _coerce(other) + (-self)
 
     def __mul__(self, other: "IntPoly | int") -> "IntPoly":
+        """Product; the outer loop runs over the nonzero terms of the
+        sparser operand, so multiplying by 1 - q^m costs two passes."""
         other = _coerce(other)
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return ZERO
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
+        if len(a) - a.count(0) > len(b) - b.count(0):
+            a, b = b, a
+        width = len(b)
+        out = [0] * (len(a) + width - 1)
+        for i, c in enumerate(a):
+            if c:
+                out[i:i + width] = [x + c * y for x, y in zip(out[i:i + width], b)]
         return IntPoly(out)
 
     __rmul__ = __mul__
@@ -133,7 +144,12 @@ class IntPoly:
         return IntPoly(out)
 
     def __divmod__(self, other: "IntPoly") -> tuple["IntPoly", "IntPoly"]:
-        """Long division; every reduction step must divide exactly in Z."""
+        """Long division; every reduction step must divide exactly in Z.
+
+        Each step touches only the nonzero terms of the divisor, so division
+        by 1 - q^m is linear in the degree.  A lead coefficient of 1 or -1
+        divides every integer, so its steps need no remainder test.
+        """
         if not other.coeffs:
             raise ZeroDivisionError("IntPoly division by zero")
         lead = other.coeffs[-1]
@@ -141,17 +157,23 @@ class IntPoly:
         dn = len(other.coeffs) - 1
         if len(rem) <= dn:
             return ZERO, self
+        lower = [(j - dn, c) for j, c in enumerate(other.coeffs[:-1]) if c]
+        unit = lead in (1, -1)
         quo = [0] * (len(rem) - dn)
         for i in range(len(rem) - 1, dn - 1, -1):
             c = rem[i]
             if c == 0:
                 continue
-            step, r = divmod(c, lead)
-            if r:
-                raise ArithmeticError("IntPoly division is not exact over Z")
+            if unit:
+                step = c * lead
+            else:
+                step, r = divmod(c, lead)
+                if r:
+                    raise ArithmeticError("IntPoly division is not exact over Z")
             quo[i - dn] = step
-            for j, oc in enumerate(other.coeffs):
-                rem[i - dn + j] -= step * oc
+            rem[i] = 0
+            for j, oc in lower:
+                rem[i + j] -= step * oc
         return IntPoly(quo), IntPoly(rem)
 
     def exact_div(self, other: "IntPoly") -> "IntPoly":
@@ -222,6 +244,34 @@ def reduce_mod_qn_minus_1(p: IntPoly, n: int) -> IntPoly:
     return IntPoly(out)
 
 
+def reduce_mod_q_int(p: IntPoly, n: int) -> IntPoly:
+    """Canonical remainder of p modulo [n]_q (degree < n - 1), for n >= 1.
+
+    [n]_q divides q**n - 1, so p is folded modulo q**n - 1 first.  The fold
+    has degree below n, and taking its q**(n-1) coefficient times [n]_q away
+    leaves the remainder: the same one long division by [n]_q gives.
+
+    >>> reduce_mod_q_int(IntPoly((0, 0, 0, 5)), 3).coeffs
+    (5,)
+    """
+    folded = reduce_mod_qn_minus_1(p, n).coeffs
+    if len(folded) < n:
+        return IntPoly(folded)
+    top = folded[-1]
+    return IntPoly(c - top for c in folded)
+
+
+def one_minus_q_pow(m: int) -> IntPoly:
+    """The two-term factor 1 - q**m, for m >= 0 (zero when m == 0).
+
+    >>> one_minus_q_pow(3).coeffs
+    (1, 0, 0, -1)
+    """
+    if m < 0:
+        raise ValueError(f"one_minus_q_pow: need m >= 0, got {m}")
+    return IntPoly((1,) + (0,) * (m - 1) + (-1,)) if m else ZERO
+
+
 @functools.lru_cache(maxsize=None)
 def q_int(n: int) -> IntPoly:
     """The q-integer 1 + q + ... + q**(n-1); zero when n == 0.
@@ -248,6 +298,10 @@ def q_factorial(n: int) -> IntPoly:
 def q_binomial(n: int, k: int) -> IntPoly:
     """Gaussian binomial coefficient.
 
+    Built as the product over i <= m = min(k, n - k) of
+    (1 - q^(n-m+i)) / (1 - q^i); after step i the partial product is the
+    binomial [n-m+i choose i], so every division is exact.
+
     k == 0 gives 1 for every integer n, including negative n: the choice of
     nothing is always the empty product.  This boundary case is relied on by
     counting formulas whose top argument degenerates.
@@ -261,24 +315,27 @@ def q_binomial(n: int, k: int) -> IntPoly:
         return ONE
     if k < 0 or n < 0 or k > n:
         return ZERO
-    num = q_factorial(n)
-    return num.exact_div(q_factorial(k) * q_factorial(n - k))
+    m = min(k, n - k)
+    out = ONE
+    for i in range(1, m + 1):
+        out = (out * one_minus_q_pow(n - m + i)).exact_div(one_minus_q_pow(i))
+    return out
 
 
 def q_multinomial(parts: Sequence[int]) -> IntPoly:
     """q-multinomial coefficient for the given nonnegative parts.
 
-    Computed as [sum]_q! divided in turn by each [part]_q!, with every
-    division checked to be exact in Z[q].
+    Computed as the product of the q-binomials [p_1 + ... + p_j choose p_j]
+    over the parts in order.
     """
+    out = ONE
     total = 0
     for p in parts:
         if p < 0:
             raise ValueError(f"q_multinomial: negative part {p}")
         total += p
-    out = q_factorial(total)
-    for p in parts:
-        out = out.exact_div(q_factorial(p))
+        if p:
+            out = out * q_binomial(total, p)
     return out
 
 
@@ -293,20 +350,38 @@ def q_sign(n: int) -> IntPoly:
 
 @functools.lru_cache(maxsize=None)
 def _q_exp_nonneg(base: int, n: int) -> IntPoly:
-    # base >= 1, n >= 0
-    if n == 0 or base == 1:
-        return ONE
-    out = ZERO
-    for j in range(n + 1):
-        out = out + q_binomial(n, j) * _q_exp_nonneg(base - 1, n - j)
-    return out
+    """q-analogue of base**n for base >= 1 and n >= 0.
+
+    It is the sum of [n choose j]_q times the same analogue of
+    (base - 1)**(n - j), so sum_m P_m x^m / [m]_q! is the base-th power of
+    the q-exponential e(x) = sum_m x^m / [m]_q!.  From e(qx) = (1 + (q - 1)x)
+    e(x), the row P_0 = 1, P_1, ..., P_n of one base obeys
+
+        P_m = sum over i = 1..min(base, m) of
+              C(base, i) * (q^(m-i+1) - 1) ... (q^(m-1) - 1) * P_(m-i),
+
+    which is built here iteratively, with no recursion on base or n.
+    """
+    row = [ONE]
+    for m in range(1, n + 1):
+        total = ZERO
+        factor = ONE  # (1 - q^(m-i+1)) ... (1 - q^(m-1))
+        for i in range(1, min(base, m) + 1):
+            if i > 1:
+                factor = factor * one_minus_q_pow(m - i + 1)
+            # (q^k - 1) = -(1 - q^k): i - 1 factors give the sign
+            weight = comb(base, i) if i % 2 else -comb(base, i)
+            total = total + factor * row[m - i] * weight
+        row.append(total)
+    return row[n]
 
 
 def q_power(base: int, n: int) -> IntPoly:
     """q-analogue of the integer power base**n, for n >= 1.
 
     Satisfies q_power(base, n)(1) == base**n.  Negative bases pick up the
-    q-sign of n: q_power(-b, n) == q_sign(n) * q_power(b, n).
+    q-sign of n: q_power(-b, n) == q_sign(n) * q_power(b, n).  The cost
+    grows with n and min(|base|, n), not with |base| itself.
 
     >>> q_power(2, 2).coeffs
     (3, 1)
@@ -326,6 +401,10 @@ def q_power(base: int, n: int) -> IntPoly:
 def cyclotomic(d: int) -> IntPoly:
     """The d-th cyclotomic polynomial.
 
+    For d > 1 it is the product of (1 - q^e)^mobius(d/e) over the divisors
+    e of d: the factors with exponent 1 are multiplied out first, then
+    those with exponent -1 divided out, each division exact.
+
     >>> cyclotomic(6).coeffs
     (1, -1, 1)
     """
@@ -333,11 +412,17 @@ def cyclotomic(d: int) -> IntPoly:
         raise ValueError(f"cyclotomic: need d >= 1, got {d}")
     if d == 1:
         return IntPoly((-1, 1))
-    num = IntPoly.monomial(1, d) - ONE
+    out = ONE
+    divide = []
     for e in divisors(d):
-        if e < d:
-            num = num.exact_div(cyclotomic(e))
-    return num
+        mu = mobius(d // e)
+        if mu == 1:
+            out = out * one_minus_q_pow(e)
+        elif mu == -1:
+            divide.append(e)
+    for e in divide:
+        out = out.exact_div(one_minus_q_pow(e))
+    return out
 
 
 def eval_at_primitive_root(p: IntPoly, d: int) -> IntPoly:

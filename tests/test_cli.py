@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -132,6 +133,15 @@ class TestQGauss:
         payload = json.loads(res.stdout)
         assert res.returncode == 0
         assert set(payload["checks"]) == {"definition"}
+
+    def test_from_c_with_a_large_weight(self, tmp_path):
+        # the size of a weight must not set a recursion depth
+        cfg = {"construction": "from-c", "sequence": zpos_sequence("c", {1: 600}, 3)}
+        res = run_cli(tmp_path, "qgauss", cfg)
+        assert res.returncode == 0, res.stderr
+        payload = json.loads(res.stdout)
+        assert [sum(e["poly"]) for e in payload["family"]] == [600, 600**2, 600**3]
+        assert payload["ok"] is True
 
     def test_deterministic_output(self, tmp_path):
         cfg = {
@@ -310,3 +320,61 @@ class TestRiordan:
         res = run_cli(tmp_path, "riordan", cfg, extra=["--out", str(out)])
         assert res.returncode == 0
         assert json.loads(out.read_text())["rows"]
+
+
+# -- byte identity of the congruence path -----------------------------------------
+
+
+def _lucas(max_n: int) -> list[int]:
+    out = [1, 3]
+    while len(out) < max_n:
+        out.append(out[-1] + out[-2])
+    return out[:max_n]
+
+
+LUCAS_A = {n: v for n, v in enumerate(_lucas(24), start=1)}
+PLANTED_A = {**LUCAS_A, 15: LUCAS_A[15] + 1}
+
+# (command, config, exit code, SHA-256 of the JSON stdout of commit a645866)
+GOLDEN = {
+    "seq": ("seq", {"sequence": zpos_sequence("a", LUCAS_A, 24)}, 0,
+            "bb4c016ad2d744d2ee1a6e04a856e170573f7adb7b5784ba4fb92908dfb440e2"),
+    "ramanujan": ("qgauss", {"construction": "ramanujan",
+                             "sequence": zpos_sequence("a", LUCAS_A, 24)}, 0,
+                  "6d282784f0a3bb94c9754c42580a78a166acb346658f09b09b34abda0c7e6ba0"),
+    "planted-ramanujan": ("qgauss", {"construction": "ramanujan",
+                                     "sequence": zpos_sequence("a", PLANTED_A, 24)}, 2,
+                          "5d25b44005a70a12f7a104ca752240a75b1fa7112b046ee9fcb07bf33b1b2302"),
+    "from-b": ("qgauss", {"construction": "from-b",
+                          "sequence": zpos_sequence(
+                              "b", {n: n % 5 - 2 for n in range(1, 25)}, 24)}, 0,
+               "197298e92d7be60bb88cbc64081d02393840a7873c180d17f49f93e208319c77"),
+    "from-c": ("qgauss", {"construction": "from-c",
+                          "sequence": zpos_sequence(
+                              "c", {1: 1, 2: -2, 3: 1, 5: 2, 9: -1}, 14)}, 0,
+               "5899953bccc8cacefa231e30d60ddc0478fb56af867bcc620ba78c270fa710d3"),
+    "fund": ("qgauss", {"construction": "fund",
+                        "beads": [["a", 1], ["b", 2], ["c", 3]],
+                        "window": {"max_rank": 9}}, 0,
+             "04f741d6dc7eaf7d2d1e5c8d227aac1f7b1c12b4c938ab4198ae29a4ec109e46"),
+    "q-binomial-grid": ("qgauss", {"closed_form": {
+        "name": "q-binomial",
+        "window": {"max_rank": 12, "extra_bounds": [[0, 12]]}}}, 0,
+        "d5316af7888b9a0dac34f4dbda9845778dfb3b88c9727fbb3f9884e0d0fdc078"),
+    "q-power": ("qgauss", {"closed_form": {"name": "q-power", "base": -3,
+                                           "window": {"max_rank": 9}}}, 0,
+                "81d9d18075374cee7d32c883c64d3faef991de4007cd48fde6592b54090dc0d0"),
+    "riordan-denom": ("riordan", {"series": {"numer": [1, 1, -1], "denom": [1, -1]},
+                                  "max_n": 12}, 0,
+                      "3873a9a2803f7783ae5edadf2f7b7e231ad37a78905e04133a8271c476f4b3aa"),
+    "riordan-polynomial": ("riordan", {"series": {"numer": [1, 1, 1]}, "max_n": 12}, 0,
+                           "47f404ecc7086064a8e1a7d4e5d00eb31500f866aa297e5cf5672cb7cdb8c36c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_congruence_path_stdout_is_byte_identical(tmp_path, name):
+    command, cfg, code, digest = GOLDEN[name]
+    res = run_cli(tmp_path, command, cfg)
+    assert res.returncode == code, res.stderr
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest

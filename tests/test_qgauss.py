@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sievekit.gaussseq import b_from_a, c_from_a
+from sievekit.gaussseq import a_from_c, b_from_a, c_from_a
 from sievekit.qgauss import (
     NonIntegerCoefficient,
     PolyFamily,
@@ -84,6 +86,22 @@ class TestConstructions:
         for F in fams[1:]:
             assert equivalent_mod(fams[0], F).ok
             assert F.canonical().as_dict() == fams[0].as_dict()
+
+    @settings(max_examples=25)
+    @given(
+        st.integers(1, 30),
+        # small parts make many decompositions, large ones few
+        st.dictionaries(st.integers(1, 5) | st.integers(1, 30),
+                        st.integers(-3, 3).filter(bool), min_size=1, max_size=3),
+    )
+    def test_three_constructions_agree_on_sparse_c(self, max_rank, support):
+        c = zpos_spec("c", {t: v for t, v in support.items() if t <= max_rank}, max_rank)
+        a = a_from_c(c)
+        fams = [construct_ramanujan(a), construct_from_b(b_from_a(a)), construct_from_c(c)]
+        for F in fams:
+            assert both_ok(F)
+        for F in fams[1:]:
+            assert equivalent_mod(fams[0], F).ok
 
     def test_ramanujan_rejects_non_congruent_input(self):
         a = zpos_spec("a", {n: n for n in range(1, 7)}, 6)

@@ -135,6 +135,12 @@ class TestQAnalogues:
     def test_q_power_at_one(self, base, n):
         assert eval_at_one(q_power(base, n)) == base**n
 
+    @pytest.mark.parametrize("base", [600, -600, 3000, -3000])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_q_power_large_base(self, base, n):
+        # the size of the base must not set a recursion depth
+        assert q_power(base, n)(1) == base**n
+
     @given(st.integers(2, 3), st.integers(1, 6))
     def test_q_power_binomial_expansion(self, base, n):
         # [m+1]-power expands against the previous base by q-binomials

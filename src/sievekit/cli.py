@@ -26,6 +26,7 @@ from .gaussseq import (
 )
 from .objects import (
     MAX_OBJECTS,
+    Census,
     CyclicFamily,
     festoons_by_content,
     festoons_colored,
@@ -259,7 +260,7 @@ def _refuse_oversized(name: str, source, window: Window | None = None) -> None:
         )
 
 
-def _family_words(cfg: dict) -> tuple[CyclicFamily, PolyFamily, bool]:
+def _family_words(cfg: dict) -> tuple[Census, PolyFamily, bool]:
     _require_keys(cfg, {"family", "beads", "window"}, {"beads", "window"}, "csp config")
     beads, window = _beads(cfg), _window(cfg)
     if cfg.get("family") == "words":
@@ -276,10 +277,10 @@ def _family_words(cfg: dict) -> tuple[CyclicFamily, PolyFamily, bool]:
 
     _refuse_oversized(cfg["family"], beads, window)
     fam = CyclicFamily.from_generator(beads, window, generate)
-    return fam, fund_family(beads, window), False
+    return fam.census(), fund_family(beads, window), False
 
 
-def _family_from_sequence(cfg: dict, name: str) -> tuple[CyclicFamily, PolyFamily, bool]:
+def _family_from_sequence(cfg: dict, name: str) -> tuple[Census, PolyFamily, bool]:
     key = "b" if name == "festoons-repeated" else "c"
     _require_keys(cfg, {"family", key}, {key}, "csp config")
     spec = _sequence(cfg, key)
@@ -304,10 +305,10 @@ def _family_from_sequence(cfg: dict, name: str) -> tuple[CyclicFamily, PolyFamil
         poly = construct_from_c(spec)
         signed = True
     fam = CyclicFamily.from_generator(spec.instance, spec.window, gen)
-    return fam, poly, signed
+    return fam.census(), poly, signed
 
 
-def _family_tubings(cfg: dict) -> tuple[CyclicFamily, PolyFamily, bool]:
+def _family_tubings(cfg: dict) -> tuple[Census, PolyFamily, bool]:
     _require_keys(
         cfg,
         {"family", "max_rank", "grading", "colors"},
@@ -318,11 +319,10 @@ def _family_tubings(cfg: dict) -> tuple[CyclicFamily, PolyFamily, bool]:
     colors = _strict_int(cfg, "colors", "csp config", 1)
     grading = cfg.get("grading", "tubes")
     try:
-        tb.check_improper_job(max_rank, grading, colors)
+        census, poly = tb.improper_cycle_census(max_rank, grading, colors)
     except ValueError as e:
         raise ConfigError(f"csp config: {e}")
-    fam, poly = tb.improper_cycle_family(max_rank, grading, colors)
-    return fam, poly, False
+    return census, poly, False
 
 
 def cmd_csp(cfg: dict) -> tuple[dict, int]:
@@ -330,11 +330,11 @@ def cmd_csp(cfg: dict) -> tuple[dict, int]:
         raise ConfigError("csp config: missing family name")
     name = cfg["family"]
     if name in ("words", "festoons-content"):
-        fam, poly, signed = _family_words(cfg)
+        census, poly, signed = _family_words(cfg)
     elif name in ("festoons-colored", "festoons-repeated", "signed-festoons"):
-        fam, poly, signed = _family_from_sequence(cfg, name)
+        census, poly, signed = _family_from_sequence(cfg, name)
     elif name == "tubings-cycle":
-        fam, poly, signed = _family_tubings(cfg)
+        census, poly, signed = _family_tubings(cfg)
     else:
         raise ConfigError(
             f"csp config: {name!r} is not a cyclic family "
@@ -342,20 +342,19 @@ def cmd_csp(cfg: dict) -> tuple[dict, int]:
             "festoons-repeated, signed-festoons, or tubings-cycle)"
         )
     payload: dict = {"command": "csp", "family": name}
-    payload["counts"] = [
-        [encode_element(fam.instance, s), len(objs)] for s, objs in fam.sets
-    ]
+    inst = census.instance
+    payload["counts"] = [[encode_element(inst, s), count] for s, count, _ in census.rows]
     checks = {}
     ok = True
     if signed:
-        rep = verify_signed_csp(fam, poly)
-        checks["signed-csp"] = rep.to_jsonable(fam.instance)
+        rep = verify_signed_csp(census, poly)
+        checks["signed-csp"] = rep.to_jsonable(inst)
         ok = rep.ok
     else:
-        rep_l = verify_lyndon(fam)
-        rep_c = verify_csp(fam, poly)
-        checks["lyndon"] = rep_l.to_jsonable(fam.instance)
-        checks["csp"] = rep_c.to_jsonable(fam.instance)
+        rep_l = verify_lyndon(census)
+        rep_c = verify_csp(census, poly)
+        checks["lyndon"] = rep_l.to_jsonable(inst)
+        checks["csp"] = rep_c.to_jsonable(inst)
         ok = rep_l.ok and rep_c.ok
     payload["checks"] = checks
     payload["ok"] = ok
@@ -365,7 +364,40 @@ def cmd_csp(cfg: dict) -> tuple[dict, int]:
 # -- bijection ---------------------------------------------------------------------
 
 
+def _bijection_witness(kind: str, n: int) -> dict:
+    """The witness of a failed round trip at size n, found as the full
+    check finds it: the first tubing in enumeration order that does not
+    come back, else the smallest path in the symmetric difference of the
+    image and the path set."""
+    if kind == "interval":
+        items = tb.enumerate_tubings(n, "interval")
+        paths = tb.enumerate_paths(2 * n, "schroder")
+        fwd, inv = tb.interval_tubing_to_schroder, tb.schroder_to_interval_tubing
+    else:
+        items = [
+            t for t in tb.enumerate_tubings(n, "cycle") if tb.free_vertices(n, t, "cycle")
+        ]
+        paths = tb.enumerate_paths(2 * (n - 1), "delannoy")
+        fwd, inv = tb.cycle_tubing_to_delannoy, tb.delannoy_to_cycle_tubing
+    seen = set()
+    for t in items:
+        p = fwd(n, t)
+        if inv(n, p) != t:
+            return {"n": n, "tubing": tb.tubing_to_jsonable(t), "path": p}
+        seen.add(p)
+    if seen != set(paths):
+        return {"n": n, "path": sorted(set(paths) ^ seen)[0], "detail": "image mismatch"}
+    raise RuntimeError(f"bijection check at n = {n} failed, but the full check passes")
+
+
 def cmd_bijection(cfg: dict) -> tuple[dict, int]:
+    """Round-trip every tubing of each size through the bijection.
+
+    Per size n the tubings stream past as bitsets; each must map to a path
+    of the target set P_n and come back.  That makes the map injective
+    into P_n, and a tubing count equal to |P_n| makes it a bijection, so
+    neither the paths nor the images are ever stored.
+    """
     _require_keys(cfg, {"kind", "max_n"}, {"kind", "max_n"}, "bijection config")
     kind = cfg["kind"]
     max_n = _strict_int(cfg, "max_n", "bijection config")
@@ -377,36 +409,29 @@ def cmd_bijection(cfg: dict) -> tuple[dict, int]:
     total = 0
     for n in range(1, max_n + 1):
         if kind == "interval":
-            items = tb.enumerate_tubings(n, "interval")
-            paths = tb.enumerate_paths(2 * n, "schroder")
-            fwd, inv = tb.interval_tubing_to_schroder, tb.schroder_to_interval_tubing
+            length, target = 2 * n, "schroder"
+            fwd, inv = tb.interval_mask_to_schroder, tb.schroder_to_interval_mask
         else:
-            items = [
-                t
-                for t in tb.enumerate_tubings(n, "cycle")
-                if tb.free_vertices(n, t, "cycle")
-            ]
-            paths = tb.enumerate_paths(2 * (n - 1), "delannoy")
-            fwd, inv = tb.cycle_tubing_to_delannoy, tb.delannoy_to_cycle_tubing
-        seen = set()
-        for t in items:
-            p = fwd(n, t)
-            if inv(n, p) != t:
-                payload["ok"] = False
-                payload["witness"] = {
-                    "n": n,
-                    "tubing": tb.tubing_to_jsonable(t),
-                    "path": p,
-                }
-                return payload, 2
-            seen.add(p)
-        if seen != set(paths):
-            bad = sorted(set(paths) ^ seen)[0]
-            payload["ok"] = False
-            payload["witness"] = {"n": n, "path": bad, "detail": "image mismatch"}
-            return payload, 2
-        payload["per_n"].append([n, len(items)])
-        total += len(items)
+            length, target = 2 * (n - 1), "delannoy"
+            fwd, inv = tb.cycle_mask_to_delannoy, tb.delannoy_to_cycle_mask
+        # a proper cycle tubing covers every vertex and has no path
+        proper = (1 << n) - 1 if kind == "cycle" else None
+        count = 0
+        for bits, covered in tb.tubing_masks(n, kind):
+            if covered == proper:
+                continue
+            p = fwd(n, bits)
+            if not tb.is_path(p, length, target) or inv(n, p) != bits:
+                break
+            count += 1
+        else:
+            if count == tb.count_paths(length, target):
+                payload["per_n"].append([n, count])
+                total += count
+                continue
+        payload["ok"] = False
+        payload["witness"] = _bijection_witness(kind, n)
+        return payload, 2
     payload["total"] = total
     payload["ok"] = True
     return payload, 0

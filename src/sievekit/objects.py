@@ -9,7 +9,13 @@ festoons is equality of encodings.
 
 Verifiers check the fixed-point law (rotation-invariant counts against
 root-set totals), the cyclic sieving comparison against a polynomial
-family, and the signed variant for odd ranks.
+family, and the signed variant for odd ranks.  They never look at an
+object: they read a ``Census``, which holds per window element s the set
+size and, for each d dividing rank(s), how many objects the order-d
+rotation fixes, split by sign.  ``CyclicFamily.census`` takes these numbers
+from the stored sets with ``fixed_points``; an enumerator that can tell
+fixed objects from its own encoding (``tubings.improper_cycle_census``)
+builds a census without building the objects.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from math import comb
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+from .arith import divisors
 from .gaussseq import SequenceSpec, a_from_b, a_from_c
 from .qgauss import FamilyReport, PolyFamily, _require_role, check_divisors, root_total
 from .qpoly import IntPoly, eval_at_primitive_root
@@ -117,6 +124,35 @@ class CyclicFamily:
 
     def counts(self) -> dict:
         return {s: len(objs) for s, objs in self.sets}
+
+    def census(self) -> "Census":
+        """The numbers the verifiers read, taken from the stored sets."""
+        rows = []
+        for s, objs in self.sets:
+            negative = [o for o in objs if o.sign < 0]
+            fixed = {}
+            for d in divisors(self.instance.rank(s)):
+                neg = len(fixed_points(negative, d))
+                fixed[d] = (len(fixed_points(objs, d)) - neg, neg)
+            rows.append((s, len(objs), fixed))
+        return Census(self.instance, self.window, tuple(rows))
+
+
+@dataclass(frozen=True)
+class Census:
+    """What the sieve checks read of a cyclic family, per window element.
+
+    ``rows`` holds ``(s, count, fixed)`` in canonical element order:
+    ``count`` objects sit at s, and ``fixed[d] = (positive, negative)``
+    counts those fixed by the order-d rotation, for each d dividing rank(s).
+    """
+
+    instance: _SemigroupBase
+    window: Window
+    rows: tuple[tuple[object, int, dict[int, tuple[int, int]]], ...]
+
+    def counts(self) -> dict:
+        return {s: count for s, count, _ in self.rows}
 
 
 # -- words and compositions ----------------------------------------------------
@@ -485,57 +521,61 @@ def orbit_census(objs: Sequence[CyclicObject]) -> dict[int, int]:
     return dict(sorted(census.items()))
 
 
-def verify_lyndon(family: CyclicFamily) -> FamilyReport:
-    """Check the fixed-point law: C_d-invariants match root-set totals."""
-    inst = family.instance
-    lookup = dict(family.sets)
+def _census(family: CyclicFamily | Census) -> Census:
+    return family if isinstance(family, Census) else family.census()
 
-    def compare(s, objs, d):
-        got = len(fixed_points(objs, d))
-        expected = root_total(inst, lookup, s, d, len)
+
+def verify_lyndon(family: CyclicFamily | Census) -> FamilyReport:
+    """Check the fixed-point law: C_d-invariants match root-set totals."""
+    census = _census(family)
+    inst = census.instance
+    counts = census.counts()
+
+    def compare(s, fixed, d):
+        got = sum(fixed[d])
+        expected = root_total(inst, counts, s, d, int)
         if got != expected:
             return f"fixed {got} != {expected}"
 
-    return check_divisors(inst, family.sets, compare)
+    return check_divisors(inst, ((s, fixed) for s, _, fixed in census.rows), compare)
 
 
-def _require_match(family: CyclicFamily, F: PolyFamily, who: str) -> None:
-    if family.instance != F.instance or family.window != F.window:
+def _require_match(census: Census, F: PolyFamily, who: str) -> None:
+    if census.instance != F.instance or census.window != F.window:
         raise ValueError(f"{who} needs matching instance and window")
 
 
-def verify_csp(family: CyclicFamily, F: PolyFamily) -> FamilyReport:
+def verify_csp(family: CyclicFamily | Census, F: PolyFamily) -> FamilyReport:
     """Check cyclic sieving: root-of-unity values count C_d-invariants."""
-    _require_match(family, F, "verify_csp")
+    census = _census(family)
+    _require_match(census, F, "verify_csp")
 
     def compare(s, entry, d):
-        poly, objs = entry
+        poly, fixed = entry
         got = eval_at_primitive_root(poly, d)
-        expected = len(fixed_points(objs, d))
+        expected = sum(fixed[d])
         if got != expected:
             return f"value {got.coeffs} != fixed count {expected}"
 
-    items = ((s, (F.value(s), objs)) for s, objs in family.sets)
-    return check_divisors(family.instance, items, compare)
+    items = ((s, (F.value(s), fixed)) for s, _, fixed in census.rows)
+    return check_divisors(census.instance, items, compare)
 
 
-def verify_signed_csp(family: CyclicFamily, F: PolyFamily) -> FamilyReport:
+def verify_signed_csp(family: CyclicFamily | Census, F: PolyFamily) -> FamilyReport:
     """Signed sieving check at odd ranks: values match signed fixed counts."""
-    _require_match(family, F, "verify_signed_csp")
-    inst = family.instance
+    census = _census(family)
+    _require_match(census, F, "verify_signed_csp")
+    inst = census.instance
 
     def compare(s, entry, d):
-        poly, pos, neg = entry
+        poly, fixed = entry
         got = eval_at_primitive_root(poly, d)
-        expected = len(fixed_points(pos, d)) - len(fixed_points(neg, d))
+        pos, neg = fixed[d]
+        expected = pos - neg
         if got != expected:
             return f"value {got.coeffs} != signed fixed count {expected}"
 
-    def items():
-        for s, objs in family.sets:
-            if inst.rank(s) % 2:
-                pos = [o for o in objs if o.sign > 0]
-                neg = [o for o in objs if o.sign < 0]
-                yield s, (F.value(s), pos, neg)
-
-    return check_divisors(inst, items(), compare)
+    items = (
+        (s, (F.value(s), fixed)) for s, _, fixed in census.rows if inst.rank(s) % 2
+    )
+    return check_divisors(inst, items, compare)

@@ -165,8 +165,10 @@ class _SemigroupBase:
 
         Parts are drawn from ``support`` when given (required on chains with
         unbounded integer extras), otherwise from every element that can fit
-        under s.  Each multiset is a tuple sorted in canonical element order;
-        the outer list is sorted too, so output order is deterministic.
+        under s.  Each multiset is a tuple sorted in canonical element order,
+        and the list comes out sorted by the parts' sort keys: the pool is in
+        canonical order, the search takes parts with nondecreasing pool
+        index, and no multiset is a prefix of another.
         """
         self.validate(s)
         if support is not None:
@@ -193,7 +195,6 @@ class _SemigroupBase:
                     acc.pop()
 
         rec(0, target)
-        out.sort(key=lambda parts: [self.sort_key(p) for p in parts])
         return out
 
     def _remainder_ok(self, remaining: tuple[int, ...]) -> bool:

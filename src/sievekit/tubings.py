@@ -6,6 +6,11 @@ are pairwise nested, or disjoint with no edge between them.  Vertices are
 are stored as (start, length) pairs.  On the interval the full vertex set
 is a valid tube; on the cycle the full circle is excluded.
 
+Inside the module a tubing is also a bitset of tube indices (bit i is the
+i-th tube of the graph in enumeration order).  ``tubing_masks`` enumerates
+these bitsets, and the bijections and the cyclic census run on them; the
+frozenset functions convert at their edges.
+
 Lattice paths are strings over U = (1,1), D = (1,-1), F = (2,0), and the
 length of a path is its x-extent.  The height of a step is the y-coordinate
 before it.  Tubings of the n-interval biject with nonnegative paths of
@@ -18,10 +23,11 @@ from __future__ import annotations
 import functools
 import itertools
 from math import comb
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
+from .arith import divisors
 from .gaussseq import TruncatedSeries, solve_functional_equation
-from .objects import MAX_OBJECTS, CyclicFamily, CyclicObject
+from .objects import MAX_OBJECTS, Census, CyclicFamily, CyclicObject
 from .qgauss import PolyFamily
 from .qpoly import IntPoly, ONE, ZERO, q_binomial, q_power
 from .semigroup import Chain, PositiveIntegers, Window
@@ -62,7 +68,8 @@ class _Graph:
     Bit v of a mask is vertex v; bit i of a tube set is ``tubes[i]``.
     ``compat()[i]`` is the set of tubes compatible with tube i (itself
     included).  It is quadratic in the number of tubes, so it is built on
-    first use.
+    first use.  Tubes are ordered by length, then start, so a tube's
+    subtubes all come before it.
     """
 
     def __init__(self, n: int, kind: str) -> None:
@@ -80,6 +87,7 @@ class _Graph:
             mask = ((1 << length) - 1) << start
             self.masks.append((mask | mask >> n) & self.full)  # wrap on the cycle
         self._compat: list[int] | None = None
+        self._rotations: dict[int, tuple[int, int]] = {}
 
     def indices(self, tubes: Iterable[Tube]) -> list[int]:
         """Index of each tube; ValueError on a tube that does not fit."""
@@ -89,6 +97,38 @@ class _Graph:
             raise ValueError(
                 f"tube {e.args[0]!r} does not fit in the {self.n}-{self.kind}"
             ) from None
+
+    def bits(self, tubes: Iterable[Tube]) -> int:
+        """The tube set as a bitset; ValueError on a tube that does not fit."""
+        out = 0
+        for i in self.indices(tubes):
+            out |= 1 << i
+        return out
+
+    def tubing(self, bits: int) -> Tubing:
+        tubes = self.tubes
+        return frozenset([tubes[i] for i in _bits(bits)])
+
+    def rotate(self, bits: int, step: int) -> int:
+        """Rotate every tube of a cycle tube set by ``step`` vertices.
+
+        Tube (start, length) has index (length - 1) * n + start, so the
+        rotation turns each length's n-bit block: bits that stay in their
+        block shift up by step, the top step bits wrap to the bottom.
+        """
+        n = self.n
+        step %= n
+        if not step:
+            return bits
+        if step not in self._rotations:
+            low = (1 << step) - 1
+            stay = wrap = 0
+            for block in range(0, len(self.tubes), n):
+                stay |= (self.full ^ low) << block
+                wrap |= low << block
+            self._rotations[step] = (stay, wrap)
+        stay, wrap = self._rotations[step]
+        return (bits << step) & stay | (bits >> (n - step)) & wrap
 
     def compat(self) -> list[int]:
         if self._compat is None:
@@ -114,14 +154,20 @@ def _graph(n: int, kind: str) -> _Graph:
     return _Graph(n, kind)
 
 
-def _vertices(mask: int) -> list[int]:
-    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def tube_vertices(n: int, tube: Tube, kind: str = "interval") -> frozenset:
     graph = _graph(n, kind)
     (i,) = graph.indices((tube,))
-    return frozenset(_vertices(graph.masks[i]))
+    return frozenset(_bits(graph.masks[i]))
 
 
 def tubes_compatible(n: int, t1: Tube, t2: Tube, kind: str = "interval") -> bool:
@@ -144,12 +190,13 @@ def is_tubing(n: int, tubes: Iterable[Tube], kind: str = "interval") -> bool:
     return all(chosen & compat[i] == chosen for i in indices)
 
 
-def enumerate_tubings(n: int, kind: str = "interval") -> list[Tubing]:
-    """Every tubing of the n-interval or n-cycle, the empty tubing included.
+def tubing_masks(n: int, kind: str = "interval") -> Iterator[tuple[int, int]]:
+    """Every tubing of the n-interval or n-cycle, the empty tubing included,
+    as (tube bitset, covered vertex mask) pairs.
 
     Depth-first over tube indices: each branch carries the bitset of later
     tubes still compatible with everything chosen, and takes them in
-    increasing index order.
+    increasing index order.  An explicit stack keeps the generator flat.
     """
     cap = MAX_INTERVAL if kind == "interval" else MAX_CYCLE
     if n > cap:
@@ -157,21 +204,42 @@ def enumerate_tubings(n: int, kind: str = "interval") -> list[Tubing]:
     graph = _graph(n, kind)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    tubes, compat = graph.tubes, graph.compat()
+    masks, compat = graph.masks, graph.compat()
+    # later[t]: the tubes after t that are compatible with it
+    later = [(row >> (t + 1)) << (t + 1) for t, row in enumerate(compat)]
+
+    def walk() -> Iterator[tuple[int, int]]:
+        stack = [((1 << len(masks)) - 1, 0, 0)]
+        push, pop = stack.append, stack.pop
+        while stack:
+            candidates, bits, covered = pop()
+            yield bits, covered
+            # push the highest tube first, so the lowest branch runs next
+            rest = candidates
+            while rest:
+                t = rest.bit_length() - 1
+                rest ^= 1 << t
+                push((candidates & later[t], bits | 1 << t, covered | masks[t]))
+
+    return walk()
+
+
+def enumerate_tubings(n: int, kind: str = "interval") -> list[Tubing]:
+    """Every tubing of the n-interval or n-cycle, the empty tubing included,
+    in the depth-first order of ``tubing_masks``.
+
+    A branch adds tubes in increasing index order, so a tubing with k tubes
+    is the last one seen with k - 1 tubes plus its highest-index tube.
+    """
+    masks = tubing_masks(n, kind)
+    tubes = _graph(n, kind).tubes
     out: list[Tubing] = []
     chosen: list[Tube] = []
-
-    def rec(candidates: int) -> None:
+    for bits, _ in masks:
+        del chosen[max(bits.bit_count() - 1, 0):]
+        if bits:
+            chosen.append(tubes[bits.bit_length() - 1])
         out.append(frozenset(chosen))
-        while candidates:
-            low = candidates & -candidates
-            candidates ^= low
-            t = low.bit_length() - 1
-            chosen.append(tubes[t])
-            rec(candidates & compat[t])
-            chosen.pop()
-
-    rec((1 << len(tubes)) - 1)
     return out
 
 
@@ -180,7 +248,7 @@ def free_vertices(n: int, tubing: Iterable[Tube], kind: str = "interval") -> set
     covered = 0
     for i in graph.indices(tubing):
         covered |= graph.masks[i]
-    return set(_vertices(graph.full ^ covered))
+    return set(_bits(graph.full ^ covered))
 
 
 def is_proper(n: int, tubing: Iterable[Tube], kind: str = "interval") -> bool:
@@ -266,12 +334,16 @@ def classify_path(path: str) -> str:
     return "delannoy"
 
 
-def enumerate_paths(length: int, kind: str = "delannoy", flats: int | None = None) -> list[str]:
-    """All paths of the given x-extent, optionally with a fixed F count."""
+def _check_path_args(length: int, kind: str) -> None:
     if kind not in ("delannoy", "schroder", "strict"):
         raise ValueError(f"unknown path kind {kind!r}")
     if length < 0 or length % 2:
         raise ValueError(f"path length must be even and nonnegative, got {length}")
+
+
+def enumerate_paths(length: int, kind: str = "delannoy", flats: int | None = None) -> list[str]:
+    """All paths of the given x-extent, optionally with a fixed F count."""
+    _check_path_args(length, kind)
     out: list[str] = []
     acc: list[str] = []
 
@@ -298,31 +370,75 @@ def enumerate_paths(length: int, kind: str = "delannoy", flats: int | None = Non
     return sorted(out)
 
 
+def count_paths(length: int, kind: str = "delannoy") -> int:
+    """How many paths ``enumerate_paths(length, kind)`` lists, by a DP over
+    (x-extent, height) with its step rules, listing none of them."""
+    _check_path_args(length, kind)
+    # ways[x][h]: step sequences from (0, 0) to (x, h) under the rules
+    ways: list[dict[int, int]] = [{} for _ in range(length + 1)]
+    ways[0][0] = 1
+    for x in range(length):
+        rem = length - x
+        for h, w in ways[x].items():
+            up = ways[x + 1]
+            up[h + 1] = up.get(h + 1, 0) + w
+            if kind == "delannoy" or h >= 1:
+                up[h - 1] = up.get(h - 1, 0) + w
+            if rem >= 2 and not (kind == "strict" and h == 0):
+                flat = ways[x + 2]
+                flat[h] = flat.get(h, 0) + w
+    return ways[length].get(0, 0)
+
+
+def is_path(path: str, length: int, kind: str = "delannoy") -> bool:
+    """Whether ``enumerate_paths(length, kind)`` lists the path: known
+    steps under its step rules, the given x-extent, ending at height 0."""
+    h = x = 0
+    for s in path:
+        if s == "U":
+            h += 1
+            x += 1
+        elif s == "D":
+            if h < 1 and kind != "delannoy":
+                return False
+            h -= 1
+            x += 1
+        elif s == "F":
+            if h == 0 and kind == "strict":
+                return False
+            x += 2
+        else:
+            return False
+    return h == 0 and x == length
+
+
 # -- interval bijection ------------------------------------------------------------
 
 
-def interval_tubing_to_schroder(n: int, tubing: Iterable[Tube]) -> str:
-    """Walk the interval: a rise per tube started, then a fall at a final
-    vertex or a flat otherwise."""
-    tubing = set(tubing)
-    if not is_tubing(n, tubing, "interval"):
-        raise ValueError("not a valid interval tubing")
-    finals = set(final_vertices(n, tubing).values())
+def _schroder_walk(n: int, tubes: Iterable[tuple[int, int]]) -> tuple[str, list[int]]:
+    """The interval path of (start, vertex mask) tubes given shorter first,
+    with the number of rises before each vertex.
+
+    Walk the interval: a rise per tube started, then a fall at a final
+    vertex or a flat otherwise.  A tube listed before another is inside it
+    or apart from it, so the vertices the earlier tubes cover within a tube
+    are its subtubes' vertices, and its final is the highest one left.
+    """
     opens = [0] * n
-    for start, _ in tubing:
+    covered = finals = 0
+    for start, mask in tubes:
         opens[start] += 1
-    return "".join(
-        "U" * opens[v] + ("D" if v in finals else "F") for v in range(n)
+        finals |= 1 << ((mask & ~covered).bit_length() - 1)
+        covered |= mask
+    path = "".join(
+        "U" * opens[v] + ("D" if finals >> v & 1 else "F") for v in range(n)
     )
+    return path, opens
 
 
-def schroder_to_interval_tubing(n: int, path: str) -> Tubing:
+def _decode_tubes(path: str) -> list[Tube]:
     """Each rise opens a tube; it closes right before the next flat or fall
     at the rise's height, or at the end of the path."""
-    if classify_path(path) == "delannoy":
-        raise ValueError(f"path {path!r} dips below height 0")
-    if path_length(path) != 2 * n:
-        raise ValueError(f"need length {2 * n}, got {path_length(path)}")
     tubes: list[Tube] = []
     # (height, first vertex) of each rise not yet closed, innermost last;
     # heights never decrease up the stack
@@ -339,7 +455,36 @@ def schroder_to_interval_tubing(n: int, path: str) -> Tubing:
         vi += 1
         h += _STEP_Y[s]
     tubes.extend((start, vi - start) for _, start in rises)
-    tubing = frozenset(tubes)
+    return tubes
+
+
+def interval_mask_to_schroder(n: int, bits: int) -> str:
+    """The Schröder path of an interval tubing given as a tube bitset."""
+    graph = _graph(n, "interval")
+    tubes, masks = graph.tubes, graph.masks
+    return _schroder_walk(n, [(tubes[i][0], masks[i]) for i in _bits(bits)])[0]
+
+
+def schroder_to_interval_mask(n: int, path: str) -> int:
+    """The tube bitset a Schröder path decodes to (steps are not checked)."""
+    return _graph(n, "interval").bits(_decode_tubes(path))
+
+
+def interval_tubing_to_schroder(n: int, tubing: Iterable[Tube]) -> str:
+    """The Schröder path of an interval tubing."""
+    tubing = set(tubing)
+    if not is_tubing(n, tubing, "interval"):
+        raise ValueError("not a valid interval tubing")
+    return interval_mask_to_schroder(n, _graph(n, "interval").bits(tubing))
+
+
+def schroder_to_interval_tubing(n: int, path: str) -> Tubing:
+    """The interval tubing of a Schröder path of length 2n."""
+    if classify_path(path) == "delannoy":
+        raise ValueError(f"path {path!r} dips below height 0")
+    if path_length(path) != 2 * n:
+        raise ValueError(f"need length {2 * n}, got {path_length(path)}")
+    tubing = _graph(n, "interval").tubing(schroder_to_interval_mask(n, path))
     if not is_tubing(n, tubing, "interval"):
         raise ValueError(f"path {path!r} does not decode to a tubing")
     return tubing
@@ -360,52 +505,79 @@ def _marked_ok(path: str, j: int) -> bool:
     return 1 <= j <= first_flat0 + 1 and path[j - 1] in ("D", "F")
 
 
-def cycle_tubing_to_marked(n: int, tubing: Iterable[Tube], basepoint: int = 0) -> tuple[str, int]:
-    """Unroll an improper cycle tubing to a marked nonnegative path (p, j).
+def cycle_mask_to_marked(n: int, bits: int) -> tuple[str, int]:
+    """Unroll an improper cycle tubing, given as a tube bitset, to a marked
+    nonnegative path (p, j).
 
-    The cycle is cut after the free vertex preceding the basepoint, so the
+    The cycle is cut after the free vertex preceding vertex 0, so the
     linearized tubing has its last vertex free; the mark j is the step of
-    the vertex that was the basepoint.
+    the vertex that was vertex 0.
     """
+    graph = _graph(n, "cycle")
+    tubes, masks, full = graph.tubes, graph.masks, graph.full
+    chosen = [(tubes[i][0], masks[i]) for i in _bits(bits)]
+    covered = 0
+    for _, mask in chosen:
+        covered |= mask
+    free = full ^ covered
+    if not free:
+        raise ValueError("tubing is proper: it has no free vertex to cut at")
+    cut = free.bit_length()  # vertex cut - 1 becomes the last one
+    p, opens = _schroder_walk(n, [
+        ((start - cut) % n, (mask >> cut | mask << (n - cut)) & full)
+        for start, mask in chosen
+    ])
+    v = -cut % n  # where vertex 0 went
+    return p, sum(opens[: v + 1]) + v + 1
+
+
+def marked_to_cycle_mask(n: int, path: str, j: int) -> int:
+    """Roll a marked path (p, j) up to the tube bitset of a cycle tubing
+    (the marked path is not checked)."""
+    shift = j - path.count("U", 0, j) - 1  # vertex steps before the mark
+    return _graph(n, "cycle").bits(
+        ((start - shift) % n, length) for start, length in _decode_tubes(path)
+    )
+
+
+def cycle_tubing_to_marked(n: int, tubing: Iterable[Tube], basepoint: int = 0) -> tuple[str, int]:
+    """Unroll an improper cycle tubing to a marked nonnegative path (p, j),
+    with the basepoint in the role of vertex 0."""
     tubing = set(tubing)
     if not is_tubing(n, tubing, "cycle"):
         raise ValueError("not a valid cycle tubing")
     if basepoint % n:
         tubing = {((s - basepoint) % n, length) for s, length in tubing}
-    frees = free_vertices(n, tubing, "cycle")
-    if not frees:
-        raise ValueError("tubing is proper: it has no free vertex to cut at")
-    f = max(frees - {0}) if frees != {0} else 0
-    shift = lambda v: (v - f - 1) % n
-    unrolled = frozenset((shift(s), length) for s, length in tubing)
-    p = interval_tubing_to_schroder(n, unrolled)
-    i = shift(0) + 1
-    vertex_steps = [t for t, s in enumerate(p) if s in ("D", "F")]
-    j = vertex_steps[i - 1] + 1
-    return p, j
+    return cycle_mask_to_marked(n, _graph(n, "cycle").bits(tubing))
 
 
 def marked_to_cycle_tubing(n: int, path: str, j: int, basepoint: int = 0) -> Tubing:
+    """Roll a marked path (p, j) up to a cycle tubing, the mark landing on
+    the basepoint."""
     if not _marked_ok(path, j):
         raise ValueError(f"({path!r}, {j}) is not a marked path")
-    unrolled = schroder_to_interval_tubing(n, path)
-    i = sum(1 for s in path[:j] if s in ("D", "F"))
-    tubing = frozenset(
-        ((s - (i - 1) + basepoint) % n, length) for s, length in unrolled
-    )
+    if path_length(path) != 2 * n:
+        raise ValueError(f"need length {2 * n}, got {path_length(path)}")
+    tubing = _graph(n, "cycle").tubing(marked_to_cycle_mask(n, path, j))
+    if basepoint % n:
+        tubing = frozenset(((s + basepoint) % n, length) for s, length in tubing)
     if not is_tubing(n, tubing, "cycle"):
         raise ValueError(f"({path!r}, {j}) does not roll up to a cycle tubing")
     return tubing
+
+
+def _unmark(path: str, j: int) -> str:
+    m = len(path)
+    if j == m:
+        return path[:-1]
+    return path[j : m - 1] + path[j - 1] + path[: j - 1]
 
 
 def marked_to_delannoy(path: str, j: int) -> str:
     """Drop the final flat and rotate the mark to the front of the cut."""
     if not _marked_ok(path, j):
         raise ValueError(f"({path!r}, {j}) is not a marked path")
-    m = len(path)
-    if j == m:
-        return path[:-1]
-    return path[j : m - 1] + path[j - 1] + path[: j - 1]
+    return _unmark(path, j)
 
 
 def delannoy_to_marked(path: str) -> tuple[str, int]:
@@ -439,6 +611,17 @@ def delannoy_to_marked(path: str) -> tuple[str, int]:
     return p, m - s0
 
 
+def cycle_mask_to_delannoy(n: int, bits: int) -> str:
+    """The Delannoy path of an improper cycle tubing given as a tube bitset."""
+    return _unmark(*cycle_mask_to_marked(n, bits))
+
+
+def delannoy_to_cycle_mask(n: int, path: str) -> int:
+    """The tube bitset a Delannoy path decodes to (steps are checked, the
+    length is not)."""
+    return marked_to_cycle_mask(n, *delannoy_to_marked(path))
+
+
 def cycle_tubing_to_delannoy(n: int, tubing: Iterable[Tube], basepoint: int = 0) -> str:
     p, j = cycle_tubing_to_marked(n, tubing, basepoint)
     return marked_to_delannoy(p, j)
@@ -467,15 +650,23 @@ def cycle_tubing_object(n: int, tubing: Iterable[Tube], colors: Mapping | None =
     return CyclicObject("tubing", tuple(tuple(sorted(sl)) for sl in slots))
 
 
-def _improper_family(
-    max_rank: int,
-    colors: int,
-    instance: Chain | PositiveIntegers,
-    window: Window,
-    grade: Callable[[int, int, int], object],
-) -> CyclicFamily:
+def _grading(max_rank: int, grading: str) -> tuple:
+    """(instance, window, grade) of a grading of improper cycle tubings of
+    lengths 1..max_rank: grade(length, tube count, free-vertex count) is
+    the window element a tubing belongs to."""
+    if grading == "free":
+        return (Chain(PositiveIntegers(), "pos"), Window(max_rank, ((1, max_rank),)),
+                lambda n, tubes, free: (n, free))
+    if grading == "tubes":
+        return (Chain(PositiveIntegers(), "nonneg"), Window(max_rank, ((0, max_rank),)),
+                lambda n, tubes, free: (n, tubes))
+    return PositiveIntegers(), Window(max_rank), lambda n, tubes, free: n
+
+
+def _improper_family(max_rank: int, colors: int, grading: str) -> CyclicFamily:
     """Colored improper cycle tubings of lengths 1..max_rank, each put once
-    into the bucket of its grade(length, tube count, free-vertex count)."""
+    into the bucket of its grade."""
+    instance, window, grade = _grading(max_rank, grading)
     buckets: dict[object, list[CyclicObject]] = {}
     for n in range(1, max_rank + 1):
         for tubing in enumerate_tubings(n, "cycle"):
@@ -491,25 +682,17 @@ def _improper_family(
 
 def tubings_by_free_vertices(max_rank: int, colors: int = 1) -> CyclicFamily:
     """Improper cycle tubings graded by (length, free-vertex count)."""
-    return _improper_family(
-        max_rank, colors, Chain(PositiveIntegers(), "pos"),
-        Window(max_rank, ((1, max_rank),)), lambda n, tubes, free: (n, free),
-    )
+    return _improper_family(max_rank, colors, "free")
 
 
 def tubings_by_tube_count(max_rank: int, colors: int = 1) -> CyclicFamily:
     """Improper cycle tubings graded by (length, tube count)."""
-    return _improper_family(
-        max_rank, colors, Chain(PositiveIntegers(), "nonneg"),
-        Window(max_rank, ((0, max_rank),)), lambda n, tubes, free: (n, tubes),
-    )
+    return _improper_family(max_rank, colors, "tubes")
 
 
 def tubings_all_improper(max_rank: int) -> CyclicFamily:
     """All improper cycle tubings graded by length alone."""
-    return _improper_family(
-        max_rank, 1, PositiveIntegers(), Window(max_rank), lambda n, tubes, free: n
-    )
+    return _improper_family(max_rank, 1, "all")
 
 
 def improper_tubing_count(max_rank: int, colors: int = 1) -> int:
@@ -573,6 +756,14 @@ def check_bijection_job(kind: str, max_n: int) -> None:
         )
 
 
+def _sieving_polynomial(grading: str, colors: int) -> Callable:
+    if grading == "free":
+        return lambda s: free_vertex_polynomial(*s)
+    if grading == "tubes":
+        return lambda s: tube_count_polynomial(s[0], s[1], colors)
+    return improper_total_polynomial
+
+
 def improper_cycle_family(
     max_rank: int, grading: str = "tubes", colors: int = 1
 ) -> tuple[CyclicFamily, PolyFamily]:
@@ -582,22 +773,57 @@ def improper_cycle_family(
     check_improper_job(max_rank, grading, colors)
     if grading == "free":
         fam = tubings_by_free_vertices(max_rank)
-        poly = lambda s: free_vertex_polynomial(*s)
     elif grading == "tubes":
         fam = tubings_by_tube_count(max_rank, colors)
-        poly = lambda s: tube_count_polynomial(s[0], s[1], colors)
     else:
         fam = tubings_all_improper(max_rank)
-        poly = improper_total_polynomial
+    poly = _sieving_polynomial(grading, colors)
     return fam, PolyFamily.from_function(fam.instance, fam.window, poly)
 
 
-def only_last_free_count(n: int) -> int:
-    """Tubings of the n-interval whose unique free vertex is the last one."""
-    return sum(
-        1
-        for t in enumerate_tubings(n, "interval")
-        if free_vertices(n, t, "interval") == {n - 1}
+def improper_cycle_census(
+    max_rank: int, grading: str = "tubes", colors: int = 1
+) -> tuple[Census, PolyFamily]:
+    """The census of ``improper_cycle_family``, read off the tube bitsets
+    of ``tubing_masks`` without building an object.
+
+    A tubing with k tubes stands for colors**k colored objects.  The
+    order-d rotation fixes it when its bitset is invariant under rotation
+    by n/d; no nontrivial rotation fixes a proper arc, so its tubes then
+    fall into k/d orbits of size d, and colors**(k/d) of its colorings are
+    fixed.  Every rotation of an enumerated bitset is enumerated with the
+    same grade, so the sets are closed under rotation by construction.
+    """
+    check_improper_job(max_rank, grading, colors)
+    instance, window, grade = _grading(max_rank, grading)
+    weight = [colors**k for k in range(max_rank)]
+    counts: dict = {}
+    fixed: dict = {}  # (s, d) -> colored objects fixed by the order-d rotation, d > 1
+    for n in range(1, max_rank + 1):
+        rotate = _graph(n, "cycle").rotate
+        orders = [d for d in divisors(n) if d > 1]
+        for bits, covered in tubing_masks(n, "cycle"):
+            free = n - covered.bit_count()
+            if not free:
+                continue
+            k = bits.bit_count()
+            s = grade(n, k, free)
+            counts[s] = counts.get(s, 0) + weight[k]
+            for d in orders:
+                if not k % d and rotate(bits, n // d) == bits:
+                    fixed[s, d] = fixed.get((s, d), 0) + weight[k // d]
+    rows = []
+    for s in instance.elements(window):
+        count = counts.get(s, 0)
+        by_order = {
+            d: (fixed.get((s, d), 0) if d > 1 else count, 0)
+            for d in divisors(instance.rank(s))
+        }
+        rows.append((s, count, by_order))
+    poly = _sieving_polynomial(grading, colors)
+    return (
+        Census(instance, window, tuple(rows)),
+        PolyFamily.from_function(instance, window, poly),
     )
 
 

@@ -225,6 +225,40 @@ class TestMorphisms:
             Morphism(ZPOS, ZPOS, "affine")
 
 
+@st.composite
+def decomposition_cases(draw):
+    """An instance, an element of it, and a support or None."""
+    kind = draw(st.sampled_from(["zpos", "chain", "chain2", "ints", "free"]))
+    if kind == "zpos":
+        inst, s = ZPOS, draw(st.integers(1, 12))
+    elif kind == "chain":
+        inst = Chain(ZPOS, "nonneg")
+        s = (draw(st.integers(1, 6)), draw(st.integers(0, 4)))
+    elif kind == "chain2":
+        inst = Chain(Chain(ZPOS, "pos"), "nonneg")
+        s = (draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(0, 3)))
+    elif kind == "ints":
+        inst = Chain(ZPOS, "ints")
+        s = (draw(st.integers(1, 5)), draw(st.integers(-3, 3)))
+        part = st.tuples(st.integers(1, 3), st.integers(-2, 2))
+        return inst, s, draw(st.lists(part, min_size=1, max_size=6))
+    else:
+        inst = MIXED
+        s = draw(st.tuples(st.integers(0, 4), st.integers(0, 3)).filter(any))
+    if draw(st.booleans()):
+        return inst, s, None
+    pool = inst._default_parts(s)
+    return inst, s, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+
+
+@given(decomposition_cases())
+def test_decompositions_come_out_in_sort_key_order(case):
+    inst, s, support = case
+    out = inst.decompositions(s, support=support)
+    assert out == sorted(out, key=lambda parts: [inst.sort_key(p) for p in parts])
+    assert len(set(out)) == len(out)
+
+
 class TestSerialization:
     def test_encode_decode_roundtrip(self):
         cases = [

@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 
 import sieve_oracle as oracle
 from helpers import corrupt, sequence_corpus, zpos_spec
+from sievekit.arith import divisors
 from sievekit.objects import (
     CyclicFamily,
     CyclicObject,
     _canonical,
+    fixed_points,
     festoons_by_content,
     festoons_colored,
     festoons_repeated,
@@ -160,6 +162,23 @@ def test_verify_signed_csp_matches_oracle(name, fam, F):
     broken = flip_sign(fam)
     rep = verify_signed_csp(broken, F)
     assert not rep.ok and rep == oracle.verify_signed_csp(broken, F)
+
+
+CENSUSED = OBJECTS + SIGNED
+
+
+@pytest.mark.parametrize("name, fam, F", CENSUSED, ids=[n for n, _, _ in CENSUSED])
+def test_census_counts_the_stored_sets(name, fam, F):
+    census = fam.census()
+    assert (census.instance, census.window) == (fam.instance, fam.window)
+    assert [s for s, _, _ in census.rows] == [s for s, _ in fam.sets]
+    for (s, objs), (_, count, fixed) in zip(fam.sets, census.rows):
+        assert count == len(objs)
+        assert sorted(fixed) == divisors(fam.instance.rank(s))
+        pos = [o for o in objs if o.sign > 0]
+        neg = [o for o in objs if o.sign < 0]
+        for d, split in fixed.items():
+            assert split == (len(fixed_points(pos, d)), len(fixed_points(neg, d)))
 
 
 def test_uncovered_roots_raise_like_the_oracle():

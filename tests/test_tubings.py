@@ -27,7 +27,6 @@ from sievekit.tubings import (
     is_tubing,
     marked_to_cycle_tubing,
     marked_to_delannoy,
-    only_last_free_count,
     schroder_to_interval_tubing,
     step_heights,
     strict_schroder_gf_check,
@@ -315,7 +314,15 @@ class TestPolynomials:
 
 class TestOnlyLastFree:
     def test_matches_strict_counts(self):
-        got = [only_last_free_count(n) for n in range(1, 7)]
+        # interval tubings whose unique free vertex is the last one
+        got = [
+            sum(
+                1
+                for t in enumerate_tubings(n, "interval")
+                if free_vertices(n, t, "interval") == {n - 1}
+            )
+            for n in range(1, 7)
+        ]
         assert got == [1, 1, 3, 11, 45, 197]
 
 

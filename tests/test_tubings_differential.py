@@ -6,22 +6,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import itertools
+
 import tubings_oracle as oracle
+from helpers import corrupt
+from sievekit import cli
+from sievekit import tubings as tb
+from sievekit.objects import verify_csp, verify_lyndon
 from sievekit.qpoly import ZERO
 from sievekit.tubings import (
     MAX_CYCLE,
     MAX_OBJECTS,
+    _graph,
+    count_paths,
     enumerate_paths,
     enumerate_tubings,
     final_vertices,
     free_vertices,
+    improper_cycle_census,
     improper_cycle_family,
     improper_tubing_count,
+    is_path,
     is_tubing,
     schroder_to_interval_tubing,
     tube_count_polynomial,
     tube_vertices,
     tubes_compatible,
+    tubing_masks,
     tubings_all_improper,
     tubings_by_free_vertices,
     tubings_by_tube_count,
@@ -162,3 +173,155 @@ def test_job_guards_refuse_before_building():
             improper_cycle_family(*args)
     with pytest.raises(ValueError, match=str(improper_tubing_count(7, 9))):
         improper_cycle_family(7, "tubes", 9)
+
+
+# -- the bitset kernels ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_tubing_masks_cover_the_union_of_their_tubes(kind):
+    for n in range(1, 7):
+        graph = _graph(n, kind)
+        pairs = list(tubing_masks(n, kind))
+        assert [graph.tubing(bits) for bits, _ in pairs] == oracle.enumerate_tubings(n, kind)
+        for bits, covered in pairs:
+            vertices = set().union(
+                *(oracle.tube_vertices(n, t, kind) for t in graph.tubing(bits))
+            )
+            assert covered == sum(1 << v for v in vertices)
+
+
+@pytest.mark.parametrize("kind", ("delannoy", "schroder", "strict"))
+def test_count_paths_counts_what_enumerate_paths_lists(kind):
+    for length in range(0, 19, 2):
+        assert count_paths(length, kind) == len(enumerate_paths(length, kind))
+    with pytest.raises(ValueError):
+        count_paths(3, kind)
+    with pytest.raises(ValueError):
+        count_paths(4, "motzkin")
+
+
+def test_is_path_accepts_exactly_the_enumerated_paths():
+    words = ["".join(w) for m in range(9) for w in itertools.product("UDF", repeat=m)]
+    words += ["X", "UXD", "UDFX", "udf"]  # unknown steps are never paths
+    for kind in ("delannoy", "schroder", "strict"):
+        for length in range(0, 9, 2):
+            listed = set(enumerate_paths(length, kind))
+            assert {w for w in words if is_path(w, length, kind)} == listed
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_cycle_rotation_maps_tubings_to_tubings_of_the_same_grade(n):
+    graph = _graph(n, "cycle")
+    covered_by = dict(tubing_masks(n, "cycle"))
+    for bits, covered in covered_by.items():
+        turned = graph.rotate(bits, 1)
+        assert turned in covered_by
+        assert turned.bit_count() == bits.bit_count()
+        assert covered_by[turned].bit_count() == covered.bit_count()
+        # the bitset rotation is the rotation of the tubes
+        tubes = graph.tubing(bits)
+        for step in range(n):
+            want = graph.bits(((s + step) % n, length) for s, length in tubes)
+            assert graph.rotate(bits, step) == want
+
+
+CENSUS_JOBS = [(8, g, 1) for g in ("free", "tubes", "all")] + [
+    (6, "tubes", 2), (6, "tubes", 3),
+]
+
+
+@pytest.mark.parametrize("job", CENSUS_JOBS, ids=[f"{r}-{g}-{c}" for r, g, c in CENSUS_JOBS])
+def test_bitset_census_equals_the_materialised_family(job):
+    census, F = improper_cycle_census(*job)
+    fam, F_old = improper_cycle_family(*job)
+    assert census == fam.census()
+    assert F == F_old
+    assert verify_lyndon(census) == verify_lyndon(fam)
+    s = next(s for s, _ in F.polys if F.instance.rank(s) == 6)
+    for G in (F, corrupt(F, s)):
+        assert verify_csp(census, G) == verify_csp(fam, G)
+
+
+# -- the streaming bijection check against the stored one -------------------------------
+
+
+def _swapped(fwd, n, a, b):
+    """fwd with the images of the bitsets a and b at size n exchanged."""
+    pa, pb = fwd(n, a), fwd(n, b)
+
+    def swapped(m, bits):
+        out = fwd(m, bits)
+        if m == n and out in (pa, pb):
+            return pb if out == pa else pa
+        return out
+
+    return swapped
+
+
+def _misdecoded(inv, n, path, wrong):
+    """inv, except that ``path`` (an argument tuple) at size n decodes to
+    the bitset ``wrong``."""
+
+    def misdecoded(m, *args):
+        return wrong if (m, args) == (n, path) else inv(m, *args)
+
+    return misdecoded
+
+
+def _plant(monkeypatch, fault):
+    """Plant a fault at size 4 in the maps both bijection checks share."""
+    n = 4
+    interval = [bits for bits, _ in tubing_masks(n, "interval")]
+    improper = [bits for bits, covered in tubing_masks(n, "cycle") if covered != 15]
+    if fault == "interval-swap":
+        fake = _swapped(tb.interval_mask_to_schroder, n, interval[5], interval[17])
+        monkeypatch.setattr(tb, "interval_mask_to_schroder", fake)
+    elif fault == "cycle-swap":
+        fake = _swapped(tb.cycle_mask_to_marked, n, improper[7], improper[30])
+        monkeypatch.setattr(tb, "cycle_mask_to_marked", fake)
+    elif fault == "interval-decode":
+        path = (tb.interval_mask_to_schroder(n, interval[40]),)
+        fake = _misdecoded(tb.schroder_to_interval_mask, n, path, interval[3])
+        monkeypatch.setattr(tb, "schroder_to_interval_mask", fake)
+    elif fault == "cycle-decode":
+        marked = tb.cycle_mask_to_marked(n, improper[20])
+        fake = _misdecoded(tb.marked_to_cycle_mask, n, marked, improper[2])
+        monkeypatch.setattr(tb, "marked_to_cycle_mask", fake)
+    else:  # the path set, listed and counted, misses one path
+        kind = fault.split("-")[0]
+        target = (2 * n, "schroder") if kind == "interval" else (2 * (n - 1), "delannoy")
+        paths, count = tb.enumerate_paths, tb.count_paths
+        dropped = paths(*target)[9]
+
+        def fewer_paths(length, k="delannoy", flats=None):
+            out = paths(length, k, flats)
+            return [p for p in out if p != dropped] if (length, k) == target else out
+
+        def fewer(length, k="delannoy"):
+            return count(length, k) - ((length, k) == target)
+
+        monkeypatch.setattr(tb, "enumerate_paths", fewer_paths)
+        monkeypatch.setattr(tb, "count_paths", fewer)
+
+
+FAULTS = ["interval-swap", "cycle-swap", "interval-decode", "cycle-decode",
+          "interval-paths", "cycle-paths"]
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_planted_bijection_faults_report_like_the_stored_check(monkeypatch, fault):
+    kind = fault.split("-")[0]
+    _plant(monkeypatch, fault)
+    got = cli.cmd_bijection({"kind": kind, "max_n": 5})
+    want = oracle.bijection_payload(tb, kind, 5)
+    assert got == want
+    payload, code = got
+    assert code == 2 and payload["witness"]["n"] == 4
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_streaming_bijection_check_equals_the_stored_one(kind):
+    assert cli.cmd_bijection({"kind": kind, "max_n": 6}) == oracle.bijection_payload(
+        tb, kind, 6
+    )

@@ -134,3 +134,51 @@ def schroder_to_interval_tubing(n: int, path: str) -> frozenset:
         else:
             vi += 1
     return frozenset(tubes)
+
+
+def bijection_payload(tb, kind: str, max_n: int) -> tuple[dict, int]:
+    """The bijection check that holds every tubing, every path and the image
+    set of each size at once, with its payload and exit code.
+
+    ``tb`` is the library's tubings module, passed in so that this file
+    still imports nothing from the library, and so that a fault planted in
+    the module's maps reaches this check as it reaches the streaming one.
+    The job is assumed to have passed its guards.
+    """
+    payload: dict = {"command": "bijection", "kind": kind, "per_n": []}
+    total = 0
+    for n in range(1, max_n + 1):
+        if kind == "interval":
+            items = tb.enumerate_tubings(n, "interval")
+            paths = tb.enumerate_paths(2 * n, "schroder")
+            fwd, inv = tb.interval_tubing_to_schroder, tb.schroder_to_interval_tubing
+        else:
+            items = [
+                t
+                for t in tb.enumerate_tubings(n, "cycle")
+                if tb.free_vertices(n, t, "cycle")
+            ]
+            paths = tb.enumerate_paths(2 * (n - 1), "delannoy")
+            fwd, inv = tb.cycle_tubing_to_delannoy, tb.delannoy_to_cycle_tubing
+        seen = set()
+        for t in items:
+            p = fwd(n, t)
+            if inv(n, p) != t:
+                payload["ok"] = False
+                payload["witness"] = {
+                    "n": n,
+                    "tubing": tb.tubing_to_jsonable(t),
+                    "path": p,
+                }
+                return payload, 2
+            seen.add(p)
+        if seen != set(paths):
+            bad = sorted(set(paths) ^ seen)[0]
+            payload["ok"] = False
+            payload["witness"] = {"n": n, "path": bad, "detail": "image mismatch"}
+            return payload, 2
+        payload["per_n"].append([n, len(items)])
+        total += len(items)
+    payload["total"] = total
+    payload["ok"] = True
+    return payload, 0

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from typing import Callable
 
 from .gaussseq import (
@@ -55,6 +56,7 @@ from .semigroup import (
     PositiveIntegers,
     Window,
     encode_element,
+    require_keys,
     strict_int,
     window_from_config,
 )
@@ -65,23 +67,25 @@ class ConfigError(ValueError):
     pass
 
 
+@contextmanager
+def _refused(where: str = ""):
+    """Re-raise what the library refuses (a ValueError or TypeError) as a
+    ConfigError, its message prefixed by ``where``."""
+    try:
+        yield
+    except (ValueError, TypeError) as e:
+        raise ConfigError(f"{where}{e}")
+
+
 def _require_keys(cfg: dict, allowed: set[str], required: set[str], where: str) -> None:
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{where}: expected an object, got {cfg!r}")
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = required - set(cfg)
-    if missing:
-        raise ConfigError(f"{where}: missing keys {sorted(missing)}")
+    with _refused():
+        require_keys(cfg, allowed, required, where)
 
 
 def _strict_int(cfg: dict, key: str, where: str, default: int | None = None) -> int:
     """An integer setting; floats, strings and booleans are refused."""
-    try:
+    with _refused():
         return strict_int(cfg.get(key, default), f"{where}: {key}")
-    except ValueError as e:
-        raise ConfigError(str(e))
 
 
 def _int_list(cfg: dict, key: str, where: str) -> list[int]:
@@ -89,31 +93,26 @@ def _int_list(cfg: dict, key: str, where: str) -> list[int]:
     value = cfg[key]
     if not isinstance(value, list):
         raise ConfigError(f"{where}: {key} must be a list of integers, got {value!r}")
-    try:
+    with _refused():
         return [strict_int(v, f"{where}: {key} entry") for v in value]
-    except ValueError as e:
-        raise ConfigError(str(e))
 
 
 def _sequence(cfg: dict, key: str) -> SequenceSpec:
-    try:
+    with _refused():
         return sequence_from_config(cfg[key])
-    except (ValueError, KeyError, TypeError) as e:
-        raise ConfigError(str(e))
 
 
 def _beads(cfg: dict) -> FreeRanked:
-    try:
+    with _refused():
         return FreeRanked(tuple((b, length) for b, length in cfg["beads"]))
-    except (ValueError, TypeError) as e:
-        raise ConfigError(str(e))
 
 
-def _window(cfg: dict) -> Window:
-    try:
-        return window_from_config(cfg["window"])
-    except (ValueError, TypeError) as e:
-        raise ConfigError(str(e))
+def _window(cfg: dict, instance) -> Window:
+    """The config's window, refused unless it fits the instance."""
+    with _refused():
+        window = window_from_config(cfg["window"])
+        instance.check_window(window)
+    return window
 
 
 # -- seq ---------------------------------------------------------------------------
@@ -128,10 +127,8 @@ def cmd_seq(cfg: dict) -> tuple[dict, int]:
             a = spec
         elif spec.role == "b":
             a = a_from_b(spec)
-        elif spec.role == "c":
+        else:  # SequenceSpec admits no role but a, b and c
             a = a_from_c(spec)
-        else:
-            raise ConfigError(f"seq config: unknown role {spec.role!r}")
         b = b_from_a(a)
         c = c_from_a(a)
     except NonIntegerWitness as e:
@@ -169,19 +166,17 @@ def _closed_form_family(cfg: dict) -> PolyFamily:
     _require_keys(
         cfg, {"name", "window", "base"}, {"name", "window"}, "closed_form config"
     )
-    window = _window(cfg)
     name = cfg["name"]
     if name == "q-binomial":
         inst = Chain(PositiveIntegers(), "nonneg")
-        return PolyFamily.from_function(
-            inst, window, lambda s: q_binomial(s[0], s[1])
-        )
-    if name == "q-power":
+        build = lambda s: q_binomial(s[0], s[1])
+    elif name == "q-power":
         lam = _strict_int(cfg, "base", "closed_form config", 2)
-        return PolyFamily.from_function(
-            PositiveIntegers(), window, lambda n: q_power(lam, n)
-        )
-    raise ConfigError(f"closed_form config: unknown name {name!r}")
+        inst = PositiveIntegers()
+        build = lambda n: q_power(lam, n)
+    else:
+        raise ConfigError(f"closed_form config: unknown name {name!r}")
+    return PolyFamily.from_function(inst, _window(cfg, inst), build)
 
 
 def cmd_qgauss(cfg: dict) -> tuple[dict, int]:
@@ -192,7 +187,7 @@ def cmd_qgauss(cfg: dict) -> tuple[dict, int]:
         "qgauss config",
     )
     checks = cfg.get("checks", ["definition", "roots"])
-    if not isinstance(checks, list) or set(checks) - {"definition", "roots"}:
+    if not isinstance(checks, list) or any(c not in ("definition", "roots") for c in checks):
         raise ConfigError(f"qgauss config: bad checks {checks!r}")
     payload: dict = {"command": "qgauss"}
     if "closed_form" in cfg:
@@ -204,9 +199,10 @@ def cmd_qgauss(cfg: dict) -> tuple[dict, int]:
         if name == "fund":
             if "beads" not in cfg or "window" not in cfg:
                 raise ConfigError("qgauss config: fund needs beads and window")
-            family = fund_family(_beads(cfg), _window(cfg))
+            beads = _beads(cfg)
+            family = fund_family(beads, _window(cfg, beads))
         else:
-            if name not in _CONSTRUCTIONS:
+            if not isinstance(name, str) or name not in _CONSTRUCTIONS:
                 raise ConfigError(f"qgauss config: unknown construction {name!r}")
             role, build = _CONSTRUCTIONS[name]
             if "sequence" not in cfg:
@@ -249,10 +245,8 @@ def cmd_qgauss(cfg: dict) -> tuple[dict, int]:
 def _refuse_oversized(name: str, source, window: Window | None = None) -> None:
     """Refuse, before any enumeration, a malformed family or one predicting
     more than MAX_OBJECTS objects."""
-    try:
+    with _refused("csp config: "):
         count = predicted_count(name, source, window)
-    except ValueError as e:
-        raise ConfigError(f"csp config: {e}")
     if count > MAX_OBJECTS:
         raise ConfigError(
             f"csp config: {name} predicts {count} objects, "
@@ -262,7 +256,8 @@ def _refuse_oversized(name: str, source, window: Window | None = None) -> None:
 
 def _family_words(cfg: dict) -> tuple[Census, PolyFamily, bool]:
     _require_keys(cfg, {"family", "beads", "window"}, {"beads", "window"}, "csp config")
-    beads, window = _beads(cfg), _window(cfg)
+    beads = _beads(cfg)
+    window = _window(cfg, beads)
     if cfg.get("family") == "words":
         if set(beads.lengths) != {1}:
             raise ConfigError("csp config: words need all bead lengths equal to 1")
@@ -318,10 +313,8 @@ def _family_tubings(cfg: dict) -> tuple[Census, PolyFamily, bool]:
     max_rank = _strict_int(cfg, "max_rank", "csp config")
     colors = _strict_int(cfg, "colors", "csp config", 1)
     grading = cfg.get("grading", "tubes")
-    try:
+    with _refused("csp config: "):
         census, poly = tb.improper_cycle_census(max_rank, grading, colors)
-    except ValueError as e:
-        raise ConfigError(f"csp config: {e}")
     return census, poly, False
 
 
@@ -364,47 +357,21 @@ def cmd_csp(cfg: dict) -> tuple[dict, int]:
 # -- bijection ---------------------------------------------------------------------
 
 
-def _bijection_witness(kind: str, n: int) -> dict:
-    """The witness of a failed round trip at size n, found as the full
-    check finds it: the first tubing in enumeration order that does not
-    come back, else the smallest path in the symmetric difference of the
-    image and the path set."""
-    if kind == "interval":
-        items = tb.enumerate_tubings(n, "interval")
-        paths = tb.enumerate_paths(2 * n, "schroder")
-        fwd, inv = tb.interval_tubing_to_schroder, tb.schroder_to_interval_tubing
-    else:
-        items = [
-            t for t in tb.enumerate_tubings(n, "cycle") if tb.free_vertices(n, t, "cycle")
-        ]
-        paths = tb.enumerate_paths(2 * (n - 1), "delannoy")
-        fwd, inv = tb.cycle_tubing_to_delannoy, tb.delannoy_to_cycle_tubing
-    seen = set()
-    for t in items:
-        p = fwd(n, t)
-        if inv(n, p) != t:
-            return {"n": n, "tubing": tb.tubing_to_jsonable(t), "path": p}
-        seen.add(p)
-    if seen != set(paths):
-        return {"n": n, "path": sorted(set(paths) ^ seen)[0], "detail": "image mismatch"}
-    raise RuntimeError(f"bijection check at n = {n} failed, but the full check passes")
-
-
 def cmd_bijection(cfg: dict) -> tuple[dict, int]:
     """Round-trip every tubing of each size through the bijection.
 
     Per size n the tubings stream past as bitsets; each must map to a path
     of the target set P_n and come back.  That makes the map injective
     into P_n, and a tubing count equal to |P_n| makes it a bijection, so
-    neither the paths nor the images are ever stored.
+    neither the paths nor the images are stored.  The witness is the first
+    tubing that fails, else the smallest path in the symmetric difference
+    of the images and P_n, which only a count mismatch collects.
     """
     _require_keys(cfg, {"kind", "max_n"}, {"kind", "max_n"}, "bijection config")
     kind = cfg["kind"]
     max_n = _strict_int(cfg, "max_n", "bijection config")
-    try:
+    with _refused("bijection config: "):
         tb.check_bijection_job(kind, max_n)
-    except ValueError as e:
-        raise ConfigError(f"bijection config: {e}")
     payload: dict = {"command": "bijection", "kind": kind, "per_n": []}
     total = 0
     for n in range(1, max_n + 1):
@@ -422,6 +389,8 @@ def cmd_bijection(cfg: dict) -> tuple[dict, int]:
                 continue
             p = fwd(n, bits)
             if not tb.is_path(p, length, target) or inv(n, p) != bits:
+                tubing = tb.tubing_to_jsonable(tb.mask_to_tubing(n, bits, kind))
+                witness = {"n": n, "tubing": tubing, "path": p}
                 break
             count += 1
         else:
@@ -429,8 +398,12 @@ def cmd_bijection(cfg: dict) -> tuple[dict, int]:
                 payload["per_n"].append([n, count])
                 total += count
                 continue
+            images = {fwd(n, bits) for bits, covered in tb.tubing_masks(n, kind)
+                      if covered != proper}
+            odd = images.symmetric_difference(tb.enumerate_paths(length, target))
+            witness = {"n": n, "path": min(odd), "detail": "image mismatch"}
         payload["ok"] = False
-        payload["witness"] = _bijection_witness(kind, n)
+        payload["witness"] = witness
         return payload, 2
     payload["total"] = total
     payload["ok"] = True
@@ -452,10 +425,8 @@ def cmd_riordan(cfg: dict) -> tuple[dict, int]:
     denom = _int_list(series, "denom", "riordan series") if "denom" in series else [1]
     if not denom or denom[0] not in (1, -1):
         raise ConfigError(f"riordan series: denom must start with 1 or -1, got {denom}")
-    try:
+    with _refused("riordan series: "):
         D = TruncatedSeries.from_rational(numer, denom, order)
-    except (ValueError, ZeroDivisionError) as e:
-        raise ConfigError(f"riordan series: {e}")
     return {"command": "riordan", "rows": riordan_rows(D, max_n), "ok": True}, 0
 
 

@@ -36,6 +36,7 @@ from .semigroup import (
     _SemigroupBase,
     decode_element,
     instance_from_config,
+    require_keys,
     strict_int,
     window_table,
 )
@@ -114,16 +115,12 @@ class SequenceSpec:
 
 def sequence_from_config(cfg: dict) -> SequenceSpec:
     """Decode {"instance": {...}, "role": "c", "support": [[elem, value], ...]}."""
-    allowed = {"instance", "role", "support"}
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ValueError(f"sequence config: unknown keys {sorted(unknown)}")
-    for key in ("instance", "role", "support"):
-        if key not in cfg:
-            raise ValueError(f"sequence config: missing key {key!r}")
+    keys = {"instance", "role", "support"}
+    require_keys(cfg, keys, keys, "sequence config")
     instance, window = instance_from_config(cfg["instance"])
     if window is None:
         raise ValueError("sequence config: instance needs a window")
+    instance.check_window(window)
     role = str(cfg["role"]).lower()
     pairs = []
     for entry in cfg["support"]:

@@ -241,24 +241,15 @@ class IntegersFrom:
     lo: int
 
 
-@dataclass(frozen=True)
-class IntegersUpTo:
-    """The alphabet {..., hi-1, hi}; not admissible for compositions."""
-
-    hi: int
-
-
 def compositions(n: int, k: int, alphabet) -> list[CyclicObject]:
     """All length-n words of integers from the alphabet summing to k.
 
     The alphabet is a finite set of integers or IntegersFrom(lo); in the
     latter case only letters up to k - (n-1)*lo can appear, which keeps the
-    set finite.  Alphabets unbounded from below are rejected.
+    set finite.
     """
     if n < 1:
         raise ValueError(f"compositions: need n >= 1, got {n}")
-    if isinstance(alphabet, IntegersUpTo):
-        raise ValueError("compositions: alphabet must be bounded from below")
     if isinstance(alphabet, IntegersFrom):
         hi = k - (n - 1) * alphabet.lo
         letters = list(range(alphabet.lo, hi + 1))

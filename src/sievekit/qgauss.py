@@ -386,18 +386,8 @@ def _fiber_directions(m: Morphism) -> set[int]:
     vector of the coordinate matrix; window edges only threaten fiber
     completeness in those directions.
     """
-    src = m.source
-    if m.kind == "linear":
-        rows = [list(r) for r in m.matrix]
-        width = len(rows[0])
-    else:
-        if isinstance(src, FreeRanked):
-            rows = [list(src.lengths)]
-            width = len(src.lengths)
-        else:
-            width = src.arity if isinstance(src, Chain) else 1
-            rows = [[1] + [0] * (width - 1)]
-    mat = [[Fraction(x) for x in row] for row in rows]
+    width = len(m.matrix[0])
+    mat = [[Fraction(x) for x in row] for row in m.matrix]
     pivots: dict[int, int] = {}
     r = 0
     for c in range(width):

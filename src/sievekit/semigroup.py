@@ -43,6 +43,19 @@ def strict_int(value, what: str) -> int:
     return value
 
 
+def require_keys(cfg, allowed: set[str], required: set[str], where: str) -> None:
+    """Refuse a config that is not an object, has a key outside ``allowed``
+    or lacks one of ``required``."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{where}: expected an object, got {cfg!r}")
+    unknown = set(cfg) - allowed
+    if unknown:
+        raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
+    missing = required - set(cfg)
+    if missing:
+        raise ValueError(f"{where}: missing keys {sorted(missing)}")
+
+
 @dataclass(frozen=True)
 class Window:
     """Finite viewport on a semigroup instance.
@@ -59,14 +72,17 @@ class Window:
     def __post_init__(self) -> None:
         if strict_int(self.max_rank, "Window: max_rank") < 1:
             raise ValueError(f"Window: need max_rank >= 1, got {self.max_rank}")
-        eb = tuple(self.extra_bounds)
-        if len(eb) == 2 and all(isinstance(b, int) for b in eb):
-            eb = (tuple(eb),)  # a bare (lo, hi) pair means "every extra"
-        eb = tuple(tuple(pair) for pair in eb)
+        eb = self.extra_bounds
+        if isinstance(eb, (list, tuple)) and len(eb) == 2 and all(isinstance(b, int) for b in eb):
+            eb = (eb,)  # a bare (lo, hi) pair means "every extra"
+        if not isinstance(eb, (list, tuple)) or not all(
+            isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in eb
+        ):
+            raise ValueError(f"Window: extra_bounds must be (lo, hi) pairs, got {eb!r}")
         for lo, hi in eb:
             if strict_int(lo, "Window: bound") > strict_int(hi, "Window: bound"):
                 raise ValueError(f"Window: empty bound range ({lo}, {hi})")
-        object.__setattr__(self, "extra_bounds", eb)
+        object.__setattr__(self, "extra_bounds", tuple(tuple(pair) for pair in eb))
         max_total = self.max_total
         if max_total is not None and strict_int(max_total, "Window: max_total") < 1:
             raise ValueError(f"Window: need max_total >= 1, got {self.max_total}")
@@ -207,6 +223,11 @@ class _SemigroupBase:
         """Window contents in canonical (rank, coordinates) order."""
         raise NotImplementedError
 
+    def check_window(self, window: Window) -> None:
+        """Refuse a window that this instance cannot enumerate, or that
+        misses a root t (d*t = s) of one of its elements s, which the
+        divisor-sum checks read.  Every window of positive integers fits."""
+
 
 @dataclass(frozen=True)
 class PositiveIntegers(_SemigroupBase):
@@ -336,6 +357,17 @@ class Chain(_SemigroupBase):
             out.append((lo, hi))
         return tuple(out)
 
+    def check_window(self, window: Window) -> None:
+        bounds = self.resolve_bounds(window)
+        for d in range(2, window.max_rank + 1):
+            # the roots x/d of the multiples x of d within each extra's bounds;
+            # an element of rank d has a root by d when every extra has one
+            roots = [range(-(-lo // d), hi // d + 1) for lo, hi in bounds]
+            if all(roots) and any(
+                r[0] < lo or r[-1] > hi for r, (lo, hi) in zip(roots, bounds)
+            ):
+                raise ValueError(f"window misses the root by {d} of an element of rank {d}")
+
     def elements(self, window: Window) -> list:
         bounds = self.resolve_bounds(window)
         ranges = [range(1, window.max_rank + 1)]
@@ -356,10 +388,12 @@ class FreeRanked(_SemigroupBase):
 
     def __post_init__(self) -> None:
         beads = tuple(
-            (str(label), strict_int(length, "FreeRanked: bead length"))
+            (label, strict_int(length, "FreeRanked: bead length"))
             for label, length in self.beads
         )
         labels = [label for label, _ in beads]
+        if not all(isinstance(label, str) for label in labels):
+            raise ValueError(f"FreeRanked: bead labels must be strings, got {labels}")
         if not beads:
             raise ValueError("FreeRanked: need at least one bead")
         if len(set(labels)) != len(labels):
@@ -410,11 +444,15 @@ class FreeRanked(_SemigroupBase):
                 out.append(cs)
         return sorted(out, key=self.sort_key)
 
-    def elements(self, window: Window) -> list:
+    def check_window(self, window: Window) -> None:
+        # a root has fewer beads and a smaller rank, so it stays inside
         if window.max_total is None and any(length < 1 for length in self.lengths):
             raise ValueError(
                 "window needs max_total when some bead length is not positive"
             )
+
+    def elements(self, window: Window) -> list:
+        self.check_window(window)
         caps = []
         for length in self.lengths:
             cap = window.max_rank // length if length >= 1 else window.max_total
@@ -443,39 +481,31 @@ class FreeRanked(_SemigroupBase):
 
 @dataclass(frozen=True)
 class Morphism:
-    """A named additive map between instances.
+    """A named additive map between instances: an integer matrix applied to
+    the coordinate tuple (rows indexed by target coordinates).
 
-    kind "rank" sends s to rank(s); kind "linear" applies an integer matrix
-    to the coordinate tuple (rows indexed by target coordinates).  Linear
-    maps with no constant term are exactly the additive ones expressible on
-    coordinates, which covers projections, permutations, reindexings like
-    (n, k) -> (n, k, n-k), and bead label maps.
+    Linear maps with no constant term are exactly the additive ones
+    expressible on coordinates.  That covers the rank map (the row of bead
+    lengths on a free instance, the first coordinate elsewhere),
+    projections, permutations, reindexings like (n, k) -> (n, k, n-k), and
+    bead label maps (0/1 columns).
     """
 
     source: _SemigroupBase
     target: _SemigroupBase
-    kind: str
-    matrix: tuple[tuple[int, ...], ...] = ()
+    matrix: tuple[tuple[int, ...], ...]
     name: str = ""
 
     def __post_init__(self) -> None:
-        if self.kind not in ("rank", "linear"):
-            raise ValueError(f"Morphism: unknown kind {self.kind!r}")
-        if self.kind == "linear":
-            rows = tuple(tuple(int(c) for c in row) for row in self.matrix)
-            if not rows:
-                raise ValueError("Morphism: linear kind needs a matrix")
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("Morphism: ragged matrix")
-            object.__setattr__(self, "matrix", rows)
+        rows = tuple(tuple(int(c) for c in row) for row in self.matrix)
+        if not rows:
+            raise ValueError("Morphism: needs a matrix")
+        if any(len(r) != len(rows[0]) for r in rows):
+            raise ValueError("Morphism: ragged matrix")
+        object.__setattr__(self, "matrix", rows)
 
     def __call__(self, s):
         return apply_morphism(self, s)
-
-
-def rank_morphism(source: _SemigroupBase, name: str = "rank") -> Morphism:
-    return Morphism(source, PositiveIntegers(), "rank", name=name)
 
 
 def linear_morphism(
@@ -484,29 +514,11 @@ def linear_morphism(
     rows: Iterable[Iterable[int]],
     name: str = "",
 ) -> Morphism:
-    return Morphism(source, target, "linear", tuple(tuple(r) for r in rows), name=name)
-
-
-def relabel_morphism(
-    source: FreeRanked, target: FreeRanked, label_map: dict[str, str], name: str = ""
-) -> Morphism:
-    """Bead label map: multiplicities of beads with a common image add up."""
-    rows = []
-    for t_label, _ in target.beads:
-        row = []
-        for s_label, _ in source.beads:
-            image = label_map.get(s_label)
-            if image is None:
-                raise ValueError(f"relabel: no image for bead {s_label!r}")
-            row.append(1 if image == t_label else 0)
-        rows.append(tuple(row))
-    return Morphism(source, target, "linear", tuple(rows), name=name)
+    return Morphism(source, target, tuple(tuple(r) for r in rows), name=name)
 
 
 def apply_morphism(m: Morphism, s):
     m.source.validate(s)
-    if m.kind == "rank":
-        return m.source.rank(s)
     xs = m.source.coords(s)
     if any(len(row) != len(xs) for row in m.matrix):
         raise ValueError("apply_morphism: matrix width does not match source arity")
@@ -523,7 +535,7 @@ class MorphismReport:
     failures: tuple[str, ...]
 
 
-# Additivity of rank/linear maps is structural, so the pairwise check is a
+# Additivity of linear maps is structural, so the pairwise check is a
 # packing sanity test; it runs on a bounded prefix of the window to keep
 # large windows affordable.
 _ADDITIVITY_PREFIX = 48
@@ -609,18 +621,12 @@ def decode_element(instance: _SemigroupBase, obj):
 
 
 def window_from_config(cfg: dict) -> Window:
-    allowed = {"max_rank", "extra_bounds", "max_total"}
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ValueError(f"window config: unknown keys {sorted(unknown)}")
-    if "max_rank" not in cfg:
-        raise ValueError("window config: max_rank is required")
-    eb = cfg.get("extra_bounds", ())
-    if eb and isinstance(eb[0], list):
-        eb = tuple(tuple(p) for p in eb)
-    else:
-        eb = tuple(eb)
-    return Window(cfg["max_rank"], eb, cfg.get("max_total"))
+    require_keys(cfg, {"max_rank", "extra_bounds", "max_total"}, {"max_rank"}, "window config")
+    return Window(cfg["max_rank"], cfg.get("extra_bounds", ()), cfg.get("max_total"))
+
+
+# The keys each kind of instance config takes besides "kind" and "window".
+_INSTANCE_KEYS = {"zpos": set(), "chain": {"base", "extra"}, "free": {"beads"}}
 
 
 def instance_from_config(cfg: dict) -> tuple[_SemigroupBase, Window | None]:
@@ -630,15 +636,16 @@ def instance_from_config(cfg: dict) -> tuple[_SemigroupBase, Window | None]:
     | {"kind": "free", "beads": [["a", 1], ["b", 2]]}, each optionally with
     a "window" member.
     """
-    if not isinstance(cfg, dict):
-        raise ValueError(f"instance config must be an object, got {cfg!r}")
-    kind = cfg.get("kind")
+    common = {"kind", "window"}
+    require_keys(cfg, common.union(*_INSTANCE_KEYS.values()), {"kind"}, "instance config")
+    kind = cfg["kind"]
+    if not isinstance(kind, str) or kind not in _INSTANCE_KEYS:
+        raise ValueError(f"instance config: unknown kind {kind!r}")
+    require_keys(cfg, common | _INSTANCE_KEYS[kind], set(), f"{kind} instance config")
     window = window_from_config(cfg["window"]) if "window" in cfg else None
     if kind == "zpos":
-        _reject_unknown(cfg, {"kind", "window"})
         return PositiveIntegers(), window
     if kind == "chain":
-        _reject_unknown(cfg, {"kind", "base", "extra", "window"})
         base_cfg = cfg.get("base", "zpos")
         if base_cfg == "zpos":
             base: _SemigroupBase = PositiveIntegers()
@@ -649,14 +656,5 @@ def instance_from_config(cfg: dict) -> tuple[_SemigroupBase, Window | None]:
         if not isinstance(base, (PositiveIntegers, Chain)):
             raise ValueError("chain base must be zpos or another chain")
         return Chain(base, cfg.get("extra", "ints")), window
-    if kind == "free":
-        _reject_unknown(cfg, {"kind", "beads", "window"})
-        beads = tuple((label, length) for label, length in cfg.get("beads", ()))
-        return FreeRanked(beads), window
-    raise ValueError(f"instance config: unknown kind {kind!r}")
-
-
-def _reject_unknown(cfg: dict, allowed: set[str]) -> None:
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ValueError(f"instance config: unknown keys {sorted(unknown)}")
+    beads = tuple((label, length) for label, length in cfg.get("beads", ()))
+    return FreeRanked(beads), window

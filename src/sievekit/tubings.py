@@ -40,6 +40,16 @@ MAX_CYCLE = 10
 
 _STEP_X = {"U": 1, "D": 1, "F": 2}
 _STEP_Y = {"U": 1, "D": -1, "F": 0}
+# The steps each kind of path may take below, at and above height 0, each
+# with its height change.
+_PATH_STEPS = {
+    kind: tuple({s: _STEP_Y[s] for s in steps} for steps in rows)
+    for kind, rows in (
+        ("delannoy", ("UDF", "UDF", "UDF")),
+        ("schroder", ("", "UF", "UDF")),
+        ("strict", ("", "U", "UDF")),
+    )
+}
 
 
 # -- tubes and tubings -------------------------------------------------------------
@@ -164,6 +174,11 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+def mask_to_tubing(n: int, bits: int, kind: str = "interval") -> Tubing:
+    """The tubing of the n-interval or n-cycle that a tube bitset stands for."""
+    return _graph(n, kind).tubing(bits)
+
+
 def tube_vertices(n: int, tube: Tube, kind: str = "interval") -> frozenset:
     graph = _graph(n, kind)
     (i,) = graph.indices((tube,))
@@ -182,12 +197,8 @@ def is_tubing(n: int, tubes: Iterable[Tube], kind: str = "interval") -> bool:
     if len(set(tubes)) != len(tubes):
         return False
     graph = _graph(n, kind)
-    indices = graph.indices(tubes)
-    chosen = 0
-    for i in indices:
-        chosen |= 1 << i
-    compat = graph.compat()
-    return all(chosen & compat[i] == chosen for i in indices)
+    chosen, compat = graph.bits(tubes), graph.compat()
+    return all(chosen & compat[i] == chosen for i in graph.indices(tubes))
 
 
 def tubing_masks(n: int, kind: str = "interval") -> Iterator[tuple[int, int]]:
@@ -297,45 +308,29 @@ def classify_vertices(n: int, tubing: Iterable[Tube], kind: str = "interval") ->
 
 
 def path_length(path: str) -> int:
-    return sum(_STEP_X[s] for s in path)
+    """The x-extent of a word over U, D, F: a flat is two wide."""
+    return len(path) + path.count("F")
 
 
 def step_heights(path: str) -> list[int]:
     """Height before each step."""
-    out = []
-    h = 0
-    for s in path:
-        if s not in _STEP_X:
-            raise ValueError(f"unknown step {s!r} in {path!r}")
-        out.append(h)
-        h += _STEP_Y[s]
-    return out
+    try:
+        return list(itertools.accumulate(map(_STEP_Y.__getitem__, path), initial=0))[:-1]
+    except KeyError as e:
+        raise ValueError(f"unknown step {e.args[0]!r} in {path!r}") from None
 
 
 def classify_path(path: str) -> str:
-    """The strongest of delannoy / schroder / strict that the path satisfies."""
-    h = 0
-    nonneg = True
-    strict = True
-    for s in path:
-        if s not in _STEP_X:
-            raise ValueError(f"unknown step {s!r} in {path!r}")
-        if s == "F" and h == 0:
-            strict = False
-        h += _STEP_Y[s]
-        if h < 0:
-            nonneg = False
-    if h != 0:
-        raise ValueError(f"path {path!r} does not return to height 0")
-    if nonneg and strict:
-        return "strict"
-    if nonneg:
-        return "schroder"
-    return "delannoy"
+    """The strongest of strict / schroder / delannoy that the path satisfies."""
+    length = path_length(path)
+    for kind in ("strict", "schroder", "delannoy"):
+        if is_path(path, length, kind):
+            return kind
+    raise ValueError(f"{path!r} is not a path: an unknown step, or it ends off height 0")
 
 
 def _check_path_args(length: int, kind: str) -> None:
-    if kind not in ("delannoy", "schroder", "strict"):
+    if kind not in _PATH_STEPS:
         raise ValueError(f"unknown path kind {kind!r}")
     if length < 0 or length % 2:
         raise ValueError(f"path length must be even and nonnegative, got {length}")
@@ -344,6 +339,7 @@ def _check_path_args(length: int, kind: str) -> None:
 def enumerate_paths(length: int, kind: str = "delannoy", flats: int | None = None) -> list[str]:
     """All paths of the given x-extent, optionally with a fixed F count."""
     _check_path_args(length, kind)
+    below, at, above = _PATH_STEPS[kind]
     out: list[str] = []
     acc: list[str] = []
 
@@ -354,17 +350,11 @@ def enumerate_paths(length: int, kind: str = "delannoy", flats: int | None = Non
             if h == 0 and (flats is None or nf == flats):
                 out.append("".join(acc))
             return
-        acc.append("U")
-        rec(rem - 1, h + 1, nf)
-        acc.pop()
-        if kind == "delannoy" or h >= 1:
-            acc.append("D")
-            rec(rem - 1, h - 1, nf)
-            acc.pop()
-        if rem >= 2 and not (kind == "strict" and h == 0):
-            acc.append("F")
-            rec(rem - 2, h, nf + 1)
-            acc.pop()
+        for s, dy in (above if h > 0 else at if h == 0 else below).items():
+            if _STEP_X[s] <= rem:
+                acc.append(s)
+                rec(rem - _STEP_X[s], h + dy, nf + (s == "F"))
+                acc.pop()
 
     rec(length, 0, 0)
     return sorted(out)
@@ -374,42 +364,30 @@ def count_paths(length: int, kind: str = "delannoy") -> int:
     """How many paths ``enumerate_paths(length, kind)`` lists, by a DP over
     (x-extent, height) with its step rules, listing none of them."""
     _check_path_args(length, kind)
+    below, at, above = _PATH_STEPS[kind]
     # ways[x][h]: step sequences from (0, 0) to (x, h) under the rules
     ways: list[dict[int, int]] = [{} for _ in range(length + 1)]
     ways[0][0] = 1
     for x in range(length):
-        rem = length - x
         for h, w in ways[x].items():
-            up = ways[x + 1]
-            up[h + 1] = up.get(h + 1, 0) + w
-            if kind == "delannoy" or h >= 1:
-                up[h - 1] = up.get(h - 1, 0) + w
-            if rem >= 2 and not (kind == "strict" and h == 0):
-                flat = ways[x + 2]
-                flat[h] = flat.get(h, 0) + w
+            for s, dy in (above if h > 0 else at if h == 0 else below).items():
+                if x + _STEP_X[s] <= length:
+                    nxt = ways[x + _STEP_X[s]]
+                    nxt[h + dy] = nxt.get(h + dy, 0) + w
     return ways[length].get(0, 0)
 
 
 def is_path(path: str, length: int, kind: str = "delannoy") -> bool:
     """Whether ``enumerate_paths(length, kind)`` lists the path: known
     steps under its step rules, the given x-extent, ending at height 0."""
-    h = x = 0
-    for s in path:
-        if s == "U":
-            h += 1
-            x += 1
-        elif s == "D":
-            if h < 1 and kind != "delannoy":
-                return False
-            h -= 1
-            x += 1
-        elif s == "F":
-            if h == 0 and kind == "strict":
-                return False
-            x += 2
-        else:
-            return False
-    return h == 0 and x == length
+    below, at, above = _PATH_STEPS[kind]
+    h = 0
+    try:
+        for s in path:
+            h += (above if h > 0 else at if h == 0 else below)[s]
+    except KeyError:  # a step its height does not allow, or an unknown one
+        return False
+    return h == 0 and path_length(path) == length
 
 
 # -- interval bijection ------------------------------------------------------------
@@ -480,10 +458,8 @@ def interval_tubing_to_schroder(n: int, tubing: Iterable[Tube]) -> str:
 
 def schroder_to_interval_tubing(n: int, path: str) -> Tubing:
     """The interval tubing of a Schröder path of length 2n."""
-    if classify_path(path) == "delannoy":
-        raise ValueError(f"path {path!r} dips below height 0")
-    if path_length(path) != 2 * n:
-        raise ValueError(f"need length {2 * n}, got {path_length(path)}")
+    if not is_path(path, 2 * n, "schroder"):
+        raise ValueError(f"{path!r} is not a Schröder path of length {2 * n}")
     tubing = _graph(n, "interval").tubing(schroder_to_interval_mask(n, path))
     if not is_tubing(n, tubing, "interval"):
         raise ValueError(f"path {path!r} does not decode to a tubing")
@@ -494,11 +470,11 @@ def schroder_to_interval_tubing(n: int, path: str) -> Tubing:
 
 
 def _marked_ok(path: str, j: int) -> bool:
-    if not path or path[-1] != "F":
+    """Whether (path, j) is a marked path: a Schröder path ending in a flat,
+    marked at a fall or flat no later than its first flat at height 0."""
+    if not path.endswith("F") or not is_path(path, path_length(path), "schroder"):
         return False
     heights = step_heights(path)
-    if classify_path(path) == "delannoy":
-        return False
     first_flat0 = next(
         t for t, s in enumerate(path) if s == "F" and heights[t] == 0
     )
@@ -587,14 +563,11 @@ def delannoy_to_marked(path: str) -> tuple[str, int]:
     flat at that level if there is one, the first step reaching it if the
     path dips below zero, and the appended final flat otherwise.
     """
-    heights_after: list[int] = []
-    h = 0
-    for s in path:
-        if s not in _STEP_X:
-            raise ValueError(f"unknown step {s!r} in {path!r}")
-        h += _STEP_Y[s]
-        heights_after.append(h)
-    if h != 0:
+    try:
+        heights_after = list(itertools.accumulate(map(_STEP_Y.__getitem__, path)))
+    except KeyError as e:
+        raise ValueError(f"unknown step {e.args[0]!r} in {path!r}") from None
+    if heights_after and heights_after[-1]:
         raise ValueError(f"path {path!r} does not return to height 0")
     m = len(path)
     min_h = min(heights_after, default=0)
@@ -628,8 +601,8 @@ def cycle_tubing_to_delannoy(n: int, tubing: Iterable[Tube], basepoint: int = 0)
 
 
 def delannoy_to_cycle_tubing(n: int, path: str, basepoint: int = 0) -> Tubing:
-    if path_length(path) != 2 * (n - 1):
-        raise ValueError(f"need length {2 * (n - 1)}, got {path_length(path)}")
+    if not is_path(path, 2 * (n - 1), "delannoy"):
+        raise ValueError(f"{path!r} is not a Delannoy path of length {2 * (n - 1)}")
     p, j = delannoy_to_marked(path)
     return marked_to_cycle_tubing(n, p, j, basepoint)
 
@@ -856,12 +829,12 @@ def improper_total_polynomial(n: int) -> IntPoly:
     return total
 
 
-def strict_schroder_gf_check(order: int, exhaustive_up_to: int = 8) -> dict:
+def strict_schroder_gf_check(order: int) -> dict:
     """Cross-check three ways of counting strict paths of length 2(n-1).
 
     The counts solve C = x * D(C) with D = (1-t)/(1-2t), equivalently
     C = x + C^2 + C^3 + ...; both are compared against exhaustive path
-    enumeration up to a size cap.
+    enumeration for n up to 8.
     """
     if not 1 <= order <= 14:
         raise ValueError(f"order must be between 1 and 14, got {order}")
@@ -889,7 +862,7 @@ def strict_schroder_gf_check(order: int, exhaustive_up_to: int = 8) -> dict:
         rec[nn] = total
     counted = [
         len(enumerate_paths(2 * (nn - 1), "strict"))
-        for nn in range(1, min(order, exhaustive_up_to) + 1)
+        for nn in range(1, min(order, 8) + 1)
     ]
     ok = solved == rec[1:] and counted == solved[: len(counted)]
     return {

@@ -227,6 +227,10 @@ Q_POWER = {"name": "q-power", "window": {"max_rank": 4}}
 WORDS = {"family": "words", "window": {"max_rank": 3}}
 HALF_BOUND = {"max_rank": 3, "extra_bounds": [[0, 2.5]]}
 PARTIAL_A = zpos_sequence("a", {1: 1}, 2)  # a role-a support must cover the window
+ROOTLESS = {"max_rank": 2, "extra_bounds": [[2, 2]]}
+# an ints extra has no default bounds, so this window cannot be enumerated
+INTS_CHAIN_C = {"instance": {"kind": "chain", "window": {"max_rank": 3}},
+                "role": "c", "support": []}
 
 
 class TestTubingGuards:
@@ -265,6 +269,31 @@ class TestTubingGuards:
             ("csp", {"family": "festoons-colored", "c": zpos_sequence("c", {1: -1}, 3)}),
             ("csp", {"family": "festoons-content", "beads": [["e", 0], ["x", 1]],
                      "window": {"max_rank": 3, "max_total": 3}}),
+            # extra_bounds that are not a list of (lo, hi) pairs
+            ("csp", {**WORDS, "beads": [["a", 1], ["b", 1]],
+                     "window": {"max_rank": 3, "extra_bounds": {"a": 1}}}),
+            ("csp", {**WORDS, "beads": [["a", 1], ["b", 1]],
+                     "window": {"max_rank": 3, "extra_bounds": [[0, 1, 2]]}}),
+            # windows that do not fit their instance
+            ("seq", {"sequence": INTS_CHAIN_C}),
+            ("qgauss", {"construction": "from-c", "sequence": INTS_CHAIN_C}),
+            ("csp", {"family": "festoons-colored", "c": INTS_CHAIN_C}),
+            ("qgauss", {"closed_form": {"name": "q-binomial", "window": {
+                "max_rank": 3, "extra_bounds": [[0, 3], [0, 3]]}}}),
+            ("qgauss", {"construction": "fund", "beads": [["e", 0], ["x", 1]],
+                        "window": {"max_rank": 3}}),
+            # bead labels that are not strings
+            ("csp", {**WORDS, "beads": [[None, 1], ["b", 1]]}),
+            ("csp", {**WORDS, "beads": [[1, 1], ["1", 1]]}),
+            # windows holding (2, 2) but not its root (1, 1)
+            ("qgauss", {"closed_form": {"name": "q-binomial", "window": ROOTLESS}}),
+            ("seq", {"sequence": {"instance": {"kind": "chain", "extra": "nonneg",
+                                               "window": ROOTLESS},
+                                  "role": "b", "support": []}}),
+            # a construction name or a check that JSON cannot hash
+            ("qgauss", {"construction": [], "sequence": LUCAS_SEQ}),
+            ("qgauss", {"construction": "from-c", "sequence": LUCAS_SEQ,
+                        "checks": [["roots"]]}),
         ],
     )
     def test_refused(self, tmp_path, command, cfg):

@@ -1,7 +1,8 @@
-"""Random configs for the tubing commands: every run ends in exit 0, 1 or 2.
+"""Random configs for the commands: every run ends in exit 0, 1 or 2.
 
-Sizes stay at most 6 where they are in range, so each run takes
-milliseconds; larger integers are out of range and refused up front.
+Tubing sizes stay at most 6 and ranks at most 8 where they are in range,
+so each run takes milliseconds; larger integers are out of range and
+refused up front.
 """
 
 from __future__ import annotations
@@ -70,3 +71,120 @@ def test_tubing_csp_configs_end_in_an_exit_code(cfg):
 def test_non_object_configs_are_config_errors(cfg):
     assert run("bijection", cfg) == 1
     assert run("csp", cfg) == 1
+
+
+# -- seq, qgauss and riordan ------------------------------------------------------
+#
+# These configs are mostly well formed, so that runs get past the guards into
+# the transforms, constructions and checks; each field is now and then junk
+# or missing, and now and then an unknown key is added.
+
+
+def nearly(valid, broken=JUNK):
+    """Mostly ``valid``, one time in twenty ``broken``."""
+    return st.integers(0, 19).flatmap(lambda i: broken if i == 19 else valid)
+
+
+@st.composite
+def jobs(draw, fields: dict) -> dict:
+    """Each field missing one time in twenty, an unknown key more one time in
+    thirty."""
+    cfg = {key: draw(value) for key, value in fields.items()
+           if draw(st.integers(0, 19)) < 19}
+    if draw(st.integers(0, 29)) == 29:
+        cfg["colour"] = draw(SIZE)
+    return cfg
+
+
+BOUND = st.integers(-3, 4)
+EXTRA_BOUNDS = nearly(
+    st.one_of(
+        st.lists(st.lists(BOUND, min_size=2, max_size=2).map(sorted), min_size=1, max_size=3),
+        st.lists(BOUND, min_size=2, max_size=2).map(sorted),  # a bare pair
+    ),
+    st.one_of(st.lists(st.lists(nearly(BOUND), max_size=3), max_size=3), JUNK),
+)
+WINDOW = nearly(jobs({"max_rank": nearly(st.integers(1, 8)), "extra_bounds": EXTRA_BOUNDS,
+                      "max_total": nearly(st.integers(1, 6))}))
+BEADS = nearly(st.lists(
+    nearly(st.tuples(nearly(st.sampled_from(["a", "b", "c"])),
+                     nearly(st.integers(-1, 3))).map(list)),
+    min_size=1, max_size=3,
+))
+EXTRA = nearly(st.sampled_from(["ints", "nonneg", "pos"]))
+VALUE = nearly(st.integers(-3, 3))
+
+
+@st.composite
+def sequences(draw) -> dict:
+    """A sequence config whose support elements mostly fit its instance."""
+    kind = draw(nearly(st.sampled_from(["zpos", "chain", "free"])))
+    fields = {"kind": st.just(kind), "window": WINDOW}
+    element = st.integers(0, 8)
+    if kind == "chain":
+        nested = draw(st.booleans())
+        base = jobs({"kind": st.just("chain"), "extra": EXTRA}) if nested else st.just("zpos")
+        fields.update(base=nearly(base), extra=EXTRA)
+        size = 3 if nested else 2
+        element = st.lists(st.integers(-2, 8), min_size=size, max_size=size)
+    elif kind == "free":
+        fields["beads"] = BEADS
+        element = st.dictionaries(st.sampled_from(["a", "b", "c", "z"]),
+                                  st.integers(0, 3), max_size=3)
+    instance = draw(jobs(fields))
+    window = instance.get("window")
+    rank = window.get("max_rank") if isinstance(window, dict) else None
+    if kind == "zpos" and type(rank) is int and rank <= 8:
+        # a full support, which a role-a sequence needs
+        elements = st.just(list(range(1, rank + 1)))
+    else:
+        elements = st.lists(nearly(element), max_size=4)
+    support = nearly(elements.flatmap(
+        lambda es: st.tuples(*(st.tuples(st.just(e), VALUE).map(list) for e in es)).map(list)
+    ))
+    return draw(nearly(jobs({"instance": st.just(instance),
+                             "role": nearly(st.sampled_from(["a", "b", "c"])),
+                             "support": support})))
+
+
+CHECKS = nearly(st.lists(nearly(st.sampled_from(["definition", "roots"])), max_size=2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(jobs({"sequence": sequences()}))
+def test_seq_configs_end_in_an_exit_code(cfg):
+    assert run("seq", cfg) in (0, 1, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(jobs({
+    "construction": nearly(st.sampled_from(["ramanujan", "from-b", "from-c", "fund"])),
+    "sequence": sequences(), "beads": BEADS, "window": WINDOW, "checks": CHECKS,
+}))
+def test_qgauss_construction_configs_end_in_an_exit_code(cfg):
+    assert run("qgauss", cfg) in (0, 1, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(jobs({
+    "closed_form": nearly(jobs({
+        "name": nearly(st.sampled_from(["q-binomial", "q-power"])),
+        "window": WINDOW,
+        "base": VALUE,
+    })),
+    "checks": CHECKS,
+}))
+def test_qgauss_closed_form_configs_end_in_an_exit_code(cfg):
+    assert run("qgauss", cfg) in (0, 1, 2)
+
+
+UNIT_HEAD = st.builds(lambda head, tail: [head, *tail],
+                      nearly(st.sampled_from([1, -1, 2])), st.lists(VALUE, max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(jobs({"series": nearly(jobs({"numer": nearly(UNIT_HEAD), "denom": nearly(UNIT_HEAD)})),
+             "max_n": nearly(st.one_of(st.integers(1, 8), st.integers(-2, 0),
+                                       st.integers(25, 10**30)))}))
+def test_riordan_configs_end_in_an_exit_code(cfg):
+    assert run("riordan", cfg) in (0, 1, 2)

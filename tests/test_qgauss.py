@@ -40,7 +40,6 @@ from sievekit.semigroup import (
     PositiveIntegers,
     Window,
     linear_morphism,
-    rank_morphism,
 )
 
 from helpers import corrupt, qb0, sequence_corpus, zpos_spec
@@ -200,7 +199,8 @@ class TestTransport:
     def test_rank_pushforward_collapses_to_q_power(self):
         letters = FreeRanked((("a", 1), ("b", 1)))
         F = fund_family(letters, Window(6))
-        G = pushforward(F, rank_morphism(letters), Window(6))
+        rank = linear_morphism(letters, ZPOS, [letters.lengths])
+        G = pushforward(F, rank, Window(6))
         for n, p in G.polys:
             assert p == q_power(2, n)
         assert both_ok(G)

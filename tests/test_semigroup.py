@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,8 +19,6 @@ from sievekit.semigroup import (
     encode_element,
     instance_from_config,
     linear_morphism,
-    rank_morphism,
-    relabel_morphism,
     window_from_config,
 )
 
@@ -53,6 +53,13 @@ class TestWindow:
     def test_refuses_non_integers(self, args, kwargs):
         with pytest.raises(ValueError, match="must be an integer"):
             Window(*args, **kwargs)
+
+    def test_window_extra_bounds_shapes(self):
+        assert Window(4, (0, 2)).extra_bounds == ((0, 2),)
+        assert Window(4, [[0, 2], [1, 3]]).extra_bounds == ((0, 2), (1, 3))
+        for bad in ({"a": 1}, "03", [[0, 1, 2]], [0], [[0, 1.5]], [[True, 2]]):
+            with pytest.raises(ValueError):
+                window_from_config({"max_rank": 4, "extra_bounds": bad})
 
 
 class TestPositiveIntegers:
@@ -129,6 +136,23 @@ class TestChain:
         assert ((1, -1), (1, 0), (1, 1)) in parts
         assert ((1, -1), (2, 1)) in parts
 
+    @pytest.mark.parametrize("extras", [("ints",), ("nonneg",), ("pos",), ("pos", "ints")])
+    def test_check_window_refuses_exactly_the_windows_missing_a_root(self, extras):
+        inst = ZPOS
+        for extra in extras:
+            inst = Chain(inst, extra)
+        pairs = [(lo, hi) for lo in range(-3, 5) for hi in range(lo, 5)]
+        for max_rank in range(1, 6):
+            for bounds in itertools.product(pairs, repeat=len(extras)):
+                window = Window(max_rank, bounds)
+                held = set(inst.elements(window))
+                closed = all(t in held for s in held for t, _ in inst.unit_divisors(s))
+                if closed:
+                    inst.check_window(window)
+                else:
+                    with pytest.raises(ValueError, match="root"):
+                        inst.check_window(window)
+
 
 class TestFreeRanked:
     def test_rank_weights_lengths(self):
@@ -173,10 +197,16 @@ class TestFreeRanked:
         with pytest.raises(ValueError):
             MIXED.label_index("z")
 
+    def test_bead_labels_must_be_strings(self):
+        for beads in ([(None, 1)], [(1, 1), ("1", 1)], [(("a",), 1)]):
+            with pytest.raises(ValueError, match="strings"):
+                FreeRanked(tuple(beads))
+
 
 class TestMorphisms:
     def test_rank_morphism(self):
-        m = rank_morphism(MIXED)
+        # the rank map of a free instance is the row of bead lengths
+        m = linear_morphism(MIXED, ZPOS, [MIXED.lengths])
         assert m((1, 2)) == 5
         rep = check_morphism(m, "rank-dividing", Window(6, max_total=6))
         assert rep.ok
@@ -203,10 +233,9 @@ class TestMorphisms:
     def test_relabel_merges_multiplicities(self):
         src = FreeRanked((("a", 1), ("b", 1), ("c", 1)))
         tgt = FreeRanked((("x", 1), ("y", 1)))
-        m = relabel_morphism(src, tgt, {"a": "x", "b": "x", "c": "y"})
+        # a -> x, b -> x, c -> y as a 0/1 matrix, one row per target bead
+        m = linear_morphism(src, tgt, [(1, 1, 0), (0, 0, 1)])
         assert m((1, 2, 3)) == (3, 3)
-        with pytest.raises(ValueError):
-            relabel_morphism(src, tgt, {"a": "x"})
 
     def test_image_must_stay_inside(self):
         m = linear_morphism(ZPOS, ZPOS, [(-1,)])
@@ -220,9 +249,11 @@ class TestMorphisms:
         assert not rep.ok
         assert any("does not divide" in f for f in rep.failures)
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            Morphism(ZPOS, ZPOS, "affine")
+    def test_matrix_must_be_rectangular(self):
+        with pytest.raises(ValueError, match="needs a matrix"):
+            Morphism(ZPOS, ZPOS, ())
+        with pytest.raises(ValueError, match="ragged"):
+            linear_morphism(Chain(ZPOS, "nonneg"), ZPOS, [(1, 0), (1,)])
 
 
 @st.composite

@@ -18,6 +18,7 @@ from sievekit.tubings import (
     MAX_CYCLE,
     MAX_OBJECTS,
     _graph,
+    classify_path,
     count_paths,
     enumerate_paths,
     enumerate_tubings,
@@ -28,6 +29,7 @@ from sievekit.tubings import (
     improper_tubing_count,
     is_path,
     is_tubing,
+    path_length,
     schroder_to_interval_tubing,
     tube_count_polynomial,
     tube_vertices,
@@ -201,6 +203,49 @@ def test_count_paths_counts_what_enumerate_paths_lists(kind):
         count_paths(4, "motzkin")
 
 
+PATH_KINDS = ("strict", "schroder", "delannoy")  # strongest first
+
+
+def _words_up_to(max_length: int) -> dict[int, list[str]]:
+    """Every word over U, D, F by its x-extent (a flat is two wide)."""
+    words = {0: [""], 1: ["U", "D"]}
+    for length in range(2, max_length + 1):
+        words[length] = [w + s for s in "UD" for w in words[length - 1]]
+        words[length] += [w + "F" for w in words[length - 2]]
+    return words
+
+
+def test_path_functions_match_the_branching_oracle_up_to_length_12():
+    words = _words_up_to(12)
+    member = {}
+    for length in range(0, 13, 2):
+        for kind in PATH_KINDS:
+            listed = oracle.enumerate_paths(length, kind)
+            assert enumerate_paths(length, kind) == listed
+            assert count_paths(length, kind) == len(listed)
+            for flats in range(length // 2 + 2):
+                assert enumerate_paths(length, kind, flats) == oracle.enumerate_paths(
+                    length, kind, flats
+                )
+            member[length, kind] = set(listed)
+    for word_length, group in words.items():
+        for w in group:
+            for length in range(0, 13, 2):
+                for kind in PATH_KINDS:
+                    want = length == word_length and w in member[length, kind]
+                    assert is_path(w, length, kind) == want
+            kinds = [k for k in PATH_KINDS if w in member.get((word_length, k), ())]
+            if kinds:
+                assert classify_path(w) == kinds[0]
+            else:
+                with pytest.raises(ValueError):
+                    classify_path(w)
+    for w in ("X", "UXD", "UDFX", "udf", "U D"):  # unknown steps
+        assert not any(is_path(w, path_length(w), kind) for kind in PATH_KINDS)
+        with pytest.raises(ValueError):
+            classify_path(w)
+
+
 def test_is_path_accepts_exactly_the_enumerated_paths():
     words = ["".join(w) for m in range(9) for w in itertools.product("UDF", repeat=m)]
     words += ["X", "UXD", "UDFX", "udf"]  # unknown steps are never paths
@@ -325,3 +370,24 @@ def test_streaming_bijection_check_equals_the_stored_one(kind):
     assert cli.cmd_bijection({"kind": kind, "max_n": 6}) == oracle.bijection_payload(
         tb, kind, 6
     )
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("planted", ["UUU", "DU", "UFX"])
+def test_planted_non_path_image_names_its_tubing(monkeypatch, kind, planted):
+    """An image off the target path set (an end off height 0, a dip below
+    0 on the interval, a wrong length on the cycle, an unknown step) exits 2
+    naming the tubing and the image."""
+    n = 4
+    fwd_name = "interval_mask_to_schroder" if kind == "interval" else "cycle_mask_to_delannoy"
+    fwd = getattr(tb, fwd_name)
+    victim = [bits for bits, covered in tubing_masks(n, kind) if covered != 15][11]
+    passing = cli.cmd_bijection({"kind": kind, "max_n": n - 1})[0]["per_n"]
+    monkeypatch.setattr(
+        tb, fwd_name, lambda m, bits: planted if (m, bits) == (n, victim) else fwd(m, bits)
+    )
+    payload, code = cli.cmd_bijection({"kind": kind, "max_n": 5})
+    assert code == 2 and payload["ok"] is False
+    assert payload["per_n"] == passing
+    tubing = tb.tubing_to_jsonable(_graph(n, kind).tubing(victim))
+    assert payload["witness"] == {"n": n, "tubing": tubing, "path": planted}

@@ -3,8 +3,9 @@
 These are the straightforward definitions the mask-based library code in
 ``sievekit.tubings`` replaced: tubes as frozensets of vertices, pairwise
 compatibility from the set definition, the depth-first enumerator that
-re-checks every chosen tube, and the decoder that scans ahead for each
-rise's closing step.  They import nothing from the library, so a
+re-checks every chosen tube, the decoder that scans ahead for each rise's
+closing step, and the path enumerator with each kind's step rules written
+out as branches.  They import nothing from the library, so a
 regression there cannot hide behind its own code.
 """
 
@@ -97,6 +98,36 @@ def enumerate_tubings(n: int, kind: str = "interval") -> list[frozenset]:
 
     rec(0)
     return out
+
+
+def enumerate_paths(length: int, kind: str = "delannoy", flats: int | None = None) -> list[str]:
+    """All paths of x-extent ``length`` over U = (1,1), D = (1,-1), F = (2,0)
+    that end at height 0: "delannoy" paths go anywhere, "schroder" paths
+    never fall below 0, "strict" ones also never take a flat at 0."""
+    out: list[str] = []
+    acc: list[str] = []
+
+    def rec(rem: int, h: int, nf: int) -> None:
+        if abs(h) > rem:
+            return
+        if rem == 0:
+            if h == 0 and (flats is None or nf == flats):
+                out.append("".join(acc))
+            return
+        acc.append("U")
+        rec(rem - 1, h + 1, nf)
+        acc.pop()
+        if kind == "delannoy" or h >= 1:
+            acc.append("D")
+            rec(rem - 1, h - 1, nf)
+            acc.pop()
+        if rem >= 2 and not (kind == "strict" and h == 0):
+            acc.append("F")
+            rec(rem - 2, h, nf + 1)
+            acc.pop()
+
+    rec(length, 0, 0)
+    return sorted(out)
 
 
 def schroder_to_interval_tubing(n: int, path: str) -> frozenset:

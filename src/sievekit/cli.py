@@ -28,16 +28,11 @@ from .gaussseq import (
 from .objects import (
     MAX_OBJECTS,
     Census,
-    CyclicFamily,
-    festoons_by_content,
-    festoons_colored,
-    festoons_repeated,
+    festoon_census,
     predicted_count,
-    signed_festoons,
     verify_csp,
     verify_lyndon,
     verify_signed_csp,
-    words_with_content,
 )
 from .qgauss import (
     NonIntegerCoefficient,
@@ -161,6 +156,13 @@ _CONSTRUCTIONS: dict[str, tuple[str, Callable]] = {
     "from-c": ("c", construct_from_c),
 }
 
+# The keys each kind of qgauss config takes besides "checks".
+_QGAUSS_KEYS = {
+    "closed_form": {"closed_form"},
+    "fund": {"construction", "beads", "window"},
+    "sequence": {"construction", "sequence"},
+}
+
 
 def _closed_form_family(cfg: dict) -> PolyFamily:
     _require_keys(
@@ -180,12 +182,12 @@ def _closed_form_family(cfg: dict) -> PolyFamily:
 
 
 def cmd_qgauss(cfg: dict) -> tuple[dict, int]:
-    _require_keys(
-        cfg,
-        {"construction", "sequence", "closed_form", "beads", "window", "checks"},
-        set(),
-        "qgauss config",
-    )
+    _require_keys(cfg, {"checks"}.union(*_QGAUSS_KEYS.values()), set(), "qgauss config")
+    if "closed_form" in cfg:
+        kind = "closed_form"
+    else:
+        kind = "fund" if cfg.get("construction") == "fund" else "sequence"
+    _require_keys(cfg, {"checks"} | _QGAUSS_KEYS[kind], set(), "qgauss config")
     checks = cfg.get("checks", ["definition", "roots"])
     if not isinstance(checks, list) or any(c not in ("definition", "roots") for c in checks):
         raise ConfigError(f"qgauss config: bad checks {checks!r}")
@@ -242,9 +244,23 @@ def cmd_qgauss(cfg: dict) -> tuple[dict, int]:
 # -- csp ---------------------------------------------------------------------------
 
 
-def _refuse_oversized(name: str, source, window: Window | None = None) -> None:
-    """Refuse, before any enumeration, a malformed family or one predicting
-    more than MAX_OBJECTS objects."""
+def _family_festoons(cfg: dict, name: str) -> tuple[Census, PolyFamily, bool]:
+    """A words or festoon family, refused before any census is built when
+    it is malformed or predicts more than MAX_OBJECTS objects."""
+    if name in ("words", "festoons-content"):
+        _require_keys(cfg, {"family", "beads", "window"}, {"beads", "window"}, "csp config")
+        source = _beads(cfg)
+        window = _window(cfg, source)
+        if name == "words" and set(source.lengths) != {1}:
+            raise ConfigError("csp config: words need all bead lengths equal to 1")
+    else:
+        key = "b" if name == "festoons-repeated" else "c"
+        _require_keys(cfg, {"family", key}, {key}, "csp config")
+        source, window = _sequence(cfg, key), None
+        if source.role != key:
+            raise ConfigError(
+                f"csp config: {name} needs a role-{key} sequence, got role-{source.role}"
+            )
     with _refused("csp config: "):
         count = predicted_count(name, source, window)
     if count > MAX_OBJECTS:
@@ -252,55 +268,11 @@ def _refuse_oversized(name: str, source, window: Window | None = None) -> None:
             f"csp config: {name} predicts {count} objects, "
             f"above the cap of {MAX_OBJECTS}"
         )
-
-
-def _family_words(cfg: dict) -> tuple[Census, PolyFamily, bool]:
-    _require_keys(cfg, {"family", "beads", "window"}, {"beads", "window"}, "csp config")
-    beads = _beads(cfg)
-    window = _window(cfg, beads)
-    if cfg.get("family") == "words":
-        if set(beads.lengths) != {1}:
-            raise ConfigError("csp config: words need all bead lengths equal to 1")
-        labels = [label for label, _ in beads.beads]
-
-        def generate(alpha):
-            return words_with_content(list(zip(labels, alpha)))
-
+    if window is not None:
+        poly = fund_family(source, window)
     else:
-        def generate(alpha):
-            return festoons_by_content(beads, alpha)
-
-    _refuse_oversized(cfg["family"], beads, window)
-    fam = CyclicFamily.from_generator(beads, window, generate)
-    return fam.census(), fund_family(beads, window), False
-
-
-def _family_from_sequence(cfg: dict, name: str) -> tuple[Census, PolyFamily, bool]:
-    key = "b" if name == "festoons-repeated" else "c"
-    _require_keys(cfg, {"family", key}, {key}, "csp config")
-    spec = _sequence(cfg, key)
-    if spec.role != key:
-        raise ConfigError(
-            f"csp config: {name} needs a role-{key} sequence, got role-{spec.role}"
-        )
-    _refuse_oversized(name, spec)
-    if name == "festoons-colored":
-        gen = lambda s: festoons_colored(spec, s)
-        poly = construct_from_c(spec)
-        signed = False
-    elif name == "festoons-repeated":
-        gen = lambda s: festoons_repeated(spec, s)
-        poly = construct_from_b(spec)
-        signed = False
-    else:
-        def gen(s):
-            pos, neg = signed_festoons(spec, s)
-            return pos + neg
-
-        poly = construct_from_c(spec)
-        signed = True
-    fam = CyclicFamily.from_generator(spec.instance, spec.window, gen)
-    return fam.census(), poly, signed
+        poly = construct_from_b(source) if key == "b" else construct_from_c(source)
+    return festoon_census(name, source, window), poly, name == "signed-festoons"
 
 
 def _family_tubings(cfg: dict) -> tuple[Census, PolyFamily, bool]:
@@ -322,10 +294,9 @@ def cmd_csp(cfg: dict) -> tuple[dict, int]:
     if not isinstance(cfg, dict) or "family" not in cfg:
         raise ConfigError("csp config: missing family name")
     name = cfg["family"]
-    if name in ("words", "festoons-content"):
-        census, poly, signed = _family_words(cfg)
-    elif name in ("festoons-colored", "festoons-repeated", "signed-festoons"):
-        census, poly, signed = _family_from_sequence(cfg, name)
+    if name in ("words", "festoons-content", "festoons-colored", "festoons-repeated",
+                "signed-festoons"):
+        census, poly, signed = _family_festoons(cfg, name)
     elif name == "tubings-cycle":
         census, poly, signed = _family_tubings(cfg)
     else:

@@ -121,7 +121,7 @@ def sequence_from_config(cfg: dict) -> SequenceSpec:
     if window is None:
         raise ValueError("sequence config: instance needs a window")
     instance.check_window(window)
-    role = str(cfg["role"]).lower()
+    role = cfg["role"]  # exactly "a", "b" or "c": SequenceSpec refuses the rest
     pairs = []
     for entry in cfg["support"]:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:

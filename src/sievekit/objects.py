@@ -13,14 +13,16 @@ family, and the signed variant for odd ranks.  They never look at an
 object: they read a ``Census``, which holds per window element s the set
 size and, for each d dividing rank(s), how many objects the order-d
 rotation fixes, split by sign.  ``CyclicFamily.census`` takes these numbers
-from the stored sets with ``fixed_points``; an enumerator that can tell
-fixed objects from its own encoding (``tubings.improper_cycle_census``)
-builds a census without building the objects.
+from the stored sets with ``fixed_points``; ``festoon_census`` (words and
+festoons, one necklace per rotation orbit) and
+``tubings.improper_cycle_census`` (tube bitsets) build one without
+building the objects.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 from operator import itemgetter
@@ -301,8 +303,7 @@ def festoons_by_content(beads, alpha) -> list[CyclicObject]:
     distinct festoons.
     """
     inst = beads if isinstance(beads, FreeRanked) else FreeRanked(tuple(beads))
-    if any(length < 1 for length in inst.lengths):
-        raise ValueError("festoons need bead lengths >= 1")
+    _require_bead_lengths(inst)
     if isinstance(alpha, Mapping):
         mults = [0] * len(inst.beads)
         for label, mult in alpha.items():
@@ -317,6 +318,11 @@ def festoons_by_content(beads, alpha) -> list[CyclicObject]:
         for slots in _placements(perm):
             out[CyclicObject("festoon", slots)] = None
     return sorted(out)
+
+
+def _require_bead_lengths(beads: FreeRanked) -> None:
+    if any(length < 1 for length in beads.lengths):
+        raise ValueError("festoons need bead lengths >= 1")
 
 
 def _nonneg_support(seq: SequenceSpec, role: str) -> tuple:
@@ -467,22 +473,124 @@ def predicted_count(family: str, source, window: Window | None = None) -> int:
     are colored by |c|.  Raises ValueError on what the enumerators refuse:
     beads shorter than 1 and negative weights outside the signed family.
     """
-    if family in ("words", "festoons-content"):
-        if any(length < 1 for length in source.lengths):
-            raise ValueError("festoons need bead lengths >= 1")
+    support = _family_support(family, source)
+    if support is None:
         return sum(content_count(source, alpha) for alpha in source.elements(window))
     if family == "festoons-repeated":
-        _nonneg_support(source, "b")
         return sum(a_from_b(source).row())
-    if family == "festoons-colored":
-        _nonneg_support(source, "c")
-    elif family == "signed-festoons":
+    weights = tuple((t, abs(v)) for t, v in source.values)
+    return sum(a_from_c(SequenceSpec(source.instance, source.window, "c", weights)).row())
+
+
+def _family_support(family: str, source) -> tuple | None:
+    """The support of a sequence family's spec, None for words and festoons
+    by content; raises ValueError on what the families refuse."""
+    if family in ("words", "festoons-content"):
+        _require_bead_lengths(source)
+        return None
+    if family in ("festoons-repeated", "festoons-colored"):
+        return _nonneg_support(source, "b" if family == "festoons-repeated" else "c")
+    if family == "signed-festoons":
         _require_role(source, "c")
-        weights = tuple((t, abs(v)) for t, v in source.values)
-        source = SequenceSpec(source.instance, source.window, "c", weights)
+        return source.support()
+    raise ValueError(f"unknown family {family!r}")
+
+
+# -- censuses from necklaces ------------------------------------------------------
+
+
+def necklace_periods(counts: Sequence[int]) -> list[int]:
+    """The period of each necklace with ``counts[i]`` beads of symbol i.
+
+    Sawada's fixed-content scheme (TCS 301, 2003) grows the smallest
+    rotation of each necklace left to right: position t takes no symbol
+    below the one p places back, p being the longest Lyndon prefix so far,
+    and a full sequence of k beads is a necklace of period p when p | k.
+    """
+    left = [c for c in counts if c]
+    k = sum(left)
+    if not k:
+        return []
+    left[0] -= 1  # the smallest rotation starts with the smallest symbol
+    seq = [0] * k
+    lyn = [1] * (k + 1)  # lyn[t]: the longest Lyndon prefix of seq[:t]
+    out: list[int] = []
+    t, j = 1, 0  # the position to fill and the first symbol to try there
+    while t:
+        while t < k and j < len(left) and not left[j]:
+            j += 1
+        if t < k and j < len(left):
+            seq[t] = j
+            left[j] -= 1
+            lyn[t + 1] = lyn[t] if j == seq[t - lyn[t]] else t + 1
+            t += 1
+            j = seq[t - lyn[t]]
+        else:
+            if t == k and k % lyn[k] == 0:
+                out.append(lyn[k])
+            t -= 1
+            left[seq[t]] += 1
+            j = seq[t] + 1
+    return out
+
+
+def _necklace_census(inst: _SemigroupBase, window: Window, contents: Callable) -> Census:
+    """The census of the festoons whose bead contents and signs at s are the
+    (counts, sign) pairs of ``contents(s)``.  A necklace of k beads and
+    period p is one orbit of n*p/k festoons on n slots, all fixed by the
+    order-d rotation when n*p/k divides n/d, else none.  Periods depend
+    only on the sorted counts, so each sorted content is walked once."""
+    periods: dict = {}
+    rows = []
+    for s in inst.elements(window):
+        n = inst.rank(s)
+        fixed = {d: [0, 0] for d in divisors(n)}
+        count = 0
+        for counts, sign in contents(s):
+            key = tuple(sorted(c for c in counts if c))
+            if key not in periods:
+                periods[key] = Counter(necklace_periods(key)).items()
+            for p, necklaces in periods[key]:
+                size = n * p // sum(key)
+                count += necklaces * size
+                for d, split in fixed.items():
+                    if n // d % size == 0:
+                        split[sign < 0] += necklaces * size
+        rows.append((s, count, {d: tuple(split) for d, split in fixed.items()}))
+    return Census(inst, window, tuple(rows))
+
+
+def festoon_census(family: str, source, window: Window | None = None) -> Census:
+    """The census of a csp family, from necklaces; arguments as for
+    ``predicted_count``.  An element s has one content for words and
+    festoons by content; b_t contents of d equal beads per unit divisor
+    (t, d) for festoons-repeated; and for the colored and signed families,
+    one per decomposition of s and coloring of its type-t beads from |c_t|
+    colors, signed by the decomposition's weight product.
+    """
+    support = _family_support(family, source)
+    if support is None:
+        return _necklace_census(source, window, lambda alpha: [(alpha, 1)])
+    inst, value = source.instance, source.value
+    if family == "festoons-repeated":
+
+        def contents(s):
+            return [((d,), 1) for t, d in inst.unit_divisors(s) for _ in range(value(t))]
+
     else:
-        raise ValueError(f"unknown family {family!r}")
-    return sum(a_from_c(source).row())
+        signed = family == "signed-festoons"
+
+        def contents(s):
+            for parts in inst.decompositions(s, support=support):
+                sign = -1 if signed and sum(value(t) < 0 for t in parts) % 2 else 1
+                colorings = [
+                    itertools.combinations_with_replacement(range(abs(value(t))), m)
+                    for t, m in Counter(parts).items()
+                ]
+                for pick in itertools.product(*colorings):
+                    yield [m for colors in pick for m in Counter(colors).values()], sign
+
+    return _necklace_census(inst, source.window, contents)
 
 
 # -- actions and verifiers --------------------------------------------------------

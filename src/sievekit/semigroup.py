@@ -24,7 +24,7 @@ terminating and deterministic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .arith import divisors
@@ -385,6 +385,7 @@ class FreeRanked(_SemigroupBase):
     """
 
     beads: tuple[tuple[str, int], ...]
+    lengths: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         beads = tuple(
@@ -399,10 +400,7 @@ class FreeRanked(_SemigroupBase):
         if len(set(labels)) != len(labels):
             raise ValueError(f"FreeRanked: duplicate bead labels in {labels}")
         object.__setattr__(self, "beads", beads)
-
-    @property
-    def lengths(self) -> tuple[int, ...]:
-        return tuple(length for _, length in self.beads)
+        object.__setattr__(self, "lengths", tuple(length for _, length in beads))
 
     def coords(self, s) -> tuple[int, ...]:
         return tuple(s)
@@ -466,8 +464,8 @@ class FreeRanked(_SemigroupBase):
                 continue
             rank = sum(c * length for c, length in zip(cs, self.lengths))
             if 1 <= rank <= window.max_rank:
-                out.append(cs)
-        return sorted(out, key=self.sort_key)
+                out.append((rank, cs))  # sorts as the sort key (rank, *cs)
+        return [cs for _, cs in sorted(out)]
 
     def label_index(self, label: str) -> int:
         for i, (name, _) in enumerate(self.beads):
@@ -497,7 +495,9 @@ class Morphism:
     name: str = ""
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(c) for c in row) for row in self.matrix)
+        rows = tuple(
+            tuple(strict_int(c, "Morphism: matrix entry") for c in row) for row in self.matrix
+        )
         if not rows:
             raise ValueError("Morphism: needs a matrix")
         if any(len(r) != len(rows[0]) for r in rows):

@@ -294,6 +294,20 @@ class TestTubingGuards:
             ("qgauss", {"construction": [], "sequence": LUCAS_SEQ}),
             ("qgauss", {"construction": "from-c", "sequence": LUCAS_SEQ,
                         "checks": [["roots"]]}),
+            # a role other than exactly "a", "b" or "c"
+            ("seq", {"sequence": {**LUCAS_SEQ, "role": "C"}}),
+            ("seq", {"sequence": {**LUCAS_SEQ, "role": ["c"]}}),
+            ("seq", {"sequence": {**LUCAS_SEQ, "role": " c"}}),
+            ("csp", {"family": "festoons-colored", "c": {**LUCAS_SEQ, "role": "C"}}),
+            # keys that belong to another qgauss construction
+            ("qgauss", {"construction": "fund", "beads": [["a", 1]],
+                        "window": {"max_rank": 3}, "sequence": LUCAS_SEQ}),
+            ("qgauss", {"construction": "from-c", "sequence": LUCAS_SEQ,
+                        "window": {"max_rank": 3}}),
+            ("qgauss", {"construction": "from-c", "sequence": LUCAS_SEQ,
+                        "beads": [["a", 1]]}),
+            ("qgauss", {"closed_form": Q_POWER, "construction": "from-c"}),
+            ("qgauss", {"closed_form": Q_POWER, "sequence": LUCAS_SEQ}),
         ],
     )
     def test_refused(self, tmp_path, command, cfg):
@@ -301,6 +315,12 @@ class TestTubingGuards:
         assert res.returncode == 1
         assert res.stderr.startswith("config error:")
         assert res.stdout == ""
+
+    @pytest.mark.parametrize("role", ["C", ["c"], " c"])
+    def test_unknown_role_is_named(self, tmp_path, role):
+        res = run_cli(tmp_path, "seq", {"sequence": {**LUCAS_SEQ, "role": role}})
+        assert res.returncode == 1
+        assert f"unknown role {role!r}" in res.stderr
 
     def test_colored_count_cap_names_the_estimate(self, tmp_path):
         res = run_cli(tmp_path, "csp", {**TUBINGS, "max_rank": 7, "colors": 9})

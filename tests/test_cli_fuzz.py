@@ -1,6 +1,7 @@
 """Random configs for the commands: every run ends in exit 0, 1 or 2.
 
-Tubing sizes stay at most 6 and ranks at most 8 where they are in range,
+Tubing sizes stay at most 6 and ranks at most 8 where they are in range
+(bead lengths at most 3 and weights at most 3 in absolute value),
 so each run takes milliseconds; larger integers are out of range and
 refused up front.
 """
@@ -116,8 +117,9 @@ VALUE = nearly(st.integers(-3, 3))
 
 
 @st.composite
-def sequences(draw) -> dict:
-    """A sequence config whose support elements mostly fit its instance."""
+def sequences(draw, roles: str = "abc") -> dict:
+    """A sequence config whose support elements mostly fit its instance, its
+    role mostly one of ``roles``."""
     kind = draw(nearly(st.sampled_from(["zpos", "chain", "free"])))
     fields = {"kind": st.just(kind), "window": WINDOW}
     element = st.integers(0, 8)
@@ -143,7 +145,7 @@ def sequences(draw) -> dict:
         lambda es: st.tuples(*(st.tuples(st.just(e), VALUE).map(list) for e in es)).map(list)
     ))
     return draw(nearly(jobs({"instance": st.just(instance),
-                             "role": nearly(st.sampled_from(["a", "b", "c"])),
+                             "role": nearly(st.sampled_from(roles)),
                              "support": support})))
 
 
@@ -188,3 +190,42 @@ UNIT_HEAD = st.builds(lambda head, tail: [head, *tail],
                                        st.integers(25, 10**30)))}))
 def test_riordan_configs_end_in_an_exit_code(cfg):
     assert run("riordan", cfg) in (0, 1, 2)
+
+
+# -- csp over words and festoons --------------------------------------------------
+
+
+@st.composite
+def bead_jobs(draw) -> dict:
+    """Words or festoons by content, bead labels distinct and bead lengths
+    mostly valid for the family."""
+    family = draw(nearly(st.sampled_from(["words", "festoons-content"])))
+    labels = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
+    length = st.just(1) if family == "words" else st.integers(1, 3)
+    beads = [[label, draw(nearly(length, st.integers(-1, 3) | JUNK))] for label in labels]
+    return draw(jobs({"family": st.just(family), "beads": nearly(st.just(beads), BEADS),
+                      "window": WINDOW}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(bead_jobs())
+def test_word_and_content_csp_configs_end_in_an_exit_code(cfg):
+    assert run("csp", cfg) in (0, 1, 2)
+
+
+@st.composite
+def festoon_jobs(draw) -> dict:
+    """A festoon family with a sequence of its role, one time in twenty under
+    the other family's key."""
+    name = draw(nearly(st.sampled_from(
+        ["festoons-colored", "festoons-repeated", "signed-festoons"])))
+    key = "b" if name == "festoons-repeated" else "c"
+    if draw(st.integers(0, 19)) == 19:
+        key = "c" if key == "b" else "b"
+    return draw(jobs({"family": st.just(name), key: sequences(key)}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(festoon_jobs())
+def test_festoon_csp_configs_end_in_an_exit_code(cfg):
+    assert run("csp", cfg) in (0, 1, 2)

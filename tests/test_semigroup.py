@@ -192,6 +192,18 @@ class TestFreeRanked:
         for t, d in MIXED.unit_divisors(s) if MIXED.rank(s) >= 1 else []:
             assert MIXED.scale(d, t) == s
 
+    @given(
+        st.lists(st.integers(-1, 3), min_size=1, max_size=3),
+        st.integers(1, 7),
+        st.integers(1, 5),
+    )
+    def test_elements_come_out_in_sort_key_order(self, lengths, max_rank, max_total):
+        inst = FreeRanked(tuple((f"b{i}", n) for i, n in enumerate(lengths)))
+        window = Window(max_rank, max_total=max_total)
+        elems = inst.elements(window)
+        assert elems == sorted(elems, key=inst.sort_key)
+        assert inst.lengths == tuple(lengths)
+
     def test_label_index(self):
         assert MIXED.label_index("y") == 1
         with pytest.raises(ValueError):
@@ -254,6 +266,11 @@ class TestMorphisms:
             Morphism(ZPOS, ZPOS, ())
         with pytest.raises(ValueError, match="ragged"):
             linear_morphism(Chain(ZPOS, "nonneg"), ZPOS, [(1, 0), (1,)])
+
+    @pytest.mark.parametrize("entry", [1.7, 2.0, "2", True, None])
+    def test_matrix_entries_must_be_integers(self, entry):
+        with pytest.raises(ValueError, match="matrix entry must be an integer"):
+            linear_morphism(ZPOS, ZPOS, [(entry,)])
 
 
 @st.composite

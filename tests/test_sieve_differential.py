@@ -2,26 +2,34 @@
 
 Every report must equal the oracle's field for field: ``ok``, ``checked``
 and each failure's element, divisor and detail string, on passing families
-and on corrupted ones.
+and on corrupted ones.  The censuses built from necklaces must equal those
+read off the materialised families, the library's and the oracle's.
 """
 
 from __future__ import annotations
 
+import itertools
+from math import factorial, gcd, prod
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import objects_oracle
 import sieve_oracle as oracle
 from helpers import corrupt, sequence_corpus, zpos_spec
-from sievekit.arith import divisors
+from sievekit.arith import divisors, totient
+from sievekit.gaussseq import SequenceSpec
 from sievekit.objects import (
     CyclicFamily,
     CyclicObject,
     _canonical,
     fixed_points,
+    festoon_census,
     festoons_by_content,
     festoons_colored,
     festoons_repeated,
+    necklace_periods,
     signed_festoons,
     verify_csp,
     verify_lyndon,
@@ -64,9 +72,13 @@ def corrupted_poly_families() -> list[tuple[str, PolyFamily]]:
     return out
 
 
+COLORED_C = zpos_spec("c", {1: 1, 2: 1, 3: 2}, 7)
+REPEATED_B = zpos_spec("b", {1: 1, 2: 2, 3: 1}, 6)
+SIGNED_WEIGHTS = {"all-negative": {n: -1 for n in range(1, 8)}, "mixed": {1: 1, 2: -1, 3: 1}}
+
+
 def object_families() -> list[tuple[str, CyclicFamily, PolyFamily]]:
-    c = zpos_spec("c", {1: 1, 2: 1, 3: 2}, 7)
-    b = zpos_spec("b", {1: 1, 2: 2, 3: 1}, 6)
+    c, b = COLORED_C, REPEATED_B
 
     def words(alpha):
         return words_with_content(list(zip(("a", "b"), alpha)))
@@ -87,9 +99,8 @@ def object_families() -> list[tuple[str, CyclicFamily, PolyFamily]]:
 
 
 def signed_families() -> list[tuple[str, CyclicFamily, PolyFamily]]:
-    weights = {"all-negative": {n: -1 for n in range(1, 8)}, "mixed": {1: 1, 2: -1, 3: 1}}
     out = []
-    for name, w in weights.items():
+    for name, w in SIGNED_WEIGHTS.items():
         c = zpos_spec("c", w, 7)
 
         def gen(n, c=c):
@@ -210,3 +221,138 @@ def test_residue_matches_oracle(coeffs, d):
 def test_canonical_matches_oracle(words):
     objs = [CyclicObject("word", tuple(w)) for w in words]
     assert _canonical(objs) == oracle._canonical(objs)
+
+
+# -- censuses from necklaces ------------------------------------------------------
+
+
+def multinomial(counts) -> int:
+    return factorial(sum(counts)) // prod(factorial(c) for c in counts)
+
+
+CONTENTS = st.lists(st.integers(0, 4), min_size=1, max_size=4).filter(
+    lambda counts: 0 < sum(counts) <= 10
+)
+
+
+@given(CONTENTS)
+def test_necklace_count_is_the_burnside_sum(counts):
+    n = sum(counts)
+    expected = sum(
+        totient(d) * multinomial([c // d for c in counts])
+        for d in divisors(gcd(*counts))
+    ) // n
+    periods = necklace_periods(counts)
+    assert len(periods) == expected
+    assert all(n % p == 0 for p in periods)
+    # a necklace of period p holds p of the multinomial(counts) sequences
+    assert sum(periods) == multinomial(counts)
+
+
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=3).filter(
+    lambda counts: 0 < sum(counts) <= 7
+))
+def test_necklace_periods_match_brute_force(counts):
+    items = [i for i, c in enumerate(counts) for _ in range(c)]
+    smallest = {
+        min(w[j:] + w[:j] for j in range(len(w)))
+        for w in itertools.permutations(items)
+    }
+    expected = [len({w[j:] + w[:j] for j in range(len(w))}) for w in smallest]
+    assert sorted(necklace_periods(counts)) == sorted(expected)
+
+
+def test_empty_content_has_no_necklace():
+    assert necklace_periods([]) == necklace_periods([0, 0]) == []
+
+
+NECKLACE_CENSUSES = {
+    "colored": lambda: festoon_census("festoons-colored", COLORED_C),
+    "repeated": lambda: festoon_census("festoons-repeated", REPEATED_B),
+    "words": lambda: festoon_census("words", LETTERS, Window(6)),
+    "by-content": lambda: festoon_census("festoons-content", BEADS, Window(6)),
+    **{
+        name: lambda w=w: festoon_census("signed-festoons", zpos_spec("c", w, 7))
+        for name, w in SIGNED_WEIGHTS.items()
+    },
+}
+FESTOONS = [case for case in CENSUSED if case[0] in NECKLACE_CENSUSES]
+
+
+@pytest.mark.parametrize("name, fam, F", FESTOONS, ids=[n for n, _, _ in FESTOONS])
+def test_necklace_census_equals_the_stored_sets_census(name, fam, F):
+    assert NECKLACE_CENSUSES[name]() == fam.census()
+
+
+def materialised(spec: SequenceSpec, enumerate_at):
+    """The census of the oracle's objects over the spec's window."""
+    fam = CyclicFamily.from_generator(spec.instance, spec.window, enumerate_at)
+    return fam.census()
+
+
+def test_necklace_census_on_a_chain_matches_the_oracle():
+    # festoons graded by bead count: types (rank, beads) on a two-coordinate chain
+    c = SequenceSpec.from_mapping(
+        Chain(ZPOS, "pos"), Window(6, ((1, 6),)), "c", {(1, 1): 1, (3, 1): 1, (5, 1): 2}
+    )
+    expected = materialised(c, lambda s: objects_oracle.festoons_colored(c, s))
+    assert festoon_census("festoons-colored", c) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=3), st.integers(1, 5))
+def test_content_census_matches_the_oracle(lengths, max_rank):
+    labels = [f"b{i}" for i in range(len(lengths))]
+    inst = FreeRanked(tuple(zip(labels, lengths)))
+    window = Window(max_rank)
+    fam = CyclicFamily.from_generator(
+        inst, window, lambda a: objects_oracle.festoons_by_content(inst, a)
+    )
+    assert festoon_census("festoons-content", inst, window) == fam.census()
+    if set(lengths) == {1}:
+        fam = CyclicFamily.from_generator(
+            inst, window, lambda a: objects_oracle.words_with_content(list(zip(labels, a)))
+        )
+        assert festoon_census("words", inst, window) == fam.census()
+
+
+def weights(values, max_rank: int = 6):
+    return st.dictionaries(st.integers(1, max_rank), values, max_size=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(weights(st.integers(1, 3)), st.integers(1, 6))
+def test_colored_census_matches_the_oracle(w, max_rank):
+    c = zpos_spec("c", {t: v for t, v in w.items() if t <= max_rank}, max_rank)
+    expected = materialised(c, lambda n: objects_oracle.festoons_colored(c, n))
+    assert festoon_census("festoons-colored", c) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(weights(st.integers(-3, 3).filter(bool)), st.integers(1, 6))
+def test_signed_census_matches_the_oracle(w, max_rank):
+    c = zpos_spec("c", {t: v for t, v in w.items() if t <= max_rank}, max_rank)
+    expected = materialised(c, lambda n: sum(objects_oracle.signed_festoons(c, n), []))
+    assert festoon_census("signed-festoons", c) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(weights(st.integers(0, 3), 9), st.integers(1, 9))
+def test_repeated_census_matches_the_oracle(w, max_rank):
+    b = zpos_spec("b", {t: v for t, v in w.items() if t <= max_rank}, max_rank)
+    expected = materialised(b, lambda n: objects_oracle.festoons_repeated(b, n))
+    assert festoon_census("festoons-repeated", b) == expected
+
+
+def test_festoon_census_refuses_like_predicted_count():
+    with pytest.raises(ValueError, match="lengths"):
+        festoon_census("festoons-content", FreeRanked((("e", 0), ("x", 1))),
+                       Window(3, max_total=3))
+    with pytest.raises(ValueError, match="signed"):
+        festoon_census("festoons-colored", zpos_spec("c", {1: -1}, 3))
+    with pytest.raises(ValueError, match="signed"):
+        festoon_census("festoons-repeated", zpos_spec("b", {2: -1}, 3))
+    with pytest.raises(ValueError, match="role"):
+        festoon_census("signed-festoons", zpos_spec("b", {1: 1}, 3))
+    with pytest.raises(ValueError, match="unknown family"):
+        festoon_census("necklaces", zpos_spec("c", {1: 1}, 3))

@@ -303,7 +303,8 @@ def festoons_by_content(beads, alpha) -> list[CyclicObject]:
     distinct festoons.
     """
     inst = beads if isinstance(beads, FreeRanked) else FreeRanked(tuple(beads))
-    _require_bead_lengths(inst)
+    if any(length < 1 for length in inst.lengths):
+        raise ValueError("festoons need bead lengths >= 1")
     if isinstance(alpha, Mapping):
         mults = [0] * len(inst.beads)
         for label, mult in alpha.items():
@@ -318,11 +319,6 @@ def festoons_by_content(beads, alpha) -> list[CyclicObject]:
         for slots in _placements(perm):
             out[CyclicObject("festoon", slots)] = None
     return sorted(out)
-
-
-def _require_bead_lengths(beads: FreeRanked) -> None:
-    if any(length < 1 for length in beads.lengths):
-        raise ValueError("festoons need bead lengths >= 1")
 
 
 def _nonneg_support(seq: SequenceSpec, role: str) -> tuple:
@@ -486,7 +482,8 @@ def _family_support(family: str, source) -> tuple | None:
     """The support of a sequence family's spec, None for words and festoons
     by content; raises ValueError on what the families refuse."""
     if family in ("words", "festoons-content"):
-        _require_bead_lengths(source)
+        if any(length < 1 for length in source.lengths):
+            raise ValueError("festoons need bead lengths >= 1")
         return None
     if family in ("festoons-repeated", "festoons-colored"):
         return _nonneg_support(source, "b" if family == "festoons-repeated" else "c")

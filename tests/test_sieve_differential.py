@@ -3,7 +3,7 @@
 Every report must equal the oracle's field for field: ``ok``, ``checked``
 and each failure's element, divisor and detail string, on passing families
 and on corrupted ones.  The censuses built from necklaces must equal those
-read off the materialised families, the library's and the oracle's.
+read off the oracle's materialised families.
 """
 
 from __future__ import annotations
@@ -266,28 +266,43 @@ def test_empty_content_has_no_necklace():
     assert necklace_periods([]) == necklace_periods([0, 0]) == []
 
 
-NECKLACE_CENSUSES = {
-    "colored": lambda: festoon_census("festoons-colored", COLORED_C),
-    "repeated": lambda: festoon_census("festoons-repeated", REPEATED_B),
-    "words": lambda: festoon_census("words", LETTERS, Window(6)),
-    "by-content": lambda: festoon_census("festoons-content", BEADS, Window(6)),
-    **{
-        name: lambda w=w: festoon_census("signed-festoons", zpos_spec("c", w, 7))
-        for name, w in SIGNED_WEIGHTS.items()
-    },
-}
-FESTOONS = [case for case in CENSUSED if case[0] in NECKLACE_CENSUSES]
+def materialised(inst, window, enumerate_at):
+    """The census of the oracle's objects over the window."""
+    return CyclicFamily.from_generator(inst, window, enumerate_at).census()
 
 
-@pytest.mark.parametrize("name, fam, F", FESTOONS, ids=[n for n, _, _ in FESTOONS])
-def test_necklace_census_equals_the_stored_sets_census(name, fam, F):
-    assert NECKLACE_CENSUSES[name]() == fam.census()
+def oracle_signed(c: SequenceSpec):
+    return lambda n: sum(objects_oracle.signed_festoons(c, n), [])
 
 
-def materialised(spec: SequenceSpec, enumerate_at):
-    """The census of the oracle's objects over the spec's window."""
-    fam = CyclicFamily.from_generator(spec.instance, spec.window, enumerate_at)
-    return fam.census()
+def necklace_cases() -> list[tuple]:
+    """(name, necklace census, oracle census) on the object families above."""
+    c, b, o = COLORED_C, REPEATED_B, objects_oracle
+    cases = [
+        ("colored", festoon_census("festoons-colored", c),
+         materialised(ZPOS, Window(7), lambda n: o.festoons_colored(c, n))),
+        ("repeated", festoon_census("festoons-repeated", b),
+         materialised(ZPOS, Window(6), lambda n: o.festoons_repeated(b, n))),
+        ("words", festoon_census("words", LETTERS, Window(6)),
+         materialised(LETTERS, Window(6),
+                      lambda a: o.words_with_content(list(zip("ab", a))))),
+        ("by-content", festoon_census("festoons-content", BEADS, Window(6)),
+         materialised(BEADS, Window(6), lambda a: o.festoons_by_content(BEADS, a))),
+    ]
+    for name, w in SIGNED_WEIGHTS.items():
+        c = zpos_spec("c", w, 7)
+        cases.append((name, festoon_census("signed-festoons", c),
+                      materialised(ZPOS, Window(7), oracle_signed(c))))
+    return cases
+
+
+NECKLACE_CASES = necklace_cases()
+
+
+@pytest.mark.parametrize("name, got, expected", NECKLACE_CASES,
+                         ids=[n for n, _, _ in NECKLACE_CASES])
+def test_necklace_census_equals_the_stored_sets_census(name, got, expected):
+    assert got == expected
 
 
 def test_necklace_census_on_a_chain_matches_the_oracle():
@@ -295,7 +310,8 @@ def test_necklace_census_on_a_chain_matches_the_oracle():
     c = SequenceSpec.from_mapping(
         Chain(ZPOS, "pos"), Window(6, ((1, 6),)), "c", {(1, 1): 1, (3, 1): 1, (5, 1): 2}
     )
-    expected = materialised(c, lambda s: objects_oracle.festoons_colored(c, s))
+    expected = materialised(c.instance, c.window,
+                            lambda s: objects_oracle.festoons_colored(c, s))
     assert festoon_census("festoons-colored", c) == expected
 
 
@@ -324,7 +340,7 @@ def weights(values, max_rank: int = 6):
 @given(weights(st.integers(1, 3)), st.integers(1, 6))
 def test_colored_census_matches_the_oracle(w, max_rank):
     c = zpos_spec("c", {t: v for t, v in w.items() if t <= max_rank}, max_rank)
-    expected = materialised(c, lambda n: objects_oracle.festoons_colored(c, n))
+    expected = materialised(ZPOS, c.window, lambda n: objects_oracle.festoons_colored(c, n))
     assert festoon_census("festoons-colored", c) == expected
 
 
@@ -332,7 +348,7 @@ def test_colored_census_matches_the_oracle(w, max_rank):
 @given(weights(st.integers(-3, 3).filter(bool)), st.integers(1, 6))
 def test_signed_census_matches_the_oracle(w, max_rank):
     c = zpos_spec("c", {t: v for t, v in w.items() if t <= max_rank}, max_rank)
-    expected = materialised(c, lambda n: sum(objects_oracle.signed_festoons(c, n), []))
+    expected = materialised(ZPOS, c.window, oracle_signed(c))
     assert festoon_census("signed-festoons", c) == expected
 
 
@@ -340,7 +356,7 @@ def test_signed_census_matches_the_oracle(w, max_rank):
 @given(weights(st.integers(0, 3), 9), st.integers(1, 9))
 def test_repeated_census_matches_the_oracle(w, max_rank):
     b = zpos_spec("b", {t: v for t, v in w.items() if t <= max_rank}, max_rank)
-    expected = materialised(b, lambda n: objects_oracle.festoons_repeated(b, n))
+    expected = materialised(ZPOS, b.window, lambda n: objects_oracle.festoons_repeated(b, n))
     assert festoon_census("festoons-repeated", b) == expected
 
 

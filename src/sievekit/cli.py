@@ -353,12 +353,8 @@ def cmd_bijection(cfg: dict) -> tuple[dict, int]:
         else:
             length, target = 2 * (n - 1), "delannoy"
             fwd, inv = tb.cycle_mask_to_delannoy, tb.delannoy_to_cycle_mask
-        # a proper cycle tubing covers every vertex and has no path
-        proper = (1 << n) - 1 if kind == "cycle" else None
         count = 0
-        for bits, covered in tb.tubing_masks(n, kind):
-            if covered == proper:
-                continue
+        for bits, _ in tb.tubing_masks(n, kind):
             p = fwd(n, bits)
             if not tb.is_path(p, length, target) or inv(n, p) != bits:
                 tubing = tb.tubing_to_jsonable(tb.mask_to_tubing(n, bits, kind))
@@ -370,8 +366,7 @@ def cmd_bijection(cfg: dict) -> tuple[dict, int]:
                 payload["per_n"].append([n, count])
                 total += count
                 continue
-            images = {fwd(n, bits) for bits, covered in tb.tubing_masks(n, kind)
-                      if covered != proper}
+            images = {fwd(n, bits) for bits, _ in tb.tubing_masks(n, kind)}
             odd = images.symmetric_difference(tb.enumerate_paths(length, target))
             witness = {"n": n, "path": min(odd), "detail": "image mismatch"}
         payload["ok"] = False

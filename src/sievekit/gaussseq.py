@@ -16,7 +16,7 @@ directions divide by rk(s) at each step and raise ``NonIntegerWitness`` at
 the first element (canonical order) where the division is not exact, which
 is precisely a congruence failure.
 
-The series utilities connect roles "b" and "c" on the positive integers
+The power-series utilities connect roles "b" and "c" on the positive integers
 through the product identity  sum c_n x^n = 1 - prod (1-x^n)^{b_n},  and
 solve the fixed-point equation C(x) = x*D(C(x)) whose coefficient sequence
 is a "c" role for lattice-path counting.
@@ -313,164 +313,82 @@ def a_from_matrix_trace(
     return SequenceSpec.from_mapping(inst, window, "a", out)
 
 
-# -- truncated Laurent series ------------------------------------------------
+# -- truncated power series -------------------------------------------------
 
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Formal Laurent series with exact rational coefficients.
+    """Formal power series with exact rational coefficients.
 
-    ``coeffs[i]`` is the coefficient of x^(low+i); exponents >= order are
-    unknown (truncated).  The lowest exponent is tracked exactly: the first
-    stored coefficient is nonzero unless the series is zero to its order,
-    in which case coeffs is empty and low == order.
+    ``coeffs[i]`` is the coefficient of x^i for every i below ``order``;
+    exponents >= order are unknown (truncated).
     """
 
-    low: int
     coeffs: tuple[Fraction, ...]
     order: int
 
-    def __post_init__(self) -> None:
-        cs = [Fraction(c) for c in self.coeffs]
-        low = self.low
-        while cs and cs[0] == 0:
-            cs.pop(0)
-            low += 1
-        while cs and low + len(cs) > self.order:
-            cs.pop()
-        if not cs:
-            low = self.order
-        if low + len(cs) > self.order:
-            raise ValueError("TruncatedSeries: coefficients beyond declared order")
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "low", low)
-
-    # -- constructors --------------------------------------------------------
-
     @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls(order, (), order)
-
-    @classmethod
-    def from_coeffs(
-        cls, coeffs: Iterable, order: int, low: int = 0
-    ) -> "TruncatedSeries":
-        return cls(low, tuple(Fraction(c) for c in coeffs), order)
+    def from_coeffs(cls, coeffs: Iterable, order: int) -> "TruncatedSeries":
+        """The polynomial with these coefficients, cut or padded to ``order``."""
+        cs = [Fraction(c) for c in coeffs][:order]
+        return cls(tuple(cs + [Fraction(0)] * (order - len(cs))), order)
 
     @classmethod
     def from_rational(
         cls, numer: Iterable, denom: Iterable, order: int
     ) -> "TruncatedSeries":
-        """The series of numer(x)/denom(x), both given as coefficient lists."""
-        v = _val_or_zero(tuple(denom))
-        slack = order + 2 * v  # polynomials are known at every order
-        num = cls.from_coeffs(numer, slack)
-        den = cls.from_coeffs(denom, slack)
-        return (num * den.inverse()).truncate(order)
+        """The series of numer(x)/denom(x), both given as coefficient lists;
+        the denominator needs a nonzero constant term.
 
-    # -- access ----------------------------------------------------------------
+        >>> D = TruncatedSeries.from_rational([1], [1, -1, -1], 8)
+        >>> [int(c) for c in D.coeffs]
+        [1, 1, 2, 3, 5, 8, 13, 21]
+        >>> TruncatedSeries.from_rational([1], [0, 1], 4)
+        Traceback (most recent call last):
+        ...
+        ValueError: from_rational: the denominator needs a nonzero constant term
+        """
+        denom = tuple(denom)
+        if not denom or not denom[0]:
+            raise ValueError("from_rational: the denominator needs a nonzero constant term")
+        return cls.from_coeffs(numer, order) * cls.from_coeffs(denom, order).inverse()
 
     def coeff(self, e: int) -> Fraction:
         if e >= self.order:
             raise ValueError(f"coefficient of x^{e} is beyond order {self.order}")
-        if e < self.low or e >= self.low + len(self.coeffs):
-            return Fraction(0)
-        return self.coeffs[e - self.low]
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.low, self.coeffs, order)
-
-    # -- arithmetic --------------------------------------------------------------
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order = min(self.order, other.order)
-        if self.is_zero():
-            return other.truncate(order)
-        if other.is_zero():
-            return self.truncate(order)
-        low = min(self.low, other.low)
-        hi = min(order, max(self.low + len(self.coeffs), other.low + len(other.coeffs)))
-        cs = [
-            (self.coeff(e) if e < self.order else 0)
-            + (other.coeff(e) if e < other.order else 0)
-            for e in range(low, hi)
-        ]
-        return TruncatedSeries(low, tuple(cs), order)
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.low, tuple(-c for c in self.coeffs), self.order)
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + (-other)
+        return self.coeffs[e] if e >= 0 else Fraction(0)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if self.is_zero() or other.is_zero():
-            # 0 * f is 0, but only to the order the unknown tails allow
-            a, b = (self, other) if self.is_zero() else (other, self)
-            order = min(a.order + b.low, b.order + a.low, a.order + b.order)
-            return TruncatedSeries.zero(order)
-        order = min(self.order + other.low, other.order + self.low)
-        low = self.low + other.low
-        cs = [Fraction(0)] * (order - low)
-        for i, ci in enumerate(self.coeffs):
-            if ci == 0:
-                continue
-            ei = self.low + i
-            for j, cj in enumerate(other.coeffs):
-                e = ei + other.low + j
-                if e < order:
-                    cs[e - low] += ci * cj
-        return TruncatedSeries(low, tuple(cs), order)
+        order = min(self.order, other.order)
+        cs = [Fraction(0)] * order
+        for i, ci in enumerate(self.coeffs[:order]):
+            if ci:
+                for j, cj in enumerate(other.coeffs[: order - i]):
+                    cs[i + j] += ci * cj
+        return TruncatedSeries(tuple(cs), order)
 
     def __pow__(self, n: int) -> "TruncatedSeries":
-        if n == 0:
-            return TruncatedSeries(0, (Fraction(1),), self.order - self.low)
         if n < 0:
-            return self.inverse() ** (-n)
-        result = None
+            return self.inverse() ** -n
+        result = TruncatedSeries.from_coeffs((1,), self.order)
         base = self
-        m = n
-        while m:
-            if m & 1:
-                result = base if result is None else result * base
-            m >>= 1
-            if m:
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
                 base = base * base
         return result
 
     def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse; the lowest coefficient must be nonzero."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of a zero series")
-        v = self.low
+        """Multiplicative inverse; the constant term must be nonzero."""
+        if not self.coeffs or not self.coeffs[0]:
+            raise ZeroDivisionError("inverse of a series with no constant term")
         lead = self.coeffs[0]
-        rel_order = self.order - v  # known relative length
-        u = [self.coeffs[i] / lead if i < len(self.coeffs) else Fraction(0)
-             for i in range(rel_order)]
-        inv = [Fraction(0)] * rel_order
-        inv[0] = Fraction(1)
-        for e in range(1, rel_order):
-            inv[e] = -sum(u[i] * inv[e - i] for i in range(1, e + 1))
-        cs = tuple(c / lead for c in inv)
-        return TruncatedSeries(-v, cs, rel_order - v)
-
-    def __repr__(self) -> str:
-        terms = ", ".join(
-            f"{c}*x^{self.low + i}" for i, c in enumerate(self.coeffs) if c
-        )
-        return f"TruncatedSeries({terms or '0'} + O(x^{self.order}))"
-
-
-def _val_or_zero(coeffs) -> int:
-    for i, c in enumerate(coeffs):
-        if c:
-            return i
-    return 0
+        inv = [1 / lead]
+        for e in range(1, self.order):
+            inv.append(-sum(self.coeffs[i] * inv[e - i] for i in range(1, e + 1)) / lead)
+        return TruncatedSeries(tuple(inv), self.order)
 
 
 # -- b <-> c via the product identity ----------------------------------------
@@ -533,12 +451,8 @@ def solve_functional_equation(D: TruncatedSeries, order: int) -> TruncatedSeries
     """The unique series C with C(x) = x * D(C(x)), known below x^order.
 
     Solved coefficient by coefficient: the x^n coefficient of x*D(C) only
-    involves C-coefficients below n.  Supported for D with no negative
-    exponents; a Laurent D with poles would make each extraction depend on
-    unboundedly many unknowns.
+    involves C-coefficients below n.
     """
-    if D.low < 0:
-        raise NoSolution("solver needs a series with no negative exponents")
     if D.order < 1:
         raise NoSolution("D carries no known constant term")
     c = [Fraction(0)] * order  # c[i] multiplies x^i
@@ -569,7 +483,7 @@ def solve_functional_equation(D: TruncatedSeries, order: int) -> TruncatedSeries
     for n in range(1, order):
         if c[n].denominator != 1:
             raise NonIntegerWitness(n, c[n].numerator, c[n].denominator, "c")
-    return TruncatedSeries(0, tuple(c), order)
+    return TruncatedSeries(tuple(c), order)
 
 
 def riordan_count(D: TruncatedSeries, n: int, k: int) -> int:
@@ -595,10 +509,7 @@ def riordan_rows(D: TruncatedSeries, max_n: int) -> list[list]:
 
 def _riordan_entry(power: TruncatedSeries, n: int, k: int) -> int:
     """The x^(n-k) coefficient of power = D^n, which must be an integer."""
-    e = n - k
-    if e < power.low:
-        return 0
-    value = power.coeff(e)
+    value = power.coeff(n - k)
     if value.denominator != 1:
         raise NonIntegerWitness((n, k), value.numerator, value.denominator, "a")
     return int(value)

@@ -184,7 +184,9 @@ class _SemigroupBase:
         under s.  Each multiset is a tuple sorted in canonical element order,
         and the list comes out sorted by the parts' sort keys: the pool is in
         canonical order, the search takes parts with nondecreasing pool
-        index, and no multiset is a prefix of another.
+        index, and no multiset is a prefix of another.  The depth-first
+        search keeps its own stack, so a decomposition may have more parts
+        than the interpreter's recursion limit.
         """
         self.validate(s)
         if support is not None:
@@ -196,21 +198,30 @@ class _SemigroupBase:
         pool_coords = [self.coords(p) for p in pool]
         target = self.coords(s)
         prune = self._remainder_ok
-        out: list[tuple] = []
-        acc: list = []
 
-        def rec(i: int, remaining: tuple[int, ...]) -> None:
-            if not any(remaining):
-                out.append(tuple(acc))
-                return
+        def branches(i: int, remaining: tuple[int, ...]):
             for j in range(i, len(pool)):
                 nxt = tuple(a - b for a, b in zip(remaining, pool_coords[j]))
                 if prune(nxt):
-                    acc.append(pool[j])
-                    rec(j, nxt)
-                    acc.pop()
+                    yield j, nxt
 
-        rec(0, target)
+        out: list[tuple] = []
+        acc: list = []  # the part taken into each open branch below the top
+        stack = [branches(0, target)]  # s is never the identity
+        while stack:
+            step = next(stack[-1], None)
+            if step is None:
+                stack.pop()
+                if stack:
+                    acc.pop()
+                continue
+            j, nxt = step
+            acc.append(pool[j])
+            if any(nxt):
+                stack.append(branches(j, nxt))
+            else:
+                out.append(tuple(acc))
+                acc.pop()
         return out
 
     def _remainder_ok(self, remaining: tuple[int, ...]) -> bool:

@@ -637,15 +637,13 @@ def _grading(max_rank: int, grading: str) -> tuple:
 
 
 def _improper_family(max_rank: int, colors: int, grading: str) -> CyclicFamily:
-    """Colored improper cycle tubings of lengths 1..max_rank, each put once
-    into the bucket of its grade."""
+    """Colored cycle tubings of lengths 1..max_rank, each put once into the
+    bucket of its grade; every cycle tubing leaves a vertex free."""
     instance, window, grade = _grading(max_rank, grading)
     buckets: dict[object, list[CyclicObject]] = {}
     for n in range(1, max_rank + 1):
         for tubing in enumerate_tubings(n, "cycle"):
             free = len(free_vertices(n, tubing, "cycle"))
-            if not free:
-                continue
             bucket = buckets.setdefault(grade(n, len(tubing), free), [])
             tubes = sorted(tubing)
             for assignment in itertools.product(range(1, colors + 1), repeat=len(tubes)):
@@ -744,12 +742,7 @@ def improper_cycle_family(
     polynomials, graded by "free" vertex count, by "tubes" (the only
     grading that takes colors), or by length alone ("all")."""
     check_improper_job(max_rank, grading, colors)
-    if grading == "free":
-        fam = tubings_by_free_vertices(max_rank)
-    elif grading == "tubes":
-        fam = tubings_by_tube_count(max_rank, colors)
-    else:
-        fam = tubings_all_improper(max_rank)
+    fam = _improper_family(max_rank, colors, grading)
     poly = _sieving_polynomial(grading, colors)
     return fam, PolyFamily.from_function(fam.instance, fam.window, poly)
 
@@ -777,8 +770,6 @@ def improper_cycle_census(
         orders = [d for d in divisors(n) if d > 1]
         for bits, covered in tubing_masks(n, "cycle"):
             free = n - covered.bit_count()
-            if not free:
-                continue
             k = bits.bit_count()
             s = grade(n, k, free)
             counts[s] = counts.get(s, 0) + weight[k]

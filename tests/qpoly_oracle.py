@@ -205,8 +205,6 @@ def construct_from_c(c: SequenceSpec) -> PolyFamily:
 def riordan_count(D: TruncatedSeries, n: int, k: int) -> int:
     e = n - k
     power = D ** n
-    if e < power.low:
-        return 0
     value = power.coeff(e)
     if value.denominator != 1:
         raise NonIntegerWitness((n, k), value.numerator, value.denominator, "a")

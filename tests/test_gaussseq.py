@@ -195,9 +195,13 @@ class TestSeries:
         assert [int(schroeder.coeff(n)) for n in range(1, 8)] == [1, 1, 3, 11, 45, 197, 903]
 
     def test_solver_rejects_poles(self):
-        laurent = TruncatedSeries.from_rational([1], [0, 1], 4)  # 1/x
-        with pytest.raises(NoSolution):
-            solve_functional_equation(laurent, 4)
+        # 1/x is no power series, so the solver can never be handed one
+        with pytest.raises(ValueError, match="nonzero constant term"):
+            TruncatedSeries.from_rational([1], [0, 1], 4)
+        with pytest.raises(NoSolution, match="no known constant term"):
+            solve_functional_equation(TruncatedSeries.from_coeffs([1], 0), 4)
+        with pytest.raises(NoSolution, match="truncated at order 2"):
+            solve_functional_equation(TruncatedSeries.from_coeffs([1, 1], 2), 5)
 
     def test_riordan_count_closed_form(self):
         from math import comb

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -86,6 +87,10 @@ class TestPositiveIntegers:
             (1, 1, 2),
             (2, 2),
         ]
+
+    def test_decompositions_deeper_than_the_recursion_limit(self):
+        n = sys.getrecursionlimit() + 50
+        assert ZPOS.decompositions(n, support=[1]) == [(1,) * n]
 
     def test_validate(self):
         with pytest.raises(ValueError):

@@ -31,6 +31,7 @@ from sievekit.tubings import (
     step_heights,
     strict_schroder_gf_check,
     tube_count_polynomial,
+    tubing_masks,
     tubings_all_improper,
     tubings_by_free_vertices,
     tubings_by_tube_count,
@@ -59,6 +60,13 @@ class TestEnumeration:
                 sum(1 for t in tubings if not is_proper(n, t, "cycle"))
             )
         assert got == CYCLE_IMPROPER
+
+    def test_no_cycle_tubing_covers_every_vertex(self):
+        # the whole cycle is no tube and touching tubes are not compatible,
+        # so every cycle tubing leaves a vertex free
+        for n in range(1, 9):
+            full = (1 << n) - 1
+            assert all(covered != full for _, covered in tubing_masks(n, "cycle"))
 
     def test_caps_and_kinds(self):
         with pytest.raises(ValueError):
@@ -226,8 +234,8 @@ class TestCycleBijection:
             marked_to_delannoy("UD", 1)  # no final flat
         with pytest.raises(ValueError):
             marked_to_delannoy("FUDF", 4)  # mark beyond the first ground flat
-        with pytest.raises(ValueError):
-            cycle_tubing_to_marked(2, {(0, 1), (1, 1)})  # proper: nowhere to cut
+        with pytest.raises(ValueError, match="not a valid cycle tubing"):
+            cycle_tubing_to_marked(2, {(0, 1), (1, 1)})  # adjacent tubes must merge
         with pytest.raises(ValueError):
             delannoy_to_cycle_tubing(3, "UD")
 

@@ -23,11 +23,11 @@ from __future__ import annotations
 import functools
 import itertools
 from math import comb
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from .arith import divisors
 from .gaussseq import TruncatedSeries, solve_functional_equation
-from .objects import MAX_OBJECTS, Census, CyclicFamily, CyclicObject
+from .objects import MAX_OBJECTS, Census
 from .qgauss import PolyFamily
 from .qpoly import IntPoly, ONE, ZERO, q_binomial, q_power
 from .semigroup import Chain, PositiveIntegers, Window
@@ -607,63 +607,33 @@ def delannoy_to_cycle_tubing(n: int, path: str, basepoint: int = 0) -> Tubing:
     return marked_to_cycle_tubing(n, p, j, basepoint)
 
 
-# -- cyclic families of tubings ----------------------------------------------------
+# -- the cyclic census of improper cycle tubings -----------------------------------
 
 
-def cycle_tubing_object(n: int, tubing: Iterable[Tube], colors: Mapping | None = None) -> CyclicObject:
-    """Encode a cycle tubing slotwise: per vertex, the (length, offset,
-    color) of each tube through it, sorted.  Rotation of the cycle is
-    rotation of the encoding."""
-    slots: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for tube in tubing:
-        start, length = tube
-        color = colors.get(tube, 0) if colors else 0
-        for i in range(length):
-            slots[(start + i) % n].append((length, i, color))
-    return CyclicObject("tubing", tuple(tuple(sorted(sl)) for sl in slots))
-
-
-def _grading(max_rank: int, grading: str) -> tuple:
-    """(instance, window, grade) of a grading of improper cycle tubings of
-    lengths 1..max_rank: grade(length, tube count, free-vertex count) is
-    the window element a tubing belongs to."""
-    if grading == "free":
-        return (Chain(PositiveIntegers(), "pos"), Window(max_rank, ((1, max_rank),)),
-                lambda n, tubes, free: (n, free))
-    if grading == "tubes":
-        return (Chain(PositiveIntegers(), "nonneg"), Window(max_rank, ((0, max_rank),)),
-                lambda n, tubes, free: (n, tubes))
-    return PositiveIntegers(), Window(max_rank), lambda n, tubes, free: n
-
-
-def _improper_family(max_rank: int, colors: int, grading: str) -> CyclicFamily:
-    """Colored cycle tubings of lengths 1..max_rank, each put once into the
-    bucket of its grade; every cycle tubing leaves a vertex free."""
-    instance, window, grade = _grading(max_rank, grading)
-    buckets: dict[object, list[CyclicObject]] = {}
-    for n in range(1, max_rank + 1):
-        for tubing in enumerate_tubings(n, "cycle"):
-            free = len(free_vertices(n, tubing, "cycle"))
-            bucket = buckets.setdefault(grade(n, len(tubing), free), [])
-            tubes = sorted(tubing)
-            for assignment in itertools.product(range(1, colors + 1), repeat=len(tubes)):
-                bucket.append(cycle_tubing_object(n, tubing, dict(zip(tubes, assignment))))
-    return CyclicFamily.from_generator(instance, window, lambda s: buckets.pop(s, ()))
-
-
-def tubings_by_free_vertices(max_rank: int, colors: int = 1) -> CyclicFamily:
-    """Improper cycle tubings graded by (length, free-vertex count)."""
-    return _improper_family(max_rank, colors, "free")
-
-
-def tubings_by_tube_count(max_rank: int, colors: int = 1) -> CyclicFamily:
-    """Improper cycle tubings graded by (length, tube count)."""
-    return _improper_family(max_rank, colors, "tubes")
-
-
-def tubings_all_improper(max_rank: int) -> CyclicFamily:
-    """All improper cycle tubings graded by length alone."""
-    return _improper_family(max_rank, 1, "all")
+# How improper cycle tubings of lengths 1..max_rank are graded, per grading:
+# the instance, the window at max_rank, grade(length, tube count,
+# free-vertex count) for the element a tubing belongs to, and the sieving
+# polynomial poly(s, colors) at an element.
+_GRADINGS = {
+    "free": (
+        Chain(PositiveIntegers(), "pos"),
+        lambda max_rank: Window(max_rank, ((1, max_rank),)),
+        lambda n, tubes, free: (n, free),
+        lambda s, colors: free_vertex_polynomial(*s),
+    ),
+    "tubes": (
+        Chain(PositiveIntegers(), "nonneg"),
+        lambda max_rank: Window(max_rank, ((0, max_rank),)),
+        lambda n, tubes, free: (n, tubes),
+        lambda s, colors: tube_count_polynomial(s[0], s[1], colors),
+    ),
+    "all": (
+        PositiveIntegers(),
+        Window,
+        lambda n, tubes, free: n,
+        lambda s, colors: improper_total_polynomial(s),
+    ),
+}
 
 
 def improper_tubing_count(max_rank: int, colors: int = 1) -> int:
@@ -683,7 +653,7 @@ def check_improper_job(max_rank: int, grading: str = "tubes", colors: int = 1) -
     MAX_OBJECTS predicted objects."""
     if not 1 <= max_rank <= MAX_CYCLE:
         raise ValueError(f"max_rank must be in 1..{MAX_CYCLE}, got {max_rank}")
-    if grading not in ("free", "tubes", "all"):
+    if grading not in _GRADINGS:
         raise ValueError(f"unknown grading {grading!r}")
     if colors < 1:
         raise ValueError(f"colors must be at least 1, got {colors}")
@@ -727,31 +697,14 @@ def check_bijection_job(kind: str, max_n: int) -> None:
         )
 
 
-def _sieving_polynomial(grading: str, colors: int) -> Callable:
-    if grading == "free":
-        return lambda s: free_vertex_polynomial(*s)
-    if grading == "tubes":
-        return lambda s: tube_count_polynomial(s[0], s[1], colors)
-    return improper_total_polynomial
-
-
-def improper_cycle_family(
-    max_rank: int, grading: str = "tubes", colors: int = 1
-) -> tuple[CyclicFamily, PolyFamily]:
-    """Improper cycle tubings of lengths 1..max_rank with their sieving
-    polynomials, graded by "free" vertex count, by "tubes" (the only
-    grading that takes colors), or by length alone ("all")."""
-    check_improper_job(max_rank, grading, colors)
-    fam = _improper_family(max_rank, colors, grading)
-    poly = _sieving_polynomial(grading, colors)
-    return fam, PolyFamily.from_function(fam.instance, fam.window, poly)
-
-
 def improper_cycle_census(
     max_rank: int, grading: str = "tubes", colors: int = 1
 ) -> tuple[Census, PolyFamily]:
-    """The census of ``improper_cycle_family``, read off the tube bitsets
-    of ``tubing_masks`` without building an object.
+    """Improper cycle tubings of lengths 1..max_rank with their sieving
+    polynomials, graded by "free" vertex count, by "tubes" (the only
+    grading that takes colors), or by length alone ("all").  The census
+    is read off the tube bitsets of ``tubing_masks`` without building an
+    object; every cycle tubing leaves a vertex free.
 
     A tubing with k tubes stands for colors**k colored objects.  The
     order-d rotation fixes it when its bitset is invariant under rotation
@@ -761,7 +714,8 @@ def improper_cycle_census(
     same grade, so the sets are closed under rotation by construction.
     """
     check_improper_job(max_rank, grading, colors)
-    instance, window, grade = _grading(max_rank, grading)
+    instance, window_at, grade, poly = _GRADINGS[grading]
+    window = window_at(max_rank)
     weight = [colors**k for k in range(max_rank)]
     counts: dict = {}
     fixed: dict = {}  # (s, d) -> colored objects fixed by the order-d rotation, d > 1
@@ -784,11 +738,25 @@ def improper_cycle_census(
             for d in divisors(instance.rank(s))
         }
         rows.append((s, count, by_order))
-    poly = _sieving_polynomial(grading, colors)
     return (
         Census(instance, window, tuple(rows)),
-        PolyFamily.from_function(instance, window, poly),
+        PolyFamily.from_function(instance, window, lambda s: poly(s, colors)),
     )
+
+
+def tubings_by_free_vertices(max_rank: int) -> Census:
+    """Improper cycle tubings graded by (length, free-vertex count)."""
+    return improper_cycle_census(max_rank, "free")[0]
+
+
+def tubings_by_tube_count(max_rank: int, colors: int = 1) -> Census:
+    """Colored improper cycle tubings graded by (length, tube count)."""
+    return improper_cycle_census(max_rank, "tubes", colors)[0]
+
+
+def tubings_all_improper(max_rank: int) -> Census:
+    """All improper cycle tubings graded by length alone."""
+    return improper_cycle_census(max_rank, "all")[0]
 
 
 def free_vertex_polynomial(n: int, k: int) -> IntPoly:

@@ -155,7 +155,36 @@ class TestQGauss:
         assert json.loads(first.stdout)["ok"] is True
 
 
+    def test_fund_lists_every_element_with_a_negative_bead(self, tmp_path):
+        cfg = {
+            "construction": "fund",
+            "beads": [["a", 4], ["b", -1]],
+            "window": {"max_rank": 7, "max_total": 4},
+        }
+        res = run_cli(tmp_path, "qgauss", cfg)
+        assert res.returncode == 0, res.stderr
+        payload = json.loads(res.stdout)
+        assert [e["element"] for e in payload["family"]] == [
+            {"a": 1, "b": 3}, {"a": 1, "b": 2}, {"a": 1, "b": 1}, {"a": 1},
+            {"a": 2, "b": 2}, {"a": 2, "b": 1},
+        ]
+        assert payload["checks"]["definition"]["checked"] == 6
+
+
 class TestCsp:
+    def test_words_over_many_letters_at_a_small_rank(self, tmp_path):
+        cfg = {
+            "family": "words",
+            "beads": [[f"l{i:02d}", 1] for i in range(20)],
+            "window": {"max_rank": 2},
+        }
+        res = run_cli(tmp_path, "csp", cfg)
+        assert res.returncode == 0, res.stderr
+        payload = json.loads(res.stdout)
+        assert len(payload["counts"]) == 20 + 20 * 21 // 2
+        assert sum(c for _, c in payload["counts"]) == 20 + 20 * 20
+        assert payload["ok"] is True
+
     def test_colored_festoons(self, tmp_path):
         cfg = {"family": "festoons-colored", "c": LUCAS_SEQ}
         cfg["c"] = zpos_sequence("c", {1: 1, 2: 1}, 6)

@@ -75,7 +75,7 @@ class TestPositiveIntegers:
 
     def test_decompositions_are_partitions(self):
         # multisets summing to 4
-        assert ZPOS.decompositions(4) == [
+        assert ZPOS.decompositions(4, support=range(1, 5)) == [
             (1, 1, 1, 1),
             (1, 1, 2),
             (1, 3),
@@ -135,8 +135,8 @@ class TestChain:
 
     def test_decompositions_need_support_with_ints(self):
         inst = Chain(ZPOS, "ints")
-        with pytest.raises(ValueError):
-            inst.decompositions((3, 0))
+        with pytest.raises(TypeError):
+            inst.decompositions((3, 0))  # the support is required
         parts = inst.decompositions((3, 0), support=[(1, -1), (1, 0), (1, 1), (2, 1)])
         assert ((1, -1), (1, 0), (1, 1)) in parts
         assert ((1, -1), (2, 1)) in parts
@@ -209,6 +209,26 @@ class TestFreeRanked:
         assert elems == sorted(elems, key=inst.sort_key)
         assert inst.lengths == tuple(lengths)
 
+    @given(
+        st.lists(st.integers(-3, 4), min_size=1, max_size=4),
+        st.integers(1, 8),
+        st.one_of(st.none(), st.integers(1, 5)),
+    )
+    def test_elements_are_the_window_of_the_complete_box(self, lengths, max_rank, max_total):
+        if max_total is None and min(lengths) < 1:
+            max_total = 4  # such a window needs max_total
+        inst = FreeRanked(tuple((f"b{i}", n) for i, n in enumerate(lengths)))
+        window = Window(max_rank, max_total=max_total)
+        # no bead count can pass max_total, or max_rank when every length is positive
+        cap = max_rank if max_total is None else max_total
+        box = [
+            cs
+            for cs in itertools.product(range(cap + 1), repeat=len(lengths))
+            if 1 <= sum(cs) <= cap
+            and 1 <= sum(c * n for c, n in zip(cs, lengths)) <= max_rank
+        ]
+        assert inst.elements(window) == sorted(box, key=inst.sort_key)
+
     def test_label_index(self):
         assert MIXED.label_index("y") == 1
         with pytest.raises(ValueError):
@@ -278,9 +298,23 @@ class TestMorphisms:
             linear_morphism(ZPOS, ZPOS, [(entry,)])
 
 
+def parts_under(inst, s) -> list:
+    """Every element of the instance whose coordinates lie in 0..those of s."""
+    out = []
+    for cs in itertools.product(*(range(c + 1) for c in inst.coords(s))):
+        part = cs[0] if inst == ZPOS else cs
+        try:
+            inst.validate(part)
+        except ValueError:
+            continue
+        out.append(part)
+    return out
+
+
 @st.composite
 def decomposition_cases(draw):
-    """An instance, an element of it, and a support or None."""
+    """An instance, an element of it, and a support: every part that fits
+    under the element, or a few of them."""
     kind = draw(st.sampled_from(["zpos", "chain", "chain2", "ints", "free"]))
     if kind == "zpos":
         inst, s = ZPOS, draw(st.integers(1, 12))
@@ -298,9 +332,9 @@ def decomposition_cases(draw):
     else:
         inst = MIXED
         s = draw(st.tuples(st.integers(0, 4), st.integers(0, 3)).filter(any))
+    pool = parts_under(inst, s)
     if draw(st.booleans()):
-        return inst, s, None
-    pool = inst._default_parts(s)
+        return inst, s, pool
     return inst, s, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
 
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import objects_oracle
 import sieve_oracle as oracle
+import tubings_oracle
 from helpers import corrupt, sequence_corpus, zpos_spec
 from sievekit.arith import divisors, totient
 from sievekit.gaussseq import SequenceSpec
@@ -46,7 +47,7 @@ from sievekit.qgauss import (
 )
 from sievekit.qpoly import IntPoly, eval_at_primitive_root, q_binomial
 from sievekit.semigroup import Chain, FreeRanked, PositiveIntegers, Window
-from sievekit.tubings import improper_cycle_family
+from sievekit.tubings import improper_cycle_census
 
 ZPOS = PositiveIntegers()
 NK = Chain(ZPOS, "nonneg")
@@ -94,7 +95,8 @@ def object_families() -> list[tuple[str, CyclicFamily, PolyFamily]]:
          construct_from_b(b)),
         ("words", gen(LETTERS, Window(6), words), fund_family(LETTERS, Window(6))),
         ("by-content", gen(BEADS, Window(6), by_content), fund_family(BEADS, Window(6))),
-        ("tubings", *improper_cycle_family(5, "free")),
+        ("tubings", tubings_oracle.cycle_family(5, "free"),
+         improper_cycle_census(5, "free")[1]),
     ]
 
 

@@ -12,7 +12,7 @@ import tubings_oracle as oracle
 from helpers import corrupt
 from sievekit import cli
 from sievekit import tubings as tb
-from sievekit.objects import verify_csp, verify_lyndon
+from sievekit.objects import Census, verify_csp, verify_lyndon
 from sievekit.qpoly import ZERO
 from sievekit.tubings import (
     MAX_CYCLE,
@@ -25,7 +25,6 @@ from sievekit.tubings import (
     final_vertices,
     free_vertices,
     improper_cycle_census,
-    improper_cycle_family,
     improper_tubing_count,
     is_path,
     is_tubing,
@@ -172,9 +171,21 @@ def test_job_guards_refuse_before_building():
         (3, "wheel", 1),
     ]:
         with pytest.raises(ValueError):
-            improper_cycle_family(*args)
+            improper_cycle_census(*args)
     with pytest.raises(ValueError, match=str(improper_tubing_count(7, 9))):
-        improper_cycle_family(7, "tubes", 9)
+        improper_cycle_census(7, "tubes", 9)
+
+
+def test_builders_refuse_what_the_cli_refuses():
+    for build in (
+        lambda: tubings_by_free_vertices(0),
+        lambda: tubings_all_improper(MAX_CYCLE + 1),
+        lambda: tubings_by_tube_count(MAX_CYCLE),
+        lambda: tubings_by_tube_count(7, colors=9),
+        lambda: tubings_by_tube_count(3, colors=0),
+    ):
+        with pytest.raises(ValueError):
+            build()
 
 
 # -- the bitset kernels ---------------------------------------------------------------
@@ -277,15 +288,15 @@ CENSUS_JOBS = [(8, g, 1) for g in ("free", "tubes", "all")] + [
 
 
 @pytest.mark.parametrize("job", CENSUS_JOBS, ids=[f"{r}-{g}-{c}" for r, g, c in CENSUS_JOBS])
-def test_bitset_census_equals_the_materialised_family(job):
+def test_bitset_census_equals_the_oracle_census(job):
     census, F = improper_cycle_census(*job)
-    fam, F_old = improper_cycle_family(*job)
-    assert census == fam.census()
-    assert F == F_old
-    assert verify_lyndon(census) == verify_lyndon(fam)
+    assert census.rows == oracle.cycle_census(*job)
+    want = Census(census.instance, census.window, oracle.cycle_census(*job))
+    assert verify_lyndon(census) == verify_lyndon(want)
+    assert verify_csp(want, F).ok
     s = next(s for s, _ in F.polys if F.instance.rank(s) == 6)
     for G in (F, corrupt(F, s)):
-        assert verify_csp(census, G) == verify_csp(fam, G)
+        assert verify_csp(census, G) == verify_csp(want, G)
 
 
 # -- the streaming bijection check against the stored one -------------------------------

@@ -4,14 +4,19 @@ These are the straightforward definitions the mask-based library code in
 ``sievekit.tubings`` replaced: tubes as frozensets of vertices, pairwise
 compatibility from the set definition, the depth-first enumerator that
 re-checks every chosen tube, the decoder that scans ahead for each rise's
-closing step, and the path enumerator with each kind's step rules written
-out as branches.  They import nothing from the library, so a
-regression there cannot hide behind its own code.
+closing step, the path enumerator with each kind's step rules written
+out as branches, and the graded census of improper cycle tubings counted
+from the set-based enumeration.  They compute nothing with the library,
+so a regression there cannot hide behind its own code; ``cycle_family``
+only puts its objects into the library's containers, which the checks
+under test read.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import Counter
 from typing import Iterable
 
 
@@ -98,6 +103,93 @@ def enumerate_tubings(n: int, kind: str = "interval") -> list[frozenset]:
 
     rec(0)
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _cycle_tubings(n: int) -> tuple:
+    """(tubing, tube count, free-vertex count, {d: tube orbits} over the
+    orders d > 1 whose rotation fixes it) per tubing of the n-cycle."""
+    out = []
+    for tubing in enumerate_tubings(n, "cycle"):
+        covered = set().union(*(tube_vertices(n, t, "cycle") for t in tubing))
+        orbits = {}
+        for d in range(2, n + 1):
+            step = n // d
+            if n % d == 0 and {((s + step) % n, l) for s, l in tubing} == tubing:
+                orbits[d] = len(
+                    {min(((s + j * step) % n, l) for j in range(d)) for s, l in tubing}
+                )
+        out.append((tubing, len(tubing), n - len(covered), orbits))
+    return tuple(out)
+
+
+def _grade(grading: str, n: int, tubes: int, free: int):
+    return {"free": (n, free), "tubes": (n, tubes), "all": n}[grading]
+
+
+def _grade_elements(max_rank: int, grading: str) -> list:
+    """The window elements of a grading in (rank, extra) order."""
+    if grading == "all":
+        return list(range(1, max_rank + 1))
+    low = 1 if grading == "free" else 0
+    return [(n, x) for n in range(1, max_rank + 1) for x in range(low, max_rank + 1)]
+
+
+def cycle_census(max_rank: int, grading: str, colors: int = 1) -> tuple:
+    """The census rows (s, count, {d: (fixed, 0)}) of colored improper cycle
+    tubings of lengths 1..max_rank, graded by "free" vertex count, by
+    "tubes" or by length alone ("all"), in window order.
+
+    A tubing with k tubes counts colors**k.  Its coloring is fixed by a
+    rotation that fixes the tubing when it is constant on each orbit of
+    tubes, so the order-d rotation fixes colors**(orbits) of them.
+    """
+    count: Counter = Counter()
+    fixed: Counter = Counter()
+    for n in range(1, max_rank + 1):
+        for _, k, free, orbits in _cycle_tubings(n):
+            s = _grade(grading, n, k, free)
+            count[s] += colors**k
+            for d, m in orbits.items():
+                fixed[s, d] += colors**m
+    rows = []
+    for s in _grade_elements(max_rank, grading):
+        n = s if grading == "all" else s[0]
+        by_order = {
+            d: (fixed[s, d] if d > 1 else count[s], 0)
+            for d in range(1, n + 1)
+            if n % d == 0
+        }
+        rows.append((s, count[s], by_order))
+    return tuple(rows)
+
+
+def cycle_family(max_rank: int, grading: str):
+    """The uncolored improper cycle tubings of lengths 1..max_rank as a
+    ``CyclicFamily`` over the grading's instance and window.
+
+    A tubing is encoded slotwise: per vertex, the (length, offset) of each
+    tube through it, sorted, so rotating the cycle rotates the encoding.
+    """
+    from sievekit.objects import CyclicFamily, CyclicObject
+    from sievekit.semigroup import Chain, PositiveIntegers, Window
+
+    if grading == "all":
+        instance, window = PositiveIntegers(), Window(max_rank)
+    else:
+        extra, low = ("pos", 1) if grading == "free" else ("nonneg", 0)
+        instance = Chain(PositiveIntegers(), extra)
+        window = Window(max_rank, ((low, max_rank),))
+    buckets: dict = {}
+    for n in range(1, max_rank + 1):
+        for tubing, k, free, _ in _cycle_tubings(n):
+            slots: list[list] = [[] for _ in range(n)]
+            for start, length in tubing:
+                for i in range(length):
+                    slots[(start + i) % n].append((length, i))
+            obj = CyclicObject("tubing", tuple(tuple(sorted(sl)) for sl in slots))
+            buckets.setdefault(_grade(grading, n, k, free), []).append(obj)
+    return CyclicFamily.from_generator(instance, window, lambda s: buckets.get(s, ()))
 
 
 def enumerate_paths(length: int, kind: str = "delannoy", flats: int | None = None) -> list[str]:

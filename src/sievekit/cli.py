@@ -171,8 +171,12 @@ def _closed_form_family(cfg: dict) -> PolyFamily:
 def cmd_qgauss(cfg: dict) -> tuple[dict, int]:
     if not isinstance(cfg, dict):
         raise ConfigError(f"qgauss config: expected an object, got {cfg!r}")
-    checks = cfg.get("checks", ["definition", "roots"])
-    if not isinstance(checks, list) or any(c not in ("definition", "roots") for c in checks):
+    runs = {"definition": check_qgauss_definition, "roots": check_qgauss_roots}
+    checks = cfg.get("checks", list(runs))
+    # an empty list would check nothing and report ok
+    if not isinstance(checks, list) or not checks or not all(
+        isinstance(c, str) and c in runs for c in checks
+    ):
         raise ConfigError(f"qgauss config: bad checks {checks!r}")
     payload: dict = {"command": "qgauss"}
     if "closed_form" in cfg:
@@ -217,14 +221,11 @@ def cmd_qgauss(cfg: dict) -> tuple[dict, int]:
     payload["family"] = family.to_jsonable()
     payload["checks"] = {}
     ok = True
-    if "definition" in checks:
-        rep = check_qgauss_definition(family)
-        payload["checks"]["definition"] = rep.to_jsonable(family.instance)
-        ok = ok and rep.ok
-    if "roots" in checks:
-        rep = check_qgauss_roots(family)
-        payload["checks"]["roots"] = rep.to_jsonable(family.instance)
-        ok = ok and rep.ok
+    for name, check in runs.items():
+        if name in checks:
+            rep = check(family)
+            payload["checks"][name] = rep.to_jsonable(family.instance)
+            ok = ok and rep.ok
     payload["ok"] = ok
     return payload, 0 if ok else 2
 
@@ -259,8 +260,10 @@ def _family_festoons(cfg: dict, name: str) -> tuple[Census, PolyFamily, bool]:
     if window is not None:
         return festoon_census(name, source, window), fund_family(source, window), False
     if key == "b":
-        # festoons_repeated builds just the objects it counts, and its span
-        # is what bench/tracer.py reports as the objects layer of this job.
+        # festoon_census counts this family as well, but the benchmark's
+        # trace (bench/tracer.py, bench/tests/test_bench.py) reads the
+        # objects layer of this job from the span of festoons_repeated and
+        # its object count; the job moves to the census with the benchmark.
         fam = CyclicFamily.from_generator(
             source.instance, source.window, lambda s: festoons_repeated(source, s)
         )

@@ -7,16 +7,22 @@ is-start) triple per slot; beads are the contiguous arcs, a bead of type t
 spans rank(t) slots, and slot 0 starts the serialization, so equality of
 festoons is equality of encodings.
 
+Every word and festoon family is a stream of bead contents: at each
+element s, ``_contents`` yields the multisets of (type, color, length)
+beads its objects are made of, each with a sign.  Sawada's walk
+(``necklaces``) lists the necklaces of one content.  The census counts
+them, one rotation orbit each; the listers expand each into the
+rotations of its tiling, so counting and listing read the same contents.
+
 Verifiers check the fixed-point law (rotation-invariant counts against
 root-set totals), the cyclic sieving comparison against a polynomial
 family, and the signed variant for odd ranks.  They never look at an
 object: they read a ``Census``, which holds per window element s the set
 size and, for each d dividing rank(s), how many objects the order-d
 rotation fixes, split by sign.  ``CyclicFamily.census`` takes these numbers
-from the stored sets with ``fixed_points``; ``festoon_census`` (words and
-festoons, one necklace per rotation orbit) and
-``tubings.improper_cycle_census`` (tube bitsets) build one without
-building the objects.
+from the stored sets with ``fixed_points``; ``festoon_census`` (from the
+necklaces) and ``tubings.improper_cycle_census`` (tube bitsets) build one
+without building the objects.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from .arith import divisors
 from .gaussseq import SequenceSpec, a_from_b, a_from_c
 from .qgauss import FamilyReport, PolyFamily, _require_role, check_divisors, root_total
 from .qpoly import IntPoly, eval_at_primitive_root
-from .semigroup import FreeRanked, Window, _SemigroupBase, window_table
+from .semigroup import FreeRanked, PositiveIntegers, Window, _SemigroupBase, window_table
 
 OBJECT_KINDS = ("word", "composition", "festoon", "signed-festoon", "tubing")
 
@@ -172,42 +178,22 @@ def _content_items(alpha) -> list:
     return items
 
 
-def _multiset_permutations(items: Sequence) -> Iterator[tuple]:
-    """Every distinct ordering of the items, each once (Knuth's Algorithm L).
-
-    Steps through the next permutations of the sorted list of each item's
-    first-occurrence index, so items need only be hashable.  When equal
-    items stand together, the orderings come in lexicographic order of
-    positions, as ``itertools.permutations`` would first produce them.
-    """
-    first: dict = {}
-    for x in items:
-        first.setdefault(x, len(first))
-    distinct = list(first)
-    a = sorted(first[x] for x in items)
-    n = len(a)
-    while True:
-        yield tuple([distinct[i] for i in a])
-        j = n - 2
-        while j >= 0 and a[j] >= a[j + 1]:
-            j -= 1
-        if j < 0:
-            return
-        k = n - 1
-        while a[j] >= a[k]:
-            k -= 1
-        a[j], a[k] = a[k], a[j]
-        a[j + 1:] = a[:j:-1]
-
-
 def words_with_content(alpha) -> list[CyclicObject]:
     """All distinct arrangements of the given letter multiset.
 
     ``alpha`` maps letters to multiplicities; letters must be mutually
-    comparable since the major index uses their order.
+    comparable since the major index uses their order.  A word is a
+    festoon of length-1 beads, one bead type per letter.
     """
-    items = _content_items(alpha)
-    return sorted(CyclicObject("word", w) for w in _multiset_permutations(items))
+    letters = Counter(_content_items(alpha))
+    # bead labels are strings: bead "i" stands for the i-th letter
+    beads = FreeRanked(tuple((str(i), 1) for i in range(len(letters))))
+    contents = _contents("words", beads)(tuple(letters.values()))
+    symbols = list(letters)
+    return sorted(
+        CyclicObject("word", tuple(symbols[int(t)] for t, _, _ in slots))
+        for slots, _ in _festoons(contents)
+    )
 
 
 def maj(w) -> int:
@@ -278,20 +264,7 @@ def compositions(n: int, k: int, alphabet) -> list[CyclicObject]:
     rec(n, k)
     return sorted(out)
 
-
 # -- festoons --------------------------------------------------------------------
-
-
-def _placements(beads: Iterable[tuple]) -> list[tuple]:
-    """Tile the cycle with (type, color, length) beads whose lengths sum to
-    its length n, once with the first bead starting at each slot 0..n-1."""
-    line = tuple(
-        (btype, color, i == 0)
-        for btype, color, length in beads
-        for i in range(length)
-    )
-    n = len(line)
-    return [line[n - offset:] + line[:n - offset] for offset in range(n)]
 
 
 def festoons_by_content(beads, alpha) -> list[CyclicObject]:
@@ -303,22 +276,14 @@ def festoons_by_content(beads, alpha) -> list[CyclicObject]:
     distinct festoons.
     """
     inst = beads if isinstance(beads, FreeRanked) else FreeRanked(tuple(beads))
-    if any(length < 1 for length in inst.lengths):
-        raise ValueError("festoons need bead lengths >= 1")
+    contents = _contents("festoons-content", inst)
     if isinstance(alpha, Mapping):
         mults = [0] * len(inst.beads)
         for label, mult in alpha.items():
             mults[inst.label_index(label)] = mult
         alpha = tuple(mults)
     inst.validate(alpha)
-    items = []
-    for (label, length), mult in zip(inst.beads, alpha):
-        items.extend([(label, 0, length)] * mult)
-    out: dict = {}  # dicts, not sets: the order must not depend on str hashing
-    for perm in _multiset_permutations(items):
-        for slots in _placements(perm):
-            out[CyclicObject("festoon", slots)] = None
-    return sorted(out)
+    return _listed("festoon", contents(alpha))
 
 
 def _nonneg_support(seq: SequenceSpec, role: str) -> tuple:
@@ -329,33 +294,13 @@ def _nonneg_support(seq: SequenceSpec, role: str) -> tuple:
     return seq.support()
 
 
-def _colored_festoons(c: SequenceSpec, s, signed: bool) -> list[CyclicObject]:
-    inst = c.instance
-    if signed:
-        support = c.support()
-    else:
-        support = _nonneg_support(c, "c")
-    kind = "signed-festoon" if signed else "festoon"
-    out: dict = {}
-    for parts in inst.decompositions(s, support=support):
-        negatives = sum(1 for t in parts if c.value(t) < 0)
-        sign = -1 if signed and negatives % 2 else 1
-        for perm in _multiset_permutations(parts):
-            lengths = [inst.rank(t) for t in perm]
-            color_ranges = [range(1, abs(c.value(t)) + 1) for t in perm]
-            for colors in itertools.product(*color_ranges):
-                for slots in _placements(zip(perm, colors, lengths)):
-                    out[CyclicObject(kind, slots, sign)] = None
-    return sorted(out)
-
-
 def festoons_colored(c: SequenceSpec, s) -> list[CyclicObject]:
     """Festoons of type s with beads of type t in one of c_t colors.
 
     The festoon's type is the sum of its bead types; the count over a
     window reproduces the divisor-convolution sequence attached to c.
     """
-    return _colored_festoons(c, s, signed=False)
+    return _listed("festoon", _contents("festoons-colored", c)(s))
 
 
 def festoons_repeated(b: SequenceSpec, s) -> list[CyclicObject]:
@@ -364,22 +309,7 @@ def festoons_repeated(b: SequenceSpec, s) -> list[CyclicObject]:
     Pick a unit divisor t of s, one of b_t colors, and one of rank(t)
     rotations; the count over a window is the divisor sum of rank(t) b_t.
     """
-    _nonneg_support(b, "b")  # refuses a wrong role or a negative weight
-    inst = b.instance
-    n = inst.rank(s)
-    out = []
-    for t, d in inst.unit_divisors(s):
-        bt = b.value(t)
-        if not bt:
-            continue
-        rt = inst.rank(t)
-        for color in range(1, bt + 1):
-            for r in range(rt):
-                slots = tuple(
-                    (t, color, (i - r) % rt == 0) for i in range(n)
-                )
-                out.append(CyclicObject("festoon", slots))
-    return sorted(out)
+    return _listed("festoon", _contents("festoons-repeated", b)(s))
 
 
 def signed_festoons(c: SequenceSpec, s) -> tuple[list[CyclicObject], list[CyclicObject]]:
@@ -388,7 +318,7 @@ def signed_festoons(c: SequenceSpec, s) -> tuple[list[CyclicObject], list[Cyclic
     A festoon is negative exactly when it has an odd number of beads whose
     type carries a negative weight.
     """
-    objs = _colored_festoons(c, s, signed=True)
+    objs = _listed("signed-festoon", _contents("signed-festoons", c)(s))
     return [o for o in objs if o.sign > 0], [o for o in objs if o.sign < 0]
 
 
@@ -429,21 +359,11 @@ def barrier_festoons(n: int, allow_bare: bool = False) -> list[CyclicObject]:
 
 
 def _length_tilings(n: int) -> list[tuple]:
-    """Distinct tilings of the n-cycle by arcs, slots as (length, 0, start)."""
-    tilings = set()
-    acc: list[int] = []
-
-    def rec(left: int):
-        if left == 0:
-            tilings.update(_placements((length, 0, length) for length in acc))
-            return
-        for x in range(1, left + 1):
-            acc.append(x)
-            rec(left - x)
-            acc.pop()
-
-    rec(n)
-    return sorted(tilings)
+    """Distinct tilings of the n-cycle by arcs, slots as (length, 1, start):
+    the one-color festoons whose bead types are the parts of n."""
+    ones = tuple((t, 1) for t in range(1, n + 1))
+    ones = SequenceSpec(PositiveIntegers(), Window(n), "c", ones)
+    return sorted(slots for slots, _ in _festoons(_contents("festoons-colored", ones)(n)))
 
 
 # -- sizes before enumeration -----------------------------------------------------
@@ -469,8 +389,8 @@ def predicted_count(family: str, source, window: Window | None = None) -> int:
     are colored by |c|.  Raises ValueError on what the enumerators refuse:
     beads shorter than 1 and negative weights outside the signed family.
     """
-    support = _family_support(family, source)
-    if support is None:
+    _contents(family, source)  # refuses what the family refuses
+    if family in ("words", "festoons-content"):
         return sum(content_count(source, alpha) for alpha in source.elements(window))
     if family == "festoons-repeated":
         return sum(a_from_b(source).row())
@@ -478,41 +398,88 @@ def predicted_count(family: str, source, window: Window | None = None) -> int:
     return sum(a_from_c(SequenceSpec(source.instance, source.window, "c", weights)).row())
 
 
-def _family_support(family: str, source) -> tuple | None:
-    """The support of a sequence family's spec, None for words and festoons
-    by content; raises ValueError on what the families refuse."""
+# -- bead contents and necklaces --------------------------------------------------
+
+
+def _contents(family: str, source) -> Callable[[object], Iterable[tuple[list, int]]]:
+    """What a csp family holds at each element, as a function of the element.
+
+    At s it yields ``(beads, sign)`` pairs, ``beads`` listing
+    ((type, color, length), multiplicity) with multiplicities >= 1: each
+    pair stands for the festoons made of exactly those beads, with that
+    sign.  ``source`` is as for ``predicted_count``.  Words and festoons by
+    content hold their content, in color 0.  Festoons-repeated holds d
+    equal beads of type t in each color 1..b_t, per unit divisor (t, d) of
+    s.  The colored and signed families hold one content per decomposition
+    of s and coloring of its type-t beads from colors 1..|c_t|, signed by
+    the decomposition's weight product.  Raises ValueError on what the
+    family refuses before reading any element.
+    """
     if family in ("words", "festoons-content"):
         if any(length < 1 for length in source.lengths):
             raise ValueError("festoons need bead lengths >= 1")
-        return None
-    if family in ("festoons-repeated", "festoons-colored"):
-        return _nonneg_support(source, "b" if family == "festoons-repeated" else "c")
-    if family == "signed-festoons":
+
+        def contents(alpha):
+            beads = [((label, 0, length), m)
+                     for (label, length), m in zip(source.beads, alpha) if m]
+            return [(beads, 1)]
+
+        return contents
+    if family not in ("festoons-repeated", "festoons-colored", "signed-festoons"):
+        raise ValueError(f"unknown family {family!r}")
+    inst, value = source.instance, source.value
+    if family == "festoons-repeated":
+        _nonneg_support(source, "b")
+        return lambda s: [
+            ([((t, color, inst.rank(t)), d)], 1)
+            for t, d in inst.unit_divisors(s) for color in range(1, value(t) + 1)
+        ]
+    signed = family == "signed-festoons"
+    if signed:
         _require_role(source, "c")
-        return source.support()
-    raise ValueError(f"unknown family {family!r}")
+        support = source.support()
+    else:
+        support = _nonneg_support(source, "c")
+
+    def colorings(t, m: int) -> list[list]:
+        """The ways to color m beads of type t, each as its bead list."""
+        rank, colors = inst.rank(t), range(1, abs(value(t)) + 1)
+        return [
+            [((t, color, rank), k) for color, k in Counter(pick).items()]
+            for pick in itertools.combinations_with_replacement(colors, m)
+        ]
+
+    def contents(s):
+        for parts in inst.decompositions(s, support=support):
+            sign = -1 if signed and sum(value(t) < 0 for t in parts) % 2 else 1
+            choices = [colorings(t, m) for t, m in Counter(parts).items()]
+            for pick in itertools.product(*choices):
+                yield [bead for beads in pick for bead in beads], sign
+
+    return contents
 
 
-# -- censuses from necklaces ------------------------------------------------------
-
-
-def necklace_periods(counts: Sequence[int]) -> list[int]:
-    """The period of each necklace with ``counts[i]`` beads of symbol i.
+def necklaces(counts: Sequence[int]) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Each necklace with ``counts[i]`` beads of symbol i, once, as its
+    smallest rotation and its period.
 
     Sawada's fixed-content scheme (TCS 301, 2003) grows the smallest
-    rotation of each necklace left to right: position t takes no symbol
-    below the one p places back, p being the longest Lyndon prefix so far,
-    and a full sequence of k beads is a necklace of period p when p | k.
+    rotation left to right: position t takes no symbol below the one p
+    places back, p being the longest Lyndon prefix so far, and a full
+    sequence of k beads is a necklace of period p when p | k.
+
+    >>> list(necklaces([2, 0, 2]))
+    [((0, 0, 2, 2), 4), ((0, 2, 0, 2), 2)]
     """
-    left = [c for c in counts if c]
+    left = list(counts)
     k = sum(left)
     if not k:
-        return []
-    left[0] -= 1  # the smallest rotation starts with the smallest symbol
-    seq = [0] * k
+        return
+    j = next(i for i, c in enumerate(left) if c)  # the smallest symbol starts
+    left[j] -= 1
+    seq = [j] * k
     lyn = [1] * (k + 1)  # lyn[t]: the longest Lyndon prefix of seq[:t]
-    out: list[int] = []
-    t, j = 1, 0  # the position to fill and the first symbol to try there
+    t = 1  # the position to fill; j is the first symbol to try there
     while t:
         while t < k and j < len(left) and not left[j]:
             j += 1
@@ -524,70 +491,62 @@ def necklace_periods(counts: Sequence[int]) -> list[int]:
             j = seq[t - lyn[t]]
         else:
             if t == k and k % lyn[k] == 0:
-                out.append(lyn[k])
+                yield tuple(seq), lyn[k]
             t -= 1
             left[seq[t]] += 1
             j = seq[t] + 1
-    return out
+
+
+def _festoons(contents: Iterable[tuple[list, int]]) -> Iterator[tuple[tuple, int]]:
+    """(slots, sign) of every festoon of the given contents, each once: a
+    necklace of k beads and period p tiles n slots, and its orbit is the
+    n*p/k rotations of that tiling."""
+    for beads, sign in contents:
+        tiles = [((t, color, True),) + ((t, color, False),) * (length - 1)
+                 for (t, color, length), _ in beads]
+        for necklace, p in necklaces([m for _, m in beads]):
+            line = tuple(itertools.chain.from_iterable(tiles[i] for i in necklace))
+            for r in range(len(line) * p // len(necklace)):
+                yield line[r:] + line[:r], sign
+
+
+def _listed(kind: str, contents: Iterable[tuple[list, int]]) -> list[CyclicObject]:
+    return sorted(CyclicObject(kind, slots, sign) for slots, sign in _festoons(contents))
 
 
 def _necklace_census(inst: _SemigroupBase, window: Window, contents: Callable) -> Census:
-    """The census of the festoons whose bead contents and signs at s are the
-    (counts, sign) pairs of ``contents(s)``.  A necklace of k beads and
-    period p is one orbit of n*p/k festoons on n slots, all fixed by the
-    order-d rotation when n*p/k divides n/d, else none.  Periods depend
-    only on the sorted counts, so each sorted content is walked once."""
+    """The census of the festoons of ``contents(s)`` at each element s.  A
+    necklace of k beads and period p is one orbit of n*p/k festoons on n
+    slots, all fixed by the order-d rotation when n*p/k divides n/d, else
+    none.  Periods depend only on the sorted multiplicities, so each sorted
+    content is walked once."""
     periods: dict = {}
     rows = []
     for s in inst.elements(window):
         n = inst.rank(s)
         fixed = {d: [0, 0] for d in divisors(n)}
         count = 0
-        for counts, sign in contents(s):
-            key = tuple(sorted(c for c in counts if c))
+        for beads, sign in contents(s):
+            key = tuple(sorted(m for _, m in beads))
             if key not in periods:
-                periods[key] = Counter(necklace_periods(key)).items()
-            for p, necklaces in periods[key]:
+                periods[key] = Counter(p for _, p in necklaces(key)).items()
+            for p, orbits in periods[key]:
                 size = n * p // sum(key)
-                count += necklaces * size
+                count += orbits * size
                 for d, split in fixed.items():
                     if n // d % size == 0:
-                        split[sign < 0] += necklaces * size
+                        split[sign < 0] += orbits * size
         rows.append((s, count, {d: tuple(split) for d, split in fixed.items()}))
     return Census(inst, window, tuple(rows))
 
 
 def festoon_census(family: str, source, window: Window | None = None) -> Census:
-    """The census of a csp family, from necklaces; arguments as for
-    ``predicted_count``.  An element s has one content for words and
-    festoons by content; b_t contents of d equal beads per unit divisor
-    (t, d) for festoons-repeated; and for the colored and signed families,
-    one per decomposition of s and coloring of its type-t beads from |c_t|
-    colors, signed by the decomposition's weight product.
-    """
-    support = _family_support(family, source)
-    if support is None:
-        return _necklace_census(source, window, lambda alpha: [(alpha, 1)])
-    inst, value = source.instance, source.value
-    if family == "festoons-repeated":
-
-        def contents(s):
-            return [((d,), 1) for t, d in inst.unit_divisors(s) for _ in range(value(t))]
-
-    else:
-        signed = family == "signed-festoons"
-
-        def contents(s):
-            for parts in inst.decompositions(s, support=support):
-                sign = -1 if signed and sum(value(t) < 0 for t in parts) % 2 else 1
-                colorings = [
-                    itertools.combinations_with_replacement(range(abs(value(t))), m)
-                    for t, m in Counter(parts).items()
-                ]
-                for pick in itertools.product(*colorings):
-                    yield [m for colors in pick for m in Counter(colors).values()], sign
-
-    return _necklace_census(inst, source.window, contents)
+    """The census of a csp family, counted from the necklaces of its bead
+    contents (``_contents``); arguments as for ``predicted_count``."""
+    contents = _contents(family, source)
+    if isinstance(source, SequenceSpec):  # a sequence family spans its spec's window
+        source, window = source.instance, source.window
+    return _necklace_census(source, window, contents)
 
 
 # -- actions and verifiers --------------------------------------------------------

@@ -349,6 +349,13 @@ def q_sign(n: int) -> IntPoly:
 
 
 @functools.lru_cache(maxsize=None)
+def _q_exp_row(base: int) -> list[IntPoly]:
+    """The row P_0, P_1, ... of ``_q_exp_nonneg`` for one base, as far as
+    it has been asked for; ``_q_exp_nonneg`` extends it in place."""
+    return [ONE]
+
+
+@functools.lru_cache(maxsize=None)
 def _q_exp_nonneg(base: int, n: int) -> IntPoly:
     """q-analogue of base**n for base >= 1 and n >= 0.
 
@@ -360,10 +367,12 @@ def _q_exp_nonneg(base: int, n: int) -> IntPoly:
         P_m = sum over i = 1..min(base, m) of
               C(base, i) * (q^(m-i+1) - 1) ... (q^(m-1) - 1) * P_(m-i),
 
-    which is built here iteratively, with no recursion on base or n.
+    which is built here iteratively, with no recursion on base or n.  The
+    row of each base is kept and extended only past its last entry, so
+    asking for n = 1..N builds each P_m once.
     """
-    row = [ONE]
-    for m in range(1, n + 1):
+    row = _q_exp_row(base)
+    for m in range(len(row), n + 1):
         total = ZERO
         factor = ONE  # (1 - q^(m-i+1)) ... (1 - q^(m-1))
         for i in range(1, min(base, m) + 1):

@@ -337,6 +337,10 @@ class TestTubingGuards:
                         "beads": [["a", 1]]}),
             ("qgauss", {"closed_form": Q_POWER, "construction": "from-c"}),
             ("qgauss", {"closed_form": Q_POWER, "sequence": LUCAS_SEQ}),
+            # no check at all, which would report "ok": true having proved nothing
+            ("qgauss", {"construction": "ramanujan", "checks": [],
+                        "sequence": zpos_sequence("a", {n: 2**n for n in range(1, 6)}, 5)}),
+            ("qgauss", {"closed_form": Q_POWER, "checks": []}),
         ],
     )
     def test_refused(self, tmp_path, command, cfg):

@@ -2,8 +2,8 @@
 
 Every enumerator must return the same objects in the same order as its
 oracle in ``objects_oracle.py``; ``fixed_points`` and the rotation-closure
-check must agree with the rotate-and-compare definitions; and the direct
-multiset permutations must produce each distinct ordering exactly once.
+check must agree with the rotate-and-compare definitions; and the word
+and festoon listers must produce each distinct arrangement exactly once.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from collections import Counter
 from math import factorial, prod
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import objects_oracle as oracle
 from sievekit.arith import divisors
@@ -22,9 +22,9 @@ from sievekit.gaussseq import SequenceSpec
 from sievekit.objects import (
     CyclicFamily,
     CyclicObject,
-    _multiset_permutations,
     barrier_festoons,
     content_count,
+    festoon_census,
     festoons_by_content,
     festoons_colored,
     festoons_repeated,
@@ -40,6 +40,10 @@ from helpers import partition_numbers, zpos_spec
 ZPOS = PositiveIntegers()
 MIXED = FreeRanked((("x", 1), ("y", 2), ("z", 3)))
 LETTERS = FreeRanked((("a", 1), ("b", 1), ("c", 1)))
+
+
+def multinomial(counts) -> int:
+    return factorial(sum(counts)) // prod(map(factorial, counts))
 
 
 def refined_c():
@@ -110,29 +114,71 @@ def test_enumerator_matches_oracle_in_order(name, new, old):
     assert all(type(o) is CyclicObject for o in objs)
 
 
-@given(st.lists(st.sampled_from("abcd"), max_size=7))
-def test_multiset_permutations_are_the_distinct_orderings(items):
-    perms = list(_multiset_permutations(items))
-    assert len(perms) == len(set(perms))
-    assert set(perms) == set(itertools.permutations(items))
+@given(st.lists(st.sampled_from("abcd"), min_size=1, max_size=7))
+def test_words_are_the_distinct_orderings(items):
+    words = words_with_content(Counter(items))
+    assert words == oracle.words_with_content(Counter(items))
+    assert len({w.slots for w in words}) == len(words)
+    assert {w.slots for w in words} == set(itertools.permutations(items))
 
 
-@given(st.lists(st.integers(0, 3), max_size=7))
-def test_multiset_permutations_keep_the_first_occurrence_order(items):
-    items = sorted(items)  # grouped, as every enumerator passes them
-    assert list(_multiset_permutations(items)) == list(
-        dict.fromkeys(itertools.permutations(items))
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 3), st.integers(0, 3)), min_size=1, max_size=3)
+       .filter(lambda beads: 0 < sum(m for _, m in beads) <= 6))
+def test_festoon_count_is_the_multinomial(beads):
+    inst = FreeRanked(tuple((f"b{i}", length) for i, (length, _) in enumerate(beads)))
+    alpha = tuple(m for _, m in beads)
+    festoons = festoons_by_content(inst, alpha)
+    assert festoons == oracle.festoons_by_content(inst, alpha)
+    # each of the multinomial bead orderings starts at each of n slots,
+    # and a festoon of k beads arises from k of these placements
+    n, k = inst.rank(alpha), sum(alpha)
+    assert len(festoons) == multinomial(alpha) * n // k
+
+
+@settings(deadline=None)
+@given(st.sampled_from("xyz"), st.lists(st.sampled_from("abc"), max_size=3))
+def test_listers_with_a_tenfold_item(repeated, others):
+    items = [repeated] * 10 + others
+    mults = Counter(items)
+    words = words_with_content(mults)
+    assert len(words) == multinomial(mults.values())
+    assert len({w.slots for w in words}) == len(words)
+    assert all(Counter(w.slots) == mults for w in words)
+    inst = FreeRanked(tuple((label, 1 + (label == repeated)) for label in sorted(mults)))
+    alpha = tuple(mults[label] for label in sorted(mults))
+    festoons = festoons_by_content(inst, alpha)
+    assert len(festoons) == multinomial(alpha) * inst.rank(alpha) // sum(alpha)
+    assert len(set(festoons)) == len(festoons)
+    assert all(Counter(t for t, _, start in o.slots if start) == mults for o in festoons)
+
+
+def small_c(values):
+    """A role-c spec on the positive integers up to a rank <= 7."""
+    weights = st.dictionaries(st.integers(1, 7), values, max_size=3)
+    return st.builds(
+        lambda w, max_rank: zpos_spec("c", {t: v for t, v in w.items() if t <= max_rank},
+                                      max_rank),
+        weights, st.integers(1, 7),
     )
 
 
-@given(st.sampled_from("xyz"), st.lists(st.sampled_from("abc"), max_size=3))
-def test_multiset_permutations_with_a_tenfold_item(repeated, others):
-    items = [repeated] * 10 + others
-    perms = list(_multiset_permutations(items))
-    mults = Counter(items)
-    assert len(perms) == factorial(len(items)) // prod(map(factorial, mults.values()))
-    assert len(set(perms)) == len(perms)
-    assert all(Counter(p) == mults for p in perms)
+@settings(max_examples=25, deadline=None)
+@given(small_c(st.integers(1, 2)))
+def test_colored_lister_matches_the_oracle_and_the_census(c):
+    for s in c.instance.elements(c.window):
+        assert festoons_colored(c, s) == oracle.festoons_colored(c, s)
+    fam = CyclicFamily.from_generator(ZPOS, c.window, lambda s: festoons_colored(c, s))
+    assert fam.census() == festoon_census("festoons-colored", c)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_c(st.integers(-2, 2).filter(bool)))
+def test_signed_lister_matches_the_oracle_and_the_census(c):
+    for s in c.instance.elements(c.window):
+        assert signed_festoons(c, s) == oracle.signed_festoons(c, s)
+    fam = CyclicFamily.from_generator(ZPOS, c.window, lambda s: sum(signed_festoons(c, s), []))
+    assert fam.census() == festoon_census("signed-festoons", c)
 
 
 @given(st.lists(st.text("ab", min_size=6, max_size=6), max_size=30))

@@ -34,6 +34,8 @@ from sievekit.qgauss import (
 )
 from sievekit.qpoly import (
     IntPoly,
+    _q_exp_nonneg,
+    _q_exp_row,
     cyclotomic,
     q_binomial,
     q_multinomial,
@@ -144,6 +146,15 @@ class TestQAnalogues:
     @given(st.integers(-40, 40), st.integers(1, 11))
     def test_q_power(self, base, n):
         assert q_power(base, n) == oracle.q_power(base, n)
+
+    @pytest.mark.parametrize("base", [1, 2, 3])
+    def test_q_power_rows_extend_in_any_order(self, base):
+        # from empty caches: n = 15..1 builds the row once and reads it
+        # back, then n = 16..30 extends it one entry at a time
+        _q_exp_nonneg.cache_clear()
+        _q_exp_row.cache_clear()
+        for n in [*range(15, 0, -1), *range(1, 31)]:
+            assert q_power(base, n) == oracle.q_power(base, n), n
 
 
 # -- definition checker ------------------------------------------------------------------

@@ -30,7 +30,7 @@ from sievekit.objects import (
     festoons_by_content,
     festoons_colored,
     festoons_repeated,
-    necklace_periods,
+    necklaces,
     signed_festoons,
     verify_csp,
     verify_lyndon,
@@ -237,6 +237,11 @@ CONTENTS = st.lists(st.integers(0, 4), min_size=1, max_size=4).filter(
 )
 
 
+def smallest_rotation_and_period(seq: tuple) -> tuple[tuple, int]:
+    rotations = [seq[j:] + seq[:j] for j in range(1, len(seq) + 1)]  # the last is seq
+    return min(rotations), rotations.index(seq) + 1
+
+
 @given(CONTENTS)
 def test_necklace_count_is_the_burnside_sum(counts):
     n = sum(counts)
@@ -244,11 +249,15 @@ def test_necklace_count_is_the_burnside_sum(counts):
         totient(d) * multinomial([c // d for c in counts])
         for d in divisors(gcd(*counts))
     ) // n
-    periods = necklace_periods(counts)
-    assert len(periods) == expected
+    found = list(necklaces(counts))
+    assert len(found) == expected
+    periods = [p for _, p in found]
     assert all(n % p == 0 for p in periods)
     # a necklace of period p holds p of the multinomial(counts) sequences
     assert sum(periods) == multinomial(counts)
+    for seq, p in found:
+        assert [seq.count(i) for i in range(len(counts))] == list(counts)
+        assert smallest_rotation_and_period(seq) == (seq, p)
 
 
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=3).filter(
@@ -256,16 +265,14 @@ def test_necklace_count_is_the_burnside_sum(counts):
 ))
 def test_necklace_periods_match_brute_force(counts):
     items = [i for i, c in enumerate(counts) for _ in range(c)]
-    smallest = {
-        min(w[j:] + w[:j] for j in range(len(w)))
-        for w in itertools.permutations(items)
-    }
-    expected = [len({w[j:] + w[:j] for j in range(len(w))}) for w in smallest]
-    assert sorted(necklace_periods(counts)) == sorted(expected)
+    expected = {smallest_rotation_and_period(w) for w in itertools.permutations(items)}
+    found = list(necklaces(counts))
+    assert len(found) == len(expected)
+    assert set(found) == expected
 
 
 def test_empty_content_has_no_necklace():
-    assert necklace_periods([]) == necklace_periods([0, 0]) == []
+    assert list(necklaces([])) == list(necklaces([0, 0])) == []
 
 
 def materialised(inst, window, enumerate_at):

@@ -40,8 +40,8 @@ print("matches the b row:", {t: b.value(t) for t in (1, 2, 3, 6)})
 print("fixed under half-turn:", len(fixed_points(objs, 2)))
 
 fam = CyclicFamily.from_generator(ZPOS, window, lambda n: festoons_colored(c, n))
-print("fixed-point law:", verify_lyndon(fam).ok)
-print("sieving polynomials:", verify_csp(fam, construct_from_c(c)).ok)
+print("fixed-point law:", verify_lyndon(fam.census()).ok)
+print("sieving polynomials:", verify_csp(fam.census(), construct_from_c(c)).ok)
 
 # one-type-per-festoon variant: counts become divisor sums
 b_ones = SequenceSpec(ZPOS, window, "b", tuple((n, 1) for n in range(1, 9)))

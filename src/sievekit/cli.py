@@ -54,6 +54,7 @@ from .semigroup import (
     encode_element,
     require_keys,
     strict_int,
+    window_elements,
     window_from_config,
 )
 from . import tubings as tb
@@ -104,11 +105,28 @@ def _beads(cfg: dict) -> FreeRanked:
 
 
 def _window(cfg: dict, instance) -> Window:
-    """The config's window, refused unless it fits the instance."""
+    """The config's window, refused unless it fits the instance and holds
+    an element of it."""
     with _refused():
         window = window_from_config(cfg["window"])
-        instance.check_window(window)
+        window_elements(instance, window)
     return window
+
+
+def _witness(payload: dict, instance, e: ValueError) -> tuple[dict, int]:
+    """The failed payload naming the element where a division was not exact
+    (``e`` is a NonIntegerWitness or a NonIntegerCoefficient)."""
+    payload["ok"] = False
+    payload["witness"] = {"element": encode_element(instance, e.element), "detail": str(e)}
+    return payload, 2
+
+
+def _verdict(payload: dict, reports: dict, instance) -> tuple[dict, int]:
+    """The payload with each check's report under its name, and ok when
+    every check holds."""
+    payload["checks"] = {name: rep.to_jsonable(instance) for name, rep in reports.items()}
+    payload["ok"] = all(rep.ok for rep in reports.values())
+    return payload, 0 if payload["ok"] else 2
 
 
 # -- seq ---------------------------------------------------------------------------
@@ -128,12 +146,7 @@ def cmd_seq(cfg: dict) -> tuple[dict, int]:
         b = b_from_a(a)
         c = c_from_a(a)
     except NonIntegerWitness as e:
-        payload["ok"] = False
-        payload["witness"] = {
-            "element": encode_element(spec.instance, e.element),
-            "detail": str(e),
-        }
-        return payload, 2
+        return _witness(payload, spec.instance, e)
     elements = spec.instance.elements(spec.window)
     payload["elements"] = [encode_element(spec.instance, s) for s in elements]
     payload["rows"] = {"a": a.row(), "b": b.row(), "c": c.row()}
@@ -209,25 +222,13 @@ def cmd_qgauss(cfg: dict) -> tuple[dict, int]:
             try:
                 family = build(spec)
             except NonIntegerCoefficient as e:
-                payload["ok"] = False
-                payload["witness"] = {
-                    "element": encode_element(spec.instance, e.element),
-                    "detail": str(e),
-                }
-                return payload, 2
+                return _witness(payload, spec.instance, e)
     else:
         _require_keys(cfg, {"checks"}, set(), "qgauss config")
         raise ConfigError("qgauss config: needs construction or closed_form")
     payload["family"] = family.to_jsonable()
-    payload["checks"] = {}
-    ok = True
-    for name, check in runs.items():
-        if name in checks:
-            rep = check(family)
-            payload["checks"][name] = rep.to_jsonable(family.instance)
-            ok = ok and rep.ok
-    payload["ok"] = ok
-    return payload, 0 if ok else 2
+    reports = {name: check(family) for name, check in runs.items() if name in checks}
+    return _verdict(payload, reports, family.instance)
 
 
 # -- csp ---------------------------------------------------------------------------
@@ -304,21 +305,11 @@ def cmd_csp(cfg: dict) -> tuple[dict, int]:
     payload: dict = {"command": "csp", "family": name}
     inst = census.instance
     payload["counts"] = [[encode_element(inst, s), count] for s, count, _ in census.rows]
-    checks = {}
-    ok = True
     if signed:
-        rep = verify_signed_csp(census, poly)
-        checks["signed-csp"] = rep.to_jsonable(inst)
-        ok = rep.ok
+        reports = {"signed-csp": verify_signed_csp(census, poly)}
     else:
-        rep_l = verify_lyndon(census)
-        rep_c = verify_csp(census, poly)
-        checks["lyndon"] = rep_l.to_jsonable(inst)
-        checks["csp"] = rep_c.to_jsonable(inst)
-        ok = rep_l.ok and rep_c.ok
-    payload["checks"] = checks
-    payload["ok"] = ok
-    return payload, 0 if ok else 2
+        reports = {"lyndon": verify_lyndon(census), "csp": verify_csp(census, poly)}
+    return _verdict(payload, reports, inst)
 
 
 # -- bijection ---------------------------------------------------------------------

@@ -31,6 +31,7 @@ from typing import Callable, Iterable, Mapping
 
 from .arith import divisors, mobius
 from .semigroup import (
+    FamilyReport,
     PositiveIntegers,
     Window,
     _SemigroupBase,
@@ -38,6 +39,7 @@ from .semigroup import (
     instance_from_config,
     require_keys,
     strict_int,
+    window_elements,
     window_table,
 )
 
@@ -120,7 +122,7 @@ def sequence_from_config(cfg: dict) -> SequenceSpec:
     instance, window = instance_from_config(cfg["instance"])
     if window is None:
         raise ValueError("sequence config: instance needs a window")
-    instance.check_window(window)
+    elements = window_elements(instance, window)
     role = cfg["role"]  # exactly "a", "b" or "c": SequenceSpec refuses the rest
     pairs = []
     for entry in cfg["support"]:
@@ -133,20 +135,10 @@ def sequence_from_config(cfg: dict) -> SequenceSpec:
     spec = SequenceSpec(instance, window, role, tuple(pairs))
     if role == "a":  # the transforms and constructions read every element
         have = spec.as_dict()
-        for s in instance.elements(window):
+        for s in elements:
             if s not in have:
                 raise ValueError(f"sequence config: role-a support misses {s!r}")
     return spec
-
-
-@dataclass(frozen=True)
-class GaussReport:
-    ok: bool
-    checked: int
-    failures: tuple[tuple[object, int], ...]  # (element, offending residue)
-
-    def witness(self):
-        return self.failures[0][0] if self.failures else None
 
 
 # -- role transforms ---------------------------------------------------------
@@ -164,6 +156,20 @@ def a_from_b(b: SequenceSpec) -> SequenceSpec:
     return SequenceSpec.from_mapping(inst, win, "a", out)
 
 
+def _divisor_sums(a: SequenceSpec, weight: Callable[[int], int]):
+    """(s, rk(s), sum of weight(d)*a_t over unit divisors (t, d) of s) for
+    each window element s, in canonical order."""
+    inst = a.instance
+    ad = a.as_dict()
+    for s in inst.elements(a.window):
+        total = 0
+        for t, d in inst.unit_divisors(s):
+            if t not in ad:
+                raise ValueError(f"role-a spec has no value at {t!r}")
+            total += weight(d) * ad[t]
+        yield s, inst.rank(s), total
+
+
 def b_from_a(a: SequenceSpec) -> SequenceSpec:
     """Invert a_from_b: rk(s)*b_s = sum of mu(d)*a_t over (t, d) with d*t = s.
 
@@ -172,20 +178,12 @@ def b_from_a(a: SequenceSpec) -> SequenceSpec:
     """
     if a.role != "a":
         raise ValueError(f"b_from_a: expected role a, got {a.role!r}")
-    inst, win = a.instance, a.window
-    ad = a.as_dict()
     out = {}
-    for s in inst.elements(win):
-        total = 0
-        for t, d in inst.unit_divisors(s):
-            if t not in ad:
-                raise ValueError(f"b_from_a: role-a spec has no value at {t!r}")
-            total += mobius(d) * ad[t]
-        rk = inst.rank(s)
+    for s, rk, total in _divisor_sums(a, mobius):
         if total % rk:
             raise NonIntegerWitness(s, total, rk, "b")
         out[s] = total // rk
-    return SequenceSpec.from_mapping(inst, win, "b", out)
+    return SequenceSpec.from_mapping(a.instance, a.window, "b", out)
 
 
 def a_from_c(c: SequenceSpec) -> SequenceSpec:
@@ -252,41 +250,31 @@ def c_from_a(a: SequenceSpec) -> SequenceSpec:
 
 def check_gauss(
     a: SequenceSpec, phi: Callable[[int], int] | None = None
-) -> GaussReport:
+) -> FamilyReport:
     """Verify rk(s) | sum of phi(d)*a_t over unit divisors (t, d) of s.
 
     Default weight is the Mobius function.  An alternative weight must
     satisfy phi(1) = +-1 and n | sum of phi(d) over d | n throughout the
     window; the Euler totient qualifies, and any qualifying weight yields
-    a congruence equivalent to the Mobius one.
+    a congruence equivalent to the Mobius one.  A failure at s carries the
+    divisor rk(s) and the residue of the sum.
     """
     if a.role != "a":
         raise ValueError(f"check_gauss: expected role a, got {a.role!r}")
-    inst, win = a.instance, a.window
     if phi is None:
         phi = mobius
     else:
         if phi(1) not in (1, -1):
             raise ValueError("check_gauss: weight must have phi(1) = +-1")
-        for n in range(1, win.max_rank + 1):
+        for n in range(1, a.window.max_rank + 1):
             if sum(phi(d) for d in divisors(n)) % n:
                 raise ValueError(
                     f"check_gauss: weight fails its divisor-sum hypothesis at {n}"
                 )
-    ad = a.as_dict()
-    failures = []
-    checked = 0
-    for s in inst.elements(win):
-        total = 0
-        for t, d in inst.unit_divisors(s):
-            if t not in ad:
-                raise ValueError(f"check_gauss: role-a spec has no value at {t!r}")
-            total += phi(d) * ad[t]
-        rk = inst.rank(s)
-        checked += 1
-        if total % rk:
-            failures.append((s, total % rk))
-    return GaussReport(ok=not failures, checked=checked, failures=tuple(failures))
+    return FamilyReport.collect(
+        (s, rk, f"residue {total % rk}" if total % rk else None)
+        for s, rk, total in _divisor_sums(a, phi)
+    )
 
 
 # -- matrix traces -----------------------------------------------------------
@@ -450,40 +438,35 @@ class NoSolution(ValueError):
 def solve_functional_equation(D: TruncatedSeries, order: int) -> TruncatedSeries:
     """The unique series C with C(x) = x * D(C(x)), known below x^order.
 
-    Solved coefficient by coefficient: the x^n coefficient of x*D(C) only
-    involves C-coefficients below n.
+    By Lagrange inversion n * [x^n] C = [x^(n-1)] D^n, the k = 1 entry of
+    row n of the Riordan array (``riordan_rows``).  With D(0) = 0 the
+    solution is C = 0; otherwise x^n needs D below x^n, so a truncation
+    too short for ``order`` raises NoSolution before any coefficient is
+    read.
     """
     if D.order < 1:
         raise NoSolution("D carries no known constant term")
     c = [Fraction(0)] * order  # c[i] multiplies x^i
-    for n in range(1, order):
-        m = n - 1  # extract [x^m] D(C); C^j cannot reach x^m once j > m
-        total = D.coeff(0) if m == 0 else Fraction(0)
-        cj = [Fraction(0)] * (m + 1)
-        cj[0] = Fraction(1)
-        for j in range(1, m + 1):
-            nxt = [Fraction(0)] * (m + 1)
-            for i, w in enumerate(cj):
-                if w == 0:
-                    continue
-                for e in range(1, m + 1 - i):
-                    if c[e]:
-                        nxt[i + e] += w * c[e]
-            cj = nxt
-            if not any(cj):
-                break
-            if cj[m] == 0:
-                continue
-            if j >= D.order:
-                raise NoSolution(
-                    f"D is truncated at order {D.order}; cannot reach x^{n}"
-                )
-            total += D.coeff(j) * cj[m]
-        c[n] = total
-    for n in range(1, order):
-        if c[n].denominator != 1:
-            raise NonIntegerWitness(n, c[n].numerator, c[n].denominator, "c")
+    if order > 1 and D.coeff(0):
+        if order > D.order + 1:
+            raise NoSolution(
+                f"D is truncated at order {D.order}; cannot reach x^{D.order + 1}"
+            )
+        known = TruncatedSeries(D.coeffs[: order - 1], order - 1)
+        for n, power in _powers(known, order - 1):
+            c[n] = Fraction(power.coeff(n - 1), n)
+            if c[n].denominator != 1:
+                raise NonIntegerWitness(n, c[n].numerator, c[n].denominator, "c")
     return TruncatedSeries(tuple(c), order)
+
+
+def _powers(D: TruncatedSeries, max_n: int):
+    """(n, D^n) for n = 1..max_n, each power the previous one times D."""
+    power = D
+    for n in range(1, max_n + 1):
+        if n > 1:
+            power = power * D
+        yield n, power
 
 
 def riordan_count(D: TruncatedSeries, n: int, k: int) -> int:
@@ -498,13 +481,10 @@ def riordan_rows(D: TruncatedSeries, max_n: int) -> list[list]:
 
     D^n is built once per row, as the previous row's power times D.
     """
-    rows = []
-    power = D
-    for n in range(1, max_n + 1):
-        if n > 1:
-            power = power * D
-        rows.append([n, [_riordan_entry(power, n, k) for k in range(1, n + 1)]])
-    return rows
+    return [
+        [n, [_riordan_entry(power, n, k) for k in range(1, n + 1)]]
+        for n, power in _powers(D, max_n)
+    ]
 
 
 def _riordan_entry(power: TruncatedSeries, n: int, k: int) -> int:

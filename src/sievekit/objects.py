@@ -36,9 +36,10 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .arith import divisors
 from .gaussseq import SequenceSpec, a_from_b, a_from_c
-from .qgauss import FamilyReport, PolyFamily, _require_role, check_divisors, root_total
+from .qgauss import PolyFamily, _require_role, root_total
 from .qpoly import IntPoly, eval_at_primitive_root
-from .semigroup import FreeRanked, PositiveIntegers, Window, _SemigroupBase, window_table
+from .semigroup import (FamilyReport, FreeRanked, PositiveIntegers, Window, _SemigroupBase,
+                        check_divisors, window_table)
 
 OBJECT_KINDS = ("word", "composition", "festoon", "signed-festoon", "tubing")
 
@@ -576,13 +577,8 @@ def orbit_census(objs: Sequence[CyclicObject]) -> dict[int, int]:
     return dict(sorted(census.items()))
 
 
-def _census(family: CyclicFamily | Census) -> Census:
-    return family if isinstance(family, Census) else family.census()
-
-
-def verify_lyndon(family: CyclicFamily | Census) -> FamilyReport:
+def verify_lyndon(census: Census) -> FamilyReport:
     """Check the fixed-point law: C_d-invariants match root-set totals."""
-    census = _census(family)
     inst = census.instance
     counts = census.counts()
 
@@ -600,9 +596,8 @@ def _require_match(census: Census, F: PolyFamily, who: str) -> None:
         raise ValueError(f"{who} needs matching instance and window")
 
 
-def verify_csp(family: CyclicFamily | Census, F: PolyFamily) -> FamilyReport:
+def verify_csp(census: Census, F: PolyFamily) -> FamilyReport:
     """Check cyclic sieving: root-of-unity values count C_d-invariants."""
-    census = _census(family)
     _require_match(census, F, "verify_csp")
 
     def compare(s, entry, d):
@@ -616,9 +611,8 @@ def verify_csp(family: CyclicFamily | Census, F: PolyFamily) -> FamilyReport:
     return check_divisors(census.instance, items, compare)
 
 
-def verify_signed_csp(family: CyclicFamily | Census, F: PolyFamily) -> FamilyReport:
+def verify_signed_csp(census: Census, F: PolyFamily) -> FamilyReport:
     """Signed sieving check at odd ranks: values match signed fixed counts."""
-    census = _census(family)
     _require_match(census, F, "verify_signed_csp")
     inst = census.instance
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import cycle
 from math import gcd
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from .arith import divisors, mobius, ramanujan_sum
 from .gaussseq import SequenceSpec
@@ -38,14 +38,17 @@ from .qpoly import (
     reduce_mod_q_int,
     reduce_mod_qn_minus_1,
 )
-from .semigroup import (
+from .semigroup import (  # FamilyCheckFailure and FamilyReport are re-exported
     Chain,
+    FamilyCheckFailure,
+    FamilyReport,
     FreeRanked,
     Morphism,
     PositiveIntegers,
     Window,
     _SemigroupBase,
     apply_morphism,
+    check_divisors,
     encode_element,
     window_table,
 )
@@ -124,64 +127,6 @@ class PolyFamily:
             {"element": encode_element(self.instance, s), "poly": list(p.coeffs)}
             for s, p in self.polys
         ]
-
-
-# -- reports -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FamilyCheckFailure:
-    element: object
-    divisor: int | None
-    detail: str
-
-
-@dataclass(frozen=True)
-class FamilyReport:
-    """Outcome of a family checker: per-element failures with the bad divisor."""
-
-    ok: bool
-    checked: int
-    failures: tuple[FamilyCheckFailure, ...]
-
-    def witness(self) -> FamilyCheckFailure | None:
-        return self.failures[0] if self.failures else None
-
-    def to_jsonable(self, instance: _SemigroupBase | None = None) -> dict:
-        def enc(s):
-            return encode_element(instance, s) if instance is not None else repr(s)
-
-        return {
-            "ok": self.ok,
-            "checked": self.checked,
-            "failures": [
-                {"element": enc(f.element), "divisor": f.divisor, "detail": f.detail}
-                for f in self.failures
-            ],
-        }
-
-
-def _report(checked: int, failures: list[FamilyCheckFailure]) -> FamilyReport:
-    return FamilyReport(not failures, checked, tuple(failures))
-
-
-def check_divisors(
-    inst: _SemigroupBase, items: Iterable, compare: Callable
-) -> FamilyReport:
-    """The sieve loop behind every root-of-unity check.
-
-    For each (s, x) in items and each d dividing rank(s), compare(s, x, d)
-    returns None when the check holds and a failure detail otherwise.
-    """
-    failures: list[FamilyCheckFailure] = []
-    checked = 0
-    for s, x in items:
-        for d in divisors(inst.rank(s)):
-            checked += 1
-            detail = compare(s, x, d)
-            if detail is not None:
-                failures.append(FamilyCheckFailure(s, d, detail))
-    return _report(checked, failures)
 
 
 def root_total(inst: _SemigroupBase, table: Mapping, s, d: int, weight: Callable) -> int:
@@ -307,20 +252,19 @@ def check_qgauss_definition(F: PolyFamily) -> FamilyReport:
     """
     inst = F.instance
     lookup = F.as_dict()
-    failures: list[FamilyCheckFailure] = []
-    checked = 0
-    for s, _ in F.polys:
-        rk = inst.rank(s)
-        total = ZERO
-        for t, d in inst.unit_divisors(s):
-            mu = mobius(d)
-            if mu:
-                total = total + lookup[t].subst_power(d) * mu
-        rem = reduce_mod_q_int(total, rk)
-        checked += 1
-        if rem:
-            failures.append(FamilyCheckFailure(s, rk, f"remainder {rem}"))
-    return _report(checked, failures)
+
+    def checks():
+        for s, _ in F.polys:
+            rk = inst.rank(s)
+            total = ZERO
+            for t, d in inst.unit_divisors(s):
+                mu = mobius(d)
+                if mu:
+                    total = total + lookup[t].subst_power(d) * mu
+            rem = reduce_mod_q_int(total, rk)
+            yield s, rk, f"remainder {rem}" if rem else None
+
+    return FamilyReport.collect(checks())
 
 
 def check_qgauss_roots(F: PolyFamily) -> FamilyReport:
@@ -347,15 +291,14 @@ def equivalent_mod(F: PolyFamily, G: PolyFamily) -> FamilyReport:
         raise ValueError("equivalent_mod needs families on the same instance/window")
     inst = F.instance
     g = G.as_dict()
-    failures: list[FamilyCheckFailure] = []
-    checked = 0
-    for s, p in F.polys:
-        rk = inst.rank(s)
-        diff = reduce_mod_qn_minus_1(p - g[s], rk)
-        checked += 1
-        if diff:
-            failures.append(FamilyCheckFailure(s, rk, f"difference {diff}"))
-    return _report(checked, failures)
+
+    def checks():
+        for s, p in F.polys:
+            rk = inst.rank(s)
+            diff = reduce_mod_qn_minus_1(p - g[s], rk)
+            yield s, rk, f"difference {diff}" if diff else None
+
+    return FamilyReport.collect(checks())
 
 
 # -- fundamental family on free instances --------------------------------------

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .arith import divisors
 
@@ -101,6 +101,60 @@ def window_table(instance: _SemigroupBase, pairs: Iterable, owner: str) -> dict:
             raise ValueError(f"{owner}: duplicate element {s!r}")
         keyed[s] = (key, v)
     return {s: v for s, (_, v) in sorted(keyed.items(), key=lambda kv: kv[1][0])}
+
+
+@dataclass(frozen=True)
+class FamilyCheckFailure:
+    element: object
+    divisor: int | None
+    detail: str
+
+
+@dataclass(frozen=True)
+class FamilyReport:
+    """Outcome of a checker: how many checks ran, and each failure with its
+    element, the divisor it concerns (None when none does) and a detail."""
+
+    ok: bool
+    checked: int
+    failures: tuple[FamilyCheckFailure, ...]
+
+    @classmethod
+    def collect(cls, checks: Iterable[tuple]) -> "FamilyReport":
+        """The report of (element, divisor, detail) triples, one per check;
+        the detail is None when the check holds."""
+        failures = []
+        checked = 0
+        for s, d, detail in checks:
+            checked += 1
+            if detail is not None:
+                failures.append(FamilyCheckFailure(s, d, detail))
+        return cls(not failures, checked, tuple(failures))
+
+    def witness(self) -> FamilyCheckFailure | None:
+        return self.failures[0] if self.failures else None
+
+    def to_jsonable(self, instance: _SemigroupBase | None = None) -> dict:
+        def enc(s):
+            return encode_element(instance, s) if instance is not None else repr(s)
+
+        return {
+            "ok": self.ok,
+            "checked": self.checked,
+            "failures": [
+                {"element": enc(f.element), "divisor": f.divisor, "detail": f.detail}
+                for f in self.failures
+            ],
+        }
+
+
+def check_divisors(inst: _SemigroupBase, items: Iterable, compare: Callable) -> FamilyReport:
+    """The divisor-indexed report: for each (s, x) in items and each d
+    dividing rank(s), compare(s, x, d) returns None when the check holds
+    and a failure detail otherwise."""
+    return FamilyReport.collect(
+        (s, d, compare(s, x, d)) for s, x in items for d in divisors(inst.rank(s))
+    )
 
 
 class _SemigroupBase:
@@ -519,13 +573,7 @@ def apply_morphism(m: Morphism, s):
     return out
 
 
-@dataclass(frozen=True)
-class MorphismReport:
-    ok: bool
-    failures: tuple[str, ...]
-
-
-def check_morphism(m: Morphism, kind: str, window: Window) -> MorphismReport:
+def check_morphism(m: Morphism, kind: str, window: Window) -> FamilyReport:
     """Verify morphism health on a window.
 
     kind is "rank-dividing" (rank of the image divides the rank) or
@@ -533,29 +581,33 @@ def check_morphism(m: Morphism, kind: str, window: Window) -> MorphismReport:
     maps the root-set bijection condition needed for pullbacks is checked:
     for every s and d | rank(s), the sets s/d and image/d have equal size.
     Additivity needs no check: the image of a coordinate sum under an
-    integer matrix is the sum of the images.
+    integer matrix is the sum of the images.  Per element s, in window
+    order: its image and rank direction (divisor None), then its root sets
+    (divisor d).
     """
     if kind not in ("rank-dividing", "rank-multiplying"):
         raise ValueError(f"check_morphism: unknown kind {kind!r}")
-    failures: list[str] = []
-    images = {}
-    for s in m.source.elements(window):
-        try:
-            images[s] = apply_morphism(m, s)
-        except ValueError as exc:
-            failures.append(f"image of {s}: {exc}")
-    for s, phi_s in images.items():
-        rs, rp = m.source.rank(s), m.target.rank(phi_s)
-        if kind == "rank-dividing" and rs % rp:
-            failures.append(f"rank {rp} of image of {s} does not divide rank {rs}")
-        if kind == "rank-multiplying" and rp % rs:
-            failures.append(f"rank {rs} of {s} does not divide image rank {rp}")
-    if kind == "rank-multiplying":
-        for s, phi_s in images.items():
-            for d in divisors(m.source.rank(s)):
-                if len(m.source.root_set(s, d)) != len(m.target.root_set(phi_s, d)):
-                    failures.append(f"root sets of {s} and its image differ at d={d}")
-    return MorphismReport(ok=not failures, failures=tuple(failures))
+    source, target = m.source, m.target
+
+    def checks():
+        for s in source.elements(window):
+            try:
+                phi_s = apply_morphism(m, s)
+            except ValueError as exc:
+                yield s, None, f"image of {s}: {exc}"
+                continue
+            rs, rp = source.rank(s), target.rank(phi_s)
+            if kind == "rank-dividing":
+                detail = f"rank {rp} of image of {s} does not divide rank {rs}"
+                yield s, None, detail if rs % rp else None
+                continue
+            detail = f"rank {rs} of {s} does not divide image rank {rp}"
+            yield s, None, detail if rp % rs else None
+            for d in divisors(rs):
+                same = len(source.root_set(s, d)) == len(target.root_set(phi_s, d))
+                yield s, d, None if same else f"root sets of {s} and its image differ at d={d}"
+
+    return FamilyReport.collect(checks())
 
 
 # -- JSON plumbing -----------------------------------------------------------
@@ -590,6 +642,17 @@ def decode_element(instance: _SemigroupBase, obj):
 def window_from_config(cfg: dict) -> Window:
     require_keys(cfg, {"max_rank", "extra_bounds", "max_total"}, {"max_rank"}, "window config")
     return Window(cfg["max_rank"], cfg.get("extra_bounds", ()), cfg.get("max_total"))
+
+
+def window_elements(instance: _SemigroupBase, window: Window) -> list:
+    """The elements of a configured window.  Refuses a window that the
+    instance cannot enumerate (``check_window``) and one that holds no
+    element, over which every check would pass on nothing."""
+    instance.check_window(window)
+    elements = instance.elements(window)
+    if not elements:
+        raise ValueError("window config: no element of the instance lies in the window")
+    return elements
 
 
 # The keys each kind of instance config takes besides "kind" and "window".

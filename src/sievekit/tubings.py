@@ -516,27 +516,21 @@ def marked_to_cycle_mask(n: int, path: str, j: int) -> int:
     )
 
 
-def cycle_tubing_to_marked(n: int, tubing: Iterable[Tube], basepoint: int = 0) -> tuple[str, int]:
-    """Unroll an improper cycle tubing to a marked nonnegative path (p, j),
-    with the basepoint in the role of vertex 0."""
+def cycle_tubing_to_marked(n: int, tubing: Iterable[Tube]) -> tuple[str, int]:
+    """Unroll an improper cycle tubing to a marked nonnegative path (p, j)."""
     tubing = set(tubing)
     if not is_tubing(n, tubing, "cycle"):
         raise ValueError("not a valid cycle tubing")
-    if basepoint % n:
-        tubing = {((s - basepoint) % n, length) for s, length in tubing}
     return cycle_mask_to_marked(n, _graph(n, "cycle").bits(tubing))
 
 
-def marked_to_cycle_tubing(n: int, path: str, j: int, basepoint: int = 0) -> Tubing:
-    """Roll a marked path (p, j) up to a cycle tubing, the mark landing on
-    the basepoint."""
+def marked_to_cycle_tubing(n: int, path: str, j: int) -> Tubing:
+    """Roll a marked path (p, j) up to a cycle tubing."""
     if not _marked_ok(path, j):
         raise ValueError(f"({path!r}, {j}) is not a marked path")
     if path_length(path) != 2 * n:
         raise ValueError(f"need length {2 * n}, got {path_length(path)}")
     tubing = _graph(n, "cycle").tubing(marked_to_cycle_mask(n, path, j))
-    if basepoint % n:
-        tubing = frozenset(((s + basepoint) % n, length) for s, length in tubing)
     if not is_tubing(n, tubing, "cycle"):
         raise ValueError(f"({path!r}, {j}) does not roll up to a cycle tubing")
     return tubing
@@ -595,16 +589,16 @@ def delannoy_to_cycle_mask(n: int, path: str) -> int:
     return marked_to_cycle_mask(n, *delannoy_to_marked(path))
 
 
-def cycle_tubing_to_delannoy(n: int, tubing: Iterable[Tube], basepoint: int = 0) -> str:
-    p, j = cycle_tubing_to_marked(n, tubing, basepoint)
+def cycle_tubing_to_delannoy(n: int, tubing: Iterable[Tube]) -> str:
+    p, j = cycle_tubing_to_marked(n, tubing)
     return marked_to_delannoy(p, j)
 
 
-def delannoy_to_cycle_tubing(n: int, path: str, basepoint: int = 0) -> Tubing:
+def delannoy_to_cycle_tubing(n: int, path: str) -> Tubing:
     if not is_path(path, 2 * (n - 1), "delannoy"):
         raise ValueError(f"{path!r} is not a Delannoy path of length {2 * (n - 1)}")
     p, j = delannoy_to_marked(path)
-    return marked_to_cycle_tubing(n, p, j, basepoint)
+    return marked_to_cycle_tubing(n, p, j)
 
 
 # -- the cyclic census of improper cycle tubings -----------------------------------

@@ -1,6 +1,6 @@
 """Verifier-loop oracles for the differential tests.
 
-These are the definitions that ``qgauss.check_divisors``, its root-total
+These are the definitions that ``semigroup.check_divisors``, its root-total
 helper and ``qpoly.eval_at_primitive_root`` replaced: a residue class of
 Z[q] modulo a cyclotomic polynomial, and one hand-written ``(s, d | rank
 s)`` loop per checker.  They borrow from the library only what that

@@ -387,6 +387,41 @@ class TestTubingGuards:
         assert str(estimate) in res.stderr
 
 
+# A chain with a "pos" extra bounded by (-3, 0) has no element: every extra
+# must be at least 1.
+EMPTY_POS_CHAIN = {"kind": "chain", "extra": "pos",
+                   "window": {"max_rank": 3, "extra_bounds": [-3, 0]}}
+
+
+class TestEmptyWindows:
+    """A window with no element would run every check on nothing and
+    report ok; each config entry point refuses it."""
+
+    def refused(self, tmp_path, command, cfg):
+        res = run_cli(tmp_path, command, cfg)
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr.startswith("config error:")
+        assert "no element of the instance lies in the window" in res.stderr
+
+    def test_seq_on_an_empty_chain_window(self, tmp_path):
+        seq = {"instance": EMPTY_POS_CHAIN, "role": "a", "support": []}
+        self.refused(tmp_path, "seq", {"sequence": seq})
+
+    def test_q_binomial_below_its_extra_floor(self, tmp_path):
+        window = {"max_rank": 3, "extra_bounds": [[-5, -1]]}
+        cfg = {"closed_form": {"name": "q-binomial", "window": window}}
+        self.refused(tmp_path, "qgauss", cfg)
+
+    def test_colored_festoons_on_an_empty_chain_window(self, tmp_path):
+        c = {"instance": EMPTY_POS_CHAIN, "role": "c", "support": []}
+        self.refused(tmp_path, "csp", {"family": "festoons-colored", "c": c})
+
+    def test_fund_over_a_rank_zero_bead(self, tmp_path):
+        cfg = {"construction": "fund", "beads": [["a", 0]],
+               "window": {"max_rank": 3, "max_total": 3}}
+        self.refused(tmp_path, "qgauss", cfg)
+
+
 class TestRiordan:
     def test_catalan_table(self, tmp_path):
         cfg = {"series": {"numer": [1], "denom": [1, -1]}, "max_n": 6}

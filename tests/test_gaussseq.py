@@ -24,7 +24,7 @@ from sievekit.gaussseq import (
     sequence_from_config,
     solve_functional_equation,
 )
-from sievekit.semigroup import Chain, PositiveIntegers, Window
+from sievekit.semigroup import Chain, FamilyCheckFailure, PositiveIntegers, Window
 
 from helpers import (
     lucas_numbers,
@@ -129,8 +129,8 @@ class TestCheckGauss:
         a = zpos_spec("a", {n: n for n in range(1, 7)}, 6)
         rep = check_gauss(a)
         assert not rep.ok
-        assert rep.witness() == 2
-        assert rep.failures[0] == (2, 1)  # residue 1 mod 2
+        assert rep.witness().element == 2
+        assert rep.failures[0] == FamilyCheckFailure(2, 2, "residue 1")  # 1 mod rank 2
 
     def test_totient_weight_agrees(self):
         for name, a in sequence_corpus(10):
@@ -150,6 +150,31 @@ class TestCheckGauss:
     def test_matrix_traces_always_pass(self, rows):
         a = a_from_matrix_trace(rows, Window(10))
         assert check_gauss(a).ok
+
+    @given(st.data())
+    def test_check_passes_exactly_when_b_from_a_divides(self, data):
+        """check_gauss and b_from_a read the same Mobius sums: the check
+        holds iff the division is exact, and its first failure is the
+        witness element."""
+        if data.draw(st.booleans(), label="chain"):
+            top = data.draw(st.integers(0, 3), label="extra bound")
+            inst, win = Chain(ZPOS, "nonneg"), Window(5, ((0, top),))
+        else:
+            inst, win = ZPOS, Window(data.draw(st.integers(1, 10), label="max_rank"))
+        elems = inst.elements(win)
+        b = {s: data.draw(st.integers(-3, 3)) for s in elems}
+        a = dict(a_from_b(SequenceSpec.from_mapping(inst, win, "b", b)).as_dict())
+        for s in data.draw(st.lists(st.sampled_from(elems), max_size=2), label="corrupted"):
+            a[s] += data.draw(st.integers(-3, 3))
+        a = SequenceSpec.from_mapping(inst, win, "a", a)
+        rep = check_gauss(a)
+        assert rep.checked == len(elems)
+        try:
+            b_from_a(a)
+        except NonIntegerWitness as e:
+            assert not rep.ok and rep.witness().element == e.element
+        else:
+            assert rep.ok
 
     def test_sigma_values(self):
         a = next(a for name, a in sequence_corpus(10) if name == "sigma")

@@ -109,8 +109,8 @@ class TestWords:
         fam = CyclicFamily.from_generator(
             letters, window, lambda alpha: words_with_content(zip("ab", alpha))
         )
-        assert verify_lyndon(fam).ok
-        assert verify_csp(fam, fund_family(letters, window)).ok
+        assert verify_lyndon(fam.census()).ok
+        assert verify_csp(fam.census(), fund_family(letters, window)).ok
 
 
 class TestCompositions:
@@ -175,8 +175,8 @@ class TestFestoonsByContent:
         fam = CyclicFamily.from_generator(
             beads, window, lambda alpha: festoons_by_content(beads, alpha)
         )
-        assert verify_lyndon(fam).ok
-        assert verify_csp(fam, fund_family(beads, window)).ok
+        assert verify_lyndon(fam.census()).ok
+        assert verify_csp(fam.census(), fund_family(beads, window)).ok
 
     def test_zero_length_beads_rejected(self):
         with pytest.raises(ValueError):
@@ -215,8 +215,8 @@ class TestFestoonsColored:
         counts = [len(festoons_colored(c, n)) for n in range(1, 9)]
         assert counts == [2**n + 2 * (-1) ** n for n in range(1, 9)]
         fam = CyclicFamily.from_generator(ZPOS, window, lambda n: festoons_colored(c, n))
-        assert verify_lyndon(fam).ok
-        assert verify_csp(fam, construct_from_c(c)).ok
+        assert verify_lyndon(fam.census()).ok
+        assert verify_csp(fam.census(), construct_from_c(c)).ok
 
     def test_negative_weight_rejected(self):
         c = zpos_spec("c", {1: -1}, 3)
@@ -239,8 +239,8 @@ class TestFestoonsRepeated:
         fam = CyclicFamily.from_generator(
             ZPOS, Window(8), lambda n: festoons_repeated(b, n)
         )
-        assert verify_lyndon(fam).ok
-        assert verify_csp(fam, construct_from_b(b)).ok
+        assert verify_lyndon(fam.census()).ok
+        assert verify_csp(fam.census(), construct_from_b(b)).ok
 
 
 class TestSignedFestoons:
@@ -268,7 +268,7 @@ class TestSignedFestoons:
             ZPOS, window,
             lambda n: [o for part in signed_festoons(c, n) for o in part],
         )
-        assert verify_signed_csp(fam, construct_from_c(c)).ok
+        assert verify_signed_csp(fam.census(), construct_from_c(c)).ok
 
 
 class TestBarrierFestoons:
@@ -298,7 +298,7 @@ class TestBarrierFestoons:
             ZPOS, window, lambda n: barrier_festoons(n, allow_bare=True)
         )
         zero = PolyFamily.from_function(ZPOS, window, lambda n: ZERO)
-        assert verify_signed_csp(fam, zero).ok
+        assert verify_signed_csp(fam.census(), zero).ok
 
     def test_guards(self):
         with pytest.raises(ValueError):
@@ -332,8 +332,8 @@ class TestBeadCountRefinement:
             return qb0(n, (n - k) // 2) if (n - k) % 2 == 0 else ZERO
 
         F = PolyFamily.from_function(c.instance, window, poly)
-        assert verify_lyndon(fam).ok
-        assert verify_csp(fam, F).ok
+        assert verify_lyndon(fam.census()).ok
+        assert verify_csp(fam.census(), F).ok
 
 
 class TestFamilyValidation:
@@ -369,7 +369,7 @@ class TestFamilyValidation:
         shifted = PolyFamily.from_function(
             ZPOS, Window(4), lambda n: construct_from_c(c).value(n) + q_binomial(1, 0)
         )
-        rep = verify_csp(fam, shifted)
+        rep = verify_csp(fam.census(), shifted)
         assert not rep.ok
         assert rep.failures[0].element == 1
 
@@ -379,7 +379,7 @@ class TestFamilyValidation:
             ZPOS, Window(3), lambda n: festoons_colored(c, n)
         )
         with pytest.raises(ValueError):
-            verify_csp(fam, construct_from_c(zpos_spec("c", {1: 1}, 4)))
+            verify_csp(fam.census(), construct_from_c(zpos_spec("c", {1: 1}, 4)))
 
     def test_comparisons_do_not_depend_on_the_hash_seed(self):
         def comparisons(seed: str) -> int:

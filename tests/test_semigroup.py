@@ -251,7 +251,7 @@ class TestMorphisms:
         # (0,1)/2 is empty in the source while 2/2 = {1} downstairs
         rep = check_morphism(m, "rank-multiplying", Window(6, max_total=6))
         assert not rep.ok
-        assert any("root sets" in f for f in rep.failures)
+        assert any("root sets" in f.detail for f in rep.failures)
 
     def test_linear_projection(self):
         # forget the extra coordinate
@@ -284,7 +284,7 @@ class TestMorphisms:
         assert check_morphism(doubler, "rank-multiplying", Window(6)).ok
         rep = check_morphism(doubler, "rank-dividing", Window(6))
         assert not rep.ok
-        assert any("does not divide" in f for f in rep.failures)
+        assert any("does not divide" in f.detail for f in rep.failures)
 
     def test_matrix_must_be_rectangular(self):
         with pytest.raises(ValueError, match="needs a matrix"):

@@ -21,9 +21,9 @@ from sievekit.qpoly import ONE, ZERO, q_binomial, q_power
 from sievekit.semigroup import (
     Chain,
     FreeRanked,
+    Morphism,
     PositiveIntegers,
     Window,
-    linear_morphism,
 )
 from sievekit.tubings import free_vertex_polynomial, tube_count_polynomial
 
@@ -42,7 +42,7 @@ def qb0(n, k):
 # (length, count of the second letter), lands on the q-binomial grid
 letters = FreeRanked((("a", 1), ("b", 1)))
 F = fund_family(letters, Window(2 * N))
-phi = linear_morphism(letters, Chain(ZPOS, "nonneg"), ((1, 1), (0, 1)))
+phi = Morphism(letters, Chain(ZPOS, "nonneg"), ((1, 1), (0, 1)))
 G = pushforward(F, phi, Window(2 * N, ((0, 2 * N),)))
 ok = check_qgauss_definition(G).ok and check_qgauss_roots(G).ok
 print("pushforward of the word family passes:", ok)
@@ -66,9 +66,9 @@ G = PolyFamily.from_function(
 print("\nthree-parameter source passes:", check_qgauss_roots(G).ok)
 
 # substitute (n, k) -> (n, n-k, n-k), then sum out the third coordinate
-sub = linear_morphism(INTS2, INTS2, ((1, 0, 0), (1, -1, -1), (0, 0, 1)))
+sub = Morphism(INTS2, INTS2, ((1, 0, 0), (1, -1, -1), (0, 0, 1)))
 pulled = pullback(G, sub, Window(N, ((-1, N + 1), (-1, N + 1))))
-proj = linear_morphism(INTS2, Chain(ZPOS, "ints"), ((1, 0, 0), (0, 1, 0)))
+proj = Morphism(INTS2, Chain(ZPOS, "ints"), ((1, 0, 0), (0, 1, 0)))
 X = pushforward(pulled, proj, Window(N, ((-1, N + 1),)))
 
 agree = all(
@@ -91,7 +91,7 @@ report = check_qgauss_roots(H)
 print("\nraw tube-count source passes:", report.ok, "witness:", report.witness())
 
 # but its restriction to the surface m = n - k is
-diag = linear_morphism(Chain(ZPOS, "ints"), grid, ((1, 0), (0, 1), (1, -1)))
+diag = Morphism(Chain(ZPOS, "ints"), grid, ((1, 0), (0, 1), (1, -1)))
 Y = pullback(H, diag, Window(N, ((-1, N + 1),)))
 print("restriction passes:", check_qgauss_roots(Y).ok)
 match = all(

@@ -451,7 +451,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, RecursionError) as e:  # unreadable, not JSON, too deep
         print(f"config error: {e}", file=sys.stderr)
         return 1
 

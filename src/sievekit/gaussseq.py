@@ -115,6 +115,11 @@ class SequenceSpec:
         return [self.value(s) for s in self.instance.elements(self.window)]
 
 
+def _require_role(seq: SequenceSpec, role: str) -> None:
+    if seq.role != role:
+        raise ValueError(f"expected a role-{role} sequence, got role-{seq.role}")
+
+
 def sequence_from_config(cfg: dict) -> SequenceSpec:
     """Decode {"instance": {...}, "role": "c", "support": [[elem, value], ...]}."""
     keys = {"instance", "role", "support"}
@@ -146,8 +151,7 @@ def sequence_from_config(cfg: dict) -> SequenceSpec:
 
 def a_from_b(b: SequenceSpec) -> SequenceSpec:
     """a_s = sum of rk(t)*b_t over unit divisors (t, d) of s."""
-    if b.role != "b":
-        raise ValueError(f"a_from_b: expected role b, got {b.role!r}")
+    _require_role(b, "b")
     inst, win = b.instance, b.window
     bd = b.as_dict()
     out = {}
@@ -176,8 +180,7 @@ def b_from_a(a: SequenceSpec) -> SequenceSpec:
     Raises NonIntegerWitness at the first element where the division is not
     exact, which certifies that ``a`` breaks the sieve congruence there.
     """
-    if a.role != "a":
-        raise ValueError(f"b_from_a: expected role a, got {a.role!r}")
+    _require_role(a, "a")
     out = {}
     for s, rk, total in _divisor_sums(a, mobius):
         if total % rk:
@@ -193,8 +196,7 @@ def a_from_c(c: SequenceSpec) -> SequenceSpec:
     values are intermediate); it terminates because every support element
     has rank >= 1.
     """
-    if c.role != "c":
-        raise ValueError(f"a_from_c: expected role c, got {c.role!r}")
+    _require_role(c, "c")
     inst, win = c.instance, c.window
     cd = {s: v for s, v in c.values if v}
     memo: dict = {}
@@ -204,7 +206,8 @@ def a_from_c(c: SequenceSpec) -> SequenceSpec:
             return memo[s]
         total = inst.rank(s) * cd.get(s, 0)
         for t, ct in cd.items():
-            for u in inst.difference_set(s, t):
+            u = inst.subtract(s, t)
+            if u is not None:
                 total += ct * rec(u)
         memo[s] = total
         return total
@@ -221,8 +224,7 @@ def c_from_a(a: SequenceSpec) -> SequenceSpec:
     lies inside the window; needs "a" values at every difference s-t that
     exists, so the role-"a" spec must cover those elements.
     """
-    if a.role != "a":
-        raise ValueError(f"c_from_a: expected role a, got {a.role!r}")
+    _require_role(a, "a")
     inst, win = a.instance, a.window
     ad = a.as_dict()
     elems = inst.elements(win)
@@ -232,15 +234,15 @@ def c_from_a(a: SequenceSpec) -> SequenceSpec:
             raise ValueError(f"c_from_a: role-a spec has no value at {s!r}")
         total = ad[s]
         for t, ct in cs.items():
-            if not ct:
+            u = inst.subtract(s, t) if ct else None
+            if u is None:
                 continue
-            for u in inst.difference_set(s, t):
-                if u not in ad:
-                    raise ValueError(
-                        f"c_from_a: need a value at {u!r} (= {s!r} - {t!r}); "
-                        "widen the role-a spec"
-                    )
-                total -= ct * ad[u]
+            if u not in ad:
+                raise ValueError(
+                    f"c_from_a: need a value at {u!r} (= {s!r} - {t!r}); "
+                    "widen the role-a spec"
+                )
+            total -= ct * ad[u]
         rk = inst.rank(s)
         if total % rk:
             raise NonIntegerWitness(s, total, rk, "c")
@@ -259,8 +261,7 @@ def check_gauss(
     a congruence equivalent to the Mobius one.  A failure at s carries the
     divisor rk(s) and the residue of the sum.
     """
-    if a.role != "a":
-        raise ValueError(f"check_gauss: expected role a, got {a.role!r}")
+    _require_role(a, "a")
     if phi is None:
         phi = mobius
     else:

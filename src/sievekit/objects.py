@@ -35,16 +35,13 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .arith import divisors
-from .gaussseq import SequenceSpec, a_from_b, a_from_c
-from .qgauss import PolyFamily, _require_role, root_total
+from .gaussseq import SequenceSpec, _require_role, a_from_b, a_from_c
+from .qgauss import PolyFamily, root_total
 from .qpoly import IntPoly, eval_at_primitive_root
-from .semigroup import (FamilyReport, FreeRanked, PositiveIntegers, Window, _SemigroupBase,
-                        check_divisors, window_table)
+from .semigroup import (MAX_OBJECTS, FamilyReport, FreeRanked, PositiveIntegers, Window,
+                        _SemigroupBase, check_divisors, window_table)
 
 OBJECT_KINDS = ("word", "composition", "festoon", "signed-festoon", "tubing")
-
-# csp and bijection jobs predicting more objects than this are refused
-MAX_OBJECTS = 400_000
 
 
 class CyclicObject(tuple):

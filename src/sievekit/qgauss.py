@@ -25,7 +25,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping
 
 from .arith import divisors, mobius, ramanujan_sum
-from .gaussseq import SequenceSpec
+from .gaussseq import SequenceSpec, _require_role
 from .qpoly import (
     IntPoly,
     ZERO,
@@ -130,21 +130,16 @@ class PolyFamily:
 
 
 def root_total(inst: _SemigroupBase, table: Mapping, s, d: int, weight: Callable) -> int:
-    """Sum of weight(table[t]) over the d-th roots t of s."""
-    total = 0
-    for t in inst.root_set(s, d):
-        if t not in table:
-            raise ValueError(f"family window does not cover the root {t!r} of {s!r}")
-        total += weight(table[t])
-    return total
+    """weight(table[t]) at the d-th root t of s, or 0 when s has none."""
+    t = inst.nth_root(s, d)
+    if t is None:
+        return 0
+    if t not in table:
+        raise ValueError(f"family window does not cover the root {t!r} of {s!r}")
+    return weight(table[t])
 
 
 # -- the three constructions --------------------------------------------------
-
-
-def _require_role(seq: SequenceSpec, role: str) -> None:
-    if seq.role != role:
-        raise ValueError(f"expected a role-{role} sequence, got role-{seq.role}")
 
 
 def construct_ramanujan(a: SequenceSpec) -> PolyFamily:

@@ -10,30 +10,37 @@ Three instance kinds cover everything downstream:
   with declared integer lengths; an element is a tuple of multiplicities,
   its rank the length-weighted sum, which must be >= 1.
 
+Each is data: a lower bound per coordinate (``floors``) and the rank as a
+linear ``row`` of the coordinates, checked in ``_SemigroupBase`` alone.
 Elements are raw payloads (int or tuple), not wrapper objects; instances are
 frozen dataclasses and all operations are pure.  Division is by repetition:
 t divides s when s = d*t for a positive integer d, so d | rank(s).  All
-instances are cancellative and torsion free, hence every root set s/d and
-difference set s - t has at most one element.
+instances are cancellative and torsion free, so the root s/d (``nth_root``)
+and the difference s - t (``subtract``) are each one element or None.
 
 Infinite instances are always consumed through a finite ``Window`` (rank cap,
 per-extra coordinate bounds, bead-count cap), which makes every enumeration
-terminating and deterministic.
+terminating and deterministic; a window of more than ``MAX_OBJECTS``
+elements is refused.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import prod
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .arith import divisors
 
-Element = "int | tuple[int, ...]"
-
 EXTRA_KINDS = ("ints", "nonneg", "pos")
 
 _EXTRA_MIN = {"ints": None, "nonneg": 0, "pos": 1}
+
+# the most elements a window may hold, and the most objects a csp or
+# bijection job may predict, before it is refused
+MAX_OBJECTS = 400_000
 
 
 def strict_int(value, what: str) -> int:
@@ -158,46 +165,42 @@ def check_divisors(inst: _SemigroupBase, items: Iterable, compare: Callable) -> 
 
 
 class _SemigroupBase:
-    """Shared division structure; subclasses supply coords/packing."""
+    """A set of integer coordinate tuples under coordinatewise addition:
+    coordinate i is at least ``floors[i]`` (None: unbounded) and the rank,
+    the dot product with ``row``, is at least 1."""
 
-    # -- subclass protocol -------------------------------------------------
+    floors: tuple[int | None, ...]
+    row: tuple[int, ...]
 
     def coords(self, s) -> tuple[int, ...]:
-        raise NotImplementedError
+        return tuple(s)
 
     def _build(self, cs: tuple[int, ...]):
         """Pack a coordinate tuple into an element, or None if invalid."""
-        raise NotImplementedError
+        if any(lo is not None and c < lo for c, lo in zip(cs, self.floors)):
+            return None
+        return tuple(cs) if sum(map(mul, cs, self.row)) >= 1 else None
 
     def validate(self, s) -> None:
-        raise NotImplementedError
+        if (
+            not isinstance(s, tuple)
+            or len(s) != len(self.row)
+            or not all(isinstance(c, int) and not isinstance(c, bool) for c in s)
+            or self._build(s) is None
+        ):
+            raise ValueError(f"{self.describe()}: invalid element {s!r}")
 
     def rank(self, s) -> int:
-        raise NotImplementedError
+        self.validate(s)
+        return sum(map(mul, s, self.row))
 
-    # -- generic operations ------------------------------------------------
+    def _remainder_ok(self, remaining: tuple[int, ...]) -> bool:
+        """Whether a remainder may still be a sum of parts."""
+        return all(c >= 0 for c, lo in zip(remaining, self.floors) if lo is not None)
 
     def sort_key(self, s) -> tuple[int, ...]:
         """Canonical order: by rank, then coordinates."""
         return (self.rank(s), *self.coords(s))
-
-    def add(self, s, t):
-        self.validate(s)
-        self.validate(t)
-        out = self._build(tuple(a + b for a, b in zip(self.coords(s), self.coords(t))))
-        if out is None:
-            raise ValueError(f"add: {s} + {t} leaves the instance")
-        return out
-
-    def scale(self, d: int, s):
-        """The d-fold sum s + s + ... + s."""
-        if d < 1:
-            raise ValueError(f"scale: need d >= 1, got {d}")
-        self.validate(s)
-        out = self._build(tuple(d * a for a in self.coords(s)))
-        if out is None:
-            raise ValueError(f"scale: {d}*{s} leaves the instance")
-        return out
 
     def nth_root(self, s, d: int):
         """The unique t with d*t = s, or None."""
@@ -209,11 +212,6 @@ class _SemigroupBase:
             return None
         return self._build(tuple(c // d for c in cs))
 
-    def root_set(self, s, d: int) -> list:
-        """The set s/d = {t | d*t = s}; zero or one element here."""
-        r = self.nth_root(s, d)
-        return [] if r is None else [r]
-
     def unit_divisors(self, s) -> list[tuple[object, int]]:
         """All pairs (t, d) with d*t = s, ascending in d; (s, 1) included."""
         out = []
@@ -223,12 +221,11 @@ class _SemigroupBase:
                 out.append((r, d))
         return out
 
-    def difference_set(self, s, t) -> list:
-        """The set s - t = {u | u + t = s}; zero or one element here."""
+    def subtract(self, s, t):
+        """The unique u with u + t = s, or None."""
         self.validate(s)
         self.validate(t)
-        u = self._build(tuple(a - b for a, b in zip(self.coords(s), self.coords(t))))
-        return [] if u is None else [u]
+        return self._build(tuple(a - b for a, b in zip(self.coords(s), self.coords(t))))
 
     def decompositions(self, s, support: Sequence) -> list[tuple]:
         """Every multiset {s_1, ..., s_k} (k >= 1) of parts from ``support``
@@ -272,11 +269,9 @@ class _SemigroupBase:
                 acc.pop()
         return out
 
-    def _remainder_ok(self, remaining: tuple[int, ...]) -> bool:
-        raise NotImplementedError
-
     def elements(self, window: Window) -> list:
-        """Window contents in canonical (rank, coordinates) order."""
+        """Window contents in canonical (rank, coordinates) order; a window
+        of more than MAX_OBJECTS elements is refused."""
         raise NotImplementedError
 
     def check_window(self, window: Window) -> None:
@@ -285,9 +280,18 @@ class _SemigroupBase:
         divisor-sum checks read.  Every window of positive integers fits."""
 
 
+def _refuse_over_cap(count: int) -> None:
+    if count > MAX_OBJECTS:
+        raise ValueError(f"window holds {count} elements, above the cap of {MAX_OBJECTS}")
+
+
 @dataclass(frozen=True)
 class PositiveIntegers(_SemigroupBase):
-    """Positive integers under addition; rank(n) = n."""
+    """Positive integers under addition; rank(n) = n.  Elements are bare
+    ints, with element checks of their own for speed."""
+
+    floors = (1,)
+    row = (1,)
 
     def coords(self, s) -> tuple[int, ...]:
         return (s,)
@@ -307,6 +311,7 @@ class PositiveIntegers(_SemigroupBase):
         return remaining[0] >= 0
 
     def elements(self, window: Window) -> list:
+        _refuse_over_cap(window.max_rank)
         return list(range(1, window.max_rank + 1))
 
 
@@ -315,17 +320,22 @@ class Chain(_SemigroupBase):
     """A base instance with one more integer coordinate; rank from the base.
 
     Elements are flat tuples: chaining ((n,) base, extra) twice gives
-    (n, x, y).  The extra kind is one of "ints", "nonneg", "pos".
+    (n, x, y).  The extra kind is one of "ints" (unbounded), "nonneg" and
+    "pos" (floors 0 and 1); its entry in the rank row is 0.
     """
 
     base: _SemigroupBase
     extra: str
+    floors: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
+    row: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.extra not in EXTRA_KINDS:
             raise ValueError(f"Chain: unknown extra kind {self.extra!r}")
         if not isinstance(self.base, (PositiveIntegers, Chain)):
             raise ValueError("Chain: base must be PositiveIntegers or Chain")
+        object.__setattr__(self, "floors", self.base.floors + (_EXTRA_MIN[self.extra],))
+        object.__setattr__(self, "row", self.base.row + (0,))
 
     @property
     def extras(self) -> tuple[str, ...]:
@@ -334,70 +344,27 @@ class Chain(_SemigroupBase):
 
     @property
     def arity(self) -> int:
-        return 1 + len(self.extras)
-
-    def coords(self, s) -> tuple[int, ...]:
-        return tuple(s)
-
-    def _build(self, cs):
-        if cs[0] < 1:
-            return None
-        for kind, value in zip(self.extras, cs[1:]):
-            lo = _EXTRA_MIN[kind]
-            if lo is not None and value < lo:
-                return None
-        return tuple(cs)
-
-    def validate(self, s) -> None:
-        if (
-            not isinstance(s, tuple)
-            or len(s) != self.arity
-            or not all(isinstance(c, int) and not isinstance(c, bool) for c in s)
-            or self._build(s) is None
-        ):
-            raise ValueError(f"{self.describe()}: invalid element {s!r}")
-
-    def rank(self, s) -> int:
-        self.validate(s)
-        return s[0]
+        return len(self.row)
 
     def describe(self) -> str:
         return "Chain[" + ",".join(self.extras) + "]"
 
-    def _remainder_ok(self, remaining) -> bool:
-        if remaining[0] < 0:
-            return False
-        for kind, value in zip(self.extras, remaining[1:]):
-            if kind != "ints" and value < 0:
-                return False
-        return True
-
     def resolve_bounds(self, window: Window) -> tuple[tuple[int, int], ...]:
         """Per-extra (lo, hi) enumeration bounds implied by the window."""
-        extras = self.extras
+        floors = self.floors[1:]
         eb = window.extra_bounds
         if not eb:
-            pairs = []
-            for kind in extras:
-                if kind == "ints":
-                    raise ValueError(
-                        "window needs explicit extra_bounds for an ints extra"
-                    )
-                pairs.append((_EXTRA_MIN[kind], window.max_rank))
-            return tuple(pairs)
+            if None in floors:
+                raise ValueError("window needs explicit extra_bounds for an ints extra")
+            return tuple((floor, window.max_rank) for floor in floors)
         if len(eb) == 1:
-            eb = eb * len(extras)
-        if len(eb) != len(extras):
-            raise ValueError(
-                f"window has {len(eb)} extra bounds for {len(extras)} extras"
-            )
-        out = []
-        for kind, (lo, hi) in zip(extras, eb):
-            floor = _EXTRA_MIN[kind]
-            if floor is not None:
-                lo = max(lo, floor)
-            out.append((lo, hi))
-        return tuple(out)
+            eb = eb * len(floors)
+        if len(eb) != len(floors):
+            raise ValueError(f"window has {len(eb)} extra bounds for {len(floors)} extras")
+        return tuple(
+            (lo if floor is None else max(lo, floor), hi)
+            for floor, (lo, hi) in zip(floors, eb)
+        )
 
     def check_window(self, window: Window) -> None:
         bounds = self.resolve_bounds(window)
@@ -412,6 +379,7 @@ class Chain(_SemigroupBase):
 
     def elements(self, window: Window) -> list:
         bounds = self.resolve_bounds(window)
+        _refuse_over_cap(window.max_rank * prod(max(0, hi - lo + 1) for lo, hi in bounds))
         ranges = [range(1, window.max_rank + 1)]
         ranges.extend(range(lo, hi + 1) for lo, hi in bounds)
         return sorted(itertools.product(*ranges), key=self.sort_key)
@@ -421,13 +389,15 @@ class Chain(_SemigroupBase):
 class FreeRanked(_SemigroupBase):
     """Free commutative semigroup on labelled beads with integer lengths.
 
-    An element is a tuple of bead multiplicities (aligned with ``beads``)
-    with at least one bead; its rank is the length-weighted sum and must be
-    >= 1 even though individual bead lengths may be zero or negative.
+    An element is a tuple of bead multiplicities (aligned with ``beads``,
+    floors 0); its rank is the length-weighted sum (``row`` is the bead
+    lengths) and must be >= 1 even though individual bead lengths may be
+    zero or negative, so an element has at least one bead.
     """
 
     beads: tuple[tuple[str, int], ...]
-    lengths: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    floors: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    row: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         beads = tuple(
@@ -442,54 +412,33 @@ class FreeRanked(_SemigroupBase):
         if len(set(labels)) != len(labels):
             raise ValueError(f"FreeRanked: duplicate bead labels in {labels}")
         object.__setattr__(self, "beads", beads)
-        object.__setattr__(self, "lengths", tuple(length for _, length in beads))
+        object.__setattr__(self, "floors", (0,) * len(beads))
+        object.__setattr__(self, "row", tuple(length for _, length in beads))
 
-    def coords(self, s) -> tuple[int, ...]:
-        return tuple(s)
+    @property
+    def lengths(self) -> tuple[int, ...]:
+        return self.row
 
-    def _build(self, cs):
-        if any(c < 0 for c in cs):
-            return None
-        if sum(cs) < 1:
-            return None
-        if sum(c * length for c, length in zip(cs, self.lengths)) < 1:
-            return None
-        return tuple(cs)
-
-    def validate(self, s) -> None:
-        if (
-            not isinstance(s, tuple)
-            or len(s) != len(self.beads)
-            or not all(isinstance(c, int) and not isinstance(c, bool) for c in s)
-            or self._build(s) is None
-        ):
-            raise ValueError(f"FreeRanked{self.lengths}: invalid element {s!r}")
-
-    def rank(self, s) -> int:
-        self.validate(s)
-        return sum(c * length for c, length in zip(s, self.lengths))
+    def describe(self) -> str:
+        return f"FreeRanked{self.row}"
 
     def size(self, s) -> int:
         """Total bead count |alpha|."""
         self.validate(s)
         return sum(s)
 
-    def _remainder_ok(self, remaining) -> bool:
-        return all(c >= 0 for c in remaining)
-
     def check_window(self, window: Window) -> None:
         # a root has fewer beads and a smaller rank, so it stays inside
-        if window.max_total is None and any(length < 1 for length in self.lengths):
-            raise ValueError(
-                "window needs max_total when some bead length is not positive"
-            )
+        if window.max_total is None and any(length < 1 for length in self.row):
+            raise ValueError("window needs max_total when some bead length is not positive")
 
     def elements(self, window: Window) -> list:
         """Depth-first over the beads, each branch fixing one multiplicity
         and pruned when no choice of the beads left can bring its rank
-        into 1..max_rank within the bead budget."""
+        into 1..max_rank within the bead budget.  The walk stops as soon
+        as it finds more than MAX_OBJECTS elements."""
         self.check_window(window)
-        lengths, max_rank = self.lengths, window.max_rank
+        lengths, max_rank = self.row, window.max_rank
         # without max_total every length is positive, so the rank caps the beads
         budget = max_rank if window.max_total is None else window.max_total
         # the least and the most rank that one bead from index i on adds
@@ -501,14 +450,18 @@ class FreeRanked(_SemigroupBase):
             i, rank, used, cs = stack.pop()
             if i == len(lengths):
                 out.append((rank, cs))  # sorts as the sort key (rank, *cs)
+                if len(out) > MAX_OBJECTS:
+                    raise ValueError(f"window holds more than {MAX_OBJECTS} elements, the cap")
                 continue
+            branches = []
             for c in range(budget - used + 1):
                 r, left = rank + c * lengths[i], budget - used - c
                 if r + low[i + 1] * left > max_rank:
                     if lengths[i] > 0:  # more of this bead only adds rank
                         break
                 elif r + high[i + 1] * left >= 1:
-                    stack.append((i + 1, r, used + c, cs + (c,)))
+                    branches.append((i + 1, r, used + c, cs + (c,)))
+            stack.extend(reversed(branches))  # fewest beads first: leaves come soonest
         return [cs for _, cs in sorted(out)]
 
     def label_index(self, label: str) -> int:
@@ -523,20 +476,20 @@ class FreeRanked(_SemigroupBase):
 
 @dataclass(frozen=True)
 class Morphism:
-    """A named additive map between instances: an integer matrix applied to
-    the coordinate tuple (rows indexed by target coordinates).
+    """An additive map between instances: an integer matrix applied to the
+    coordinate tuple (rows indexed by target coordinates).
 
     Linear maps with no constant term are exactly the additive ones
     expressible on coordinates.  That covers the rank map (the row of bead
     lengths on a free instance, the first coordinate elsewhere),
     projections, permutations, reindexings like (n, k) -> (n, k, n-k), and
-    bead label maps (0/1 columns).
+    bead label maps (0/1 columns).  Any iterable of integer rows is
+    accepted and stored as a tuple of tuples.
     """
 
     source: _SemigroupBase
     target: _SemigroupBase
     matrix: tuple[tuple[int, ...], ...]
-    name: str = ""
 
     def __post_init__(self) -> None:
         rows = tuple(
@@ -548,24 +501,14 @@ class Morphism:
             raise ValueError("Morphism: ragged matrix")
         object.__setattr__(self, "matrix", rows)
 
-    def __call__(self, s):
-        return apply_morphism(self, s)
-
-
-def linear_morphism(
-    source: _SemigroupBase,
-    target: _SemigroupBase,
-    rows: Iterable[Iterable[int]],
-    name: str = "",
-) -> Morphism:
-    return Morphism(source, target, tuple(tuple(r) for r in rows), name=name)
-
 
 def apply_morphism(m: Morphism, s):
     m.source.validate(s)
     xs = m.source.coords(s)
     if any(len(row) != len(xs) for row in m.matrix):
         raise ValueError("apply_morphism: matrix width does not match source arity")
+    if len(m.matrix) != len(m.target.row):
+        raise ValueError("apply_morphism: matrix height does not match target arity")
     ys = tuple(sum(c * x for c, x in zip(row, xs)) for row in m.matrix)
     out = m.target._build(ys)
     if out is None:
@@ -578,11 +521,11 @@ def check_morphism(m: Morphism, kind: str, window: Window) -> FamilyReport:
 
     kind is "rank-dividing" (rank of the image divides the rank) or
     "rank-multiplying" (rank divides the image rank).  For rank-multiplying
-    maps the root-set bijection condition needed for pullbacks is checked:
-    for every s and d | rank(s), the sets s/d and image/d have equal size.
+    maps the root bijection condition needed for pullbacks is checked: for
+    every s and d | rank(s), s has a root by d exactly when its image has.
     Additivity needs no check: the image of a coordinate sum under an
     integer matrix is the sum of the images.  Per element s, in window
-    order: its image and rank direction (divisor None), then its root sets
+    order: its image and rank direction (divisor None), then its roots
     (divisor d).
     """
     if kind not in ("rank-dividing", "rank-multiplying"):
@@ -604,7 +547,7 @@ def check_morphism(m: Morphism, kind: str, window: Window) -> FamilyReport:
             detail = f"rank {rs} of {s} does not divide image rank {rp}"
             yield s, None, detail if rp % rs else None
             for d in divisors(rs):
-                same = len(source.root_set(s, d)) == len(target.root_set(phi_s, d))
+                same = (source.nth_root(s, d) is None) == (target.nth_root(phi_s, d) is None)
                 yield s, d, None if same else f"root sets of {s} and its image differ at d={d}"
 
     return FamilyReport.collect(checks())
@@ -646,10 +589,10 @@ def window_from_config(cfg: dict) -> Window:
 
 def window_elements(instance: _SemigroupBase, window: Window) -> list:
     """The elements of a configured window.  Refuses a window that the
-    instance cannot enumerate (``check_window``) and one that holds no
-    element, over which every check would pass on nothing."""
-    instance.check_window(window)
+    instance cannot list (``elements``, ``check_window``) and one that holds
+    no element, over which every check would pass on nothing."""
     elements = instance.elements(window)
+    instance.check_window(window)
     if not elements:
         raise ValueError("window config: no element of the instance lies in the window")
     return elements

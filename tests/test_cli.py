@@ -82,6 +82,18 @@ class TestSeq:
         assert res.returncode == 1
         assert "config error" in res.stderr
 
+    @pytest.mark.parametrize("content", [b"[" * 100_000, b'{"\xff": 1}'],
+                             ids=["deeply-nested", "not-utf-8"])
+    def test_unparsable_config(self, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        res = subprocess.run(
+            PKG + ["seq", "--config", str(path)], capture_output=True, text=True
+        )
+        assert res.returncode == 1
+        assert res.stderr.startswith("config error:")
+        assert "Traceback" not in res.stderr
+
 
 class TestQGauss:
     def test_ramanujan_construction(self, tmp_path):
@@ -420,6 +432,50 @@ class TestEmptyWindows:
         cfg = {"construction": "fund", "beads": [["a", 0]],
                "window": {"max_rank": 3, "max_total": 3}}
         self.refused(tmp_path, "qgauss", cfg)
+
+
+def _nested_chain(extras: list[str], window: dict) -> dict:
+    inst: dict | str = "zpos"
+    for extra in extras:
+        inst = {"kind": "chain", "base": inst, "extra": extra}
+    return {**inst, "window": window}
+
+
+class TestWindowCap:
+    """A window of more elements than the cap is refused before it is
+    listed: positive integers and chains count their window up front, a
+    free instance stops its walk at the cap."""
+
+    def refused(self, tmp_path, command, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        res = subprocess.run(PKG + [command, "--config", str(path)],
+                             capture_output=True, text=True, timeout=2)
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr.startswith("config error:")
+        assert "elements" in res.stderr and "cap" in res.stderr
+
+    def test_positive_integers(self, tmp_path):
+        cfg = {"sequence": zpos_sequence("b", {}, 10**9)}
+        self.refused(tmp_path, "seq", cfg)
+
+    @pytest.mark.parametrize(
+        "extras, max_rank",
+        # 400 * 401**3, about 2.6e10 elements; a rank too high for the
+        # window's root check to run before the cap
+        [(["nonneg"] * 3, 400), (["pos"], 10**9)],
+        ids=["three-extras", "high-rank"],
+    )
+    def test_chain(self, tmp_path, extras, max_rank):
+        instance = _nested_chain(extras, {"max_rank": max_rank})
+        cfg = {"sequence": {"instance": instance, "role": "b", "support": []}}
+        self.refused(tmp_path, "seq", cfg)
+
+    def test_free_instance(self, tmp_path):
+        # C(32, 16) - 1 words over 16 letters, about 6e8
+        beads = [[f"x{i}", 1] for i in range(16)]
+        cfg = {"family": "words", "beads": beads, "window": {"max_rank": 16}}
+        self.refused(tmp_path, "csp", cfg)
 
 
 class TestRiordan:

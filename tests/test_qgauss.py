@@ -37,9 +37,9 @@ from sievekit.qpoly import (
 from sievekit.semigroup import (
     Chain,
     FreeRanked,
+    Morphism,
     PositiveIntegers,
     Window,
-    linear_morphism,
 )
 
 from helpers import corrupt, qb0, sequence_corpus, zpos_spec
@@ -190,7 +190,7 @@ class TestTransport:
         # two unit letters, recorded as (length, count of second letter)
         letters = FreeRanked((("a", 1), ("b", 1)))
         F = fund_family(letters, Window(6))
-        to_pairs = linear_morphism(letters, NK, [(1, 1), (0, 1)])
+        to_pairs = Morphism(letters, NK, [(1, 1), (0, 1)])
         G = pushforward(F, to_pairs, Window(6, ((0, 6),)))
         for (n, k), p in G.polys:
             assert p == qb0(n, k)
@@ -199,7 +199,7 @@ class TestTransport:
     def test_rank_pushforward_collapses_to_q_power(self):
         letters = FreeRanked((("a", 1), ("b", 1)))
         F = fund_family(letters, Window(6))
-        rank = linear_morphism(letters, ZPOS, [letters.lengths])
+        rank = Morphism(letters, ZPOS, [letters.lengths])
         G = pushforward(F, rank, Window(6))
         for n, p in G.polys:
             assert p == q_power(2, n)
@@ -209,7 +209,7 @@ class TestTransport:
         F = PolyFamily.from_function(
             NK, Window(5, ((0, 5),)), lambda s: q_binomial(s[0], s[1])
         )
-        drop_k = linear_morphism(NK, ZPOS, [(1, 0)])
+        drop_k = Morphism(NK, ZPOS, [(1, 0)])
         with pytest.warns(WindowBoundaryWarning):
             G = pushforward(F, drop_k, Window(5))
         # row sums of the q-Pascal triangle
@@ -218,13 +218,13 @@ class TestTransport:
 
     def test_rank_jump_pushforward_warns(self):
         F = PolyFamily.from_function(ZPOS, Window(3), lambda n: ONE)
-        doubler = linear_morphism(ZPOS, ZPOS, [(2,)])
+        doubler = Morphism(ZPOS, ZPOS, [(2,)])
         with pytest.warns(WindowBoundaryWarning, match="rank"):
             pushforward(F, doubler, Window(6))
 
     def test_pullback_requires_window_coverage(self):
         G = PolyFamily.from_function(ZPOS, Window(3), q_int)
-        doubler = linear_morphism(ZPOS, ZPOS, [(2,)])
+        doubler = Morphism(ZPOS, ZPOS, [(2,)])
         with pytest.raises(ValueError):
             pullback(G, doubler, Window(2))
 
@@ -314,11 +314,11 @@ class TestFreeVertexPipeline:
         G = PolyFamily.from_function(
             INTS2, Window(N, ((-2 * N - 2, N + 3), (-1, N + 1))), g_free
         )
-        reindex = linear_morphism(
+        reindex = Morphism(
             INTS2, INTS2, [(1, 0, 0), (1, -1, -1), (0, 0, 1)]
         )
         pulled = pullback(G, reindex, Window(N, ((-1, N + 1), (-1, N + 1))))
-        drop_m = linear_morphism(INTS2, Chain(ZPOS, "ints"), [(1, 0, 0), (0, 1, 0)])
+        drop_m = Morphism(INTS2, Chain(ZPOS, "ints"), [(1, 0, 0), (0, 1, 0)])
         return pushforward(pulled, drop_m, Window(N, ((-1, N + 1),)))
 
     def test_source_family_is_congruent(self):
@@ -366,7 +366,7 @@ class TestTubeCountTransport:
             INTS2, Window(N, ((-1, N + 1), (-N - 1, N + 1))), g
         )
         src = NK
-        reindex = linear_morphism(src, INTS2, [(1, 0), (0, 1), (1, -1)])
+        reindex = Morphism(src, INTS2, [(1, 0), (0, 1), (1, -1)])
         F = pullback(G, reindex, Window(N, ((0, N),)))
         for (n, k), p in F.polys:
             assert p == qb0(n + k - 1, k) * qb0(n - 1, k)

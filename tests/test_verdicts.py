@@ -19,7 +19,7 @@ from sievekit.qgauss import (
     equivalent_mod,
 )
 from sievekit.qpoly import q_power
-from sievekit.semigroup import Chain, PositiveIntegers, Window, check_morphism, linear_morphism
+from sievekit.semigroup import Chain, Morphism, PositiveIntegers, Window, check_morphism
 
 ZPOS = PositiveIntegers()
 
@@ -81,7 +81,7 @@ def test_csp_failures():
 def test_morphism_failures_in_element_order():
     # (n, x) -> n + 2x: some images leave the positive integers, ranks 3
     # miss their images' ranks, and (2, 1) has no root by 2 while 4 has one
-    m = linear_morphism(Chain(ZPOS, "ints"), ZPOS, [(1, 2)])
+    m = Morphism(Chain(ZPOS, "ints"), ZPOS, [(1, 2)])
     rep = check_morphism(m, "rank-multiplying", Window(3, ((-1, 1),)))
     assert rep.checked == 21
     invalid = "apply_morphism: image ({},) of {} is not a valid element"

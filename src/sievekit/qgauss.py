@@ -16,11 +16,11 @@ families from old, mirroring how counting problems are rearranged.
 from __future__ import annotations
 
 import warnings
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import cycle
 from math import gcd
+from operator import add, mul
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -28,10 +28,12 @@ from .arith import divisors, mobius, ramanujan_sum
 from .gaussseq import SequenceSpec, _require_role
 from .qpoly import (
     IntPoly,
+    ONE,
     ZERO,
     eval_at_one,
     eval_at_primitive_root,
     one_minus_q_pow,
+    q_binomial,
     q_int,
     q_multinomial,
     q_power,
@@ -208,27 +210,49 @@ def _weighted_multinomial(weight: int, mults: list[int]) -> IntPoly:
 def construct_from_c(c: SequenceSpec) -> PolyFamily:
     """Family from convolution weights, summed over multiset decompositions.
 
-    Each decomposition of s into parts from the support of c contributes a
-    weighted q-multinomial times a q-exponential factor per distinct part.
-    The weight [rank(s)]_q / [number of parts]_q depends on the decomposition
-    only through its number of parts, so it is applied once per part count,
-    as one product by 1 - q^rank(s) and one exact division.
+    Each decomposition of s into parts from the support of c contributes
+    [rank(s)]_q / [number of parts]_q times the q-multinomial of its part
+    multiplicities times q_power(c_t, m) per distinct part t of multiplicity
+    m.  The sums come from one knapsack over the support parts in canonical
+    order, not from listing each element's decompositions.  Its state maps
+    the coordinates of a partial sum u and its number of parts k to the
+    sum over the multisets of the parts taken so far with that sum and
+    count; taking part t m more times moves it to (u + m*t, k + m) times
+    q_binomial(k + m, m) * q_power(c_t, m), and a partial sum of rank above
+    the window's max_rank is dropped, since every part has rank >= 1.  The
+    weight depends on a decomposition only through its number of parts, so
+    it is applied once per state, as one product by 1 - q^rank(s) and one
+    exact division by 1 - q^k.
     """
     _require_role(c, "c")
     inst = c.instance
-    support = c.support()
+    max_rank, row = c.window.max_rank, inst.row
+    # partial-sum coordinates -> {number of parts: polynomial}
+    sums: dict[tuple[int, ...], dict[int, IntPoly]] = {(0,) * len(row): {0: ONE}}
+    for t in c.support():
+        rt, step, weight = inst.rank(t), inst.coords(t), c.value(t)
+        factors: dict[tuple[int, int], IntPoly] = {}
+        taken: dict[tuple[int, ...], dict[int, IntPoly]] = {}  # sums with t in them
+        for u, by_count in sums.items():
+            ru, v, m = sum(map(mul, u, row)), u, 1
+            while ru + m * rt <= max_rank:
+                v = tuple(map(add, v, step))  # u + m*t
+                slot = taken.setdefault(v, {})
+                for k, poly in by_count.items():
+                    factor = factors.get((k, m))
+                    if factor is None:
+                        factor = factors[k, m] = q_binomial(k + m, m) * q_power(weight, m)
+                    slot[k + m] = slot.get(k + m, ZERO) + poly * factor
+                m += 1
+        for v, by_count in taken.items():
+            slot = sums.setdefault(v, {})
+            for k, poly in by_count.items():
+                slot[k] = slot.get(k, ZERO) + poly
 
     def build(s):
         rk = inst.rank(s)
-        by_count: dict[int, IntPoly] = {}  # number of parts -> unweighted terms
-        for parts in inst.decompositions(s, support=support):
-            mults = Counter(parts)
-            term = q_multinomial(sorted(mults.values()))
-            for t, m in mults.items():
-                term = term * q_power(c.value(t), m)
-            by_count[len(parts)] = by_count.get(len(parts), ZERO) + term
         total = ZERO
-        for count, terms in by_count.items():
+        for count, terms in sums.get(inst.coords(s), {}).items():
             weighted = terms * one_minus_q_pow(rk)
             total = total + weighted.exact_div(one_minus_q_pow(count))
         return total

@@ -378,11 +378,14 @@ class Chain(_SemigroupBase):
                 raise ValueError(f"window misses the root by {d} of an element of rank {d}")
 
     def elements(self, window: Window) -> list:
+        """The product of the rank range and the extras' ranges: it comes
+        out in lexicographic order, which is (rank, coordinates) order
+        since the rank is the first coordinate."""
         bounds = self.resolve_bounds(window)
         _refuse_over_cap(window.max_rank * prod(max(0, hi - lo + 1) for lo, hi in bounds))
         ranges = [range(1, window.max_rank + 1)]
         ranges.extend(range(lo, hi + 1) for lo, hi in bounds)
-        return sorted(itertools.product(*ranges), key=self.sort_key)
+        return list(itertools.product(*ranges))
 
 
 @dataclass(frozen=True)
@@ -435,8 +438,10 @@ class FreeRanked(_SemigroupBase):
     def elements(self, window: Window) -> list:
         """Depth-first over the beads, each branch fixing one multiplicity
         and pruned when no choice of the beads left can bring its rank
-        into 1..max_rank within the bead budget.  The walk stops as soon
-        as it finds more than MAX_OBJECTS elements."""
+        into 1..max_rank within the bead budget.  Both conditions are
+        linear in the multiplicity, so the admissible ones form a range,
+        computed directly.  The walk stops as soon as it finds more than
+        MAX_OBJECTS elements."""
         self.check_window(window)
         lengths, max_rank = self.row, window.max_rank
         # without max_total every length is positive, so the rank caps the beads
@@ -453,15 +458,24 @@ class FreeRanked(_SemigroupBase):
                 if len(out) > MAX_OBJECTS:
                     raise ValueError(f"window holds more than {MAX_OBJECTS} elements, the cap")
                 continue
-            branches = []
-            for c in range(budget - used + 1):
-                r, left = rank + c * lengths[i], budget - used - c
-                if r + low[i + 1] * left > max_rank:
-                    if lengths[i] > 0:  # more of this bead only adds rank
-                        break
-                elif r + high[i + 1] * left >= 1:
-                    branches.append((i + 1, r, used + c, cs + (c,)))
-            stack.extend(reversed(branches))  # fewest beads first: leaves come soonest
+            length, left = lengths[i], budget - used
+            first, last = 0, left
+            # c beads here leave left - c for the rest: the rank can still
+            # come down to max_rank, rank + c*length + low*(left - c) <= max_rank,
+            # and up to 1, rank + c*length + high*(left - c) >= 1; each is
+            # c * d <= x for the d and x below
+            for d, x in ((length - low[i + 1], max_rank - rank - low[i + 1] * left),
+                         (high[i + 1] - length, rank + high[i + 1] * left - 1)):
+                if d > 0:
+                    last = min(last, x // d)
+                elif d < 0:
+                    first = max(first, -(x // -d))  # the ceiling of x / d
+                elif x < 0:
+                    last = -1
+            stack.extend(  # fewest beads first: leaves come soonest
+                (i + 1, rank + c * length, used + c, cs + (c,))
+                for c in range(last, first - 1, -1)
+            )
         return [cs for _, cs in sorted(out)]
 
     def label_index(self, label: str) -> int:

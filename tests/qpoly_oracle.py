@@ -1,14 +1,18 @@
 """Congruence-path oracles for the differential tests of ``sievekit.qpoly``.
 
 These are the definitions that building q-analogues from the sparse factors
-1 - q^m replaced: dense schoolbook multiplication and long division,
+1 - q^m, Kronecker products of dense operands and the knapsack ``from-c``
+construction replaced: dense schoolbook multiplication and long division,
 q-binomials and q-multinomials as quotients of q-factorials, cyclotomic
 polynomials by dividing q^d - 1 by the smaller ones, q-powers by recursion
 on the base, the weighted q-multinomial as [weight]_q times the
 q-multinomial over [sum]_q, the definition checker's remainder by long
 division by [rank]_q, the Ramanujan construction summing one Ramanujan sum
-per coefficient, the from-c construction dividing by [rank]_q once per
-decomposition, and Riordan rows with D^n recomputed for every entry.
+per coefficient, the from-c construction listing the decompositions of
+each element and dividing by [rank]_q once per decomposition, and Riordan
+rows with D^n recomputed for every entry.  The dense ``mul`` and the
+per-decomposition ``construct_from_c`` stay here as the oracles for the
+library's two product paths and its knapsack.
 They borrow from the library only what that rewrite left alone: the
 ``IntPoly`` container, ``q_int``, ``subst_power``, the semigroup
 instances, the report types, ``divisors``, ``mobius``, ``ramanujan_sum``

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sievekit.gaussseq import a_from_c, b_from_a, c_from_a
+from sievekit.gaussseq import SequenceSpec, a_from_c, b_from_a, c_from_a
 from sievekit.qgauss import (
     NonIntegerCoefficient,
     PolyFamily,
@@ -40,6 +40,7 @@ from sievekit.semigroup import (
     Morphism,
     PositiveIntegers,
     Window,
+    _SemigroupBase,
 )
 
 from helpers import corrupt, qb0, sequence_corpus, zpos_spec
@@ -113,6 +114,23 @@ class TestConstructions:
         F = construct_from_c(zpos_spec("c", {}, 5))
         assert all(p == ZERO for _, p in F.polys)
         assert both_ok(F)
+
+    def test_from_c_lists_no_decompositions(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("construct_from_c listed decompositions")
+
+        monkeypatch.setattr(_SemigroupBase, "decompositions", refuse)
+        beads = FreeRanked((("x", 1), ("z", 0)))
+        for c in (
+            zpos_spec("c", {1: 1, 2: -2, 5: 3}, 12),
+            SequenceSpec.from_mapping(Chain(ZPOS, "ints"), Window(5, ((-2, 2),)), "c",
+                                      {(1, -1): 1, (1, 1): 2, (2, 0): -1}),
+            SequenceSpec.from_mapping(beads, Window(5, max_total=4), "c",
+                                      {(1, 0): 1, (1, 2): -1}),
+        ):
+            F = construct_from_c(c)
+            assert any(p for _, p in F.polys)
+            assert both_ok(F)
 
     def test_fund_family_mixed_lengths(self):
         F = fund_family((("a", 1), ("b", 2)), Window(6))

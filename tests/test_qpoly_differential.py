@@ -33,6 +33,7 @@ from sievekit.qgauss import (
     fund_family,
 )
 from sievekit.qpoly import (
+    KRONECKER_MIN_TERMS,
     IntPoly,
     _q_exp_nonneg,
     _q_exp_row,
@@ -77,6 +78,21 @@ def _coeffs(result):
     return result.coeffs if isinstance(result, IntPoly) else result
 
 
+@st.composite
+def switch_polys(draw) -> IntPoly:
+    """A polynomial with one term, or with a number of nonzero terms next
+    to or well past KRONECKER_MIN_TERMS, zero gaps between them, and
+    coefficients of either sign from a few bits up to 2^256."""
+    t = KRONECKER_MIN_TERMS
+    terms = draw(st.sampled_from([1, 2, t - 1, t, t + 1, 3 * t]))
+    coeff = st.one_of(st.integers(-3, 3), st.integers(-2**60, 2**60),
+                      st.integers(-2**256, 2**256)).filter(bool)
+    out = [0] * draw(st.integers(0, 3))
+    for _ in range(terms):
+        out += [draw(coeff)] + [0] * draw(st.sampled_from([0, 0, 1, 4]))
+    return IntPoly(out)
+
+
 # -- arithmetic ----------------------------------------------------------------------
 
 
@@ -84,6 +100,22 @@ class TestArithmetic:
     @given(coeff_lists, coeff_lists)
     def test_mul(self, a, b):
         p, q = IntPoly(a), IntPoly(b)
+        assert (p * q).coeffs == oracle.mul(p, q).coeffs
+
+    @settings(max_examples=200)
+    @given(switch_polys(), switch_polys())
+    def test_mul_on_both_sides_of_the_switch(self, p, q):
+        assert (p * q).coeffs == oracle.mul(p, q).coeffs
+        assert (q * p).coeffs == oracle.mul(p, q).coeffs
+
+    @pytest.mark.parametrize("bits", [7, 8, 15, 16, 31, 32, 63, 64, 65, 72, 256])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_mul_reaches_the_coefficient_bound(self, bits, sign):
+        # the middle coefficient is terms * max|a| * max|b| = 2^bits - terms
+        t = KRONECKER_MIN_TERMS
+        p = IntPoly([sign * ((2**bits - 1) // t)] * t)
+        q = IntPoly([1] * t)
+        assert max(map(abs, (p * q).coeffs)).bit_length() == bits
         assert (p * q).coeffs == oracle.mul(p, q).coeffs
 
     @given(coeff_lists, divisor_polys())
@@ -242,9 +274,15 @@ def test_ramanujan_failure_names_element_and_detail():
     ({1: 1, 2: -2, 3: 1, 5: 2, 9: -1}, 16),
     ({2: 3, 3: -1}, 18),
     ({1: -1, 4: 2}, 16),
+    # coefficients past 8 bytes, so the dense products use byte-string slots
+    ({1: 600, 2: -600, 3: 1, 5: -600}, 10),
 ])
 def test_from_c(support, max_rank):
     c = zpos_spec("c", support, max_rank)
+    top = max(map(abs, support.values()))
+    for n in range(1, max_rank + 1):  # fill the oracle's recursion on the base from below
+        for base in range(1, top + 1):
+            oracle._q_exp_nonneg(base, n)
     assert construct_from_c(c).polys == oracle.construct_from_c(c).polys
 
 
@@ -260,6 +298,23 @@ def test_from_c_random(max_rank, support):
 def test_from_c_on_free_beads():
     beads = FreeRanked((("x", 1), ("y", 2)))
     c = SequenceSpec.from_mapping(beads, Window(7), "c", {(1, 0): 2, (0, 1): -1, (1, 1): 1})
+    assert construct_from_c(c).polys == oracle.construct_from_c(c).polys
+
+
+def test_from_c_on_a_chain_with_an_ints_extra():
+    # partial sums leave the window's extra bounds and come back into them
+    inst = Chain(Chain(ZPOS, "nonneg"), "ints")
+    c = SequenceSpec.from_mapping(inst, Window(7, ((0, 3), (-2, 2))), "c", {
+        (1, 0, 1): 1, (1, 0, -1): 2, (1, 1, 0): -1, (2, 0, 3): 1, (2, 1, -3): -2, (3, 2, 0): 1,
+    })
+    assert construct_from_c(c).polys == oracle.construct_from_c(c).polys
+
+
+def test_from_c_on_free_beads_with_a_zero_length_bead():
+    beads = FreeRanked((("x", 1), ("z", 0), ("y", 2)))
+    c = SequenceSpec.from_mapping(beads, Window(6, max_total=5), "c", {
+        (1, 0, 0): 1, (1, 1, 0): -2, (1, 2, 0): 1, (0, 1, 1): 3, (0, 0, 1): -1, (2, 3, 1): 1,
+    })
     assert construct_from_c(c).polys == oracle.construct_from_c(c).polys
 
 

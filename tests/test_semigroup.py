@@ -121,6 +121,14 @@ class TestChain:
         with pytest.raises(ValueError):
             inst.elements(Window(2))  # ints extra needs explicit bounds
 
+    @pytest.mark.parametrize("inst, window", [
+        (Chain(ZPOS, "nonneg"), Window(6, ((0, 4),))),
+        (Chain(Chain(ZPOS, "pos"), "ints"), Window(5, ((-3, 3), (-2, 4)))),
+    ])
+    def test_elements_come_out_in_sort_key_order(self, inst, window):
+        elems = inst.elements(window)
+        assert elems == sorted(elems, key=inst.sort_key)
+
     def test_nonneg_floor_applies(self):
         inst = Chain(ZPOS, "pos")
         win = Window(2, ((-5, 2),))

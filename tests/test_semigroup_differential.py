@@ -2,14 +2,17 @@
 checks it replaced (``tests/semigroup_oracle.py``), on random instances and
 random coordinates: bools, floats and other junk, wrong arity, negatives,
 nested chains of all three extra kinds, and free instances with bead
-lengths in -2..3."""
+lengths in -2..3.  The free window listing is checked against every
+multiplicity tuple within the bead budget that the oracle accepts."""
 
 from __future__ import annotations
+
+import itertools
 
 from hypothesis import assume, given, settings, strategies as st
 
 import semigroup_oracle as oracle
-from sievekit.semigroup import Chain, FreeRanked, PositiveIntegers
+from sievekit.semigroup import Chain, FreeRanked, PositiveIntegers, Window
 
 ZPOS = PositiveIntegers()
 COORD = st.integers(-3, 6)
@@ -108,3 +111,26 @@ def test_decompositions_match_the_oracle(data):
     s = elements(data.draw, inst, 0, 4)
     support = [elements(data.draw, inst, -1, 3) for _ in range(data.draw(st.integers(1, 5)))]
     assert inst.decompositions(s, support) == oracle.decompositions(inst, s, support)
+
+
+@settings(max_examples=150)
+@given(st.lists(st.integers(-2, 3), min_size=1, max_size=3),
+       st.integers(1, 6), st.integers(1, 6))
+def test_free_elements_match_the_oracle(lengths, max_rank, max_total):
+    inst = FreeRanked(tuple((f"b{i}", n) for i, n in enumerate(lengths)))
+    box = itertools.product(range(max_total + 1), repeat=len(lengths))
+    held = [
+        cs for cs in box
+        if sum(cs) <= max_total and oracle.is_valid(inst, cs)
+        and oracle.rank(inst, cs) <= max_rank
+    ]
+    want = sorted(held, key=lambda cs: (oracle.rank(inst, cs), cs))
+    assert inst.elements(Window(max_rank, max_total=max_total)) == want
+
+
+def test_free_elements_with_a_negative_bead_and_a_large_bead_budget():
+    # the elements (x, y) with 1 <= x - y <= 5 and x + y <= 16,000; the
+    # count of the negative bead is chosen from its admissible range, not
+    # stepped through from 0
+    inst = FreeRanked((("a", 1), ("b", -1)))
+    assert len(inst.elements(Window(5, max_total=16_000))) == 39_996

@@ -377,19 +377,19 @@ def content_count(beads: FreeRanked, alpha) -> int:
     return count * beads.rank(alpha) // total
 
 
-def predicted_count(family: str, source, window: Window | None = None) -> int:
+def predicted_count(family: str, source, elements: list | None = None) -> int:
     """Objects a csp family holds over its window, from its counting row
     at q = 1, without enumerating them.
 
     ``source`` is the FreeRanked beads for "words" and "festoons-content"
-    (``window`` is then required), the role-b spec for "festoons-repeated",
-    and the role-c spec for "festoons-colored" and "signed-festoons", which
-    are colored by |c|.  Raises ValueError on what the enumerators refuse:
+    (``elements``, the listed window, is then required), the role-b spec
+    for "festoons-repeated", and the role-c spec for "festoons-colored"
+    and "signed-festoons", which are colored by |c|.  Raises ValueError on what the enumerators refuse:
     beads shorter than 1 and negative weights outside the signed family.
     """
     _contents(family, source)  # refuses what the family refuses
     if family in ("words", "festoons-content"):
-        return sum(content_count(source, alpha) for alpha in source.elements(window))
+        return sum(content_count(source, alpha) for alpha in elements)
     if family == "festoons-repeated":
         return sum(a_from_b(source).row())
     weights = tuple((t, abs(v)) for t, v in source.values)
@@ -512,15 +512,18 @@ def _listed(kind: str, contents: Iterable[tuple[list, int]]) -> list[CyclicObjec
     return sorted(CyclicObject(kind, slots, sign) for slots, sign in _festoons(contents))
 
 
-def _necklace_census(inst: _SemigroupBase, window: Window, contents: Callable) -> Census:
-    """The census of the festoons of ``contents(s)`` at each element s.  A
+def _necklace_census(
+    inst: _SemigroupBase, window: Window, elements: list, contents: Callable
+) -> Census:
+    """The census of the festoons of ``contents(s)`` at each element s of
+    the window, whose ``elements`` are listed in window order.  A
     necklace of k beads and period p is one orbit of n*p/k festoons on n
     slots, all fixed by the order-d rotation when n*p/k divides n/d, else
     none.  Periods depend only on the sorted multiplicities, so each sorted
     content is walked once."""
     periods: dict = {}
     rows = []
-    for s in inst.elements(window):
+    for s in elements:
         n = inst.rank(s)
         fixed = {d: [0, 0] for d in divisors(n)}
         count = 0
@@ -538,13 +541,19 @@ def _necklace_census(inst: _SemigroupBase, window: Window, contents: Callable) -
     return Census(inst, window, tuple(rows))
 
 
-def festoon_census(family: str, source, window: Window | None = None) -> Census:
+def festoon_census(
+    family: str, source, window: Window | None = None, elements: list | None = None
+) -> Census:
     """The census of a csp family, counted from the necklaces of its bead
-    contents (``_contents``); arguments as for ``predicted_count``."""
+    contents (``_contents``).  ``source`` is as for ``predicted_count``;
+    words and festoons by content take their window, and its elements when
+    the caller has listed them already."""
     contents = _contents(family, source)
     if isinstance(source, SequenceSpec):  # a sequence family spans its spec's window
         source, window = source.instance, source.window
-    return _necklace_census(source, window, contents)
+    if elements is None:
+        elements = source.elements(window)
+    return _necklace_census(source, window, elements, contents)
 
 
 # -- actions and verifiers --------------------------------------------------------

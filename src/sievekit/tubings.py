@@ -50,6 +50,14 @@ _PATH_STEPS = {
         ("strict", ("", "U", "UDF")),
     )
 }
+# What ``is_path`` reads a flat as, per kind: None where the rules ignore
+# the height; else, for a path that must stay at or above 0, nothing where
+# a flat may be taken at 0, and a fall then a rise where it may not (such a
+# flat then dips below 0).
+_FLAT_AS = {
+    kind: None if below == at == above else "" if "F" in at else "DU"
+    for kind, (below, at, above) in _PATH_STEPS.items()
+}
 
 
 # -- tubes and tubings -------------------------------------------------------------
@@ -158,6 +166,27 @@ class _Graph:
                 self._compat.append(row)
         return self._compat
 
+    @functools.cached_property
+    def path_tables(self) -> tuple[list, list, list, list]:
+        """The tables the path maps read, built on first use.
+
+        ``before[i]`` is the vertices before tube i's start, those a cycle
+        tube wraps into; ``opening[v]`` the tubes that start at vertex v;
+        ``steps[k]`` the steps of a vertex where k tubes start, as (not
+        final, final); ``ends[start][end]`` the bit of the tube on vertices
+        start..end-1, for the tubes that do not wrap (0 for the others).
+        """
+        n = self.n
+        before = [(1 << start) - 1 for start, _ in self.tubes]
+        opening = [0] * n
+        ends = [[0] * (n + 1) for _ in range(n + 1)]
+        for i, (start, length) in enumerate(self.tubes):
+            opening[start] |= 1 << i
+            if start + length <= n:
+                ends[start][start + length] = 1 << i
+        steps = [("U" * k + "F", "U" * k + "D") for k in range(n + 1)]
+        return before, opening, steps, ends
+
 
 @functools.lru_cache(maxsize=None)
 def _graph(n: int, kind: str) -> _Graph:
@@ -209,12 +238,14 @@ def tubing_masks(n: int, kind: str = "interval") -> Iterator[tuple[int, int]]:
     tubes still compatible with everything chosen, and takes them in
     increasing index order.  An explicit stack keeps the generator flat.
     """
+    if kind not in ("interval", "cycle"):
+        raise ValueError(f"unknown graph kind {kind!r}")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     cap = MAX_INTERVAL if kind == "interval" else MAX_CYCLE
     if n > cap:
         raise ValueError(f"refusing to enumerate {kind} tubings beyond n = {cap}")
     graph = _graph(n, kind)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     masks, compat = graph.masks, graph.compat()
     # later[t]: the tubes after t that are compatible with it
     later = [(row >> (t + 1)) << (t + 1) for t, row in enumerate(compat)]
@@ -379,73 +410,101 @@ def count_paths(length: int, kind: str = "delannoy") -> int:
 
 def is_path(path: str, length: int, kind: str = "delannoy") -> bool:
     """Whether ``enumerate_paths(length, kind)`` lists the path: known
-    steps under its step rules, the given x-extent, ending at height 0."""
-    below, at, above = _PATH_STEPS[kind]
-    h = 0
+    steps under its step rules, the given x-extent, ending at height 0.
+
+    Where the rules ignore the height, the step counts decide.  Elsewhere
+    the path, its flats rewritten, must reduce to nothing by deleting
+    rises followed by falls: exactly the words over U and D that stay at
+    or above height 0 and end there.
+    """
     try:
-        for s in path:
-            h += (above if h > 0 else at if h == 0 else below)[s]
-    except KeyError:  # a step its height does not allow, or an unknown one
+        flat = _FLAT_AS[kind]
+    except KeyError:
+        raise ValueError(f"unknown path kind {kind!r}") from None
+    flats = path.count("F")
+    if len(path) + flats != length:
         return False
-    return h == 0 and path_length(path) == length
+    if flat is None:
+        ups = path.count("U")
+        return ups == path.count("D") and 2 * ups + flats == len(path)
+    word = path.replace("F", flat)
+    while "UD" in word:
+        word = word.replace("UD", "")
+    return not word
 
 
 # -- interval bijection ------------------------------------------------------------
 
 
-def _schroder_walk(n: int, tubes: Iterable[tuple[int, int]]) -> tuple[str, list[int]]:
-    """The interval path of (start, vertex mask) tubes given shorter first,
-    with the number of rises before each vertex.
+def _vertex_steps(graph: _Graph, bits: int) -> tuple[list[str], int]:
+    """The steps of each vertex in the path of a tube bitset, and the
+    vertices its tubes cover.
 
-    Walk the interval: a rise per tube started, then a fall at a final
-    vertex or a flat otherwise.  A tube listed before another is inside it
-    or apart from it, so the vertices the earlier tubes cover within a tube
-    are its subtubes' vertices, and its final is the highest one left.
+    A vertex takes a rise per tube that starts at it, then a fall if it is
+    the final of a tube, else a flat.  Tubes come in index order, shorter
+    first, so the vertices covered before a tube is reached, within it,
+    are its subtubes' vertices.  Its final is the last vertex left in its
+    traversal: the highest one it wraps to below its start (on the cycle),
+    else its highest.
     """
-    opens = [0] * n
+    before, opening, steps, _ = graph.path_tables
+    masks = graph.masks
     covered = finals = 0
-    for start, mask in tubes:
-        opens[start] += 1
-        finals |= 1 << ((mask & ~covered).bit_length() - 1)
+    rest = bits
+    while rest:
+        i = (rest & -rest).bit_length() - 1
+        rest &= rest - 1
+        mask = masks[i]
+        left = mask & ~covered
+        finals |= 1 << ((left & before[i] or left).bit_length() - 1)
         covered |= mask
-    path = "".join(
-        "U" * opens[v] + ("D" if finals >> v & 1 else "F") for v in range(n)
-    )
-    return path, opens
+    out = []
+    for tubes in opening:  # vertex by vertex, its final bit shifted down to bit 0
+        out.append(steps[(bits & tubes).bit_count()][finals & 1])
+        finals >>= 1
+    return out, covered
 
 
-def _decode_tubes(path: str) -> list[Tube]:
-    """Each rise opens a tube; it closes right before the next flat or fall
-    at the rise's height, or at the end of the path."""
-    tubes: list[Tube] = []
-    # (height, first vertex) of each rise not yet closed, innermost last;
-    # heights never decrease up the stack
-    rises: list[tuple[int, int]] = []
-    h = vi = 0
+def _decode(graph: _Graph, path: str) -> int:
+    """The tube bitset a Schröder path decodes to, on the graph's vertices
+    0..n-1 without wrapping.
+
+    Each rise opens a tube at the current vertex; it closes right before
+    the next flat or fall at the rise's height, or at the end of the path.
+    """
+    ends = graph.path_tables[3]
+    bits = h = v = 0
+    # of each rise not yet closed, innermost last: its height (under a
+    # sentinel), and the row of ``ends`` for its first vertex; heights
+    # never decrease up the stack
+    heights: list = [None]
+    rows: list[list[int]] = []
     for s in path:
         if s == "U":
-            rises.append((h, vi))
+            heights.append(h)
+            rows.append(ends[v])
             h += 1
             continue
-        while rises and rises[-1][0] == h:
-            start = rises.pop()[1]
-            tubes.append((start, vi - start))
-        vi += 1
-        h += _STEP_Y[s]
-    tubes.extend((start, vi - start) for _, start in rises)
-    return tubes
+        while heights[-1] == h:
+            heights.pop()
+            bits |= rows.pop()[v]
+        v += 1
+        if s == "D":
+            h -= 1
+    for row in rows:
+        bits |= row[v]
+    return bits
 
 
 def interval_mask_to_schroder(n: int, bits: int) -> str:
     """The Schröder path of an interval tubing given as a tube bitset."""
-    graph = _graph(n, "interval")
-    tubes, masks = graph.tubes, graph.masks
-    return _schroder_walk(n, [(tubes[i][0], masks[i]) for i in _bits(bits)])[0]
+    return "".join(_vertex_steps(_graph(n, "interval"), bits)[0])
 
 
 def schroder_to_interval_mask(n: int, path: str) -> int:
-    """The tube bitset a Schröder path decodes to (steps are not checked)."""
-    return _graph(n, "interval").bits(_decode_tubes(path))
+    """The tube bitset a Schröder path of length 2n decodes to (the path
+    is not checked)."""
+    return _decode(_graph(n, "interval"), path)
 
 
 def interval_tubing_to_schroder(n: int, tubing: Iterable[Tube]) -> str:
@@ -481,47 +540,14 @@ def _marked_ok(path: str, j: int) -> bool:
     return 1 <= j <= first_flat0 + 1 and path[j - 1] in ("D", "F")
 
 
-def cycle_mask_to_marked(n: int, bits: int) -> tuple[str, int]:
-    """Unroll an improper cycle tubing, given as a tube bitset, to a marked
-    nonnegative path (p, j).
+def cycle_tubing_to_marked(n: int, tubing: Iterable[Tube]) -> tuple[str, int]:
+    """Unroll an improper cycle tubing to a marked nonnegative path (p, j).
 
     The cycle is cut after the free vertex preceding vertex 0, so the
     linearized tubing has its last vertex free; the mark j is the step of
     the vertex that was vertex 0.
     """
-    graph = _graph(n, "cycle")
-    tubes, masks, full = graph.tubes, graph.masks, graph.full
-    chosen = [(tubes[i][0], masks[i]) for i in _bits(bits)]
-    covered = 0
-    for _, mask in chosen:
-        covered |= mask
-    free = full ^ covered
-    if not free:
-        raise ValueError("tubing is proper: it has no free vertex to cut at")
-    cut = free.bit_length()  # vertex cut - 1 becomes the last one
-    p, opens = _schroder_walk(n, [
-        ((start - cut) % n, (mask >> cut | mask << (n - cut)) & full)
-        for start, mask in chosen
-    ])
-    v = -cut % n  # where vertex 0 went
-    return p, sum(opens[: v + 1]) + v + 1
-
-
-def marked_to_cycle_mask(n: int, path: str, j: int) -> int:
-    """Roll a marked path (p, j) up to the tube bitset of a cycle tubing
-    (the marked path is not checked)."""
-    shift = j - path.count("U", 0, j) - 1  # vertex steps before the mark
-    return _graph(n, "cycle").bits(
-        ((start - shift) % n, length) for start, length in _decode_tubes(path)
-    )
-
-
-def cycle_tubing_to_marked(n: int, tubing: Iterable[Tube]) -> tuple[str, int]:
-    """Unroll an improper cycle tubing to a marked nonnegative path (p, j)."""
-    tubing = set(tubing)
-    if not is_tubing(n, tubing, "cycle"):
-        raise ValueError("not a valid cycle tubing")
-    return cycle_mask_to_marked(n, _graph(n, "cycle").bits(tubing))
+    return delannoy_to_marked(cycle_tubing_to_delannoy(n, tubing))
 
 
 def marked_to_cycle_tubing(n: int, path: str, j: int) -> Tubing:
@@ -530,10 +556,7 @@ def marked_to_cycle_tubing(n: int, path: str, j: int) -> Tubing:
         raise ValueError(f"({path!r}, {j}) is not a marked path")
     if path_length(path) != 2 * n:
         raise ValueError(f"need length {2 * n}, got {path_length(path)}")
-    tubing = _graph(n, "cycle").tubing(marked_to_cycle_mask(n, path, j))
-    if not is_tubing(n, tubing, "cycle"):
-        raise ValueError(f"({path!r}, {j}) does not roll up to a cycle tubing")
-    return tubing
+    return delannoy_to_cycle_tubing(n, _unmark(path, j))
 
 
 def _unmark(path: str, j: int) -> str:
@@ -557,48 +580,83 @@ def delannoy_to_marked(path: str) -> tuple[str, int]:
     flat at that level if there is one, the first step reaching it if the
     path dips below zero, and the appended final flat otherwise.
     """
-    try:
-        heights_after = list(itertools.accumulate(map(_STEP_Y.__getitem__, path)))
-    except KeyError as e:
-        raise ValueError(f"unknown step {e.args[0]!r} in {path!r}") from None
-    if heights_after and heights_after[-1]:
+    h = low = 0
+    first_low = last_flat = -1  # the first step down to ``low``, the last flat at it
+    for t, s in enumerate(path):
+        if s == "F":
+            if h == low:
+                last_flat = t
+        elif s == "U":
+            h += 1
+        elif s == "D":
+            h -= 1
+            if h < low:
+                low, first_low, last_flat = h, t, -1
+        else:
+            raise ValueError(f"unknown step {s!r} in {path!r}")
+    if h:
         raise ValueError(f"path {path!r} does not return to height 0")
     m = len(path)
-    min_h = min(heights_after, default=0)
-    flats_at_min = [
-        t for t, s in enumerate(path) if s == "F" and heights_after[t] == min_h
-    ]
-    if flats_at_min:
-        s0 = flats_at_min[-1]
-    elif min_h == 0:
+    if last_flat >= 0:
+        s0 = last_flat
+    elif not low:
         return path + "F", m + 1
     else:
-        s0 = heights_after.index(min_h)
+        s0 = first_low
     p = path[s0 + 1 :] + path[s0] + path[:s0] + "F"
     return p, m - s0
 
 
 def cycle_mask_to_delannoy(n: int, bits: int) -> str:
-    """The Delannoy path of an improper cycle tubing given as a tube bitset."""
-    return _unmark(*cycle_mask_to_marked(n, bits))
+    """The Delannoy path of an improper cycle tubing given as a tube bitset.
+
+    The cycle is cut after its last free vertex, cut - 1, and walked from
+    vertex cut: a nonnegative path ending in that vertex's flat, marked at
+    the last step of vertex 0 (``cycle_tubing_to_marked``).  Unmarking
+    drops the final flat and turns the mark to the front, which leaves the
+    steps of vertices 1..cut-2, the last step of vertex 0, the steps of
+    vertices cut..n-1, then the rises of vertex 0.  When vertex 0 is the
+    cut vertex (cut = 1) the mark sits on the final flat, and the steps of
+    vertices 1..n-1 are left.
+    """
+    steps, covered = _vertex_steps(_graph(n, "cycle"), bits)
+    cut = (~covered & ((1 << n) - 1)).bit_length()
+    if not cut:
+        raise ValueError("tubing is proper: it has no free vertex to cut at")
+    if cut == 1:
+        return "".join(steps[1:])
+    first = steps[0]
+    return "".join(steps[1 : cut - 1]) + first[-1] + "".join(steps[cut:]) + first[:-1]
 
 
 def delannoy_to_cycle_mask(n: int, path: str) -> int:
-    """The tube bitset a Delannoy path decodes to (steps are checked, the
-    length is not)."""
-    return marked_to_cycle_mask(n, *delannoy_to_marked(path))
+    """The tube bitset a Delannoy path of length 2(n - 1) decodes to (the
+    steps are checked, the length is not).
+
+    The marked path decodes on vertices 0..n-1, where the vertex of the
+    mark is vertex 0; rotating its tubes back puts it there.
+    """
+    p, j = delannoy_to_marked(path)
+    graph = _graph(n, "cycle")
+    return graph.rotate(_decode(graph, p), p.count("U", 0, j) + 1 - j)
 
 
 def cycle_tubing_to_delannoy(n: int, tubing: Iterable[Tube]) -> str:
-    p, j = cycle_tubing_to_marked(n, tubing)
-    return marked_to_delannoy(p, j)
+    """The Delannoy path of an improper cycle tubing."""
+    tubing = set(tubing)
+    if not is_tubing(n, tubing, "cycle"):
+        raise ValueError("not a valid cycle tubing")
+    return cycle_mask_to_delannoy(n, _graph(n, "cycle").bits(tubing))
 
 
 def delannoy_to_cycle_tubing(n: int, path: str) -> Tubing:
+    """The improper cycle tubing of a Delannoy path of length 2(n - 1)."""
     if not is_path(path, 2 * (n - 1), "delannoy"):
         raise ValueError(f"{path!r} is not a Delannoy path of length {2 * (n - 1)}")
-    p, j = delannoy_to_marked(path)
-    return marked_to_cycle_tubing(n, p, j)
+    tubing = _graph(n, "cycle").tubing(delannoy_to_cycle_mask(n, path))
+    if not is_tubing(n, tubing, "cycle"):
+        raise ValueError(f"path {path!r} does not roll up to a cycle tubing")
+    return tubing
 
 
 # -- the cyclic census of improper cycle tubings -----------------------------------

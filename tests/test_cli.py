@@ -10,6 +10,9 @@ from math import comb
 
 import pytest
 
+from sievekit import cli
+from sievekit.semigroup import FreeRanked
+
 PKG = [sys.executable, "-m", "sievekit"]
 
 
@@ -216,6 +219,21 @@ class TestCsp:
         res = run_cli(tmp_path, "csp", cfg)
         assert res.returncode == 0
         assert json.loads(res.stdout)["ok"] is True
+
+    @pytest.mark.parametrize("family", ["words", "festoons-content"])
+    def test_a_job_lists_its_window_once(self, monkeypatch, family):
+        calls = []
+        listed = FreeRanked.elements
+
+        def counted(self, window):
+            calls.append(window)
+            return listed(self, window)
+
+        monkeypatch.setattr(FreeRanked, "elements", counted)
+        cfg = {"family": family, "beads": [["a", 1], ["b", 1]], "window": {"max_rank": 5}}
+        payload, code = cli.cmd_csp(cfg)
+        assert code == 0 and payload["ok"] is True
+        assert len(calls) == 1
 
     def test_tubings_cycle(self, tmp_path):
         cfg = {"family": "tubings-cycle", "max_rank": 5, "grading": "free"}

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import itertools
+import re
 
 import tubings_oracle as oracle
 from helpers import corrupt
@@ -204,6 +205,28 @@ def test_tubing_masks_cover_the_union_of_their_tubes(kind):
             assert covered == sum(1 << v for v in vertices)
 
 
+def test_tubing_masks_refuse_bad_sizes_and_kinds_before_building_a_graph():
+    cached = _graph.cache_info().currsize
+    for kind in KINDS:
+        for n in (0, -1, -2, -3):
+            with pytest.raises(ValueError, match=f"need n >= 1, got {n}"):
+                tubing_masks(n, kind)
+    assert _graph.cache_info().currsize == cached
+    for n in (20, 3, 0):
+        with pytest.raises(ValueError, match="unknown graph kind 'bogus'"):
+            tubing_masks(n, "bogus")
+
+
+def test_path_functions_refuse_an_unknown_kind_alike():
+    for call in (
+        lambda kind: is_path("UD", 2, kind),
+        lambda kind: count_paths(2, kind),
+        lambda kind: enumerate_paths(2, kind),
+    ):
+        with pytest.raises(ValueError, match="unknown path kind 'bogus'"):
+            call("bogus")
+
+
 @pytest.mark.parametrize("kind", ("delannoy", "schroder", "strict"))
 def test_count_paths_counts_what_enumerate_paths_lists(kind):
     for length in range(0, 19, 2):
@@ -334,16 +357,16 @@ def _plant(monkeypatch, fault):
         fake = _swapped(tb.interval_mask_to_schroder, n, interval[5], interval[17])
         monkeypatch.setattr(tb, "interval_mask_to_schroder", fake)
     elif fault == "cycle-swap":
-        fake = _swapped(tb.cycle_mask_to_marked, n, improper[7], improper[30])
-        monkeypatch.setattr(tb, "cycle_mask_to_marked", fake)
+        fake = _swapped(tb.cycle_mask_to_delannoy, n, improper[7], improper[30])
+        monkeypatch.setattr(tb, "cycle_mask_to_delannoy", fake)
     elif fault == "interval-decode":
         path = (tb.interval_mask_to_schroder(n, interval[40]),)
         fake = _misdecoded(tb.schroder_to_interval_mask, n, path, interval[3])
         monkeypatch.setattr(tb, "schroder_to_interval_mask", fake)
     elif fault == "cycle-decode":
-        marked = tb.cycle_mask_to_marked(n, improper[20])
-        fake = _misdecoded(tb.marked_to_cycle_mask, n, marked, improper[2])
-        monkeypatch.setattr(tb, "marked_to_cycle_mask", fake)
+        path = (tb.cycle_mask_to_delannoy(n, improper[20]),)
+        fake = _misdecoded(tb.delannoy_to_cycle_mask, n, path, improper[2])
+        monkeypatch.setattr(tb, "delannoy_to_cycle_mask", fake)
     else:  # the path set, listed and counted, misses one path
         kind = fault.split("-")[0]
         target = (2 * n, "schroder") if kind == "interval" else (2 * (n - 1), "delannoy")
@@ -361,8 +384,17 @@ def _plant(monkeypatch, fault):
         monkeypatch.setattr(tb, "count_paths", fewer)
 
 
-FAULTS = ["interval-swap", "cycle-swap", "interval-decode", "cycle-decode",
-          "interval-paths", "cycle-paths"]
+# The witness each planted fault reports: the first tubing whose round trip
+# fails, or the smallest path the images miss.
+FAULT_WITNESSES = {
+    "interval-swap": {"n": 4, "path": "UUUDDFD", "tubing": [[0, 1], [0, 3], [2, 1]]},
+    "cycle-swap": {"n": 4, "path": "UUDUDD", "tubing": [[0, 1], [0, 2], [3, 3]]},
+    "interval-decode": {"n": 4, "path": "UFUDDF", "tubing": [[0, 3], [1, 1]]},
+    "cycle-decode": {"n": 4, "path": "UDDUDU", "tubing": [[0, 2], [1, 1], [3, 3]]},
+    "interval-paths": {"n": 4, "path": "FUDUDUD", "detail": "image mismatch"},
+    "cycle-paths": {"n": 4, "path": "DFUDU", "detail": "image mismatch"},
+}
+FAULTS = list(FAULT_WITNESSES)
 
 
 @pytest.mark.parametrize("fault", FAULTS)
@@ -373,7 +405,7 @@ def test_planted_bijection_faults_report_like_the_stored_check(monkeypatch, faul
     want = oracle.bijection_payload(tb, kind, 5)
     assert got == want
     payload, code = got
-    assert code == 2 and payload["witness"]["n"] == 4
+    assert code == 2 and payload["witness"] == FAULT_WITNESSES[fault]
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -402,3 +434,48 @@ def test_planted_non_path_image_names_its_tubing(monkeypatch, kind, planted):
     assert payload["per_n"] == passing
     tubing = tb.tubing_to_jsonable(_graph(n, kind).tubing(victim))
     assert payload["witness"] == {"n": n, "tubing": tubing, "path": planted}
+
+
+# -- the table-driven path kernels against the list-building ones --------------------
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", range(1, 8))
+def test_path_maps_match_the_list_building_kernels(n, kind):
+    """Every tubing maps to the reference path, and every path of the
+    target set P_n, not only the images, decodes to the reference bitset."""
+    if kind == "interval":
+        fwd, ref_fwd = tb.interval_mask_to_schroder, oracle.ref_interval_mask_to_schroder
+        inv, ref_inv = tb.schroder_to_interval_mask, oracle.ref_schroder_to_interval_mask
+        wrap, ref_wrap = tb.interval_tubing_to_schroder, oracle.ref_interval_tubing_to_schroder
+        paths = enumerate_paths(2 * n, "schroder")
+    else:
+        fwd, ref_fwd = tb.cycle_mask_to_delannoy, oracle.ref_cycle_mask_to_delannoy
+        inv, ref_inv = tb.delannoy_to_cycle_mask, oracle.ref_delannoy_to_cycle_mask
+        wrap, ref_wrap = tb.cycle_tubing_to_delannoy, oracle.ref_cycle_tubing_to_delannoy
+        paths = enumerate_paths(2 * (n - 1), "delannoy")
+    graph = _graph(n, kind)
+    for bits, _ in tubing_masks(n, kind):
+        assert fwd(n, bits) == ref_fwd(n, bits)
+    for path in paths:
+        assert inv(n, path) == ref_inv(n, path)
+    if n <= 5:  # the frozenset forms delegate to the same kernels
+        for bits, _ in tubing_masks(n, kind):
+            tubing = graph.tubing(bits)
+            assert wrap(n, tubing) == ref_wrap(n, tubing)
+
+
+def test_marked_paths_match_the_two_pass_restoration():
+    words = ["".join(w) for m in range(9) for w in itertools.product("UDF", repeat=m)]
+    for w in words + ["X", "UXD", "DUX"]:
+        try:
+            want = oracle.ref_delannoy_to_marked(w)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=re.escape(str(e))):
+                tb.delannoy_to_marked(w)
+        else:
+            assert tb.delannoy_to_marked(w) == want
+    for n in range(1, 7):
+        for bits, _ in tubing_masks(n, "cycle"):
+            tubing = _graph(n, "cycle").tubing(bits)
+            assert tb.cycle_tubing_to_marked(n, tubing) == oracle.ref_cycle_mask_to_marked(n, bits)

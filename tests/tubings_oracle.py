@@ -5,8 +5,10 @@ These are the straightforward definitions the mask-based library code in
 compatibility from the set definition, the depth-first enumerator that
 re-checks every chosen tube, the decoder that scans ahead for each rise's
 closing step, the path enumerator with each kind's step rules written
-out as branches, and the graded census of improper cycle tubings counted
-from the set-based enumeration.  They compute nothing with the library,
+out as branches, the graded census of improper cycle tubings counted
+from the set-based enumeration, and the list-building tubing <-> path
+kernels (``ref_*``) that the table-driven ones replaced.  They compute
+nothing with the library,
 so a regression there cannot hide behind its own code; ``cycle_family``
 only puts its objects into the library's containers, which the checks
 under test read.
@@ -305,3 +307,147 @@ def bijection_payload(tb, kind: str, max_n: int) -> tuple[dict, int]:
     payload["total"] = total
     payload["ok"] = True
     return payload, 0
+
+
+# -- the tubing <-> path kernels of the list-building implementation ---------------
+#
+# A copy of the per-tubing maps that ``sievekit.tubings`` replaced with
+# table-driven ones: the Schröder walk over a list of (start, vertex mask)
+# tubes, the decoder that lists (start, length) tubes, the cycle cut and
+# unmarking, and the two-pass restoration of a marked path.  Tubings are
+# tube bitsets in the library's enumeration order (``all_tubes``); the
+# frozenset forms convert at their edges.
+
+
+def _tube_masks(n: int, kind: str) -> list[tuple[int, int]]:
+    """(start, vertex mask) of each tube, in enumeration order."""
+    full = (1 << n) - 1
+    out = []
+    for start, length in all_tubes(n, kind):
+        mask = ((1 << length) - 1) << start
+        out.append((start, (mask | mask >> n) & full))
+    return out
+
+
+def _set_bits(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _tubes_to_bits(n: int, kind: str, tubes: Iterable) -> int:
+    index = {t: i for i, t in enumerate(all_tubes(n, kind))}
+    out = 0
+    for t in tubes:
+        out |= 1 << index[t]
+    return out
+
+
+def _schroder_walk(n: int, tubes: Iterable[tuple[int, int]]) -> tuple[str, list[int]]:
+    opens = [0] * n
+    covered = finals = 0
+    for start, mask in tubes:
+        opens[start] += 1
+        finals |= 1 << ((mask & ~covered).bit_length() - 1)
+        covered |= mask
+    path = "".join(
+        "U" * opens[v] + ("D" if finals >> v & 1 else "F") for v in range(n)
+    )
+    return path, opens
+
+
+def _decode_tubes(path: str) -> list[tuple[int, int]]:
+    tubes = []
+    rises: list[tuple[int, int]] = []
+    h = vi = 0
+    for s in path:
+        if s == "U":
+            rises.append((h, vi))
+            h += 1
+            continue
+        while rises and rises[-1][0] == h:
+            start = rises.pop()[1]
+            tubes.append((start, vi - start))
+        vi += 1
+        h += {"D": -1, "F": 0}[s]
+    tubes.extend((start, vi - start) for _, start in rises)
+    return tubes
+
+
+def ref_interval_mask_to_schroder(n: int, bits: int) -> str:
+    table = _tube_masks(n, "interval")
+    return _schroder_walk(n, [table[i] for i in _set_bits(bits)])[0]
+
+
+def ref_schroder_to_interval_mask(n: int, path: str) -> int:
+    return _tubes_to_bits(n, "interval", _decode_tubes(path))
+
+
+def ref_cycle_mask_to_marked(n: int, bits: int) -> tuple[str, int]:
+    """Cut the cycle after the free vertex preceding vertex 0."""
+    full = (1 << n) - 1
+    chosen = [_tube_masks(n, "cycle")[i] for i in _set_bits(bits)]
+    covered = 0
+    for _, mask in chosen:
+        covered |= mask
+    free = full ^ covered
+    if not free:
+        raise ValueError("tubing is proper: it has no free vertex to cut at")
+    cut = free.bit_length()
+    p, opens = _schroder_walk(n, [
+        ((start - cut) % n, (mask >> cut | mask << (n - cut)) & full)
+        for start, mask in chosen
+    ])
+    v = -cut % n
+    return p, sum(opens[: v + 1]) + v + 1
+
+
+def ref_marked_to_cycle_mask(n: int, path: str, j: int) -> int:
+    shift = j - path.count("U", 0, j) - 1
+    return _tubes_to_bits(
+        n, "cycle", (((start - shift) % n, length) for start, length in _decode_tubes(path))
+    )
+
+
+def ref_unmark(path: str, j: int) -> str:
+    m = len(path)
+    if j == m:
+        return path[:-1]
+    return path[j : m - 1] + path[j - 1] + path[: j - 1]
+
+
+def ref_delannoy_to_marked(path: str) -> tuple[str, int]:
+    step_y = {"U": 1, "D": -1, "F": 0}
+    try:
+        heights_after = list(itertools.accumulate(map(step_y.__getitem__, path)))
+    except KeyError as e:
+        raise ValueError(f"unknown step {e.args[0]!r} in {path!r}") from None
+    if heights_after and heights_after[-1]:
+        raise ValueError(f"path {path!r} does not return to height 0")
+    m = len(path)
+    min_h = min(heights_after, default=0)
+    flats_at_min = [
+        t for t, s in enumerate(path) if s == "F" and heights_after[t] == min_h
+    ]
+    if flats_at_min:
+        s0 = flats_at_min[-1]
+    elif min_h == 0:
+        return path + "F", m + 1
+    else:
+        s0 = heights_after.index(min_h)
+    p = path[s0 + 1 :] + path[s0] + path[:s0] + "F"
+    return p, m - s0
+
+
+def ref_cycle_mask_to_delannoy(n: int, bits: int) -> str:
+    return ref_unmark(*ref_cycle_mask_to_marked(n, bits))
+
+
+def ref_delannoy_to_cycle_mask(n: int, path: str) -> int:
+    return ref_marked_to_cycle_mask(n, *ref_delannoy_to_marked(path))
+
+
+def ref_interval_tubing_to_schroder(n: int, tubing: Iterable) -> str:
+    return ref_interval_mask_to_schroder(n, _tubes_to_bits(n, "interval", tubing))
+
+
+def ref_cycle_tubing_to_delannoy(n: int, tubing: Iterable) -> str:
+    return ref_cycle_mask_to_delannoy(n, _tubes_to_bits(n, "cycle", tubing))

@@ -36,8 +36,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .arith import divisors
 from .gaussseq import SequenceSpec, _require_role, a_from_b, a_from_c
-from .qgauss import PolyFamily, root_total
-from .qpoly import IntPoly, eval_at_primitive_root
+from .qgauss import PolyFamily, check_root_values, root_total
+from .qpoly import IntPoly
 from .semigroup import (MAX_OBJECTS, FamilyReport, FreeRanked, PositiveIntegers, Window,
                         _SemigroupBase, check_divisors, window_table)
 
@@ -585,16 +585,16 @@ def orbit_census(objs: Sequence[CyclicObject]) -> dict[int, int]:
 
 def verify_lyndon(census: Census) -> FamilyReport:
     """Check the fixed-point law: C_d-invariants match root-set totals."""
-    inst = census.instance
     counts = census.counts()
 
-    def compare(s, fixed, d):
-        got = sum(fixed[d])
-        expected = root_total(inst, counts, s, d, int)
-        if got != expected:
-            return f"fixed {got} != {expected}"
+    def compare(s, fixed, roots):
+        for d, t in roots:
+            got = sum(fixed[d])
+            expected = root_total(counts, s, t)
+            yield None if got == expected else f"fixed {got} != {expected}"
 
-    return check_divisors(inst, ((s, fixed) for s, _, fixed in census.rows), compare)
+    rows = ((s, fixed) for s, _, fixed in census.rows)
+    return check_divisors(census.instance, rows, compare)
 
 
 def _require_match(census: Census, F: PolyFamily, who: str) -> None:
@@ -605,32 +605,19 @@ def _require_match(census: Census, F: PolyFamily, who: str) -> None:
 def verify_csp(census: Census, F: PolyFamily) -> FamilyReport:
     """Check cyclic sieving: root-of-unity values count C_d-invariants."""
     _require_match(census, F, "verify_csp")
-
-    def compare(s, entry, d):
-        poly, fixed = entry
-        got = eval_at_primitive_root(poly, d)
-        expected = sum(fixed[d])
-        if got != expected:
-            return f"value {got.coeffs} != fixed count {expected}"
-
     items = ((s, (F.value(s), fixed)) for s, _, fixed in census.rows)
-    return check_divisors(census.instance, items, compare)
+    return check_root_values(
+        census.instance, items, lambda s, fixed, d, t: sum(fixed[d]), "fixed count "
+    )
 
 
 def verify_signed_csp(census: Census, F: PolyFamily) -> FamilyReport:
     """Signed sieving check at odd ranks: values match signed fixed counts."""
     _require_match(census, F, "verify_signed_csp")
     inst = census.instance
-
-    def compare(s, entry, d):
-        poly, fixed = entry
-        got = eval_at_primitive_root(poly, d)
-        pos, neg = fixed[d]
-        expected = pos - neg
-        if got != expected:
-            return f"value {got.coeffs} != signed fixed count {expected}"
-
     items = (
         (s, (F.value(s), fixed)) for s, _, fixed in census.rows if inst.rank(s) % 2
     )
-    return check_divisors(inst, items, compare)
+    return check_root_values(
+        inst, items, lambda s, fixed, d, t: fixed[d][0] - fixed[d][1], "signed fixed count "
+    )

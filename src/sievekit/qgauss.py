@@ -20,9 +20,9 @@ from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from itertools import cycle
 from math import gcd
-from operator import add, mul
+from operator import add, mul, sub
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .arith import divisors, mobius, ramanujan_sum
 from .gaussseq import SequenceSpec, _require_role
@@ -30,8 +30,11 @@ from .qpoly import (
     IntPoly,
     ONE,
     ZERO,
+    divisor_folds,
+    equals_at_primitive_root,
     eval_at_one,
     eval_at_primitive_root,
+    fold,
     one_minus_q_pow,
     q_binomial,
     q_int,
@@ -142,14 +145,13 @@ class PolyFamily:
         ]
 
 
-def root_total(inst: _SemigroupBase, table: Mapping, s, d: int, weight: Callable) -> int:
-    """weight(table[t]) at the d-th root t of s, or 0 when s has none."""
-    t = inst.nth_root(s, d)
+def root_total(table: Mapping, s, t) -> int:
+    """table[t] at the root t of s, or 0 when t is None."""
     if t is None:
         return 0
     if t not in table:
         raise ValueError(f"family window does not cover the root {t!r} of {s!r}")
-    return weight(table[t])
+    return table[t]
 
 
 # -- the three constructions --------------------------------------------------
@@ -277,24 +279,55 @@ def construct_from_c(c: SequenceSpec) -> PolyFamily:
 def check_qgauss_definition(F: PolyFamily) -> FamilyReport:
     """Exact-division test: Mobius-weighted divisor sum mod [rank(s)]_q.
 
-    The remainder is read off the fold modulo q^rank - 1
-    (``reduce_mod_q_int``), with no long division.
+    The sum is taken modulo q^rank - 1 in one list: f_t(q^d) folded there
+    is f_t folded modulo q^rank(t) - 1, spread to every d-th entry.  Its
+    remainder modulo [rank(s)]_q is that list minus its top entry, as
+    ``reduce_mod_q_int`` computes it, with no long division.
     """
-    inst = F.instance
     lookup = F.as_dict()
 
     def checks():
         for s, _ in F.polys:
-            rk = inst.rank(s)
-            total = ZERO
-            for t, d in inst.unit_divisors(s):
-                mu = mobius(d)
+            roots = F.instance.divisor_roots(s)
+            rk = roots[-1][0]
+            total = [0] * rk
+            for d, t in roots:
+                mu = 0 if t is None else mobius(d)
                 if mu:
-                    total = total + lookup[t].subst_power(d) * mu
-            rem = reduce_mod_q_int(total, rk)
-            yield s, rk, f"remainder {rem}" if rem else None
+                    spread = fold(lookup[t].coeffs, rk // d)
+                    total[::d] = map(add if mu > 0 else sub, total[::d], spread)
+            if total.count(total[-1]) == rk:  # the remainder, total - top, is 0
+                yield s, rk, None
+            else:
+                yield s, rk, f"remainder {reduce_mod_q_int(IntPoly(total), rk)}"
 
     return FamilyReport.collect(checks())
+
+
+def check_root_values(
+    inst: _SemigroupBase, items: Iterable, expected: Callable, label: str = ""
+) -> FamilyReport:
+    """The root-of-unity report: for each (s, (p, x)) in items and each d
+    dividing rank(s), p must take the integer expected(s, x, d, t) at every
+    primitive d-th root of unity, t being the root s/d or None.
+
+    p is folded once per element (``divisor_folds``) and each comparison
+    decided by ``equals_at_primitive_root``, with no cyclotomic division;
+    only a failing check divides, to name the value
+    ``eval_at_primitive_root(p, d)`` in its detail.
+    """
+
+    def compare(s, entry, roots):
+        p, x = entry
+        folds = divisor_folds(p.coeffs, roots[-1][0])
+        for d, t in roots:
+            want = expected(s, x, d, t)
+            if equals_at_primitive_root(folds, d, want):
+                yield None
+            else:
+                yield f"value {eval_at_primitive_root(p, d).coeffs} != {label}{want}"
+
+    return check_divisors(inst, items, compare)
 
 
 def check_qgauss_roots(F: PolyFamily) -> FamilyReport:
@@ -303,16 +336,12 @@ def check_qgauss_roots(F: PolyFamily) -> FamilyReport:
     For every d dividing rank(s), the evaluation must be the integer
     sum of f_t(1) over d-th roots t of s inside the instance.
     """
-    inst = F.instance
-    lookup = F.as_dict()
-
-    def compare(s, p, d):
-        expected = root_total(inst, lookup, s, d, eval_at_one)
-        got = eval_at_primitive_root(p, d)
-        if got != expected:
-            return f"value {got.coeffs} != {expected}"
-
-    return check_divisors(inst, F.polys, compare)
+    at_one = {s: eval_at_one(p) for s, p in F.polys}
+    return check_root_values(
+        F.instance,
+        ((s, (p, None)) for s, p in F.polys),
+        lambda s, _, d, t: root_total(at_one, s, t),
+    )
 
 
 def equivalent_mod(F: PolyFamily, G: PolyFamily) -> FamilyReport:

@@ -21,7 +21,23 @@ multiplication via multipoint Kronecker substitution", J. Symbolic
 Comput. 44, 2009).
 
 Remainders modulo a cyclotomic polynomial represent evaluations at a
-primitive root of unity without ever leaving exact arithmetic.
+primitive root of unity without ever leaving exact arithmetic.  Deciding
+whether p takes an integer value E at every primitive d-th root of unity
+needs no such division.  Fold p modulo q^e - 1 for each e dividing d
+(``fold``; the fold to e has entry j the sum of the coefficients at
+exponents congruent to j mod e), and form
+
+    P[j] = sum over e | d of mobius(d/e) * e * fold_e[j mod e],  j < d.
+
+Over Q, Z[q]/(q^d - 1) splits into the fields Q[q]/Phi_e for e | d, and P
+is d times the projection of p onto the Phi_d component: expanding the
+projection by the discrete Fourier transform gives the Ramanujan sum
+c_d(j - i) = sum over e | gcd(j - i, d) of mobius(d/e) * e as the weight of
+coefficient i in entry j, which is the sum above.  Take E off entry 0 of
+each fold first, and P is d times the projection of p - E.  It vanishes
+exactly when Phi_d divides p - E, that is when p(zeta) = E at every
+primitive d-th root zeta.  Every step is an integer sum, so the test is a
+proof (``equals_at_primitive_root``).
 """
 
 from __future__ import annotations
@@ -30,7 +46,7 @@ import functools
 import struct
 from math import comb
 from operator import add
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .arith import divisors, mobius
 
@@ -310,14 +326,33 @@ def eval_at_one(p: IntPoly) -> int:
     return sum(p.coeffs)
 
 
+def fold(coeffs: Sequence[int], n: int) -> list[int]:
+    """The coefficients folded modulo q**n - 1, for n >= 1: a list of
+    length n whose entry j sums the coefficients at exponents congruent to
+    j mod n.  One slice add per chunk of n coefficients, or one strided
+    sum per residue when there are fewer residues than chunks.
+
+    >>> fold((1, 2, 3, 4, 5), 2)
+    [9, 6]
+    >>> fold((1, 2, 3), 5)
+    [1, 2, 3, 0, 0]
+    """
+    if n < 1:
+        raise ValueError(f"fold: need n >= 1, got {n}")
+    length = len(coeffs)
+    if n * n < length:
+        return [sum(coeffs[j::n]) for j in range(n)]
+    out = list(coeffs[:n])
+    out += [0] * (n - len(out))
+    for i in range(n, length, n):
+        chunk = coeffs[i:i + n]
+        out[:len(chunk)] = map(add, out, chunk)
+    return out
+
+
 def reduce_mod_qn_minus_1(p: IntPoly, n: int) -> IntPoly:
     """Canonical representative of p modulo q**n - 1 (degree < n)."""
-    if n < 1:
-        raise ValueError(f"reduce_mod_qn_minus_1: need n >= 1, got {n}")
-    out = [0] * n
-    for i, c in enumerate(p.coeffs):
-        out[i % n] += c
-    return IntPoly(out)
+    return IntPoly(fold(p.coeffs, n))
 
 
 def reduce_mod_q_int(p: IntPoly, n: int) -> IntPoly:
@@ -330,11 +365,9 @@ def reduce_mod_q_int(p: IntPoly, n: int) -> IntPoly:
     >>> reduce_mod_q_int(IntPoly((0, 0, 0, 5)), 3).coeffs
     (5,)
     """
-    folded = reduce_mod_qn_minus_1(p, n).coeffs
-    if len(folded) < n:
-        return IntPoly(folded)
+    folded = fold(p.coeffs, n)
     top = folded[-1]
-    return IntPoly(c - top for c in folded)
+    return IntPoly([c - top for c in folded])
 
 
 def one_minus_q_pow(m: int) -> IntPoly:
@@ -371,12 +404,24 @@ def q_factorial(n: int) -> IntPoly:
 
 
 @functools.lru_cache(maxsize=None)
+def _q_binomial_row(a: int) -> list[IntPoly]:
+    """The row [a choose 0], [a + 1 choose 1], ... of ``q_binomial`` for
+    one a, as far as it has been asked for; ``q_binomial`` extends it in
+    place."""
+    return [ONE]
+
+
+@functools.lru_cache(maxsize=None)
 def q_binomial(n: int, k: int) -> IntPoly:
     """Gaussian binomial coefficient.
 
-    Built as the product over i <= m = min(k, n - k) of
-    (1 - q^(n-m+i)) / (1 - q^i); after step i the partial product is the
-    binomial [n-m+i choose i], so every division is exact.
+    With a = max(k, n - k) and m = min(k, n - k), it is entry m of the
+    row [a + j choose j], j = 0, 1, ..., and each entry is built from the
+    one before as [a + j choose j] = [a + j - 1 choose j - 1] *
+    (1 - q^(a+j)) / (1 - q^j), one sparse product and one exact division.
+    The row of each a is kept and extended only past its last entry, so
+    asking for [a + j choose j] for j = 1..m builds each once, with no
+    recursion.
 
     k == 0 gives 1 for every integer n, including negative n: the choice of
     nothing is always the empty product.  This boundary case is relied on by
@@ -391,11 +436,11 @@ def q_binomial(n: int, k: int) -> IntPoly:
         return ONE
     if k < 0 or n < 0 or k > n:
         return ZERO
-    m = min(k, n - k)
-    out = ONE
-    for i in range(1, m + 1):
-        out = (out * one_minus_q_pow(n - m + i)).exact_div(one_minus_q_pow(i))
-    return out
+    a, m = max(k, n - k), min(k, n - k)
+    row = _q_binomial_row(a)
+    for j in range(len(row), m + 1):
+        row.append((row[-1] * one_minus_q_pow(a + j)).exact_div(one_minus_q_pow(j)))
+    return row[m]
 
 
 def q_multinomial(parts: Sequence[int]) -> IntPoly:
@@ -510,6 +555,50 @@ def cyclotomic(d: int) -> IntPoly:
     return out
 
 
+def divisor_folds(coeffs: Sequence[int], n: int) -> dict[int, list[int]]:
+    """The coefficients folded modulo q**e - 1 (``fold``) for every e
+    dividing n, each taken from the one fold modulo q**n - 1.
+
+    >>> divisor_folds((1, 2, 3, 4, 5), 4)
+    {1: [15], 2: [9, 6], 4: [6, 2, 3, 4]}
+    """
+    base = fold(coeffs, n)
+    return {e: fold(base, e) for e in divisors(n)}
+
+
+@functools.lru_cache(maxsize=None)
+def _projection_weights(d: int) -> tuple[tuple[int, int], ...]:
+    """(e, mobius(d/e) * e) for each e dividing d with mobius(d/e) != 0."""
+    return tuple((e, mobius(d // e) * e) for e in divisors(d) if mobius(d // e))
+
+
+def equals_at_primitive_root(folds: Mapping[int, Sequence[int]], d: int, value: int) -> bool:
+    """Whether p(zeta) == value at every primitive d-th root of unity zeta,
+    where ``folds`` maps each e dividing d to p folded modulo q**e - 1
+    (``divisor_folds``).
+
+    Exact and division-free: with value taken off entry 0 of each fold,
+    the sum over e | d of mobius(d/e) * e * fold_e[j mod e] must vanish at
+    every j < d, being d times the projection of p - value onto the Phi_d
+    component (see the module docstring).  It decides the same predicate
+    as ``eval_at_primitive_root(p, d) == value``.
+
+    >>> equals_at_primitive_root(divisor_folds(q_int(6).coeffs, 3), 3, 0)
+    True
+    >>> equals_at_primitive_root(divisor_folds(q_binomial(4, 2).coeffs, 2), 2, 2)
+    True
+    >>> equals_at_primitive_root(divisor_folds(q_int(2).coeffs, 3), 3, 1)
+    False
+    """
+    total = None
+    for e, weight in _projection_weights(d):
+        scaled = [weight * c for c in folds[e]]
+        scaled[0] -= weight * value
+        scaled *= d // e
+        total = scaled if total is None else list(map(add, total, scaled))
+    return not any(total)
+
+
 def eval_at_primitive_root(p: IntPoly, d: int) -> IntPoly:
     """Exact value of p at a primitive d-th root of unity.
 
@@ -517,6 +606,8 @@ def eval_at_primitive_root(p: IntPoly, d: int) -> IntPoly:
     polynomial, of degree below totient(d); it is an integer exactly when
     that remainder is constant.  The cyclotomic polynomial divides q^d - 1,
     so p is folded modulo q^d - 1 first, which keeps the division short.
+    The checkers decide their comparisons with ``equals_at_primitive_root``
+    and call this only to describe a failure.
 
     >>> eval_at_primitive_root(q_int(6), 3) == 0
     True

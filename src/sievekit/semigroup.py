@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import prod
+from math import gcd, prod
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
@@ -156,12 +156,17 @@ class FamilyReport:
 
 
 def check_divisors(inst: _SemigroupBase, items: Iterable, compare: Callable) -> FamilyReport:
-    """The divisor-indexed report: for each (s, x) in items and each d
-    dividing rank(s), compare(s, x, d) returns None when the check holds
-    and a failure detail otherwise."""
-    return FamilyReport.collect(
-        (s, d, compare(s, x, d)) for s, x in items for d in divisors(inst.rank(s))
-    )
+    """The divisor-indexed report: for each (s, x) in items, with roots =
+    ``inst.divisor_roots(s)``, compare(s, x, roots) yields one result per
+    pair (d, t) of roots, in order: None when the check at d holds and a
+    failure detail otherwise."""
+    def checks():
+        for s, x in items:
+            roots = inst.divisor_roots(s)
+            for (d, _), detail in zip(roots, compare(s, x, roots), strict=True):
+                yield s, d, detail
+
+    return FamilyReport.collect(checks())
 
 
 class _SemigroupBase:
@@ -212,14 +217,22 @@ class _SemigroupBase:
             return None
         return self._build(tuple(c // d for c in cs))
 
+    def divisor_roots(self, s) -> list[tuple[int, object]]:
+        """(d, the root t with d*t = s, or None) for every d dividing
+        rank(s), ascending in d.  s is validated once, and each root past
+        s itself is built from its coordinates: d divides them all exactly
+        when it divides their gcd."""
+        self.validate(s)
+        cs = self.coords(s)
+        g = gcd(*cs)
+        return [(1, s)] + [
+            (d, None if g % d else self._build(tuple(c // d for c in cs)))
+            for d in divisors(sum(map(mul, cs, self.row)))[1:]
+        ]
+
     def unit_divisors(self, s) -> list[tuple[object, int]]:
         """All pairs (t, d) with d*t = s, ascending in d; (s, 1) included."""
-        out = []
-        for d in divisors(self.rank(s)):
-            r = self.nth_root(s, d)
-            if r is not None:
-                out.append((r, d))
-        return out
+        return [(t, d) for d, t in self.divisor_roots(s) if t is not None]
 
     def subtract(self, s, t):
         """The unique u with u + t = s, or None."""

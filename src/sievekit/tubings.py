@@ -354,9 +354,10 @@ def step_heights(path: str) -> list[int]:
 def classify_path(path: str) -> str:
     """The strongest of strict / schroder / delannoy that the path satisfies."""
     length = path_length(path)
-    for kind in ("strict", "schroder", "delannoy"):
-        if is_path(path, length, kind):
-            return kind
+    if length % 2 == 0:  # else an unknown step, or an odd number of rises and falls
+        for kind in ("strict", "schroder", "delannoy"):
+            if is_path(path, length, kind):
+                return kind
     raise ValueError(f"{path!r} is not a path: an unknown step, or it ends off height 0")
 
 
@@ -415,12 +416,11 @@ def is_path(path: str, length: int, kind: str = "delannoy") -> bool:
     Where the rules ignore the height, the step counts decide.  Elsewhere
     the path, its flats rewritten, must reduce to nothing by deleting
     rises followed by falls: exactly the words over U and D that stay at
-    or above height 0 and end there.
+    or above height 0 and end there.  An unknown kind, or a length that
+    is odd or negative, raises ``ValueError`` as in ``count_paths``.
     """
-    try:
-        flat = _FLAT_AS[kind]
-    except KeyError:
-        raise ValueError(f"unknown path kind {kind!r}") from None
+    _check_path_args(length, kind)
+    flat = _FLAT_AS[kind]
     flats = path.count("F")
     if len(path) + flats != length:
         return False
@@ -531,7 +531,8 @@ def schroder_to_interval_tubing(n: int, path: str) -> Tubing:
 def _marked_ok(path: str, j: int) -> bool:
     """Whether (path, j) is a marked path: a Schröder path ending in a flat,
     marked at a fall or flat no later than its first flat at height 0."""
-    if not path.endswith("F") or not is_path(path, path_length(path), "schroder"):
+    length = path_length(path)
+    if not path.endswith("F") or length % 2 or not is_path(path, length, "schroder"):
         return False
     heights = step_heights(path)
     first_flat0 = next(

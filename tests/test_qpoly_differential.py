@@ -8,7 +8,10 @@ same failure: the same exception type, element and detail.
 
 from __future__ import annotations
 
+import inspect
+import sys
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +38,7 @@ from sievekit.qgauss import (
 from sievekit.qpoly import (
     KRONECKER_MIN_TERMS,
     IntPoly,
+    _q_binomial_row,
     _q_exp_nonneg,
     _q_exp_row,
     cyclotomic,
@@ -151,6 +155,30 @@ class TestQAnalogues:
                                       (3, 4), (0, 1), (-2, 1), (-2, -1)])
     def test_q_binomial_corners(self, n, k):
         assert q_binomial(n, k) == oracle.q_binomial(n, k)
+
+    def test_q_binomial_rows_extend_in_any_order(self):
+        # from empty caches: the middle of the row of a = 12 first, then
+        # the entries before it (read back), after it (one step each), and
+        # the same entries asked for as [n choose n - k]
+        q_binomial.cache_clear()
+        _q_binomial_row.cache_clear()
+        for m in [6, *range(5, -1, -1), *range(7, 13)]:
+            for n, k in ((12 + m, m), (12 + m, 12)):
+                assert q_binomial(n, k) == oracle.q_binomial(n, k), (n, k)
+        assert len(_q_binomial_row(12)) == 13
+
+    def test_q_binomial_walks_without_recursion(self):
+        # the row of a = 90 grows 90 steps within a few stack frames
+        q_binomial.cache_clear()
+        _q_binomial_row.cache_clear()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 20)
+        try:
+            p = q_binomial(180, 90)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert p(1) == comb(180, 90) and p.degree == 90 * 90
+        assert p.coeffs == p.coeffs[::-1]
 
     @given(st.lists(st.integers(-1, 7), max_size=5))
     def test_q_multinomial(self, parts):

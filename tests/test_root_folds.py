@@ -1,0 +1,248 @@
+"""The fold-once divisor-sum checkers against the code they replaced.
+
+``equals_at_primitive_root`` decides "p(zeta) = E at every primitive d-th
+root of unity" from folds, with no cyclotomic division; it must agree with
+the remainder ``eval_at_primitive_root`` on random and on planted cases.
+``check_qgauss_definition`` and ``check_qgauss_roots`` must report exactly
+what their oracles (``tests/qpoly_oracle.py``, ``tests/sieve_oracle.py``)
+report, failures and details included, on families with planted faults on
+positive-integer, free and chain instances; and on passing families they
+must divide by no polynomial at all.  ``unit_divisors`` and
+``divisor_roots`` must list the roots ``tests/semigroup_oracle.py`` finds.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import qpoly_oracle
+import semigroup_oracle
+import sieve_oracle
+from helpers import sequence_corpus
+from sievekit.arith import divisors
+from sievekit.qgauss import (
+    PolyFamily,
+    check_qgauss_definition,
+    check_qgauss_roots,
+    construct_ramanujan,
+    fund_family,
+)
+from sievekit.qpoly import (
+    ZERO,
+    IntPoly,
+    cyclotomic,
+    divisor_folds,
+    equals_at_primitive_root,
+    eval_at_primitive_root,
+    fold,
+    one_minus_q_pow,
+    q_binomial,
+    q_multinomial,
+    q_power,
+)
+from sievekit.semigroup import Chain, FreeRanked, PositiveIntegers, Window
+
+ZPOS = PositiveIntegers()
+
+# -- the projection test ------------------------------------------------------------
+
+SMALL = st.integers(-5, 5)
+WIDE = st.one_of(SMALL, st.integers(-10**12, 10**12))
+
+
+@st.composite
+def root_cases(draw) -> tuple[IntPoly, int, int]:
+    """(p, d, E) with d <= 130: p random, E + Phi_d * h (p(zeta) = E at
+    every primitive d-th root), or such a p knocked off by one monomial."""
+    d = draw(st.integers(1, 130))
+    value = draw(WIDE)
+    how = draw(st.sampled_from(["planted", "planted", "knocked", "random"]))
+    if how == "random":
+        coeffs = draw(st.lists(WIDE, max_size=3 * d))
+        return IntPoly(coeffs), d, value
+    h = IntPoly(draw(st.lists(WIDE, max_size=2 * d)))
+    p = cyclotomic(d) * h + value
+    if how == "knocked":
+        p = p + IntPoly.monomial(draw(WIDE.filter(bool)), draw(st.integers(0, 3 * d)))
+    return p, d, value
+
+
+def test_projection_decides_the_value_at_primitive_roots():
+    passed = []
+
+    @settings(max_examples=400)
+    @given(root_cases())
+    def agree(case):
+        p, d, value = case
+        want = eval_at_primitive_root(p, d) == value
+        assert equals_at_primitive_root(divisor_folds(p.coeffs, d), d, value) == want
+        passed.append(want)
+
+    agree()
+    assert 3 * sum(passed) >= len(passed)
+
+
+@given(st.lists(WIDE, max_size=60), st.integers(1, 40))
+def test_folds_agree_with_the_remainder_modulo_q_n_minus_1(coeffs, n):
+    p = IntPoly(coeffs)
+    folds = divisor_folds(coeffs, n)
+    assert sorted(folds) == divisors(n)
+    for e, row in folds.items():
+        assert len(row) == e
+        assert row == fold(coeffs, e)
+        assert IntPoly(row) == divmod(p, IntPoly.monomial(1, e) - 1)[1]
+
+
+# -- the two checkers on planted faults ----------------------------------------------------
+
+ZPOS_FAMILIES = [
+    construct_ramanujan(dict(sequence_corpus(12))["lucas"]),
+    PolyFamily.from_function(ZPOS, Window(10), lambda n: q_power(-2, n)),
+]
+FREE = FreeRanked((("x", 1), ("y", 2), ("z", 3)))
+FREE_FAMILIES = [fund_family(FREE, Window(7))]
+NK = Chain(ZPOS, "nonneg")
+NKK = Chain(NK, "nonneg")
+
+
+def _trinomial(s) -> IntPoly:
+    n, a, b = s
+    return q_multinomial([a, b, n - a - b]) if a + b <= n else ZERO
+
+
+CHAIN_FAMILIES = [
+    PolyFamily.from_function(NK, Window(9, ((0, 9),)), lambda s: q_binomial(*s)),
+    PolyFamily.from_function(NKK, Window(6, ((0, 6),)), _trinomial),
+]
+FAMILIES = {
+    "zpos": ZPOS_FAMILIES,
+    "free": FREE_FAMILIES,
+    "chain": CHAIN_FAMILIES,
+}
+FAULTS = ("bump", "cyclotomic", "constant", "invisible")
+
+
+@st.composite
+def planted(draw, kind: str) -> tuple[PolyFamily, set[str]]:
+    """A passing family of the instance kind with faults at some elements:
+    q^(rank-1) (``bump``), a multiple of Phi_e for some e | rank
+    (``cyclotomic``), a nonzero constant (``constant``), or a multiple of
+    q^rank - 1 (``invisible``, which no check can see).  A fault at rank 1
+    is named apart: there a bump is a constant, which only the elements
+    with s as a root can see."""
+    F = draw(st.sampled_from(FAMILIES[kind]))
+    inst = F.instance
+    table = dict(F.polys)
+    faults = set()
+    for s in draw(st.lists(st.sampled_from([s for s, _ in F.polys]), min_size=1, max_size=3,
+                           unique=True)):
+        rank = inst.rank(s)
+        fault = draw(st.sampled_from(FAULTS))
+        shift = IntPoly.monomial(draw(st.integers(-3, 3).filter(bool)), draw(st.integers(0, 4)))
+        if fault == "bump":
+            bump = IntPoly.monomial(1, rank - 1)
+        elif fault == "cyclotomic":
+            bump = cyclotomic(draw(st.sampled_from(divisors(rank)))) * shift
+        elif fault == "constant":
+            bump = shift.coeffs[-1]
+        else:
+            bump = one_minus_q_pow(rank) * shift
+        table[s] = table[s] + bump
+        faults.add(fault if rank >= 2 else f"{fault} at rank 1")
+    return PolyFamily(inst, F.window, tuple(table.items())), faults
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+@settings(max_examples=40)
+@given(data=st.data())
+def test_checkers_report_what_the_oracles_report(kind, data):
+    G, faults = data.draw(planted(kind))
+    definition = check_qgauss_definition(G)
+    roots = check_qgauss_roots(G)
+    assert definition == qpoly_oracle.check_qgauss_definition(G)
+    assert roots == sieve_oracle.check_qgauss_roots(G)
+    if faults == {"invisible"}:
+        assert definition.ok and roots.ok
+    if "bump" in faults:
+        assert not roots.ok
+
+
+@pytest.mark.parametrize("F", [F for group in FAMILIES.values() for F in group])
+def test_the_unplanted_families_pass(F):
+    assert check_qgauss_definition(F).ok and check_qgauss_roots(F).ok
+
+
+# -- no division on a passing family -------------------------------------------------------
+
+
+@pytest.fixture
+def divisions(monkeypatch):
+    """The divisor of each IntPoly long division made while the fixture is
+    active, in call order."""
+    calls = []
+    original = IntPoly.__divmod__
+
+    def counted(self, other):
+        calls.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(IntPoly, "__divmod__", counted)
+    return calls
+
+
+def test_checkers_divide_only_to_describe_a_failure(divisions):
+    grid = PolyFamily.from_function(NK, Window(12, ((0, 12),)), lambda s: q_binomial(*s))
+    fund = fund_family(FREE, Window(8))
+    for d in range(1, 13):
+        cyclotomic(d)  # built by exact divisions, once
+    divisions.clear()  # the constructions divide exactly; the checks must not
+    for F in (grid, fund):
+        assert check_qgauss_definition(F).ok
+        assert check_qgauss_roots(F).ok
+    assert divisions == []
+    # a failing check divides once, by Phi_d, to name the value it found
+    s = (4, 2)
+    broken = PolyFamily(NK, grid.window, tuple(
+        (t, p + 1 if t == s else p) for t, p in grid.polys))
+    failures = check_qgauss_roots(broken).failures
+    assert [(f.element, f.divisor) for f in failures] == [
+        (s, 2), (s, 4), ((8, 4), 2), ((12, 6), 3)]
+    assert [cyclotomic(f.divisor) for f in failures] == divisions
+
+
+# -- roots of an element ---------------------------------------------------------------------
+
+MULTIPLIERS = [1, 2, 3, 4, 6, 12, 30, 60]
+
+
+@st.composite
+def multiples(draw) -> tuple[object, object]:
+    """(instance, m * b) for a valid element b, so that roots exist."""
+    kind = draw(st.sampled_from(["zpos", "chain", "free"]))
+    if kind == "zpos":
+        return ZPOS, draw(st.integers(1, 5)) * draw(st.sampled_from(MULTIPLIERS))
+    if kind == "chain":
+        inst = ZPOS
+        for extra in draw(st.lists(st.sampled_from(["ints", "nonneg", "pos"]),
+                                   min_size=1, max_size=3)):
+            inst = Chain(inst, extra)
+    else:
+        lengths = draw(st.lists(st.integers(-2, 3), min_size=1, max_size=3))
+        inst = FreeRanked(tuple((f"b{i}", n) for i, n in enumerate(lengths)))
+    base = draw(st.tuples(*[st.integers(-3, 5)] * len(inst.row)))
+    assume(semigroup_oracle.is_valid(inst, base))
+    m = draw(st.sampled_from(MULTIPLIERS))
+    return inst, tuple(c * m for c in base)
+
+
+@settings(max_examples=150)
+@given(multiples())
+def test_roots_match_the_oracle(case):
+    inst, s = case
+    assert inst.unit_divisors(s) == semigroup_oracle.unit_divisors(inst, s)
+    roots = inst.divisor_roots(s)
+    assert [d for d, _ in roots] == divisors(semigroup_oracle.rank(inst, s))
+    for d, t in roots:
+        assert ([] if t is None else [t]) == semigroup_oracle.root_list(inst, s, d)

@@ -227,6 +227,19 @@ def test_path_functions_refuse_an_unknown_kind_alike():
             call("bogus")
 
 
+@pytest.mark.parametrize("length", (1, 3, -2, -1))
+def test_path_functions_refuse_an_odd_or_negative_length_alike(length):
+    # is_path("U", 1) among them: an odd length raises, as in count_paths
+    for call in (
+        lambda kind: is_path("U" * max(length, 0), length, kind),
+        lambda kind: count_paths(length, kind),
+        lambda kind: enumerate_paths(length, kind),
+    ):
+        for kind in ("delannoy", "schroder", "strict"):
+            with pytest.raises(ValueError, match=f"must be even and nonnegative, got {length}"):
+                call(kind)
+
+
 @pytest.mark.parametrize("kind", ("delannoy", "schroder", "strict"))
 def test_count_paths_counts_what_enumerate_paths_lists(kind):
     for length in range(0, 19, 2):
@@ -274,9 +287,15 @@ def test_path_functions_match_the_branching_oracle_up_to_length_12():
             else:
                 with pytest.raises(ValueError):
                     classify_path(w)
-    for w in ("X", "UXD", "UDFX", "udf", "U D"):  # unknown steps
-        assert not any(is_path(w, path_length(w), kind) for kind in PATH_KINDS)
-        with pytest.raises(ValueError):
+    for w in ("X", "UXD", "UDFX", "udf", "U D", "XX", "UXXD", "UDFXX"):  # unknown steps
+        length = path_length(w)
+        for kind in PATH_KINDS:
+            if length % 2:
+                with pytest.raises(ValueError, match="must be even"):
+                    is_path(w, length, kind)
+            else:
+                assert not is_path(w, length, kind)
+        with pytest.raises(ValueError, match="is not a path"):
             classify_path(w)
 
 

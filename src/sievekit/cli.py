@@ -147,6 +147,8 @@ def cmd_seq(cfg: dict) -> tuple[dict, int]:
         c = c_from_a(a)
     except NonIntegerWitness as e:
         return _witness(payload, spec.instance, e)
+    except ValueError as e:  # a difference s - t the window does not hold
+        raise ConfigError(f"seq config: {e}")
     elements = spec.instance.elements(spec.window)
     payload["elements"] = [encode_element(spec.instance, s) for s in elements]
     payload["rows"] = {"a": a.row(), "b": b.row(), "c": c.row()}

@@ -62,6 +62,17 @@ class TestSeq:
         assert payload["witness"]["element"] == 2
         assert "1/2" in payload["witness"]["detail"]
 
+    def test_difference_outside_the_window_is_a_config_error(self, tmp_path):
+        # over integer extras, (2, 0) - (1, 1) = (1, -1) lies below the
+        # window's extra bounds, so c_from_a has no "a" value there
+        inst = {"kind": "chain", "base": "zpos", "extra": "ints",
+                "window": {"max_rank": 2, "extra_bounds": [[0, 1]], "max_total": 1}}
+        seq = {"instance": inst, "role": "b", "support": [[[1, 1], 1]]}
+        res = run_cli(tmp_path, "seq", {"sequence": seq})
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr.startswith("config error:")
+        assert "widen the role-a spec" in res.stderr
+
     def test_unknown_keys_are_config_errors(self, tmp_path):
         res = run_cli(tmp_path, "seq", {"sequence": LUCAS_SEQ, "mystery": 1})
         assert res.returncode == 1

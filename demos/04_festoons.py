@@ -6,17 +6,19 @@ A festoon of type n tiles the n-cycle with beads; weights say how many
 colors each bead type admits.  Counting festoons recovers the "a" row of
 the weight sequence, rotation orbits sort themselves by the "b" row, and
 the attached polynomial family counts rotation-invariant festoons at
-roots of unity.
+roots of unity.  The census reads the same counts off necklaces without
+listing a festoon.
 """
+
+from collections import Counter
 
 from sievekit.gaussseq import SequenceSpec, b_from_a
 from sievekit.objects import (
     CyclicFamily,
-    barrier_festoons,
+    festoon_census,
     festoons_colored,
     festoons_repeated,
     fixed_points,
-    orbit_census,
     signed_festoons,
     verify_csp,
     verify_lyndon,
@@ -34,7 +36,8 @@ print("festoon counts:", counts)
 print("closed form 2^n + 2(-1)^n:", [2**n + 2 * (-1) ** n for n in range(1, 9)])
 
 objs = festoons_colored(c, 6)
-print("\nrank 6: orbit census", orbit_census(objs))
+sizes = Counter(len({o.rotated(j) for j in range(o.n)}) for o in objs)
+print("\nrank 6: orbits by size", {k: m // k for k, m in sorted(sizes.items())})
 b = b_from_a(SequenceSpec(ZPOS, window, "a", tuple(enumerate(counts, start=1))))
 print("matches the b row:", {t: b.value(t) for t in (1, 2, 3, 6)})
 print("fixed under half-turn:", len(fixed_points(objs, 2)))
@@ -54,6 +57,6 @@ for n in range(1, 7):
     pos_part, neg_part = signed_festoons(neg, n)
     print(f"n={n}: {len(pos_part)} positive - {len(neg_part)} negative = {len(pos_part) - len(neg_part)}")
 
-# barrier drawings tell the same story with no weights at all
-nets = [sum(o.sign for o in barrier_festoons(n)) for n in range(1, 7)]
-print("barrier nets:", nets)
+# the census splits them the same way, listing no festoon
+census = festoon_census("signed-festoons", neg)
+print("census (positive, negative):", [fixed[1] for _, _, fixed in census.rows])

@@ -8,10 +8,11 @@ unrestricted flat-step paths, the interval ones with nonnegative paths,
 and their gradings carry sieving polynomials.
 """
 
+from sievekit.gaussseq import TruncatedSeries, solve_functional_equation
 from sievekit.objects import verify_csp
 from sievekit.qgauss import PolyFamily
 from sievekit.tubings import (
-    classify_vertices,
+    count_paths,
     cycle_tubing_to_delannoy,
     delannoy_to_cycle_tubing,
     enumerate_paths,
@@ -19,9 +20,7 @@ from sievekit.tubings import (
     free_vertex_polynomial,
     free_vertices,
     interval_tubing_to_schroder,
-    is_proper,
     schroder_to_interval_tubing,
-    strict_schroder_gf_check,
     tube_count_polynomial,
     tubings_by_free_vertices,
     tubings_by_tube_count,
@@ -30,15 +29,14 @@ from sievekit.tubings import (
 # totals first: interval tubings and improper cycle tubings
 print("interval tubings:", [len(enumerate_tubings(n, "interval")) for n in range(1, 7)])
 improper = [
-    [t for t in enumerate_tubings(n, "cycle") if not is_proper(n, t, "cycle")]
+    [t for t in enumerate_tubings(n, "cycle") if free_vertices(n, t, "cycle")]
     for n in range(1, 7)
 ]
 print("improper cycle tubings:", [len(ts) for ts in improper])
 
 # a tubing is encoded by (start, length) tubes
 t = {(2, 4), (3, 3), (3, 1), (5, 1), (7, 2)}
-print("\nvertex roles in an eight-cycle tubing:", classify_vertices(8, t, "cycle"))
-print("free vertices:", sorted(free_vertices(8, t, "cycle")))
+print("\nfree vertices of an eight-cycle tubing:", sorted(free_vertices(8, t, "cycle")))
 
 # interval tubings unroll to nonnegative paths, tubes becoming rises
 for tubing in enumerate_tubings(3, "interval")[:6]:
@@ -63,7 +61,9 @@ fam = tubings_by_tube_count(6)
 F = PolyFamily.from_function(fam.instance, fam.window, lambda s: tube_count_polynomial(*s))
 print("tube-count grading sieves:", verify_csp(fam, F).ok)
 
-# strict paths: three independent counts of the same numbers
-out = strict_schroder_gf_check(10)
-print("\nstrict path counts:", out["solved"])
-print("series, recurrence, enumeration agree:", out["ok"])
+# strict paths: C = x * D(C) with D = (1 - t)/(1 - 2t) counts them
+D = TruncatedSeries.from_rational([1, -1], [1, -2], 11)
+solved = [int(v) for v in solve_functional_equation(D, 11).coeffs[1:]]
+print("\nstrict path counts:", solved)
+print("series and path count agree:",
+      solved == [count_paths(2 * (n - 1), "strict") for n in range(1, 11)])

@@ -9,8 +9,8 @@ The package is organised bottom-up:
   congruences that tie them together.
 - ``qgauss``: polynomial-valued refinements of those sequences and their
   root-of-unity characterisation.
-- ``objects``: words, compositions and necklace-like cyclic objects used to
-  realise the sequences combinatorially.
+- ``objects``: words and festoons, cyclic objects that realise the
+  sequences combinatorially, and their necklace census.
 - ``tubings``: tubings of paths and cycles, lattice-path bijections and their
   sieving polynomials.
 - ``cli``: a small command line front end over JSON job configs.

@@ -16,10 +16,9 @@ directions divide by rk(s) at each step and raise ``NonIntegerWitness`` at
 the first element (canonical order) where the division is not exact, which
 is precisely a congruence failure.
 
-The power-series utilities connect roles "b" and "c" on the positive integers
-through the product identity  sum c_n x^n = 1 - prod (1-x^n)^{b_n},  and
-solve the fixed-point equation C(x) = x*D(C(x)) whose coefficient sequence
-is a "c" role for lattice-path counting.
+The power-series utilities solve the fixed-point equation C(x) = x*D(C(x)),
+whose coefficient sequence is a "c" role for lattice-path counting, and
+read Riordan arrays off the powers of D.
 """
 
 from __future__ import annotations
@@ -378,55 +377,6 @@ class TruncatedSeries:
         for e in range(1, self.order):
             inv.append(-sum(self.coeffs[i] * inv[e - i] for i in range(1, e + 1)) / lead)
         return TruncatedSeries(tuple(inv), self.order)
-
-
-# -- b <-> c via the product identity ----------------------------------------
-
-
-def _require_zpos(spec: SequenceSpec, op: str) -> None:
-    if not isinstance(spec.instance, PositiveIntegers):
-        raise ValueError(f"{op}: only defined on the positive integers")
-
-
-def product_side(b: SequenceSpec, order: int) -> TruncatedSeries:
-    """prod over n >= 1 of (1 - x^n)^{b_n}, truncated below x^order."""
-    _require_zpos(b, "product_side")
-    if order > b.window.max_rank + 1:
-        raise ValueError("product_side: order exceeds the window's knowledge")
-    result = TruncatedSeries.from_coeffs((1,), order)
-    for n, bn in b.values:
-        if n >= order or bn == 0:
-            continue
-        factor = TruncatedSeries.from_coeffs((1,) + (0,) * (n - 1) + (-1,), order)
-        result = result * (factor ** bn)
-    return result
-
-
-def c_from_b_series(b: SequenceSpec, order: int) -> SequenceSpec:
-    """Read the "c" role off 1 - prod (1 - x^n)^{b_n}."""
-    _require_zpos(b, "c_from_b_series")
-    prod = product_side(b, order)
-    out = {}
-    for n in range(1, min(order, b.window.max_rank + 1)):
-        cn = -prod.coeff(n)
-        if cn.denominator != 1:
-            raise NonIntegerWitness(n, cn.numerator, cn.denominator, "c")
-        out[n] = int(cn)
-    return SequenceSpec.from_mapping(b.instance, b.window, "c", out)
-
-
-def b_from_c_series(c: SequenceSpec, order: int) -> SequenceSpec:
-    """Recover the "b" role from "c" and cross-check the product identity."""
-    _require_zpos(c, "b_from_c_series")
-    b = b_from_a(a_from_c(c))
-    back = c_from_b_series(b, order)
-    cd, bd = c.as_dict(), back.as_dict()
-    for n in range(1, min(order, c.window.max_rank + 1)):
-        if cd.get(n, 0) != bd.get(n, 0):
-            raise AssertionError(
-                f"product identity violated at {n}: {cd.get(n, 0)} vs {bd.get(n, 0)}"
-            )
-    return b
 
 
 # -- fixed-point solver and Riordan counts ------------------------------------

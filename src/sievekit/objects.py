@@ -1,8 +1,8 @@
 """Cyclically-acted combinatorial families and their sieving verifiers.
 
 Objects live on the vertex slots of a cycle graph: a length-n encoding,
-one symbol per slot, with the cyclic group acting by rotation.  Words and
-compositions store a letter per slot.  Festoons store a (type, color,
+one symbol per slot, with the cyclic group acting by rotation.  Words
+store a letter per slot.  Festoons store a (type, color,
 is-start) triple per slot; beads are the contiguous arcs, a bead of type t
 spans rank(t) slots, and slot 0 starts the serialization, so equality of
 festoons is equality of encodings.
@@ -37,11 +37,10 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .arith import divisors
 from .gaussseq import SequenceSpec, _require_role, a_from_b, a_from_c
 from .qgauss import PolyFamily, check_root_values, root_total
-from .qpoly import IntPoly
-from .semigroup import (MAX_OBJECTS, FamilyReport, FreeRanked, PositiveIntegers, Window,
+from .semigroup import (MAX_OBJECTS, FamilyReport, FreeRanked, Window,
                         _SemigroupBase, check_divisors, window_table)
 
-OBJECT_KINDS = ("word", "composition", "festoon", "signed-festoon", "tubing")
+OBJECT_KINDS = ("word", "festoon", "signed-festoon", "tubing")
 
 
 class CyclicObject(tuple):
@@ -161,7 +160,7 @@ class Census:
         return {s: count for s, count, _ in self.rows}
 
 
-# -- words and compositions ----------------------------------------------------
+# -- words -----------------------------------------------------------------------
 
 
 def _content_items(alpha) -> list:
@@ -180,7 +179,7 @@ def words_with_content(alpha) -> list[CyclicObject]:
     """All distinct arrangements of the given letter multiset.
 
     ``alpha`` maps letters to multiplicities; letters must be mutually
-    comparable since the major index uses their order.  A word is a
+    comparable, since the words are listed in sorted order.  A word is a
     festoon of length-1 beads, one bead type per letter.
     """
     letters = Counter(_content_items(alpha))
@@ -193,74 +192,6 @@ def words_with_content(alpha) -> list[CyclicObject]:
         for slots, _ in _festoons(contents)
     )
 
-
-def maj(w) -> int:
-    """Major index: the sum of positions i (1-indexed) with w_i > w_{i+1}.
-
-    Computed on the linear word; the last letter never starts a descent.
-
-    >>> maj("ba")
-    1
-    >>> maj((2, 1, 2, 1))
-    4
-    """
-    seq = w.slots if isinstance(w, CyclicObject) else tuple(w)
-    return sum(i + 1 for i in range(len(seq) - 1) if seq[i] > seq[i + 1])
-
-
-def maj_polynomial(objs: Iterable) -> IntPoly:
-    """Generating polynomial of the major index over a set of words."""
-    counts: dict[int, int] = {}
-    for w in objs:
-        m = maj(w)
-        counts[m] = counts.get(m, 0) + 1
-    if not counts:
-        return IntPoly()
-    top = max(counts)
-    return IntPoly([counts.get(e, 0) for e in range(top + 1)])
-
-
-@dataclass(frozen=True)
-class IntegersFrom:
-    """The alphabet {lo, lo+1, lo+2, ...}, truncated per composition sum."""
-
-    lo: int
-
-
-def compositions(n: int, k: int, alphabet) -> list[CyclicObject]:
-    """All length-n words of integers from the alphabet summing to k.
-
-    The alphabet is a finite set of integers or IntegersFrom(lo); in the
-    latter case only letters up to k - (n-1)*lo can appear, which keeps the
-    set finite.
-    """
-    if n < 1:
-        raise ValueError(f"compositions: need n >= 1, got {n}")
-    if isinstance(alphabet, IntegersFrom):
-        hi = k - (n - 1) * alphabet.lo
-        letters = list(range(alphabet.lo, hi + 1))
-    else:
-        letters = sorted(set(int(x) for x in alphabet))
-    if not letters:
-        return []
-    lo, hi = letters[0], letters[-1]
-    out: list[CyclicObject] = []
-    acc: list[int] = []
-
-    def rec(slots_left: int, total_left: int) -> None:
-        if slots_left == 0:
-            if total_left == 0:
-                out.append(CyclicObject("composition", tuple(acc)))
-            return
-        if total_left < slots_left * lo or total_left > slots_left * hi:
-            return
-        for x in letters:
-            acc.append(x)
-            rec(slots_left - 1, total_left - x)
-            acc.pop()
-
-    rec(n, k)
-    return sorted(out)
 
 # -- festoons --------------------------------------------------------------------
 
@@ -318,50 +249,6 @@ def signed_festoons(c: SequenceSpec, s) -> tuple[list[CyclicObject], list[Cyclic
     """
     objs = _listed("signed-festoon", _contents("signed-festoons", c)(s))
     return [o for o in objs if o.sign > 0], [o for o in objs if o.sign < 0]
-
-
-def barrier_festoons(n: int, allow_bare: bool = False) -> list[CyclicObject]:
-    """One-color festoons of length n with barriers drawn between beads.
-
-    Travelling clockwise, the bead length may strictly increase only where
-    a barrier stands; barriers are optional elsewhere.  By default at least
-    one barrier is required; allow_bare admits the barrier-free drawings,
-    which forces all bead lengths equal.  The sign is the parity of the
-    barrier count.
-    """
-    if n < 1:
-        raise ValueError(f"barrier_festoons: need n >= 1, got {n}")
-    out = []
-    for tiling in _length_tilings(n):
-        bead_starts = [i for i, (_, _, is_start) in enumerate(tiling) if is_start]
-        forced = []
-        optional = []
-        for idx, start in enumerate(bead_starts):
-            prev = bead_starts[idx - 1]
-            if tiling[start][0] > tiling[prev][0]:
-                forced.append(start)
-            else:
-                optional.append(start)
-        for r in range(len(optional) + 1):
-            for extra in itertools.combinations(optional, r):
-                barriers = set(forced) | set(extra)
-                if not barriers and not allow_bare:
-                    continue
-                sign = -1 if len(barriers) % 2 else 1
-                enc = tuple(
-                    (length, is_start and i in barriers, is_start)
-                    for i, (length, _, is_start) in enumerate(tiling)
-                )
-                out.append(CyclicObject("signed-festoon", enc, sign))
-    return sorted(out)
-
-
-def _length_tilings(n: int) -> list[tuple]:
-    """Distinct tilings of the n-cycle by arcs, slots as (length, 1, start):
-    the one-color festoons whose bead types are the parts of n."""
-    ones = tuple((t, 1) for t in range(1, n + 1))
-    ones = SequenceSpec(PositiveIntegers(), Window(n), "c", ones)
-    return sorted(slots for slots, _ in _festoons(_contents("festoons-colored", ones)(n)))
 
 
 # -- sizes before enumeration -----------------------------------------------------
@@ -569,18 +456,6 @@ def fixed_points(objs: Sequence[CyclicObject], d: int) -> list[CyclicObject]:
         raise ValueError(f"fixed_points: {d} does not divide the length {n}")
     step = n // d
     return [o for o in objs if o.slots[step:] == o.slots[:-step]]
-
-
-def orbit_census(objs: Sequence[CyclicObject]) -> dict[int, int]:
-    """Map orbit size to the number of rotation orbits of that size."""
-    remaining = set(objs)
-    census: dict[int, int] = {}
-    while remaining:
-        o = next(iter(remaining))
-        orbit = {o.rotated(j) for j in range(o.n)}
-        census[len(orbit)] = census.get(len(orbit), 0) + 1
-        remaining -= orbit
-    return dict(sorted(census.items()))
 
 
 def verify_lyndon(census: Census) -> FamilyReport:

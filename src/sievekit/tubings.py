@@ -15,18 +15,16 @@ Lattice paths are strings over U = (1,1), D = (1,-1), F = (2,0), and the
 length of a path is its x-extent.  The height of a step is the y-coordinate
 before it.  Tubings of the n-interval biject with nonnegative paths of
 length 2n; improper tubings of the n-cycle biject with unrestricted paths
-of length 2(n-1), through an intermediate marked path.
+of length 2(n-1), by cutting the cycle at a free vertex.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from math import comb
 from typing import Iterable, Iterator
 
 from .arith import divisors
-from .gaussseq import TruncatedSeries, solve_functional_equation
 from .objects import MAX_OBJECTS, Census
 from .qgauss import PolyFamily
 from .qpoly import IntPoly, ONE, ZERO, q_binomial, q_power
@@ -93,10 +91,7 @@ class _Graph:
     def __init__(self, n: int, kind: str) -> None:
         if kind not in ("interval", "cycle"):
             raise ValueError(f"unknown graph kind {kind!r}")
-        if n < 1:  # no vertices, so no tubes: only the empty tubing
-            tubes, n = [], 0
-        else:
-            tubes = interval_tubes(n) if kind == "interval" else cycle_tubes(n)
+        tubes = interval_tubes(n) if kind == "interval" else cycle_tubes(n)
         self.n, self.kind, self.full = n, kind, (1 << n) - 1
         self.tubes = tubes
         self.index = {t: i for i, t in enumerate(tubes)}
@@ -240,8 +235,6 @@ def tubing_masks(n: int, kind: str = "interval") -> Iterator[tuple[int, int]]:
     """
     if kind not in ("interval", "cycle"):
         raise ValueError(f"unknown graph kind {kind!r}")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     cap = MAX_INTERVAL if kind == "interval" else MAX_CYCLE
     if n > cap:
         raise ValueError(f"refusing to enumerate {kind} tubings beyond n = {cap}")
@@ -293,72 +286,7 @@ def free_vertices(n: int, tubing: Iterable[Tube], kind: str = "interval") -> set
     return set(_bits(graph.full ^ covered))
 
 
-def is_proper(n: int, tubing: Iterable[Tube], kind: str = "interval") -> bool:
-    return not free_vertices(n, tubing, kind)
-
-
-def final_vertices(n: int, tubing: Iterable[Tube], kind: str = "interval") -> dict[Tube, int]:
-    """Map each tube to the last of its vertices not in a subtube.
-
-    Within a tubing the proper subtubes of a tube never cover it, so the
-    final vertex always exists, and distinct tubes get distinct finals.
-    On the cycle "last" follows the tube's clockwise traversal.
-    """
-    tubes = list(set(tubing))
-    graph = _graph(n, kind)
-    masks = [graph.masks[i] for i in graph.indices(tubes)]
-    out: dict[Tube, int] = {}
-    for tube, mine in zip(tubes, masks):
-        rest = mine
-        for other in masks:
-            if other != mine and other & mine == other:
-                rest &= ~other
-        if not rest:
-            raise ValueError(f"tube {tube!r} is covered by its subtubes")
-        start = tube[0]
-        # rotate the tube's start to bit 0, so its traversal runs upwards
-        walk = (rest >> start | rest << (n - start)) & graph.full
-        out[tube] = (start + walk.bit_length() - 1) % n
-    return out
-
-
-def classify_vertices(n: int, tubing: Iterable[Tube], kind: str = "interval") -> dict[int, str]:
-    """Per-vertex classification: free, final, or nonfinal."""
-    tubing = set(tubing)
-    if not is_tubing(n, tubing, kind):
-        raise ValueError(f"not a valid {kind} tubing")
-    finals = set(final_vertices(n, tubing, kind).values())
-    frees = free_vertices(n, tubing, kind)
-    out = {}
-    for v in range(n):
-        out[v] = "free" if v in frees else ("final" if v in finals else "nonfinal")
-    return out
-
-
 # -- lattice paths -----------------------------------------------------------------
-
-
-def path_length(path: str) -> int:
-    """The x-extent of a word over U, D, F: a flat is two wide."""
-    return len(path) + path.count("F")
-
-
-def step_heights(path: str) -> list[int]:
-    """Height before each step."""
-    try:
-        return list(itertools.accumulate(map(_STEP_Y.__getitem__, path), initial=0))[:-1]
-    except KeyError as e:
-        raise ValueError(f"unknown step {e.args[0]!r} in {path!r}") from None
-
-
-def classify_path(path: str) -> str:
-    """The strongest of strict / schroder / delannoy that the path satisfies."""
-    length = path_length(path)
-    if length % 2 == 0:  # else an unknown step, or an odd number of rises and falls
-        for kind in ("strict", "schroder", "delannoy"):
-            if is_path(path, length, kind):
-                return kind
-    raise ValueError(f"{path!r} is not a path: an unknown step, or it ends off height 0")
 
 
 def _check_path_args(length: int, kind: str) -> None:
@@ -528,54 +456,14 @@ def schroder_to_interval_tubing(n: int, path: str) -> Tubing:
 # -- cycle bijection ---------------------------------------------------------------
 
 
-def _marked_ok(path: str, j: int) -> bool:
-    """Whether (path, j) is a marked path: a Schröder path ending in a flat,
-    marked at a fall or flat no later than its first flat at height 0."""
-    length = path_length(path)
-    if not path.endswith("F") or length % 2 or not is_path(path, length, "schroder"):
-        return False
-    heights = step_heights(path)
-    first_flat0 = next(
-        t for t, s in enumerate(path) if s == "F" and heights[t] == 0
-    )
-    return 1 <= j <= first_flat0 + 1 and path[j - 1] in ("D", "F")
-
-
-def cycle_tubing_to_marked(n: int, tubing: Iterable[Tube]) -> tuple[str, int]:
-    """Unroll an improper cycle tubing to a marked nonnegative path (p, j).
-
-    The cycle is cut after the free vertex preceding vertex 0, so the
-    linearized tubing has its last vertex free; the mark j is the step of
-    the vertex that was vertex 0.
-    """
-    return delannoy_to_marked(cycle_tubing_to_delannoy(n, tubing))
-
-
-def marked_to_cycle_tubing(n: int, path: str, j: int) -> Tubing:
-    """Roll a marked path (p, j) up to a cycle tubing."""
-    if not _marked_ok(path, j):
-        raise ValueError(f"({path!r}, {j}) is not a marked path")
-    if path_length(path) != 2 * n:
-        raise ValueError(f"need length {2 * n}, got {path_length(path)}")
-    return delannoy_to_cycle_tubing(n, _unmark(path, j))
-
-
-def _unmark(path: str, j: int) -> str:
-    m = len(path)
-    if j == m:
-        return path[:-1]
-    return path[j : m - 1] + path[j - 1] + path[: j - 1]
-
-
-def marked_to_delannoy(path: str, j: int) -> str:
-    """Drop the final flat and rotate the mark to the front of the cut."""
-    if not _marked_ok(path, j):
-        raise ValueError(f"({path!r}, {j}) is not a marked path")
-    return _unmark(path, j)
-
-
 def delannoy_to_marked(path: str) -> tuple[str, int]:
     """Restore the marked nonnegative path from an unrestricted one.
+
+    A marked path (p, j) is a Schröder path p ending in a flat, marked at
+    its j-th step (from 1), a fall or flat no later than its first flat at
+    height 0.  Unmarking drops the final flat and moves the steps after
+    the mark to the front, p[j:-1] + p[j - 1] + p[:j - 1], or leaves
+    p[:-1] when the mark is on the final flat; this inverts that.
 
     The cut point is recovered from the lowest level of the path: the last
     flat at that level if there is one, the first step reaching it if the
@@ -613,7 +501,7 @@ def cycle_mask_to_delannoy(n: int, bits: int) -> str:
 
     The cycle is cut after its last free vertex, cut - 1, and walked from
     vertex cut: a nonnegative path ending in that vertex's flat, marked at
-    the last step of vertex 0 (``cycle_tubing_to_marked``).  Unmarking
+    the last step of vertex 0 (see ``delannoy_to_marked``).  Unmarking
     drops the final flat and turns the mark to the front, which leaves the
     steps of vertices 1..cut-2, the last step of vertex 0, the steps of
     vertices cut..n-1, then the rises of vertex 0.  When vertex 0 is the
@@ -839,51 +727,6 @@ def improper_total_polynomial(n: int) -> IntPoly:
     for k in range(0, n):
         total = total + tube_count_polynomial(n, k)
     return total
-
-
-def strict_schroder_gf_check(order: int) -> dict:
-    """Cross-check three ways of counting strict paths of length 2(n-1).
-
-    The counts solve C = x * D(C) with D = (1-t)/(1-2t), equivalently
-    C = x + C^2 + C^3 + ...; both are compared against exhaustive path
-    enumeration for n up to 8.
-    """
-    if not 1 <= order <= 14:
-        raise ValueError(f"order must be between 1 and 14, got {order}")
-    D = TruncatedSeries.from_rational([1, -1], [1, -2], order + 1)
-    C = solve_functional_equation(D, order + 1)
-    solved = []
-    for nn in range(1, order + 1):
-        v = C.coeff(nn)
-        if v.denominator != 1:
-            raise ArithmeticError(f"non-integer series coefficient at {nn}: {v}")
-        solved.append(int(v))
-    # first-return decomposition: a strict path is empty or a sequence of
-    # k >= 2 strict blocks, giving c_n = [n == 1] + sum over compositions
-    rec = [0] * (order + 1)
-    rec[1] = 1
-    for nn in range(2, order + 1):
-        total = 0
-        conv = rec[:]  # C^k coefficients, starting at k = 1
-        for _ in range(2, nn + 1):
-            conv = [
-                sum(conv[i] * rec[m - i] for i in range(m + 1))
-                for m in range(order + 1)
-            ]
-            total += conv[nn]
-        rec[nn] = total
-    counted = [
-        len(enumerate_paths(2 * (nn - 1), "strict"))
-        for nn in range(1, min(order, 8) + 1)
-    ]
-    ok = solved == rec[1:] and counted == solved[: len(counted)]
-    return {
-        "order": order,
-        "solved": solved,
-        "recurrence": rec[1:],
-        "enumerated": counted,
-        "ok": ok,
-    }
 
 
 def tubing_to_jsonable(tubing: Iterable[Tube]) -> list[list[int]]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from sievekit.gaussseq import SequenceSpec, a_from_matrix_trace
+from sievekit.gaussseq import SequenceSpec, TruncatedSeries, a_from_matrix_trace
 from sievekit.qgauss import PolyFamily
 from sievekit.qpoly import IntPoly, ZERO, q_binomial
 from sievekit.semigroup import PositiveIntegers, Window
@@ -81,6 +81,17 @@ def qb0(n: int, k: int) -> IntPoly:
     if n < 0 or k < 0 or k > n:
         return ZERO
     return q_binomial(n, k)
+
+
+def strict_path_recurrence(max_n: int) -> list[int]:
+    """The strict path counts c_1..c_max_n by first return: a strict path of
+    length 2(n - 1) is a point (n = 1) or a sequence of k >= 2 strict
+    blocks, so c_n = [x^n] (C^2 + C^3 + ...) for n >= 2."""
+    c = [0, 1]
+    for n in range(2, max_n + 1):
+        known = TruncatedSeries.from_coeffs(c, n + 1)
+        c.append(sum(int((known**k).coeff(n)) for k in range(2, n + 1)))
+    return c[1:]
 
 
 def corrupt(F: PolyFamily, s) -> PolyFamily:

@@ -6,16 +6,20 @@ bead tiling placed slot by slot at every offset; ``fixed_points`` by
 rotating each object and comparing it with itself; and rotation closure as
 the equality of two sets.  They borrow from the library only what that
 rewrite left alone: the ``CyclicObject`` constructor, the content and
-support validation, and ``FreeRanked``.
+support validation, ``FreeRanked`` and ``IntPoly``.  The listers that no
+command runs (barrier festoons, compositions) and the major index and
+orbit census read off listed objects live only here.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import Mapping, Sequence
 
 from sievekit.gaussseq import SequenceSpec
 from sievekit.objects import CyclicObject, _content_items, _nonneg_support
+from sievekit.qpoly import IntPoly
 from sievekit.semigroup import FreeRanked
 
 
@@ -168,3 +172,28 @@ def barrier_festoons(n: int, allow_bare: bool = False) -> list[CyclicObject]:
                 )
                 out.append(CyclicObject("signed-festoon", enc, sign))
     return sorted(out)
+
+
+def orbit_census(objs: Sequence[CyclicObject]) -> dict[int, int]:
+    """Map orbit size to the number of rotation orbits of that size."""
+    sizes = Counter(len({rotated(o, j) for j in range(len(o.slots))}) for o in objs)
+    return {size: m // size for size, m in sorted(sizes.items())}
+
+
+def maj(w) -> int:
+    """Major index: the sum of positions i (from 1) with w_i > w_{i+1}."""
+    w = w.slots if isinstance(w, CyclicObject) else w
+    return sum(i for i in range(1, len(w)) if w[i - 1] > w[i])
+
+
+def maj_polynomial(words) -> IntPoly:
+    """Generating polynomial of the major index over a set of words."""
+    counts = Counter(map(maj, words))
+    return IntPoly([counts[e] for e in range(max(counts, default=-1) + 1)])
+
+
+def compositions(n: int, k: int, letters) -> list[tuple]:
+    """All length-n words over the finite alphabet ``letters`` summing to k."""
+    if n < 1:
+        raise ValueError(f"compositions: need n >= 1, got {n}")
+    return [w for w in itertools.product(letters, repeat=n) if sum(w) == k]

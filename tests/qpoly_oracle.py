@@ -12,7 +12,10 @@ per coefficient, the from-c construction listing the decompositions of
 each element and dividing by [rank]_q once per decomposition, and Riordan
 rows with D^n recomputed for every entry.  The dense ``mul`` and the
 per-decomposition ``construct_from_c`` stay here as the oracles for the
-library's two product paths and its knapsack.
+library's two product paths and its knapsack.  The product identity
+sum c_n x^n = 1 - prod (1 - x^n)^{b_n} on the positive integers
+(``c_from_b_series``) is a route from role "b" to role "c" that shares
+nothing with ``c_from_a``.
 They borrow from the library only what that rewrite left alone: the
 ``IntPoly`` container, ``q_int``, ``subst_power``, the semigroup
 instances, the report types, ``divisors``, ``mobius``, ``ramanujan_sum``
@@ -220,3 +223,20 @@ def riordan_rows(D: TruncatedSeries, max_n: int) -> list[list]:
     for n in range(1, max_n + 1):
         rows.append([n, [riordan_count(D, n, k) for k in range(1, n + 1)]])
     return rows
+
+
+def product_side(b: SequenceSpec, order: int) -> TruncatedSeries:
+    """prod over n >= 1 of (1 - x^n)^{b_n}, truncated below x^order."""
+    result = TruncatedSeries.from_coeffs((1,), order)
+    for n, bn in b.values:
+        if n < order and bn:
+            factor = TruncatedSeries.from_coeffs((1,) + (0,) * (n - 1) + (-1,), order)
+            result = result * factor**bn
+    return result
+
+
+def c_from_b_series(b: SequenceSpec, order: int) -> SequenceSpec:
+    """The "c" role read off 1 - prod (1 - x^n)^{b_n}, below x^order."""
+    prod = product_side(b, order)
+    out = {n: int(-prod.coeff(n)) for n in range(1, min(order, b.window.max_rank + 1))}
+    return SequenceSpec.from_mapping(b.instance, b.window, "c", out)

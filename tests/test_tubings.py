@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from sievekit.gaussseq import NoSolution, TruncatedSeries, solve_functional_equation
 from sievekit.objects import verify_csp, verify_lyndon
 from sievekit.qgauss import PolyFamily
 from sievekit.qpoly import ONE, q_power
@@ -11,10 +12,8 @@ from sievekit.tubings import (
     MAX_OBJECTS,
     bijection_roundtrips,
     check_bijection_job,
-    classify_path,
-    classify_vertices,
+    count_paths,
     cycle_tubing_to_delannoy,
-    cycle_tubing_to_marked,
     delannoy_to_cycle_tubing,
     delannoy_to_marked,
     enumerate_paths,
@@ -23,19 +22,19 @@ from sievekit.tubings import (
     free_vertices,
     improper_total_polynomial,
     interval_tubing_to_schroder,
-    is_proper,
+    is_path,
     is_tubing,
-    marked_to_cycle_tubing,
-    marked_to_delannoy,
+    mask_to_tubing,
     schroder_to_interval_tubing,
-    step_heights,
-    strict_schroder_gf_check,
     tube_count_polynomial,
     tubing_masks,
     tubings_all_improper,
     tubings_by_free_vertices,
     tubings_by_tube_count,
 )
+
+from helpers import strict_path_recurrence
+from tubings_oracle import final_vertices, ref_marked_to_cycle_mask, ref_unmark, step_heights
 
 INTERVAL_TOTALS = [2, 6, 22, 90, 394, 1806]
 CYCLE_IMPROPER = [1, 3, 13, 63, 321, 1683]
@@ -48,7 +47,7 @@ class TestEnumeration:
 
     def test_proper_interval_tubings(self):
         tubings = enumerate_tubings(3, "interval")
-        proper = [t for t in tubings if is_proper(3, t, "interval")]
+        proper = [t for t in tubings if not free_vertices(3, t, "interval")]
         assert len(proper) == 11
         assert frozenset() not in proper
 
@@ -56,9 +55,7 @@ class TestEnumeration:
         got = []
         for n in range(1, 7):
             tubings = enumerate_tubings(n, "cycle")
-            got.append(
-                sum(1 for t in tubings if not is_proper(n, t, "cycle"))
-            )
+            got.append(sum(1 for t in tubings if free_vertices(n, t, "cycle")))
         assert got == CYCLE_IMPROPER
 
     def test_no_cycle_tubing_covers_every_vertex(self):
@@ -77,14 +74,13 @@ class TestEnumeration:
             enumerate_tubings(3, "wheel")
 
     def test_classify_vertices(self):
-        assert classify_vertices(3, {(0, 2), (0, 1)}, "interval") == {
-            0: "final", 1: "final", 2: "free"
-        }
-        assert classify_vertices(4, {(3, 2)}, "cycle") == {
-            0: "final", 1: "free", 2: "free", 3: "nonfinal"
-        }
+        # free vertices from the library, final ones from the set-based oracle
+        assert free_vertices(3, {(0, 2), (0, 1)}, "interval") == {2}
+        assert final_vertices(3, {(0, 2), (0, 1)}, "interval") == {(0, 2): 1, (0, 1): 0}
+        assert free_vertices(4, {(3, 2)}, "cycle") == {1, 2}
+        assert final_vertices(4, {(3, 2)}, "cycle") == {(3, 2): 0}
         with pytest.raises(ValueError):
-            classify_vertices(3, {(0, 3), (1, 1)}, "cycle")
+            is_tubing(3, {(0, 3), (1, 1)}, "cycle")
 
 
 class TestBijectionJobs:
@@ -121,14 +117,16 @@ class TestBijectionJobs:
 
 class TestPaths:
     def test_classification(self):
-        assert classify_path("") == "strict"
-        assert classify_path("UUDD") == "strict"
-        assert classify_path("UFDF") == "schroder"
-        assert classify_path("DUDU") == "delannoy"
-        with pytest.raises(ValueError):
-            classify_path("UU")
-        with pytest.raises(ValueError):
-            classify_path("UXD")
+        def kinds(path):  # the kinds of path it is, strongest first
+            length = len(path) + path.count("F")
+            return [k for k in ("strict", "schroder", "delannoy") if is_path(path, length, k)]
+
+        assert kinds("") == kinds("UUDD") == ["strict", "schroder", "delannoy"]
+        assert kinds("UFDF") == ["schroder", "delannoy"]
+        assert kinds("DUDU") == ["delannoy"]
+        assert kinds("UU") == kinds("UXDU") == []
+        with pytest.raises(ValueError):  # an odd x-extent
+            kinds("UXD")
 
     def test_step_heights(self):
         assert step_heights("UUFDD") == [0, 1, 2, 2, 1]
@@ -188,11 +186,7 @@ class TestIntervalBijection:
 class TestCycleBijection:
     def test_exhaustive_roundtrip(self):
         for n in range(1, 7):
-            improper = [
-                t
-                for t in enumerate_tubings(n, "cycle")
-                if not is_proper(n, t, "cycle")
-            ]
+            improper = [t for t in enumerate_tubings(n, "cycle") if free_vertices(n, t, "cycle")]
             images = set()
             for tubing in improper:
                 w = cycle_tubing_to_delannoy(n, tubing)
@@ -203,9 +197,9 @@ class TestCycleBijection:
     def test_worked_instance(self):
         p, j = "UUFDDFUUDDUDF", 4
         w = "DFUUDDUDDUUF"
-        assert marked_to_delannoy(p, j) == w
+        assert ref_unmark(p, j) == w
         assert delannoy_to_marked(w) == (p, j)
-        tubing = marked_to_cycle_tubing(8, p, j)
+        tubing = mask_to_tubing(8, ref_marked_to_cycle_mask(8, p, j), "cycle")
         assert cycle_tubing_to_delannoy(8, tubing) == w
         assert delannoy_to_cycle_tubing(8, w) == tubing
 
@@ -225,17 +219,16 @@ class TestCycleBijection:
             ("DUDU", ("UDUDF", 4)),
             ("FFFFFDUDU", ("UDUDFFFFFF", 4)),
         ):
-            assert marked_to_delannoy(p, j) == w
+            assert ref_unmark(p, j) == w
 
     def test_marked_guards(self):
+        # a pair that is no marked path does not come back from its unmarking
+        assert delannoy_to_marked(ref_unmark("UDF", 1)) != ("UDF", 1)  # mark right after a rise
+        assert delannoy_to_marked(ref_unmark("FUDF", 4)) != ("FUDF", 4)  # mark past a ground flat
         with pytest.raises(ValueError):
-            marked_to_delannoy("UDF", 1)  # mark right after a rise
-        with pytest.raises(ValueError):
-            marked_to_delannoy("UD", 1)  # no final flat
-        with pytest.raises(ValueError):
-            marked_to_delannoy("FUDF", 4)  # mark beyond the first ground flat
+            delannoy_to_marked(ref_unmark("UD", 1))  # no final flat
         with pytest.raises(ValueError, match="not a valid cycle tubing"):
-            cycle_tubing_to_marked(2, {(0, 1), (1, 1)})  # adjacent tubes must merge
+            cycle_tubing_to_delannoy(2, {(0, 1), (1, 1)})  # adjacent tubes must merge
         with pytest.raises(ValueError):
             delannoy_to_cycle_tubing(3, "UD")
 
@@ -337,17 +330,17 @@ class TestOnlyLastFree:
 
 
 class TestStrictPathCounts:
+    # C = x * D(C) with D = (1 - t)/(1 - 2t), known below x^13
+    D = TruncatedSeries.from_rational([1, -1], [1, -2], 13)
+
     def test_three_way_agreement(self):
-        out = strict_schroder_gf_check(12)
-        assert out["ok"]
-        assert out["solved"] == [
-            1, 1, 3, 11, 45, 197, 903, 4279, 20793, 103049, 518859, 2646723
-        ]
-        assert out["solved"] == out["recurrence"]
-        assert out["enumerated"] == out["solved"][:8]
+        solved = list(solve_functional_equation(self.D, 13).coeffs[1:])
+        assert solved == [1, 1, 3, 11, 45, 197, 903, 4279, 20793, 103049, 518859, 2646723]
+        assert solved == strict_path_recurrence(12)
+        assert solved == [count_paths(2 * (n - 1), "strict") for n in range(1, 13)]
 
     def test_order_guard(self):
+        with pytest.raises(NoSolution):
+            solve_functional_equation(self.D, 15)
         with pytest.raises(ValueError):
-            strict_schroder_gf_check(0)
-        with pytest.raises(ValueError):
-            strict_schroder_gf_check(15)
+            count_paths(-2, "strict")

@@ -224,6 +224,12 @@ def enumerate_paths(length: int, kind: str = "delannoy", flats: int | None = Non
     return sorted(out)
 
 
+def step_heights(path: str) -> list[int]:
+    """The height before each step of a path over U, D, F."""
+    steps = ({"U": 1, "D": -1, "F": 0}[s] for s in path)
+    return list(itertools.accumulate(steps, initial=0))[:-1]
+
+
 def schroder_to_interval_tubing(n: int, path: str) -> frozenset:
     """Each rise opens a tube; it closes right before the next flat or fall
     at the rise's height (found by scanning ahead), or at the end."""

@@ -3,14 +3,19 @@
 A family assigns an integer polynomial in q to every window element.  The
 congruence of interest: for each element s, the Mobius-weighted sum of
 f_t(q^(s/t)) over unit divisors t of s must vanish mod [rank(s)]_q.  An
-equivalent test evaluates f_s at primitive roots of unity and compares
-against root-set totals at q = 1.
+equivalent test asks f_s to take, at every primitive d-th root of unity
+for d | rank(s), the total E_d of f_t(1) over the d-th roots t of s.
 
 Three constructions build such a family from an integer sequence (given in
 role a, b or c form); they agree modulo q^rank - 1, and the Ramanujan-sum
-construction is the canonical low-degree representative.  Transport
-operations (pushforward, pullback, multiply, two chainings) produce new
-families from old, mirroring how counting problems are rearranged.
+construction is the canonical low-degree representative.  One integer
+kernel, ``qpoly.ramanujan_vector``, serves that construction and the root
+test: its entry j is the sum over d | rank(s) of E_d * c_d(j), c_d the
+Ramanujan sum.  The canonical f_s is that vector divided by rank(s), and
+f_s passes the root test at every d exactly when rank(s) times f_s folded
+modulo q^rank - 1 equals it.  Transport operations (pushforward,
+pullback, multiply, two chainings) produce new families from old,
+mirroring how counting problems are rearranged.
 """
 
 from __future__ import annotations
@@ -18,20 +23,16 @@ from __future__ import annotations
 import warnings
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from itertools import cycle
-from math import gcd
 from operator import add, mul, sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
-from .arith import divisors, mobius, ramanujan_sum
+from .arith import mobius
 from .gaussseq import SequenceSpec, _require_role
 from .qpoly import (
     IntPoly,
     ONE,
     ZERO,
-    divisor_folds,
-    equals_at_primitive_root,
     eval_at_one,
     eval_at_primitive_root,
     fold,
@@ -40,6 +41,7 @@ from .qpoly import (
     q_int,
     q_multinomial,
     q_power,
+    ramanujan_vector,
     reduce_mod_q_int,
     reduce_mod_qn_minus_1,
 )
@@ -131,13 +133,6 @@ class PolyFamily:
         except KeyError:
             raise ValueError(f"PolyFamily: no polynomial at {s!r}") from None
 
-    def canonical(self) -> "PolyFamily":
-        """Reduce each entry mod q^rank - 1 (the equivalence-class normal form)."""
-        pairs = tuple(
-            (s, reduce_mod_qn_minus_1(p, self.instance.rank(s))) for s, p in self.polys
-        )
-        return PolyFamily(self.instance, self.window, pairs)
-
     def to_jsonable(self) -> list[dict]:
         return [
             {"element": encode_element(self.instance, s), "poly": list(p.coeffs)}
@@ -158,31 +153,22 @@ def root_total(table: Mapping, s, t) -> int:
 
 
 def construct_ramanujan(a: SequenceSpec) -> PolyFamily:
-    """Canonical family: coefficient j is a Ramanujan-sum average over divisors.
+    """Canonical family: coefficient j of f_s is (1/rank(s)) times the sum
+    of a_t * c_d(j) over the unit divisors t = s/d of s.
 
-    Degree stays below rank(s) and the result is the unique representative
+    That is the polynomial of degree below rank(s) that takes the value
+    a_(s/d) at every primitive d-th root of unity (0 where s has no d-th
+    root), built by ``ramanujan_vector``; it is the unique representative
     of its class mod q^rank - 1 in that degree range.  Integer coefficients
     certify that the input satisfies the sieve congruence; a fractional one
-    raises NonIntegerCoefficient.  The Ramanujan sum c_d(j) depends only on
-    gcd(j, d), so each d contributes one period row of length d, built
-    from one sum per divisor of d.
+    raises NonIntegerCoefficient.
     """
     _require_role(a, "a")
     inst = a.instance
-    periods: dict[int, list[int]] = {}
 
     def build(s):
         rk = inst.rank(s)
-        coeffs = [0] * rk
-        for t, d in inst.unit_divisors(s):
-            at = a.value(t)
-            if not at:
-                continue
-            row = periods.get(d)
-            if row is None:
-                by_gcd = {g: ramanujan_sum(g, d) for g in divisors(d)}
-                row = periods[d] = [by_gcd[gcd(j, d)] for j in range(d)]
-            coeffs = [c + at * r for c, r in zip(coeffs, cycle(row))]
+        coeffs = ramanujan_vector(rk, [(d, a.value(t)) for t, d in inst.unit_divisors(s)])
         try:
             return IntPoly(coeffs).scale_div(rk)
         except ArithmeticError:
@@ -294,7 +280,7 @@ def check_qgauss_definition(F: PolyFamily) -> FamilyReport:
             for d, t in roots:
                 mu = 0 if t is None else mobius(d)
                 if mu:
-                    spread = fold(lookup[t].coeffs, rk // d)
+                    spread = fold(root_total(lookup, s, t).coeffs, rk // d)
                     total[::d] = map(add if mu > 0 else sub, total[::d], spread)
             if total.count(total[-1]) == rk:  # the remainder, total - top, is 0
                 yield s, rk, None
@@ -308,24 +294,25 @@ def check_root_values(
     inst: _SemigroupBase, items: Iterable, expected: Callable, label: str = ""
 ) -> FamilyReport:
     """The root-of-unity report: for each (s, (p, x)) in items and each d
-    dividing rank(s), p must take the integer expected(s, x, d, t) at every
-    primitive d-th root of unity, t being the root s/d or None.
+    dividing rank(s), p must take the integer E_d = expected(s, x, d, t) at
+    every primitive d-th root of unity, t being the root s/d or None.
 
-    p is folded once per element (``divisor_folds``) and each comparison
-    decided by ``equals_at_primitive_root``, with no cyclotomic division;
-    only a failing check divides, to name the value
-    ``eval_at_primitive_root(p, d)`` in its detail.
+    All the divisors of one element are decided by one integer comparison,
+    with no division: rank(s) times p folded modulo q^rank - 1 must equal
+    ``ramanujan_vector(rank(s), [(d, E_d), ...])`` (the ``qpoly`` module
+    docstring derives it).  Only an element that fails it is checked one d
+    at a time, by the remainder ``eval_at_primitive_root(p, d)``, whose
+    value a failing detail names.
     """
 
     def compare(s, entry, roots):
         p, x = entry
-        folds = divisor_folds(p.coeffs, roots[-1][0])
-        for d, t in roots:
-            want = expected(s, x, d, t)
-            if equals_at_primitive_root(folds, d, want):
-                yield None
-            else:
-                yield f"value {eval_at_primitive_root(p, d).coeffs} != {label}{want}"
+        rank = roots[-1][0]
+        wants = [(d, expected(s, x, d, t)) for d, t in roots]
+        if [rank * c for c in fold(p.coeffs, rank)] == ramanujan_vector(rank, wants):
+            return [None] * len(wants)
+        values = [(eval_at_primitive_root(p, d), want) for d, want in wants]
+        return [None if v == want else f"value {v.coeffs} != {label}{want}" for v, want in values]
 
     return check_divisors(inst, items, compare)
 

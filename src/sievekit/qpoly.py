@@ -22,33 +22,33 @@ Comput. 44, 2009).
 
 Remainders modulo a cyclotomic polynomial represent evaluations at a
 primitive root of unity without ever leaving exact arithmetic.  Deciding
-whether p takes an integer value E at every primitive d-th root of unity
-needs no such division.  Fold p modulo q^e - 1 for each e dividing d
-(``fold``; the fold to e has entry j the sum of the coefficients at
-exponents congruent to j mod e), and form
+whether p takes an integer value E_d at every primitive d-th root of unity,
+for every d dividing n at once, needs no such division.  Over Q,
+Z[q]/(q^n - 1) splits into the fields Q[q]/Phi_d for d | n, so a class
+modulo q^n - 1 is fixed by its values at the n-th roots of unity.  By the
+discrete Fourier transform the one polynomial of degree below n with the
+value E_d at the primitive d-th roots is
 
-    P[j] = sum over e | d of mobius(d/e) * e * fold_e[j mod e],  j < d.
+    (1/n) * sum over j < n of (sum over d | n of E_d * c_d(j)) * q^j,
 
-Over Q, Z[q]/(q^d - 1) splits into the fields Q[q]/Phi_e for e | d, and P
-is d times the projection of p onto the Phi_d component: expanding the
-projection by the discrete Fourier transform gives the Ramanujan sum
-c_d(j - i) = sum over e | gcd(j - i, d) of mobius(d/e) * e as the weight of
-coefficient i in entry j, which is the sum above.  Take E off entry 0 of
-each fold first, and P is d times the projection of p - E.  It vanishes
-exactly when Phi_d divides p - E, that is when p(zeta) = E at every
-primitive d-th root zeta.  Every step is an integer sum, so the test is a
-proof (``equals_at_primitive_root``).
+c_d(j) being the Ramanujan sum, the sum of the j-th powers of the
+primitive d-th roots.  So p takes those values exactly when n times p
+folded modulo q^n - 1 (``fold``) equals the integer vector of the inner
+sums (``ramanujan_vector``), entry for entry: one integer comparison,
+which is a proof.  Read the other way, the vector divided by n is the
+canonical low-degree family of the Ramanujan-sum construction.
 """
 
 from __future__ import annotations
 
 import functools
 import struct
-from math import comb
+from itertools import cycle
+from math import comb, gcd
 from operator import add
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .arith import divisors, mobius
+from .arith import divisors, mobius, ramanujan_sum
 
 # __mul__ packs its operands into ints when both have at least this many
 # nonzero terms.  Timing every product of the congruence benchmark jobs on
@@ -141,11 +141,6 @@ class IntPoly:
         if exp < 0:
             raise ValueError(f"monomial: need exp >= 0, got {exp}")
         return cls((0,) * exp + (coef,))
-
-    @property
-    def degree(self) -> int | None:
-        """Degree, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -555,48 +550,33 @@ def cyclotomic(d: int) -> IntPoly:
     return out
 
 
-def divisor_folds(coeffs: Sequence[int], n: int) -> dict[int, list[int]]:
-    """The coefficients folded modulo q**e - 1 (``fold``) for every e
-    dividing n, each taken from the one fold modulo q**n - 1.
-
-    >>> divisor_folds((1, 2, 3, 4, 5), 4)
-    {1: [15], 2: [9, 6], 4: [6, 2, 3, 4]}
-    """
-    base = fold(coeffs, n)
-    return {e: fold(base, e) for e in divisors(n)}
-
-
 @functools.lru_cache(maxsize=None)
-def _projection_weights(d: int) -> tuple[tuple[int, int], ...]:
-    """(e, mobius(d/e) * e) for each e dividing d with mobius(d/e) != 0."""
-    return tuple((e, mobius(d // e) * e) for e in divisors(d) if mobius(d // e))
+def _ramanujan_row(d: int) -> tuple[int, ...]:
+    """c_d(j) for j < d.  The Ramanujan sum depends only on gcd(j, d), so
+    the row takes one sum per divisor of d."""
+    by_gcd = {g: ramanujan_sum(g, d) for g in divisors(d)}
+    return tuple(by_gcd[gcd(j, d)] for j in range(d))
 
 
-def equals_at_primitive_root(folds: Mapping[int, Sequence[int]], d: int, value: int) -> bool:
-    """Whether p(zeta) == value at every primitive d-th root of unity zeta,
-    where ``folds`` maps each e dividing d to p folded modulo q**e - 1
-    (``divisor_folds``).
+def ramanujan_vector(n: int, values: Iterable[tuple[int, int]]) -> list[int]:
+    """The list of length n whose entry j is the sum of E * c_d(j mod d)
+    over the pairs (d, E) in ``values``, each d dividing n: n times the
+    coefficients of the polynomial of degree below n that takes the value
+    E at every primitive d-th root of unity, and 0 at those of each order
+    not listed (see the module docstring).
 
-    Exact and division-free: with value taken off entry 0 of each fold,
-    the sum over e | d of mobius(d/e) * e * fold_e[j mod e] must vanish at
-    every j < d, being d times the projection of p - value onto the Phi_d
-    component (see the module docstring).  It decides the same predicate
-    as ``eval_at_primitive_root(p, d) == value``.
-
-    >>> equals_at_primitive_root(divisor_folds(q_int(6).coeffs, 3), 3, 0)
-    True
-    >>> equals_at_primitive_root(divisor_folds(q_binomial(4, 2).coeffs, 2), 2, 2)
-    True
-    >>> equals_at_primitive_root(divisor_folds(q_int(2).coeffs, 3), 3, 1)
-    False
+    >>> ramanujan_vector(4, [(1, 6), (2, 2), (4, 0)])
+    [8, 4, 8, 4]
+    >>> [4 * c for c in fold(q_binomial(4, 2).coeffs, 4)]
+    [8, 4, 8, 4]
+    >>> eval_at_primitive_root(IntPoly(ramanujan_vector(6, [(2, -3), (6, 5)])), 6).coeffs
+    (30,)
     """
-    total = None
-    for e, weight in _projection_weights(d):
-        scaled = [weight * c for c in folds[e]]
-        scaled[0] -= weight * value
-        scaled *= d // e
-        total = scaled if total is None else list(map(add, total, scaled))
-    return not any(total)
+    out = [0] * n
+    for d, value in values:
+        if value:
+            out = [c + value * r for c, r in zip(out, cycle(_ramanujan_row(d)))]
+    return out
 
 
 def eval_at_primitive_root(p: IntPoly, d: int) -> IntPoly:
@@ -606,8 +586,8 @@ def eval_at_primitive_root(p: IntPoly, d: int) -> IntPoly:
     polynomial, of degree below totient(d); it is an integer exactly when
     that remainder is constant.  The cyclotomic polynomial divides q^d - 1,
     so p is folded modulo q^d - 1 first, which keeps the division short.
-    The checkers decide their comparisons with ``equals_at_primitive_root``
-    and call this only to describe a failure.
+    The checkers decide their comparisons with ``ramanujan_vector`` and
+    call this only on an element that fails there.
 
     >>> eval_at_primitive_root(q_int(6), 3) == 0
     True

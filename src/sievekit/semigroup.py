@@ -355,10 +355,6 @@ class Chain(_SemigroupBase):
         base_extras = self.base.extras if isinstance(self.base, Chain) else ()
         return base_extras + (self.extra,)
 
-    @property
-    def arity(self) -> int:
-        return len(self.row)
-
     def describe(self) -> str:
         return "Chain[" + ",".join(self.extras) + "]"
 

@@ -33,6 +33,7 @@ from sievekit.qpoly import (
     q_binomial,
     q_int,
     q_power,
+    reduce_mod_qn_minus_1,
 )
 from sievekit.semigroup import (
     Chain,
@@ -61,7 +62,7 @@ class TestConstructions:
         assert eval_at_one(F.value(3)) == 8
         assert both_ok(F)
         # canonical representative: degree below the rank already
-        assert F.canonical().as_dict() == F.as_dict()
+        assert all(reduce_mod_qn_minus_1(p, n) == p for n, p in F.polys)
 
     def test_from_b_unit_weights(self):
         b = zpos_spec("b", {n: 1 for n in range(1, 7)}, 6)
@@ -85,7 +86,7 @@ class TestConstructions:
             assert at_one == [1, 3, 4, 7, 11, 18, 29, 47]
         for F in fams[1:]:
             assert equivalent_mod(fams[0], F).ok
-            assert F.canonical().as_dict() == fams[0].as_dict()
+            assert all(reduce_mod_qn_minus_1(p, n) == fams[0].value(n) for n, p in F.polys)
 
     @settings(max_examples=25)
     @given(
@@ -195,6 +196,14 @@ class TestCheckers:
         with pytest.raises(ValueError):
             # family starts at rank 2, so the root 1 of 2 is missing
             PolyFamily(ZPOS, inst_window, pairs)
+
+    def test_both_checkers_refuse_a_window_missing_a_root(self):
+        # the root (1, 1) of (2, 2) lies below the bounds of the window
+        F = PolyFamily.from_function(NK, Window(4, ((2, 3),)), lambda s: q_binomial(*s))
+        message = r"family window does not cover the root \(1, 1\) of \(2, 2\)"
+        for check in (check_qgauss_definition, check_qgauss_roots):
+            with pytest.raises(ValueError, match=message):
+                check(F)
 
     def test_family_must_be_total(self):
         with pytest.raises(ValueError):

@@ -60,7 +60,7 @@ class TestIntPoly:
         b = b + IntPoly.monomial(1, 6)
         quot, rem = divmod(a, b)
         assert quot * b + rem == a
-        assert rem.degree is None or rem.degree < b.degree
+        assert len(rem.coeffs) < len(b.coeffs)
 
     def test_exact_div_raises_on_remainder(self):
         with pytest.raises(ArithmeticError):
@@ -187,17 +187,17 @@ class TestCyclotomic:
     @given(small_polys, st.integers(1, 10))
     def test_residue_is_canonical(self, p, d):
         res = eval_at_primitive_root(p, d)
-        assert res.degree is None or res.degree < len(cyclotomic(d).coeffs) - 1
+        assert len(res.coeffs) < len(cyclotomic(d).coeffs)
         assert eval_at_primitive_root(res, d) == res
 
     def test_residue_integer_detection(self):
         res = eval_at_primitive_root(q_int(6), 3)  # [6] at a cube root is 0
-        assert res.degree is None and res == 0
+        assert res.coeffs == () and res == 0
         assert eval_at_primitive_root(q_int(6), 2) == 0
         res = eval_at_primitive_root(q_binomial(4, 2), 2)  # counts 2 fixed points
         assert res == 2 and res.coeffs == (2,)
         res = eval_at_primitive_root(q_int(2), 3)  # 1 + w, not an integer
-        assert res.degree == 1 and not any(res == n for n in range(-3, 4))
+        assert len(res.coeffs) - 1 == 1 and not any(res == n for n in range(-3, 4))
 
     def test_residue_rejects_order_zero(self):
         with pytest.raises(ValueError):
@@ -206,7 +206,7 @@ class TestCyclotomic:
     @given(small_polys, st.integers(1, 8))
     def test_reduce_mod_qn_minus_1(self, p, n):
         r = reduce_mod_qn_minus_1(p, n)
-        assert r.degree is None or r.degree < n
+        assert len(r.coeffs) <= n
         # they agree at every n-th root of unity, so the difference is a multiple
         for d in range(1, n + 1):
             if n % d == 0:

@@ -1,14 +1,17 @@
 """The fold-once divisor-sum checkers against the code they replaced.
 
-``equals_at_primitive_root`` decides "p(zeta) = E at every primitive d-th
-root of unity" from folds, with no cyclotomic division; it must agree with
-the remainder ``eval_at_primitive_root`` on random and on planted cases.
+``ramanujan_vector(n, [(d, E_d), ...])`` is n times the polynomial of
+degree below n that takes the value E_d at every primitive d-th root of
+unity, which the remainder ``eval_at_primitive_root`` must confirm; and
+``check_root_values``, which compares it with n times a fold, must fail at
+d exactly when that remainder is not E, on random and on planted cases.
 ``check_qgauss_definition`` and ``check_qgauss_roots`` must report exactly
 what their oracles (``tests/qpoly_oracle.py``, ``tests/sieve_oracle.py``)
 report, failures and details included, on families with planted faults on
-positive-integer, free and chain instances; and on passing families they
-must divide by no polynomial at all.  ``unit_divisors`` and
-``divisor_roots`` must list the roots ``tests/semigroup_oracle.py`` finds.
+positive-integer, free and chain instances; and on passing families they,
+and the csp checks, must divide by no polynomial at all.
+``unit_divisors`` and ``divisor_roots`` must list the roots
+``tests/semigroup_oracle.py`` finds.
 """
 
 from __future__ import annotations
@@ -22,10 +25,12 @@ import semigroup_oracle
 import sieve_oracle
 from helpers import sequence_corpus
 from sievekit.arith import divisors
+from sievekit.objects import festoon_census, verify_csp, verify_lyndon, verify_signed_csp
 from sievekit.qgauss import (
     PolyFamily,
     check_qgauss_definition,
     check_qgauss_roots,
+    check_root_values,
     construct_ramanujan,
     fund_family,
 )
@@ -33,20 +38,20 @@ from sievekit.qpoly import (
     ZERO,
     IntPoly,
     cyclotomic,
-    divisor_folds,
-    equals_at_primitive_root,
     eval_at_primitive_root,
     fold,
     one_minus_q_pow,
     q_binomial,
     q_multinomial,
     q_power,
+    ramanujan_vector,
 )
 from sievekit.semigroup import Chain, FreeRanked, PositiveIntegers, Window
+from sievekit.tubings import improper_cycle_census
 
 ZPOS = PositiveIntegers()
 
-# -- the projection test ------------------------------------------------------------
+# -- the Ramanujan vector and the root test --------------------------------------------
 
 SMALL = st.integers(-5, 5)
 WIDE = st.one_of(SMALL, st.integers(-10**12, 10**12))
@@ -70,6 +75,8 @@ def root_cases(draw) -> tuple[IntPoly, int, int]:
 
 
 def test_projection_decides_the_value_at_primitive_roots():
+    """p at the element d of the positive integers must take E at the
+    primitive d-th roots (0 at those of smaller order)."""
     passed = []
 
     @settings(max_examples=400)
@@ -77,7 +84,9 @@ def test_projection_decides_the_value_at_primitive_roots():
     def agree(case):
         p, d, value = case
         want = eval_at_primitive_root(p, d) == value
-        assert equals_at_primitive_root(divisor_folds(p.coeffs, d), d, value) == want
+        report = check_root_values(
+            ZPOS, [(d, (p, None))], lambda s, x, e, t: value if e == d else 0)
+        assert (d not in [f.divisor for f in report.failures]) == want
         passed.append(want)
 
     agree()
@@ -87,12 +96,20 @@ def test_projection_decides_the_value_at_primitive_roots():
 @given(st.lists(WIDE, max_size=60), st.integers(1, 40))
 def test_folds_agree_with_the_remainder_modulo_q_n_minus_1(coeffs, n):
     p = IntPoly(coeffs)
-    folds = divisor_folds(coeffs, n)
-    assert sorted(folds) == divisors(n)
-    for e, row in folds.items():
+    base = fold(coeffs, n)
+    for e in divisors(n):
+        row = fold(coeffs, e)
         assert len(row) == e
-        assert row == fold(coeffs, e)
+        assert row == fold(base, e)
         assert IntPoly(row) == divmod(p, IntPoly.monomial(1, e) - 1)[1]
+
+
+@given(st.integers(1, 60), st.data())
+def test_ramanujan_vector_is_n_times_the_values_at_primitive_roots(n, data):
+    values = {d: data.draw(st.one_of(st.just(0), WIDE)) for d in divisors(n)}
+    p = IntPoly(ramanujan_vector(n, values.items()))
+    for d, value in values.items():
+        assert eval_at_primitive_root(p, d) == n * value
 
 
 # -- the two checkers on planted faults ----------------------------------------------------
@@ -195,21 +212,33 @@ def divisions(monkeypatch):
 def test_checkers_divide_only_to_describe_a_failure(divisions):
     grid = PolyFamily.from_function(NK, Window(12, ((0, 12),)), lambda s: q_binomial(*s))
     fund = fund_family(FREE, Window(8))
+    letters = FreeRanked((("a", 1), ("b", 1), ("c", 1)))
+    censuses = [
+        improper_cycle_census(6, "tubes", 2),
+        (festoon_census("words", letters, Window(6)), fund_family(letters, Window(6))),
+    ]
     for d in range(1, 13):
         cyclotomic(d)  # built by exact divisions, once
     divisions.clear()  # the constructions divide exactly; the checks must not
     for F in (grid, fund):
         assert check_qgauss_definition(F).ok
         assert check_qgauss_roots(F).ok
+    for census, F in censuses:
+        assert verify_lyndon(census).ok
+        assert verify_csp(census, F).ok
+        assert verify_signed_csp(census, F).ok
     assert divisions == []
-    # a failing check divides once, by Phi_d, to name the value it found
+    # an element that fails is decided one divisor at a time: it divides
+    # by Phi_d for every d | rank, and names the value at each failing d
     s = (4, 2)
     broken = PolyFamily(NK, grid.window, tuple(
         (t, p + 1 if t == s else p) for t, p in grid.polys))
     failures = check_qgauss_roots(broken).failures
     assert [(f.element, f.divisor) for f in failures] == [
         (s, 2), (s, 4), ((8, 4), 2), ((12, 6), 3)]
-    assert [cyclotomic(f.divisor) for f in failures] == divisions
+    failing = [s, (8, 4), (12, 6)]
+    assert divisions == [cyclotomic(d) for n, _ in failing for d in divisors(n)]
+    assert len(divisions) == 13
 
 
 # -- roots of an element ---------------------------------------------------------------------

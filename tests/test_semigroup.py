@@ -103,7 +103,7 @@ class TestChain:
         inner = Chain(ZPOS, "ints")
         outer = Chain(inner, "nonneg")
         assert outer.extras == ("ints", "nonneg")
-        assert outer.arity == 3
+        assert len(outer.row) == 3
         outer.validate((3, -5, 0))
         with pytest.raises(ValueError):
             outer.validate((3, 0, -1))

@@ -1,4 +1,5 @@
-"""Every module-level function and class in ``src/sievekit`` is named by
+"""Every module-level function and class in ``src/sievekit``, and every
+method or property of those classes other than a dunder, is named by
 other code in ``src/``, except the listed ones, each with its reason.
 
 A definition that only tests, demos or the benchmark call serves no
@@ -54,19 +55,27 @@ AWAITING_A_COMMAND = {
 
 
 def unreferenced() -> set[str]:
-    """``module.name`` of each module-level def or class whose name occurs
-    once as a code token across ``src/`` (comments and strings do not
-    count): at its own definition."""
+    """``module.name`` of each module-level def or class, and
+    ``module.Class.name`` of each non-dunder method or property, whose name
+    occurs once as a code token across ``src/`` (comments and strings do
+    not count): at its own definition."""
     uses: Counter = Counter()
-    defined = {}
+    defined = []
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text()
         tokens = tokenize.generate_tokens(io.StringIO(text).readline)
         uses.update(t.string for t in tokens if t.type == tokenize.NAME)
         for node in ast.parse(text).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined[node.name] = path.stem
-    return {f"{module}.{name}" for name, module in defined.items() if uses[name] == 1}
+                defined.append((node.name, f"{path.stem}.{node.name}"))
+            if isinstance(node, ast.ClassDef):
+                defined.extend(
+                    (member.name, f"{path.stem}.{node.name}.{member.name}")
+                    for member in node.body
+                    if isinstance(member, ast.FunctionDef)
+                    and not (member.name.startswith("__") and member.name.endswith("__"))
+                )
+    return {qualified for name, qualified in defined if uses[name] == 1}
 
 
 def test_no_new_definition_goes_unreferenced():

@@ -45,7 +45,7 @@ print("roundtrips: exact")
 # a row that is not congruent gets a named witness instead of a b-row
 bad = SequenceSpec(ZPOS, window, "a", tuple((n, n) for n in range(1, 11)))
 report = check_gauss(bad)
-print("identity row passes:", report.ok, "- first failure at", report.witness().element)
+print("identity row passes:", report.ok, "- first failure at", report.failures[0].element)
 try:
     b_from_a(bad)
 except NonIntegerWitness as e:

@@ -50,4 +50,4 @@ bump = IntPoly.monomial(1, 3)
 pairs = tuple((s, p + bump if s == 4 else p) for s, p in ram.polys)
 bad = PolyFamily(ram.instance, ram.window, pairs)
 rep = check_qgauss_roots(bad)
-print("after corrupting n=4:", rep.ok, "- witness:", rep.witness())
+print("after corrupting n=4:", rep.ok, "- witness:", rep.failures[0])

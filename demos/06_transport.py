@@ -88,7 +88,7 @@ H = PolyFamily.from_function(
     lambda e: qb0(e[0] + e[1] - 1, e[1]) * qb0(e[1] + e[2] - 1, e[1]),
 )
 report = check_qgauss_roots(H)
-print("\nraw tube-count source passes:", report.ok, "witness:", report.witness())
+print("\nraw tube-count source passes:", report.ok, "witness:", report.failures[0])
 
 # but its restriction to the surface m = n - k is
 diag = Morphism(Chain(ZPOS, "ints"), grid, ((1, 0), (0, 1), (1, -1)))

@@ -25,7 +25,6 @@ from .gaussseq import (
     sequence_from_config,
 )
 from .objects import (
-    MAX_OBJECTS,
     Census,
     CyclicFamily,
     festoon_census,
@@ -51,6 +50,7 @@ from .semigroup import (
     FreeRanked,
     PositiveIntegers,
     Window,
+    admit,
     encode_element,
     require_keys,
     strict_int,
@@ -104,13 +104,13 @@ def _beads(cfg: dict) -> FreeRanked:
         return FreeRanked(tuple((b, length) for b, length in cfg["beads"]))
 
 
-def _window(cfg: dict, instance) -> tuple[Window, list]:
-    """The config's window and its elements, refused unless it fits the
-    instance and holds an element of it.  The job hands the list on, so
-    the window is listed once."""
+def _window(cfg: dict, instance) -> Window:
+    """The config's window, refused unless it fits the instance and holds
+    an element of it.  The window keeps its listing for the job."""
     with _refused():
         window = window_from_config(cfg["window"])
-        return window, window_elements(instance, window)
+        window_elements(instance, window)
+        return window
 
 
 def _witness(payload: dict, instance, e: ValueError) -> tuple[dict, int]:
@@ -180,8 +180,7 @@ def _closed_form_family(cfg: dict) -> PolyFamily:
         build = lambda n: q_power(lam, n)
     else:
         raise ConfigError(f"closed_form config: unknown name {name!r}")
-    window, elements = _window(cfg, inst)
-    return PolyFamily.from_function(inst, window, build, elements)
+    return PolyFamily.from_function(inst, _window(cfg, inst), build)
 
 
 def cmd_qgauss(cfg: dict) -> tuple[dict, int]:
@@ -208,7 +207,7 @@ def cmd_qgauss(cfg: dict) -> tuple[dict, int]:
             if "beads" not in cfg or "window" not in cfg:
                 raise ConfigError("qgauss config: fund needs beads and window")
             beads = _beads(cfg)
-            family = fund_family(beads, *_window(cfg, beads))
+            family = fund_family(beads, _window(cfg, beads))
         else:
             _require_keys(cfg, {"construction", "sequence", "checks"}, set(), "qgauss config")
             if not isinstance(name, str) or name not in _CONSTRUCTIONS:
@@ -239,34 +238,25 @@ def cmd_qgauss(cfg: dict) -> tuple[dict, int]:
 
 def _family_festoons(cfg: dict, name: str) -> tuple[Census, PolyFamily, bool]:
     """A words or festoon family, refused before any census is built when
-    it is malformed or predicts more than MAX_OBJECTS objects."""
+    it is malformed or predicts more objects than ``admit`` lets through."""
     if name in ("words", "festoons-content"):
         _require_keys(cfg, {"family", "beads", "window"}, {"beads", "window"}, "csp config")
         source = _beads(cfg)
-        window, elements = _window(cfg, source)
+        window = _window(cfg, source)
         if name == "words" and set(source.lengths) != {1}:
             raise ConfigError("csp config: words need all bead lengths equal to 1")
     else:
         key = "b" if name == "festoons-repeated" else "c"
         _require_keys(cfg, {"family", key}, {key}, "csp config")
-        source, window, elements = _sequence(cfg, key), None, None
+        source, window = _sequence(cfg, key), None
         if source.role != key:
             raise ConfigError(
                 f"csp config: {name} needs a role-{key} sequence, got role-{source.role}"
             )
     with _refused("csp config: "):
-        count = predicted_count(name, source, elements)
-    if count > MAX_OBJECTS:
-        raise ConfigError(
-            f"csp config: {name} predicts {count} objects, "
-            f"above the cap of {MAX_OBJECTS}"
-        )
+        admit(predicted_count(name, source, window), "predicted objects")
     if window is not None:
-        return (
-            festoon_census(name, source, window, elements),
-            fund_family(source, window, elements),
-            False,
-        )
+        return festoon_census(name, source, window), fund_family(source, window), False
     if key == "b":
         # festoon_census counts this family as well, but the benchmark's
         # trace (bench/tracer.py, bench/tests/test_bench.py) reads the
@@ -472,11 +462,15 @@ def main(argv: list[str] | None = None) -> int:
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
         text = _render_table(payload)
-    if args.out:
+    if not args.out:
+        sys.stdout.write(text)
+        return code
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as e:
+        print(f"config error: --out: {e}", file=sys.stderr)
+        return 1
     return code
 
 

@@ -37,8 +37,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .arith import divisors
 from .gaussseq import SequenceSpec, _require_role, a_from_b, a_from_c
 from .qgauss import PolyFamily, check_root_values, root_total
-from .semigroup import (MAX_OBJECTS, FamilyReport, FreeRanked, Window,
-                        _SemigroupBase, check_divisors, window_table)
+from .semigroup import (FamilyReport, FreeRanked, Window, _SemigroupBase,
+                        check_divisors, window_table)
 
 OBJECT_KINDS = ("word", "festoon", "signed-festoon", "tubing")
 
@@ -264,19 +264,19 @@ def content_count(beads: FreeRanked, alpha) -> int:
     return count * beads.rank(alpha) // total
 
 
-def predicted_count(family: str, source, elements: list | None = None) -> int:
+def predicted_count(family: str, source, window: Window | None = None) -> int:
     """Objects a csp family holds over its window, from its counting row
     at q = 1, without enumerating them.
 
     ``source`` is the FreeRanked beads for "words" and "festoons-content"
-    (``elements``, the listed window, is then required), the role-b spec
+    (``window`` is then required), the role-b spec
     for "festoons-repeated", and the role-c spec for "festoons-colored"
     and "signed-festoons", which are colored by |c|.  Raises ValueError on what the enumerators refuse:
     beads shorter than 1 and negative weights outside the signed family.
     """
     _contents(family, source)  # refuses what the family refuses
     if family in ("words", "festoons-content"):
-        return sum(content_count(source, alpha) for alpha in elements)
+        return sum(content_count(source, alpha) for alpha in source.elements(window))
     if family == "festoons-repeated":
         return sum(a_from_b(source).row())
     weights = tuple((t, abs(v)) for t, v in source.values)
@@ -399,18 +399,15 @@ def _listed(kind: str, contents: Iterable[tuple[list, int]]) -> list[CyclicObjec
     return sorted(CyclicObject(kind, slots, sign) for slots, sign in _festoons(contents))
 
 
-def _necklace_census(
-    inst: _SemigroupBase, window: Window, elements: list, contents: Callable
-) -> Census:
+def _necklace_census(inst: _SemigroupBase, window: Window, contents: Callable) -> Census:
     """The census of the festoons of ``contents(s)`` at each element s of
-    the window, whose ``elements`` are listed in window order.  A
-    necklace of k beads and period p is one orbit of n*p/k festoons on n
-    slots, all fixed by the order-d rotation when n*p/k divides n/d, else
-    none.  Periods depend only on the sorted multiplicities, so each sorted
-    content is walked once."""
+    the window, in window order.  A necklace of k beads and period p is one
+    orbit of n*p/k festoons on n slots, all fixed by the order-d rotation
+    when n*p/k divides n/d, else none.  Periods depend only on the sorted
+    multiplicities, so each sorted content is walked once."""
     periods: dict = {}
     rows = []
-    for s in elements:
+    for s in inst.elements(window):
         n = inst.rank(s)
         fixed = {d: [0, 0] for d in divisors(n)}
         count = 0
@@ -428,19 +425,14 @@ def _necklace_census(
     return Census(inst, window, tuple(rows))
 
 
-def festoon_census(
-    family: str, source, window: Window | None = None, elements: list | None = None
-) -> Census:
+def festoon_census(family: str, source, window: Window | None = None) -> Census:
     """The census of a csp family, counted from the necklaces of its bead
-    contents (``_contents``).  ``source`` is as for ``predicted_count``;
-    words and festoons by content take their window, and its elements when
-    the caller has listed them already."""
+    contents (``_contents``).  ``source`` and ``window`` are as for
+    ``predicted_count``."""
     contents = _contents(family, source)
     if isinstance(source, SequenceSpec):  # a sequence family spans its spec's window
         source, window = source.instance, source.window
-    if elements is None:
-        elements = source.elements(window)
-    return _necklace_census(source, window, elements, contents)
+    return _necklace_census(source, window, contents)
 
 
 # -- actions and verifiers --------------------------------------------------------

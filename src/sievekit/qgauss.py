@@ -21,7 +21,7 @@ mirroring how counting problems are rearranged.
 from __future__ import annotations
 
 import warnings
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, mul, sub
 from types import MappingProxyType
@@ -85,26 +85,19 @@ class WindowBoundaryWarning(UserWarning):
 
 @dataclass(frozen=True)
 class PolyFamily:
-    """Total mapping from window elements to integer polynomials.
-
-    ``elements``, when given, is the window's element list, which a caller
-    that has listed the window already hands on for the totality check.
-    """
+    """Total mapping from window elements to integer polynomials."""
 
     instance: _SemigroupBase
     window: Window
     polys: tuple[tuple[object, IntPoly], ...]
     _table: dict = field(init=False, repr=False, compare=False)
-    elements: InitVar[list | None] = None
 
-    def __post_init__(self, elements: list | None) -> None:
+    def __post_init__(self) -> None:
         table = window_table(self.instance, self.polys, "PolyFamily")
         for s, p in table.items():
             if not isinstance(p, IntPoly):
                 raise ValueError(f"PolyFamily: value at {s!r} is not a polynomial")
-        if elements is None:
-            elements = self.instance.elements(self.window)
-        for s in elements:
+        for s in self.instance.elements(self.window):
             if s not in table:
                 raise ValueError(f"PolyFamily: not total on window, missing {s!r}")
         object.__setattr__(self, "polys", tuple(table.items()))
@@ -116,13 +109,9 @@ class PolyFamily:
         instance: _SemigroupBase,
         window: Window,
         fn: Callable[[object], IntPoly],
-        elements: list | None = None,
     ) -> "PolyFamily":
-        """The family of ``fn`` over the window; ``elements`` as for the
-        class."""
-        if elements is None:
-            elements = instance.elements(window)
-        return cls(instance, window, tuple((s, fn(s)) for s in elements), elements)
+        """The family of ``fn`` over the window."""
+        return cls(instance, window, tuple((s, fn(s)) for s in instance.elements(window)))
 
     def as_dict(self) -> Mapping:
         return MappingProxyType(self._table)
@@ -350,20 +339,19 @@ def equivalent_mod(F: PolyFamily, G: PolyFamily) -> FamilyReport:
 # -- fundamental family on free instances --------------------------------------
 
 
-def fund_family(beads, window: Window, elements: list | None = None) -> PolyFamily:
+def fund_family(beads, window: Window) -> PolyFamily:
     """Weighted q-multinomial family on a free ranked instance.
 
     ``beads`` is a FreeRanked instance or a sequence of (label, length)
     pairs.  The entry at a multiset alpha is [rank]_q / [|alpha|]_q times
     the q-multinomial of the multiplicities; the division is exact.
-    ``elements`` as for ``PolyFamily``.
     """
     inst = beads if isinstance(beads, FreeRanked) else FreeRanked(tuple(beads))
 
     def build(alpha):
         return _weighted_multinomial(inst.rank(alpha), sorted(alpha))
 
-    return PolyFamily.from_function(inst, window, build, elements)
+    return PolyFamily.from_function(inst, window, build)
 
 
 # -- transport along morphisms --------------------------------------------------

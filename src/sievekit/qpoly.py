@@ -200,17 +200,6 @@ class IntPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "IntPoly":
-        if n < 0:
-            raise ValueError(f"pow: need n >= 0, got {n}")
-        result, base = ONE, self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __call__(self, x: int) -> int:
         out = 0
         for c in reversed(self.coeffs):
@@ -313,7 +302,6 @@ def _coerce(x: "IntPoly | int") -> IntPoly:
 
 ZERO = IntPoly()
 ONE = IntPoly((1,))
-Q = IntPoly((0, 1))
 
 
 def eval_at_one(p: IntPoly) -> int:

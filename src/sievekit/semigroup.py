@@ -20,8 +20,9 @@ and the difference s - t (``subtract``) are each one element or None.
 
 Infinite instances are always consumed through a finite ``Window`` (rank cap,
 per-extra coordinate bounds, bead-count cap), which makes every enumeration
-terminating and deterministic; a window of more than ``MAX_OBJECTS``
-elements is refused.
+terminating and deterministic.  A window keeps each instance's listing.
+``admit``, the one size check, refuses a window, or a job's objects, past
+``MAX_OBJECTS`` before any is listed or built.
 """
 
 from __future__ import annotations
@@ -39,8 +40,15 @@ EXTRA_KINDS = ("ints", "nonneg", "pos")
 _EXTRA_MIN = {"ints": None, "nonneg": 0, "pos": 1}
 
 # the most elements a window may hold, and the most objects a csp or
-# bijection job may predict, before it is refused
+# bijection job may predict, before ``admit`` refuses it
 MAX_OBJECTS = 400_000
+
+
+def admit(count: int, what: str) -> None:
+    """Refuse a job whose ``count`` of ``what`` (window elements, objects,
+    round trips), known before any is built, passes MAX_OBJECTS."""
+    if count > MAX_OBJECTS:
+        raise ValueError(f"{count} {what}, above the cap of {MAX_OBJECTS}")
 
 
 def strict_int(value, what: str) -> int:
@@ -70,11 +78,13 @@ class Window:
     ``extra_bounds`` holds one (lo, hi) pair per chain extra; a single pair
     broadcasts to all extras.  ``max_total`` caps the bead count |alpha| on
     FreeRanked instances (required whenever some bead length is <= 0).
+    ``_listed`` keeps each instance's listing for ``elements``.
     """
 
     max_rank: int
     extra_bounds: tuple[tuple[int, int], ...] = ()
     max_total: int | None = None
+    _listed: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if strict_int(self.max_rank, "Window: max_rank") < 1:
@@ -138,9 +148,6 @@ class FamilyReport:
                 failures.append(FamilyCheckFailure(s, d, detail))
         return cls(not failures, checked, tuple(failures))
 
-    def witness(self) -> FamilyCheckFailure | None:
-        return self.failures[0] if self.failures else None
-
     def to_jsonable(self, instance: _SemigroupBase | None = None) -> dict:
         def enc(s):
             return encode_element(instance, s) if instance is not None else repr(s)
@@ -176,6 +183,7 @@ class _SemigroupBase:
 
     floors: tuple[int | None, ...]
     row: tuple[int, ...]
+    _reads: tuple[str, ...] = ()  # the window bounds read besides max_rank
 
     def coords(self, s) -> tuple[int, ...]:
         return tuple(s)
@@ -283,19 +291,25 @@ class _SemigroupBase:
         return out
 
     def elements(self, window: Window) -> list:
-        """Window contents in canonical (rank, coordinates) order; a window
-        of more than MAX_OBJECTS elements is refused."""
+        """Window contents in canonical (rank, coordinates) order, as a new
+        list.  The window keeps the listing (``_list``) of each instance,
+        so a job lists it once; one that ``admit`` refuses is not kept."""
+        listed = window._listed
+        if self not in listed:
+            listed[self] = self._list(window)
+        return list(listed[self])
+
+    def _list(self, window: Window) -> list:
         raise NotImplementedError
 
     def check_window(self, window: Window) -> None:
-        """Refuse a window that this instance cannot enumerate, or that
-        misses a root t (d*t = s) of one of its elements s, which the
-        divisor-sum checks read.  Every window of positive integers fits."""
-
-
-def _refuse_over_cap(count: int) -> None:
-    if count > MAX_OBJECTS:
-        raise ValueError(f"window holds {count} elements, above the cap of {MAX_OBJECTS}")
+        """Refuse a window that sets a bound this instance does not read,
+        that this instance cannot enumerate, or that misses a root t
+        (d*t = s) of one of its elements s, which the divisor-sum checks
+        read."""
+        for key in ("extra_bounds", "max_total"):
+            if key not in self._reads and getattr(window, key) not in ((), None):
+                raise ValueError(f"window sets {key}, which {type(self).__name__} does not read")
 
 
 @dataclass(frozen=True)
@@ -323,8 +337,8 @@ class PositiveIntegers(_SemigroupBase):
     def _remainder_ok(self, remaining) -> bool:
         return remaining[0] >= 0
 
-    def elements(self, window: Window) -> list:
-        _refuse_over_cap(window.max_rank)
+    def _list(self, window: Window) -> list:
+        admit(window.max_rank, "window elements")
         return list(range(1, window.max_rank + 1))
 
 
@@ -341,6 +355,7 @@ class Chain(_SemigroupBase):
     extra: str
     floors: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
     row: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _reads = ("extra_bounds",)
 
     def __post_init__(self) -> None:
         if self.extra not in EXTRA_KINDS:
@@ -376,6 +391,7 @@ class Chain(_SemigroupBase):
         )
 
     def check_window(self, window: Window) -> None:
+        super().check_window(window)
         bounds = self.resolve_bounds(window)
         for d in range(2, window.max_rank + 1):
             # the roots x/d of the multiples x of d within each extra's bounds;
@@ -386,12 +402,13 @@ class Chain(_SemigroupBase):
             ):
                 raise ValueError(f"window misses the root by {d} of an element of rank {d}")
 
-    def elements(self, window: Window) -> list:
+    def _list(self, window: Window) -> list:
         """The product of the rank range and the extras' ranges: it comes
         out in lexicographic order, which is (rank, coordinates) order
         since the rank is the first coordinate."""
         bounds = self.resolve_bounds(window)
-        _refuse_over_cap(window.max_rank * prod(max(0, hi - lo + 1) for lo, hi in bounds))
+        admit(window.max_rank * prod(max(0, hi - lo + 1) for lo, hi in bounds),
+              "window elements")
         ranges = [range(1, window.max_rank + 1)]
         ranges.extend(range(lo, hi + 1) for lo, hi in bounds)
         return list(itertools.product(*ranges))
@@ -410,6 +427,7 @@ class FreeRanked(_SemigroupBase):
     beads: tuple[tuple[str, int], ...]
     floors: tuple[int, ...] = field(init=False, repr=False, compare=False)
     row: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _reads = ("max_total",)
 
     def __post_init__(self) -> None:
         beads = tuple(
@@ -440,17 +458,19 @@ class FreeRanked(_SemigroupBase):
         return sum(s)
 
     def check_window(self, window: Window) -> None:
+        super().check_window(window)
         # a root has fewer beads and a smaller rank, so it stays inside
         if window.max_total is None and any(length < 1 for length in self.row):
             raise ValueError("window needs max_total when some bead length is not positive")
 
-    def elements(self, window: Window) -> list:
+    def _list(self, window: Window) -> list:
         """Depth-first over the beads, each branch fixing one multiplicity
         and pruned when no choice of the beads left can bring its rank
         into 1..max_rank within the bead budget.  Both conditions are
         linear in the multiplicity, so the admissible ones form a range,
-        computed directly.  The walk stops as soon as it finds more than
-        MAX_OBJECTS elements."""
+        computed directly and walked lazily.  The last bead's range is
+        counted before it is listed, so the walk stops at the cap having
+        built at most MAX_OBJECTS elements."""
         self.check_window(window)
         lengths, max_rank = self.row, window.max_rank
         # without max_total every length is positive, so the rank caps the beads
@@ -458,15 +478,9 @@ class FreeRanked(_SemigroupBase):
         # the least and the most rank that one bead from index i on adds
         low = [min([0, *lengths[i:]]) for i in range(len(lengths) + 1)]
         high = [max([0, *lengths[i:]]) for i in range(len(lengths) + 1)]
-        out = []
-        stack = [(0, 0, 0, ())]  # (bead index, rank, beads used, multiplicities)
-        while stack:
-            i, rank, used, cs = stack.pop()
-            if i == len(lengths):
-                out.append((rank, cs))  # sorts as the sort key (rank, *cs)
-                if len(out) > MAX_OBJECTS:
-                    raise ValueError(f"window holds more than {MAX_OBJECTS} elements, the cap")
-                continue
+        out, stack = [], []  # stack: (bead index, rank, beads used, multiplicities, choices)
+
+        def enter(i: int, rank: int, used: int, cs: tuple) -> None:
             length, left = lengths[i], budget - used
             first, last = 0, left
             # c beads here leave left - c for the rest: the rank can still
@@ -481,11 +495,22 @@ class FreeRanked(_SemigroupBase):
                     first = max(first, -(x // -d))  # the ceiling of x / d
                 elif x < 0:
                     last = -1
-            stack.extend(  # fewest beads first: leaves come soonest
-                (i + 1, rank + c * length, used + c, cs + (c,))
-                for c in range(last, first - 1, -1)
-            )
-        return [cs for _, cs in sorted(out)]
+            choices = range(first, last + 1)
+            if i + 1 < len(lengths):
+                stack.append((i, rank, used, cs, iter(choices)))
+                return
+            admit(len(out) + len(choices), "or more window elements")
+            out.extend((rank + c * length, cs + (c,)) for c in choices)
+
+        enter(0, 0, 0, ())
+        while stack:
+            i, rank, used, cs, choices = stack[-1]
+            c = next(choices, None)
+            if c is None:
+                stack.pop()
+            else:
+                enter(i + 1, rank + c * lengths[i], used + c, cs + (c,))
+        return [cs for _, cs in sorted(out)]  # (rank, cs) sorts as the sort key
 
     def label_index(self, label: str) -> int:
         for i, (name, _) in enumerate(self.beads):
@@ -612,8 +637,9 @@ def window_from_config(cfg: dict) -> Window:
 
 def window_elements(instance: _SemigroupBase, window: Window) -> list:
     """The elements of a configured window.  Refuses a window that the
-    instance cannot list (``elements``, ``check_window``) and one that holds
-    no element, over which every check would pass on nothing."""
+    instance cannot list (``elements``, ``check_window``), one that sets a
+    bound the instance does not read, and one that holds no element, over
+    which every check would pass on nothing."""
     elements = instance.elements(window)
     instance.check_window(window)
     if not elements:

@@ -25,10 +25,10 @@ from math import comb
 from typing import Iterable, Iterator
 
 from .arith import divisors
-from .objects import MAX_OBJECTS, Census
+from .objects import Census
 from .qgauss import PolyFamily
 from .qpoly import IntPoly, ONE, ZERO, q_binomial, q_power
-from .semigroup import Chain, PositiveIntegers, Window
+from .semigroup import Chain, PositiveIntegers, Window, admit
 
 Tube = tuple[int, int]
 Tubing = frozenset
@@ -590,8 +590,8 @@ def improper_tubing_count(max_rank: int, colors: int = 1) -> int:
 def check_improper_job(max_rank: int, grading: str = "tubes", colors: int = 1) -> None:
     """Refuse, before any enumeration, a family job that is malformed or
     too large: a rank outside 1..MAX_CYCLE, an unknown grading, fewer than
-    one color, colors with a grading other than "tubes", or more than
-    MAX_OBJECTS predicted objects."""
+    one color, colors with a grading other than "tubes", or more predicted
+    objects than ``admit`` lets through."""
     if not 1 <= max_rank <= MAX_CYCLE:
         raise ValueError(f"max_rank must be in 1..{MAX_CYCLE}, got {max_rank}")
     if grading not in _GRADINGS:
@@ -600,12 +600,7 @@ def check_improper_job(max_rank: int, grading: str = "tubes", colors: int = 1) -
         raise ValueError(f"colors must be at least 1, got {colors}")
     if colors != 1 and grading != "tubes":
         raise ValueError("colors only combine with the tubes grading")
-    count = improper_tubing_count(max_rank, colors)
-    if count > MAX_OBJECTS:
-        raise ValueError(
-            f"max_rank {max_rank} and colors {colors} predict {count} objects, "
-            f"above the cap of {MAX_OBJECTS}"
-        )
+    admit(improper_tubing_count(max_rank, colors), "predicted objects")
 
 
 def bijection_roundtrips(kind: str, max_n: int) -> int:
@@ -624,18 +619,13 @@ def bijection_roundtrips(kind: str, max_n: int) -> int:
 def check_bijection_job(kind: str, max_n: int) -> None:
     """Refuse, before any enumeration, a bijection job of an unknown kind,
     with max_n outside 1..MAX_INTERVAL or 1..MAX_CYCLE, or predicting more
-    than MAX_OBJECTS round trips."""
+    round trips than ``admit`` lets through."""
     if kind not in ("interval", "cycle"):
         raise ValueError(f"unknown kind {kind!r}")
     cap = MAX_INTERVAL if kind == "interval" else MAX_CYCLE
     if not 1 <= max_n <= cap:
         raise ValueError(f"max_n must be in 1..{cap}")
-    count = bijection_roundtrips(kind, max_n)
-    if count > MAX_OBJECTS:
-        raise ValueError(
-            f"max_n {max_n} predicts {count} round trips, "
-            f"above the cap of {MAX_OBJECTS}"
-        )
+    admit(bijection_roundtrips(kind, max_n), "predicted round trips")
 
 
 def improper_cycle_census(

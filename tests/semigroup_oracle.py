@@ -8,6 +8,9 @@ s/d and the difference set s - t came back as lists of at most one
 element.  This module keeps those definitions (the two sets as
 ``root_list`` and ``difference_list``), dispatching on the instance class.  It borrows from the library only the instance
 classes, their ``extras`` and ``lengths``, and ``divisors``.
+
+``free_walk`` is the free window listing that pushed every admissible
+multiplicity of a bead onto its stack before taking the first.
 """
 
 from __future__ import annotations
@@ -117,3 +120,35 @@ def decompositions(inst, s, support) -> list[tuple]:
     rec(0, coords(inst, s), ())
     return out
 
+
+
+def free_walk(inst, max_rank: int, max_total: int | None) -> list:
+    """The elements of a free window in (rank, coordinates) order, by a
+    depth-first walk whose stack holds every admissible multiplicity of
+    each bead it reaches; no cap."""
+    lengths = inst.lengths
+    budget = max_rank if max_total is None else max_total
+    low = [min([0, *lengths[i:]]) for i in range(len(lengths) + 1)]
+    high = [max([0, *lengths[i:]]) for i in range(len(lengths) + 1)]
+    out = []
+    stack = [(0, 0, 0, ())]  # (bead index, rank, beads used, multiplicities)
+    while stack:
+        i, rank, used, cs = stack.pop()
+        if i == len(lengths):
+            out.append((rank, cs))
+            continue
+        length, left = lengths[i], budget - used
+        first, last = 0, left
+        for d, x in ((length - low[i + 1], max_rank - rank - low[i + 1] * left),
+                     (high[i + 1] - length, rank + high[i + 1] * left - 1)):
+            if d > 0:
+                last = min(last, x // d)
+            elif d < 0:
+                first = max(first, -(x // -d))
+            elif x < 0:
+                last = -1
+        stack.extend(
+            (i + 1, rank + c * length, used + c, cs + (c,))
+            for c in range(last, first - 1, -1)
+        )
+    return [cs for _, cs in sorted(out)]

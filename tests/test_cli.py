@@ -6,12 +6,14 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from math import comb
+from pathlib import Path
 
 import pytest
 
 from sievekit import cli
-from sievekit.semigroup import FreeRanked
+from sievekit.semigroup import MAX_OBJECTS, Chain, FreeRanked, PositiveIntegers
 
 PKG = [sys.executable, "-m", "sievekit"]
 
@@ -35,6 +37,19 @@ def zpos_sequence(role: str, support: dict, max_rank: int) -> dict:
 
 
 LUCAS_SEQ = zpos_sequence("c", {1: 1, 2: 1}, 8)
+
+
+def listings(monkeypatch) -> list:
+    """The instance classes whose windows are listed from now on, once per
+    listing (``_list``; ``elements`` reads the window's kept listing)."""
+    calls = []
+    for cls in (PositiveIntegers, Chain, FreeRanked):
+        def counted(self, window, listed=cls._list):
+            calls.append(type(self))
+            return listed(self, window)
+
+        monkeypatch.setattr(cls, "_list", counted)
+    return calls
 
 
 class TestSeq:
@@ -66,12 +81,18 @@ class TestSeq:
         # over integer extras, (2, 0) - (1, 1) = (1, -1) lies below the
         # window's extra bounds, so c_from_a has no "a" value there
         inst = {"kind": "chain", "base": "zpos", "extra": "ints",
-                "window": {"max_rank": 2, "extra_bounds": [[0, 1]], "max_total": 1}}
+                "window": {"max_rank": 2, "extra_bounds": [[0, 1]]}}
         seq = {"instance": inst, "role": "b", "support": [[[1, 1], 1]]}
         res = run_cli(tmp_path, "seq", {"sequence": seq})
         assert res.returncode == 1 and res.stdout == ""
         assert res.stderr.startswith("config error:")
         assert "widen the role-a spec" in res.stderr
+
+    def test_a_job_lists_its_window_once(self, monkeypatch):
+        calls = listings(monkeypatch)
+        payload, code = cli.cmd_seq({"sequence": LUCAS_SEQ})
+        assert code == 0 and payload["ok"] is True
+        assert calls == [PositiveIntegers]
 
     def test_unknown_keys_are_config_errors(self, tmp_path):
         res = run_cli(tmp_path, "seq", {"sequence": LUCAS_SEQ, "mystery": 1})
@@ -181,6 +202,21 @@ class TestQGauss:
         assert json.loads(first.stdout)["ok"] is True
 
 
+    @pytest.mark.parametrize("construction, role, row", [
+        ("ramanujan", "a", [1, 3, 4, 7, 11, 18, 29, 47]),  # the Lucas rows
+        ("from-b", "b", [1, 1, 1, 1, 2, 2, 4, 5]),
+        ("from-c", "c", [1, 1]),
+    ], ids=["ramanujan", "from-b", "from-c"])
+    def test_a_sequence_construction_lists_its_window_once(
+        self, monkeypatch, construction, role, row
+    ):
+        calls = listings(monkeypatch)
+        support = dict(enumerate(row, start=1))
+        cfg = {"construction": construction, "sequence": zpos_sequence(role, support, 8)}
+        payload, code = cli.cmd_qgauss(cfg)
+        assert code == 0 and payload["ok"] is True
+        assert calls == [PositiveIntegers]
+
     def test_fund_lists_every_element_with_a_negative_bead(self, tmp_path):
         cfg = {
             "construction": "fund",
@@ -231,17 +267,14 @@ class TestCsp:
         assert res.returncode == 0
         assert json.loads(res.stdout)["ok"] is True
 
-    @pytest.mark.parametrize("family", ["words", "festoons-content"])
-    def test_a_job_lists_its_window_once(self, monkeypatch, family):
-        calls = []
-        listed = FreeRanked.elements
-
-        def counted(self, window):
-            calls.append(window)
-            return listed(self, window)
-
-        monkeypatch.setattr(FreeRanked, "elements", counted)
-        cfg = {"family": family, "beads": [["a", 1], ["b", 1]], "window": {"max_rank": 5}}
+    @pytest.mark.parametrize("cfg", [
+        {"family": "words", "beads": [["a", 1], ["b", 1]], "window": {"max_rank": 5}},
+        {"family": "festoons-content", "beads": [["a", 1], ["b", 1]],
+         "window": {"max_rank": 5}},
+        {"family": "festoons-colored", "c": zpos_sequence("c", {1: 1, 2: 1}, 6)},
+    ], ids=lambda cfg: cfg["family"])
+    def test_a_job_lists_its_window_once(self, monkeypatch, cfg):
+        calls = listings(monkeypatch)
         payload, code = cli.cmd_csp(cfg)
         assert code == 0 and payload["ok"] is True
         assert len(calls) == 1
@@ -506,6 +539,48 @@ class TestWindowCap:
         cfg = {"family": "words", "beads": beads, "window": {"max_rank": 16}}
         self.refused(tmp_path, "csp", cfg)
 
+    def test_free_instance_of_one_bead_at_a_huge_rank(self):
+        # 10**9 multiplicities of one bead: counted, not listed or stacked
+        cfg = {"construction": "fund", "beads": [["a", 1]],
+               "window": {"max_rank": 10**9}}
+        start = time.perf_counter()
+        with pytest.raises(cli.ConfigError) as refusal:
+            cli.cmd_qgauss(cfg)
+        assert time.perf_counter() - start < 1
+        assert str(refusal.value).endswith(
+            f"{10**9} or more window elements, above the cap of {MAX_OBJECTS}")
+
+
+class TestUnreadWindowKeys:
+    """A window bound that the instance never reads is refused, not
+    ignored."""
+
+    @pytest.mark.parametrize(
+        "command, cfg, key",
+        [
+            ("qgauss", {"construction": "fund", "beads": [["a", 1]],
+                        "window": {"max_rank": 3, "extra_bounds": [[0, 2]]}},
+             "extra_bounds"),
+            ("seq", {"sequence": {"instance": {"kind": "zpos",
+                                               "window": {"max_rank": 3, "max_total": 2}},
+                                  "role": "a", "support": []}},
+             "max_total"),
+            ("seq", {"sequence": {"instance": {"kind": "zpos", "window": {
+                "max_rank": 3, "extra_bounds": [[0, 2]]}},
+                                  "role": "a", "support": []}},
+             "extra_bounds"),
+            ("qgauss", {"closed_form": {"name": "q-binomial", "window": {
+                "max_rank": 3, "extra_bounds": [[0, 3]], "max_total": 2}}},
+             "max_total"),
+        ],
+        ids=["free-extra-bounds", "zpos-max-total", "zpos-extra-bounds", "chain-max-total"],
+    )
+    def test_refused(self, tmp_path, command, cfg, key):
+        res = run_cli(tmp_path, command, cfg)
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr.startswith("config error:")
+        assert f"window sets {key}" in res.stderr
+
 
 class TestRiordan:
     def test_catalan_table(self, tmp_path):
@@ -522,6 +597,14 @@ class TestRiordan:
         res = run_cli(tmp_path, "riordan", cfg, extra=["--out", str(out)])
         assert res.returncode == 0
         assert json.loads(out.read_text())["rows"]
+
+    def test_unwritable_out_file_is_a_config_error(self, tmp_path):
+        out = tmp_path / "absent" / "x.json"
+        res = run_cli(tmp_path, "bijection", {"kind": "interval", "max_n": 3},
+                      extra=["--out", str(out)])
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr.startswith("config error:")
+        assert "Traceback" not in res.stderr
 
 
 # -- byte identity of the congruence path -----------------------------------------
@@ -580,3 +663,14 @@ def test_congruence_path_stdout_is_byte_identical(tmp_path, name):
     res = run_cli(tmp_path, command, cfg)
     assert res.returncode == code, res.stderr
     assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+
+
+GOLDEN_JOBS = json.loads(Path(__file__).with_name("golden_configs.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN_JOBS, ids=lambda case: case["job"])
+def test_every_golden_job_lists_its_window_at_most_once(monkeypatch, case):
+    calls = listings(monkeypatch)
+    payload, code = cli._COMMANDS[case["command"]](case["config"])
+    assert code == case["code"]
+    assert len(calls) <= 1

@@ -127,7 +127,7 @@ class TestCheckGauss:
         a = zpos_spec("a", {n: n for n in range(1, 7)}, 6)
         rep = check_gauss(a)
         assert not rep.ok
-        assert rep.witness().element == 2
+        assert rep.failures[0].element == 2
         assert rep.failures[0] == FamilyCheckFailure(2, 2, "residue 1")  # 1 mod rank 2
 
     def test_totient_weight_agrees(self):
@@ -170,7 +170,7 @@ class TestCheckGauss:
         try:
             b_from_a(a)
         except NonIntegerWitness as e:
-            assert not rep.ok and rep.witness().element == e.element
+            assert not rep.ok and rep.failures[0].element == e.element
         else:
             assert rep.ok
 

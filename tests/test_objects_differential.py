@@ -299,12 +299,13 @@ def test_predicted_count_is_the_enumerated_size(family, source, window, enumerat
     else:
         elements = source.elements(window)
     total = sum(len(enumerate_at(s)) for s in elements)
-    assert predicted_count(family, source, None if window is None else elements) == total
+    assert predicted_count(family, source, window) == total
 
 
 def test_predicted_count_refuses_what_the_enumerators_refuse():
     with pytest.raises(ValueError, match="lengths"):
-        predicted_count("festoons-content", FreeRanked((("e", 0), ("x", 1))), [(1, 0, 1)])
+        predicted_count("festoons-content", FreeRanked((("e", 0), ("x", 1))),
+                        Window(3, max_total=3))
     with pytest.raises(ValueError, match="signed"):
         predicted_count("festoons-colored", zpos_spec("c", {1: -1}, 3))
     with pytest.raises(ValueError, match="signed"):

@@ -71,13 +71,6 @@ class TestIntPoly:
         with pytest.raises(ArithmeticError):
             IntPoly((1, 2)).scale_div(2)
 
-    @given(small_polys, st.integers(0, 4))
-    def test_pow_matches_repeated_product(self, p, n):
-        out = ONE
-        for _ in range(n):
-            out = out * p
-        assert p**n == out
-
 
 class TestQAnalogues:
     def test_q_int_values(self):

@@ -3,7 +3,8 @@ checks it replaced (``tests/semigroup_oracle.py``), on random instances and
 random coordinates: bools, floats and other junk, wrong arity, negatives,
 nested chains of all three extra kinds, and free instances with bead
 lengths in -2..3.  The free window listing is checked against every
-multiplicity tuple within the bead budget that the oracle accepts."""
+multiplicity tuple within the bead budget that the oracle accepts, and
+against the walk it replaced (``oracle.free_walk``)."""
 
 from __future__ import annotations
 
@@ -125,6 +126,17 @@ def test_free_elements_match_the_oracle(lengths, max_rank, max_total):
         and oracle.rank(inst, cs) <= max_rank
     ]
     want = sorted(held, key=lambda cs: (oracle.rank(inst, cs), cs))
+    assert inst.elements(Window(max_rank, max_total=max_total)) == want
+
+
+@settings(max_examples=150)
+@given(st.lists(st.integers(-2, 4), min_size=1, max_size=5),
+       st.integers(1, 12), st.one_of(st.none(), st.integers(1, 8)))
+def test_free_elements_match_the_stacked_walk(lengths, max_rank, max_total):
+    # the lazy walk lists what the walk that stacked whole ranges listed
+    assume(max_total is not None or min(lengths) >= 1)
+    inst = FreeRanked(tuple((f"b{i}", n) for i, n in enumerate(lengths)))
+    want = oracle.free_walk(inst, max_rank, max_total)
     assert inst.elements(Window(max_rank, max_total=max_total)) == want
 
 

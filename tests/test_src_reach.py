@@ -1,6 +1,7 @@
-"""Every module-level function and class in ``src/sievekit``, and every
-method or property of those classes other than a dunder, is named by
-other code in ``src/``, except the listed ones, each with its reason.
+"""Every module-level function, class and constant in ``src/sievekit`` is
+named by other code in ``src/``, and every method or property of those
+classes other than a dunder is read as an attribute there, except the
+listed ones, each with its reason.
 
 A definition that only tests, demos or the benchmark call serves no
 command; it belongs in a test oracle, or leaves.  A new definition that
@@ -55,27 +56,43 @@ AWAITING_A_COMMAND = {
 
 
 def unreferenced() -> set[str]:
-    """``module.name`` of each module-level def or class, and
-    ``module.Class.name`` of each non-dunder method or property, whose name
-    occurs once as a code token across ``src/`` (comments and strings do
-    not count): at its own definition."""
+    """``module.name`` of each module-level def, class or constant (but
+    ``__version__``) whose name occurs once as a code token across ``src/``
+    (comments and strings do not count): at its own definition.  And
+    ``module.Class.name`` of each non-dunder method or property that no
+    code in ``src/`` reads as an attribute (``.name``): a local variable or
+    a function of the same name does not count."""
     uses: Counter = Counter()
-    defined = []
+    attributes: set = set()
+    defined, members = [], []
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text()
         tokens = tokenize.generate_tokens(io.StringIO(text).readline)
         uses.update(t.string for t in tokens if t.type == tokenize.NAME)
-        for node in ast.parse(text).body:
+        tree = ast.parse(text)
+        attributes.update(
+            node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        )
+        for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.append((node.name, f"{path.stem}.{node.name}"))
-            if isinstance(node, ast.ClassDef):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 defined.extend(
+                    (t.id, f"{path.stem}.{t.id}") for t in targets
+                    if isinstance(t, ast.Name) and t.id != "__version__"
+                )
+            if isinstance(node, ast.ClassDef):
+                members.extend(
                     (member.name, f"{path.stem}.{node.name}.{member.name}")
                     for member in node.body
                     if isinstance(member, ast.FunctionDef)
                     and not (member.name.startswith("__") and member.name.endswith("__"))
                 )
-    return {qualified for name, qualified in defined if uses[name] == 1}
+    return {qualified for name, qualified in defined if uses[name] == 1} | {
+        qualified for name, qualified in members if name not in attributes
+    }
 
 
 def test_no_new_definition_goes_unreferenced():

@@ -8,8 +8,8 @@ from sievekit.gaussseq import NoSolution, TruncatedSeries, solve_functional_equa
 from sievekit.objects import verify_csp, verify_lyndon
 from sievekit.qgauss import PolyFamily
 from sievekit.qpoly import ONE, q_power
+from sievekit.semigroup import MAX_OBJECTS
 from sievekit.tubings import (
-    MAX_OBJECTS,
     bijection_roundtrips,
     check_bijection_job,
     count_paths,

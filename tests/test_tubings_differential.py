@@ -15,9 +15,9 @@ from sievekit import cli
 from sievekit import tubings as tb
 from sievekit.objects import Census, verify_csp, verify_lyndon
 from sievekit.qpoly import ZERO
+from sievekit.semigroup import MAX_OBJECTS
 from sievekit.tubings import (
     MAX_CYCLE,
-    MAX_OBJECTS,
     _graph,
     count_paths,
     enumerate_paths,

@@ -3,6 +3,13 @@
 One JSON config per invocation; deterministic output (stable key order,
 no timestamps).  Exit codes: 0 all checks pass, 1 configuration problem,
 2 verification failure with the witness named in the output.
+
+Each command decodes its whole config in one ``_refused`` block, which
+calls the library's decoders and job checks and turns what they refuse
+into a ConfigError.  No work starts before the block ends: the
+constructions, censuses, round trips and checks run after it, so an
+error inside them stays a traceback and is never taken for a config
+error.  A new job source decodes its config inside its command's block.
 """
 
 from __future__ import annotations
@@ -15,7 +22,6 @@ from typing import Callable
 
 from .gaussseq import (
     NonIntegerWitness,
-    SequenceSpec,
     TruncatedSeries,
     a_from_b,
     a_from_c,
@@ -25,7 +31,6 @@ from .gaussseq import (
     sequence_from_config,
 )
 from .objects import (
-    Census,
     CyclicFamily,
     festoon_census,
     festoons_repeated,
@@ -49,7 +54,6 @@ from .semigroup import (
     Chain,
     FreeRanked,
     PositiveIntegers,
-    Window,
     admit,
     encode_element,
     require_keys,
@@ -65,52 +69,16 @@ class ConfigError(ValueError):
 
 
 @contextmanager
-def _refused(where: str = ""):
-    """Re-raise what the library refuses (a ValueError or TypeError) as a
-    ConfigError, its message prefixed by ``where``."""
+def _refused():
+    """Re-raise what the library refuses while a config is decoded (a
+    ValueError or TypeError) as a ConfigError with the same message; a
+    ConfigError passes unchanged."""
     try:
         yield
+    except ConfigError:
+        raise
     except (ValueError, TypeError) as e:
-        raise ConfigError(f"{where}{e}")
-
-
-def _require_keys(cfg: dict, allowed: set[str], required: set[str], where: str) -> None:
-    with _refused():
-        require_keys(cfg, allowed, required, where)
-
-
-def _strict_int(cfg: dict, key: str, where: str, default: int | None = None) -> int:
-    """An integer setting; floats, strings and booleans are refused."""
-    with _refused():
-        return strict_int(cfg.get(key, default), f"{where}: {key}")
-
-
-def _int_list(cfg: dict, key: str, where: str) -> list[int]:
-    """A list of integers; floats, strings and booleans are refused."""
-    value = cfg[key]
-    if not isinstance(value, list):
-        raise ConfigError(f"{where}: {key} must be a list of integers, got {value!r}")
-    with _refused():
-        return [strict_int(v, f"{where}: {key} entry") for v in value]
-
-
-def _sequence(cfg: dict, key: str) -> SequenceSpec:
-    with _refused():
-        return sequence_from_config(cfg[key])
-
-
-def _beads(cfg: dict) -> FreeRanked:
-    with _refused():
-        return FreeRanked(tuple((b, length) for b, length in cfg["beads"]))
-
-
-def _window(cfg: dict, instance) -> Window:
-    """The config's window, refused unless it fits the instance and holds
-    an element of it.  The window keeps its listing for the job."""
-    with _refused():
-        window = window_from_config(cfg["window"])
-        window_elements(instance, window)
-        return window
+        raise ConfigError(str(e)) from e
 
 
 def _witness(payload: dict, instance, e: ValueError) -> tuple[dict, int]:
@@ -133,8 +101,9 @@ def _verdict(payload: dict, reports: dict, instance) -> tuple[dict, int]:
 
 
 def cmd_seq(cfg: dict) -> tuple[dict, int]:
-    _require_keys(cfg, {"sequence"}, {"sequence"}, "seq config")
-    spec = _sequence(cfg, "sequence")
+    with _refused():
+        require_keys(cfg, {"sequence"}, {"sequence"}, "seq config")
+        spec = sequence_from_config(cfg["sequence"])
     payload: dict = {"command": "seq", "role": spec.role}
     try:
         if spec.role == "a":
@@ -159,105 +128,129 @@ def cmd_seq(cfg: dict) -> tuple[dict, int]:
 
 # -- qgauss ------------------------------------------------------------------------
 
-_CONSTRUCTIONS: dict[str, tuple[str, Callable]] = {
+# Each construction with the role of the sequence it builds from; fund
+# (role None) builds from beads and a window instead.
+_CONSTRUCTIONS: dict[str, tuple[str | None, Callable]] = {
     "ramanujan": ("a", construct_ramanujan),
     "from-b": ("b", construct_from_b),
     "from-c": ("c", construct_from_c),
+    "fund": (None, fund_family),
 }
+_CHECKS = {"definition": check_qgauss_definition, "roots": check_qgauss_roots}
 
 
-def _closed_form_family(cfg: dict) -> PolyFamily:
-    _require_keys(
-        cfg, {"name", "window", "base"}, {"name", "window"}, "closed_form config"
-    )
+def _closed_form(cfg: dict) -> tuple:
+    """The instance, window and polynomial of a closed_form config; only
+    q-power reads a base."""
+    require_keys(cfg, {"name", "window", "base"}, {"name", "window"}, "closed_form config")
     name = cfg["name"]
     if name == "q-binomial":
-        inst = Chain(PositiveIntegers(), "nonneg")
-        build = lambda s: q_binomial(s[0], s[1])
+        require_keys(cfg, {"name", "window"}, set(), "q-binomial config")
+        inst, poly = Chain(PositiveIntegers(), "nonneg"), lambda s: q_binomial(s[0], s[1])
     elif name == "q-power":
-        lam = _strict_int(cfg, "base", "closed_form config", 2)
-        inst = PositiveIntegers()
-        build = lambda n: q_power(lam, n)
+        lam = strict_int(cfg.get("base", 2), "closed_form config: base")
+        inst, poly = PositiveIntegers(), lambda n: q_power(lam, n)
     else:
         raise ConfigError(f"closed_form config: unknown name {name!r}")
-    return PolyFamily.from_function(inst, _window(cfg, inst), build)
+    window = window_from_config(cfg["window"])
+    window_elements(inst, window)
+    return inst, window, poly
 
 
 def cmd_qgauss(cfg: dict) -> tuple[dict, int]:
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"qgauss config: expected an object, got {cfg!r}")
-    runs = {"definition": check_qgauss_definition, "roots": check_qgauss_roots}
-    checks = cfg.get("checks", list(runs))
-    # an empty list would check nothing and report ok
-    if not isinstance(checks, list) or not checks or not all(
-        isinstance(c, str) and c in runs for c in checks
-    ):
-        raise ConfigError(f"qgauss config: bad checks {checks!r}")
-    payload: dict = {"command": "qgauss"}
-    if "closed_form" in cfg:
-        _require_keys(cfg, {"closed_form", "checks"}, set(), "qgauss config")
-        family = _closed_form_family(cfg["closed_form"])
-        payload["construction"] = "closed-form"
-    elif "construction" in cfg:
-        name = cfg["construction"]
-        payload["construction"] = name
-        if name == "fund":
-            _require_keys(cfg, {"construction", "beads", "window", "checks"}, set(),
-                          "qgauss config")
-            if "beads" not in cfg or "window" not in cfg:
-                raise ConfigError("qgauss config: fund needs beads and window")
-            beads = _beads(cfg)
-            family = fund_family(beads, _window(cfg, beads))
-        else:
-            _require_keys(cfg, {"construction", "sequence", "checks"}, set(), "qgauss config")
-            if not isinstance(name, str) or name not in _CONSTRUCTIONS:
-                raise ConfigError(f"qgauss config: unknown construction {name!r}")
+    with _refused():
+        keys = {"closed_form", "construction", "sequence", "beads", "window", "checks"}
+        require_keys(cfg, keys, set(), "qgauss config")
+        checks = cfg.get("checks", list(_CHECKS))
+        # an empty list would check nothing and report ok
+        if not isinstance(checks, list) or not checks or not all(
+            isinstance(c, str) and c in _CHECKS for c in checks
+        ):
+            raise ConfigError(f"qgauss config: bad checks {checks!r}")
+        name = cfg.get("construction")
+        if "closed_form" in cfg:  # and no construction
+            require_keys(cfg, {"closed_form", "checks"}, set(), "qgauss config")
+            name, build = "closed-form", PolyFamily.from_function
+            args = _closed_form(cfg["closed_form"])
+        elif isinstance(name, str) and name in _CONSTRUCTIONS:
             role, build = _CONSTRUCTIONS[name]
-            if "sequence" not in cfg:
-                raise ConfigError("qgauss config: construction needs a sequence")
-            spec = _sequence(cfg, "sequence")
-            if spec.role != role:
-                raise ConfigError(
-                    f"qgauss config: {name} needs a role-{role} sequence, "
-                    f"got role-{spec.role}"
-                )
-            try:
-                family = build(spec)
-            except NonIntegerCoefficient as e:
-                return _witness(payload, spec.instance, e)
-    else:
-        _require_keys(cfg, {"checks"}, set(), "qgauss config")
-        raise ConfigError("qgauss config: needs construction or closed_form")
+            keys = {"construction", *(("beads", "window") if role is None else ("sequence",))}
+            require_keys(cfg, keys | {"checks"}, keys, "qgauss config")
+            if role is None:
+                beads, window = FreeRanked(cfg["beads"]), window_from_config(cfg["window"])
+                window_elements(beads, window)
+                args = (beads, window)
+            else:
+                spec = sequence_from_config(cfg["sequence"])
+                if spec.role != role:
+                    raise ConfigError(
+                        f"qgauss config: {name} needs a role-{role} sequence, "
+                        f"got role-{spec.role}"
+                    )
+                args = (spec,)
+        else:
+            raise ConfigError(
+                "qgauss config: needs closed_form or a construction of "
+                f"{', '.join(_CONSTRUCTIONS)}, got {name!r}"
+            )
+    payload: dict = {"command": "qgauss", "construction": name}
+    try:
+        family = build(*args)
+    except NonIntegerCoefficient as e:  # only a sequence construction divides
+        return _witness(payload, args[0].instance, e)
     payload["family"] = family.to_jsonable()
-    reports = {name: check(family) for name, check in runs.items() if name in checks}
+    reports = {c: check(family) for c, check in _CHECKS.items() if c in checks}
     return _verdict(payload, reports, family.instance)
 
 
 # -- csp ---------------------------------------------------------------------------
 
+# Each festoon family with the key it reads besides "family": "beads" (and
+# a window), or the role of the sequence it reads under that role's name.
+_FESTOONS = {
+    "words": "beads",
+    "festoons-content": "beads",
+    "festoons-repeated": "b",
+    "festoons-colored": "c",
+    "signed-festoons": "c",
+}
 
-def _family_festoons(cfg: dict, name: str) -> tuple[Census, PolyFamily, bool]:
-    """A words or festoon family, refused before any census is built when
-    it is malformed or predicts more objects than ``admit`` lets through."""
-    if name in ("words", "festoons-content"):
-        _require_keys(cfg, {"family", "beads", "window"}, {"beads", "window"}, "csp config")
-        source = _beads(cfg)
-        window = _window(cfg, source)
-        if name == "words" and set(source.lengths) != {1}:
-            raise ConfigError("csp config: words need all bead lengths equal to 1")
-    else:
-        key = "b" if name == "festoons-repeated" else "c"
-        _require_keys(cfg, {"family", key}, {key}, "csp config")
-        source, window = _sequence(cfg, key), None
-        if source.role != key:
+
+def cmd_csp(cfg: dict) -> tuple[dict, int]:
+    """Count a cyclic family per element and run the sieving checks.  A
+    family that predicts more objects than ``admit`` lets through is
+    refused before its census is built."""
+    with _refused():
+        if not isinstance(cfg, dict) or "family" not in cfg:
+            raise ConfigError("csp config: missing family name")
+        name, window = cfg["family"], None
+        if name == "tubings-cycle":
+            grading = cfg.get("grading", "tubes")
+            keys = {"family", "max_rank", "grading", *(("colors",) if grading == "tubes" else ())}
+            require_keys(cfg, keys, {"max_rank"}, "csp config")  # only tubes reads colors
+            max_rank = strict_int(cfg["max_rank"], "csp config: max_rank")
+            colors = strict_int(cfg.get("colors", 1), "csp config: colors")
+            tb.check_improper_job(max_rank, grading, colors)
+        elif isinstance(name, str) and name in _FESTOONS:
+            key = _FESTOONS[name]
+            keys = {"family", key, *(("window",) if key == "beads" else ())}
+            require_keys(cfg, keys, keys, "csp config")
+            if key == "beads":
+                source, window = FreeRanked(cfg["beads"]), window_from_config(cfg["window"])
+                window_elements(source, window)
+            else:
+                source = sequence_from_config(cfg[key])
+            admit(predicted_count(name, source, window), "predicted objects")
+        else:
             raise ConfigError(
-                f"csp config: {name} needs a role-{key} sequence, got role-{source.role}"
+                f"csp config: {name!r} is not a cyclic family "
+                f"(expected {', '.join(_FESTOONS)} or tubings-cycle)"
             )
-    with _refused("csp config: "):
-        admit(predicted_count(name, source, window), "predicted objects")
-    if window is not None:
-        return festoon_census(name, source, window), fund_family(source, window), False
-    if key == "b":
+    if name == "tubings-cycle":
+        census, poly = tb.improper_cycle_census(max_rank, grading, colors)
+    elif window is not None:
+        census, poly = festoon_census(name, source, window), fund_family(source, window)
+    elif name == "festoons-repeated":
         # festoon_census counts this family as well, but the benchmark's
         # trace (bench/tracer.py, bench/tests/test_bench.py) reads the
         # objects layer of this job from the span of festoons_repeated and
@@ -265,44 +258,13 @@ def _family_festoons(cfg: dict, name: str) -> tuple[Census, PolyFamily, bool]:
         fam = CyclicFamily.from_generator(
             source.instance, source.window, lambda s: festoons_repeated(source, s)
         )
-        return fam.census(), construct_from_b(source), False
-    return festoon_census(name, source), construct_from_c(source), name == "signed-festoons"
-
-
-def _family_tubings(cfg: dict) -> tuple[Census, PolyFamily, bool]:
-    _require_keys(
-        cfg,
-        {"family", "max_rank", "grading", "colors"},
-        {"max_rank"},
-        "csp config",
-    )
-    max_rank = _strict_int(cfg, "max_rank", "csp config")
-    colors = _strict_int(cfg, "colors", "csp config", 1)
-    grading = cfg.get("grading", "tubes")
-    with _refused("csp config: "):
-        census, poly = tb.improper_cycle_census(max_rank, grading, colors)
-    return census, poly, False
-
-
-def cmd_csp(cfg: dict) -> tuple[dict, int]:
-    if not isinstance(cfg, dict) or "family" not in cfg:
-        raise ConfigError("csp config: missing family name")
-    name = cfg["family"]
-    if name in ("words", "festoons-content", "festoons-colored", "festoons-repeated",
-                "signed-festoons"):
-        census, poly, signed = _family_festoons(cfg, name)
-    elif name == "tubings-cycle":
-        census, poly, signed = _family_tubings(cfg)
+        census, poly = fam.census(), construct_from_b(source)
     else:
-        raise ConfigError(
-            f"csp config: {name!r} is not a cyclic family "
-            "(expected words, festoons-content, festoons-colored, "
-            "festoons-repeated, signed-festoons, or tubings-cycle)"
-        )
+        census, poly = festoon_census(name, source), construct_from_c(source)
     payload: dict = {"command": "csp", "family": name}
     inst = census.instance
     payload["counts"] = [[encode_element(inst, s), count] for s, count, _ in census.rows]
-    if signed:
+    if name == "signed-festoons":
         reports = {"signed-csp": verify_signed_csp(census, poly)}
     else:
         reports = {"lyndon": verify_lyndon(census), "csp": verify_csp(census, poly)}
@@ -322,10 +284,10 @@ def cmd_bijection(cfg: dict) -> tuple[dict, int]:
     tubing that fails, else the smallest path in the symmetric difference
     of the images and P_n, which only a count mismatch collects.
     """
-    _require_keys(cfg, {"kind", "max_n"}, {"kind", "max_n"}, "bijection config")
-    kind = cfg["kind"]
-    max_n = _strict_int(cfg, "max_n", "bijection config")
-    with _refused("bijection config: "):
+    with _refused():
+        require_keys(cfg, {"kind", "max_n"}, {"kind", "max_n"}, "bijection config")
+        kind = cfg["kind"]
+        max_n = strict_int(cfg["max_n"], "bijection config: max_n")
         tb.check_bijection_job(kind, max_n)
     payload: dict = {"command": "bijection", "kind": kind, "per_n": []}
     total = 0
@@ -364,19 +326,22 @@ def cmd_bijection(cfg: dict) -> tuple[dict, int]:
 
 
 def cmd_riordan(cfg: dict) -> tuple[dict, int]:
-    _require_keys(cfg, {"series", "max_n"}, {"series", "max_n"}, "riordan config")
-    series = cfg["series"]
-    _require_keys(series, {"numer", "denom"}, {"numer"}, "riordan series")
-    max_n = _strict_int(cfg, "max_n", "riordan config")
-    if not 1 <= max_n <= 24:
-        raise ConfigError("riordan config: max_n must be in 1..24")
-    order = max_n + 1
-    numer = _int_list(series, "numer", "riordan series")
-    denom = _int_list(series, "denom", "riordan series") if "denom" in series else [1]
-    if not denom or denom[0] not in (1, -1):
-        raise ConfigError(f"riordan series: denom must start with 1 or -1, got {denom}")
-    with _refused("riordan series: "):
-        D = TruncatedSeries.from_rational(numer, denom, order)
+    with _refused():
+        require_keys(cfg, {"series", "max_n"}, {"series", "max_n"}, "riordan config")
+        series = cfg["series"]
+        require_keys(series, {"numer", "denom"}, {"numer"}, "riordan series")
+        max_n = strict_int(cfg["max_n"], "riordan config: max_n")
+        if not 1 <= max_n <= 24:
+            raise ConfigError("riordan config: max_n must be in 1..24")
+        numer, denom = series["numer"], series.get("denom", [1])
+        for key, coeffs in (("numer", numer), ("denom", denom)):
+            if not isinstance(coeffs, list):
+                raise ConfigError(f"riordan series: {key} must be a list, got {coeffs!r}")
+            for v in coeffs:
+                strict_int(v, f"riordan series: {key} entry")
+        if not denom or denom[0] not in (1, -1):
+            raise ConfigError(f"riordan series: denom must start with 1 or -1, got {denom}")
+        D = TruncatedSeries.from_rational(numer, denom, max_n + 1)
     return {"command": "riordan", "rows": riordan_rows(D, max_n), "ok": True}, 0
 
 

@@ -127,9 +127,6 @@ class CyclicFamily:
             pairs.append((s, objs))
         return cls(instance, window, tuple(pairs))
 
-    def counts(self) -> dict:
-        return {s: len(objs) for s, objs in self.sets}
-
     def census(self) -> "Census":
         """The numbers the verifiers read, taken from the stored sets."""
         rows = []
@@ -272,7 +269,8 @@ def predicted_count(family: str, source, window: Window | None = None) -> int:
     (``window`` is then required), the role-b spec
     for "festoons-repeated", and the role-c spec for "festoons-colored"
     and "signed-festoons", which are colored by |c|.  Raises ValueError on what the enumerators refuse:
-    beads shorter than 1 and negative weights outside the signed family.
+    beads shorter than 1, words over beads longer than 1, and negative
+    weights outside the signed family.
     """
     _contents(family, source)  # refuses what the family refuses
     if family in ("words", "festoons-content"):
@@ -303,6 +301,8 @@ def _contents(family: str, source) -> Callable[[object], Iterable[tuple[list, in
     if family in ("words", "festoons-content"):
         if any(length < 1 for length in source.lengths):
             raise ValueError("festoons need bead lengths >= 1")
+        if family == "words" and any(length != 1 for length in source.lengths):
+            raise ValueError("words need every bead length equal to 1")
 
         def contents(alpha):
             beads = [((label, 0, length), m)

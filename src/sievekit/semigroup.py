@@ -148,18 +148,13 @@ class FamilyReport:
                 failures.append(FamilyCheckFailure(s, d, detail))
         return cls(not failures, checked, tuple(failures))
 
-    def to_jsonable(self, instance: _SemigroupBase | None = None) -> dict:
-        def enc(s):
-            return encode_element(instance, s) if instance is not None else repr(s)
-
-        return {
-            "ok": self.ok,
-            "checked": self.checked,
-            "failures": [
-                {"element": enc(f.element), "divisor": f.divisor, "detail": f.detail}
-                for f in self.failures
-            ],
-        }
+    def to_jsonable(self, instance: _SemigroupBase) -> dict:
+        failures = [
+            {"element": encode_element(instance, f.element), "divisor": f.divisor,
+             "detail": f.detail}
+            for f in self.failures
+        ]
+        return {"ok": self.ok, "checked": self.checked, "failures": failures}
 
 
 def check_divisors(inst: _SemigroupBase, items: Iterable, compare: Callable) -> FamilyReport:

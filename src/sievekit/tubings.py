@@ -296,27 +296,27 @@ def _check_path_args(length: int, kind: str) -> None:
         raise ValueError(f"path length must be even and nonnegative, got {length}")
 
 
-def enumerate_paths(length: int, kind: str = "delannoy", flats: int | None = None) -> list[str]:
-    """All paths of the given x-extent, optionally with a fixed F count."""
+def enumerate_paths(length: int, kind: str = "delannoy") -> list[str]:
+    """All paths of the given x-extent."""
     _check_path_args(length, kind)
     below, at, above = _PATH_STEPS[kind]
     out: list[str] = []
     acc: list[str] = []
 
-    def rec(rem: int, h: int, nf: int) -> None:
+    def rec(rem: int, h: int) -> None:
         if abs(h) > rem:
             return
         if rem == 0:
-            if h == 0 and (flats is None or nf == flats):
+            if h == 0:
                 out.append("".join(acc))
             return
         for s, dy in (above if h > 0 else at if h == 0 else below).items():
             if _STEP_X[s] <= rem:
                 acc.append(s)
-                rec(rem - _STEP_X[s], h + dy, nf + (s == "F"))
+                rec(rem - _STEP_X[s], h + dy)
                 acc.pop()
 
-    rec(length, 0, 0)
+    rec(length, 0)
     return sorted(out)
 
 

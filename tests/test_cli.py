@@ -305,6 +305,74 @@ class TestCsp:
         assert "config error" in res.stderr
 
 
+# A free instance of beads a (length 1) and b (length 2), and a role-c
+# sequence on it given as label -> multiplicity objects.
+FREE_BEADS = [["a", 1], ["b", 2]]
+FREE_MAX_RANK = 6
+FREE_C = {(1, 0): 1, (0, 1): 2, (1, 1): 1}
+FREE_C_SEQ = {
+    "instance": {"kind": "free", "beads": FREE_BEADS, "window": {"max_rank": FREE_MAX_RANK}},
+    "role": "c",
+    "support": [[{"a": i, "b": j}, v] for (i, j), v in FREE_C.items()],
+}
+
+
+def free_rank(s) -> int:
+    return s[0] + 2 * s[1]
+
+
+def free_a() -> dict:
+    """a_s = rank(s) c_s + sum over the support t < s of c_t a_(s - t), by
+    plain recursion in rank order."""
+    window = [(i, j) for i in range(FREE_MAX_RANK + 1) for j in range(FREE_MAX_RANK // 2 + 1)
+              if 1 <= free_rank((i, j)) <= FREE_MAX_RANK]
+    a: dict = {}
+    for s in sorted(window, key=free_rank):
+        a[s] = free_rank(s) * FREE_C.get(s, 0) + sum(
+            c * a[s[0] - t[0], s[1] - t[1]]
+            for t, c in FREE_C.items()
+            if t != s and s[0] >= t[0] and s[1] >= t[1]
+        )
+    return a
+
+
+def free_element(obj: dict) -> tuple:
+    """The multiplicities of a printed free element (zeros left out)."""
+    assert set(obj) <= {"a", "b"} and all(obj.values())
+    return obj.get("a", 0), obj.get("b", 0)
+
+
+class TestFreeInstance:
+    """Jobs over a free instance, their support read from label objects,
+    against the a row of the c-recursion."""
+
+    def test_seq(self, tmp_path):
+        res = run_cli(tmp_path, "seq", {"sequence": FREE_C_SEQ})
+        assert res.returncode == 0, res.stderr
+        payload = json.loads(res.stdout)
+        a = free_a()
+        elements = [free_element(e) for e in payload["elements"]]
+        assert sorted(elements) == sorted(a)
+        rows = {role: dict(zip(elements, payload["rows"][role])) for role in "abc"}
+        assert rows["a"] == a
+        assert rows["c"] == {s: FREE_C.get(s, 0) for s in a}
+        # a_s sums rank(t) b_t over the t with s = d t
+        for s in a:
+            assert a[s] == sum(
+                free_rank((s[0] // d, s[1] // d)) * rows["b"][s[0] // d, s[1] // d]
+                for d in range(1, FREE_MAX_RANK + 1)
+                if s[0] % d == 0 and s[1] % d == 0
+            )
+        assert payload["ok"] is True
+
+    def test_festoons_colored(self, tmp_path):
+        res = run_cli(tmp_path, "csp", {"family": "festoons-colored", "c": FREE_C_SEQ})
+        assert res.returncode == 0, res.stderr
+        payload = json.loads(res.stdout)
+        assert {free_element(e): count for e, count in payload["counts"]} == free_a()
+        assert payload["checks"]["lyndon"]["ok"] and payload["checks"]["csp"]["ok"]
+
+
 class TestBijection:
     def test_interval_totals(self, tmp_path):
         res = run_cli(tmp_path, "bijection", {"kind": "interval", "max_n": 5})
@@ -415,6 +483,15 @@ class TestTubingGuards:
             ("qgauss", {"construction": "ramanujan", "checks": [],
                         "sequence": zpos_sequence("a", {n: 2**n for n in range(1, 6)}, 5)}),
             ("qgauss", {"closed_form": Q_POWER, "checks": []}),
+            # keys the job does not read, whatever their value
+            ("qgauss", {"closed_form": {"name": "q-binomial", "base": 7, "window": {
+                "max_rank": 3, "extra_bounds": [[0, 3]]}}}),
+            ("csp", {**TUBINGS, "max_rank": 3, "grading": "free", "colors": 1}),
+            ("csp", {**TUBINGS, "max_rank": 3, "grading": "all", "colors": 1}),
+            # words are festoons of length-1 beads only
+            ("csp", {**WORDS, "beads": [["a", 2], ["b", 1]]}),
+            # a family name that JSON cannot hash
+            ("csp", {**WORDS, "family": ["words"], "beads": [["a", 1]]}),
         ],
     )
     def test_refused(self, tmp_path, command, cfg):

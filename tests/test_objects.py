@@ -16,10 +16,12 @@ from sievekit.gaussseq import SequenceSpec, b_from_a, c_from_a
 from sievekit.objects import (
     CyclicFamily,
     CyclicObject,
+    festoon_census,
     festoons_by_content,
     festoons_colored,
     festoons_repeated,
     fixed_points,
+    predicted_count,
     signed_festoons,
     verify_csp,
     verify_lyndon,
@@ -107,6 +109,14 @@ class TestWords:
         )
         assert verify_lyndon(fam.census()).ok
         assert verify_csp(fam.census(), fund_family(letters, window)).ok
+
+    def test_words_refuse_a_bead_longer_than_one(self):
+        # a length-2 bead makes festoons, not words: neither the count
+        # nor the census may take it as a letter
+        beads = FreeRanked((("a", 2), ("b", 1)))
+        for count in (predicted_count, festoon_census):
+            with pytest.raises(ValueError, match="words need every bead length equal to 1"):
+                count("words", beads, Window(4))
 
 
 class TestCompositions:
@@ -350,7 +360,7 @@ class TestFamilyValidation:
         fam = CyclicFamily.from_generator(
             ZPOS, Window(5), lambda n: festoons_colored(c, n)
         )
-        spec = SequenceSpec.from_mapping(fam.instance, fam.window, "a", fam.counts())
+        spec = SequenceSpec.from_mapping(fam.instance, fam.window, "a", fam.census().counts())
         assert spec.role == "a"
         assert c_from_a(spec).as_dict() == c.as_dict() | {3: 0, 4: 0, 5: 0}
 

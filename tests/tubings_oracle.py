@@ -194,33 +194,33 @@ def cycle_family(max_rank: int, grading: str):
     return CyclicFamily.from_generator(instance, window, lambda s: buckets.get(s, ()))
 
 
-def enumerate_paths(length: int, kind: str = "delannoy", flats: int | None = None) -> list[str]:
+def enumerate_paths(length: int, kind: str = "delannoy") -> list[str]:
     """All paths of x-extent ``length`` over U = (1,1), D = (1,-1), F = (2,0)
     that end at height 0: "delannoy" paths go anywhere, "schroder" paths
     never fall below 0, "strict" ones also never take a flat at 0."""
     out: list[str] = []
     acc: list[str] = []
 
-    def rec(rem: int, h: int, nf: int) -> None:
+    def rec(rem: int, h: int) -> None:
         if abs(h) > rem:
             return
         if rem == 0:
-            if h == 0 and (flats is None or nf == flats):
+            if h == 0:
                 out.append("".join(acc))
             return
         acc.append("U")
-        rec(rem - 1, h + 1, nf)
+        rec(rem - 1, h + 1)
         acc.pop()
         if kind == "delannoy" or h >= 1:
             acc.append("D")
-            rec(rem - 1, h - 1, nf)
+            rec(rem - 1, h - 1)
             acc.pop()
         if rem >= 2 and not (kind == "strict" and h == 0):
             acc.append("F")
-            rec(rem - 2, h, nf + 1)
+            rec(rem - 2, h)
             acc.pop()
 
-    rec(length, 0, 0)
+    rec(length, 0)
     return sorted(out)
 
 

@@ -4,12 +4,15 @@ One JSON config per invocation; deterministic output (stable key order,
 no timestamps).  Exit codes: 0 all checks pass, 1 configuration problem,
 2 verification failure with the witness named in the output.
 
-Each command decodes its whole config in one ``_refused`` block, which
-calls the library's decoders and job checks and turns what they refuse
-into a ConfigError.  No work starts before the block ends: the
-constructions, censuses, round trips and checks run after it, so an
-error inside them stays a traceback and is never taken for a config
-error.  A new job source decodes its config inside its command's block.
+Each command is a pair in ``_COMMANDS``: a decode and a run.  The decode
+(``_decode_<cmd>``) calls the library's decoders and job checks, raises
+their ValueError on what they refuse, and returns the run's arguments; it
+does no work.  The run (``cmd_<cmd>``) builds, counts, round-trips and
+checks.  ``main`` is the one place that turns a refusal into a config
+error: it reads, decodes and opens ``--out`` in one block, then runs and
+renders, so an error inside the run stays a traceback and is never taken
+for a config error.  A new job source decodes its config in its
+command's decode.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
+from contextlib import nullcontext
 from typing import Callable
 
 from .gaussseq import (
@@ -64,23 +67,6 @@ from .semigroup import (
 from . import tubings as tb
 
 
-class ConfigError(ValueError):
-    pass
-
-
-@contextmanager
-def _refused():
-    """Re-raise what the library refuses while a config is decoded (a
-    ValueError or TypeError) as a ConfigError with the same message; a
-    ConfigError passes unchanged."""
-    try:
-        yield
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as e:
-        raise ConfigError(str(e)) from e
-
-
 def _witness(payload: dict, instance, e: ValueError) -> tuple[dict, int]:
     """The failed payload naming the element where a division was not exact
     (``e`` is a NonIntegerWitness or a NonIntegerCoefficient)."""
@@ -100,10 +86,15 @@ def _verdict(payload: dict, reports: dict, instance) -> tuple[dict, int]:
 # -- seq ---------------------------------------------------------------------------
 
 
-def cmd_seq(cfg: dict) -> tuple[dict, int]:
-    with _refused():
-        require_keys(cfg, {"sequence"}, {"sequence"}, "seq config")
-        spec = sequence_from_config(cfg["sequence"])
+def _decode_seq(cfg: dict) -> tuple:
+    require_keys(cfg, {"sequence"}, {"sequence"}, "seq config")
+    spec = sequence_from_config(cfg["sequence"])
+    if isinstance(spec.instance, Chain):  # c_from_a reads differences s - t
+        spec.instance.check_differences(spec.window)
+    return (spec,)
+
+
+def cmd_seq(spec) -> tuple[dict, int]:
     payload: dict = {"command": "seq", "role": spec.role}
     try:
         if spec.role == "a":
@@ -116,8 +107,6 @@ def cmd_seq(cfg: dict) -> tuple[dict, int]:
         c = c_from_a(a)
     except NonIntegerWitness as e:
         return _witness(payload, spec.instance, e)
-    except ValueError as e:  # a difference s - t the window does not hold
-        raise ConfigError(f"seq config: {e}")
     elements = spec.instance.elements(spec.window)
     payload["elements"] = [encode_element(spec.instance, s) for s in elements]
     payload["rows"] = {"a": a.row(), "b": b.row(), "c": c.row()}
@@ -151,48 +140,46 @@ def _closed_form(cfg: dict) -> tuple:
         lam = strict_int(cfg.get("base", 2), "closed_form config: base")
         inst, poly = PositiveIntegers(), lambda n: q_power(lam, n)
     else:
-        raise ConfigError(f"closed_form config: unknown name {name!r}")
+        raise ValueError(f"closed_form config: unknown name {name!r}")
     window = window_from_config(cfg["window"])
     window_elements(inst, window)
     return inst, window, poly
 
 
-def cmd_qgauss(cfg: dict) -> tuple[dict, int]:
-    with _refused():
-        keys = {"closed_form", "construction", "sequence", "beads", "window", "checks"}
-        require_keys(cfg, keys, set(), "qgauss config")
-        checks = cfg.get("checks", list(_CHECKS))
-        # an empty list would check nothing and report ok
-        if not isinstance(checks, list) or not checks or not all(
-            isinstance(c, str) and c in _CHECKS for c in checks
-        ):
-            raise ConfigError(f"qgauss config: bad checks {checks!r}")
-        name = cfg.get("construction")
-        if "closed_form" in cfg:  # and no construction
-            require_keys(cfg, {"closed_form", "checks"}, set(), "qgauss config")
-            name, build = "closed-form", PolyFamily.from_function
-            args = _closed_form(cfg["closed_form"])
-        elif isinstance(name, str) and name in _CONSTRUCTIONS:
-            role, build = _CONSTRUCTIONS[name]
-            keys = {"construction", *(("beads", "window") if role is None else ("sequence",))}
-            require_keys(cfg, keys | {"checks"}, keys, "qgauss config")
-            if role is None:
-                beads, window = FreeRanked(cfg["beads"]), window_from_config(cfg["window"])
-                window_elements(beads, window)
-                args = (beads, window)
-            else:
-                spec = sequence_from_config(cfg["sequence"])
-                if spec.role != role:
-                    raise ConfigError(
-                        f"qgauss config: {name} needs a role-{role} sequence, "
-                        f"got role-{spec.role}"
-                    )
-                args = (spec,)
-        else:
-            raise ConfigError(
-                "qgauss config: needs closed_form or a construction of "
-                f"{', '.join(_CONSTRUCTIONS)}, got {name!r}"
-            )
+def _decode_qgauss(cfg: dict) -> tuple:
+    keys = {"closed_form", "construction", "sequence", "beads", "window", "checks"}
+    require_keys(cfg, keys, set(), "qgauss config")
+    checks = cfg.get("checks", list(_CHECKS))
+    # an empty list would check nothing and report ok
+    if not isinstance(checks, list) or not checks or not all(
+        isinstance(c, str) and c in _CHECKS for c in checks
+    ):
+        raise ValueError(f"qgauss config: bad checks {checks!r}")
+    name = cfg.get("construction")
+    if "closed_form" in cfg:  # and no construction
+        require_keys(cfg, {"closed_form", "checks"}, set(), "qgauss config")
+        return "closed-form", PolyFamily.from_function, _closed_form(cfg["closed_form"]), checks
+    if not (isinstance(name, str) and name in _CONSTRUCTIONS):
+        raise ValueError(
+            "qgauss config: needs closed_form or a construction of "
+            f"{', '.join(_CONSTRUCTIONS)}, got {name!r}"
+        )
+    role, build = _CONSTRUCTIONS[name]
+    keys = {"construction", *(("beads", "window") if role is None else ("sequence",))}
+    require_keys(cfg, keys | {"checks"}, keys, "qgauss config")
+    if role is None:
+        beads, window = FreeRanked(cfg["beads"]), window_from_config(cfg["window"])
+        window_elements(beads, window)
+        return name, build, (beads, window), checks
+    spec = sequence_from_config(cfg["sequence"])
+    if spec.role != role:
+        raise ValueError(
+            f"qgauss config: {name} needs a role-{role} sequence, got role-{spec.role}"
+        )
+    return name, build, (spec,), checks
+
+
+def cmd_qgauss(name: str, build: Callable, args: tuple, checks: list) -> tuple[dict, int]:
     payload: dict = {"command": "qgauss", "construction": name}
     try:
         family = build(*args)
@@ -216,51 +203,55 @@ _FESTOONS = {
 }
 
 
-def cmd_csp(cfg: dict) -> tuple[dict, int]:
-    """Count a cyclic family per element and run the sieving checks.  A
-    family that predicts more objects than ``admit`` lets through is
-    refused before its census is built."""
-    with _refused():
-        if not isinstance(cfg, dict) or "family" not in cfg:
-            raise ConfigError("csp config: missing family name")
-        name, window = cfg["family"], None
-        if name == "tubings-cycle":
-            grading = cfg.get("grading", "tubes")
-            keys = {"family", "max_rank", "grading", *(("colors",) if grading == "tubes" else ())}
-            require_keys(cfg, keys, {"max_rank"}, "csp config")  # only tubes reads colors
-            max_rank = strict_int(cfg["max_rank"], "csp config: max_rank")
-            colors = strict_int(cfg.get("colors", 1), "csp config: colors")
-            tb.check_improper_job(max_rank, grading, colors)
-        elif isinstance(name, str) and name in _FESTOONS:
-            key = _FESTOONS[name]
-            keys = {"family", key, *(("window",) if key == "beads" else ())}
-            require_keys(cfg, keys, keys, "csp config")
-            if key == "beads":
-                source, window = FreeRanked(cfg["beads"]), window_from_config(cfg["window"])
-                window_elements(source, window)
-            else:
-                source = sequence_from_config(cfg[key])
-            admit(predicted_count(name, source, window), "predicted objects")
-        else:
-            raise ConfigError(
-                f"csp config: {name!r} is not a cyclic family "
-                f"(expected {', '.join(_FESTOONS)} or tubings-cycle)"
-            )
+def _decode_csp(cfg: dict) -> tuple:
+    """The family name and its source: (max_rank, grading, colors) for
+    tubings-cycle, the beads and a window, or a sequence.  A family that
+    predicts more objects than ``admit`` lets through is refused here."""
+    if not isinstance(cfg, dict) or "family" not in cfg:
+        raise ValueError("csp config: missing family name")
+    name = cfg["family"]
     if name == "tubings-cycle":
-        census, poly = tb.improper_cycle_census(max_rank, grading, colors)
-    elif window is not None:
-        census, poly = festoon_census(name, source, window), fund_family(source, window)
+        grading = cfg.get("grading", "tubes")
+        keys = {"family", "max_rank", "grading", *(("colors",) if grading == "tubes" else ())}
+        require_keys(cfg, keys, {"max_rank"}, "csp config")  # only tubes reads colors
+        max_rank = strict_int(cfg["max_rank"], "csp config: max_rank")
+        colors = strict_int(cfg.get("colors", 1), "csp config: colors")
+        tb.check_improper_job(max_rank, grading, colors)
+        return name, max_rank, grading, colors
+    if not (isinstance(name, str) and name in _FESTOONS):
+        raise ValueError(
+            f"csp config: {name!r} is not a cyclic family "
+            f"(expected {', '.join(_FESTOONS)} or tubings-cycle)"
+        )
+    key = _FESTOONS[name]
+    keys = {"family", key, *(("window",) if key == "beads" else ())}
+    require_keys(cfg, keys, keys, "csp config")
+    if key == "beads":
+        source = (FreeRanked(cfg["beads"]), window_from_config(cfg["window"]))
+        window_elements(*source)
+    else:
+        source = (sequence_from_config(cfg[key]),)
+    admit(predicted_count(name, *source), "predicted objects")
+    return (name, *source)
+
+
+def cmd_csp(name: str, *source) -> tuple[dict, int]:
+    """Count a cyclic family per element and run the sieving checks, over
+    the source that ``_decode_csp`` returns."""
+    if name == "tubings-cycle":
+        census, poly = tb.improper_cycle_census(*source)
+    elif len(source) == 2:  # beads and a window
+        census, poly = festoon_census(name, *source), fund_family(*source)
     elif name == "festoons-repeated":
         # festoon_census counts this family as well, but the benchmark's
         # trace (bench/tracer.py, bench/tests/test_bench.py) reads the
         # objects layer of this job from the span of festoons_repeated and
         # its object count; the job moves to the census with the benchmark.
-        fam = CyclicFamily.from_generator(
-            source.instance, source.window, lambda s: festoons_repeated(source, s)
-        )
-        census, poly = fam.census(), construct_from_b(source)
+        (b,) = source
+        fam = CyclicFamily.from_generator(b.instance, b.window, lambda s: festoons_repeated(b, s))
+        census, poly = fam.census(), construct_from_b(b)
     else:
-        census, poly = festoon_census(name, source), construct_from_c(source)
+        census, poly = festoon_census(name, *source), construct_from_c(*source)
     payload: dict = {"command": "csp", "family": name}
     inst = census.instance
     payload["counts"] = [[encode_element(inst, s), count] for s, count, _ in census.rows]
@@ -274,7 +265,14 @@ def cmd_csp(cfg: dict) -> tuple[dict, int]:
 # -- bijection ---------------------------------------------------------------------
 
 
-def cmd_bijection(cfg: dict) -> tuple[dict, int]:
+def _decode_bijection(cfg: dict) -> tuple:
+    require_keys(cfg, {"kind", "max_n"}, {"kind", "max_n"}, "bijection config")
+    kind, max_n = cfg["kind"], strict_int(cfg["max_n"], "bijection config: max_n")
+    tb.check_bijection_job(kind, max_n)
+    return kind, max_n
+
+
+def cmd_bijection(kind: str, max_n: int) -> tuple[dict, int]:
     """Round-trip every tubing of each size through the bijection.
 
     Per size n the tubings stream past as bitsets; each must map to a path
@@ -284,11 +282,6 @@ def cmd_bijection(cfg: dict) -> tuple[dict, int]:
     tubing that fails, else the smallest path in the symmetric difference
     of the images and P_n, which only a count mismatch collects.
     """
-    with _refused():
-        require_keys(cfg, {"kind", "max_n"}, {"kind", "max_n"}, "bijection config")
-        kind = cfg["kind"]
-        max_n = strict_int(cfg["max_n"], "bijection config: max_n")
-        tb.check_bijection_job(kind, max_n)
     payload: dict = {"command": "bijection", "kind": kind, "per_n": []}
     total = 0
     for n in range(1, max_n + 1):
@@ -325,23 +318,25 @@ def cmd_bijection(cfg: dict) -> tuple[dict, int]:
 # -- riordan -----------------------------------------------------------------------
 
 
-def cmd_riordan(cfg: dict) -> tuple[dict, int]:
-    with _refused():
-        require_keys(cfg, {"series", "max_n"}, {"series", "max_n"}, "riordan config")
-        series = cfg["series"]
-        require_keys(series, {"numer", "denom"}, {"numer"}, "riordan series")
-        max_n = strict_int(cfg["max_n"], "riordan config: max_n")
-        if not 1 <= max_n <= 24:
-            raise ConfigError("riordan config: max_n must be in 1..24")
-        numer, denom = series["numer"], series.get("denom", [1])
-        for key, coeffs in (("numer", numer), ("denom", denom)):
-            if not isinstance(coeffs, list):
-                raise ConfigError(f"riordan series: {key} must be a list, got {coeffs!r}")
-            for v in coeffs:
-                strict_int(v, f"riordan series: {key} entry")
-        if not denom or denom[0] not in (1, -1):
-            raise ConfigError(f"riordan series: denom must start with 1 or -1, got {denom}")
-        D = TruncatedSeries.from_rational(numer, denom, max_n + 1)
+def _decode_riordan(cfg: dict) -> tuple:
+    require_keys(cfg, {"series", "max_n"}, {"series", "max_n"}, "riordan config")
+    series = cfg["series"]
+    require_keys(series, {"numer", "denom"}, {"numer"}, "riordan series")
+    max_n = strict_int(cfg["max_n"], "riordan config: max_n")
+    if not 1 <= max_n <= 24:
+        raise ValueError("riordan config: max_n must be in 1..24")
+    numer, denom = series["numer"], series.get("denom", [1])
+    for key, coeffs in (("numer", numer), ("denom", denom)):
+        if not isinstance(coeffs, list):
+            raise ValueError(f"riordan series: {key} must be a list, got {coeffs!r}")
+        for v in coeffs:
+            strict_int(v, f"riordan series: {key} entry")
+    if not denom or denom[0] not in (1, -1):
+        raise ValueError(f"riordan series: denom must start with 1 or -1, got {denom}")
+    return TruncatedSeries.from_rational(numer, denom, max_n + 1), max_n
+
+
+def cmd_riordan(D: TruncatedSeries, max_n: int) -> tuple[dict, int]:
     return {"command": "riordan", "rows": riordan_rows(D, max_n), "ok": True}, 0
 
 
@@ -388,12 +383,12 @@ def _render_table(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-_COMMANDS = {
-    "seq": cmd_seq,
-    "qgauss": cmd_qgauss,
-    "csp": cmd_csp,
-    "bijection": cmd_bijection,
-    "riordan": cmd_riordan,
+_COMMANDS = {  # each command's decode and run
+    "seq": (_decode_seq, cmd_seq),
+    "qgauss": (_decode_qgauss, cmd_qgauss),
+    "csp": (_decode_csp, cmd_csp),
+    "bijection": (_decode_bijection, cmd_bijection),
+    "riordan": (_decode_riordan, cmd_riordan),
 }
 
 
@@ -409,33 +404,22 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--format", choices=("json", "table"), default="table")
         p.add_argument("--out", help="write output here instead of stdout")
     args = parser.parse_args(argv)
+    decode, run = _COMMANDS[args.command]
 
+    # --out is opened after the decode, so a config error leaves an existing
+    # file as it was, and before the run, so a bad path costs no work
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except (OSError, ValueError, RecursionError) as e:  # unreadable, not JSON, too deep
+            job = decode(json.load(fh))
+        out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+    except (OSError, ValueError, TypeError, RecursionError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
 
-    try:
-        payload, code = _COMMANDS[args.command](cfg)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 1
-
-    if args.format == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    else:
-        text = _render_table(payload)
-    if not args.out:
-        sys.stdout.write(text)
-        return code
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as e:
-        print(f"config error: --out: {e}", file=sys.stderr)
-        return 1
+    with out as fh:
+        payload, code = run(*job)
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n"
+                 if args.format == "json" else _render_table(payload))
     return code
 
 

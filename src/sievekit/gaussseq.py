@@ -133,15 +133,16 @@ def sequence_from_config(cfg: dict) -> SequenceSpec:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise ValueError(f"sequence config: bad support entry {entry!r}")
         obj, v = entry
-        pairs.append(
-            (decode_element(instance, obj), strict_int(v, "sequence config: value"))
-        )
+        pairs.append((decode_element(instance, obj), strict_int(v, "sequence config: value")))
     spec = SequenceSpec(instance, window, role, tuple(pairs))
-    if role == "a":  # the transforms and constructions read every element
-        have = spec.as_dict()
-        for s in elements:
-            if s not in have:
-                raise ValueError(f"sequence config: role-a support misses {s!r}")
+    have = spec.as_dict()
+    outside = set(have).difference(elements)
+    if outside:
+        s = next(s for s in have if s in outside)  # the first in canonical order
+        raise ValueError(f"sequence config: support element {s!r} lies outside the window")
+    if role == "a" and len(have) < len(elements):  # the transforms read every element
+        s = next(s for s in elements if s not in have)
+        raise ValueError(f"sequence config: role-a support misses {s!r}")
     return spec
 
 

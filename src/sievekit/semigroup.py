@@ -397,6 +397,20 @@ class Chain(_SemigroupBase):
             ):
                 raise ValueError(f"window misses the root by {d} of an element of rank {d}")
 
+    def check_differences(self, window: Window) -> None:
+        """Refuse a window that misses a difference s - t of two of its
+        elements, which ``c_from_a`` reads.  Over an extra's bounds (lo, hi)
+        and floor f the defined differences span max(lo - hi, f)..hi - lo;
+        some difference exists when every span is nonempty and max_rank >= 2."""
+        bounds = self.resolve_bounds(window)
+        spans = [(lo - hi if f is None else max(lo - hi, f), hi - lo)
+                 for f, (lo, hi) in zip(self.floors[1:], bounds)]
+        if window.max_rank >= 2 and all(a <= b for a, b in spans) and any(
+            a < lo or b > hi for (a, b), (lo, hi) in zip(spans, bounds)
+        ):
+            raise ValueError("window misses a difference s - t of two of its elements, "
+                             "which c_from_a reads; widen the role-a spec")
+
     def _list(self, window: Window) -> list:
         """The product of the rank range and the extras' ranges: it comes
         out in lexicographic order, which is (rank, coordinates) order

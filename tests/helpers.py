@@ -9,12 +9,20 @@ from __future__ import annotations
 
 import random
 
+from sievekit import cli
 from sievekit.gaussseq import SequenceSpec, TruncatedSeries, a_from_matrix_trace
 from sievekit.qgauss import PolyFamily
 from sievekit.qpoly import IntPoly, ZERO, q_binomial
 from sievekit.semigroup import PositiveIntegers, Window
 
 ZPOS = PositiveIntegers()
+
+
+def run_job(command: str, cfg: dict) -> tuple[dict, int]:
+    """The (payload, exit code) of one CLI job in process: the command's
+    decode, then its run, without ``main``'s reading and rendering."""
+    decode, run = cli._COMMANDS[command]
+    return run(*decode(cfg))
 
 
 def sigma(n: int) -> int:

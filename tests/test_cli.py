@@ -12,7 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from sievekit import cli
+from helpers import run_job
+from sievekit import cli, gaussseq, objects, qgauss
+from sievekit import tubings as tb
+from sievekit.objects import CyclicFamily
+from sievekit.qgauss import PolyFamily
 from sievekit.semigroup import MAX_OBJECTS, Chain, FreeRanked, PositiveIntegers
 
 PKG = [sys.executable, "-m", "sievekit"]
@@ -88,9 +92,35 @@ class TestSeq:
         assert res.stderr.startswith("config error:")
         assert "widen the role-a spec" in res.stderr
 
+    def test_a_window_missing_a_difference_is_refused_whatever_c_is(self, tmp_path):
+        # the window above, with c = (1, 0, 0, 0): c is 0 at every t whose
+        # difference s - t leaves the window, so c_from_a would never read one
+        inst = {"kind": "chain", "base": "zpos", "extra": "ints",
+                "window": {"max_rank": 2, "extra_bounds": [[0, 1]]}}
+        support = [[[1, 0], 1], [[1, 1], 0], [[2, 0], 1], [[2, 1], 0]]
+        seq = {"instance": inst, "role": "a", "support": support}
+        res = run_cli(tmp_path, "seq", {"sequence": seq})
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr.startswith("config error:")
+        assert "widen the role-a spec" in res.stderr
+
+    @pytest.mark.parametrize("sequence, element", [
+        # a value at 4 past max_rank 3, which used to be dropped
+        (zpos_sequence("a", {1: 1, 2: 3, 3: 4, 4: 7}, 3), "4"),
+        # a role-c value past the extra bounds, which a_from_c used to read
+        ({"instance": {"kind": "chain", "extra": "nonneg",
+                       "window": {"max_rank": 3, "extra_bounds": [[0, 3]]}},
+          "role": "c", "support": [[[1, 0], 1], [[1, 5], 1]]}, "(1, 5)"),
+    ], ids=["zpos-role-a", "chain-role-c"])
+    def test_support_outside_the_window_is_a_config_error(self, tmp_path, sequence, element):
+        res = run_cli(tmp_path, "seq", {"sequence": sequence})
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr.startswith("config error:")
+        assert f"support element {element} lies outside the window" in res.stderr
+
     def test_a_job_lists_its_window_once(self, monkeypatch):
         calls = listings(monkeypatch)
-        payload, code = cli.cmd_seq({"sequence": LUCAS_SEQ})
+        payload, code = run_job("seq", {"sequence": LUCAS_SEQ})
         assert code == 0 and payload["ok"] is True
         assert calls == [PositiveIntegers]
 
@@ -213,7 +243,7 @@ class TestQGauss:
         calls = listings(monkeypatch)
         support = dict(enumerate(row, start=1))
         cfg = {"construction": construction, "sequence": zpos_sequence(role, support, 8)}
-        payload, code = cli.cmd_qgauss(cfg)
+        payload, code = run_job("qgauss", cfg)
         assert code == 0 and payload["ok"] is True
         assert calls == [PositiveIntegers]
 
@@ -275,7 +305,7 @@ class TestCsp:
     ], ids=lambda cfg: cfg["family"])
     def test_a_job_lists_its_window_once(self, monkeypatch, cfg):
         calls = listings(monkeypatch)
-        payload, code = cli.cmd_csp(cfg)
+        payload, code = run_job("csp", cfg)
         assert code == 0 and payload["ok"] is True
         assert len(calls) == 1
 
@@ -621,8 +651,8 @@ class TestWindowCap:
         cfg = {"construction": "fund", "beads": [["a", 1]],
                "window": {"max_rank": 10**9}}
         start = time.perf_counter()
-        with pytest.raises(cli.ConfigError) as refusal:
-            cli.cmd_qgauss(cfg)
+        with pytest.raises(ValueError) as refusal:
+            cli._decode_qgauss(cfg)
         assert time.perf_counter() - start < 1
         assert str(refusal.value).endswith(
             f"{10**9} or more window elements, above the cap of {MAX_OBJECTS}")
@@ -679,6 +709,54 @@ class TestRiordan:
         out = tmp_path / "absent" / "x.json"
         res = run_cli(tmp_path, "bijection", {"kind": "interval", "max_n": 3},
                       extra=["--out", str(out)])
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr.startswith("config error:")
+        assert "Traceback" not in res.stderr
+
+
+class TestRefusalPoint:
+    """main reads, decodes and opens --out in one block, the one place that
+    turns a refusal into a config error; the run and the render come after."""
+
+    def run_main(self, tmp_path, command: str, cfg: dict, *extra) -> int:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return cli.main([command, "--config", str(path), "--format", "json", *extra])
+
+    def test_a_config_error_leaves_an_existing_out_file_as_it_was(self, tmp_path):
+        out = tmp_path / "rows.json"
+        out.write_bytes(b'{"earlier": "output"}\n')
+        cfg = {"series": {"numer": [1]}, "max_n": 25}  # past the cap of 24
+        res = run_cli(tmp_path, "riordan", cfg, extra=["--out", str(out)])
+        assert res.returncode == 1 and res.stderr.startswith("config error:")
+        assert out.read_bytes() == b'{"earlier": "output"}\n'
+
+    def test_an_unwritable_out_file_is_refused_before_the_run(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def run(*job):
+            raise AssertionError("the run started")
+
+        monkeypatch.setitem(cli._COMMANDS, "bijection", (cli._decode_bijection, run))
+        out = tmp_path / "absent" / "x.json"
+        code = self.run_main(tmp_path, "bijection", {"kind": "interval", "max_n": 3},
+                             "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_an_error_inside_the_run_is_not_a_config_error(self, tmp_path, monkeypatch):
+        def run(*job):
+            raise ValueError("inside the run")
+
+        monkeypatch.setitem(cli._COMMANDS, "riordan", (cli._decode_riordan, run))
+        with pytest.raises(ValueError, match="inside the run"):
+            self.run_main(tmp_path, "riordan", {"series": {"numer": [1]}, "max_n": 3})
+
+    def test_a_deeply_nested_chain_is_a_config_error(self, tmp_path):
+        # 600 nested chains pass Chain.__hash__'s recursion limit in the decode
+        instance = _nested_chain(["nonneg"] * 600, {"max_rank": 1})
+        cfg = {"sequence": {"instance": instance, "role": "b", "support": []}}
+        res = run_cli(tmp_path, "seq", cfg)
         assert res.returncode == 1 and res.stdout == ""
         assert res.stderr.startswith("config error:")
         assert "Traceback" not in res.stderr
@@ -748,6 +826,45 @@ GOLDEN_JOBS = json.loads(Path(__file__).with_name("golden_configs.json").read_te
 @pytest.mark.parametrize("case", GOLDEN_JOBS, ids=lambda case: case["job"])
 def test_every_golden_job_lists_its_window_at_most_once(monkeypatch, case):
     calls = listings(monkeypatch)
-    payload, code = cli._COMMANDS[case["command"]](case["config"])
+    payload, code = run_job(case["command"], case["config"])
     assert code == case["code"]
     assert len(calls) <= 1
+
+
+# The work the runs do.  predicted_count, the csp admission, calls a_from_b
+# and a_from_c through objects, so the sequence transforms are forbidden
+# only where cmd_seq calls them, in cli.
+WORK = ("construct_ramanujan", "construct_from_b", "construct_from_c", "fund_family",
+        "festoon_census", "improper_cycle_census", "tubing_masks", "riordan_rows",
+        "check_qgauss_definition", "check_qgauss_roots",
+        "verify_csp", "verify_lyndon", "verify_signed_csp")
+SEQUENCE_WORK = ("a_from_b", "b_from_a", "a_from_c", "c_from_a")
+
+
+def forbid_work(monkeypatch) -> None:
+    """Make every work entry point raise, in each module that binds it and
+    in cli's dispatch tables."""
+    def work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for module in (cli, gaussseq, objects, qgauss, tb):
+        for name in WORK:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, work)
+    for name in SEQUENCE_WORK:
+        monkeypatch.setattr(cli, name, work)
+    for key, (role, _) in list(cli._CONSTRUCTIONS.items()):
+        monkeypatch.setitem(cli._CONSTRUCTIONS, key, (role, work))
+    for key in list(cli._CHECKS):
+        monkeypatch.setitem(cli._CHECKS, key, work)
+    monkeypatch.setattr(PolyFamily, "from_function", classmethod(work))
+    monkeypatch.setattr(CyclicFamily, "from_generator", classmethod(work))
+
+
+@pytest.mark.parametrize("case", GOLDEN_JOBS, ids=lambda case: case["job"])
+def test_every_golden_decode_does_no_work(monkeypatch, case):
+    decode, run = cli._COMMANDS[case["command"]]
+    forbid_work(monkeypatch)
+    job = decode(case["config"])
+    with pytest.raises(AssertionError, match="work started"):  # the guard holds
+        run(*job)

@@ -165,6 +165,23 @@ class TestChain:
                     with pytest.raises(ValueError, match="root"):
                         inst.check_window(window)
 
+    @pytest.mark.parametrize("extras", [("ints",), ("nonneg",), ("pos",), ("pos", "ints")])
+    def test_check_differences_refuses_exactly_the_windows_missing_a_difference(self, extras):
+        inst = ZPOS
+        for extra in extras:
+            inst = Chain(inst, extra)
+        pairs = [(lo, hi) for lo in range(-2, 4) for hi in range(lo, 4)]
+        for max_rank in range(1, 4):
+            for bounds in itertools.product(pairs, repeat=len(extras)):
+                window = Window(max_rank, bounds)
+                held = set(inst.elements(window))
+                differences = {inst.subtract(s, t) for s in held for t in held} - {None}
+                if differences <= held:
+                    inst.check_differences(window)
+                else:
+                    with pytest.raises(ValueError, match="widen the role-a spec"):
+                        inst.check_differences(window)
+
 
 class TestFreeRanked:
     def test_rank_weights_lengths(self):

@@ -10,8 +10,7 @@ import itertools
 import re
 
 import tubings_oracle as oracle
-from helpers import corrupt
-from sievekit import cli
+from helpers import corrupt, run_job
 from sievekit import tubings as tb
 from sievekit.objects import Census, verify_csp, verify_lyndon
 from sievekit.qpoly import ZERO
@@ -422,7 +421,7 @@ FAULTS = list(FAULT_WITNESSES)
 def test_planted_bijection_faults_report_like_the_stored_check(monkeypatch, fault):
     kind = fault.split("-")[0]
     _plant(monkeypatch, fault)
-    got = cli.cmd_bijection({"kind": kind, "max_n": 5})
+    got = run_job("bijection", {"kind": kind, "max_n": 5})
     want = oracle.bijection_payload(tb, kind, 5)
     assert got == want
     payload, code = got
@@ -431,7 +430,7 @@ def test_planted_bijection_faults_report_like_the_stored_check(monkeypatch, faul
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_streaming_bijection_check_equals_the_stored_one(kind):
-    assert cli.cmd_bijection({"kind": kind, "max_n": 6}) == oracle.bijection_payload(
+    assert run_job("bijection", {"kind": kind, "max_n": 6}) == oracle.bijection_payload(
         tb, kind, 6
     )
 
@@ -446,11 +445,11 @@ def test_planted_non_path_image_names_its_tubing(monkeypatch, kind, planted):
     fwd_name = "interval_mask_to_schroder" if kind == "interval" else "cycle_mask_to_delannoy"
     fwd = getattr(tb, fwd_name)
     victim = [bits for bits, covered in tubing_masks(n, kind) if covered != 15][11]
-    passing = cli.cmd_bijection({"kind": kind, "max_n": n - 1})[0]["per_n"]
+    passing = run_job("bijection", {"kind": kind, "max_n": n - 1})[0]["per_n"]
     monkeypatch.setattr(
         tb, fwd_name, lambda m, bits: planted if (m, bits) == (n, victim) else fwd(m, bits)
     )
-    payload, code = cli.cmd_bijection({"kind": kind, "max_n": 5})
+    payload, code = run_job("bijection", {"kind": kind, "max_n": 5})
     assert code == 2 and payload["ok"] is False
     assert payload["per_n"] == passing
     tubing = tb.tubing_to_jsonable(_graph(n, kind).tubing(victim))

@@ -9,10 +9,15 @@ Each command is a pair in ``_COMMANDS``: a decode and a run.  The decode
 their ValueError on what they refuse, and returns the run's arguments; it
 does no work.  The run (``cmd_<cmd>``) builds, counts, round-trips and
 checks.  ``main`` is the one place that turns a refusal into a config
-error: it reads, decodes and opens ``--out`` in one block, then runs and
-renders, so an error inside the run stays a traceback and is never taken
-for a config error.  A new job source decodes its config in its
-command's decode.
+error: it parses the command line, reads, decodes and checks ``--out``
+in one block, then runs and renders, so an error inside the run stays a
+traceback and is never taken for a config error.  A new job source
+decodes its config in its command's decode.
+
+Every job is a fresh process, so the module level holds only what every
+command reads: the command line, JSON and the ``semigroup`` decoders.
+Each decode and run imports the rest of the library it calls at the top
+of its body, and a job loads only its command's modules.
 """
 
 from __future__ import annotations
@@ -21,38 +26,7 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
-from typing import Callable
 
-from .gaussseq import (
-    NonIntegerWitness,
-    TruncatedSeries,
-    a_from_b,
-    a_from_c,
-    b_from_a,
-    c_from_a,
-    riordan_rows,
-    sequence_from_config,
-)
-from .objects import (
-    CyclicFamily,
-    festoon_census,
-    festoons_repeated,
-    predicted_count,
-    verify_csp,
-    verify_lyndon,
-    verify_signed_csp,
-)
-from .qgauss import (
-    NonIntegerCoefficient,
-    PolyFamily,
-    check_qgauss_definition,
-    check_qgauss_roots,
-    construct_from_b,
-    construct_from_c,
-    construct_ramanujan,
-    fund_family,
-)
-from .qpoly import q_binomial, q_power
 from .semigroup import (
     Chain,
     FreeRanked,
@@ -64,7 +38,6 @@ from .semigroup import (
     window_elements,
     window_from_config,
 )
-from . import tubings as tb
 
 
 def _witness(payload: dict, instance, e: ValueError) -> tuple[dict, int]:
@@ -87,6 +60,8 @@ def _verdict(payload: dict, reports: dict, instance) -> tuple[dict, int]:
 
 
 def _decode_seq(cfg: dict) -> tuple:
+    from .gaussseq import sequence_from_config
+
     require_keys(cfg, {"sequence"}, {"sequence"}, "seq config")
     spec = sequence_from_config(cfg["sequence"])
     if isinstance(spec.instance, Chain):  # c_from_a reads differences s - t
@@ -95,6 +70,8 @@ def _decode_seq(cfg: dict) -> tuple:
 
 
 def cmd_seq(spec) -> tuple[dict, int]:
+    from .gaussseq import NonIntegerWitness, a_from_b, a_from_c, b_from_a, c_from_a
+
     payload: dict = {"command": "seq", "role": spec.role}
     try:
         if spec.role == "a":
@@ -119,18 +96,15 @@ def cmd_seq(spec) -> tuple[dict, int]:
 
 # Each construction with the role of the sequence it builds from; fund
 # (role None) builds from beads and a window instead.
-_CONSTRUCTIONS: dict[str, tuple[str | None, Callable]] = {
-    "ramanujan": ("a", construct_ramanujan),
-    "from-b": ("b", construct_from_b),
-    "from-c": ("c", construct_from_c),
-    "fund": (None, fund_family),
-}
-_CHECKS = {"definition": check_qgauss_definition, "roots": check_qgauss_roots}
+_CONSTRUCTIONS = {"ramanujan": "a", "from-b": "b", "from-c": "c", "fund": None}
+_CHECKS = ("definition", "roots")
 
 
 def _closed_form(cfg: dict) -> tuple:
     """The instance, window and polynomial of a closed_form config; only
     q-power reads a base."""
+    from .qpoly import q_binomial, q_power
+
     require_keys(cfg, {"name", "window", "base"}, {"name", "window"}, "closed_form config")
     name = cfg["name"]
     if name == "q-binomial":
@@ -147,6 +121,8 @@ def _closed_form(cfg: dict) -> tuple:
 
 
 def _decode_qgauss(cfg: dict) -> tuple:
+    from .gaussseq import sequence_from_config
+
     keys = {"closed_form", "construction", "sequence", "beads", "window", "checks"}
     require_keys(cfg, keys, set(), "qgauss config")
     checks = cfg.get("checks", list(_CHECKS))
@@ -158,35 +134,42 @@ def _decode_qgauss(cfg: dict) -> tuple:
     name = cfg.get("construction")
     if "closed_form" in cfg:  # and no construction
         require_keys(cfg, {"closed_form", "checks"}, set(), "qgauss config")
-        return "closed-form", PolyFamily.from_function, _closed_form(cfg["closed_form"]), checks
+        return "closed-form", _closed_form(cfg["closed_form"]), checks
     if not (isinstance(name, str) and name in _CONSTRUCTIONS):
         raise ValueError(
             "qgauss config: needs closed_form or a construction of "
             f"{', '.join(_CONSTRUCTIONS)}, got {name!r}"
         )
-    role, build = _CONSTRUCTIONS[name]
+    role = _CONSTRUCTIONS[name]
     keys = {"construction", *(("beads", "window") if role is None else ("sequence",))}
     require_keys(cfg, keys | {"checks"}, keys, "qgauss config")
     if role is None:
         beads, window = FreeRanked(cfg["beads"]), window_from_config(cfg["window"])
         window_elements(beads, window)
-        return name, build, (beads, window), checks
+        return name, (beads, window), checks
     spec = sequence_from_config(cfg["sequence"])
     if spec.role != role:
         raise ValueError(
             f"qgauss config: {name} needs a role-{role} sequence, got role-{spec.role}"
         )
-    return name, build, (spec,), checks
+    return name, (spec,), checks
 
 
-def cmd_qgauss(name: str, build: Callable, args: tuple, checks: list) -> tuple[dict, int]:
+def cmd_qgauss(name: str, args: tuple, checks: list) -> tuple[dict, int]:
+    from .qgauss import (NonIntegerCoefficient, PolyFamily, check_qgauss_definition,
+                         check_qgauss_roots, construct_from_b, construct_from_c,
+                         construct_ramanujan, fund_family)
+
+    build = {"closed-form": PolyFamily.from_function, "ramanujan": construct_ramanujan,
+             "from-b": construct_from_b, "from-c": construct_from_c, "fund": fund_family}
+    check = {"definition": check_qgauss_definition, "roots": check_qgauss_roots}
     payload: dict = {"command": "qgauss", "construction": name}
     try:
-        family = build(*args)
+        family = build[name](*args)
     except NonIntegerCoefficient as e:  # only a sequence construction divides
         return _witness(payload, args[0].instance, e)
     payload["family"] = family.to_jsonable()
-    reports = {c: check(family) for c, check in _CHECKS.items() if c in checks}
+    reports = {c: check[c](family) for c in _CHECKS if c in checks}
     return _verdict(payload, reports, family.instance)
 
 
@@ -207,16 +190,21 @@ def _decode_csp(cfg: dict) -> tuple:
     """The family name and its source: (max_rank, grading, colors) for
     tubings-cycle, the beads and a window, or a sequence.  A family that
     predicts more objects than ``admit`` lets through is refused here."""
+    from .gaussseq import sequence_from_config
+    from .objects import predicted_count
+
     if not isinstance(cfg, dict) or "family" not in cfg:
         raise ValueError("csp config: missing family name")
     name = cfg["family"]
     if name == "tubings-cycle":
+        from .tubings import check_improper_job  # only this family loads tubings
+
         grading = cfg.get("grading", "tubes")
         keys = {"family", "max_rank", "grading", *(("colors",) if grading == "tubes" else ())}
         require_keys(cfg, keys, {"max_rank"}, "csp config")  # only tubes reads colors
         max_rank = strict_int(cfg["max_rank"], "csp config: max_rank")
         colors = strict_int(cfg.get("colors", 1), "csp config: colors")
-        tb.check_improper_job(max_rank, grading, colors)
+        check_improper_job(max_rank, grading, colors)
         return name, max_rank, grading, colors
     if not (isinstance(name, str) and name in _FESTOONS):
         raise ValueError(
@@ -238,8 +226,14 @@ def _decode_csp(cfg: dict) -> tuple:
 def cmd_csp(name: str, *source) -> tuple[dict, int]:
     """Count a cyclic family per element and run the sieving checks, over
     the source that ``_decode_csp`` returns."""
+    from .objects import (CyclicFamily, festoon_census, festoons_repeated, verify_csp,
+                          verify_lyndon, verify_signed_csp)
+    from .qgauss import construct_from_b, construct_from_c, fund_family
+
     if name == "tubings-cycle":
-        census, poly = tb.improper_cycle_census(*source)
+        from .tubings import improper_cycle_census  # only this family loads tubings
+
+        census, poly = improper_cycle_census(*source)
     elif len(source) == 2:  # beads and a window
         census, poly = festoon_census(name, *source), fund_family(*source)
     elif name == "festoons-repeated":
@@ -266,9 +260,11 @@ def cmd_csp(name: str, *source) -> tuple[dict, int]:
 
 
 def _decode_bijection(cfg: dict) -> tuple:
+    from .tubings import check_bijection_job
+
     require_keys(cfg, {"kind", "max_n"}, {"kind", "max_n"}, "bijection config")
     kind, max_n = cfg["kind"], strict_int(cfg["max_n"], "bijection config: max_n")
-    tb.check_bijection_job(kind, max_n)
+    check_bijection_job(kind, max_n)
     return kind, max_n
 
 
@@ -282,6 +278,8 @@ def cmd_bijection(kind: str, max_n: int) -> tuple[dict, int]:
     tubing that fails, else the smallest path in the symmetric difference
     of the images and P_n, which only a count mismatch collects.
     """
+    from . import tubings as tb
+
     payload: dict = {"command": "bijection", "kind": kind, "per_n": []}
     total = 0
     for n in range(1, max_n + 1):
@@ -319,6 +317,8 @@ def cmd_bijection(kind: str, max_n: int) -> tuple[dict, int]:
 
 
 def _decode_riordan(cfg: dict) -> tuple:
+    from .gaussseq import TruncatedSeries
+
     require_keys(cfg, {"series", "max_n"}, {"series", "max_n"}, "riordan config")
     series = cfg["series"]
     require_keys(series, {"numer", "denom"}, {"numer"}, "riordan series")
@@ -337,6 +337,8 @@ def _decode_riordan(cfg: dict) -> tuple:
 
 
 def cmd_riordan(D: TruncatedSeries, max_n: int) -> tuple[dict, int]:
+    from .gaussseq import riordan_rows
+
     return {"command": "riordan", "rows": riordan_rows(D, max_n), "ok": True}, 0
 
 
@@ -392,34 +394,59 @@ _COMMANDS = {  # each command's decode and run
 }
 
 
+def _refuse(message: str):
+    """The parsers' error hook: a bad command line is a config error, not
+    argparse's exit 2, which here means a verification failed."""
+    raise ValueError(message)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="sievekit",
         description="sieve congruences, sieving polynomials, and their object families",
     )
+    parser.error = _refuse
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
+        p.error = _refuse
         p.add_argument("--config", required=True, help="path to a JSON job config")
         p.add_argument("--format", choices=("json", "table"), default="table")
         p.add_argument("--out", help="write output here instead of stdout")
-    args = parser.parse_args(argv)
-    decode, run = _COMMANDS[args.command]
 
-    # --out is opened after the decode, so a config error leaves an existing
-    # file as it was, and before the run, so a bad path costs no work
+    # --out is checked after the decode, so a config error leaves an existing
+    # file as it was, and before the run, so a bad path costs no work.  The
+    # output goes to a temporary file beside it, which takes its place only
+    # when the render ends, so a failed run leaves it as it was too.
     try:
+        args = parser.parse_args(argv)
+        decode, run = _COMMANDS[args.command]
         with open(args.config, "r", encoding="utf-8") as fh:
             job = decode(json.load(fh))
-        out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+        if args.out:
+            import os
+            import tempfile
+
+            open(args.out, "a").close()  # refuses what "w" refuses, truncating nothing
+            target = os.path.realpath(args.out)
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target))
+            os.chmod(fd, os.stat(target).st_mode & 0o7777)
+        out = open(fd, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
     except (OSError, ValueError, TypeError, RecursionError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
 
-    with out as fh:
-        payload, code = run(*job)
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n"
-                 if args.format == "json" else _render_table(payload))
+    try:
+        with out as fh:
+            payload, code = run(*job)
+            fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n"
+                     if args.format == "json" else _render_table(payload))
+        if args.out:
+            os.replace(tmp, target)
+    except BaseException:
+        if args.out:
+            os.remove(tmp)
+        raise
     return code
 
 

@@ -25,10 +25,10 @@ from math import comb
 from typing import Iterable, Iterator
 
 from .arith import divisors
-from .objects import Census
-from .qgauss import PolyFamily
-from .qpoly import IntPoly, ONE, ZERO, q_binomial, q_power
 from .semigroup import Chain, PositiveIntegers, Window, admit
+
+# objects, qgauss and qpoly are imported inside the census and polynomial
+# functions, so a bijection job, a fresh process, loads none of them.
 
 Tube = tuple[int, int]
 Tubing = frozenset
@@ -644,6 +644,9 @@ def improper_cycle_census(
     fixed.  Every rotation of an enumerated bitset is enumerated with the
     same grade, so the sets are closed under rotation by construction.
     """
+    from .objects import Census
+    from .qgauss import PolyFamily
+
     check_improper_job(max_rank, grading, colors)
     instance, window_at, grade, poly = _GRADINGS[grading]
     window = window_at(max_rank)
@@ -696,6 +699,8 @@ def free_vertex_polynomial(n: int, k: int) -> IntPoly:
     The m = n-k term only contributes on the diagonal k = n, where the
     empty tubing needs the q-binomial bottom-entry convention to count it.
     """
+    from .qpoly import ONE, ZERO, q_binomial, q_power
+
     total = ZERO
     for m in range(0, max(n - k, 0) + 1):
         exp2 = ONE if m == 0 else q_power(2, m)
@@ -705,6 +710,8 @@ def free_vertex_polynomial(n: int, k: int) -> IntPoly:
 
 def tube_count_polynomial(n: int, k: int, colors: int = 1) -> IntPoly:
     """Sieving polynomial for improper cycle tubings with k tubes."""
+    from .qpoly import q_binomial, q_power
+
     f = q_binomial(n + k - 1, k) * q_binomial(n - 1, k)
     if colors != 1 and k >= 1:
         f = f * q_power(colors, k)
@@ -713,6 +720,8 @@ def tube_count_polynomial(n: int, k: int, colors: int = 1) -> IntPoly:
 
 def improper_total_polynomial(n: int) -> IntPoly:
     """Sieving polynomial for all improper cycle tubings of length n."""
+    from .qpoly import ZERO
+
     total = ZERO
     for k in range(0, n):
         total = total + tube_count_polynomial(n, k)

@@ -752,6 +752,53 @@ class TestRefusalPoint:
         with pytest.raises(ValueError, match="inside the run"):
             self.run_main(tmp_path, "riordan", {"series": {"numer": [1]}, "max_n": 3})
 
+    def test_a_failed_run_leaves_an_existing_out_file_as_it_was(self, tmp_path, monkeypatch):
+        def run(*job):
+            raise RuntimeError("inside the run")
+
+        monkeypatch.setitem(cli._COMMANDS, "bijection", (cli._decode_bijection, run))
+        out = tmp_path / "keep.txt"
+        out.write_bytes(b"earlier\n")
+        with pytest.raises(RuntimeError, match="inside the run"):
+            self.run_main(tmp_path, "bijection", {"kind": "interval", "max_n": 3},
+                          "--out", str(out))
+        assert out.read_bytes() == b"earlier\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "keep.txt"]
+
+    def test_an_out_file_is_replaced_whole_and_keeps_its_mode(self, tmp_path):
+        out = tmp_path / "rows.json"
+        out.write_bytes(b"earlier output, longer than the new one" * 100)
+        out.chmod(0o640)
+        code = self.run_main(tmp_path, "riordan", {"series": {"numer": [1]}, "max_n": 3},
+                             "--out", str(out))
+        assert code == 0
+        assert json.loads(out.read_text())["rows"]
+        assert out.stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "rows.json"]
+
+    def test_an_out_symlink_is_written_through(self, tmp_path):
+        target = tmp_path / "rows.json"
+        target.write_text("earlier")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        code = self.run_main(tmp_path, "riordan", {"series": {"numer": [1]}, "max_n": 3},
+                             "--out", str(link))
+        assert code == 0 and link.is_symlink()
+        assert json.loads(target.read_text())["rows"]
+
+    def test_a_directory_as_out_file_is_refused_before_the_run(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def run(*job):
+            raise AssertionError("the run started")
+
+        monkeypatch.setitem(cli._COMMANDS, "bijection", (cli._decode_bijection, run))
+        code = self.run_main(tmp_path, "bijection", {"kind": "interval", "max_n": 3},
+                             "--out", str(tmp_path))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     def test_a_deeply_nested_chain_is_a_config_error(self, tmp_path):
         # 600 nested chains pass Chain.__hash__'s recursion limit in the decode
         instance = _nested_chain(["nonneg"] * 600, {"max_rank": 1})
@@ -760,6 +807,29 @@ class TestRefusalPoint:
         assert res.returncode == 1 and res.stdout == ""
         assert res.stderr.startswith("config error:")
         assert "Traceback" not in res.stderr
+
+
+class TestUsage:
+    """A command line that argparse refuses exits 1 like any config error;
+    2 means a verification failed."""
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["verify"],
+        ["riordan", "--config", "{cfg}", "--format", "xml"],
+    ], ids=["no-command", "unknown-command", "unknown-format"])
+    def test_a_bad_command_line_is_a_config_error(self, tmp_path, argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"series": {"numer": [1]}, "max_n": 3}))
+        argv = [arg.format(cfg=cfg) for arg in argv]
+        res = subprocess.run(PKG + argv, capture_output=True, text=True)
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr.startswith("config error:")
+        assert "Traceback" not in res.stderr
+
+    def test_help_exits_0(self):
+        res = subprocess.run(PKG + ["--help"], capture_output=True, text=True)
+        assert res.returncode == 0 and res.stdout.startswith("usage: sievekit")
 
 
 # -- byte identity of the congruence path -----------------------------------------
@@ -831,32 +901,27 @@ def test_every_golden_job_lists_its_window_at_most_once(monkeypatch, case):
     assert len(calls) <= 1
 
 
-# The work the runs do.  predicted_count, the csp admission, calls a_from_b
-# and a_from_c through objects, so the sequence transforms are forbidden
-# only where cmd_seq calls them, in cli.
-WORK = ("construct_ramanujan", "construct_from_b", "construct_from_c", "fund_family",
-        "festoon_census", "improper_cycle_census", "tubing_masks", "riordan_rows",
-        "check_qgauss_definition", "check_qgauss_roots",
-        "verify_csp", "verify_lyndon", "verify_signed_csp")
-SEQUENCE_WORK = ("a_from_b", "b_from_a", "a_from_c", "c_from_a")
+# The work the runs do, by the module that defines it, where each run
+# imports it from when it starts.  predicted_count, the csp admission, calls
+# a_from_b and a_from_c through the names objects bound at its import, which
+# patching gaussseq leaves alone: only cmd_seq's transforms are forbidden.
+WORK = {
+    qgauss: ("construct_ramanujan", "construct_from_b", "construct_from_c", "fund_family",
+             "check_qgauss_definition", "check_qgauss_roots"),
+    objects: ("festoon_census", "verify_csp", "verify_lyndon", "verify_signed_csp"),
+    tb: ("improper_cycle_census", "tubing_masks"),
+    gaussseq: ("riordan_rows", "a_from_b", "b_from_a", "a_from_c", "c_from_a"),
+}
 
 
 def forbid_work(monkeypatch) -> None:
-    """Make every work entry point raise, in each module that binds it and
-    in cli's dispatch tables."""
+    """Make every work entry point raise, in the module that defines it."""
     def work(*args, **kwargs):
         raise AssertionError("work started")
 
-    for module in (cli, gaussseq, objects, qgauss, tb):
-        for name in WORK:
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, work)
-    for name in SEQUENCE_WORK:
-        monkeypatch.setattr(cli, name, work)
-    for key, (role, _) in list(cli._CONSTRUCTIONS.items()):
-        monkeypatch.setitem(cli._CONSTRUCTIONS, key, (role, work))
-    for key in list(cli._CHECKS):
-        monkeypatch.setitem(cli._CHECKS, key, work)
+    for module, names in WORK.items():
+        for name in names:
+            monkeypatch.setattr(module, name, work)
     monkeypatch.setattr(PolyFamily, "from_function", classmethod(work))
     monkeypatch.setattr(CyclicFamily, "from_generator", classmethod(work))
 

@@ -9,14 +9,14 @@ Each command is a pair in ``_COMMANDS``: a decode and a run.  The decode
 their ValueError on what they refuse, and returns the run's arguments; it
 does no work.  The run (``cmd_<cmd>``) builds, counts, round-trips and
 checks.  ``main`` is the one place that turns a refusal into a config
-error: it parses the command line, reads, decodes and checks ``--out``
+error: it parses the command line, reads, decodes and opens ``--out``
 in one block, then runs and renders, so an error inside the run stays a
 traceback and is never taken for a config error.  A new job source
 decodes its config in its command's decode.
 
 Every job is a fresh process, so the module level holds only what every
 command reads: the command line, JSON and the ``semigroup`` decoders.
-Each decode and run imports the rest of the library it calls at the top
+Each decode and run imports the rest of the library it uses at the top
 of its body, and a job loads only its command's modules.
 """
 
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 
@@ -94,12 +95,6 @@ def cmd_seq(spec) -> tuple[dict, int]:
 
 # -- qgauss ------------------------------------------------------------------------
 
-# Each construction with the role of the sequence it builds from; fund
-# (role None) builds from beads and a window instead.
-_CONSTRUCTIONS = {"ramanujan": "a", "from-b": "b", "from-c": "c", "fund": None}
-_CHECKS = ("definition", "roots")
-
-
 def _closed_form(cfg: dict) -> tuple:
     """The instance, window and polynomial of a closed_form config; only
     q-power reads a base."""
@@ -121,55 +116,60 @@ def _closed_form(cfg: dict) -> tuple:
 
 
 def _decode_qgauss(cfg: dict) -> tuple:
+    """The construction's name, its build callable, its arguments and the checks."""
     from .gaussseq import sequence_from_config
+    from .qgauss import (PolyFamily, check_qgauss_definition, check_qgauss_roots,
+                         construct_from_b, construct_from_c, construct_ramanujan,
+                         fund_family)
 
+    # Each construction with the role of the sequence it builds from; fund
+    # (role None) builds from beads and a window instead.
+    constructions = {"ramanujan": ("a", construct_ramanujan), "from-b": ("b", construct_from_b),
+                     "from-c": ("c", construct_from_c), "fund": (None, fund_family)}
+    known = {"definition": check_qgauss_definition, "roots": check_qgauss_roots}
     keys = {"closed_form", "construction", "sequence", "beads", "window", "checks"}
     require_keys(cfg, keys, set(), "qgauss config")
-    checks = cfg.get("checks", list(_CHECKS))
+    checks = cfg.get("checks", list(known))
     # an empty list would check nothing and report ok
     if not isinstance(checks, list) or not checks or not all(
-        isinstance(c, str) and c in _CHECKS for c in checks
+        isinstance(c, str) and c in known for c in checks
     ):
         raise ValueError(f"qgauss config: bad checks {checks!r}")
+    checks = {c: check for c, check in known.items() if c in checks}
     name = cfg.get("construction")
     if "closed_form" in cfg:  # and no construction
         require_keys(cfg, {"closed_form", "checks"}, set(), "qgauss config")
-        return "closed-form", _closed_form(cfg["closed_form"]), checks
-    if not (isinstance(name, str) and name in _CONSTRUCTIONS):
+        return "closed-form", PolyFamily.from_function, _closed_form(cfg["closed_form"]), checks
+    if not (isinstance(name, str) and name in constructions):
         raise ValueError(
             "qgauss config: needs closed_form or a construction of "
-            f"{', '.join(_CONSTRUCTIONS)}, got {name!r}"
+            f"{', '.join(constructions)}, got {name!r}"
         )
-    role = _CONSTRUCTIONS[name]
+    role, build = constructions[name]
     keys = {"construction", *(("beads", "window") if role is None else ("sequence",))}
     require_keys(cfg, keys | {"checks"}, keys, "qgauss config")
     if role is None:
         beads, window = FreeRanked(cfg["beads"]), window_from_config(cfg["window"])
         window_elements(beads, window)
-        return name, (beads, window), checks
+        return name, build, (beads, window), checks
     spec = sequence_from_config(cfg["sequence"])
     if spec.role != role:
         raise ValueError(
             f"qgauss config: {name} needs a role-{role} sequence, got role-{spec.role}"
         )
-    return name, (spec,), checks
+    return name, build, (spec,), checks
 
 
-def cmd_qgauss(name: str, args: tuple, checks: list) -> tuple[dict, int]:
-    from .qgauss import (NonIntegerCoefficient, PolyFamily, check_qgauss_definition,
-                         check_qgauss_roots, construct_from_b, construct_from_c,
-                         construct_ramanujan, fund_family)
+def cmd_qgauss(name: str, build, args: tuple, checks: dict) -> tuple[dict, int]:
+    from .qgauss import NonIntegerCoefficient
 
-    build = {"closed-form": PolyFamily.from_function, "ramanujan": construct_ramanujan,
-             "from-b": construct_from_b, "from-c": construct_from_c, "fund": fund_family}
-    check = {"definition": check_qgauss_definition, "roots": check_qgauss_roots}
     payload: dict = {"command": "qgauss", "construction": name}
     try:
-        family = build[name](*args)
+        family = build(*args)
     except NonIntegerCoefficient as e:  # only a sequence construction divides
         return _witness(payload, args[0].instance, e)
     payload["family"] = family.to_jsonable()
-    reports = {c: check[c](family) for c in _CHECKS if c in checks}
+    reports = {c: check(family) for c, check in checks.items()}
     return _verdict(payload, reports, family.instance)
 
 
@@ -414,39 +414,27 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--format", choices=("json", "table"), default="table")
         p.add_argument("--out", help="write output here instead of stdout")
 
-    # --out is checked after the decode, so a config error leaves an existing
-    # file as it was, and before the run, so a bad path costs no work.  The
-    # output goes to a temporary file beside it, which takes its place only
-    # when the render ends, so a failed run leaves it as it was too.
+    # --out is opened after the decode, so a config error leaves an existing
+    # file as it was, and before the run, so a bad path costs no work.  It is
+    # opened to append, and a regular file is cut only once the render ends,
+    # so a failed run leaves it as it was too.
     try:
         args = parser.parse_args(argv)
         decode, run = _COMMANDS[args.command]
         with open(args.config, "r", encoding="utf-8") as fh:
             job = decode(json.load(fh))
-        if args.out:
-            import os
-            import tempfile
-
-            open(args.out, "a").close()  # refuses what "w" refuses, truncating nothing
-            target = os.path.realpath(args.out)
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target))
-            os.chmod(fd, os.stat(target).st_mode & 0o7777)
-        out = open(fd, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+        out = open(args.out, "a", encoding="utf-8") if args.out else nullcontext(sys.stdout)
     except (OSError, ValueError, TypeError, RecursionError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
 
-    try:
-        with out as fh:
-            payload, code = run(*job)
-            fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n"
-                     if args.format == "json" else _render_table(payload))
-        if args.out:
-            os.replace(tmp, target)
-    except BaseException:
-        if args.out:
-            os.remove(tmp)
-        raise
+    with out as fh:
+        payload, code = run(*job)
+        text = (json.dumps(payload, sort_keys=True, indent=2) + "\n"
+                if args.format == "json" else _render_table(payload))
+        if args.out and os.path.isfile(args.out):  # a device or a pipe takes no cut
+            fh.truncate(0)
+        fh.write(text)
     return code
 
 

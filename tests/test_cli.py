@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import stat
 import subprocess
 import sys
 import time
@@ -765,26 +767,35 @@ class TestRefusalPoint:
         assert out.read_bytes() == b"earlier\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "keep.txt"]
 
-    def test_an_out_file_is_replaced_whole_and_keeps_its_mode(self, tmp_path):
+    def test_a_longer_out_file_is_replaced_whole(self, tmp_path):
         out = tmp_path / "rows.json"
         out.write_bytes(b"earlier output, longer than the new one" * 100)
-        out.chmod(0o640)
         code = self.run_main(tmp_path, "riordan", {"series": {"numer": [1]}, "max_n": 3},
                              "--out", str(out))
         assert code == 0
         assert json.loads(out.read_text())["rows"]
-        assert out.stat().st_mode & 0o777 == 0o640
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "rows.json"]
 
-    def test_an_out_symlink_is_written_through(self, tmp_path):
-        target = tmp_path / "rows.json"
-        target.write_text("earlier")
-        link = tmp_path / "link.json"
-        link.symlink_to(target)
+    def test_a_fifo_as_out_file_is_written_once(self, tmp_path):
+        # a second open after the run would find the reader gone: the run
+        # of this job lasts long enough for the reader to see the first close
+        fifo = tmp_path / "rows.fifo"
+        os.mkfifo(fifo)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "interval", "max_n": 7}))
+        proc = subprocess.Popen(PKG + ["bijection", "--config", str(cfg), "--format", "json",
+                                       "--out", str(fifo)])
+        try:
+            text = fifo.read_text()
+            assert proc.wait(timeout=30) == 0
+        finally:
+            proc.kill()
+        assert json.loads(text)["ok"]
+
+    def test_the_null_device_as_out_file_stays_a_device(self, tmp_path):
         code = self.run_main(tmp_path, "riordan", {"series": {"numer": [1]}, "max_n": 3},
-                             "--out", str(link))
-        assert code == 0 and link.is_symlink()
-        assert json.loads(target.read_text())["rows"]
+                             "--out", os.devnull)
+        assert code == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
     def test_a_directory_as_out_file_is_refused_before_the_run(
         self, tmp_path, monkeypatch, capsys

@@ -63,7 +63,7 @@ print("tube-count grading sieves:", verify_csp(fam, F).ok)
 
 # strict paths: C = x * D(C) with D = (1 - t)/(1 - 2t) counts them
 D = TruncatedSeries.from_rational([1, -1], [1, -2], 11)
-solved = [int(v) for v in solve_functional_equation(D, 11).coeffs[1:]]
+solved = list(solve_functional_equation(D, 11).coeffs[1:])
 print("\nstrict path counts:", solved)
 print("series and path count agree:",
       solved == [count_paths(2 * (n - 1), "strict") for n in range(1, 11)])

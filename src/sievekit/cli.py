@@ -329,10 +329,6 @@ def _decode_riordan(cfg: dict) -> tuple:
     for key, coeffs in (("numer", numer), ("denom", denom)):
         if not isinstance(coeffs, list):
             raise ValueError(f"riordan series: {key} must be a list, got {coeffs!r}")
-        for v in coeffs:
-            strict_int(v, f"riordan series: {key} entry")
-    if not denom or denom[0] not in (1, -1):
-        raise ValueError(f"riordan series: denom must start with 1 or -1, got {denom}")
     return TruncatedSeries.from_rational(numer, denom, max_n + 1), max_n
 
 

@@ -16,7 +16,9 @@ directions divide by rk(s) at each step and raise ``NonIntegerWitness`` at
 the first element (canonical order) where the division is not exact, which
 is precisely a congruence failure.
 
-The power-series utilities solve the fixed-point equation C(x) = x*D(C(x)),
+The power-series utilities work with integer coefficients only: a series
+is a polynomial, or numer(x)/denom(x) with denom(0) = +-1, expanded by an
+integer recurrence.  They solve the fixed-point equation C(x) = x*D(C(x)),
 whose coefficient sequence is a "c" role for lattice-path counting, and
 read Riordan arrays off the powers of D.
 """
@@ -24,7 +26,7 @@ read Riordan arrays off the powers of D.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from math import gcd
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
@@ -307,77 +309,60 @@ def a_from_matrix_trace(
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Formal power series with exact rational coefficients.
+    """Formal power series with integer coefficients.
 
     ``coeffs[i]`` is the coefficient of x^i for every i below ``order``;
     exponents >= order are unknown (truncated).
     """
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int, ...]
     order: int
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable, order: int) -> "TruncatedSeries":
-        """The polynomial with these coefficients, cut or padded to ``order``."""
-        cs = [Fraction(c) for c in coeffs][:order]
-        return cls(tuple(cs + [Fraction(0)] * (order - len(cs))), order)
+        """The polynomial with these integer coefficients, cut or padded to
+        ``order``."""
+        cs = [strict_int(c, "series coefficient") for c in coeffs][:order]
+        return cls(tuple(cs + [0] * (order - len(cs))), order)
 
     @classmethod
     def from_rational(
         cls, numer: Iterable, denom: Iterable, order: int
     ) -> "TruncatedSeries":
-        """The series of numer(x)/denom(x), both given as coefficient lists;
-        the denominator needs a nonzero constant term.
+        """The series of numer(x)/denom(x), both given as integer coefficient
+        lists; the denominator's constant term must be 1 or -1, which makes
+        every coefficient an integer.
 
         >>> D = TruncatedSeries.from_rational([1], [1, -1, -1], 8)
-        >>> [int(c) for c in D.coeffs]
+        >>> list(D.coeffs)
         [1, 1, 2, 3, 5, 8, 13, 21]
-        >>> TruncatedSeries.from_rational([1], [0, 1], 4)
+        >>> TruncatedSeries.from_rational([1], [2, 1], 4)
         Traceback (most recent call last):
         ...
-        ValueError: from_rational: the denominator needs a nonzero constant term
+        ValueError: series denominator must start with 1 or -1, got [2, 1]
         """
-        denom = tuple(denom)
-        if not denom or not denom[0]:
-            raise ValueError("from_rational: the denominator needs a nonzero constant term")
-        return cls.from_coeffs(numer, order) * cls.from_coeffs(denom, order).inverse()
+        denom = [strict_int(d, "series denominator coefficient") for d in denom]
+        if not denom or denom[0] not in (1, -1):
+            raise ValueError(f"series denominator must start with 1 or -1, got {denom}")
+        c = list(cls.from_coeffs(numer, order).coeffs)
+        for e in range(order):  # c_e = denom_0 * (numer_e - sum of denom_i * c_(e-i))
+            tail = range(1, min(e, len(denom) - 1) + 1)
+            c[e] = denom[0] * (c[e] - sum(denom[i] * c[e - i] for i in tail))
+        return cls(tuple(c), order)
 
-    def coeff(self, e: int) -> Fraction:
+    def coeff(self, e: int) -> int:
         if e >= self.order:
             raise ValueError(f"coefficient of x^{e} is beyond order {self.order}")
-        return self.coeffs[e] if e >= 0 else Fraction(0)
+        return self.coeffs[e] if e >= 0 else 0
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         order = min(self.order, other.order)
-        cs = [Fraction(0)] * order
+        cs = [0] * order
         for i, ci in enumerate(self.coeffs[:order]):
             if ci:
                 for j, cj in enumerate(other.coeffs[: order - i]):
                     cs[i + j] += ci * cj
         return TruncatedSeries(tuple(cs), order)
-
-    def __pow__(self, n: int) -> "TruncatedSeries":
-        if n < 0:
-            return self.inverse() ** -n
-        result = TruncatedSeries.from_coeffs((1,), self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse; the constant term must be nonzero."""
-        if not self.coeffs or not self.coeffs[0]:
-            raise ZeroDivisionError("inverse of a series with no constant term")
-        lead = self.coeffs[0]
-        inv = [1 / lead]
-        for e in range(1, self.order):
-            inv.append(-sum(self.coeffs[i] * inv[e - i] for i in range(1, e + 1)) / lead)
-        return TruncatedSeries(tuple(inv), self.order)
 
 
 # -- fixed-point solver and Riordan counts ------------------------------------
@@ -398,7 +383,7 @@ def solve_functional_equation(D: TruncatedSeries, order: int) -> TruncatedSeries
     """
     if D.order < 1:
         raise NoSolution("D carries no known constant term")
-    c = [Fraction(0)] * order  # c[i] multiplies x^i
+    c = [0] * order  # c[i] multiplies x^i
     if order > 1 and D.coeff(0):
         if order > D.order + 1:
             raise NoSolution(
@@ -406,9 +391,11 @@ def solve_functional_equation(D: TruncatedSeries, order: int) -> TruncatedSeries
             )
         known = TruncatedSeries(D.coeffs[: order - 1], order - 1)
         for n, power in _powers(known, order - 1):
-            c[n] = Fraction(power.coeff(n - 1), n)
-            if c[n].denominator != 1:
-                raise NonIntegerWitness(n, c[n].numerator, c[n].denominator, "c")
+            top = power.coeff(n - 1)
+            c[n], rest = divmod(top, n)
+            if rest:
+                g = gcd(top, n)
+                raise NonIntegerWitness(n, top // g, n // g, "c")
     return TruncatedSeries(tuple(c), order)
 
 
@@ -422,26 +409,20 @@ def _powers(D: TruncatedSeries, max_n: int):
 
 
 def riordan_count(D: TruncatedSeries, n: int, k: int) -> int:
-    """The x^(n-k) coefficient of D(x)^n, exact."""
+    """The x^(n-k) coefficient of D(x)^n."""
     if n < 1:
         raise ValueError(f"riordan_count: need n >= 1, got {n}")
-    return _riordan_entry(D ** n, n, k)
+    for _, power in _powers(D, n):
+        pass
+    return power.coeff(n - k)
 
 
 def riordan_rows(D: TruncatedSeries, max_n: int) -> list[list]:
     """[n, [riordan_count(D, n, k) for k = 1..n]] for n = 1..max_n.
 
-    D^n is built once per row, as the previous row's power times D.
+    D^n is built once per row, as the previous row's power times D; row n
+    reads its coefficients below x^n backwards.
     """
-    return [
-        [n, [_riordan_entry(power, n, k) for k in range(1, n + 1)]]
-        for n, power in _powers(D, max_n)
-    ]
-
-
-def _riordan_entry(power: TruncatedSeries, n: int, k: int) -> int:
-    """The x^(n-k) coefficient of power = D^n, which must be an integer."""
-    value = power.coeff(n - k)
-    if value.denominator != 1:
-        raise NonIntegerWitness((n, k), value.numerator, value.denominator, "a")
-    return int(value)
+    if max_n > D.order:  # row D.order + 1 reads x^(D.order)
+        raise ValueError(f"coefficient of x^{D.order} is beyond order {D.order}")
+    return [[n, list(power.coeffs[n - 1 :: -1])] for n, power in _powers(D, max_n)]

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import add, mul, sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
@@ -365,7 +364,7 @@ def _fiber_directions(m: Morphism) -> set[int]:
     completeness in those directions.
     """
     width = len(m.matrix[0])
-    mat = [[Fraction(x) for x in row] for row in m.matrix]
+    mat = [list(row) for row in m.matrix]
     pivots: dict[int, int] = {}
     r = 0
     for c in range(width):
@@ -374,11 +373,11 @@ def _fiber_directions(m: Morphism) -> set[int]:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
         pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
         for i in range(len(mat)):
             if i != r and mat[i][c]:
+                # fraction-free: scaling row i by pv != 0 keeps its zero pattern
                 f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+                mat[i] = [pv * a - f * b for a, b in zip(mat[i], mat[r])]
         pivots[c] = r
         r += 1
     moving: set[int] = set()

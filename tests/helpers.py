@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import random
 
+from series_oracle import RationalSeries
 from sievekit import cli
-from sievekit.gaussseq import SequenceSpec, TruncatedSeries, a_from_matrix_trace
+from sievekit.gaussseq import SequenceSpec, a_from_matrix_trace
 from sievekit.qgauss import PolyFamily
 from sievekit.qpoly import IntPoly, ZERO, q_binomial
 from sievekit.semigroup import PositiveIntegers, Window
@@ -97,7 +98,7 @@ def strict_path_recurrence(max_n: int) -> list[int]:
     blocks, so c_n = [x^n] (C^2 + C^3 + ...) for n >= 2."""
     c = [0, 1]
     for n in range(2, max_n + 1):
-        known = TruncatedSeries.from_coeffs(c, n + 1)
+        known = RationalSeries.from_coeffs(c, n + 1)
         c.append(sum(int((known**k).coeff(n)) for k in range(2, n + 1)))
     return c[1:]
 

@@ -9,27 +9,31 @@ on the base, the weighted q-multinomial as [weight]_q times the
 q-multinomial over [sum]_q, the definition checker's remainder by long
 division by [rank]_q, the Ramanujan construction summing one Ramanujan sum
 per coefficient, the from-c construction listing the decompositions of
-each element and dividing by [rank]_q once per decomposition, and Riordan
-rows with D^n recomputed for every entry.  The dense ``mul`` and the
-per-decomposition ``construct_from_c`` stay here as the oracles for the
-library's two product paths and its knapsack.  The product identity
+each element and dividing by [rank]_q once per decomposition, Riordan
+rows with D^n recomputed for every entry, and the transport layer's fiber
+directions read off the reduced row echelon form over the rationals.
+The dense ``mul`` and the per-decomposition ``construct_from_c`` stay
+here as the oracles for the library's two product paths and its knapsack.  The product identity
 sum c_n x^n = 1 - prod (1 - x^n)^{b_n} on the positive integers
 (``c_from_b_series``) is a route from role "b" to role "c" that shares
 nothing with ``c_from_a``.
 They borrow from the library only what that rewrite left alone: the
 ``IntPoly`` container, ``q_int``, ``subst_power``, the semigroup
 instances, the report types, ``divisors``, ``mobius``, ``ramanujan_sum``
-and ``TruncatedSeries``.
+and ``NonIntegerWitness``; series arithmetic is ``series_oracle``'s
+``RationalSeries``.
 """
 
 from __future__ import annotations
 
 import functools
 from collections import Counter
+from fractions import Fraction
 from typing import Sequence
 
+from series_oracle import RationalSeries, lift
 from sievekit.arith import divisors, mobius, ramanujan_sum
-from sievekit.gaussseq import NonIntegerWitness, SequenceSpec, TruncatedSeries
+from sievekit.gaussseq import NonIntegerWitness, SequenceSpec
 from sievekit.qgauss import (
     FamilyCheckFailure,
     FamilyReport,
@@ -209,28 +213,28 @@ def construct_from_c(c: SequenceSpec) -> PolyFamily:
     return PolyFamily.from_function(inst, c.window, build)
 
 
-def riordan_count(D: TruncatedSeries, n: int, k: int) -> int:
+def riordan_count(D, n: int, k: int) -> int:
     e = n - k
-    power = D ** n
+    power = lift(D) ** n
     value = power.coeff(e)
     if value.denominator != 1:
         raise NonIntegerWitness((n, k), value.numerator, value.denominator, "a")
     return int(value)
 
 
-def riordan_rows(D: TruncatedSeries, max_n: int) -> list[list]:
+def riordan_rows(D, max_n: int) -> list[list]:
     rows = []
     for n in range(1, max_n + 1):
         rows.append([n, [riordan_count(D, n, k) for k in range(1, n + 1)]])
     return rows
 
 
-def product_side(b: SequenceSpec, order: int) -> TruncatedSeries:
+def product_side(b: SequenceSpec, order: int) -> RationalSeries:
     """prod over n >= 1 of (1 - x^n)^{b_n}, truncated below x^order."""
-    result = TruncatedSeries.from_coeffs((1,), order)
+    result = RationalSeries.from_coeffs((1,), order)
     for n, bn in b.values:
         if n < order and bn:
-            factor = TruncatedSeries.from_coeffs((1,) + (0,) * (n - 1) + (-1,), order)
+            factor = RationalSeries.from_coeffs((1,) + (0,) * (n - 1) + (-1,), order)
             result = result * factor**bn
     return result
 
@@ -240,3 +244,35 @@ def c_from_b_series(b: SequenceSpec, order: int) -> SequenceSpec:
     prod = product_side(b, order)
     out = {n: int(-prod.coeff(n)) for n in range(1, min(order, b.window.max_rank + 1))}
     return SequenceSpec.from_mapping(b.instance, b.window, "c", out)
+
+
+# -- transport ------------------------------------------------------------------------
+
+
+def fiber_directions(matrix) -> set[int]:
+    """Columns with a nonzero entry in some kernel vector of the matrix,
+    by Gauss-Jordan elimination with ``Fraction`` entries."""
+    width = len(matrix[0])
+    mat = [[Fraction(x) for x in row] for row in matrix]
+    pivots: dict[int, int] = {}
+    r = 0
+    for c in range(width):
+        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        pv = mat[r][c]
+        mat[r] = [x / pv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots[c] = r
+        r += 1
+    moving: set[int] = set()
+    for fc in (c for c in range(width) if c not in pivots):
+        moving.add(fc)
+        for c, pr in pivots.items():
+            if mat[pr][fc]:
+                moving.add(c)
+    return moving

@@ -32,6 +32,7 @@ from helpers import (
     zpos_spec,
 )
 from qpoly_oracle import c_from_b_series, product_side
+from series_oracle import RationalSeries
 
 ZPOS = PositiveIntegers()
 
@@ -186,8 +187,19 @@ class TestSeries:
         D = TruncatedSeries.from_rational([1, -1], [1, -2], 8)
         assert [int(D.coeff(i)) for i in range(8)] == [1, 1, 2, 4, 8, 16, 32, 64]
 
+    def test_order_zero_is_the_empty_series(self):
+        assert TruncatedSeries.from_rational([1], [1, -1], 0) == TruncatedSeries((), 0)
+
+    @pytest.mark.parametrize("bad", [0.5, 1.0, True, "1"])
+    def test_non_integer_coefficients_are_refused(self, bad):
+        with pytest.raises(ValueError, match="must be an integer"):
+            TruncatedSeries.from_coeffs([bad, 1], 3)
+        with pytest.raises(ValueError, match="must be an integer"):
+            TruncatedSeries.from_rational([1], [1, bad], 3)
+
     def test_inverse_multiplies_to_one(self):
-        D = TruncatedSeries.from_coeffs([1, 3, -2, 5], 8)
+        # the oracle's inverse, which the integer series does without
+        D = RationalSeries.from_coeffs([1, 3, -2, 5], 8)
         prod = D * D.inverse()
         assert [int(prod.coeff(i)) for i in range(8)] == [1, 0, 0, 0, 0, 0, 0, 0]
 
@@ -220,7 +232,7 @@ class TestSeries:
 
     def test_solver_rejects_poles(self):
         # 1/x is no power series, so the solver can never be handed one
-        with pytest.raises(ValueError, match="nonzero constant term"):
+        with pytest.raises(ValueError, match="must start with 1 or -1"):
             TruncatedSeries.from_rational([1], [0, 1], 4)
         with pytest.raises(NoSolution, match="no known constant term"):
             solve_functional_equation(TruncatedSeries.from_coeffs([1], 0), 4)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import qpoly_oracle as oracle
 from helpers import corrupt, sequence_corpus, zpos_spec
+from series_oracle import RationalSeries
 from sievekit.gaussseq import (
     NonIntegerWitness,
     SequenceSpec,
@@ -28,6 +29,7 @@ from sievekit.gaussseq import (
 from sievekit.qgauss import (
     NonIntegerCoefficient,
     PolyFamily,
+    _fiber_directions,
     _weighted_multinomial,
     check_qgauss_definition,
     construct_from_b,
@@ -46,7 +48,7 @@ from sievekit.qpoly import (
     q_multinomial,
     q_power,
 )
-from sievekit.semigroup import Chain, FreeRanked, PositiveIntegers, Window
+from sievekit.semigroup import Chain, FreeRanked, Morphism, PositiveIntegers, Window
 
 ZPOS = PositiveIntegers()
 
@@ -366,6 +368,13 @@ def _rows(fn, D, max_n):
     ([Fraction(1, 2), 1], [1]),
 ])
 def test_riordan_rows(numer, denom):
+    if (numer, denom) in (([1], [2, 1]), ([Fraction(1, 2), 1], [1])):
+        # the integer series refuses what would give the oracle a non-integer witness
+        with pytest.raises(ValueError, match="must be an integer|must start with 1 or -1"):
+            TruncatedSeries.from_rational(numer, denom, 13)
+        D = RationalSeries.from_rational(numer, denom, 13)
+        assert _rows(oracle.riordan_rows, D, 12)[0] is NonIntegerWitness
+        return
     D = TruncatedSeries.from_rational(numer, denom, 13)
     assert _rows(riordan_rows, D, 12) == _rows(oracle.riordan_rows, D, 12)
 
@@ -380,3 +389,15 @@ def test_riordan_rows(numer, denom):
 def test_riordan_rows_random(numer, lead, tail, max_n):
     D = TruncatedSeries.from_rational(numer, [lead] + tail, max_n + 1)
     assert _rows(riordan_rows, D, max_n) == _rows(oracle.riordan_rows, D, max_n)
+
+
+# -- transport ------------------------------------------------------------------------
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 5).flatmap(lambda width: st.lists(
+    st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3, 5]), min_size=width, max_size=width),
+    min_size=1, max_size=4)))
+def test_fiber_directions_match_rational_elimination(rows):
+    m = Morphism(PositiveIntegers(), PositiveIntegers(), rows)
+    assert _fiber_directions(m) == oracle.fiber_directions(rows)

@@ -1,5 +1,6 @@
-"""TruncatedSeries against a plain rational-recurrence oracle, and the
-fixed-point solver against the coefficient recursion it replaced."""
+"""The integer series of ``sievekit.gaussseq`` against the rational
+``series_oracle``, that oracle against a plain rational-recurrence oracle,
+and the fixed-point solver against the coefficient recursion it replaced."""
 
 from __future__ import annotations
 
@@ -8,10 +9,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qpoly_oracle
+import series_oracle
+from series_oracle import RationalSeries
 from sievekit.gaussseq import (
     NonIntegerWitness,
     NoSolution,
     TruncatedSeries,
+    riordan_count,
+    riordan_rows,
     solve_functional_equation,
 )
 
@@ -42,11 +48,11 @@ NONZERO = RATIONALS.filter(bool)
     st.integers(1, 16),
 )
 def test_series_matches_oracle(numer, denom, order):
-    D = TruncatedSeries.from_rational(numer, denom, order)
+    D = RationalSeries.from_rational(numer, denom, order)
     want = oracle_series(numer, denom, order)
     assert list(D.coeffs) == want and D.order == order
     if want[0]:
-        one = TruncatedSeries.from_coeffs([1], order)
+        one = RationalSeries.from_coeffs([1], order)
         assert D * D.inverse() == one
         inverse = oracle_series([1], want, order)
     for n in range(-3, 6):
@@ -60,7 +66,7 @@ def test_series_matches_oracle(numer, denom, order):
         assert (D ** n).coeffs == tuple(power)
 
 
-def oracle_solve(D: TruncatedSeries, order: int) -> TruncatedSeries:
+def oracle_solve(D: RationalSeries, order: int) -> RationalSeries:
     """C with C(x) = x * D(C(x)), coefficient by coefficient: the x^n
     coefficient of x*D(C) only involves C-coefficients below n."""
     if D.order < 1:
@@ -93,7 +99,7 @@ def oracle_solve(D: TruncatedSeries, order: int) -> TruncatedSeries:
     for n in range(1, order):
         if c[n].denominator != 1:
             raise NonIntegerWitness(n, c[n].numerator, c[n].denominator, "c")
-    return TruncatedSeries(tuple(c), order)
+    return RationalSeries(tuple(c), order)
 
 
 # mostly integers, so that many solutions stay integral
@@ -115,14 +121,53 @@ def test_solver_matches_the_coefficient_recursion(numer, denom, d_order, order):
     """Same series, or the same exception type and message, for D = numer /
     denom known below x^d_order; numer[0] = 0 gives the zero solution."""
     if d_order:
-        D = TruncatedSeries.from_rational(numer, denom, d_order)
+        D = RationalSeries.from_rational(numer, denom, d_order)
     else:
-        D = TruncatedSeries.from_coeffs((), 0)
+        D = RationalSeries.from_coeffs((), 0)
     try:
         want = oracle_solve(D, order)
     except (NoSolution, NonIntegerWitness) as e:
         with pytest.raises(type(e)) as got:
-            solve_functional_equation(D, order)
+            series_oracle.solve_functional_equation(D, order)
         assert str(got.value) == str(e)
     else:
-        assert solve_functional_equation(D, order) == want
+        assert series_oracle.solve_functional_equation(D, order) == want
+
+
+def outcome(fn, *args):
+    """The coefficients and order of a series, any other result as it is, or
+    the type and message of the exception raised."""
+    try:
+        got = fn(*args)
+    except ValueError as e:
+        return type(e), str(e)
+    return (tuple(got.coeffs), got.order) if hasattr(got, "coeffs") else got
+
+
+INTS = st.integers(-3, 3)
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(INTS, max_size=5),
+    st.sampled_from([1, -1]).flatmap(lambda lead: st.lists(INTS, max_size=3).map(
+        lambda tail: [lead] + tail)),
+    st.integers(0, 10),
+    st.lists(INTS, max_size=4),
+    st.integers(0, 12),
+    st.integers(1, 12),
+    st.integers(-2, 12),
+)
+def test_integer_series_match_the_rational_oracle(numer, denom, order, other, max_n, n, k):
+    """On integral input every integer-series operation gives the oracle's
+    value, or raises the same exception type and message."""
+    D = TruncatedSeries.from_rational(numer, denom, order)
+    R = RationalSeries.from_rational(numer, denom, order)
+    assert all(type(c) is int for c in D.coeffs)
+    assert (D.coeffs, D.order) == (R.coeffs, R.order)
+    E = TruncatedSeries.from_coeffs(other, len(other))
+    assert outcome(D.__mul__, E) == outcome(R.__mul__, series_oracle.lift(E))
+    assert outcome(riordan_rows, D, max_n) == outcome(qpoly_oracle.riordan_rows, D, max_n)
+    assert outcome(riordan_count, D, n, k) == outcome(qpoly_oracle.riordan_count, D, n, k)
+    assert outcome(solve_functional_equation, D, max_n) == outcome(
+        series_oracle.solve_functional_equation, D, max_n)

@@ -413,24 +413,30 @@ def main(argv: list[str] | None = None) -> int:
     # --out is opened after the decode, so a config error leaves an existing
     # file as it was, and before the run, so a bad path costs no work.  It is
     # opened to append, and a regular file is cut only once the render ends,
-    # so a failed run leaves it as it was too.
+    # so a failed run leaves it as it was too, and removes one it created.
     try:
         args = parser.parse_args(argv)
         decode, run = _COMMANDS[args.command]
         with open(args.config, "r", encoding="utf-8") as fh:
             job = decode(json.load(fh))
+        created = args.out and not os.path.lexists(args.out)
         out = open(args.out, "a", encoding="utf-8") if args.out else nullcontext(sys.stdout)
     except (OSError, ValueError, TypeError, RecursionError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
 
-    with out as fh:
-        payload, code = run(*job)
-        text = (json.dumps(payload, sort_keys=True, indent=2) + "\n"
-                if args.format == "json" else _render_table(payload))
-        if args.out and os.path.isfile(args.out):  # a device or a pipe takes no cut
-            fh.truncate(0)
-        fh.write(text)
+    try:
+        with out as fh:
+            payload, code = run(*job)
+            text = (json.dumps(payload, sort_keys=True, indent=2) + "\n"
+                    if args.format == "json" else _render_table(payload))
+            if args.out and os.path.isfile(args.out):  # a device or a pipe takes no cut
+                fh.truncate(0)
+            fh.write(text)
+    except BaseException:
+        if created:
+            os.unlink(args.out)
+        raise
     return code
 
 

@@ -29,15 +29,14 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from math import comb
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .arith import divisors
 from .gaussseq import SequenceSpec, _require_role, a_from_b, a_from_c
 from .qgauss import PolyFamily, check_root_values, root_total
-from .semigroup import (FamilyReport, FreeRanked, Window, _SemigroupBase,
+from .semigroup import (FamilyReport, FreeRanked, Record, Window, _SemigroupBase,
                         check_divisors, window_table)
 
 OBJECT_KINDS = ("word", "festoon", "signed-festoon", "tubing")
@@ -92,8 +91,7 @@ def _canonical(objs: Iterable[CyclicObject]) -> tuple[CyclicObject, ...]:
     return tuple(sorted(dict.fromkeys(objs)))
 
 
-@dataclass(frozen=True)
-class CyclicFamily:
+class CyclicFamily(Record):
     """Finite object sets indexed by window elements, closed under rotation."""
 
     instance: _SemigroupBase
@@ -140,8 +138,7 @@ class CyclicFamily:
         return Census(self.instance, self.window, tuple(rows))
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(Record):
     """What the sieve checks read of a cyclic family, per window element.
 
     ``rows`` holds ``(s, count, fixed)`` in canonical element order:

@@ -21,10 +21,9 @@ mirroring how counting problems are rearranged.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Mapping
 from operator import add, mul, sub
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
 
 from .arith import mobius
 from .gaussseq import SequenceSpec, _require_role
@@ -51,6 +50,7 @@ from .semigroup import (  # FamilyCheckFailure and FamilyReport are re-exported
     FreeRanked,
     Morphism,
     PositiveIntegers,
+    Record,
     Window,
     _SemigroupBase,
     apply_morphism,
@@ -82,14 +82,12 @@ class WindowBoundaryWarning(UserWarning):
     """
 
 
-@dataclass(frozen=True)
-class PolyFamily:
+class PolyFamily(Record):
     """Total mapping from window elements to integer polynomials."""
 
     instance: _SemigroupBase
     window: Window
     polys: tuple[tuple[object, IntPoly], ...]
-    _table: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         table = window_table(self.instance, self.polys, "PolyFamily")

@@ -43,10 +43,10 @@ from __future__ import annotations
 
 import functools
 import struct
+from collections.abc import Iterable, Sequence
 from itertools import cycle
 from math import comb, gcd
 from operator import add
-from typing import Iterable, Sequence
 
 from .arith import divisors, mobius, ramanujan_sum
 

@@ -13,7 +13,7 @@ Three instance kinds cover everything downstream:
 Each is data: a lower bound per coordinate (``floors``) and the rank as a
 linear ``row`` of the coordinates, checked in ``_SemigroupBase`` alone.
 Elements are raw payloads (int or tuple), not wrapper objects; instances are
-frozen dataclasses and all operations are pure.  Division is by repetition:
+frozen ``Record`` values and all operations are pure.  Division is by repetition:
 t divides s when s = d*t for a positive integer d, so d | rank(s).  All
 instances are cancellative and torsion free, so the root s/d (``nth_root``)
 and the difference s - t (``subtract``) are each one element or None.
@@ -28,10 +28,9 @@ terminating and deterministic.  A window keeps each instance's listing.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Sequence
 from math import gcd, prod
 from operator import mul
-from typing import Callable, Iterable, Sequence
 
 from .arith import divisors
 
@@ -71,8 +70,46 @@ def require_keys(cfg, allowed: set[str], required: set[str], where: str) -> None
         raise ValueError(f"{where}: missing keys {sorted(missing)}")
 
 
-@dataclass(frozen=True)
-class Window:
+class Record:
+    """A frozen value.  A subclass's fields are its own annotations whose
+    names do not start with an underscore; ``__init__`` takes them in order,
+    then calls ``__post_init__``, which sets normalised or derived attributes
+    with ``object.__setattr__``.  Equality and the hash read the fields' tuple
+    as ``__post_init__`` leaves them."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(n for n in cls.__dict__.get("__annotations__", {}) if n[0] != "_")
+
+    def __init__(self, *args) -> None:
+        if len(args) != len(self._fields):
+            raise TypeError(f"{type(self).__name__}() takes {len(self._fields)} "
+                            f"arguments ({len(args)} given)")
+        self.__dict__.update(zip(self._fields, args))
+        self.__post_init__()
+        self.__dict__["_values"] = tuple([getattr(self, name) for name in self._fields])
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+
+class Window(Record):
     """Finite viewport on a semigroup instance.
 
     ``extra_bounds`` holds one (lo, hi) pair per chain extra; a single pair
@@ -82,9 +119,11 @@ class Window:
     """
 
     max_rank: int
-    extra_bounds: tuple[tuple[int, int], ...] = ()
-    max_total: int | None = None
-    _listed: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    extra_bounds: tuple[tuple[int, int], ...]
+    max_total: int | None
+
+    def __init__(self, max_rank, extra_bounds=(), max_total=None) -> None:
+        super().__init__(max_rank, extra_bounds, max_total)
 
     def __post_init__(self) -> None:
         if strict_int(self.max_rank, "Window: max_rank") < 1:
@@ -100,9 +139,9 @@ class Window:
             if strict_int(lo, "Window: bound") > strict_int(hi, "Window: bound"):
                 raise ValueError(f"Window: empty bound range ({lo}, {hi})")
         object.__setattr__(self, "extra_bounds", tuple(tuple(pair) for pair in eb))
-        max_total = self.max_total
-        if max_total is not None and strict_int(max_total, "Window: max_total") < 1:
+        if self.max_total is not None and strict_int(self.max_total, "Window: max_total") < 1:
             raise ValueError(f"Window: need max_total >= 1, got {self.max_total}")
+        object.__setattr__(self, "_listed", {})
 
 
 def window_table(instance: _SemigroupBase, pairs: Iterable, owner: str) -> dict:
@@ -120,15 +159,13 @@ def window_table(instance: _SemigroupBase, pairs: Iterable, owner: str) -> dict:
     return {s: v for s, (_, v) in sorted(keyed.items(), key=lambda kv: kv[1][0])}
 
 
-@dataclass(frozen=True)
-class FamilyCheckFailure:
+class FamilyCheckFailure(Record):
     element: object
     divisor: int | None
     detail: str
 
 
-@dataclass(frozen=True)
-class FamilyReport:
+class FamilyReport(Record):
     """Outcome of a checker: how many checks ran, and each failure with its
     element, the divisor it concerns (None when none does) and a detail."""
 
@@ -307,8 +344,7 @@ class _SemigroupBase:
                 raise ValueError(f"window sets {key}, which {type(self).__name__} does not read")
 
 
-@dataclass(frozen=True)
-class PositiveIntegers(_SemigroupBase):
+class PositiveIntegers(_SemigroupBase, Record):
     """Positive integers under addition; rank(n) = n.  Elements are bare
     ints, with element checks of their own for speed."""
 
@@ -337,8 +373,7 @@ class PositiveIntegers(_SemigroupBase):
         return list(range(1, window.max_rank + 1))
 
 
-@dataclass(frozen=True)
-class Chain(_SemigroupBase):
+class Chain(_SemigroupBase, Record):
     """A base instance with one more integer coordinate; rank from the base.
 
     Elements are flat tuples: chaining ((n,) base, extra) twice gives
@@ -348,8 +383,6 @@ class Chain(_SemigroupBase):
 
     base: _SemigroupBase
     extra: str
-    floors: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
-    row: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _reads = ("extra_bounds",)
 
     def __post_init__(self) -> None:
@@ -423,8 +456,7 @@ class Chain(_SemigroupBase):
         return list(itertools.product(*ranges))
 
 
-@dataclass(frozen=True)
-class FreeRanked(_SemigroupBase):
+class FreeRanked(_SemigroupBase, Record):
     """Free commutative semigroup on labelled beads with integer lengths.
 
     An element is a tuple of bead multiplicities (aligned with ``beads``,
@@ -434,8 +466,6 @@ class FreeRanked(_SemigroupBase):
     """
 
     beads: tuple[tuple[str, int], ...]
-    floors: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    row: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _reads = ("max_total",)
 
     def __post_init__(self) -> None:
@@ -531,8 +561,7 @@ class FreeRanked(_SemigroupBase):
 # -- morphisms ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(Record):
     """An additive map between instances: an integer matrix applied to the
     coordinate tuple (rows indexed by target coordinates).
 

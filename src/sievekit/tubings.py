@@ -21,8 +21,8 @@ of length 2(n-1), by cutting the cycle at a free vertex.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterable, Iterator
 from math import comb
-from typing import Iterable, Iterator
 
 from .arith import divisors
 from .semigroup import Chain, PositiveIntegers, Window, admit

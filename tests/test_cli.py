@@ -767,6 +767,17 @@ class TestRefusalPoint:
         assert out.read_bytes() == b"earlier\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "keep.txt"]
 
+    def test_a_failed_run_leaves_no_out_file_it_created(self, tmp_path, monkeypatch):
+        def run(*job):
+            raise RuntimeError("inside the run")
+
+        monkeypatch.setitem(cli._COMMANDS, "bijection", (cli._decode_bijection, run))
+        out = tmp_path / "absent.txt"
+        with pytest.raises(RuntimeError, match="inside the run"):
+            self.run_main(tmp_path, "bijection", {"kind": "interval", "max_n": 3},
+                          "--out", str(out))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     def test_a_longer_out_file_is_replaced_whole(self, tmp_path):
         out = tmp_path / "rows.json"
         out.write_bytes(b"earlier output, longer than the new one" * 100)

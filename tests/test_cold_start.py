@@ -3,11 +3,13 @@
 ``cli`` imports the library inside each command's decode and run, so a job
 compiles and runs only the modules of its command (README, "Start-up").
 Every job of ``golden_configs.json`` runs here as a fresh
-``python -X importtime -m sievekit`` process.  Its exit code and the
+``python -S -X importtime -m sievekit`` process.  Its exit code and the
 SHA-256 of its stdout must match the golden file: the in-process golden
 test, which imports the whole package, cannot see an import that breaks
 only in a fresh interpreter.  The ``sievekit`` modules that
-``-X importtime`` names on stderr must be exactly the command's set.
+``-X importtime`` names on stderr must be exactly the command's set, and
+no start loads ``SLOW_STDLIB``.  ``-S`` skips ``site``, whose ``.pth``
+files may preload stdlib modules on one machine and not on another.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ FESTOONS = POLYNOMIALS | {"objects"}  # csp over words and festoons
 EVERY_MODULE = FESTOONS | {"tubings"}  # csp tubings-cycle
 BIJECTIONS = ENTRY | {"tubings"}  # bijection
 
+# stdlib modules no start needs: every job's arithmetic is integral, and
+# the records and annotations need neither dataclasses nor typing
+SLOW_STDLIB = {"fractions", "decimal", "dataclasses", "inspect", "typing"}
+
 
 def expected_modules(command: str, config: dict) -> set[str]:
     if command == "qgauss":
@@ -43,10 +49,10 @@ def expected_modules(command: str, config: dict) -> set[str]:
 
 
 def run_fresh(*args: str) -> tuple[subprocess.CompletedProcess, set[str]]:
-    """A fresh ``python -X importtime`` run and the names of the modules it
-    imported."""
+    """A fresh ``python -S -X importtime`` run and the names of the modules
+    it imported."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    res = subprocess.run([sys.executable, "-X", "importtime", *args],
+    res = subprocess.run([sys.executable, "-S", "-X", "importtime", *args],
                          capture_output=True, env=env, timeout=120)
     lines = res.stderr.decode().splitlines()
     return res, {line.rsplit("|", 1)[1].strip() for line in lines
@@ -68,7 +74,7 @@ def test_a_cold_job_loads_only_its_command_modules(tmp_path, case):
     assert res.returncode == case["code"], res.stderr.decode()[-2000:]
     assert hashlib.sha256(res.stdout).hexdigest() == case["sha256"]
     assert library_modules(modules) == expected_modules(case["command"], case["config"])
-    assert not modules & {"fractions", "decimal"}  # every job's arithmetic is integral
+    assert not modules & SLOW_STDLIB
 
 
 @pytest.mark.parametrize("args", [("-c", "import sievekit.cli"), ("-m", "sievekit", "--help")],
@@ -77,3 +83,4 @@ def test_importing_cli_loads_only_the_decoders(args):
     res, modules = run_fresh(*args)
     assert res.returncode == 0, res.stderr.decode()[-2000:]
     assert library_modules(modules) == ENTRY
+    assert not modules & SLOW_STDLIB

@@ -171,3 +171,17 @@ def test_integer_series_match_the_rational_oracle(numer, denom, order, other, ma
     assert outcome(riordan_count, D, n, k) == outcome(qpoly_oracle.riordan_count, D, n, k)
     assert outcome(solve_functional_equation, D, max_n) == outcome(
         series_oracle.solve_functional_equation, D, max_n)
+
+
+@settings(max_examples=150)
+@given(st.lists(st.integers(-6, 6), min_size=1, max_size=8), st.integers(0, 9))
+def test_solver_satisfies_lagrange_inversion_on_integer_series(coeffs, order):
+    """n * c_n = [x^(n-1)] D^n for every integer D, so the solver's floor
+    division is exact; D^n is built here by plain multiplication."""
+    order = min(order, len(coeffs) + 1)
+    C = solve_functional_equation(TruncatedSeries.from_coeffs(coeffs, len(coeffs)), order)
+    D = coeffs + [0] * order
+    power = [1] + [0] * (len(D) - 1)
+    for n in range(1, order):
+        power = oracle_mul(power, D)
+        assert n * C.coeffs[n] == power[n - 1]

@@ -23,6 +23,7 @@ of its body, and a job loads only its command's modules.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -397,14 +398,17 @@ def _refuse(message: str):
 
 
 def main(argv: list[str] | None = None) -> int:
+    # a fixed width, what a non-terminal gets, spares argparse its shutil import
+    formatter = functools.partial(argparse.HelpFormatter, width=78)
     parser = argparse.ArgumentParser(
         prog="sievekit",
         description="sieve congruences, sieving polynomials, and their object families",
+        formatter_class=formatter,
     )
     parser.error = _refuse
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, formatter_class=formatter)
         p.error = _refuse
         p.add_argument("--config", required=True, help="path to a JSON job config")
         p.add_argument("--format", choices=("json", "table"), default="table")

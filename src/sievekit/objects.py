@@ -469,7 +469,7 @@ def _require_match(census: Census, F: PolyFamily, who: str) -> None:
 def verify_csp(census: Census, F: PolyFamily) -> FamilyReport:
     """Check cyclic sieving: root-of-unity values count C_d-invariants."""
     _require_match(census, F, "verify_csp")
-    items = ((s, (F.value(s), fixed)) for s, _, fixed in census.rows)
+    items = ((s, (F.folds[s], fixed)) for s, _, fixed in census.rows)
     return check_root_values(
         census.instance, items, lambda s, fixed, d, t: sum(fixed[d]), "fixed count "
     )
@@ -480,7 +480,7 @@ def verify_signed_csp(census: Census, F: PolyFamily) -> FamilyReport:
     _require_match(census, F, "verify_signed_csp")
     inst = census.instance
     items = (
-        (s, (F.value(s), fixed)) for s, _, fixed in census.rows if inst.rank(s) % 2
+        (s, (F.folds[s], fixed)) for s, _, fixed in census.rows if inst.rank(s) % 2
     )
     return check_root_values(
         inst, items, lambda s, fixed, d, t: fixed[d][0] - fixed[d][1], "signed fixed count "

@@ -13,13 +13,16 @@ kernel, ``qpoly.ramanujan_vector``, serves that construction and the root
 test: its entry j is the sum over d | rank(s) of E_d * c_d(j), c_d the
 Ramanujan sum.  The canonical f_s is that vector divided by rank(s), and
 f_s passes the root test at every d exactly when rank(s) times f_s folded
-modulo q^rank - 1 equals it.  Transport operations (pushforward,
+modulo q^rank - 1 equals it.  Both checks read a family only through
+those folds, which ``PolyFamily.folds`` builds once per family, as do the
+sieving checks of ``objects``.  Transport operations (pushforward,
 pullback, multiply, two chainings) produce new families from old,
 mirroring how counting problems are rearranged.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from collections.abc import Callable, Iterable, Mapping
 from operator import add, mul, sub
@@ -31,7 +34,6 @@ from .qpoly import (
     IntPoly,
     ONE,
     ZERO,
-    eval_at_one,
     eval_at_primitive_root,
     fold,
     one_minus_q_pow,
@@ -40,8 +42,6 @@ from .qpoly import (
     q_multinomial,
     q_power,
     ramanujan_vector,
-    reduce_mod_q_int,
-    reduce_mod_qn_minus_1,
 )
 from .semigroup import (  # FamilyCheckFailure and FamilyReport are re-exported
     Chain,
@@ -118,6 +118,11 @@ class PolyFamily(Record):
             return self._table[s]
         except KeyError:
             raise ValueError(f"PolyFamily: no polynomial at {s!r}") from None
+
+    @functools.cached_property
+    def folds(self) -> dict:
+        """{s: f_s folded modulo q^rank(s) - 1}, built once: all a checker reads."""
+        return {s: fold(p.coeffs, self.instance.rank(s)) for s, p in self.polys}
 
     def to_jsonable(self) -> list[dict]:
         return [
@@ -252,26 +257,24 @@ def check_qgauss_definition(F: PolyFamily) -> FamilyReport:
     """Exact-division test: Mobius-weighted divisor sum mod [rank(s)]_q.
 
     The sum is taken modulo q^rank - 1 in one list: f_t(q^d) folded there
-    is f_t folded modulo q^rank(t) - 1, spread to every d-th entry.  Its
-    remainder modulo [rank(s)]_q is that list minus its top entry, as
-    ``reduce_mod_q_int`` computes it, with no long division.
+    is ``F.folds[t]`` spread to every d-th entry.  Its remainder modulo
+    [rank(s)]_q is that list minus its top entry, with no long division.
     """
-    lookup = F.as_dict()
+    folds = F.folds
 
     def checks():
-        for s, _ in F.polys:
+        for s in folds:
             roots = F.instance.divisor_roots(s)
             rk = roots[-1][0]
             total = [0] * rk
             for d, t in roots:
                 mu = 0 if t is None else mobius(d)
                 if mu:
-                    spread = fold(root_total(lookup, s, t).coeffs, rk // d)
-                    total[::d] = map(add if mu > 0 else sub, total[::d], spread)
+                    total[::d] = map(add if mu > 0 else sub, total[::d], root_total(folds, s, t))
             if total.count(total[-1]) == rk:  # the remainder, total - top, is 0
                 yield s, rk, None
             else:
-                yield s, rk, f"remainder {reduce_mod_q_int(IntPoly(total), rk)}"
+                yield s, rk, f"remainder {IntPoly([c - total[-1] for c in total])}"
 
     return FamilyReport.collect(checks())
 
@@ -279,24 +282,26 @@ def check_qgauss_definition(F: PolyFamily) -> FamilyReport:
 def check_root_values(
     inst: _SemigroupBase, items: Iterable, expected: Callable, label: str = ""
 ) -> FamilyReport:
-    """The root-of-unity report: for each (s, (p, x)) in items and each d
-    dividing rank(s), p must take the integer E_d = expected(s, x, d, t) at
-    every primitive d-th root of unity, t being the root s/d or None.
+    """The root-of-unity report: for each (s, (folded, x)) in items, folded
+    being some p folded modulo q^rank(s) - 1, and each d dividing rank(s),
+    p must take the integer E_d = expected(s, x, d, t) at every primitive
+    d-th root of unity, t being the root s/d or None.
 
     All the divisors of one element are decided by one integer comparison,
-    with no division: rank(s) times p folded modulo q^rank - 1 must equal
+    with no division: rank(s) times the fold must equal
     ``ramanujan_vector(rank(s), [(d, E_d), ...])`` (the ``qpoly`` module
     docstring derives it).  Only an element that fails it is checked one d
-    at a time, by the remainder ``eval_at_primitive_root(p, d)``, whose
-    value a failing detail names.
+    at a time, by the fold's remainder modulo Phi_d, which is p's as Phi_d
+    divides q^rank - 1; a failing detail names that value.
     """
 
     def compare(s, entry, roots):
-        p, x = entry
+        folded, x = entry
         rank = roots[-1][0]
         wants = [(d, expected(s, x, d, t)) for d, t in roots]
-        if [rank * c for c in fold(p.coeffs, rank)] == ramanujan_vector(rank, wants):
+        if [rank * c for c in folded] == ramanujan_vector(rank, wants):
             return [None] * len(wants)
+        p = IntPoly(folded)
         values = [(eval_at_primitive_root(p, d), want) for d, want in wants]
         return [None if v == want else f"value {v.coeffs} != {label}{want}" for v, want in values]
 
@@ -307,12 +312,12 @@ def check_qgauss_roots(F: PolyFamily) -> FamilyReport:
     """Root-of-unity test: f_s at a primitive d-th root vs the root-set total.
 
     For every d dividing rank(s), the evaluation must be the integer
-    sum of f_t(1) over d-th roots t of s inside the instance.
+    sum of f_t(1) (its fold's sum) over d-th roots t of s inside the instance.
     """
-    at_one = {s: eval_at_one(p) for s, p in F.polys}
+    at_one = {s: sum(f) for s, f in F.folds.items()}
     return check_root_values(
         F.instance,
-        ((s, (p, None)) for s, p in F.polys),
+        ((s, (f, None)) for s, f in F.folds.items()),
         lambda s, _, d, t: root_total(at_one, s, t),
     )
 
@@ -321,14 +326,11 @@ def equivalent_mod(F: PolyFamily, G: PolyFamily) -> FamilyReport:
     """Entrywise congruence mod q^rank - 1 between families on one window."""
     if F.instance != G.instance or F.window != G.window:
         raise ValueError("equivalent_mod needs families on the same instance/window")
-    inst = F.instance
-    g = G.as_dict()
+    g = G.folds
 
     def checks():
-        for s, p in F.polys:
-            rk = inst.rank(s)
-            diff = reduce_mod_qn_minus_1(p - g[s], rk)
-            yield s, rk, f"difference {diff}" if diff else None
+        for s, f in F.folds.items():  # f has length rank(s)
+            yield s, len(f), None if f == g[s] else f"difference {IntPoly(map(sub, f, g[s]))}"
 
     return FamilyReport.collect(checks())
 

@@ -304,11 +304,6 @@ ZERO = IntPoly()
 ONE = IntPoly((1,))
 
 
-def eval_at_one(p: IntPoly) -> int:
-    """The integer the polynomial q-deforms: p(1)."""
-    return sum(p.coeffs)
-
-
 def fold(coeffs: Sequence[int], n: int) -> list[int]:
     """The coefficients folded modulo q**n - 1, for n >= 1: a list of
     length n whose entry j sums the coefficients at exponents congruent to
@@ -336,21 +331,6 @@ def fold(coeffs: Sequence[int], n: int) -> list[int]:
 def reduce_mod_qn_minus_1(p: IntPoly, n: int) -> IntPoly:
     """Canonical representative of p modulo q**n - 1 (degree < n)."""
     return IntPoly(fold(p.coeffs, n))
-
-
-def reduce_mod_q_int(p: IntPoly, n: int) -> IntPoly:
-    """Canonical remainder of p modulo [n]_q (degree < n - 1), for n >= 1.
-
-    [n]_q divides q**n - 1, so p is folded modulo q**n - 1 first.  The fold
-    has degree below n, and taking its q**(n-1) coefficient times [n]_q away
-    leaves the remainder: the same one long division by [n]_q gives.
-
-    >>> reduce_mod_q_int(IntPoly((0, 0, 0, 5)), 3).coeffs
-    (5,)
-    """
-    folded = fold(p.coeffs, n)
-    top = folded[-1]
-    return IntPoly([c - top for c in folded])
 
 
 def one_minus_q_pow(m: int) -> IntPoly:

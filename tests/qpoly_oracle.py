@@ -7,18 +7,21 @@ q-binomials and q-multinomials as quotients of q-factorials, cyclotomic
 polynomials by dividing q^d - 1 by the smaller ones, q-powers by recursion
 on the base, the weighted q-multinomial as [weight]_q times the
 q-multinomial over [sum]_q, the definition checker's remainder by long
-division by [rank]_q, the Ramanujan construction summing one Ramanujan sum
-per coefficient, the from-c construction listing the decompositions of
-each element and dividing by [rank]_q once per decomposition, Riordan
-rows with D^n recomputed for every entry, and the transport layer's fiber
-directions read off the reduced row echelon form over the rationals.
+division by [rank]_q, and again as the divisor sum folded modulo q^rank - 1
+minus its top entry (``reduce_mod_q_int``, which the checks on
+``PolyFamily.folds`` replaced), the Ramanujan construction summing one
+Ramanujan sum per coefficient, the from-c construction listing the
+decompositions of each element and dividing by [rank]_q once per
+decomposition, Riordan rows with D^n recomputed for every entry, and the
+transport layer's fiber directions read off the reduced row echelon form
+over the rationals.
 The dense ``mul`` and the per-decomposition ``construct_from_c`` stay
 here as the oracles for the library's two product paths and its knapsack.  The product identity
 sum c_n x^n = 1 - prod (1 - x^n)^{b_n} on the positive integers
 (``c_from_b_series``) is a route from role "b" to role "c" that shares
 nothing with ``c_from_a``.
 They borrow from the library only what that rewrite left alone: the
-``IntPoly`` container, ``q_int``, ``subst_power``, the semigroup
+``IntPoly`` container, ``fold``, ``q_int``, ``subst_power``, the semigroup
 instances, the report types, ``divisors``, ``mobius``, ``ramanujan_sum``
 and ``NonIntegerWitness``; series arithmetic is ``series_oracle``'s
 ``RationalSeries``.
@@ -40,7 +43,7 @@ from sievekit.qgauss import (
     NonIntegerCoefficient,
     PolyFamily,
 )
-from sievekit.qpoly import ONE, ZERO, IntPoly, q_int
+from sievekit.qpoly import ONE, ZERO, IntPoly, fold, q_int
 
 
 # -- dense arithmetic -------------------------------------------------------------
@@ -154,6 +157,21 @@ def weighted_multinomial(weight: int, mults: list[int]) -> IntPoly:
 
 
 # -- congruence path -------------------------------------------------------------------
+
+
+def reduce_mod_q_int(p: IntPoly, n: int) -> IntPoly:
+    """Canonical remainder of p modulo [n]_q (degree < n - 1), for n >= 1.
+
+    [n]_q divides q**n - 1, so p is folded modulo q**n - 1 first.  The fold
+    has degree below n, and taking its q**(n-1) coefficient times [n]_q away
+    leaves the remainder: the same one long division by [n]_q gives.
+
+    >>> reduce_mod_q_int(IntPoly((0, 0, 0, 5)), 3).coeffs
+    (5,)
+    """
+    folded = fold(p.coeffs, n)
+    top = folded[-1]
+    return IntPoly([c - top for c in folded])
 
 
 def check_qgauss_definition(F: PolyFamily) -> FamilyReport:

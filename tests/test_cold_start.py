@@ -34,8 +34,9 @@ EVERY_MODULE = FESTOONS | {"tubings"}  # csp tubings-cycle
 BIJECTIONS = ENTRY | {"tubings"}  # bijection
 
 # stdlib modules no start needs: every job's arithmetic is integral, and
-# the records and annotations need neither dataclasses nor typing
-SLOW_STDLIB = {"fractions", "decimal", "dataclasses", "inspect", "typing"}
+# the records and annotations need neither dataclasses nor typing, and the
+# help text has a fixed width, so no terminal size is read through shutil
+SLOW_STDLIB = {"fractions", "decimal", "dataclasses", "inspect", "typing", "shutil"}
 
 
 def expected_modules(command: str, config: dict) -> set[str]:

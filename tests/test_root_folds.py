@@ -11,7 +11,9 @@ report, failures and details included, on families with planted faults on
 positive-integer, free and chain instances; and on passing families they,
 and the csp checks, must divide by no polynomial at all.
 ``unit_divisors`` and ``divisor_roots`` must list the roots
-``tests/semigroup_oracle.py`` finds.
+``tests/semigroup_oracle.py`` finds.  The checks read each polynomial
+through ``PolyFamily.folds`` only: their details must be what the folds and
+remainders they replaced give, and each polynomial is folded once.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import qpoly_oracle
 import semigroup_oracle
 import sieve_oracle
 from helpers import sequence_corpus
-from sievekit.arith import divisors
+from sievekit import qgauss
+from sievekit.arith import divisors, mobius
 from sievekit.objects import festoon_census, verify_csp, verify_lyndon, verify_signed_csp
 from sievekit.qgauss import (
     PolyFamily,
@@ -32,6 +35,7 @@ from sievekit.qgauss import (
     check_qgauss_roots,
     check_root_values,
     construct_ramanujan,
+    equivalent_mod,
     fund_family,
 )
 from sievekit.qpoly import (
@@ -45,8 +49,9 @@ from sievekit.qpoly import (
     q_multinomial,
     q_power,
     ramanujan_vector,
+    reduce_mod_qn_minus_1,
 )
-from sievekit.semigroup import Chain, FreeRanked, PositiveIntegers, Window
+from sievekit.semigroup import Chain, FamilyReport, FreeRanked, PositiveIntegers, Window
 from sievekit.tubings import improper_cycle_census
 
 ZPOS = PositiveIntegers()
@@ -85,7 +90,7 @@ def test_projection_decides_the_value_at_primitive_roots():
         p, d, value = case
         want = eval_at_primitive_root(p, d) == value
         report = check_root_values(
-            ZPOS, [(d, (p, None))], lambda s, x, e, t: value if e == d else 0)
+            ZPOS, [(d, (fold(p.coeffs, d), None))], lambda s, x, e, t: value if e == d else 0)
         assert (d not in [f.divisor for f in report.failures]) == want
         passed.append(want)
 
@@ -191,6 +196,51 @@ def test_the_unplanted_families_pass(F):
     assert check_qgauss_definition(F).ok and check_qgauss_roots(F).ok
 
 
+def definition_by_remainders(F: PolyFamily) -> FamilyReport:
+    """The definition report with each detail as ``reduce_mod_q_int`` gave
+    it: the remainder of the Mobius-weighted divisor sum modulo [rank]_q."""
+    inst, lookup = F.instance, F.as_dict()
+
+    def checks():
+        for s, _ in F.polys:
+            rank = inst.rank(s)
+            total = ZERO
+            for t, d in inst.unit_divisors(s):
+                total = total + lookup[t].subst_power(d) * mobius(d)
+            remainder = qpoly_oracle.reduce_mod_q_int(total, rank)
+            yield s, rank, f"remainder {remainder}" if remainder else None
+
+    return FamilyReport.collect(checks())
+
+
+def equivalence_by_remainders(F: PolyFamily, G: PolyFamily) -> FamilyReport:
+    """The ``equivalent_mod`` report from the difference of each pair of
+    polynomials reduced modulo q^rank - 1."""
+    g = G.as_dict()
+
+    def checks():
+        for s, p in F.polys:
+            rank = F.instance.rank(s)
+            diff = reduce_mod_qn_minus_1(p - g[s], rank)
+            yield s, rank, f"difference {diff}" if diff else None
+
+    return FamilyReport.collect(checks())
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+@settings(max_examples=40)
+@given(data=st.data())
+def test_fold_checks_report_what_the_remainders_report(kind, data):
+    G, _ = data.draw(planted(kind))
+    F = next(F for F in FAMILIES[kind] if (F.instance, F.window) == (G.instance, G.window))
+    assert check_qgauss_definition(G) == definition_by_remainders(G)
+    for left, right in ((F, G), (G, F)):
+        # one Record equality: ok, checked, and each failure's element,
+        # divisor and detail
+        assert equivalent_mod(left, right) == equivalence_by_remainders(left, right)
+    assert equivalent_mod(G, G).ok
+
+
 # -- no division on a passing family -------------------------------------------------------
 
 
@@ -239,6 +289,35 @@ def test_checkers_divide_only_to_describe_a_failure(divisions):
     failing = [s, (8, 4), (12, 6)]
     assert divisions == [cyclotomic(d) for n, _ in failing for d in divisors(n)]
     assert len(divisions) == 13
+
+
+@pytest.fixture
+def fold_calls(monkeypatch):
+    """The modulus n of each ``fold`` made by ``qgauss`` while the fixture
+    is active, in call order."""
+    calls = []
+    original = qgauss.fold
+
+    def counted(coeffs, n):
+        calls.append(n)
+        return original(coeffs, n)
+
+    monkeypatch.setattr(qgauss, "fold", counted)
+    return calls
+
+
+def test_each_polynomial_is_folded_once(fold_calls):
+    grid = PolyFamily.from_function(NK, Window(12, ((0, 12),)), lambda s: q_binomial(*s))
+    assert check_qgauss_definition(grid).ok
+    assert check_qgauss_roots(grid).ok
+    assert fold_calls == [NK.rank(s) for s, _ in grid.polys]
+    fold_calls.clear()
+    letters = FreeRanked((("a", 1), ("b", 1), ("c", 1)))
+    census = festoon_census("words", letters, Window(6))
+    fund = fund_family(letters, Window(6))
+    assert verify_csp(census, fund).ok
+    assert verify_signed_csp(census, fund).ok
+    assert fold_calls == [letters.rank(s) for s, _ in fund.polys]
 
 
 # -- roots of an element ---------------------------------------------------------------------

@@ -272,45 +272,35 @@ def _decode_bijection(cfg: dict) -> tuple:
 def cmd_bijection(kind: str, max_n: int) -> tuple[dict, int]:
     """Round-trip every tubing of each size through the bijection.
 
-    Per size n the tubings stream past as bitsets; each must map to a path
-    of the target set P_n and come back.  That makes the map injective
-    into P_n, and a tubing count equal to |P_n| makes it a bijection, so
-    neither the paths nor the images are stored.  The witness is the first
-    tubing that fails, else the smallest path in the symmetric difference
-    of the images and P_n, which only a count mismatch collects.
+    Per size n each tubing must map to a path of the target set P_n and
+    come back (``tubings.round_trip``).  That makes the map injective into
+    P_n, and a tubing count equal to |P_n| makes it a bijection, so no
+    path or image is stored.  The witness is the first tubing that fails,
+    else the smallest path in the symmetric difference of the images and
+    P_n, which only a count mismatch collects.
     """
     from . import tubings as tb
 
     payload: dict = {"command": "bijection", "kind": kind, "per_n": []}
     total = 0
     for n in range(1, max_n + 1):
-        if kind == "interval":
-            length, target = 2 * n, "schroder"
-            fwd, inv = tb.interval_mask_to_schroder, tb.schroder_to_interval_mask
+        target = (2 * n, "schroder") if kind == "interval" else (2 * (n - 1), "delannoy")
+        count, failed = tb.round_trip(n, kind)
+        if failed:
+            bits, path = failed
+            tubing = tb.tubing_to_jsonable(tb.mask_to_tubing(n, bits, kind))
+            witness = {"n": n, "tubing": tubing, "path": path}
+        elif count == tb.count_paths(*target):
+            payload["per_n"].append([n, count])
+            total += count
+            continue
         else:
-            length, target = 2 * (n - 1), "delannoy"
-            fwd, inv = tb.cycle_mask_to_delannoy, tb.delannoy_to_cycle_mask
-        count = 0
-        for bits, _ in tb.tubing_masks(n, kind):
-            p = fwd(n, bits)
-            if not tb.is_path(p, length, target) or inv(n, p) != bits:
-                tubing = tb.tubing_to_jsonable(tb.mask_to_tubing(n, bits, kind))
-                witness = {"n": n, "tubing": tubing, "path": p}
-                break
-            count += 1
-        else:
-            if count == tb.count_paths(length, target):
-                payload["per_n"].append([n, count])
-                total += count
-                continue
-            images = {fwd(n, bits) for bits, _ in tb.tubing_masks(n, kind)}
-            odd = images.symmetric_difference(tb.enumerate_paths(length, target))
+            images = {tb.mask_to_path(n, bits, kind) for bits, *_ in tb.tubing_masks(n, kind)}
+            odd = images.symmetric_difference(tb.enumerate_paths(*target))
             witness = {"n": n, "path": min(odd), "detail": "image mismatch"}
-        payload["ok"] = False
-        payload["witness"] = witness
+        payload.update(ok=False, witness=witness)
         return payload, 2
-    payload["total"] = total
-    payload["ok"] = True
+    payload.update(total=total, ok=True)
     return payload, 0
 
 

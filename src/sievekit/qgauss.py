@@ -122,7 +122,8 @@ class PolyFamily(Record):
     @functools.cached_property
     def folds(self) -> dict:
         """{s: f_s folded modulo q^rank(s) - 1}, built once: all a checker reads."""
-        return {s: fold(p.coeffs, self.instance.rank(s)) for s, p in self.polys}
+        row, coords = self.instance.row, self.instance.coords  # window_table validated s
+        return {s: fold(p.coeffs, sum(map(mul, coords(s), row))) for s, p in self.polys}
 
     def to_jsonable(self) -> list[dict]:
         return [

@@ -8,8 +8,10 @@ is a valid tube; on the cycle the full circle is excluded.
 
 Inside the module a tubing is also a bitset of tube indices (bit i is the
 i-th tube of the graph in enumeration order).  ``tubing_masks`` enumerates
-these bitsets, and the bijections and the cyclic census run on them; the
-frozenset functions convert at their edges.
+these bitsets with the vertices they cover and their tubes' final vertices,
+and the bijections and the cyclic census run on them; the frozenset
+functions convert at their edges.  ``round_trip`` reads each tubing's path
+off that state and decodes it back, checking that it is a path as it goes.
 
 Lattice paths are strings over U = (1,1), D = (1,-1), F = (2,0), and the
 length of a path is its x-extent.  The height of a step is the y-coordinate
@@ -21,6 +23,7 @@ of length 2(n-1), by cutting the cycle at a free vertex.
 from __future__ import annotations
 
 import functools
+import itertools
 from collections.abc import Iterable, Iterator
 from math import comb
 
@@ -166,10 +169,11 @@ class _Graph:
         """The tables the path maps read, built on first use.
 
         ``before[i]`` is the vertices before tube i's start, those a cycle
-        tube wraps into; ``opening[v]`` the tubes that start at vertex v;
-        ``steps[k]`` the steps of a vertex where k tubes start, as (not
-        final, final); ``ends[start][end]`` the bit of the tube on vertices
-        start..end-1, for the tubes that do not wrap (0 for the others).
+        tube wraps into; ``opening`` pairs each vertex v with the tubes that
+        start at it; ``steps[k]`` the steps of a vertex where k tubes start,
+        as (not final, final); ``ends[start][end]`` the bit of the tube on
+        vertices start..end-1, for the tubes that do not wrap (0 for the
+        others).
         """
         n = self.n
         before = [(1 << start) - 1 for start, _ in self.tubes]
@@ -180,7 +184,7 @@ class _Graph:
             if start + length <= n:
                 ends[start][start + length] = 1 << i
         steps = [("U" * k + "F", "U" * k + "D") for k in range(n + 1)]
-        return before, opening, steps, ends
+        return before, list(enumerate(opening)), steps, ends
 
 
 @functools.lru_cache(maxsize=None)
@@ -225,38 +229,47 @@ def is_tubing(n: int, tubes: Iterable[Tube], kind: str = "interval") -> bool:
     return all(chosen & compat[i] == chosen for i in graph.indices(tubes))
 
 
-def tubing_masks(n: int, kind: str = "interval") -> Iterator[tuple[int, int]]:
+def tubing_masks(n: int, kind: str = "interval") -> Iterator[tuple[int, int, int]]:
     """Every tubing of the n-interval or n-cycle, the empty tubing included,
-    as (tube bitset, covered vertex mask) pairs.
-
-    Depth-first over tube indices: each branch carries the bitset of later
-    tubes still compatible with everything chosen, and takes them in
-    increasing index order.  An explicit stack keeps the generator flat.
-    """
+    as (tube bitset, covered vertex mask, finals) triples, depth first
+    (``_walk``).  The finals are the vertex mask of each tube's final, the
+    last vertex of its traversal outside its subtubes; the path maps read
+    them."""
     if kind not in ("interval", "cycle"):
         raise ValueError(f"unknown graph kind {kind!r}")
     cap = MAX_INTERVAL if kind == "interval" else MAX_CYCLE
     if n > cap:
         raise ValueError(f"refusing to enumerate {kind} tubings beyond n = {cap}")
     graph = _graph(n, kind)
-    masks, compat = graph.masks, graph.compat()
+    return _walk(graph, (1 << len(graph.masks)) - 1)
+
+
+def _walk(graph: _Graph, candidates: int) -> Iterator[tuple[int, int, int]]:
+    """The tubings among the candidate tubes, depth first over tube indices.
+
+    Each branch carries the bitset of later tubes still compatible with
+    everything chosen, and takes them in increasing index order; an
+    explicit stack keeps the generator flat.  A tube t joins after every
+    tube of lower index, its subtubes among them, so what the branch has
+    not covered of t is t's own, and t's final is the highest vertex of
+    that which t wraps to below its start (on the cycle), else its highest.
+    """
+    masks, before = graph.masks, graph.path_tables[0]
     # later[t]: the tubes after t that are compatible with it
-    later = [(row >> (t + 1)) << (t + 1) for t, row in enumerate(compat)]
-
-    def walk() -> Iterator[tuple[int, int]]:
-        stack = [((1 << len(masks)) - 1, 0, 0)]
-        push, pop = stack.append, stack.pop
-        while stack:
-            candidates, bits, covered = pop()
-            yield bits, covered
-            # push the highest tube first, so the lowest branch runs next
-            rest = candidates
-            while rest:
-                t = rest.bit_length() - 1
-                rest ^= 1 << t
-                push((candidates & later[t], bits | 1 << t, covered | masks[t]))
-
-    return walk()
+    later = [(row >> (t + 1)) << (t + 1) for t, row in enumerate(graph.compat())]
+    stack = [(candidates, 0, 0, 0)]
+    push, pop = stack.append, stack.pop
+    while stack:
+        candidates, bits, covered, finals = pop()
+        yield bits, covered, finals
+        # push the highest tube first, so the lowest branch runs next
+        rest = candidates
+        while rest:
+            t = rest.bit_length() - 1
+            rest ^= 1 << t
+            left = masks[t] & ~covered
+            final = (left & before[t] or left).bit_length() - 1
+            push((candidates & later[t], bits | 1 << t, covered | masks[t], finals | 1 << final))
 
 
 def enumerate_tubings(n: int, kind: str = "interval") -> list[Tubing]:
@@ -270,7 +283,7 @@ def enumerate_tubings(n: int, kind: str = "interval") -> list[Tubing]:
     tubes = _graph(n, kind).tubes
     out: list[Tubing] = []
     chosen: list[Tube] = []
-    for bits, _ in masks:
+    for bits, *_ in masks:
         del chosen[max(bits.bit_count() - 1, 0):]
         if bits:
             chosen.append(tubes[bits.bit_length() - 1])
@@ -361,99 +374,68 @@ def is_path(path: str, length: int, kind: str = "delannoy") -> bool:
     return not word
 
 
-# -- interval bijection ------------------------------------------------------------
+# -- the bijections ----------------------------------------------------------------
 
 
-def _vertex_steps(graph: _Graph, bits: int) -> tuple[list[str], int]:
-    """The steps of each vertex in the path of a tube bitset, and the
-    vertices its tubes cover.
+def _image(graph: _Graph, bits: int, covered: int, finals: int) -> str:
+    """The path of a tubing, from its triple in ``tubing_masks``.
 
     A vertex takes a rise per tube that starts at it, then a fall if it is
-    the final of a tube, else a flat.  Tubes come in index order, shorter
-    first, so the vertices covered before a tube is reached, within it,
-    are its subtubes' vertices.  Its final is the last vertex left in its
-    traversal: the highest one it wraps to below its start (on the cycle),
-    else its highest.
+    a final, else a flat: on the interval, that is the Schröder path.  The
+    cycle is cut after its last free vertex, cut - 1, and walked from
+    vertex cut: a nonnegative path ending in that vertex's flat, marked at
+    the last step of vertex 0 (see ``delannoy_to_marked``).  Unmarking
+    drops the final flat and turns the mark to the front, which leaves the
+    steps of vertices 1..cut-2, the last step of vertex 0, the steps of
+    vertices cut..n-1, then the rises of vertex 0; or, when vertex 0 is
+    the cut vertex (cut = 1), the steps of vertices 1..n-1.
     """
-    before, opening, steps, _ = graph.path_tables
-    masks = graph.masks
-    covered = finals = 0
-    rest = bits
-    while rest:
-        i = (rest & -rest).bit_length() - 1
-        rest &= rest - 1
-        mask = masks[i]
-        left = mask & ~covered
-        finals |= 1 << ((left & before[i] or left).bit_length() - 1)
-        covered |= mask
-    out = []
-    for tubes in opening:  # vertex by vertex, its final bit shifted down to bit 0
-        out.append(steps[(bits & tubes).bit_count()][finals & 1])
-        finals >>= 1
-    return out, covered
+    _, opening, steps, _ = graph.path_tables
+    out = [steps[(bits & tubes).bit_count()][finals >> v & 1] for v, tubes in opening]
+    if graph.kind == "interval":
+        return "".join(out)
+    cut = (~covered & graph.full).bit_length()  # no cycle tubing covers every vertex
+    if cut == 1:
+        return "".join(out[1:])
+    return "".join(out[1 : cut - 1]) + out[0][-1] + "".join(out[cut:]) + out[0][:-1]
 
 
 def _decode(graph: _Graph, path: str) -> int:
-    """The tube bitset a Schröder path decodes to, on the graph's vertices
-    0..n-1 without wrapping.
+    """The tube bitset a Schröder path over the graph's n vertices decodes
+    to, on vertices 0..n-1 without wrapping; -1 for a path with an unknown
+    step, a fall below 0, an end off height 0 or other than n vertices
+    (flats and falls), the paths ``is_path(path, 2n, "schroder")`` refuses.
 
     Each rise opens a tube at the current vertex; it closes right before
     the next flat or fall at the rise's height, or at the end of the path.
     """
     ends = graph.path_tables[3]
     bits = h = v = 0
-    # of each rise not yet closed, innermost last: its height (under a
-    # sentinel), and the row of ``ends`` for its first vertex; heights
-    # never decrease up the stack
-    heights: list = [None]
-    rows: list[list[int]] = []
-    for s in path:
-        if s == "U":
-            heights.append(h)
-            rows.append(ends[v])
-            h += 1
-            continue
-        while heights[-1] == h:
-            heights.pop()
-            bits |= rows.pop()[v]
-        v += 1
-        if s == "D":
-            h -= 1
+    # of each open rise, innermost last: its height (under a sentinel; they
+    # never decrease up the stack), and the row of ``ends`` of its vertex
+    heights, rows = [None], []
+    try:
+        for s in path:
+            if s == "U":
+                heights.append(h)
+                rows.append(ends[v])
+                h += 1
+                continue
+            while heights[-1] == h:
+                heights.pop()
+                bits |= rows.pop()[v]
+            v += 1
+            if s == "D" and h:
+                h -= 1
+            elif s != "F":
+                return -1
+    except IndexError:  # a vertex past n: ``ends`` has rows and columns 0..n
+        return -1
+    if h or v != graph.n:
+        return -1
     for row in rows:
         bits |= row[v]
     return bits
-
-
-def interval_mask_to_schroder(n: int, bits: int) -> str:
-    """The Schröder path of an interval tubing given as a tube bitset."""
-    return "".join(_vertex_steps(_graph(n, "interval"), bits)[0])
-
-
-def schroder_to_interval_mask(n: int, path: str) -> int:
-    """The tube bitset a Schröder path of length 2n decodes to (the path
-    is not checked)."""
-    return _decode(_graph(n, "interval"), path)
-
-
-def interval_tubing_to_schroder(n: int, tubing: Iterable[Tube]) -> str:
-    """The Schröder path of an interval tubing."""
-    tubing = set(tubing)
-    if not is_tubing(n, tubing, "interval"):
-        raise ValueError("not a valid interval tubing")
-    return interval_mask_to_schroder(n, _graph(n, "interval").bits(tubing))
-
-
-def schroder_to_interval_tubing(n: int, path: str) -> Tubing:
-    """The interval tubing of a Schröder path of length 2n."""
-    if not is_path(path, 2 * n, "schroder"):
-        raise ValueError(f"{path!r} is not a Schröder path of length {2 * n}")
-    tubing = _graph(n, "interval").tubing(schroder_to_interval_mask(n, path))
-    if not is_tubing(n, tubing, "interval"):
-        raise ValueError(f"path {path!r} does not decode to a tubing")
-    return tubing
-
-
-# -- cycle bijection ---------------------------------------------------------------
 
 
 def delannoy_to_marked(path: str) -> tuple[str, int]:
@@ -496,53 +478,80 @@ def delannoy_to_marked(path: str) -> tuple[str, int]:
     return p, m - s0
 
 
-def cycle_mask_to_delannoy(n: int, bits: int) -> str:
-    """The Delannoy path of an improper cycle tubing given as a tube bitset.
+def _preimage(graph: _Graph, path: str) -> int:
+    """The tube bitset a path of P_n decodes to, or -1 for a path not in
+    P_n: the Schröder paths of length 2n for the n-interval, the Delannoy
+    paths of length 2(n - 1) for the n-cycle.  A marked path decodes with
+    the vertex of the mark first; rotating its tubes back puts it at 0."""
+    if graph.kind == "interval":
+        return _decode(graph, path)
+    if not is_path(path, 2 * graph.n - 2, "delannoy"):  # the step counts decide
+        return -1
+    marked, j = delannoy_to_marked(path)
+    bits = _decode(graph, marked)
+    return graph.rotate(bits, marked.count("U", 0, j) + 1 - j) if bits >= 0 else bits
 
-    The cycle is cut after its last free vertex, cut - 1, and walked from
-    vertex cut: a nonnegative path ending in that vertex's flat, marked at
-    the last step of vertex 0 (see ``delannoy_to_marked``).  Unmarking
-    drops the final flat and turns the mark to the front, which leaves the
-    steps of vertices 1..cut-2, the last step of vertex 0, the steps of
-    vertices cut..n-1, then the rises of vertex 0.  When vertex 0 is the
-    cut vertex (cut = 1) the mark sits on the final flat, and the steps of
-    vertices 1..n-1 are left.
+
+def round_trip(n: int, kind: str) -> tuple[int, tuple[int, str] | None]:
+    """Send each tubing of the n-interval or n-cycle to its path and back,
+    in the order of ``tubing_masks``: the number that come back, and the
+    first tubing (bitset and path) whose path is not in P_n or decodes to
+    another bitset, or None."""
+    graph, image, preimage = _graph(n, kind), _image, _preimage
+    count = 0
+    for bits, covered, finals in tubing_masks(n, kind):
+        path = image(graph, bits, covered, finals)
+        if preimage(graph, path) != bits:
+            return count, (bits, path)
+        count += 1
+    return count, None
+
+
+def mask_to_path(n: int, bits: int, kind: str = "interval") -> str:
+    """The path of an interval or cycle tubing given as a tube bitset.
+
+    The walk of ``tubing_masks`` over the tubings among its tubes takes
+    the lowest tube first, so it reaches the whole bitset after one
+    tubing per tube; a bitset that is no tubing raises ValueError.
     """
-    steps, covered = _vertex_steps(_graph(n, "cycle"), bits)
-    cut = (~covered & ((1 << n) - 1)).bit_length()
-    if not cut:
-        raise ValueError("tubing is proper: it has no free vertex to cut at")
-    if cut == 1:
-        return "".join(steps[1:])
-    first = steps[0]
-    return "".join(steps[1 : cut - 1]) + first[-1] + "".join(steps[cut:]) + first[:-1]
+    graph = _graph(n, kind)
+    state = next(itertools.islice(_walk(graph, bits), bits.bit_count(), None))
+    if state[0] != bits:
+        raise ValueError(f"not a valid {kind} tubing")
+    return _image(graph, *state)
 
 
-def delannoy_to_cycle_mask(n: int, path: str) -> int:
-    """The tube bitset a Delannoy path of length 2(n - 1) decodes to (the
-    steps are checked, the length is not).
+def path_to_mask(n: int, path: str, kind: str = "interval") -> int:
+    """The tube bitset a path of P_n decodes to; ValueError for a path
+    outside P_n."""
+    bits = _preimage(_graph(n, kind), path)
+    if bits < 0:
+        name, length = ("Schröder", 2 * n) if kind == "interval" else ("Delannoy", 2 * n - 2)
+        raise ValueError(f"{path!r} is not a {name} path of length {length}")
+    return bits
 
-    The marked path decodes on vertices 0..n-1, where the vertex of the
-    mark is vertex 0; rotating its tubes back puts it there.
-    """
-    p, j = delannoy_to_marked(path)
-    graph = _graph(n, "cycle")
-    return graph.rotate(_decode(graph, p), p.count("U", 0, j) + 1 - j)
+
+def interval_tubing_to_schroder(n: int, tubing: Iterable[Tube]) -> str:
+    """The Schröder path of an interval tubing."""
+    return mask_to_path(n, _graph(n, "interval").bits(tubing), "interval")
+
+
+def schroder_to_interval_tubing(n: int, path: str) -> Tubing:
+    """The interval tubing of a Schröder path of length 2n."""
+    tubing = mask_to_tubing(n, path_to_mask(n, path, "interval"), "interval")
+    if not is_tubing(n, tubing, "interval"):
+        raise ValueError(f"path {path!r} does not decode to a tubing")
+    return tubing
 
 
 def cycle_tubing_to_delannoy(n: int, tubing: Iterable[Tube]) -> str:
     """The Delannoy path of an improper cycle tubing."""
-    tubing = set(tubing)
-    if not is_tubing(n, tubing, "cycle"):
-        raise ValueError("not a valid cycle tubing")
-    return cycle_mask_to_delannoy(n, _graph(n, "cycle").bits(tubing))
+    return mask_to_path(n, _graph(n, "cycle").bits(tubing), "cycle")
 
 
 def delannoy_to_cycle_tubing(n: int, path: str) -> Tubing:
     """The improper cycle tubing of a Delannoy path of length 2(n - 1)."""
-    if not is_path(path, 2 * (n - 1), "delannoy"):
-        raise ValueError(f"{path!r} is not a Delannoy path of length {2 * (n - 1)}")
-    tubing = _graph(n, "cycle").tubing(delannoy_to_cycle_mask(n, path))
+    tubing = mask_to_tubing(n, path_to_mask(n, path, "cycle"), "cycle")
     if not is_tubing(n, tubing, "cycle"):
         raise ValueError(f"path {path!r} does not roll up to a cycle tubing")
     return tubing
@@ -656,7 +665,7 @@ def improper_cycle_census(
     for n in range(1, max_rank + 1):
         rotate = _graph(n, "cycle").rotate
         orders = [d for d in divisors(n) if d > 1]
-        for bits, covered in tubing_masks(n, "cycle"):
+        for bits, covered, _ in tubing_masks(n, "cycle"):
             free = n - covered.bit_count()
             k = bits.bit_count()
             s = grade(n, k, free)

@@ -424,6 +424,29 @@ class TestBijection:
         res = run_cli(tmp_path, "bijection", {"kind": "cycle", "max_n": 99})
         assert res.returncode == 1
 
+    # Above the benchmark's sizes (interval 7, cycle 6): the large Schröder
+    # numbers, sum_k C(n+k, n-k) C(2k, k) / (k+1), count the interval
+    # tubings, and the central Delannoy numbers D(n-1), sum_k C(n-1, k)
+    # C(n-1+k, k), the improper cycle tubings.
+    @pytest.mark.parametrize("kind,row", [
+        ("interval", [2, 6, 22, 90, 394, 1806, 8558, 41586]),
+        ("cycle", [1, 3, 13, 63, 321, 1683, 8989, 48639]),
+    ], ids=["interval", "cycle"])
+    def test_max_n_8_matches_the_closed_forms(self, tmp_path, kind, row):
+        def closed(n):
+            if kind == "interval":
+                return sum(comb(n + k, n - k) * comb(2 * k, k) // (k + 1) for k in range(n + 1))
+            return sum(comb(n - 1, k) * comb(n - 1 + k, k) for k in range(n))
+
+        assert [closed(n) for n in range(1, 9)] == row
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out.json"
+        cfg.write_text(json.dumps({"kind": kind, "max_n": 8}))
+        argv = ["bijection", "--config", str(cfg), "--format", "json", "--out", str(out)]
+        assert cli.main(argv) == 0
+        payload = json.loads(out.read_text())
+        assert payload["per_n"] == [[n, count] for n, count in enumerate(row, 1)]
+        assert payload["total"] == sum(row) and payload["ok"] is True
+
 
 TUBINGS = {"family": "tubings-cycle"}
 Q_POWER = {"name": "q-power", "window": {"max_rank": 4}}

@@ -63,7 +63,7 @@ class TestEnumeration:
         # so every cycle tubing leaves a vertex free
         for n in range(1, 9):
             full = (1 << n) - 1
-            assert all(covered != full for _, covered in tubing_masks(n, "cycle"))
+            assert all(covered != full for _, covered, _ in tubing_masks(n, "cycle"))
 
     def test_caps_and_kinds(self):
         with pytest.raises(ValueError):

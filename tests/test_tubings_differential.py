@@ -26,7 +26,9 @@ from sievekit.tubings import (
     improper_tubing_count,
     is_path,
     is_tubing,
+    mask_to_path,
     mask_to_tubing,
+    path_to_mask,
     schroder_to_interval_tubing,
     tube_count_polynomial,
     tube_vertices,
@@ -63,13 +65,12 @@ def test_tube_vertices_and_compatibility_match_sets(kind):
 def test_free_and_final_vertices_match_sets(kind):
     for n in range(1, 7):
         graph = _graph(n, kind)
-        for tubing in oracle.enumerate_tubings(n, kind):
+        for bits, _, finals in tubing_masks(n, kind):
+            tubing = graph.tubing(bits)
             covered = set().union(*(oracle.tube_vertices(n, t, kind) for t in tubing))
             assert free_vertices(n, tubing, kind) == set(range(n)) - covered
-            # a vertex's steps in the path end in a fall exactly when it is a final
-            steps, _ = tb._vertex_steps(graph, graph.bits(tubing))
-            finals = {v for v, step in enumerate(steps) if step.endswith("D")}
-            assert finals == set(oracle.final_vertices(n, tubing, kind).values())
+            # the walk carries each tube's final vertex down to the tubing
+            assert finals == sum(1 << v for v in oracle.final_vertices(n, tubing, kind).values())
 
 
 @st.composite
@@ -194,9 +195,9 @@ def test_builders_refuse_what_the_cli_refuses():
 def test_tubing_masks_cover_the_union_of_their_tubes(kind):
     for n in range(1, 7):
         graph = _graph(n, kind)
-        pairs = list(tubing_masks(n, kind))
-        assert [graph.tubing(bits) for bits, _ in pairs] == oracle.enumerate_tubings(n, kind)
-        for bits, covered in pairs:
+        triples = list(tubing_masks(n, kind))
+        assert [graph.tubing(bits) for bits, *_ in triples] == oracle.enumerate_tubings(n, kind)
+        for bits, covered, _ in triples:
             vertices = set().union(
                 *(oracle.tube_vertices(n, t, kind) for t in graph.tubing(bits))
             )
@@ -312,7 +313,7 @@ def test_is_path_accepts_exactly_the_enumerated_paths():
 @pytest.mark.parametrize("n", range(1, 9))
 def test_cycle_rotation_maps_tubings_to_tubings_of_the_same_grade(n):
     graph = _graph(n, "cycle")
-    covered_by = dict(tubing_masks(n, "cycle"))
+    covered_by = {bits: covered for bits, covered, _ in tubing_masks(n, "cycle")}
     for bits, covered in covered_by.items():
         turned = graph.rotate(bits, 1)
         assert turned in covered_by
@@ -345,50 +346,51 @@ def test_bitset_census_equals_the_oracle_census(job):
 # -- the streaming bijection check against the stored one -------------------------------
 
 
-def _swapped(fwd, n, a, b):
-    """fwd with the images of the bitsets a and b at size n exchanged."""
-    pa, pb = fwd(n, a), fwd(n, b)
+def _swapped(image, n, kind, a, b):
+    """The kernel's image map with the paths of the bitsets a and b of the
+    n-vertex graph of the kind exchanged."""
+    pa, pb = mask_to_path(n, a, kind), mask_to_path(n, b, kind)
 
-    def swapped(m, bits):
-        out = fwd(m, bits)
-        if m == n and out in (pa, pb):
+    def swapped(graph, bits, *state):
+        out = image(graph, bits, *state)
+        if (graph.n, graph.kind) == (n, kind) and out in (pa, pb):
             return pb if out == pa else pa
         return out
 
     return swapped
 
 
-def _misdecoded(inv, n, path, wrong):
-    """inv, except that ``path`` (an argument tuple) at size n decodes to
-    the bitset ``wrong``."""
+def _misdecoded(preimage, n, kind, path, wrong):
+    """The kernel's decoder, except that ``path`` on the n-vertex graph of
+    the kind decodes to the bitset ``wrong``."""
 
-    def misdecoded(m, *args):
-        return wrong if (m, args) == (n, path) else inv(m, *args)
+    def misdecoded(graph, p):
+        return wrong if (graph.n, graph.kind, p) == (n, kind, path) else preimage(graph, p)
 
     return misdecoded
 
 
 def _plant(monkeypatch, fault):
-    """Plant a fault at size 4 in the maps both bijection checks share."""
+    """Plant a fault at size 4 where both bijection checks reach it: in
+    ``tb._image``, the path of a tubing's walk state, which the streaming
+    loop calls per tubing and ``mask_to_path`` (under the frozenset maps of
+    the stored check) calls once per bitset; in ``tb._preimage``, which
+    ``round_trip`` and ``path_to_mask`` call; or in the path set, listed
+    and counted."""
     n = 4
-    interval = [bits for bits, _ in tubing_masks(n, "interval")]
-    improper = [bits for bits, covered in tubing_masks(n, "cycle") if covered != 15]
-    if fault == "interval-swap":
-        fake = _swapped(tb.interval_mask_to_schroder, n, interval[5], interval[17])
-        monkeypatch.setattr(tb, "interval_mask_to_schroder", fake)
-    elif fault == "cycle-swap":
-        fake = _swapped(tb.cycle_mask_to_delannoy, n, improper[7], improper[30])
-        monkeypatch.setattr(tb, "cycle_mask_to_delannoy", fake)
-    elif fault == "interval-decode":
-        path = (tb.interval_mask_to_schroder(n, interval[40]),)
-        fake = _misdecoded(tb.schroder_to_interval_mask, n, path, interval[3])
-        monkeypatch.setattr(tb, "schroder_to_interval_mask", fake)
-    elif fault == "cycle-decode":
-        path = (tb.cycle_mask_to_delannoy(n, improper[20]),)
-        fake = _misdecoded(tb.delannoy_to_cycle_mask, n, path, improper[2])
-        monkeypatch.setattr(tb, "delannoy_to_cycle_mask", fake)
+    kind = fault.split("-")[0]
+    interval = [bits for bits, *_ in tubing_masks(n, "interval")]
+    improper = [bits for bits, covered, _ in tubing_masks(n, "cycle") if covered != 15]
+    if kind == "interval":
+        swap, (victim, wrong) = (interval[5], interval[17]), (interval[40], interval[3])
+    else:
+        swap, (victim, wrong) = (improper[7], improper[30]), (improper[20], improper[2])
+    if fault.endswith("-swap"):
+        monkeypatch.setattr(tb, "_image", _swapped(tb._image, n, kind, *swap))
+    elif fault.endswith("-decode"):
+        path = mask_to_path(n, victim, kind)
+        monkeypatch.setattr(tb, "_preimage", _misdecoded(tb._preimage, n, kind, path, wrong))
     else:  # the path set, listed and counted, misses one path
-        kind = fault.split("-")[0]
         target = (2 * n, "schroder") if kind == "interval" else (2 * (n - 1), "delannoy")
         paths, count = tb.enumerate_paths, tb.count_paths
         dropped = paths(*target)[9]
@@ -440,49 +442,96 @@ def test_streaming_bijection_check_equals_the_stored_one(kind):
 def test_planted_non_path_image_names_its_tubing(monkeypatch, kind, planted):
     """An image off the target path set (an end off height 0, a dip below
     0 on the interval, a wrong length on the cycle, an unknown step) exits 2
-    naming the tubing and the image."""
+    naming the tubing and the image, in the streaming check as in the
+    stored one."""
     n = 4
-    fwd_name = "interval_mask_to_schroder" if kind == "interval" else "cycle_mask_to_delannoy"
-    fwd = getattr(tb, fwd_name)
-    victim = [bits for bits, covered in tubing_masks(n, kind) if covered != 15][11]
+    image = tb._image
+    victim = [bits for bits, covered, _ in tubing_masks(n, kind) if covered != 15][11]
     passing = run_job("bijection", {"kind": kind, "max_n": n - 1})[0]["per_n"]
-    monkeypatch.setattr(
-        tb, fwd_name, lambda m, bits: planted if (m, bits) == (n, victim) else fwd(m, bits)
-    )
+
+    def planted_image(graph, bits, *state):
+        if (graph.n, graph.kind, bits) == (n, kind, victim):
+            return planted
+        return image(graph, bits, *state)
+
+    monkeypatch.setattr(tb, "_image", planted_image)
     payload, code = run_job("bijection", {"kind": kind, "max_n": 5})
+    assert (payload, code) == oracle.bijection_payload(tb, kind, 5)
     assert code == 2 and payload["ok"] is False
     assert payload["per_n"] == passing
     tubing = tb.tubing_to_jsonable(_graph(n, kind).tubing(victim))
     assert payload["witness"] == {"n": n, "tubing": tubing, "path": planted}
 
 
-# -- the table-driven path kernels against the list-building ones --------------------
+# -- the walk-carried path kernel against the reference maps -------------------------
 
 
-@pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("n", range(1, 8))
+KERNEL_SIZES = [(n, "interval") for n in range(1, 9)] + [(n, "cycle") for n in range(1, 8)]
+
+
+def _target(n, kind):
+    return (2 * n, "schroder") if kind == "interval" else (2 * (n - 1), "delannoy")
+
+
+@pytest.mark.parametrize("n,kind", KERNEL_SIZES, ids=[f"{n}-{k}" for n, k in KERNEL_SIZES])
 def test_path_maps_match_the_list_building_kernels(n, kind):
-    """Every tubing maps to the reference path, and every path of the
-    target set P_n, not only the images, decodes to the reference bitset."""
+    """Every tubing's path, read off its walk state as ``round_trip`` does
+    and by ``mask_to_path``, is the reference path; every path of the
+    target set P_n, not only the images, decodes to the reference bitset;
+    and the table-driven kernels the walk replaced agree."""
     if kind == "interval":
-        fwd, ref_fwd = tb.interval_mask_to_schroder, oracle.ref_interval_mask_to_schroder
-        inv, ref_inv = tb.schroder_to_interval_mask, oracle.ref_schroder_to_interval_mask
+        ref_fwd = oracle.ref_interval_mask_to_schroder
+        ref_inv = oracle.ref_schroder_to_interval_mask
         wrap, ref_wrap = tb.interval_tubing_to_schroder, oracle.ref_interval_tubing_to_schroder
-        paths = enumerate_paths(2 * n, "schroder")
     else:
-        fwd, ref_fwd = tb.cycle_mask_to_delannoy, oracle.ref_cycle_mask_to_delannoy
-        inv, ref_inv = tb.delannoy_to_cycle_mask, oracle.ref_delannoy_to_cycle_mask
+        ref_fwd, ref_inv = oracle.ref_cycle_mask_to_delannoy, oracle.ref_delannoy_to_cycle_mask
         wrap, ref_wrap = tb.cycle_tubing_to_delannoy, oracle.ref_cycle_tubing_to_delannoy
-        paths = enumerate_paths(2 * (n - 1), "delannoy")
     graph = _graph(n, kind)
-    for bits, _ in tubing_masks(n, kind):
-        assert fwd(n, bits) == ref_fwd(n, bits)
-    for path in paths:
-        assert inv(n, path) == ref_inv(n, path)
-    if n <= 5:  # the frozenset forms delegate to the same kernels
-        for bits, _ in tubing_masks(n, kind):
+    for state in tubing_masks(n, kind):
+        bits = state[0]
+        path = ref_fwd(n, bits)
+        assert tb._image(graph, *state) == path == oracle.table_mask_to_path(n, bits, kind)
+        if n <= 6:  # the single-mask map walks to its bitset
+            assert mask_to_path(n, bits, kind) == path
+    for path in enumerate_paths(*_target(n, kind)):
+        bits = ref_inv(n, path)
+        assert tb._preimage(graph, path) == bits == oracle.table_path_to_mask(n, path, kind)
+        assert path_to_mask(n, path, kind) == bits
+    if n <= 5:  # the frozenset forms go through the same kernel
+        for bits, *_ in tubing_masks(n, kind):
             tubing = graph.tubing(bits)
             assert wrap(n, tubing) == ref_wrap(n, tubing)
+
+
+def _non_paths(paths, n, kind):
+    """Planted non-paths of P_n made from its paths: wrong lengths, an
+    unknown step, U/D imbalances at the right length, and on the interval
+    a dip below 0 at the right length."""
+    out = set()
+    for p in paths:
+        out |= {p + "F", p[:-1], p + "UD", p.replace("F", "X", 1), p[:-1] + "?"}
+        if "F" in p:
+            out |= {p.replace("F", "UU", 1), p.replace("F", "DD", 1)}
+        out.add(p.replace("U", "D", 1) if "U" in p else p + "DD")
+    if kind == "interval":  # a rise and fall around a dip below 0, at the right length
+        out |= {"D" + p + "U" for p in enumerate_paths(2 * n - 2, "schroder")}
+    return out - set(paths)
+
+
+@pytest.mark.parametrize("n,kind", KERNEL_SIZES, ids=[f"{n}-{k}" for n, k in KERNEL_SIZES])
+def test_one_pass_decoder_refuses_exactly_what_is_path_refuses(n, kind):
+    graph = _graph(n, kind)
+    length, target = _target(n, kind)
+    paths = enumerate_paths(length, target)
+    words = set(paths) | _non_paths(paths, n, kind)
+    if n <= 4:  # and every word over U, D, F of x-extent up to the length plus 4
+        words |= {w for group in _words_up_to(length + 4).values() for w in group}
+    for w in words:
+        assert (tb._preimage(graph, w) >= 0) == is_path(w, length, target), w
+    refused = words - set(paths)
+    assert refused and all(tb._preimage(graph, w) == -1 for w in refused)
+    with pytest.raises(ValueError, match="is not a"):
+        path_to_mask(n, min(refused), kind)
 
 
 def test_marked_paths_match_the_two_pass_restoration():
@@ -496,6 +545,6 @@ def test_marked_paths_match_the_two_pass_restoration():
         else:
             assert tb.delannoy_to_marked(w) == want
     for n in range(1, 7):
-        for bits, _ in tubing_masks(n, "cycle"):
-            marked = tb.delannoy_to_marked(tb.cycle_mask_to_delannoy(n, bits))
+        for bits, *_ in tubing_masks(n, "cycle"):
+            marked = tb.delannoy_to_marked(mask_to_path(n, bits, "cycle"))
             assert marked == oracle.ref_cycle_mask_to_marked(n, bits)

@@ -7,8 +7,9 @@ re-checks every chosen tube, the decoder that scans ahead for each rise's
 closing step, the path enumerator with each kind's step rules written
 out as branches, the graded census of improper cycle tubings counted
 from the set-based enumeration, and the list-building tubing <-> path
-kernels (``ref_*``) that the table-driven ones replaced.  They compute
-nothing with the library,
+kernels (``ref_*``) that the table-driven ones replaced, and those
+table-driven kernels (``table_*``), which the maps carried down the tubing
+walk replaced in turn.  They compute nothing with the library,
 so a regression there cannot hide behind its own code; ``cycle_family``
 only puts its objects into the library's containers, which the checks
 under test read.
@@ -294,7 +295,11 @@ def bijection_payload(tb, kind: str, max_n: int) -> tuple[dict, int]:
         seen = set()
         for t in items:
             p = fwd(n, t)
-            if inv(n, p) != t:
+            try:
+                back = inv(n, p)
+            except ValueError:  # the image is no path of P_n
+                back = None
+            if back != t:
                 payload["ok"] = False
                 payload["witness"] = {
                     "n": n,
@@ -457,3 +462,89 @@ def ref_interval_tubing_to_schroder(n: int, tubing: Iterable) -> str:
 
 def ref_cycle_tubing_to_delannoy(n: int, tubing: Iterable) -> str:
     return ref_cycle_mask_to_delannoy(n, _tubes_to_bits(n, "cycle", tubing))
+
+
+# -- the table-driven kernels -------------------------------------------------------
+#
+# A copy of the per-tubing maps that ``sievekit.tubings`` replaced with the
+# maps carried down its walk: the forward map finds every tube's final
+# vertex again from the tube bitset, reading per-graph tables, and the
+# decoder trusts its path (the library checked it with ``is_path`` first).
+
+
+@functools.lru_cache(maxsize=None)
+def _path_tables(n: int, kind: str) -> tuple:
+    """(tube masks, vertices before each tube's start, the tubes opening
+    at each vertex, each vertex's steps by its rises and finality, and the
+    bit of the non-wrapping tube on vertices start..end-1 by start, end)."""
+    tubes = all_tubes(n, kind)
+    masks = [mask for _, mask in _tube_masks(n, kind)]
+    before = [(1 << start) - 1 for start, _ in tubes]
+    opening = [0] * n
+    ends = [[0] * (n + 1) for _ in range(n + 1)]
+    for i, (start, length) in enumerate(tubes):
+        opening[start] |= 1 << i
+        if start + length <= n:
+            ends[start][start + length] = 1 << i
+    steps = [("U" * k + "F", "U" * k + "D") for k in range(n + 1)]
+    return masks, before, opening, steps, ends
+
+
+def _vertex_steps(n: int, kind: str, bits: int) -> tuple[list[str], int]:
+    """The steps of each vertex in the path of a tube bitset, and the
+    vertices its tubes cover: tubes in index order, shorter first, so the
+    vertices covered before a tube, within it, are its subtubes'."""
+    masks, before, opening, steps, _ = _path_tables(n, kind)
+    covered = finals = 0
+    for i in _set_bits(bits):
+        left = masks[i] & ~covered
+        finals |= 1 << ((left & before[i] or left).bit_length() - 1)
+        covered |= masks[i]
+    out = []
+    for tubes in opening:
+        out.append(steps[(bits & tubes).bit_count()][finals & 1])
+        finals >>= 1
+    return out, covered
+
+
+def _table_decode(n: int, kind: str, path: str) -> int:
+    ends = _path_tables(n, kind)[4]
+    bits = h = v = 0
+    heights: list = [None]
+    rows: list[list[int]] = []
+    for s in path:
+        if s == "U":
+            heights.append(h)
+            rows.append(ends[v])
+            h += 1
+            continue
+        while heights[-1] == h:
+            heights.pop()
+            bits |= rows.pop()[v]
+        v += 1
+        if s == "D":
+            h -= 1
+    for row in rows:
+        bits |= row[v]
+    return bits
+
+
+def table_mask_to_path(n: int, bits: int, kind: str) -> str:
+    steps, covered = _vertex_steps(n, kind, bits)
+    if kind == "interval":
+        return "".join(steps)
+    cut = (~covered & ((1 << n) - 1)).bit_length()
+    if cut == 1:
+        return "".join(steps[1:])
+    first = steps[0]
+    return "".join(steps[1 : cut - 1]) + first[-1] + "".join(steps[cut:]) + first[:-1]
+
+
+def table_path_to_mask(n: int, path: str, kind: str) -> int:
+    if kind == "interval":
+        return _table_decode(n, kind, path)
+    p, j = ref_delannoy_to_marked(path)
+    shift = p.count("U", 0, j) + 1 - j
+    tubes = all_tubes(n, kind)
+    decoded = (tubes[i] for i in _set_bits(_table_decode(n, kind, p)))
+    return _tubes_to_bits(n, kind, (((start + shift) % n, length) for start, length in decoded))

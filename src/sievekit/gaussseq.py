@@ -30,6 +30,7 @@ from types import MappingProxyType
 
 from .arith import divisors, mobius
 from .semigroup import (
+    CheckedTable,
     FamilyReport,
     PositiveIntegers,
     Record,
@@ -127,17 +128,20 @@ def sequence_from_config(cfg: dict) -> SequenceSpec:
         raise ValueError("sequence config: instance needs a window")
     elements = window_elements(instance, window)
     role = cfg["role"]  # exactly "a", "b" or "c": SequenceSpec refuses the rest
-    pairs = []
+    have: dict = {}
     for entry in cfg["support"]:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise ValueError(f"sequence config: bad support entry {entry!r}")
         obj, v = entry
-        pairs.append((decode_element(instance, obj), strict_int(v, "sequence config: value")))
-    spec = SequenceSpec(instance, window, role, tuple(pairs))
-    have = spec.as_dict()
+        s = decode_element(instance, obj)  # validates s, which the spec then trusts
+        if s in have:
+            raise ValueError(f"sequence config: duplicate element {s!r}")
+        have[s] = strict_int(v, "sequence config: value")
+    spec = SequenceSpec(instance, window, role,
+                        CheckedTable((s, have[s]) for s in elements if s in have))
     outside = set(have).difference(elements)
     if outside:
-        s = next(s for s in have if s in outside)  # the first in canonical order
+        s = min(outside, key=instance._sort_key)
         raise ValueError(f"sequence config: support element {s!r} lies outside the window")
     if role == "a" and len(have) < len(elements):  # the transforms read every element
         s = next(s for s in elements if s not in have)
@@ -153,10 +157,11 @@ def a_from_b(b: SequenceSpec) -> SequenceSpec:
     _require_role(b, "b")
     inst, win = b.instance, b.window
     bd = b.as_dict()
-    out = {}
+    out = CheckedTable()
     for s in inst.elements(win):
-        out[s] = sum(inst.rank(t) * bd.get(t, 0) for t, _ in inst.unit_divisors(s))
-    return SequenceSpec.from_mapping(inst, win, "a", out)
+        out[s] = sum(inst._rank(t) * bd.get(t, 0)
+                     for _, t in inst._divisor_roots(s) if t is not None)
+    return SequenceSpec(inst, win, "a", out)
 
 
 def _divisor_sums(a: SequenceSpec, weight: Callable[[int], int]):
@@ -166,11 +171,13 @@ def _divisor_sums(a: SequenceSpec, weight: Callable[[int], int]):
     ad = a.as_dict()
     for s in inst.elements(a.window):
         total = 0
-        for t, d in inst.unit_divisors(s):
+        for d, t in inst._divisor_roots(s):
+            if t is None:
+                continue
             if t not in ad:
                 raise ValueError(f"role-a spec has no value at {t!r}")
             total += weight(d) * ad[t]
-        yield s, inst.rank(s), total
+        yield s, inst._rank(s), total
 
 
 def b_from_a(a: SequenceSpec) -> SequenceSpec:
@@ -180,12 +187,12 @@ def b_from_a(a: SequenceSpec) -> SequenceSpec:
     exact, which certifies that ``a`` breaks the sieve congruence there.
     """
     _require_role(a, "a")
-    out = {}
+    out = CheckedTable()
     for s, rk, total in _divisor_sums(a, mobius):
         if total % rk:
             raise NonIntegerWitness(s, total, rk, "b")
         out[s] = total // rk
-    return SequenceSpec.from_mapping(a.instance, a.window, "b", out)
+    return SequenceSpec(a.instance, a.window, "b", out)
 
 
 def a_from_c(c: SequenceSpec) -> SequenceSpec:
@@ -203,16 +210,16 @@ def a_from_c(c: SequenceSpec) -> SequenceSpec:
     def rec(s) -> int:
         if s in memo:
             return memo[s]
-        total = inst.rank(s) * cd.get(s, 0)
+        total = inst._rank(s) * cd.get(s, 0)
         for t, ct in cd.items():
-            u = inst.subtract(s, t)
+            u = inst._subtract(s, t)
             if u is not None:
                 total += ct * rec(u)
         memo[s] = total
         return total
 
-    out = {s: rec(s) for s in inst.elements(win)}
-    return SequenceSpec.from_mapping(inst, win, "a", out)
+    out = CheckedTable((s, rec(s)) for s in inst.elements(win))
+    return SequenceSpec(inst, win, "a", out)
 
 
 def c_from_a(a: SequenceSpec) -> SequenceSpec:
@@ -227,7 +234,7 @@ def c_from_a(a: SequenceSpec) -> SequenceSpec:
     inst, win = a.instance, a.window
     ad = a.as_dict()
     elems = inst.elements(win)
-    cs: dict = {}
+    cs = CheckedTable()
     for s in elems:
         if s not in ad:
             raise ValueError(f"c_from_a: role-a spec has no value at {s!r}")
@@ -246,7 +253,7 @@ def c_from_a(a: SequenceSpec) -> SequenceSpec:
         if total % rk:
             raise NonIntegerWitness(s, total, rk, "c")
         cs[s] = total // rk
-    return SequenceSpec.from_mapping(inst, win, "c", cs)
+    return SequenceSpec(inst, win, "c", cs)
 
 
 def check_gauss(

@@ -36,8 +36,8 @@ from operator import itemgetter
 from .arith import divisors
 from .gaussseq import SequenceSpec, _require_role, a_from_b, a_from_c
 from .qgauss import PolyFamily, check_root_values, root_total
-from .semigroup import (FamilyReport, FreeRanked, Record, Window, _SemigroupBase,
-                        check_divisors, window_table)
+from .semigroup import (CheckedTable, FamilyReport, FreeRanked, Record, Window,
+                        _SemigroupBase, check_divisors, window_table)
 
 OBJECT_KINDS = ("word", "festoon", "signed-festoon", "tubing")
 
@@ -113,7 +113,7 @@ class CyclicFamily(Record):
         pairs = []
         for s in instance.elements(window):
             objs = list(fn(s))
-            n = instance.rank(s)
+            n = instance._rank(s)
             for o in objs:
                 if o.n != n:
                     raise ValueError(
@@ -131,7 +131,7 @@ class CyclicFamily(Record):
         for s, objs in self.sets:
             negative = [o for o in objs if o.sign < 0]
             fixed = {}
-            for d in divisors(self.instance.rank(s)):
+            for d in divisors(self.instance._rank(s)):
                 neg = len(fixed_points(negative, d))
                 fixed[d] = (len(fixed_points(objs, d)) - neg, neg)
             rows.append((s, len(objs), fixed))
@@ -223,7 +223,9 @@ def festoons_colored(c: SequenceSpec, s) -> list[CyclicObject]:
     The festoon's type is the sum of its bead types; the count over a
     window reproduces the divisor-convolution sequence attached to c.
     """
-    return _listed("festoon", _contents("festoons-colored", c)(s))
+    contents = _contents("festoons-colored", c)
+    c.instance.validate(s)
+    return _listed("festoon", contents(s))
 
 
 def festoons_repeated(b: SequenceSpec, s) -> list[CyclicObject]:
@@ -232,7 +234,9 @@ def festoons_repeated(b: SequenceSpec, s) -> list[CyclicObject]:
     Pick a unit divisor t of s, one of b_t colors, and one of rank(t)
     rotations; the count over a window is the divisor sum of rank(t) b_t.
     """
-    return _listed("festoon", _contents("festoons-repeated", b)(s))
+    contents = _contents("festoons-repeated", b)
+    b.instance.validate(s)
+    return _listed("festoon", contents(s))
 
 
 def signed_festoons(c: SequenceSpec, s) -> tuple[list[CyclicObject], list[CyclicObject]]:
@@ -241,7 +245,9 @@ def signed_festoons(c: SequenceSpec, s) -> tuple[list[CyclicObject], list[Cyclic
     A festoon is negative exactly when it has an odd number of beads whose
     type carries a negative weight.
     """
-    objs = _listed("signed-festoon", _contents("signed-festoons", c)(s))
+    contents = _contents("signed-festoons", c)
+    c.instance.validate(s)
+    objs = _listed("signed-festoon", contents(s))
     return [o for o in objs if o.sign > 0], [o for o in objs if o.sign < 0]
 
 
@@ -255,7 +261,7 @@ def content_count(beads: FreeRanked, alpha) -> int:
     for m in alpha:
         total += m
         count *= comb(total, m)
-    return count * beads.rank(alpha) // total
+    return count * beads._rank(alpha) // total
 
 
 def predicted_count(family: str, source, window: Window | None = None) -> int:
@@ -274,7 +280,7 @@ def predicted_count(family: str, source, window: Window | None = None) -> int:
         return sum(content_count(source, alpha) for alpha in source.elements(window))
     if family == "festoons-repeated":
         return sum(a_from_b(source).row())
-    weights = tuple((t, abs(v)) for t, v in source.values)
+    weights = CheckedTable((t, abs(v)) for t, v in source.values)
     return sum(a_from_c(SequenceSpec(source.instance, source.window, "c", weights)).row())
 
 
@@ -293,7 +299,8 @@ def _contents(family: str, source) -> Callable[[object], Iterable[tuple[list, in
     s.  The colored and signed families hold one content per decomposition
     of s and coloring of its type-t beads from colors 1..|c_t|, signed by
     the decomposition's weight product.  Raises ValueError on what the
-    family refuses before reading any element.
+    family refuses before reading any element.  ``contents(s)`` reads s
+    unchecked: s is a window element, or validated by the caller.
     """
     if family in ("words", "festoons-content"):
         if any(length < 1 for length in source.lengths):
@@ -313,8 +320,9 @@ def _contents(family: str, source) -> Callable[[object], Iterable[tuple[list, in
     if family == "festoons-repeated":
         _nonneg_support(source, "b")
         return lambda s: [
-            ([((t, color, inst.rank(t)), d)], 1)
-            for t, d in inst.unit_divisors(s) for color in range(1, value(t) + 1)
+            ([((t, color, inst._rank(t)), d)], 1)
+            for d, t in inst._divisor_roots(s) if t is not None
+            for color in range(1, value(t) + 1)
         ]
     signed = family == "signed-festoons"
     if signed:
@@ -325,7 +333,7 @@ def _contents(family: str, source) -> Callable[[object], Iterable[tuple[list, in
 
     def colorings(t, m: int) -> list[list]:
         """The ways to color m beads of type t, each as its bead list."""
-        rank, colors = inst.rank(t), range(1, abs(value(t)) + 1)
+        rank, colors = inst._rank(t), range(1, abs(value(t)) + 1)
         return [
             [((t, color, rank), k) for color, k in Counter(pick).items()]
             for pick in itertools.combinations_with_replacement(colors, m)
@@ -405,7 +413,7 @@ def _necklace_census(inst: _SemigroupBase, window: Window, contents: Callable) -
     periods: dict = {}
     rows = []
     for s in inst.elements(window):
-        n = inst.rank(s)
+        n = inst._rank(s)
         fixed = {d: [0, 0] for d in divisors(n)}
         count = 0
         for beads, sign in contents(s):
@@ -480,7 +488,7 @@ def verify_signed_csp(census: Census, F: PolyFamily) -> FamilyReport:
     _require_match(census, F, "verify_signed_csp")
     inst = census.instance
     items = (
-        (s, (F.folds[s], fixed)) for s, _, fixed in census.rows if inst.rank(s) % 2
+        (s, (F.folds[s], fixed)) for s, _, fixed in census.rows if inst._rank(s) % 2
     )
     return check_root_values(
         inst, items, lambda s, fixed, d, t: fixed[d][0] - fixed[d][1], "signed fixed count "

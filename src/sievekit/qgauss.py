@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from operator import add, mul, sub
 from types import MappingProxyType
 
@@ -46,6 +46,7 @@ from .qpoly import (
 )
 from .semigroup import (  # FamilyCheckFailure and FamilyReport are re-exported
     Chain,
+    CheckedTable,
     FamilyCheckFailure,
     FamilyReport,
     FreeRanked,
@@ -108,8 +109,9 @@ class PolyFamily(Record):
         window: Window,
         fn: Callable[[object], IntPoly],
     ) -> "PolyFamily":
-        """The family of ``fn`` over the window."""
-        return cls(instance, window, tuple((s, fn(s)) for s in instance.elements(window)))
+        """The family of ``fn`` over the window, whose listing gives valid
+        elements in canonical order: they are not checked again."""
+        return cls(instance, window, CheckedTable((s, fn(s)) for s in instance.elements(window)))
 
     def as_dict(self) -> Mapping:
         return MappingProxyType(self._table)
@@ -123,8 +125,8 @@ class PolyFamily(Record):
     @functools.cached_property
     def folds(self) -> dict:
         """{s: f_s folded modulo q^rank(s) - 1}, built once: all a checker reads."""
-        row, coords = self.instance.row, self.instance.coords  # window_table validated s
-        return {s: fold(p.coeffs, sum(map(mul, coords(s), row))) for s, p in self.polys}
+        rank = self.instance._rank  # the table holds valid elements
+        return {s: fold(p.coeffs, rank(s)) for s, p in self.polys}
 
     def to_jsonable(self) -> list[dict]:
         return [
@@ -160,9 +162,9 @@ def construct_ramanujan(a: SequenceSpec) -> PolyFamily:
     inst = a.instance
 
     def build(s):
-        rk = inst.rank(s)
+        rk = inst._rank(s)
         by_class, classes = ramanujan_classes(
-            rk, [(d, a.value(t)) for t, d in inst.unit_divisors(s)])
+            rk, [(d, a.value(t)) for d, t in inst._divisor_roots(s) if t is not None])
         if any(c % rk for c in by_class):
             bad = next(c for c in map(by_class.__getitem__, classes) if c % rk)
             raise NonIntegerCoefficient(s, f"{bad}/{rk}")
@@ -178,16 +180,16 @@ def construct_from_b(b: SequenceSpec) -> PolyFamily:
 
     def build(s):
         total = ZERO
-        for t, d in inst.unit_divisors(s):
-            bt = b.value(t)
+        for d, t in inst._divisor_roots(s):
+            bt = 0 if t is None else b.value(t)
             if bt:
-                total = total + q_int(inst.rank(t)).subst_power(d) * bt
+                total = total + q_int(inst._rank(t)).subst_power(d) * bt
         return total
 
     return PolyFamily.from_function(inst, b.window, build)
 
 
-def _weighted_multinomial(weight: int, mults: list[int]) -> IntPoly:
+def _weighted_multinomial(weight: int, mults: Sequence[int]) -> IntPoly:
     """Exact ([weight]_q / [sum]_q) times the q-multinomial of mults.
 
     The ratio of q-integers is (1 - q^weight) / (1 - q^sum), so this is one
@@ -210,24 +212,36 @@ def construct_from_c(c: SequenceSpec) -> PolyFamily:
     the coordinates of a partial sum u and its number of parts k to the
     sum over the multisets of the parts taken so far with that sum and
     count; taking part t m more times moves it to (u + m*t, k + m) times
-    q_binomial(k + m, m) * q_power(c_t, m), and a partial sum of rank above
-    the window's max_rank is dropped, since every part has rank >= 1.  The
-    weight depends on a decomposition only through its number of parts, so
-    it is applied once per state, as one product by 1 - q^rank(s) and one
-    exact division by 1 - q^k.
+    q_binomial(k + m, m) * q_power(c_t, m).  A partial sum that no window
+    element can be is dropped: one of rank above the window's max_rank,
+    since every part has rank >= 1, and one past the largest value over
+    the window's elements of a coordinate with a floor (a bead count, a
+    ``nonneg`` or ``pos`` extra), since such a coordinate is >= 0 on every
+    part and never falls.  A coordinate that is the rank (on ``zpos`` and
+    chains, the first) gets no cap of its own.  The weight depends on a
+    decomposition only through its number of parts, so it is applied once
+    per state, as one product by 1 - q^rank(s) and one exact division by
+    1 - q^k.
     """
     _require_role(c, "c")
     inst = c.instance
     max_rank, row = c.window.max_rank, inst.row
     # partial-sum coordinates -> {number of parts: polynomial}
     sums: dict[tuple[int, ...], dict[int, IntPoly]] = {(0,) * len(row): {0: ONE}}
+    caps = [(i, max(inst.coords(s)[i] for s in inst.elements(c.window)))
+            for i, lo in enumerate(inst.floors)
+            if lo is not None and row != tuple(int(j == i) for j in range(len(row)))]
     for t in c.support():
-        rt, step, weight = inst.rank(t), inst.coords(t), c.value(t)
+        rt, step, weight = inst._rank(t), inst.coords(t), c.value(t)
         factors: dict[tuple[int, int], IntPoly] = {}
         taken: dict[tuple[int, ...], dict[int, IntPoly]] = {}  # sums with t in them
         for u, by_count in sums.items():
-            ru, v, m = sum(map(mul, u, row)), u, 1
-            while ru + m * rt <= max_rank:
+            top = (max_rank - sum(map(mul, u, row))) // rt  # the most copies of t
+            for i, cap in caps:
+                if step[i]:
+                    top = min(top, (cap - u[i]) // step[i])
+            v = u
+            for m in range(1, top + 1):
                 v = tuple(map(add, v, step))  # u + m*t
                 slot = taken.setdefault(v, {})
                 for k, poly in by_count.items():
@@ -235,14 +249,13 @@ def construct_from_c(c: SequenceSpec) -> PolyFamily:
                     if factor is None:
                         factor = factors[k, m] = q_binomial(k + m, m) * q_power(weight, m)
                     slot[k + m] = slot.get(k + m, ZERO) + poly * factor
-                m += 1
         for v, by_count in taken.items():
             slot = sums.setdefault(v, {})
             for k, poly in by_count.items():
                 slot[k] = slot.get(k, ZERO) + poly
 
     def build(s):
-        rk = inst.rank(s)
+        rk = inst._rank(s)
         total = ZERO
         for count, terms in sums.get(inst.coords(s), {}).items():
             weighted = terms * one_minus_q_pow(rk)
@@ -266,7 +279,7 @@ def check_qgauss_definition(F: PolyFamily) -> FamilyReport:
 
     def checks():
         for s in folds:
-            roots = F.instance.divisor_roots(s)
+            roots = F.instance._divisor_roots(s)
             rk = roots[-1][0]
             total = [0] * rk
             for d, t in roots:
@@ -345,12 +358,19 @@ def fund_family(beads, window: Window) -> PolyFamily:
 
     ``beads`` is a FreeRanked instance or a sequence of (label, length)
     pairs.  The entry at a multiset alpha is [rank]_q / [|alpha|]_q times
-    the q-multinomial of the multiplicities; the division is exact.
+    the q-multinomial of the multiplicities; the division is exact.  It
+    depends on alpha only through its rank and its sorted multiplicities,
+    so it is built once per such class, in a memo that lives for this
+    call, and the elements of a class share one (immutable) polynomial.
     """
     inst = beads if isinstance(beads, FreeRanked) else FreeRanked(tuple(beads))
+    by_class: dict[tuple, IntPoly] = {}
 
     def build(alpha):
-        return _weighted_multinomial(inst.rank(alpha), sorted(alpha))
+        key = (inst._rank(alpha), tuple(sorted(alpha)))
+        if key not in by_class:
+            by_class[key] = _weighted_multinomial(*key)
+        return by_class[key]
 
     return PolyFamily.from_function(inst, window, build)
 

@@ -31,7 +31,7 @@ import functools
 import itertools
 from collections.abc import Callable, Iterable, Sequence
 from math import gcd, prod
-from operator import mul
+from operator import mul, sub
 
 from .arith import divisors
 
@@ -145,12 +145,20 @@ class Window(Record):
         object.__setattr__(self, "_listed", {})
 
 
+class CheckedTable(dict):
+    """An (element, value) table whose elements are valid and in canonical
+    order: built over a window listing, or from elements validated where
+    they entered.  ``window_table`` takes it as it is."""
+
+
 def window_table(instance: _SemigroupBase, pairs: Iterable, owner: str) -> dict:
     """(element, value) pairs as a dict in canonical element order.
 
-    Each element is validated once (``sort_key`` goes through ``rank``,
-    which validates), and a repeated element is refused.
+    Each element is validated once (by ``sort_key``), and a repeated
+    element is refused; a ``CheckedTable`` is returned unchecked.
     """
+    if isinstance(pairs, CheckedTable):
+        return pairs
     keyed: dict = {}
     for s, v in pairs:
         key = instance.sort_key(s)
@@ -196,13 +204,13 @@ class FamilyReport(Record):
 
 
 def check_divisors(inst: _SemigroupBase, items: Iterable, compare: Callable) -> FamilyReport:
-    """The divisor-indexed report: for each (s, x) in items, with roots =
-    ``inst.divisor_roots(s)``, compare(s, x, roots) yields one result per
-    pair (d, t) of roots, in order: None when the check at d holds and a
-    failure detail otherwise."""
+    """The divisor-indexed report: for each (s, x) in items, s a validated
+    element, with roots = ``inst._divisor_roots(s)``, compare(s, x, roots)
+    yields one result per pair (d, t) of roots, in order: None when the
+    check at d holds and a failure detail otherwise."""
     def checks():
         for s, x in items:
-            roots = inst.divisor_roots(s)
+            roots = inst._divisor_roots(s)
             for (d, _), detail in zip(roots, compare(s, x, roots), strict=True):
                 yield s, d, detail
 
@@ -212,7 +220,14 @@ def check_divisors(inst: _SemigroupBase, items: Iterable, compare: Callable) -> 
 class _SemigroupBase:
     """A set of integer coordinate tuples under coordinatewise addition:
     coordinate i is at least ``floors[i]`` (None: unbounded) and the rank,
-    the dot product with ``row``, is at least 1."""
+    the dot product with ``row``, is at least 1.
+
+    An element is validated once, where it enters: a public method of one
+    element validates it, then makes the one unchecked read (``_rank``,
+    ``_sort_key``, ``_divisor_roots``, ``_subtract``) that kernels walking
+    elements validated before (a window listing's, a table's, a decoded
+    config's) make directly.
+    """
 
     floors: tuple[int | None, ...]
     row: tuple[int, ...]
@@ -236,17 +251,24 @@ class _SemigroupBase:
         ):
             raise ValueError(f"{self.describe()}: invalid element {s!r}")
 
+    def _rank(self, s) -> int:
+        return sum(map(mul, s, self.row))
+
     def rank(self, s) -> int:
         self.validate(s)
-        return sum(map(mul, s, self.row))
+        return self._rank(s)
 
     def _remainder_ok(self, remaining: tuple[int, ...]) -> bool:
         """Whether a remainder may still be a sum of parts."""
         return all(c >= 0 for c, lo in zip(remaining, self.floors) if lo is not None)
 
+    def _sort_key(self, s) -> tuple[int, ...]:
+        return (self._rank(s), *self.coords(s))
+
     def sort_key(self, s) -> tuple[int, ...]:
         """Canonical order: by rank, then coordinates."""
-        return (self.rank(s), *self.coords(s))
+        self.validate(s)
+        return self._sort_key(s)
 
     def nth_root(self, s, d: int):
         """The unique t with d*t = s, or None."""
@@ -262,44 +284,52 @@ class _SemigroupBase:
     def _roots(self) -> dict:  # divisor_roots of each element asked for
         return {}
 
-    def divisor_roots(self, s) -> tuple[tuple[int, object], ...]:
-        """(d, the root t with d*t = s, or None) for every d dividing rank(s),
-        ascending in d, built once per element from its coordinates (d divides
-        them all when it divides their gcd) and kept in ``_roots``.  s is
-        validated before each lookup, as True hashes like 1."""
-        self.validate(s)
+    def _divisor_roots(self, s) -> tuple[tuple[int, object], ...]:
         if s not in (known := self._roots):
             cs = self.coords(s)
             g = gcd(*cs)
             known[s] = ((1, s), *(
                 (d, None if g % d else self._build(tuple(c // d for c in cs)))
-                for d in divisors(sum(map(mul, cs, self.row)))[1:]
+                for d in divisors(self._rank(s))[1:]
             ))
         return known[s]
+
+    def divisor_roots(self, s) -> tuple[tuple[int, object], ...]:
+        """(d, the root t with d*t = s, or None) for every d dividing rank(s),
+        ascending in d, built once per element from its coordinates (d divides
+        them all when it divides their gcd) and kept in ``_roots``.  s is
+        validated before the lookup, as True hashes like 1."""
+        self.validate(s)
+        return self._divisor_roots(s)
 
     def unit_divisors(self, s) -> list[tuple[object, int]]:
         """All pairs (t, d) with d*t = s, ascending in d; (s, 1) included."""
         return [(t, d) for d, t in self.divisor_roots(s) if t is not None]
 
+    def _subtract(self, s, t):
+        return self._build(tuple(map(sub, self.coords(s), self.coords(t))))
+
     def subtract(self, s, t):
         """The unique u with u + t = s, or None."""
         self.validate(s)
         self.validate(t)
-        return self._build(tuple(a - b for a, b in zip(self.coords(s), self.coords(t))))
+        return self._subtract(s, t)
 
     def decompositions(self, s, support: Sequence) -> list[tuple]:
         """Every multiset {s_1, ..., s_k} (k >= 1) of parts from ``support``
         summing to s.
 
-        Each multiset is a tuple sorted in canonical element order,
-        and the list comes out sorted by the parts' sort keys: the pool is in
-        canonical order, the search takes parts with nondecreasing pool
-        index, and no multiset is a prefix of another.  The depth-first
-        search keeps its own stack, so a decomposition may have more parts
-        than the interpreter's recursion limit.
+        A search kernel: s and the parts are read unchecked, so they must
+        be elements of this instance (the sieving census passes window
+        elements and a sequence's support).  Each multiset is a tuple sorted
+        in canonical element order, and the list comes out sorted by the
+        parts' sort keys: the pool is in canonical order, the search takes
+        parts with nondecreasing pool index, and no multiset is a prefix of
+        another.  The depth-first search keeps its own stack, so a
+        decomposition may have more parts than the interpreter's recursion
+        limit.
         """
-        self.validate(s)
-        pool = sorted(set(support), key=self.sort_key)  # sort_key validates
+        pool = sorted(set(support), key=self._sort_key)
         pool_coords = [self.coords(p) for p in pool]
         target = self.coords(s)
         prune = self._remainder_ok
@@ -368,8 +398,7 @@ class PositiveIntegers(_SemigroupBase, Record):
         if not isinstance(s, int) or isinstance(s, bool) or s < 1:
             raise ValueError(f"PositiveIntegers: invalid element {s!r}")
 
-    def rank(self, s) -> int:
-        self.validate(s)
+    def _rank(self, s) -> int:
         return s
 
     def _remainder_ok(self, remaining) -> bool:
@@ -639,8 +668,9 @@ def check_morphism(m: Morphism, kind: str, window: Window) -> FamilyReport:
                 continue
             detail = f"rank {rs} of {s} does not divide image rank {rp}"
             yield s, None, detail if rp % rs else None
+            rooted = {d for _, d in source.unit_divisors(s)}  # the d with a root s/d
             for d in divisors(rs):
-                same = (source.nth_root(s, d) is None) == (target.nth_root(phi_s, d) is None)
+                same = (d in rooted) == (target.nth_root(phi_s, d) is not None)
                 yield s, d, None if same else f"root sets of {s} and its image differ at d={d}"
 
     return FamilyReport.collect(checks())

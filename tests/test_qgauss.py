@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sievekit import qgauss
 from sievekit.gaussseq import SequenceSpec, a_from_c, b_from_a, c_from_a
 from sievekit.qgauss import (
     NonIntegerCoefficient,
@@ -144,6 +145,25 @@ class TestConstructions:
         for (i, j), p in F.polys:
             assert p == q_binomial(i + j, j)
         assert both_ok(F)
+
+    def test_fund_family_builds_each_class_once(self, monkeypatch):
+        """The benchmark's seed-1 ``words`` job: four letters up to rank 7
+        hold 329 elements in 37 (rank, multiplicities) classes, the
+        partitions of 1..7 into at most four parts, so 37 polynomials are
+        built; the elements of a class share one."""
+        calls = []
+        original = qgauss._weighted_multinomial
+
+        def counted(weight, mults):
+            calls.append((weight, tuple(mults)))
+            return original(weight, mults)
+
+        monkeypatch.setattr(qgauss, "_weighted_multinomial", counted)
+        F = fund_family((("a", 1), ("b", 1), ("e", 1), ("h", 1)), Window(7))
+        assert len(F.polys) == 329
+        assert len(calls) == len(set(calls)) == 37
+        shared = {(sum(alpha), tuple(sorted(alpha))): p for alpha, p in F.polys}
+        assert all(p is shared[sum(alpha), tuple(sorted(alpha))] for alpha, p in F.polys)
 
 
 class TestCheckers:

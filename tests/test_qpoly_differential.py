@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qpoly_oracle as oracle
@@ -391,6 +391,83 @@ def test_from_c_on_free_beads_with_a_zero_length_bead():
         (1, 0, 0): 1, (1, 1, 0): -2, (1, 2, 0): 1, (0, 1, 1): 3, (0, 0, 1): -1, (2, 3, 1): 1,
     })
     assert construct_from_c(c).polys == oracle.construct_from_c(c).polys
+
+
+@st.composite
+def floored_c_specs(draw) -> SequenceSpec:
+    """A role-c spec on a chain whose first extra has a floor (``nonneg``
+    or ``pos``), or on free beads, with a few parts of rank 1 or 2 (so
+    that many sums reach the caps) from a window a little wider than the
+    spec's, so that some parts pass a coordinate's cap."""
+    max_rank = draw(st.integers(3, 8))
+    if draw(st.booleans()):
+        inst = Chain(ZPOS, draw(st.sampled_from(["nonneg", "pos"])))
+        if draw(st.booleans()):
+            inst = Chain(inst, draw(st.sampled_from(["ints", "nonneg", "pos"])))
+        bounds = []
+        for _ in inst.extras:
+            lo = draw(st.integers(-2, 2))
+            bounds.append((lo, lo + draw(st.integers(0, 3))))
+        window = Window(max_rank, tuple(bounds))
+        wider = Window(max_rank, tuple((lo, hi + 2) for lo, hi in bounds))
+    else:
+        lengths = draw(st.lists(st.integers(-1, 3), min_size=1, max_size=3))
+        if max(lengths) < 1:
+            lengths[0] = draw(st.integers(1, 3))  # so that the instance has elements
+        inst = FreeRanked(tuple((f"b{i}", n) for i, n in enumerate(lengths)))
+        total = draw(st.integers(1, 5))
+        window, wider = Window(max_rank, max_total=total), Window(max_rank, max_total=total + 2)
+    small = [t for t in inst.elements(wider) if inst.rank(t) <= 2]
+    assume(inst.elements(window) and small)
+    parts = draw(st.lists(st.sampled_from(small), min_size=1, max_size=4, unique=True))
+    weights = st.integers(-3, 3).filter(bool)
+    return SequenceSpec.from_mapping(inst, window, "c", {t: draw(weights) for t in parts})
+
+
+@settings(max_examples=150)
+@given(floored_c_specs())
+def test_from_c_pruned_by_floored_coordinates(c):
+    # partial sums are dropped past each floored coordinate's window maximum
+    assert construct_from_c(c).polys == oracle.construct_from_c(c).polys
+
+
+def test_from_c_keeps_only_partial_sums_that_can_reach_the_window(monkeypatch):
+    """The chain above at max_rank 12: its knapsack kept 1,176 partial sums
+    (2,670 polynomials) for 240 window elements when it pruned by rank
+    alone; capping the ``nonneg`` extra at 3 keeps 672 (1,468)."""
+    builds = []
+    original = PolyFamily.from_function.__func__
+
+    def capture(cls, inst, window, fn):
+        builds.append(fn)
+        return original(cls, inst, window, fn)
+
+    monkeypatch.setattr(PolyFamily, "from_function", classmethod(capture))
+    inst = Chain(Chain(ZPOS, "nonneg"), "ints")
+    c = SequenceSpec.from_mapping(inst, Window(12, ((0, 3), (-2, 2))), "c", {
+        (1, 0, 1): 1, (1, 0, -1): 2, (1, 1, 0): -1, (2, 0, 3): 1, (2, 1, -3): -2, (3, 2, 0): 1,
+    })
+    F = construct_from_c(c)
+    (build,) = builds  # the knapsack table is the ``sums`` its build reads
+    sums = build.__closure__[build.__code__.co_freevars.index("sums")].cell_contents
+    assert (len(sums), sum(map(len, sums.values()))) == (672, 1468)
+    monkeypatch.undo()
+    assert F.polys == oracle.construct_from_c(c).polys
+
+
+@settings(max_examples=60)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=3), st.booleans(),
+       st.integers(1, 8), st.one_of(st.none(), st.integers(1, 6)))
+def test_fund_family_per_element(lengths, equal, max_rank, max_total):
+    """Each entry, shared across its (rank, multiplicities) class, is the
+    oracle's weighted multinomial of that element."""
+    if equal:
+        lengths = [lengths[0]] * len(lengths)
+    beads = FreeRanked(tuple((f"b{i}", n) for i, n in enumerate(lengths)))
+    window = Window(max_rank, max_total=max_total)
+    assume(beads.elements(window))
+    for alpha, p in fund_family(beads, window).polys:
+        assert p == oracle.weighted_multinomial(beads.rank(alpha), sorted(alpha))
 
 
 # -- Riordan rows ------------------------------------------------------------------------------

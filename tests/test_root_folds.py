@@ -12,13 +12,21 @@ positive-integer, free and chain instances; and on passing families they,
 and the csp checks, must divide by no polynomial at all.
 ``unit_divisors`` and ``divisor_roots`` must list the roots
 ``tests/semigroup_oracle.py`` finds; an instance builds them once per
-element and still refuses every invalid element, ``True`` included.  The
+element and still refuses every invalid element, ``True`` included, also
+after a whole ``csp`` job.  A job validates each element once, where it
+enters, and the kernels read ranks and roots unchecked.  The
 checks read each polynomial through ``PolyFamily.folds`` only: their
 details must be what the folds and remainders they replaced give, and
 each polynomial is folded once.
 """
 
 from __future__ import annotations
+
+import contextlib
+import io
+import json
+from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -28,7 +36,7 @@ import qpoly_oracle
 import semigroup_oracle
 import sieve_oracle
 from helpers import sequence_corpus
-from sievekit import qgauss, semigroup
+from sievekit import cli, qgauss, semigroup
 from sievekit.arith import divisors, mobius
 from sievekit.gaussseq import SequenceSpec
 from sievekit.objects import festoon_census, verify_csp, verify_lyndon, verify_signed_csp
@@ -54,7 +62,8 @@ from sievekit.qpoly import (
     ramanujan_vector,
     reduce_mod_qn_minus_1,
 )
-from sievekit.semigroup import Chain, FamilyReport, FreeRanked, PositiveIntegers, Window
+from sievekit.semigroup import (Chain, FamilyReport, FreeRanked, PositiveIntegers, Window,
+                                encode_element)
 from sievekit.tubings import improper_cycle_census
 
 ZPOS = PositiveIntegers()
@@ -366,6 +375,60 @@ def test_kept_roots_refuse_what_validation_refuses(inst, kept, refused):
     for call in (inst.divisor_roots, inst.unit_divisors, lambda s: inst.nth_root(s, 1)):
         with pytest.raises(ValueError, match="invalid element"):
             call(refused)
+
+
+@pytest.mark.parametrize("config, kept, refused", [
+    ({"family": "words", "beads": [["a", 1], ["b", 1]], "window": {"max_rank": 5}},
+     (1, 0), [(True, 0), (-1, 2)]),
+    ({"family": "festoons-colored", "c": {"instance": {"kind": "zpos", "window": {"max_rank": 6}},
+                                          "role": "c", "support": [[1, 1], [2, 1]]}},
+     1, [True]),
+])
+def test_a_full_job_leaves_the_public_reads_checked(config, kept, refused):
+    """The kernels read the roots unchecked, and a whole ``csp`` job keeps
+    the roots of every window element, ``kept`` among them; the public
+    reads must still refuse what validation refuses."""
+    job = cli._decode_csp(config)
+    assert cli.cmd_csp(*job)[1] == 0
+    inst = job[1] if len(job) == 3 else job[1].instance  # beads, or a sequence's
+    assert kept in inst._roots
+    reads = (inst.rank, inst.divisor_roots, inst.unit_divisors, lambda s: inst.nth_root(s, 1),
+             lambda s: encode_element(inst, s))
+    for s in refused:
+        for read in reads:
+            with pytest.raises(ValueError, match="invalid element"):
+                read(s)
+
+
+GOLDEN = {case["job"]: case
+          for case in json.loads(Path(__file__).with_name("golden_configs.json").read_text())}
+
+
+@pytest.mark.parametrize("job, listed", [
+    ("sieving/words", comb(7 + 4, 4) - 1),  # the nonzero 4-tuples of total <= 7
+    ("sieving/festoons-colored-10", 10),
+    ("sieving/festoons-colored-12", 12),
+    ("congruence/q-binomial-grid", 22 * 23),  # (n, k) for 1 <= n <= 22, 0 <= k <= 22
+])
+def test_elements_are_validated_where_they_enter(monkeypatch, tmp_path, job, listed):
+    """A job validates each element where it enters: at most once per
+    window element (its output line encodes it) and once per decoded
+    support element; the kernels and the tables built over the window
+    listing read them unchecked."""
+    calls = []
+    for cls in (semigroup._SemigroupBase, semigroup.PositiveIntegers):
+        def counted(self, s, original=cls.validate):
+            calls.append(s)
+            return original(self, s)
+
+        monkeypatch.setattr(cls, "validate", counted)
+    case = GOLDEN[job]
+    decoded = len(case["config"].get("c", {}).get("support", ()))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(case["config"]))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([case["command"], "--config", str(path), "--format", "json"]) == 0
+    assert len(calls) <= listed + decoded
 
 
 # -- roots of an element ---------------------------------------------------------------------

@@ -240,7 +240,7 @@ def c_from_a(a: SequenceSpec) -> SequenceSpec:
             raise ValueError(f"c_from_a: role-a spec has no value at {s!r}")
         total = ad[s]
         for t, ct in cs.items():
-            u = inst.subtract(s, t) if ct else None
+            u = inst._subtract(s, t) if ct else None
             if u is None:
                 continue
             if u not in ad:
@@ -249,7 +249,7 @@ def c_from_a(a: SequenceSpec) -> SequenceSpec:
                     "widen the role-a spec"
                 )
             total -= ct * ad[u]
-        rk = inst.rank(s)
+        rk = inst._rank(s)
         if total % rk:
             raise NonIntegerWitness(s, total, rk, "c")
         cs[s] = total // rk

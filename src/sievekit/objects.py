@@ -99,9 +99,8 @@ class CyclicFamily(Record):
     sets: tuple[tuple[object, tuple[CyclicObject, ...]], ...]
 
     def __post_init__(self) -> None:
-        pairs = ((s, _canonical(objs)) for s, objs in self.sets)
-        table = window_table(self.instance, pairs, "CyclicFamily")
-        object.__setattr__(self, "sets", tuple(table.items()))
+        table = window_table(self.instance, self.sets, "CyclicFamily")
+        object.__setattr__(self, "sets", tuple((s, _canonical(o)) for s, o in table.items()))
 
     @classmethod
     def from_generator(
@@ -110,7 +109,7 @@ class CyclicFamily(Record):
         window: Window,
         fn: Callable[[object], Iterable[CyclicObject]],
     ) -> "CyclicFamily":
-        pairs = []
+        pairs = CheckedTable()
         for s in instance.elements(window):
             objs = list(fn(s))
             n = instance._rank(s)
@@ -122,8 +121,8 @@ class CyclicFamily(Record):
             members = set(objs)
             if any(o.rotated(1) not in members for o in objs):
                 raise ValueError(f"object set at {s!r} is not closed under rotation")
-            pairs.append((s, objs))
-        return cls(instance, window, tuple(pairs))
+            pairs[s] = objs
+        return cls(instance, window, pairs)
 
     def census(self) -> "Census":
         """The numbers the verifiers read, taken from the stored sets."""

@@ -9,13 +9,13 @@ for d | rank(s), the total E_d of f_t(1) over the d-th roots t of s.
 Three constructions build such a family from an integer sequence (given in
 role a, b or c form); they agree modulo q^rank - 1, and the Ramanujan-sum
 construction is the canonical low-degree representative.  One integer
-kernel, ``qpoly.ramanujan_vector``, serves that construction and the root
-test: its entry j is the sum over d | rank(s) of E_d * c_d(j), c_d the
-Ramanujan sum.  The canonical f_s is that vector divided by rank(s), and
-f_s passes the root test at every d exactly when rank(s) times f_s folded
-modulo q^rank - 1 equals it.  Both checks read a family only through
-those folds, which ``PolyFamily.folds`` builds once per family, as do the
-sieving checks of ``objects``.  Transport operations (pushforward,
+kernel, ``qpoly.ramanujan_classes``, serves that construction and the root
+test: the Ramanujan vector, whose entry j is the sum over d | rank(s) of
+E_d * c_d(j), c_d the Ramanujan sum.  The canonical f_s is that vector
+divided by rank(s), and f_s passes the root test at every d exactly when
+rank(s) times f_s folded modulo q^rank - 1 equals it.  Both checks read a
+family only through those folds, which ``PolyFamily.folds`` builds once
+per family, as do the sieving checks of ``objects``.  Transport operations (pushforward,
 pullback, multiply, two chainings) produce new families from old,
 mirroring how counting problems are rearranged.
 """
@@ -42,7 +42,6 @@ from .qpoly import (
     q_multinomial,
     q_power,
     ramanujan_classes,
-    ramanujan_vector,
 )
 from .semigroup import (  # FamilyCheckFailure and FamilyReport are re-exported
     Chain,
@@ -153,7 +152,7 @@ def construct_ramanujan(a: SequenceSpec) -> PolyFamily:
 
     That is the polynomial of degree below rank(s) that takes the value
     a_(s/d) at every primitive d-th root of unity (0 where s has no d-th
-    root), ``ramanujan_vector`` divided by rank(s) one gcd class at a time:
+    root), the Ramanujan vector divided by rank(s) one gcd class at a time:
     the unique representative of its class mod q^rank - 1 in that degree
     range.  Integer coefficients certify the sieve congruence; the first
     fractional one raises NonIntegerCoefficient.
@@ -303,18 +302,19 @@ def check_root_values(
     d-th root of unity, t being the root s/d or None.
 
     All the divisors of one element are decided by one integer comparison,
-    with no division: rank(s) times the fold must equal
-    ``ramanujan_vector(rank(s), [(d, E_d), ...])`` (the ``qpoly`` module
-    docstring derives it).  Only an element that fails it is checked one d
-    at a time, by the fold's remainder modulo Phi_d, which is p's as Phi_d
-    divides q^rank - 1; a failing detail names that value.
+    with no division: rank(s) times the fold must equal the Ramanujan vector
+    of [(d, E_d), ...], ``ramanujan_classes`` spread to length rank(s) (the
+    ``qpoly`` module docstring derives it).  Only an element that fails it
+    is checked one d at a time, by the fold's remainder modulo Phi_d, which
+    is p's as Phi_d divides q^rank - 1; a failing detail names that value.
     """
 
     def compare(s, entry, roots):
         folded, x = entry
         rank = roots[-1][0]
         wants = [(d, expected(s, x, d, t)) for d, t in roots]
-        if [rank * c for c in folded] == ramanujan_vector(rank, wants):
+        by_class, classes = ramanujan_classes(rank, wants)
+        if [rank * c for c in folded] == list(map(by_class.__getitem__, classes)):
             return [None] * len(wants)
         p = IntPoly(folded)
         values = [(eval_at_primitive_root(p, d), want) for d, want in wants]

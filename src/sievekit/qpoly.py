@@ -34,11 +34,11 @@ value E_d at the primitive d-th roots is
 c_d(j) being the Ramanujan sum, the sum of the j-th powers of the
 primitive d-th roots.  So p takes those values exactly when n times p
 folded modulo q^n - 1 (``fold``) equals the integer vector of the inner
-sums (``ramanujan_vector``), entry for entry: one integer comparison,
+sums, the Ramanujan vector, entry for entry: one integer comparison,
 which is a proof.  Read the other way, the vector divided by n is the
 canonical low-degree family of the Ramanujan-sum construction.  As c_d(j)
 depends on j only through gcd(j, d) = gcd(gcd(j, n), d), the vector takes
-one value per class {j : gcd(j, n) = g}, which is spread to length n.
+one value per class {j : gcd(j, n) = g} (``ramanujan_classes``).
 """
 
 from __future__ import annotations
@@ -520,30 +520,23 @@ def _gcd_classes(n: int) -> tuple[dict[int, tuple[int, ...]], tuple[int, ...]]:
 
 
 def ramanujan_classes(n: int, values: Iterable[tuple[int, int]]) -> tuple[list[int], tuple]:
-    """``ramanujan_vector`` on each gcd class, one per divisor of n in
-    ascending order, and the classes: entry j is by_class[classes[j]]."""
-    sums, classes = _gcd_classes(n)
-    rows = [(sums[d], value) for d, value in values if value]
-    return [sum(row[k] * value for row, value in rows) for k in range(len(sums))], classes
+    """The Ramanujan vector of length n (see the module docstring), whose
+    entry j is the sum of E * c_d(j) over the pairs (d, E) in ``values``,
+    each d dividing n, as one sum per gcd class (per divisor of n, in
+    ascending order) and the classes: entry j is by_class[classes[j]].
 
-
-def ramanujan_vector(n: int, values: Iterable[tuple[int, int]]) -> list[int]:
-    """The list of length n whose entry j is the sum of E * c_d(j) over the pairs
-    (d, E) in ``values``, each d dividing n: n times the coefficients of the
-    polynomial of degree below n that takes the value E at every primitive d-th root
-    of unity, and 0 at those of each order not listed (see the module docstring).
-    As c_d(j) depends on j only through gcd(j, d) = gcd(gcd(j, n), d), it is one
-    sum per class {j : gcd(j, n) = g} (``ramanujan_classes``), spread by one gather.
-
-    >>> ramanujan_vector(4, [(1, 6), (2, 2), (4, 0)])
+    >>> by_class, classes = ramanujan_classes(4, [(1, 6), (2, 2), (4, 0)])
+    >>> [by_class[k] for k in classes]
     [8, 4, 8, 4]
     >>> [4 * c for c in fold(q_binomial(4, 2).coeffs, 4)]
     [8, 4, 8, 4]
-    >>> eval_at_primitive_root(IntPoly(ramanujan_vector(6, [(2, -3), (6, 5)])), 6).coeffs
+    >>> by_class, classes = ramanujan_classes(6, [(2, -3), (6, 5)])
+    >>> eval_at_primitive_root(IntPoly([by_class[k] for k in classes]), 6).coeffs
     (30,)
     """
-    by_class, classes = ramanujan_classes(n, values)
-    return list(map(by_class.__getitem__, classes))
+    sums, classes = _gcd_classes(n)
+    rows = [(sums[d], value) for d, value in values if value]
+    return [sum(row[k] * value for row, value in rows) for k in range(len(sums))], classes
 
 
 def eval_at_primitive_root(p: IntPoly, d: int) -> IntPoly:
@@ -553,7 +546,7 @@ def eval_at_primitive_root(p: IntPoly, d: int) -> IntPoly:
     polynomial, of degree below totient(d); it is an integer exactly when
     that remainder is constant.  The cyclotomic polynomial divides q^d - 1,
     so p is folded modulo q^d - 1 first, which keeps the division short.
-    The checkers decide their comparisons with ``ramanujan_vector`` and
+    The checkers decide their comparisons with the Ramanujan vector and
     call this only on an element that fails there.
 
     >>> eval_at_primitive_root(q_int(6), 3) == 0

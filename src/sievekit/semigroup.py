@@ -16,7 +16,7 @@ Elements are raw payloads (int or tuple), not wrapper objects; instances are
 frozen ``Record`` values and all operations are pure.  Division is by repetition:
 t divides s when s = d*t for a positive integer d, so d | rank(s).  All
 instances are cancellative and torsion free, so the root s/d (``nth_root``)
-and the difference s - t (``subtract``) are each one element or None.
+and the difference s - t (``_subtract``) are each one element or None.
 
 Infinite instances are always consumed through a finite ``Window`` (rank cap,
 per-extra coordinate bounds, bead-count cap), which makes every enumeration
@@ -224,9 +224,9 @@ class _SemigroupBase:
 
     An element is validated once, where it enters: a public method of one
     element validates it, then makes the one unchecked read (``_rank``,
-    ``_sort_key``, ``_divisor_roots``, ``_subtract``) that kernels walking
-    elements validated before (a window listing's, a table's, a decoded
-    config's) make directly.
+    ``_sort_key``, ``_divisor_roots``) that kernels walking elements
+    validated before (a window listing's, a table's, a decoded config's)
+    make directly, as they make ``_subtract``, which has no checked twin.
     """
 
     floors: tuple[int | None, ...]
@@ -306,14 +306,8 @@ class _SemigroupBase:
         """All pairs (t, d) with d*t = s, ascending in d; (s, 1) included."""
         return [(t, d) for d, t in self.divisor_roots(s) if t is not None]
 
-    def _subtract(self, s, t):
+    def _subtract(self, s, t):  # the unique u with u + t = s, or None
         return self._build(tuple(map(sub, self.coords(s), self.coords(t))))
-
-    def subtract(self, s, t):
-        """The unique u with u + t = s, or None."""
-        self.validate(s)
-        self.validate(t)
-        return self._subtract(s, t)
 
     def decompositions(self, s, support: Sequence) -> list[tuple]:
         """Every multiset {s_1, ..., s_k} (k >= 1) of parts from ``support``

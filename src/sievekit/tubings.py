@@ -51,14 +51,6 @@ _PATH_STEPS = {
         ("strict", ("", "U", "UDF")),
     )
 }
-# What ``is_path`` reads a flat as, per kind: None where the rules ignore
-# the height; else, for a path that must stay at or above 0, nothing where
-# a flat may be taken at 0, and a fall then a rise where it may not (such a
-# flat then dips below 0).
-_FLAT_AS = {
-    kind: None if below == at == above else "" if "F" in at else "DU"
-    for kind, (below, at, above) in _PATH_STEPS.items()
-}
 
 
 # -- tubes and tubings -------------------------------------------------------------
@@ -85,7 +77,7 @@ class _Graph:
     """The tubes of one graph in enumeration order, as vertex masks.
 
     Bit v of a mask is vertex v; bit i of a tube set is ``tubes[i]``.
-    ``compat()[i]`` is the set of tubes compatible with tube i (itself
+    ``compat[i]`` is the set of tubes compatible with tube i (itself
     included).  It is quadratic in the number of tubes, so it is built on
     first use.  Tubes are ordered by length, then start, so a tube's
     subtubes all come before it.
@@ -102,7 +94,6 @@ class _Graph:
         for start, length in tubes:
             mask = ((1 << length) - 1) << start
             self.masks.append((mask | mask >> n) & self.full)  # wrap on the cycle
-        self._compat: list[int] | None = None
         self._rotations: dict[int, tuple[int, int]] = {}
 
     def indices(self, tubes: Iterable[Tube]) -> list[int]:
@@ -146,23 +137,23 @@ class _Graph:
         stay, wrap = self._rotations[step]
         return (bits << step) & stay | (bits >> (n - step)) & wrap
 
+    @functools.cached_property
     def compat(self) -> list[int]:
-        if self._compat is None:
-            n, full = self.n, self.full
-            self._compat = []
-            for a in self.masks:
-                near = a | a << 1 | a >> 1  # a and its neighbours
-                if self.kind == "cycle":
-                    near |= a >> (n - 1) | a << (n - 1)
-                near &= full
-                row = 0
-                for j, b in enumerate(self.masks):
-                    both = a & b
-                    # nested, or disjoint with no edge between
-                    if both == a or both == b or not b & near:
-                        row |= 1 << j
-                self._compat.append(row)
-        return self._compat
+        n, full = self.n, self.full
+        out = []
+        for a in self.masks:
+            near = a | a << 1 | a >> 1  # a and its neighbours
+            if self.kind == "cycle":
+                near |= a >> (n - 1) | a << (n - 1)
+            near &= full
+            row = 0
+            for j, b in enumerate(self.masks):
+                both = a & b
+                # nested, or disjoint with no edge between
+                if both == a or both == b or not b & near:
+                    row |= 1 << j
+            out.append(row)
+        return out
 
     @functools.cached_property
     def path_tables(self) -> tuple[list, list, list, list]:
@@ -217,7 +208,7 @@ def tubes_compatible(n: int, t1: Tube, t2: Tube, kind: str = "interval") -> bool
     """Nested, or vertex-disjoint with no edge between the two tubes."""
     graph = _graph(n, kind)
     i, j = graph.indices((t1, t2))
-    return bool(graph.compat()[i] >> j & 1)
+    return bool(graph.compat[i] >> j & 1)
 
 
 def is_tubing(n: int, tubes: Iterable[Tube], kind: str = "interval") -> bool:
@@ -225,7 +216,7 @@ def is_tubing(n: int, tubes: Iterable[Tube], kind: str = "interval") -> bool:
     if len(set(tubes)) != len(tubes):
         return False
     graph = _graph(n, kind)
-    chosen, compat = graph.bits(tubes), graph.compat()
+    chosen, compat = graph.bits(tubes), graph.compat
     return all(chosen & compat[i] == chosen for i in graph.indices(tubes))
 
 
@@ -256,7 +247,7 @@ def _walk(graph: _Graph, candidates: int) -> Iterator[tuple[int, int, int]]:
     """
     masks, before = graph.masks, graph.path_tables[0]
     # later[t]: the tubes after t that are compatible with it
-    later = [(row >> (t + 1)) << (t + 1) for t, row in enumerate(graph.compat())]
+    later = [(row >> (t + 1)) << (t + 1) for t, row in enumerate(graph.compat)]
     stack = [(candidates, 0, 0, 0)]
     push, pop = stack.append, stack.pop
     while stack:
@@ -350,30 +341,6 @@ def count_paths(length: int, kind: str = "delannoy") -> int:
     return ways[length].get(0, 0)
 
 
-def is_path(path: str, length: int, kind: str = "delannoy") -> bool:
-    """Whether ``enumerate_paths(length, kind)`` lists the path: known
-    steps under its step rules, the given x-extent, ending at height 0.
-
-    Where the rules ignore the height, the step counts decide.  Elsewhere
-    the path, its flats rewritten, must reduce to nothing by deleting
-    rises followed by falls: exactly the words over U and D that stay at
-    or above height 0 and end there.  An unknown kind, or a length that
-    is odd or negative, raises ``ValueError`` as in ``count_paths``.
-    """
-    _check_path_args(length, kind)
-    flat = _FLAT_AS[kind]
-    flats = path.count("F")
-    if len(path) + flats != length:
-        return False
-    if flat is None:
-        ups = path.count("U")
-        return ups == path.count("D") and 2 * ups + flats == len(path)
-    word = path.replace("F", flat)
-    while "UD" in word:
-        word = word.replace("UD", "")
-    return not word
-
-
 # -- the bijections ----------------------------------------------------------------
 
 
@@ -404,7 +371,7 @@ def _decode(graph: _Graph, path: str) -> int:
     """The tube bitset a Schröder path over the graph's n vertices decodes
     to, on vertices 0..n-1 without wrapping; -1 for a path with an unknown
     step, a fall below 0, an end off height 0 or other than n vertices
-    (flats and falls), the paths ``is_path(path, 2n, "schroder")`` refuses.
+    (flats and falls): the paths ``enumerate_paths(2n, "schroder")`` omits.
 
     Each rise opens a tube at the current vertex; it closes right before
     the next flat or fall at the rise's height, or at the end of the path.
@@ -485,10 +452,11 @@ def _preimage(graph: _Graph, path: str) -> int:
     the vertex of the mark first; rotating its tubes back puts it at 0."""
     if graph.kind == "interval":
         return _decode(graph, path)
-    if not is_path(path, 2 * graph.n - 2, "delannoy"):  # the step counts decide
+    try:  # an unknown step, or an end off height 0
+        marked, j = delannoy_to_marked(path)
+    except ValueError:
         return -1
-    marked, j = delannoy_to_marked(path)
-    bits = _decode(graph, marked)
+    bits = _decode(graph, marked)  # refuses other than n vertices
     return graph.rotate(bits, marked.count("U", 0, j) + 1 - j) if bits >= 0 else bits
 
 
@@ -678,7 +646,7 @@ def improper_cycle_census(
         count = counts.get(s, 0)
         by_order = {
             d: (fixed.get((s, d), 0) if d > 1 else count, 0)
-            for d in divisors(instance.rank(s))
+            for d in divisors(instance._rank(s))
         }
         rows.append((s, count, by_order))
     return (

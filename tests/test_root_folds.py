@@ -1,8 +1,9 @@
 """The fold-once divisor-sum checkers against the code they replaced.
 
-``ramanujan_vector(n, [(d, E_d), ...])`` is n times the polynomial of
-degree below n that takes the value E_d at every primitive d-th root of
-unity, which the remainder ``eval_at_primitive_root`` must confirm; and
+The Ramanujan vector of [(d, E_d), ...], ``ramanujan_classes`` spread by
+its class index, is n times the polynomial of degree below n that takes the
+value E_d at every primitive d-th root of unity, which the remainder
+``eval_at_primitive_root`` must confirm; and
 ``check_root_values``, which compares it with n times a fold, must fail at
 d exactly when that remainder is not E, on random and on planted cases.
 ``check_qgauss_definition`` and ``check_qgauss_roots`` must report exactly
@@ -59,7 +60,7 @@ from sievekit.qpoly import (
     q_binomial,
     q_multinomial,
     q_power,
-    ramanujan_vector,
+    ramanujan_classes,
     reduce_mod_qn_minus_1,
 )
 from sievekit.semigroup import (Chain, FamilyReport, FreeRanked, PositiveIntegers, Window,
@@ -124,7 +125,8 @@ def test_folds_agree_with_the_remainder_modulo_q_n_minus_1(coeffs, n):
 @given(st.integers(1, 60), st.data())
 def test_ramanujan_vector_is_n_times_the_values_at_primitive_roots(n, data):
     values = {d: data.draw(st.one_of(st.just(0), WIDE)) for d in divisors(n)}
-    p = IntPoly(ramanujan_vector(n, values.items()))
+    by_class, classes = ramanujan_classes(n, values.items())
+    p = IntPoly([by_class[k] for k in classes])
     for d, value in values.items():
         assert eval_at_primitive_root(p, d) == n * value
 
@@ -408,13 +410,22 @@ GOLDEN = {case["job"]: case
     ("sieving/words", comb(7 + 4, 4) - 1),  # the nonzero 4-tuples of total <= 7
     ("sieving/festoons-colored-10", 10),
     ("sieving/festoons-colored-12", 12),
+    # twice per element of the window 1..36: at the lister's entry, and encoded
+    ("sieving/festoons-repeated", 2 * 36),
     ("congruence/q-binomial-grid", 22 * 23),  # (n, k) for 1 <= n <= 22, 0 <= k <= 22
+    ("congruence/seq-trace2", 120),
+    ("congruence/seq-trace3", 120),
+    ("tubings/tubings-tubes", 6 * 7),  # (n, k) for 1 <= n <= 6, 0 <= k <= 6
+    ("tubings/tubings-all", 6),
+    ("tubings/tubings-free", 6 * 6),  # (n, k) for 1 <= n, k <= 6
+    ("tubings/tubings-colored", 5 * 6),  # (n, k) for 1 <= n <= 5, 0 <= k <= 5
 ])
 def test_elements_are_validated_where_they_enter(monkeypatch, tmp_path, job, listed):
     """A job validates each element where it enters: at most once per
-    window element (its output line encodes it) and once per decoded
-    support element; the kernels and the tables built over the window
-    listing read them unchecked."""
+    window element (its output line encodes it), twice where a public
+    lister validates it too, and once per decoded support element; the
+    kernels and the tables built over the window listing read them
+    unchecked."""
     calls = []
     for cls in (semigroup._SemigroupBase, semigroup.PositiveIntegers):
         def counted(self, s, original=cls.validate):
@@ -423,7 +434,8 @@ def test_elements_are_validated_where_they_enter(monkeypatch, tmp_path, job, lis
 
         monkeypatch.setattr(cls, "validate", counted)
     case = GOLDEN[job]
-    decoded = len(case["config"].get("c", {}).get("support", ()))
+    sources = [case["config"][key] for key in ("sequence", "b", "c") if key in case["config"]]
+    decoded = sum(len(source["support"]) for source in sources)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(case["config"]))
     with contextlib.redirect_stdout(io.StringIO()):

@@ -4,8 +4,11 @@ classes other than a dunder is read as an attribute there, except the
 listed ones, each with its reason.
 
 A definition that only tests, demos or the benchmark call serves no
-command; it belongs in a test oracle, or leaves.  A new definition that
-no code in ``src/`` names fails this test, so the list can only shrink.
+command; it belongs in a test oracle, or leaves.  Nor does a ``src/`` call
+kept only so that a name has a caller serve a command: that name leaves
+too, and its tests are ported to the kernel or oracle that replaces it.  A
+new definition that no code in ``src/`` names fails this test, so the list
+can only shrink.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ from sievekit.tubings import (
     free_vertices,
     improper_total_polynomial,
     interval_tubing_to_schroder,
-    is_path,
     is_tubing,
     mask_to_tubing,
     schroder_to_interval_tubing,
@@ -34,7 +33,8 @@ from sievekit.tubings import (
 )
 
 from helpers import strict_path_recurrence
-from tubings_oracle import final_vertices, ref_marked_to_cycle_mask, ref_unmark, step_heights
+from tubings_oracle import (final_vertices, is_path, ref_marked_to_cycle_mask, ref_unmark,
+                            step_heights)
 
 INTERVAL_TOTALS = [2, 6, 22, 90, 394, 1806]
 CYCLE_IMPROPER = [1, 3, 13, 63, 321, 1683]

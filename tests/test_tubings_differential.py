@@ -11,6 +11,7 @@ import re
 
 import tubings_oracle as oracle
 from helpers import corrupt, run_job
+from tubings_oracle import is_path
 from sievekit import tubings as tb
 from sievekit.objects import Census, verify_csp, verify_lyndon
 from sievekit.qpoly import ZERO
@@ -24,7 +25,6 @@ from sievekit.tubings import (
     free_vertices,
     improper_cycle_census,
     improper_tubing_count,
-    is_path,
     is_tubing,
     mask_to_path,
     mask_to_tubing,

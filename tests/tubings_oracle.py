@@ -5,7 +5,8 @@ These are the straightforward definitions the mask-based library code in
 compatibility from the set definition, the depth-first enumerator that
 re-checks every chosen tube, the decoder that scans ahead for each rise's
 closing step, the path enumerator with each kind's step rules written
-out as branches, the graded census of improper cycle tubings counted
+out as branches, the membership test ``is_path`` that the cycle decoder
+once ran first, the graded census of improper cycle tubings counted
 from the set-based enumeration, and the list-building tubing <-> path
 kernels (``ref_*``) that the table-driven ones replaced, and those
 table-driven kernels (``table_*``), which the maps carried down the tubing
@@ -223,6 +224,40 @@ def enumerate_paths(length: int, kind: str = "delannoy") -> list[str]:
 
     rec(length, 0)
     return sorted(out)
+
+
+# What ``is_path`` reads a flat as, per kind: None where the rules ignore
+# the height; else, for a path that must stay at or above 0, nothing where
+# a flat may be taken at 0, and a fall then a rise where it may not (such a
+# flat then dips below 0).
+_FLAT_AS = {"delannoy": None, "schroder": "", "strict": "DU"}
+
+
+def is_path(path: str, length: int, kind: str = "delannoy") -> bool:
+    """Whether ``enumerate_paths(length, kind)`` lists the path: known
+    steps under its step rules, the given x-extent, ending at height 0.
+
+    Where the rules ignore the height, the step counts decide.  Elsewhere
+    the path, its flats rewritten, must reduce to nothing by deleting
+    rises followed by falls: exactly the words over U and D that stay at
+    or above height 0 and end there.  An unknown kind, or a length that
+    is odd or negative, raises ``ValueError`` as ``count_paths`` does.
+    """
+    if kind not in _FLAT_AS:
+        raise ValueError(f"unknown path kind {kind!r}")
+    if length < 0 or length % 2:
+        raise ValueError(f"path length must be even and nonnegative, got {length}")
+    flat = _FLAT_AS[kind]
+    flats = path.count("F")
+    if len(path) + flats != length:
+        return False
+    if flat is None:
+        ups = path.count("U")
+        return ups == path.count("D") and 2 * ups + flats == len(path)
+    word = path.replace("F", flat)
+    while "UD" in word:
+        word = word.replace("UD", "")
+    return not word
 
 
 def step_heights(path: str) -> list[int]:
@@ -469,7 +504,7 @@ def ref_cycle_tubing_to_delannoy(n: int, tubing: Iterable) -> str:
 # A copy of the per-tubing maps that ``sievekit.tubings`` replaced with the
 # maps carried down its walk: the forward map finds every tube's final
 # vertex again from the tube bitset, reading per-graph tables, and the
-# decoder trusts its path (the library checked it with ``is_path`` first).
+# decoder trusts its path (the library's cycle decoder then ran ``is_path`` first).
 
 
 @functools.lru_cache(maxsize=None)

@@ -296,7 +296,7 @@ def cmd_bijection(kind: str, max_n: int) -> tuple[dict, int]:
             total += count
             continue
         else:
-            images = {tb.mask_to_path(n, bits, kind) for bits, *_ in tb.tubing_masks(n, kind)}
+            images = {path for _, path in tb.tubing_paths(n, kind)}
             odd = images.symmetric_difference(tb.enumerate_paths(*target))
             witness = {"n": n, "path": min(odd), "detail": "image mismatch"}
         payload.update(ok=False, witness=witness)
@@ -410,7 +410,10 @@ def _refuse(message: str):
     raise ValueError(message)
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args``
+    leaves no state on it."""
     # a fixed width, what a non-terminal gets, spares argparse its shutil import
     formatter = functools.partial(argparse.HelpFormatter, width=78)
     parser = argparse.ArgumentParser(
@@ -426,7 +429,11 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--config", required=True, help="path to a JSON job config")
         p.add_argument("--format", choices=("json", "table"), default="table")
         p.add_argument("--out", help="write output here instead of stdout")
+    return parser
 
+
+def main(argv: list[str] | None = None) -> int:
+    parser = _parser()
     # --out is opened after the decode, so a config error leaves an existing
     # file as it was, and before the run, so a bad path costs no work.  It is
     # opened to append, and a regular file is cut only once the render ends,

@@ -8,10 +8,14 @@ is a valid tube; on the cycle the full circle is excluded.
 
 Inside the module a tubing is also a bitset of tube indices (bit i is the
 i-th tube of the graph in enumeration order).  ``tubing_masks`` enumerates
-these bitsets with the vertices they cover and their tubes' final vertices,
-and the bijections and the cyclic census run on them; the frozenset
-functions convert at their edges.  ``round_trip`` reads each tubing's path
-off that state and decodes it back, checking that it is a path as it goes.
+these bitsets with the vertices they cover, and the bijections and the
+cyclic census run on them; the frozenset functions convert at their edges.
+For the bijections a second walk, taking the same branches, also carries
+each tubing's steps in vertex order, two edits per added tube, and
+``round_trip`` reads each tubing's path off them (on the cycle, four
+slices) and decodes it back, checking that it is a path as it goes.  A cycle path decodes in one scan that also
+finds, from the path's lowest level, where the cycle was cut; only the
+tubes through vertex 0 make it read the steps before the cut again.
 
 Lattice paths are strings over U = (1,1), D = (1,-1), F = (2,0), and the
 length of a path is its x-extent.  The height of a step is the y-coordinate
@@ -88,7 +92,7 @@ class _Graph:
             raise ValueError(f"unknown graph kind {kind!r}")
         tubes = interval_tubes(n) if kind == "interval" else cycle_tubes(n)
         self.n, self.kind, self.full = n, kind, (1 << n) - 1
-        self.tubes = tubes
+        self.tubes, self.every = tubes, (1 << len(tubes)) - 1
         self.index = {t: i for i, t in enumerate(tubes)}
         self.masks = []
         for start, length in tubes:
@@ -156,26 +160,38 @@ class _Graph:
         return out
 
     @functools.cached_property
-    def path_tables(self) -> tuple[list, list, list, list]:
-        """The tables the path maps read, built on first use.
+    def later(self) -> list[int]:
+        """``later[t]``: the tubes after tube t that are compatible with it."""
+        return [(row >> (t + 1)) << (t + 1) for t, row in enumerate(self.compat)]
 
-        ``before[i]`` is the vertices before tube i's start, those a cycle
-        tube wraps into; ``opening`` pairs each vertex v with the tubes that
-        start at it; ``steps[k]`` the steps of a vertex where k tubes start,
-        as (not final, final); ``ends[start][end]`` the bit of the tube on
-        vertices start..end-1, for the tubes that do not wrap (0 for the
-        others).
+    @functools.cached_property
+    def path_tables(self) -> tuple[list, list, list, list]:
+        """The tables the path walk and the decoder read, built on first use.
+
+        ``start[i]`` is tube i's start vertex and ``before[i]`` the vertices
+        before it, those a cycle tube wraps into.  ``opened[v]``, for v in
+        0..n, is the set of tubes that start before vertex v: in a tubing's
+        steps in vertex order, vertex v's steps begin at
+        ``v + (bits & opened[v]).bit_count()``.  ``ends[a][b]`` is the bit of
+        the tube on vertices a..b-1, or 0 where there is no such tube; on
+        the cycle a and b run to 2n - 1 and count modulo n, as the decoder
+        numbers the vertices it reads twice past n.
         """
-        n = self.n
-        before = [(1 << start) - 1 for start, _ in self.tubes]
-        opening = [0] * n
-        ends = [[0] * (n + 1) for _ in range(n + 1)]
-        for i, (start, length) in enumerate(self.tubes):
-            opening[start] |= 1 << i
-            if start + length <= n:
-                ends[start][start + length] = 1 << i
-        steps = [("U" * k + "F", "U" * k + "D") for k in range(n + 1)]
-        return before, list(enumerate(opening)), steps, ends
+        n, cycle, index = self.n, self.kind == "cycle", self.index
+        start = [s for s, _ in self.tubes]
+        before = [(1 << s) - 1 for s in start]
+        opened = [0] * (n + 1)
+        for i, s in enumerate(start):
+            for v in range(s + 1, n + 1):
+                opened[v] |= 1 << i
+        size = 2 * n if cycle else n + 1
+        ends = [[0] * size for _ in range(size)]
+        for a in range(size):
+            for b in range(a + 1, size):
+                tube = (a % n if cycle else a, b - a)
+                if tube in index:
+                    ends[a][b] = 1 << index[tube]
+        return start, before, opened, ends
 
 
 @functools.lru_cache(maxsize=None)
@@ -193,9 +209,28 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+def _capped_graph(n: int, kind: str) -> _Graph:
+    """The graph of an enumeration or a path map: ValueError for an unknown
+    kind or n past MAX_INTERVAL or MAX_CYCLE, before any graph is built."""
+    if kind not in ("interval", "cycle"):
+        raise ValueError(f"unknown graph kind {kind!r}")
+    cap = MAX_INTERVAL if kind == "interval" else MAX_CYCLE
+    if n > cap:
+        raise ValueError(f"refusing to enumerate {kind} tubings beyond n = {cap}")
+    return _graph(n, kind)
+
+
+def _tube_set(graph: _Graph, bits: int) -> int:
+    """The bitset, checked to name tubes of the graph only."""
+    if bits < 0 or bits >> len(graph.tubes):
+        raise ValueError(f"not a valid {graph.kind} tubing")
+    return bits
+
+
 def mask_to_tubing(n: int, bits: int, kind: str = "interval") -> Tubing:
     """The tubing of the n-interval or n-cycle that a tube bitset stands for."""
-    return _graph(n, kind).tubing(bits)
+    graph = _graph(n, kind)
+    return graph.tubing(_tube_set(graph, bits))
 
 
 def tube_vertices(n: int, tube: Tube, kind: str = "interval") -> frozenset:
@@ -220,47 +255,67 @@ def is_tubing(n: int, tubes: Iterable[Tube], kind: str = "interval") -> bool:
     return all(chosen & compat[i] == chosen for i in graph.indices(tubes))
 
 
-def tubing_masks(n: int, kind: str = "interval") -> Iterator[tuple[int, int, int]]:
+def tubing_masks(n: int, kind: str = "interval") -> Iterator[tuple[int, int]]:
     """Every tubing of the n-interval or n-cycle, the empty tubing included,
-    as (tube bitset, covered vertex mask, finals) triples, depth first
-    (``_walk``).  The finals are the vertex mask of each tube's final, the
-    last vertex of its traversal outside its subtubes; the path maps read
-    them."""
-    if kind not in ("interval", "cycle"):
-        raise ValueError(f"unknown graph kind {kind!r}")
-    cap = MAX_INTERVAL if kind == "interval" else MAX_CYCLE
-    if n > cap:
-        raise ValueError(f"refusing to enumerate {kind} tubings beyond n = {cap}")
-    graph = _graph(n, kind)
-    return _walk(graph, (1 << len(graph.masks)) - 1)
+    as (tube bitset, covered vertex mask) pairs, depth first (``_walk``)."""
+    graph = _capped_graph(n, kind)
+    return _walk(graph, graph.every)
 
 
-def _walk(graph: _Graph, candidates: int) -> Iterator[tuple[int, int, int]]:
+def _walk(graph: _Graph, candidates: int) -> Iterator[tuple[int, int]]:
     """The tubings among the candidate tubes, depth first over tube indices.
 
     Each branch carries the bitset of later tubes still compatible with
     everything chosen, and takes them in increasing index order; an
-    explicit stack keeps the generator flat.  A tube t joins after every
-    tube of lower index, its subtubes among them, so what the branch has
-    not covered of t is t's own, and t's final is the highest vertex of
-    that which t wraps to below its start (on the cycle), else its highest.
+    explicit stack keeps the generator flat.
     """
-    masks, before = graph.masks, graph.path_tables[0]
-    # later[t]: the tubes after t that are compatible with it
-    later = [(row >> (t + 1)) << (t + 1) for t, row in enumerate(graph.compat)]
-    stack = [(candidates, 0, 0, 0)]
+    masks, later = graph.masks, graph.later
+    stack = [(candidates, 0, 0)]
     push, pop = stack.append, stack.pop
     while stack:
-        candidates, bits, covered, finals = pop()
-        yield bits, covered, finals
+        candidates, bits, covered = pop()
+        yield bits, covered
         # push the highest tube first, so the lowest branch runs next
+        rest = candidates
+        while rest:
+            t = rest.bit_length() - 1
+            rest ^= 1 << t
+            push((candidates & later[t], bits | 1 << t, covered | masks[t]))
+
+
+def _path_walk(graph: _Graph, candidates: int) -> Iterator[tuple[int, int, str]]:
+    """``_walk``, each tubing with its steps in vertex order: per vertex a
+    rise for each tube that starts at it, then a fall if it is a tube's
+    final, else a flat.  The walk takes the same branches in the same
+    order; ``_image`` reads a tubing's path off its state.
+
+    A tube t joins after every tube of lower index, its subtubes among
+    them, so what the branch has not covered of t is t's own, and t's final
+    is the highest vertex of that which t wraps to below its start (on the
+    cycle), else its highest.  Adding t puts a rise in front of its start's
+    steps and turns its final's flat into a fall; ``opened`` places both.
+    """
+    masks, later = graph.masks, graph.later
+    start, before, opened, _ = graph.path_tables
+    at_start, through = [opened[s] for s in start], opened[1:]
+    stack = [(candidates, 0, 0, "F" * graph.n)]
+    push, pop = stack.append, stack.pop
+    while stack:
+        candidates, bits, covered, steps = pop()
+        yield bits, covered, steps
         rest = candidates
         while rest:
             t = rest.bit_length() - 1
             rest ^= 1 << t
             left = masks[t] & ~covered
             final = (left & before[t] or left).bit_length() - 1
-            push((candidates & later[t], bits | 1 << t, covered | masks[t], finals | 1 << final))
+            u = start[t] + (bits & at_start[t]).bit_count()  # the new rise
+            d = final + (bits & through[final]).bit_count()  # the final's flat
+            if u <= d:
+                grown = f"{steps[:u]}U{steps[u:d]}D{steps[d + 1:]}"
+            else:  # a cycle tube whose final wraps below its start
+                grown = f"{steps[:d]}D{steps[d + 1:u]}U{steps[u:]}"
+            push((candidates & later[t], bits | 1 << t, covered | masks[t], grown))
 
 
 def enumerate_tubings(n: int, kind: str = "interval") -> list[Tubing]:
@@ -274,7 +329,7 @@ def enumerate_tubings(n: int, kind: str = "interval") -> list[Tubing]:
     tubes = _graph(n, kind).tubes
     out: list[Tubing] = []
     chosen: list[Tube] = []
-    for bits, *_ in masks:
+    for bits, _ in masks:
         del chosen[max(bits.bit_count() - 1, 0):]
         if bits:
             chosen.append(tubes[bits.bit_length() - 1])
@@ -344,34 +399,35 @@ def count_paths(length: int, kind: str = "delannoy") -> int:
 # -- the bijections ----------------------------------------------------------------
 
 
-def _image(graph: _Graph, bits: int, covered: int, finals: int) -> str:
-    """The path of a tubing, from its triple in ``tubing_masks``.
+def _image(graph: _Graph, bits: int, covered: int, steps: str) -> str:
+    """The path of a tubing, from its state in ``_path_walk``.
 
-    A vertex takes a rise per tube that starts at it, then a fall if it is
-    a final, else a flat: on the interval, that is the Schröder path.  The
+    On the interval the steps in vertex order are the Schröder path.  The
     cycle is cut after its last free vertex, cut - 1, and walked from
     vertex cut: a nonnegative path ending in that vertex's flat, marked at
-    the last step of vertex 0 (see ``delannoy_to_marked``).  Unmarking
-    drops the final flat and turns the mark to the front, which leaves the
-    steps of vertices 1..cut-2, the last step of vertex 0, the steps of
-    vertices cut..n-1, then the rises of vertex 0; or, when vertex 0 is
-    the cut vertex (cut = 1), the steps of vertices 1..n-1.
+    the last step of vertex 0.  Unmarking drops the final flat and turns
+    the mark to the front, which leaves the steps of vertices 1..cut-2,
+    the last step of vertex 0, the steps of vertices cut..n-1, then the
+    rises of vertex 0; or, when vertex 0 is the cut vertex (cut = 1), the
+    steps of vertices 1..n-1.  Four slices of the steps at vertex
+    boundaries (``opened``) make it.
     """
-    _, opening, steps, _ = graph.path_tables
-    out = [steps[(bits & tubes).bit_count()][finals >> v & 1] for v, tubes in opening]
     if graph.kind == "interval":
-        return "".join(out)
+        return steps
+    opened = graph.path_tables[2]
+    one = 1 + (bits & opened[1]).bit_count()  # where vertex 1's steps begin
     cut = (~covered & graph.full).bit_length()  # no cycle tubing covers every vertex
     if cut == 1:
-        return "".join(out[1:])
-    return "".join(out[1 : cut - 1]) + out[0][-1] + "".join(out[cut:]) + out[0][:-1]
+        return steps[one:]
+    free = cut - 1 + (bits & opened[cut - 1]).bit_count()  # its steps: one flat
+    return steps[one:free] + steps[one - 1] + steps[free + 1 :] + steps[: one - 1]
 
 
 def _decode(graph: _Graph, path: str) -> int:
-    """The tube bitset a Schröder path over the graph's n vertices decodes
-    to, on vertices 0..n-1 without wrapping; -1 for a path with an unknown
-    step, a fall below 0, an end off height 0 or other than n vertices
-    (flats and falls): the paths ``enumerate_paths(2n, "schroder")`` omits.
+    """The tube bitset a Schröder path over the interval's n vertices
+    decodes to; -1 for a path with an unknown step, a fall below 0, an end
+    off height 0 or other than n vertices (flats and falls): the paths
+    ``enumerate_paths(2n, "schroder")`` omits.
 
     Each rise opens a tube at the current vertex; it closes right before
     the next flat or fall at the rise's height, or at the end of the path.
@@ -405,59 +461,83 @@ def _decode(graph: _Graph, path: str) -> int:
     return bits
 
 
-def delannoy_to_marked(path: str) -> tuple[str, int]:
-    """Restore the marked nonnegative path from an unrestricted one.
-
-    A marked path (p, j) is a Schröder path p ending in a flat, marked at
-    its j-th step (from 1), a fall or flat no later than its first flat at
-    height 0.  Unmarking drops the final flat and moves the steps after
-    the mark to the front, p[j:-1] + p[j - 1] + p[:j - 1], or leaves
-    p[:-1] when the mark is on the final flat; this inverts that.
-
-    The cut point is recovered from the lowest level of the path: the last
-    flat at that level if there is one, the first step reaching it if the
-    path dips below zero, and the appended final flat otherwise.
-    """
-    h = low = 0
-    first_low = last_flat = -1  # the first step down to ``low``, the last flat at it
-    for t, s in enumerate(path):
-        if s == "F":
-            if h == low:
-                last_flat = t
-        elif s == "U":
-            h += 1
-        elif s == "D":
-            h -= 1
-            if h < low:
-                low, first_low, last_flat = h, t, -1
-        else:
-            raise ValueError(f"unknown step {s!r} in {path!r}")
-    if h:
-        raise ValueError(f"path {path!r} does not return to height 0")
-    m = len(path)
-    if last_flat >= 0:
-        s0 = last_flat
-    elif not low:
-        return path + "F", m + 1
-    else:
-        s0 = first_low
-    p = path[s0 + 1 :] + path[s0] + path[:s0] + "F"
-    return p, m - s0
-
-
 def _preimage(graph: _Graph, path: str) -> int:
     """The tube bitset a path of P_n decodes to, or -1 for a path not in
     P_n: the Schröder paths of length 2n for the n-interval, the Delannoy
-    paths of length 2(n - 1) for the n-cycle.  A marked path decodes with
-    the vertex of the mark first; rotating its tubes back puts it at 0."""
+    paths of length 2(n - 1) for the n-cycle.
+
+    A Delannoy path is a marked path unmarked (see ``_image``).  Read as it
+    stands, it is the marked path's steps from vertex 1 on, with the mark,
+    vertex 0's last step, in the place of the flat of vertex cut - 1, and
+    vertex 0's rises last.  So decoded as a Schröder path with its flats
+    and falls numbered 1..n-1, each tube that closes before the end is
+    right: the rises open at the mark are those the flat would close.  The
+    same scan refuses an unknown step, an end off height 0 or other than
+    n - 1 vertices, and finds the mark from the path's lowest level: the
+    last flat at that level if there is one, else the first step down to
+    it if the path dips below 0, else none (vertex 0 is the cut vertex).
+    The tubes still open at the end run through vertex 0; the marked path
+    closes them at the mark, in the steps before it, which are read again
+    numbered from n, or at the flat of vertex cut - 1.
+    """
     if graph.kind == "interval":
         return _decode(graph, path)
-    try:  # an unknown step, or an end off height 0
-        marked, j = delannoy_to_marked(path)
-    except ValueError:
+    n, ends = graph.n, graph.path_tables[3]  # rows and columns 0..2n-1
+    bits = h = low = 0
+    v, mark, cut = 1, len(path), 1
+    heights, rows = [None], []  # as in ``_decode``
+    try:
+        for t, s in enumerate(path):
+            if s == "U":
+                heights.append(h)
+                rows.append(ends[v])
+                h += 1
+                continue
+            while heights[-1] == h:
+                heights.pop()
+                bits |= rows.pop()[v]
+            if s == "D":
+                h -= 1
+                if h < low:
+                    low, mark, cut = h, t, v + 1
+            elif s != "F":
+                return -1
+            elif h == low:
+                mark, cut = t, v + 1
+            v += 1
+    except IndexError:  # a vertex past 2n - 1
         return -1
-    bits = _decode(graph, marked)  # refuses other than n vertices
-    return graph.rotate(bits, marked.count("U", 0, j) + 1 - j) if bits >= 0 else bits
+    if h or v != n:
+        return -1
+    if rows and mark < len(path):
+        while heights[-1] == 0:  # the mark, at height 0 after the path's end
+            heights.pop()
+            bits |= rows.pop()[n]
+        h, v = -(path[mark] == "D"), n + 1
+        for s in path[:mark]:
+            if not rows:
+                break
+            if s == "U":
+                heights.append(h)
+                rows.append(ends[v])
+                h += 1
+                continue
+            while heights[-1] == h:
+                heights.pop()
+                bits |= rows.pop()[v]
+            v += 1
+            h -= s == "D"
+    for row in rows:  # the flat of vertex cut - 1
+        bits |= row[n + cut - 1]
+    return bits
+
+
+def tubing_paths(n: int, kind: str) -> Iterator[tuple[int, str]]:
+    """Each tubing of the n-interval or n-cycle with its path, as (bitset,
+    path) pairs in the order of ``tubing_masks``."""
+    graph = _capped_graph(n, kind)
+    for bits, covered, steps in _path_walk(graph, graph.every):
+        yield bits, _image(graph, bits, covered, steps)
 
 
 def round_trip(n: int, kind: str) -> tuple[int, tuple[int, str] | None]:
@@ -465,10 +545,10 @@ def round_trip(n: int, kind: str) -> tuple[int, tuple[int, str] | None]:
     in the order of ``tubing_masks``: the number that come back, and the
     first tubing (bitset and path) whose path is not in P_n or decodes to
     another bitset, or None."""
-    graph, image, preimage = _graph(n, kind), _image, _preimage
+    graph, image, preimage = _capped_graph(n, kind), _image, _preimage
     count = 0
-    for bits, covered, finals in tubing_masks(n, kind):
-        path = image(graph, bits, covered, finals)
+    for bits, covered, steps in _path_walk(graph, graph.every):
+        path = image(graph, bits, covered, steps)
         if preimage(graph, path) != bits:
             return count, (bits, path)
         count += 1
@@ -482,8 +562,9 @@ def mask_to_path(n: int, bits: int, kind: str = "interval") -> str:
     the lowest tube first, so it reaches the whole bitset after one
     tubing per tube; a bitset that is no tubing raises ValueError.
     """
-    graph = _graph(n, kind)
-    state = next(itertools.islice(_walk(graph, bits), bits.bit_count(), None))
+    graph = _capped_graph(n, kind)
+    walk = _path_walk(graph, _tube_set(graph, bits))
+    state = next(itertools.islice(walk, bits.bit_count(), None))
     if state[0] != bits:
         raise ValueError(f"not a valid {kind} tubing")
     return _image(graph, *state)
@@ -492,7 +573,7 @@ def mask_to_path(n: int, bits: int, kind: str = "interval") -> str:
 def path_to_mask(n: int, path: str, kind: str = "interval") -> int:
     """The tube bitset a path of P_n decodes to; ValueError for a path
     outside P_n."""
-    bits = _preimage(_graph(n, kind), path)
+    bits = _preimage(_capped_graph(n, kind), path)
     if bits < 0:
         name, length = ("Schröder", 2 * n) if kind == "interval" else ("Delannoy", 2 * n - 2)
         raise ValueError(f"{path!r} is not a {name} path of length {length}")
@@ -501,7 +582,7 @@ def path_to_mask(n: int, path: str, kind: str = "interval") -> int:
 
 def interval_tubing_to_schroder(n: int, tubing: Iterable[Tube]) -> str:
     """The Schröder path of an interval tubing."""
-    return mask_to_path(n, _graph(n, "interval").bits(tubing), "interval")
+    return mask_to_path(n, _capped_graph(n, "interval").bits(tubing), "interval")
 
 
 def schroder_to_interval_tubing(n: int, path: str) -> Tubing:
@@ -514,7 +595,7 @@ def schroder_to_interval_tubing(n: int, path: str) -> Tubing:
 
 def cycle_tubing_to_delannoy(n: int, tubing: Iterable[Tube]) -> str:
     """The Delannoy path of an improper cycle tubing."""
-    return mask_to_path(n, _graph(n, "cycle").bits(tubing), "cycle")
+    return mask_to_path(n, _capped_graph(n, "cycle").bits(tubing), "cycle")
 
 
 def delannoy_to_cycle_tubing(n: int, path: str) -> Tubing:
@@ -633,7 +714,7 @@ def improper_cycle_census(
     for n in range(1, max_rank + 1):
         rotate = _graph(n, "cycle").rotate
         orders = [d for d in divisors(n) if d > 1]
-        for bits, covered, _ in tubing_masks(n, "cycle"):
+        for bits, covered in tubing_masks(n, "cycle"):
             free = n - covered.bit_count()
             k = bits.bit_count()
             s = grade(n, k, free)

@@ -60,7 +60,6 @@ from sievekit.tubings import (
     enumerate_tubings,
     cycle_tubing_to_delannoy,
     delannoy_to_cycle_tubing,
-    delannoy_to_marked,
     free_vertex_polynomial,
     free_vertices,
     improper_total_polynomial,
@@ -76,7 +75,7 @@ from helpers import (partition_numbers, qb0, sequence_corpus, sigma, strict_path
                      zpos_spec)
 from objects_oracle import barrier_festoons, compositions, maj_polynomial, orbit_census
 from qpoly_oracle import c_from_b_series
-from tubings_oracle import ref_unmark, step_heights
+from tubings_oracle import delannoy_to_marked, ref_unmark, step_heights
 
 ZPOS = PositiveIntegers()
 

@@ -876,6 +876,29 @@ class TestUsage:
         res = subprocess.run(PKG + ["--help"], capture_output=True, text=True)
         assert res.returncode == 0 and res.stdout.startswith("usage: sievekit")
 
+    def test_one_process_reuses_its_parser_and_leaks_nothing(self, tmp_path, capsys):
+        """main builds its parser once per process: after a refused command
+        line, runs of two commands in both formats, one taking the default
+        format after a json run, print what a fresh process prints."""
+        bij = tmp_path / "bij.json"
+        bij.write_text(json.dumps({"kind": "cycle", "max_n": 4}))
+        rio = tmp_path / "rio.json"
+        rio.write_text(json.dumps({"series": {"numer": [1], "denom": [1, -1]}, "max_n": 5}))
+        runs = [
+            ["bijection", "--config", str(bij), "--format", "xml"],  # refused
+            ["bijection", "--config", str(bij), "--format", "json"],
+            ["riordan", "--config", str(rio), "--format", "json"],
+            ["bijection", "--config", str(bij)],  # table, the default
+            ["riordan", "--config", str(rio), "--format", "table"],
+        ]
+        assert cli._parser() is cli._parser()
+        for argv in runs:
+            fresh = subprocess.run(PKG + argv, capture_output=True, text=True)
+            code = cli.main(argv)
+            out, err = capsys.readouterr()
+            assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+            assert code == 0 or argv[-1] == "xml"
+
 
 # -- byte identity of the congruence path -----------------------------------------
 
@@ -954,7 +977,7 @@ WORK = {
     qgauss: ("construct_ramanujan", "construct_from_b", "construct_from_c", "fund_family",
              "check_qgauss_definition", "check_qgauss_roots"),
     objects: ("festoon_census", "verify_csp", "verify_lyndon", "verify_signed_csp"),
-    tb: ("improper_cycle_census", "tubing_masks"),
+    tb: ("improper_cycle_census", "tubing_masks", "round_trip"),
     gaussseq: ("riordan_rows", "a_from_b", "b_from_a", "a_from_c", "c_from_a"),
 }
 

@@ -63,14 +63,39 @@ def test_tube_vertices_and_compatibility_match_sets(kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_free_and_final_vertices_match_sets(kind):
-    for n in range(1, 7):
+    sizes = range(1, 9) if kind == "interval" else range(1, 8)
+    for n in sizes:
         graph = _graph(n, kind)
-        for bits, _, finals in tubing_masks(n, kind):
+        for bits, covered, steps in tb._path_walk(graph, graph.every):
             tubing = graph.tubing(bits)
-            covered = set().union(*(oracle.tube_vertices(n, t, kind) for t in tubing))
-            assert free_vertices(n, tubing, kind) == set(range(n)) - covered
-            # the walk carries each tube's final vertex down to the tubing
-            assert finals == sum(1 << v for v in oracle.final_vertices(n, tubing, kind).values())
+            vertices = set().union(*(oracle.tube_vertices(n, t, kind) for t in tubing))
+            assert covered == sum(1 << v for v in vertices)
+            if n <= 6:
+                assert free_vertices(n, tubing, kind) == set(range(n)) - vertices
+            # the walk carries each tubing's steps in vertex order: a rise
+            # per tube that starts at a vertex, then a fall at each tube's
+            # final vertex and a flat elsewhere
+            finals = set(oracle.final_vertices(n, tubing, kind).values())
+            starts = [sum(1 for s, _ in tubing if s == v) for v in range(n)]
+            assert steps == "".join("U" * k + ("D" if v in finals else "F")
+                                    for v, k in enumerate(starts))
+            if kind == "interval":
+                assert steps == oracle.table_mask_to_path(n, bits, kind)
+            else:  # the cycle's path is four slices of them
+                assert tb._image(graph, bits, covered, steps) == oracle.table_mask_to_path(
+                    n, bits, kind)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_the_path_walk_lists_the_census_walk_in_order(kind):
+    for n in range(1, 8):
+        graph = _graph(n, kind)
+        plain = list(tubing_masks(n, kind))
+        assert [state[:2] for state in tb._path_walk(graph, graph.every)] == plain
+        # and over the tubes of one tubing, as mask_to_path walks
+        for bits, _ in plain[:: max(1, len(plain) // 50)]:
+            assert [s[0] for s in tb._walk(graph, bits)] == [
+                s[0] for s in tb._path_walk(graph, bits)]
 
 
 @st.composite
@@ -195,9 +220,9 @@ def test_builders_refuse_what_the_cli_refuses():
 def test_tubing_masks_cover_the_union_of_their_tubes(kind):
     for n in range(1, 7):
         graph = _graph(n, kind)
-        triples = list(tubing_masks(n, kind))
-        assert [graph.tubing(bits) for bits, *_ in triples] == oracle.enumerate_tubings(n, kind)
-        for bits, covered, _ in triples:
+        pairs = list(tubing_masks(n, kind))
+        assert [graph.tubing(bits) for bits, _ in pairs] == oracle.enumerate_tubings(n, kind)
+        for bits, covered in pairs:
             vertices = set().union(
                 *(oracle.tube_vertices(n, t, kind) for t in graph.tubing(bits))
             )
@@ -229,6 +254,39 @@ def test_graph_helpers_refuse_sizes_below_one_without_caching_a_graph(kind):
             with pytest.raises(ValueError, match=f"need n >= 1, got {n}"):
                 call()
     assert _graph.cache_info().currsize == cached
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_bitset_maps_refuse_bits_past_the_tubes(kind):
+    """A negative bitset, or one naming a tube index the graph lacks, is
+    no tubing: ValueError before any walk."""
+    tubes = len(_graph(3, kind).tubes)
+    for bits in (-1, -2, 1 << tubes, 1 << 40, (1 << 40) | 1, -(1 << 40)):
+        for call in (mask_to_path, mask_to_tubing):
+            with pytest.raises(ValueError, match=f"not a valid {kind} tubing"):
+                call(3, bits, kind)
+    assert mask_to_tubing(3, (1 << tubes) - 1, kind)  # the top index still fits
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_path_maps_refuse_sizes_tubing_masks_refuses_without_a_graph(kind):
+    cap = tb.MAX_INTERVAL if kind == "interval" else MAX_CYCLE
+    path = "F" * (2 * cap)
+    cached = _graph.cache_info().currsize
+    for n in (cap + 1, 13, 40):
+        for call in (lambda: mask_to_path(n, 0, kind), lambda: path_to_mask(n, path, kind),
+                     lambda: list(tubing_masks(n, kind))):
+            with pytest.raises(ValueError, match=f"refusing to enumerate {kind} tubings beyond"
+                                                 f" n = {cap}"):
+                call()
+    for n in (0, -1):
+        for call in (lambda: mask_to_path(n, 0, kind), lambda: path_to_mask(n, "", kind)):
+            with pytest.raises(ValueError, match=f"need n >= 1, got {n}"):
+                call()
+    assert _graph.cache_info().currsize == cached
+    # the caps themselves are served
+    assert mask_to_path(cap, 0, kind) == ("F" * cap if kind == "interval" else "F" * (cap - 1))
+    assert path_to_mask(cap, mask_to_path(cap, 0, kind), kind) == 0
 
 
 def test_path_functions_refuse_an_unknown_kind_alike():
@@ -313,7 +371,7 @@ def test_is_path_accepts_exactly_the_enumerated_paths():
 @pytest.mark.parametrize("n", range(1, 9))
 def test_cycle_rotation_maps_tubings_to_tubings_of_the_same_grade(n):
     graph = _graph(n, "cycle")
-    covered_by = {bits: covered for bits, covered, _ in tubing_masks(n, "cycle")}
+    covered_by = dict(tubing_masks(n, "cycle"))
     for bits, covered in covered_by.items():
         turned = graph.rotate(bits, 1)
         assert turned in covered_by
@@ -380,7 +438,7 @@ def _plant(monkeypatch, fault):
     n = 4
     kind = fault.split("-")[0]
     interval = [bits for bits, *_ in tubing_masks(n, "interval")]
-    improper = [bits for bits, covered, _ in tubing_masks(n, "cycle") if covered != 15]
+    improper = [bits for bits, covered in tubing_masks(n, "cycle") if covered != 15]
     if kind == "interval":
         swap, (victim, wrong) = (interval[5], interval[17]), (interval[40], interval[3])
     else:
@@ -446,7 +504,7 @@ def test_planted_non_path_image_names_its_tubing(monkeypatch, kind, planted):
     stored one."""
     n = 4
     image = tb._image
-    victim = [bits for bits, covered, _ in tubing_masks(n, kind) if covered != 15][11]
+    victim = [bits for bits, covered in tubing_masks(n, kind) if covered != 15][11]
     passing = run_job("bijection", {"kind": kind, "max_n": n - 1})[0]["per_n"]
 
     def planted_image(graph, bits, *state):
@@ -487,7 +545,7 @@ def test_path_maps_match_the_list_building_kernels(n, kind):
         ref_fwd, ref_inv = oracle.ref_cycle_mask_to_delannoy, oracle.ref_delannoy_to_cycle_mask
         wrap, ref_wrap = tb.cycle_tubing_to_delannoy, oracle.ref_cycle_tubing_to_delannoy
     graph = _graph(n, kind)
-    for state in tubing_masks(n, kind):
+    for state in tb._path_walk(graph, graph.every):
         bits = state[0]
         path = ref_fwd(n, bits)
         assert tb._image(graph, *state) == path == oracle.table_mask_to_path(n, bits, kind)
@@ -520,14 +578,26 @@ def _non_paths(paths, n, kind):
 
 @pytest.mark.parametrize("n,kind", KERNEL_SIZES, ids=[f"{n}-{k}" for n, k in KERNEL_SIZES])
 def test_one_pass_decoder_refuses_exactly_what_is_path_refuses(n, kind):
+    """The decoder refuses exactly the words outside P_n, and decodes each
+    path of P_n to the reference bitset: on the cycle, the scan that finds
+    the mark decodes as it goes, and the tubes through vertex 0 close in a
+    second read of the steps before the mark."""
     graph = _graph(n, kind)
     length, target = _target(n, kind)
     paths = enumerate_paths(length, target)
     words = set(paths) | _non_paths(paths, n, kind)
+    # far too many vertices, past every row of the decoder's table; an
+    # unknown step first, last, or after a whole path
+    words |= {w for p in paths[:50] for w in (p * 3 + "F", "X" + p, p + "X", p + "UX")}
     if n <= 4:  # and every word over U, D, F of x-extent up to the length plus 4
         words |= {w for group in _words_up_to(length + 4).values() for w in group}
+    ref = (oracle.ref_schroder_to_interval_mask if kind == "interval"
+           else oracle.ref_delannoy_to_cycle_mask)
     for w in words:
-        assert (tb._preimage(graph, w) >= 0) == is_path(w, length, target), w
+        got = tb._preimage(graph, w)
+        assert (got >= 0) == is_path(w, length, target), w
+        if got >= 0:
+            assert got == ref(n, w), w
     refused = words - set(paths)
     assert refused and all(tb._preimage(graph, w) == -1 for w in refused)
     with pytest.raises(ValueError, match="is not a"):
@@ -541,10 +611,13 @@ def test_marked_paths_match_the_two_pass_restoration():
             want = oracle.ref_delannoy_to_marked(w)
         except ValueError as e:
             with pytest.raises(ValueError, match=re.escape(str(e))):
-                tb.delannoy_to_marked(w)
+                oracle.delannoy_to_marked(w)
         else:
-            assert tb.delannoy_to_marked(w) == want
+            assert oracle.delannoy_to_marked(w) == want
     for n in range(1, 7):
-        for bits, *_ in tubing_masks(n, "cycle"):
-            marked = tb.delannoy_to_marked(mask_to_path(n, bits, "cycle"))
+        for bits, _ in tubing_masks(n, "cycle"):
+            path = mask_to_path(n, bits, "cycle")
+            marked = oracle.delannoy_to_marked(path)
             assert marked == oracle.ref_cycle_mask_to_marked(n, bits)
+            # the decoder cuts where the restoration does
+            assert path_to_mask(n, path, "cycle") == oracle.ref_marked_to_cycle_mask(n, *marked)

@@ -8,7 +8,9 @@ closing step, the path enumerator with each kind's step rules written
 out as branches, the membership test ``is_path`` that the cycle decoder
 once ran first, the graded census of improper cycle tubings counted
 from the set-based enumeration, and the list-building tubing <-> path
-kernels (``ref_*``) that the table-driven ones replaced, and those
+kernels (``ref_*``) that the table-driven ones replaced, the one-scan
+marked-path restoration (``delannoy_to_marked``) that the cycle decoder
+ran before it decoded, and those
 table-driven kernels (``table_*``), which the maps carried down the tubing
 walk replaced in turn.  They compute nothing with the library,
 so a regression there cannot hide behind its own code; ``cycle_family``
@@ -479,6 +481,39 @@ def ref_delannoy_to_marked(path: str) -> tuple[str, int]:
         return path + "F", m + 1
     else:
         s0 = heights_after.index(min_h)
+    p = path[s0 + 1 :] + path[s0] + path[:s0] + "F"
+    return p, m - s0
+
+
+def delannoy_to_marked(path: str) -> tuple[str, int]:
+    """The one-scan restoration of the marked path from an unrestricted
+    one, which the cycle decoder ran before it decoded: the cut is the last
+    flat at the path's lowest level if there is one, the first step
+    reaching it if the path dips below zero, and the appended final flat
+    otherwise."""
+    h = low = 0
+    first_low = last_flat = -1  # the first step down to ``low``, the last flat at it
+    for t, s in enumerate(path):
+        if s == "F":
+            if h == low:
+                last_flat = t
+        elif s == "U":
+            h += 1
+        elif s == "D":
+            h -= 1
+            if h < low:
+                low, first_low, last_flat = h, t, -1
+        else:
+            raise ValueError(f"unknown step {s!r} in {path!r}")
+    if h:
+        raise ValueError(f"path {path!r} does not return to height 0")
+    m = len(path)
+    if last_flat >= 0:
+        s0 = last_flat
+    elif not low:
+        return path + "F", m + 1
+    else:
+        s0 = first_low
     p = path[s0 + 1 :] + path[s0] + path[:s0] + "F"
     return p, m - s0
 

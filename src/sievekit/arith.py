@@ -1,8 +1,9 @@
 """Exact elementary number theory on small integers.
 
-Everything is computed by trial division and exact divisor sums; inputs are
-desk scale, so no sieves or probabilistic primality tests are needed.  All
-functions are pure and safe to call from multiple threads.
+Divisors and prime factorizations come from trial division, and the
+multiplicative functions from the factorization; inputs are desk scale, so
+no sieves or probabilistic primality tests are needed.  All functions are
+pure and safe to call from multiple threads.
 """
 
 from __future__ import annotations
@@ -74,15 +75,15 @@ def totient(n: int) -> int:
 def ramanujan_sum(j: int, d: int) -> int:
     """Sum of the j-th powers of the primitive d-th roots of unity.
 
-    Computed exactly as sum(e * mobius(d // e) for e | gcd(j mod d, d)),
-    where gcd(0, d) is taken to be d.  Specializes to mobius(d) at j = 1
-    and to totient(d) at j = 0.
+    By von Sterneck's closed form it is mobius(d/g) * totient(d) /
+    totient(d/g), with g = gcd(j, d) and gcd(0, d) = d: the divisor sum
+    sum(e * mobius(d // e) for e | g) in closed form.  Specializes to
+    mobius(d) at j = 1 and to totient(d) at j = 0.
 
     >>> ramanujan_sum(2, 6)
     -1
     """
     if d < 1:
         raise ValueError(f"ramanujan_sum: need d >= 1, got {d}")
-    j = j % d
-    g = d if j == 0 else _gcd(j, d)
-    return sum(e * mobius(d // e) for e in divisors(g))
+    m = d // _gcd(j, d)
+    return mobius(m) * (totient(d) // totient(m))

@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import warnings
 from collections.abc import Callable, Iterable, Mapping, Sequence
+from math import comb
 from operator import add, mul, sub
 from types import MappingProxyType
 
@@ -32,16 +33,18 @@ from .arith import mobius
 from .gaussseq import SequenceSpec, _require_role
 from .qpoly import (
     IntPoly,
-    ONE,
     ZERO,
     eval_at_primitive_root,
     fold,
+    gcd_classes,
+    kronecker_pack,
+    kronecker_unpack,
     one_minus_q_pow,
     q_binomial,
-    q_int,
     q_multinomial,
     q_power,
     ramanujan_classes,
+    slot_size,
 )
 from .semigroup import (  # FamilyCheckFailure and FamilyReport are re-exported
     Chain,
@@ -173,17 +176,20 @@ def construct_ramanujan(a: SequenceSpec) -> PolyFamily:
 
 
 def construct_from_b(b: SequenceSpec) -> PolyFamily:
-    """Family from divisor weights: sum of [rank(t)]_{q^d} b_t over unit divisors."""
+    """Family from divisor weights: sum of [rank(t)]_{q^d} b_t over unit divisors.
+
+    [rank(t)]_{q^d} is 1 at each multiple of d below rank(s), so coefficient
+    j of f_s sums b_t over the roots with d | gcd(j, rank(s)): one sum per
+    gcd class, gathered by the class index of ``qpoly.gcd_classes``.
+    """
     _require_role(b, "b")
     inst = b.instance
 
     def build(s):
-        total = ZERO
-        for d, t in inst._divisor_roots(s):
-            bt = 0 if t is None else b.value(t)
-            if bt:
-                total = total + q_int(inst._rank(t)).subst_power(d) * bt
-        return total
+        roots = inst._divisor_roots(s)
+        values = [(d, b.value(t)) for d, t in roots if t is not None]
+        by_class = [sum(v for d, v in values if not g % d) for g, _ in roots]
+        return IntPoly(map(by_class.__getitem__, gcd_classes(roots[-1][0])[1]))
 
     return PolyFamily.from_function(inst, b.window, build)
 
@@ -198,6 +204,23 @@ def _weighted_multinomial(weight: int, mults: Sequence[int]) -> IntPoly:
     return (q_multinomial(mults) * one_minus_q_pow(weight)).exact_div(
         one_minus_q_pow(total)
     )
+
+
+def _divide_one_minus_power(p: int, k: int, width: int) -> int:
+    """p / (1 - X^k) for k >= 1, both packed at X = 2^width (``kronecker_pack``)
+    with coefficients that fit: the stride-k prefix sum of p's coefficients,
+    by adds shifted k, 2k, 4k, ... slots, cut to the quotient's slots as a
+    signed value.  Multiplying back checks it: ArithmeticError if inexact."""
+    bits = max(width * (abs(p).bit_length() // width + 1 - k), 0)  # the quotient's
+    q, shift = p, width * k
+    while shift < bits:
+        q += q << shift
+        shift <<= 1
+    half = 1 << bits >> 1  # at bits 0 nothing is cut, and only p = 0 passes the check
+    q = (q + half & 2 * half - 1) - half
+    if q - (q << width * k) != p:
+        raise ArithmeticError(f"exact_div: not a multiple of 1 - q^{k}")
+    return q
 
 
 def construct_from_c(c: SequenceSpec) -> PolyFamily:
@@ -217,49 +240,68 @@ def construct_from_c(c: SequenceSpec) -> PolyFamily:
     the window's elements of a coordinate with a floor (a bead count, a
     ``nonneg`` or ``pos`` extra), since such a coordinate is >= 0 on every
     part and never falls.  A coordinate that is the rank (on ``zpos`` and
-    chains, the first) gets no cap of its own.  The weight depends on a
-    decomposition only through its number of parts, so it is applied once
-    per state, as one product by 1 - q^rank(s) and one exact division by
-    1 - q^k.
+    chains, the first) gets no cap of its own.
+
+    A state is one integer, its polynomial at q = 2^B (``kronecker_pack``),
+    so each product and sum is one integer operation.  The weight depends
+    on a decomposition only through its number of parts, so it is applied
+    once per state: times 1 - q^rank(s), one shift and one subtraction,
+    then divided by 1 - q^k (``_divide_one_minus_power``).  Slots of B
+    bits hold twice the largest sum over k of T_k(1) at a partial sum, T_k
+    the state of the same knapsack on plain integers with the factors
+    C(k + m, m) * |c_t|^m.  As q-binomials and q_power(|c|, m) are
+    nonnegative and q_power(-c, m) is a sign or shift of q_power(c, m), a
+    state's absolute coefficients sum to at most T_k(1), and each weight
+    step adds each of them at most once into a coefficient of f_s.
     """
     _require_role(c, "c")
     inst = c.instance
     max_rank, row = c.window.max_rank, inst.row
-    # partial-sum coordinates -> {number of parts: polynomial}
-    sums: dict[tuple[int, ...], dict[int, IntPoly]] = {(0,) * len(row): {0: ONE}}
     caps = [(i, max(inst.coords(s)[i] for s in inst.elements(c.window)))
             for i, lo in enumerate(inst.floors)
             if lo is not None and row != tuple(int(j == i) for j in range(len(row)))]
-    for t in c.support():
-        rt, step, weight = inst._rank(t), inst.coords(t), c.value(t)
-        factors: dict[tuple[int, int], IntPoly] = {}
-        taken: dict[tuple[int, ...], dict[int, IntPoly]] = {}  # sums with t in them
-        for u, by_count in sums.items():
-            top = (max_rank - sum(map(mul, u, row))) // rt  # the most copies of t
-            for i, cap in caps:
-                if step[i]:
-                    top = min(top, (cap - u[i]) // step[i])
-            v = u
-            for m in range(1, top + 1):
-                v = tuple(map(add, v, step))  # u + m*t
-                slot = taken.setdefault(v, {})
-                for k, poly in by_count.items():
-                    factor = factors.get((k, m))
-                    if factor is None:
-                        factor = factors[k, m] = q_binomial(k + m, m) * q_power(weight, m)
-                    slot[k + m] = slot.get(k + m, ZERO) + poly * factor
-        for v, by_count in taken.items():
-            slot = sums.setdefault(v, {})
-            for k, poly in by_count.items():
-                slot[k] = slot.get(k, ZERO) + poly
+
+    def knapsack(factor: Callable[[int, int, int], int]) -> dict:
+        """partial-sum coordinates -> {number of parts: value}; taking t m
+        times onto k parts multiplies by factor(k, m, c_t)."""
+        sums: dict[tuple[int, ...], dict[int, int]] = {(0,) * len(row): {0: 1}}
+        for t in c.support():
+            rt, step, weight = inst._rank(t), inst.coords(t), c.value(t)
+            factors: dict[tuple[int, int], int] = {}
+            taken: dict[tuple[int, ...], dict[int, int]] = {}  # sums with t in them
+            for u, by_count in sums.items():
+                top = (max_rank - sum(map(mul, u, row))) // rt  # the most copies of t
+                for i, cap in caps:
+                    if step[i]:
+                        top = min(top, (cap - u[i]) // step[i])
+                v = u
+                for m in range(1, top + 1):
+                    v = tuple(map(add, v, step))  # u + m*t
+                    slot = taken.setdefault(v, {})
+                    for k, value in by_count.items():
+                        f = factors.get((k, m))
+                        if f is None:
+                            f = factors[k, m] = factor(k, m, weight)
+                        slot[k + m] = slot.get(k + m, 0) + value * f
+            for v, by_count in taken.items():
+                slot = sums.setdefault(v, {})
+                for k, value in by_count.items():
+                    slot[k] = slot.get(k, 0) + value
+        return sums
+
+    unsigned = knapsack(lambda k, m, w: comb(k + m, m) * abs(w) ** m)
+    size = slot_size(2 * max(sum(by_count.values()) for by_count in unsigned.values()))
+    width = 8 * size
+    powers = functools.cache(lambda w, m: kronecker_pack(q_power(w, m).coeffs, size))
+    sums = knapsack(lambda k, m, w: kronecker_pack(q_binomial(k + m, m).coeffs, size)
+                    * powers(w, m))
 
     def build(s):
         rk = inst._rank(s)
-        total = ZERO
+        total = 0
         for count, terms in sums.get(inst.coords(s), {}).items():
-            weighted = terms * one_minus_q_pow(rk)
-            total = total + weighted.exact_div(one_minus_q_pow(count))
-        return total
+            total += _divide_one_minus_power(terms - (terms << width * rk), count, width)
+        return IntPoly(kronecker_unpack(total, size))
 
     return PolyFamily.from_function(inst, c.window, build)
 

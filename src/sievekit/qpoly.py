@@ -18,7 +18,7 @@ schoolbook loop runs over the sparser operand's terms.  When both are
 denser, each operand is packed into one Python int and the product is one
 bignum multiplication (Kronecker substitution; Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", J. Symbolic
-Comput. 44, 2009).
+Comput. 44, 2009).  ``qgauss`` packs the whole from-c knapsack the same way.
 
 Remainders modulo a cyclotomic polynomial represent evaluations at a
 primitive root of unity without ever leaving exact arithmetic.  Deciding
@@ -72,37 +72,42 @@ def _trim(coeffs: Iterable[int]) -> tuple[int, ...]:
     return out[:end]
 
 
-def _kronecker(a: tuple[int, ...], b: tuple[int, ...], terms: int) -> tuple[int, ...]:
-    """The coefficients of a * b from one integer product, where ``terms``
-    is the smaller operand's number of nonzero terms.
+def slot_size(bound: int) -> int:
+    """Bytes per Kronecker slot for coefficients of magnitude at most
+    ``bound``, with a sign bit: a struct item size when at most 8."""
+    size = (bound.bit_length() + 8) // 8
+    return 1 << (size - 1).bit_length() if size <= 8 else size
 
-    No product coefficient exceeds max|a| * max|b| * terms in magnitude, so
-    a slot of whole bytes with one bit more than that bound holds any of
-    them shifted up by half the slot's range.  Each operand is packed
-    shifted, as a little-endian byte string, and the shift taken back off
-    as an int; the product with the shift added to every slot has no
-    negative slot and no carry, so its bytes split straight into the
-    shifted coefficients.
-    """
-    bound = max(map(abs, a)) * max(map(abs, b)) * terms
-    size = (bound.bit_length() + 8) // 8  # bytes per slot, with a sign bit
-    if size <= 8:
-        size = 1 << (size - 1).bit_length()  # a struct item size
-    fmt = _SLOT_FORMATS.get(size)
-    half = 1 << (8 * size - 1)
-    half_bytes = half.to_bytes(size, "little")
 
-    def pack(cs: tuple[int, ...]) -> int:
-        shifted = [c + half for c in cs]
-        if fmt:
-            raw = struct.pack(f"<{len(cs)}{fmt}", *shifted)
-        else:
-            raw = b"".join([c.to_bytes(size, "little") for c in shifted])
-        return int.from_bytes(raw, "little") - int.from_bytes(half_bytes * len(cs), "little")
+def _halves(n: int, size: int) -> int:
+    """Half a slot's range in each of n slots, packed."""
+    return int.from_bytes((1 << 8 * size - 1).to_bytes(size, "little") * n, "little")
 
-    n = len(a) + len(b) - 1
-    product = pack(a) * pack(b) + int.from_bytes(half_bytes * n, "little")
-    raw = product.to_bytes(n * size, "little")
+
+def kronecker_pack(coeffs: Sequence[int], size: int) -> int:
+    """The polynomial at q = 2^(8 * size), its coefficients below half a
+    slot's range in magnitude: packed shifted up by that half as bytes, and
+    the shift taken back off.  Packed values add and multiply as the
+    polynomials do; only a value to unpack needs coefficients that fit."""
+    half, fmt = 1 << 8 * size - 1, _SLOT_FORMATS.get(size)
+    shifted = [c + half for c in coeffs]
+    if fmt:
+        raw = struct.pack(f"<{len(shifted)}{fmt}", *shifted)
+    else:
+        raw = b"".join([c.to_bytes(size, "little") for c in shifted])
+    return int.from_bytes(raw, "little") - _halves(len(shifted), size)
+
+
+def kronecker_unpack(value: int, size: int) -> tuple[int, ...]:
+    """The coefficients, trimmed, of a packed polynomial whose coefficients
+    fit the slots.  Its lead fixes the number of slots from the value's bit
+    length; with half a slot's range added to each, no slot is negative or
+    carries, so the bytes split into the shifted coefficients."""
+    if not value:
+        return ()
+    n = abs(value).bit_length() // (8 * size) + 1
+    half, fmt = 1 << 8 * size - 1, _SLOT_FORMATS.get(size)
+    raw = (value + _halves(n, size)).to_bytes(n * size, "little")
     if fmt:
         slots = struct.unpack(f"<{n}{fmt}", raw)
     else:
@@ -179,7 +184,7 @@ class IntPoly:
     def __mul__(self, other: "IntPoly | int") -> "IntPoly":
         """Product.  When both operands have at least KRONECKER_MIN_TERMS
         nonzero terms it is one integer product of the packed operands
-        (``_kronecker``).  Otherwise the outer loop runs over the nonzero
+        (``kronecker_pack``).  Otherwise the outer loop runs over the nonzero
         terms of the sparser operand, so multiplying by 1 - q^m costs two
         passes.  The lead coefficient is the product of the two leads, so
         the result has no trailing zero to trim."""
@@ -191,7 +196,9 @@ class IntPoly:
         if terms > other_terms:
             a, b, terms = b, a, other_terms
         if terms >= KRONECKER_MIN_TERMS:
-            return IntPoly._trimmed(_kronecker(a, b, terms))
+            size = slot_size(max(map(abs, a)) * max(map(abs, b)) * terms)  # bounds a * b
+            return IntPoly._trimmed(
+                kronecker_unpack(kronecker_pack(a, size) * kronecker_pack(b, size), size))
         width = len(b)
         out = [0] * (len(a) + width - 1)
         for i, c in enumerate(a):
@@ -206,17 +213,6 @@ class IntPoly:
         for c in reversed(self.coeffs):
             out = out * x + c
         return out
-
-    def subst_power(self, m: int) -> "IntPoly":
-        """Substitute q -> q**m for m >= 1."""
-        if m < 1:
-            raise ValueError(f"subst_power: need m >= 1, got {m}")
-        if not self.coeffs:
-            return ZERO
-        out = [0] * ((len(self.coeffs) - 1) * m + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * m] = c
-        return IntPoly(out)
 
     def __divmod__(self, other: "IntPoly") -> tuple["IntPoly", "IntPoly"]:
         """Long division; every reduction step must divide exactly in Z.
@@ -510,7 +506,7 @@ def cyclotomic(d: int) -> IntPoly:
 
 
 @functools.lru_cache(maxsize=None)
-def _gcd_classes(n: int) -> tuple[dict[int, tuple[int, ...]], tuple[int, ...]]:
+def gcd_classes(n: int) -> tuple[dict[int, tuple[int, ...]], tuple[int, ...]]:
     """For each d | n the row c_d(g) over the divisors g of n, ascending,
     and for each j < n the index of gcd(j, n) among them (gcd(0, n) = n)."""
     ds = divisors(n)
@@ -534,7 +530,7 @@ def ramanujan_classes(n: int, values: Iterable[tuple[int, int]]) -> tuple[list[i
     >>> eval_at_primitive_root(IntPoly([by_class[k] for k in classes]), 6).coeffs
     (30,)
     """
-    sums, classes = _gcd_classes(n)
+    sums, classes = gcd_classes(n)
     rows = [(sums[d], value) for d, value in values if value]
     return [sum(row[k] * value for row, value in rows) for k in range(len(sums))], classes
 

@@ -210,7 +210,7 @@ def _bits(mask: int) -> list[int]:
 
 
 def _capped_graph(n: int, kind: str) -> _Graph:
-    """The graph of an enumeration or a path map: ValueError for an unknown
+    """The graph of a public tubing function: ValueError for an unknown
     kind or n past MAX_INTERVAL or MAX_CYCLE, before any graph is built."""
     if kind not in ("interval", "cycle"):
         raise ValueError(f"unknown graph kind {kind!r}")
@@ -229,19 +229,19 @@ def _tube_set(graph: _Graph, bits: int) -> int:
 
 def mask_to_tubing(n: int, bits: int, kind: str = "interval") -> Tubing:
     """The tubing of the n-interval or n-cycle that a tube bitset stands for."""
-    graph = _graph(n, kind)
+    graph = _capped_graph(n, kind)
     return graph.tubing(_tube_set(graph, bits))
 
 
 def tube_vertices(n: int, tube: Tube, kind: str = "interval") -> frozenset:
-    graph = _graph(n, kind)
+    graph = _capped_graph(n, kind)
     (i,) = graph.indices((tube,))
     return frozenset(_bits(graph.masks[i]))
 
 
 def tubes_compatible(n: int, t1: Tube, t2: Tube, kind: str = "interval") -> bool:
     """Nested, or vertex-disjoint with no edge between the two tubes."""
-    graph = _graph(n, kind)
+    graph = _capped_graph(n, kind)
     i, j = graph.indices((t1, t2))
     return bool(graph.compat[i] >> j & 1)
 
@@ -250,7 +250,7 @@ def is_tubing(n: int, tubes: Iterable[Tube], kind: str = "interval") -> bool:
     tubes = list(tubes)
     if len(set(tubes)) != len(tubes):
         return False
-    graph = _graph(n, kind)
+    graph = _capped_graph(n, kind)
     chosen, compat = graph.bits(tubes), graph.compat
     return all(chosen & compat[i] == chosen for i in graph.indices(tubes))
 
@@ -338,7 +338,7 @@ def enumerate_tubings(n: int, kind: str = "interval") -> list[Tubing]:
 
 
 def free_vertices(n: int, tubing: Iterable[Tube], kind: str = "interval") -> set[int]:
-    graph = _graph(n, kind)
+    graph = _capped_graph(n, kind)
     covered = 0
     for i in graph.indices(tubing):
         covered |= graph.masks[i]

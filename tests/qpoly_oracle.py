@@ -13,21 +13,24 @@ minus its top entry (``reduce_mod_q_int``, which the checks on
 entries per divisor (which the kernel on gcd classes replaced), the
 Ramanujan construction summing one Ramanujan sum per coefficient and
 dividing them by the rank (``scale_div``, once ``IntPoly.scale_div``), the
-from-c construction listing the
-decompositions of each element and dividing by [rank]_q once per
-decomposition, Riordan rows with D^n recomputed for every entry, and the
-transport layer's fiber directions read off the reduced row echelon form
-over the rationals.
-The dense ``mul`` and the per-decomposition ``construct_from_c`` stay
-here as the oracles for the library's two product paths and its knapsack.  The product identity
+from-c construction listing the decompositions of each element and
+dividing by [rank]_q once per decomposition, the from-b construction
+summing [rank t]_{q^d} b_t over the roots (which one sum per gcd class
+replaced), q -> q^m by spreading the coefficients (``subst_power``, once
+``IntPoly.subst_power``), Ramanujan sums as divisor sums (which von
+Sterneck's closed form replaced), Riordan rows with D^n recomputed for
+every entry, and the transport layer's fiber directions read off the
+reduced row echelon form over the rationals.
+The dense ``mul``, the per-decomposition ``construct_from_c`` and the
+per-root ``construct_from_b`` stay here as the oracles for the library's
+two product paths, its knapsack and its class sums.  The product identity
 sum c_n x^n = 1 - prod (1 - x^n)^{b_n} on the positive integers
 (``c_from_b_series``) is a route from role "b" to role "c" that shares
 nothing with ``c_from_a``.
 They borrow from the library only what that rewrite left alone: the
-``IntPoly`` container, ``fold``, ``q_int``, ``subst_power``, the semigroup
-instances, the report types, ``divisors``, ``mobius``, ``ramanujan_sum``
-and ``NonIntegerWitness``; series arithmetic is ``series_oracle``'s
-``RationalSeries``.
+``IntPoly`` container, ``fold``, ``q_int``, the semigroup instances, the
+report types, ``divisors``, ``mobius`` and ``NonIntegerWitness``; series
+arithmetic is ``series_oracle``'s ``RationalSeries``.
 """
 
 from __future__ import annotations
@@ -36,11 +39,11 @@ import functools
 from collections import Counter
 from fractions import Fraction
 from itertools import cycle
-from math import gcd
+from math import comb, factorial, gcd, prod
 from typing import Sequence
 
 from series_oracle import RationalSeries, lift
-from sievekit.arith import divisors, mobius, ramanujan_sum
+from sievekit.arith import divisors, mobius
 from sievekit.gaussseq import NonIntegerWitness, SequenceSpec
 from sievekit.qgauss import (
     FamilyCheckFailure,
@@ -52,6 +55,24 @@ from sievekit.qpoly import ONE, ZERO, IntPoly, fold, q_int
 
 
 # -- dense arithmetic -------------------------------------------------------------
+
+
+def ramanujan_sum(j: int, d: int) -> int:
+    """Sum of the j-th powers of the primitive d-th roots of unity, as the
+    divisor sum of e * mobius(d // e) over e | gcd(j, d) (gcd(0, d) = d)."""
+    return sum(e * mobius(d // e) for e in divisors(gcd(j, d)))
+
+
+def subst_power(p: IntPoly, m: int) -> IntPoly:
+    """p with q -> q**m substituted, for m >= 1."""
+    if m < 1:
+        raise ValueError(f"subst_power: need m >= 1, got {m}")
+    if not p.coeffs:
+        return ZERO
+    out = [0] * ((len(p.coeffs) - 1) * m + 1)
+    for i, c in enumerate(p.coeffs):
+        out[i * m] = c
+    return IntPoly(out)
 
 
 def mul(p: IntPoly, q: IntPoly) -> IntPoly:
@@ -157,6 +178,35 @@ def q_power(base: int, n: int) -> IntPoly:
     return mul(sign, _q_exp_nonneg(-base, n))
 
 
+def partitions(n: int, largest: int | None = None):
+    """The partitions of n into parts of at most ``largest``, each a
+    descending tuple."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, n if largest is None else largest), 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first, *rest)
+
+
+def q_power_by_partitions(base: int, n: int) -> IntPoly:
+    """``q_power`` with no recursion on the base, so for any base: [n]_q!
+    times the x^n coefficient of e(x)^b, e(x) = sum_m x^m / [m]_q!, is a
+    sum over the weak compositions of n into b parts, that is over the
+    partitions lam of n with at most b parts, of C(b, len(lam)) times the
+    number of orders of lam's parts times the q-multinomial of lam
+    (b = |base|, with the q-sign of n when base < 0)."""
+    b = abs(base)
+    total = ZERO
+    for lam in partitions(n):
+        if len(lam) <= b:
+            orders = factorial(len(lam)) // prod(map(factorial, Counter(lam).values()))
+            total = total + mul(q_multinomial(lam), IntPoly((comb(b, len(lam)) * orders,)))
+    if base < 0:
+        total = mul(IntPoly((-1,)) if n % 2 else IntPoly.monomial(1, n // 2), total)
+    return total
+
+
 def weighted_multinomial(weight: int, mults: list[int]) -> IntPoly:
     return exact_div(mul(q_int(weight), q_multinomial(mults)), q_int(sum(mults)))
 
@@ -190,7 +240,7 @@ def check_qgauss_definition(F: PolyFamily) -> FamilyReport:
         for t, d in inst.unit_divisors(s):
             mu = mobius(d)
             if mu:
-                total = total + lookup[t].subst_power(d) * mu
+                total = total + subst_power(lookup[t], d) * mu
         _, rem = divmod_(total, q_int(rk))
         checked += 1
         if rem:
@@ -245,7 +295,10 @@ def construct_ramanujan(a: SequenceSpec) -> PolyFamily:
     return PolyFamily.from_function(inst, a.window, build)
 
 
-def construct_from_c(c: SequenceSpec) -> PolyFamily:
+def construct_from_c(c: SequenceSpec, power=q_power) -> PolyFamily:
+    """The sum over each element's decompositions; ``power`` is the
+    q-analogue of c_t^m (``q_power_by_partitions`` for bases the recursive
+    ``q_power`` cannot reach)."""
     inst = c.instance
     support = c.support()
 
@@ -256,13 +309,27 @@ def construct_from_c(c: SequenceSpec) -> PolyFamily:
             mults = Counter(parts)
             term = weighted_multinomial(rk, sorted(mults.values()))
             for t, m in mults.items():
-                term = mul(term, q_power(c.value(t), m))
+                term = mul(term, power(c.value(t), m))
                 if not term:
                     break
             total = total + term
         return total
 
     return PolyFamily.from_function(inst, c.window, build)
+
+
+def construct_from_b(b: SequenceSpec) -> PolyFamily:
+    inst = b.instance
+
+    def build(s):
+        total = ZERO
+        for t, d in inst.unit_divisors(s):
+            bt = b.value(t)
+            if bt:
+                total = total + mul(subst_power(q_int(inst.rank(t)), d), IntPoly((bt,)))
+        return total
+
+    return PolyFamily.from_function(inst, b.window, build)
 
 
 def riordan_count(D, n: int, k: int) -> int:

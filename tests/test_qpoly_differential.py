@@ -9,6 +9,7 @@ same failure: the same exception type, element and detail.
 from __future__ import annotations
 
 import inspect
+import itertools
 import sys
 from fractions import Fraction
 from math import comb
@@ -20,16 +21,19 @@ from hypothesis import strategies as st
 import qpoly_oracle as oracle
 from helpers import corrupt, sequence_corpus, zpos_spec
 from series_oracle import RationalSeries
-from sievekit.arith import divisors
+from sievekit.arith import divisors, ramanujan_sum
 from sievekit.gaussseq import (
     NonIntegerWitness,
     SequenceSpec,
     TruncatedSeries,
+    b_from_a,
+    c_from_a,
     riordan_rows,
 )
 from sievekit.qgauss import (
     NonIntegerCoefficient,
     PolyFamily,
+    _divide_one_minus_power,
     _fiber_directions,
     _weighted_multinomial,
     check_qgauss_definition,
@@ -45,10 +49,13 @@ from sievekit.qpoly import (
     _q_exp_nonneg,
     _q_exp_row,
     cyclotomic,
+    kronecker_pack,
+    kronecker_unpack,
     q_binomial,
     q_multinomial,
     q_power,
     ramanujan_classes,
+    slot_size,
 )
 from sievekit.semigroup import Chain, FreeRanked, Morphism, PositiveIntegers, Window
 
@@ -211,6 +218,15 @@ class TestQAnalogues:
     def test_q_power(self, base, n):
         assert q_power(base, n) == oracle.q_power(base, n)
 
+    def test_q_power_by_partitions_is_the_recursion(self):
+        # the oracle the from-c tests use for bases past the recursion's reach
+        for base in range(-7, 8):
+            for n in range(1, 9):
+                assert oracle.q_power_by_partitions(base, n) == oracle.q_power(base, n)
+        for base in (10**30, -(10**30), 2**64 + 1):
+            for n in range(1, 7):
+                assert oracle.q_power_by_partitions(base, n) == q_power(base, n)
+
     @pytest.mark.parametrize("base", [1, 2, 3])
     def test_q_power_rows_extend_in_any_order(self, base):
         # from empty caches: n = 15..1 builds the row once and reads it
@@ -322,6 +338,12 @@ def test_class_kernel_equals_the_per_entry_vector(n, data):
     by_class, classes = ramanujan_classes(n, values)
     assert len(by_class) == len(divisors(n)) and len(classes) == n
     assert [by_class[k] for k in classes] == want
+
+
+def test_ramanujan_sum_closed_form_is_the_divisor_sum():
+    for d in range(1, 301):
+        assert [ramanujan_sum(j, d) for j in range(d)] == [
+            oracle.ramanujan_sum(j, d) for j in range(d)], d
 
 
 def test_ramanujan_failure_with_two_classes_off():
@@ -451,6 +473,92 @@ def test_from_c_keeps_only_partial_sums_that_can_reach_the_window(monkeypatch):
     assert (len(sums), sum(map(len, sums.values()))) == (672, 1468)
     monkeypatch.undo()
     assert F.polys == oracle.construct_from_c(c).polys
+
+
+@pytest.mark.parametrize("inst, window, support", [
+    (ZPOS, Window(12), {1: 10**30, 2: -3}),
+    (ZPOS, Window(10), {1: -(10**30), 2: 10**30, 3: -1}),
+    (ZPOS, Window(12), {1: 1, 2: -(10**30), 3: 2**64 - 1, 5: 10**30}),
+    (FreeRanked((("x", 1), ("y", 2))), Window(6), {(1, 0): 10**30, (0, 1): -(10**30), (1, 1): 7}),
+])
+def test_from_c_with_weights_of_a_hundred_bits(inst, window, support):
+    """Weights of either sign near 10^30, against the per-decomposition
+    sum with q-powers by partitions: the slot width comes from the bound
+    on the largest coefficient, so no state may overflow it."""
+    c = SequenceSpec.from_mapping(inst, window, "c", support)
+    assert construct_from_c(c).polys == oracle.construct_from_c(
+        c, oracle.q_power_by_partitions).polys
+
+
+@given(st.lists(st.integers(-2**70, 2**70), max_size=12) | coeff_lists, st.integers(1, 9),
+       st.integers(0, 24), st.sampled_from([1, 2**70]))
+def test_packed_division_by_one_minus_a_power(coeffs, k, j, scale):
+    """p * (1 - q^k), packed, divides back to p, which unpacks to its
+    coefficients; adding q^j to the product leaves no multiple of
+    1 - q^k (its value at q = 1 is 1), and the division raises."""
+    p = IntPoly(coeffs)
+    size = slot_size(2 * scale * (1 + max(map(abs, coeffs), default=0)))
+    width = 8 * size
+    packed = kronecker_pack(p.coeffs, size)
+    product = packed - (packed << width * k)
+    assert _divide_one_minus_power(product, k, width) == packed
+    assert kronecker_unpack(packed, size) == p.coeffs
+    with pytest.raises(ArithmeticError):
+        _divide_one_minus_power(product + (1 << width * j), k, width)
+
+
+# weight magnitudes at and around the 1-, 2-, 4- and 8-byte slot edges
+EDGE_WEIGHTS = st.builds(lambda sign, w: sign * w, st.sampled_from([1, -1]), st.sampled_from(
+    [1, 2, 127, 128, 255, 2**15 - 1, 2**15 + 1, 2**31, 2**63 - 1, 2**64 + 1, 10**30]))
+
+
+@settings(max_examples=25)
+@given(st.integers(1, 9), st.dictionaries(st.integers(1, 6), EDGE_WEIGHTS, min_size=1, max_size=3))
+def test_from_c_at_slot_edges(max_rank, support):
+    c = zpos_spec("c", {t: v for t, v in support.items() if t <= max_rank}, max_rank)
+    assert construct_from_c(c).polys == oracle.construct_from_c(
+        c, oracle.q_power_by_partitions).polys
+
+
+# -- from-b construction ------------------------------------------------------------------
+
+
+def _b_specs() -> list[tuple[str, SequenceSpec]]:
+    chain = Chain(Chain(ZPOS, "nonneg"), "ints")
+    chain_window = Window(8, ((0, 3), (-2, 2)))
+    beads = FreeRanked((("x", 1), ("z", 0), ("y", 2)))
+    beads_window = Window(6, max_total=5)
+    return [
+        ("zpos", zpos_spec("b", {n: (n * 7) % 11 - 5 for n in range(1, 61)}, 60)),
+        ("zpos-sparse", zpos_spec("b", {1: 2, 4: -10**20, 6: 3}, 36)),
+        ("chain-ints", SequenceSpec.from_mapping(chain, chain_window, "b", {
+            s: i % 5 - 2 for i, s in enumerate(chain.elements(chain_window))})),
+        ("free-zero-length", SequenceSpec.from_mapping(beads, beads_window, "b", {
+            s: i % 7 - 3 for i, s in enumerate(beads.elements(beads_window))})),
+    ]
+
+
+@pytest.mark.parametrize("name, b", _b_specs(), ids=[name for name, _ in _b_specs()])
+def test_from_b(name, b):
+    assert construct_from_b(b).polys == oracle.construct_from_b(b).polys
+
+
+def test_three_constructions_agree_on_every_gauss_row_of_a_box():
+    """Every row on zpos at max_rank 6 with entries in -2..2 (5^6 rows):
+    the 31 with the Gauss congruence give the same folds modulo
+    q^rank - 1 whether built from a, from b or from c."""
+    gauss = 0
+    for row in itertools.product(range(-2, 3), repeat=6):
+        a = zpos_spec("a", dict(enumerate(row, start=1)), 6)
+        try:
+            b = b_from_a(a)
+        except NonIntegerWitness:
+            continue
+        gauss += 1
+        folds = construct_ramanujan(a).folds
+        assert construct_from_b(b).folds == folds, row
+        assert construct_from_c(c_from_a(a)).folds == folds, row
+    assert gauss == 31
 
 
 @settings(max_examples=60)

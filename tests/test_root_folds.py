@@ -220,7 +220,7 @@ def definition_by_remainders(F: PolyFamily) -> FamilyReport:
             rank = inst.rank(s)
             total = ZERO
             for t, d in inst.unit_divisors(s):
-                total = total + lookup[t].subst_power(d) * mobius(d)
+                total = total + qpoly_oracle.subst_power(lookup[t], d) * mobius(d)
             remainder = qpoly_oracle.reduce_mod_q_int(total, rank)
             yield s, rank, f"remainder {remainder}" if remainder else None
 

@@ -24,7 +24,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "sievekit"
 # Patched by name in bench/tracer.py, and tests/test_bench_hooks.py fails
 # if one goes: these leave after ROADMAP item 1 lets a hook go missing.
 TRACER_HOOKS = {
-    "arith.totient",
     "gaussseq.check_gauss",
     "gaussseq.riordan_count",
     "gaussseq.solve_functional_equation",

@@ -257,6 +257,30 @@ def test_graph_helpers_refuse_sizes_below_one_without_caching_a_graph(kind):
 
 
 @pytest.mark.parametrize("kind", KINDS)
+def test_graph_helpers_refuse_sizes_past_the_cap_without_caching_a_graph(kind):
+    """n past the cap once built and kept an n-vertex graph (is_tubing at
+    n = 60 took 0.5 s); now each helper refuses it as tubing_masks does."""
+    cap = tb.MAX_INTERVAL if kind == "interval" else MAX_CYCLE
+    cached = _graph.cache_info().currsize
+    for n in (cap + 1, 40, 80):
+        for call in (
+            lambda: is_tubing(n, [(0, 1)], kind),
+            lambda: tubes_compatible(n, (0, 1), (2, 1), kind),
+            lambda: free_vertices(n, [], kind),
+            lambda: tube_vertices(n, (0, 1), kind),
+            lambda: mask_to_tubing(n, 0, kind),
+        ):
+            with pytest.raises(ValueError, match=f"refusing to enumerate {kind} tubings beyond"
+                                                 f" n = {cap}"):
+                call()
+    assert _graph.cache_info().currsize == cached
+    # the caps themselves are served
+    assert is_tubing(cap, [(0, 1)], kind) and tubes_compatible(cap, (0, 1), (2, 1), kind)
+    assert free_vertices(cap, [], kind) == set(range(cap))
+    assert tube_vertices(cap, (0, 1), kind) == {0} and mask_to_tubing(cap, 0, kind) == frozenset()
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_bitset_maps_refuse_bits_past_the_tubes(kind):
     """A negative bitset, or one naming a tube index the graph lacks, is
     no tubing: ValueError before any walk."""

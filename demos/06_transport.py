@@ -14,17 +14,15 @@ from sievekit.qgauss import (
     check_qgauss_definition,
     check_qgauss_roots,
     fund_family,
-    pullback,
-    pushforward,
 )
 from sievekit.qpoly import ONE, ZERO, q_binomial, q_power
 from sievekit.semigroup import (
     Chain,
     FreeRanked,
-    Morphism,
     PositiveIntegers,
     Window,
 )
+from sievekit.transport import Morphism, pullback, pushforward
 from sievekit.tubings import free_vertex_polynomial, tube_count_polynomial
 
 ZPOS = PositiveIntegers()

@@ -4,11 +4,13 @@ The package is organised bottom-up:
 
 - ``arith``: divisor sums, Mobius and totient functions, Ramanujan sums.
 - ``qpoly``: integer polynomials in q, q-binomials, values at roots of unity.
-- ``semigroup``: ranked commutative semigroups, windows and morphisms.
+- ``semigroup``: ranked commutative semigroups and their windows.
 - ``gaussseq``: integer sequences indexed by a semigroup and the divisibility
   congruences that tie them together.
 - ``qgauss``: polynomial-valued refinements of those sequences and their
   root-of-unity characterisation.
+- ``transport``: morphisms between instances, and pushforward, pullback
+  and products of polynomial families along them.
 - ``objects``: words and festoons, cyclic objects that realise the
   sequences combinatorially, and their necklace census.
 - ``tubings``: tubings of paths and cycles, lattice-path bijections and their

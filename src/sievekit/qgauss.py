@@ -15,15 +15,13 @@ E_d * c_d(j), c_d the Ramanujan sum.  The canonical f_s is that vector
 divided by rank(s), and f_s passes the root test at every d exactly when
 rank(s) times f_s folded modulo q^rank - 1 equals it.  Both checks read a
 family only through those folds, which ``PolyFamily.folds`` builds once
-per family, as do the sieving checks of ``objects``.  Transport operations (pushforward,
-pullback, multiply, two chainings) produce new families from old,
-mirroring how counting problems are rearranged.
+per family, as do the sieving checks of ``objects``.  Moving families
+along morphisms is ``transport``'s.
 """
 
 from __future__ import annotations
 
 import functools
-import warnings
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from math import comb
 from operator import add, mul, sub
@@ -33,7 +31,6 @@ from .arith import mobius
 from .gaussseq import SequenceSpec, _require_role
 from .qpoly import (
     IntPoly,
-    ZERO,
     eval_at_primitive_root,
     fold,
     gcd_classes,
@@ -47,17 +44,13 @@ from .qpoly import (
     slot_size,
 )
 from .semigroup import (  # FamilyCheckFailure and FamilyReport are re-exported
-    Chain,
     CheckedTable,
     FamilyCheckFailure,
     FamilyReport,
     FreeRanked,
-    Morphism,
-    PositiveIntegers,
     Record,
     Window,
     _SemigroupBase,
-    apply_morphism,
     check_divisors,
     encode_element,
     window_table,
@@ -75,15 +68,6 @@ class NonIntegerCoefficient(ValueError):
         self.element = element
         self.detail = detail
         super().__init__(f"non-integer coefficient at {element}: {detail}")
-
-
-class WindowBoundaryWarning(UserWarning):
-    """A pushforward read mass from the edge of its source window.
-
-    Fibers are enumerated inside the declared window, so contributions at
-    the boundary suggest the window may be cutting a fiber short.  Widening
-    the bounds past the support silences this.
-    """
 
 
 class PolyFamily(Record):
@@ -415,182 +399,3 @@ def fund_family(beads, window: Window) -> PolyFamily:
         return by_class[key]
 
     return PolyFamily.from_function(inst, window, build)
-
-
-# -- transport along morphisms --------------------------------------------------
-
-
-def _fiber_directions(m: Morphism) -> set[int]:
-    """Source coordinates along which a fiber of the morphism can move.
-
-    These are the coordinates carrying a nonzero entry in some kernel
-    vector of the coordinate matrix; window edges only threaten fiber
-    completeness in those directions.
-    """
-    width = len(m.matrix[0])
-    mat = [list(row) for row in m.matrix]
-    pivots: dict[int, int] = {}
-    r = 0
-    for c in range(width):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        pv = mat[r][c]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                # fraction-free: scaling row i by pv != 0 keeps its zero pattern
-                f = mat[i][c]
-                mat[i] = [pv * a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots[c] = r
-        r += 1
-    moving: set[int] = set()
-    for fc in (c for c in range(width) if c not in pivots):
-        moving.add(fc)
-        for c, pr in pivots.items():
-            if mat[pr][fc]:
-                moving.add(c)
-    return moving
-
-
-def _boundary_contact(
-    inst: _SemigroupBase, window: Window, s, moving: set[int]
-) -> bool:
-    """True when s sits on a window edge along a fiber direction."""
-    if isinstance(inst, Chain):
-        bounds = inst.resolve_bounds(window)
-        coords = inst.coords(s)
-        return any(
-            i + 1 in moving and coords[i + 1] in pair
-            for i, pair in enumerate(bounds)
-        )
-    if isinstance(inst, FreeRanked):
-        return (
-            bool(moving)
-            and window.max_total is not None
-            and inst.size(s) >= window.max_total
-        )
-    return False
-
-
-def pushforward(F: PolyFamily, m: Morphism, target_window: Window) -> PolyFamily:
-    """Sum each fiber of the morphism into a family on the target window.
-
-    Fibers are enumerated inside F's window; it is the caller's job to make
-    the window contain every contributing preimage.  A nonzero contribution
-    sitting on a window edge along a direction the fiber moves in triggers
-    a WindowBoundaryWarning, as does a contribution whose rank differs from
-    its image's rank (fibers of such maps are not exhausted by any single
-    max_rank).
-    """
-    if m.source != F.instance:
-        raise ValueError("pushforward: family instance does not match morphism source")
-    target = m.target
-    moving = _fiber_directions(m)
-    sums: dict = {}
-    edge = None
-    rank_jump = None
-    for s, p in F.polys:
-        t = apply_morphism(m, s)
-        sums[t] = sums.get(t, ZERO) + p
-        if p:
-            if edge is None and _boundary_contact(F.instance, F.window, s, moving):
-                edge = s
-            if rank_jump is None and F.instance.rank(s) != target.rank(t):
-                rank_jump = s
-    if edge is not None:
-        warnings.warn(
-            f"pushforward support touches the source window edge at {edge!r}",
-            WindowBoundaryWarning,
-            stacklevel=2,
-        )
-    if rank_jump is not None:
-        warnings.warn(
-            f"pushforward does not preserve rank at {rank_jump!r}; "
-            "fibers may extend beyond the window",
-            WindowBoundaryWarning,
-            stacklevel=2,
-        )
-    return PolyFamily.from_function(
-        target, target_window, lambda t: sums.get(t, ZERO)
-    )
-
-
-def pullback(G: PolyFamily, m: Morphism, source_window: Window) -> PolyFamily:
-    """Restrict a target family along the morphism: f_s = g at the image of s."""
-    if m.target != G.instance:
-        raise ValueError("pullback: family instance does not match morphism target")
-    lookup = G.as_dict()
-
-    def build(s):
-        t = apply_morphism(m, s)
-        if t not in lookup:
-            raise ValueError(
-                f"pullback image {t!r} of {s!r} is outside the family window"
-            )
-        return lookup[t]
-
-    return PolyFamily.from_function(m.source, source_window, build)
-
-
-def multiply(F: PolyFamily, G: PolyFamily) -> PolyFamily:
-    """Entrywise product of two families on the same torsion-free window."""
-    if F.instance != G.instance or F.window != G.window:
-        raise ValueError("multiply needs families on the same instance/window")
-    g = G.as_dict()
-    pairs = tuple((s, p * g[s]) for s, p in F.polys)
-    return PolyFamily(F.instance, F.window, pairs)
-
-
-def _chain_shapes(F: PolyFamily, G: PolyFamily) -> tuple[Chain, Chain]:
-    if not isinstance(F.instance, Chain) or not isinstance(G.instance, Chain):
-        raise ValueError("chaining needs two chain instances")
-    return F.instance, G.instance
-
-
-def _chain_product(F: PolyFamily, G: PolyFamily, bounds, g_key: Callable) -> PolyFamily:
-    """h at e is F(e minus its last coordinate) * G(g_key(e)), on F's chain
-    extended by G's extra, with the given extra bounds."""
-    f, g = F.as_dict(), G.as_dict()
-    return PolyFamily.from_function(
-        Chain(F.instance, G.instance.extra),
-        Window(F.window.max_rank, bounds),
-        lambda e: f[e[:-1]] * g[g_key(e)],
-    )
-
-
-def chain_prefix(F: PolyFamily, G: PolyFamily) -> PolyFamily:
-    """Combine families sharing a base: h at (s, t, u) is F(s, t) * G(s, u).
-
-    F lives on base[T], G on base[U] with the same base and matching base
-    windows; the result lives on base[T][U].
-    """
-    fi, gi = _chain_shapes(F, G)
-    if fi.base != gi.base:
-        raise ValueError("chain_prefix: the two chains must share a base instance")
-    fb = fi.resolve_bounds(F.window)
-    gb = gi.resolve_bounds(G.window)
-    if F.window.max_rank != G.window.max_rank or fb[:-1] != gb[:-1]:
-        raise ValueError("chain_prefix: base windows differ")
-    return _chain_product(F, G, fb + (gb[-1],), lambda e: e[:-2] + (e[-1],))
-
-
-def chain_suffix(F: PolyFamily, G: PolyFamily) -> PolyFamily:
-    """Chain through the middle coordinate: h at (s, t, u) is F(s, t) * G(t, u).
-
-    The middle coordinate must itself be ranked, so F's extra kind must be
-    "pos" and G's base the plain positive integers; G's window has to reach
-    as high as F's middle bound.  The result lives on base[T][U].
-    """
-    fi, gi = _chain_shapes(F, G)
-    if fi.extra != "pos":
-        raise ValueError('chain_suffix: the middle coordinate must have kind "pos"')
-    if not isinstance(gi.base, PositiveIntegers):
-        raise ValueError("chain_suffix: the second family must sit over plain ranks")
-    fb = fi.resolve_bounds(F.window)
-    gb = gi.resolve_bounds(G.window)
-    if fb[-1][1] > G.window.max_rank:
-        raise ValueError(
-            "chain_suffix: middle bound exceeds the second family's window"
-        )
-    return _chain_product(F, G, fb + (gb[-1],), lambda e: (e[-2], e[-1]))

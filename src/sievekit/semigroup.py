@@ -17,6 +17,8 @@ frozen ``Record`` values and all operations are pure.  Division is by repetition
 t divides s when s = d*t for a positive integer d, so d | rank(s).  All
 instances are cancellative and torsion free, so the root s/d (``nth_root``)
 and the difference s - t (``_subtract``) are each one element or None.
+Maps between instances, integer matrices on the coordinates, live in
+``transport``.
 
 Infinite instances are always consumed through a finite ``Window`` (rank cap,
 per-extra coordinate bounds, bead-count cap), which makes every enumeration
@@ -586,88 +588,6 @@ class FreeRanked(_SemigroupBase, Record):
             if name == label:
                 return i
         raise ValueError(f"FreeRanked: unknown bead label {label!r}")
-
-
-# -- morphisms ---------------------------------------------------------------
-
-
-class Morphism(Record):
-    """An additive map between instances: an integer matrix applied to the
-    coordinate tuple (rows indexed by target coordinates).
-
-    Linear maps with no constant term are exactly the additive ones
-    expressible on coordinates.  That covers the rank map (the row of bead
-    lengths on a free instance, the first coordinate elsewhere),
-    projections, permutations, reindexings like (n, k) -> (n, k, n-k), and
-    bead label maps (0/1 columns).  Any iterable of integer rows is
-    accepted and stored as a tuple of tuples.
-    """
-
-    source: _SemigroupBase
-    target: _SemigroupBase
-    matrix: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        rows = tuple(
-            tuple(strict_int(c, "Morphism: matrix entry") for c in row) for row in self.matrix
-        )
-        if not rows:
-            raise ValueError("Morphism: needs a matrix")
-        if any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("Morphism: ragged matrix")
-        object.__setattr__(self, "matrix", rows)
-
-
-def apply_morphism(m: Morphism, s):
-    m.source.validate(s)
-    xs = m.source.coords(s)
-    if any(len(row) != len(xs) for row in m.matrix):
-        raise ValueError("apply_morphism: matrix width does not match source arity")
-    if len(m.matrix) != len(m.target.row):
-        raise ValueError("apply_morphism: matrix height does not match target arity")
-    ys = tuple(sum(c * x for c, x in zip(row, xs)) for row in m.matrix)
-    out = m.target._build(ys)
-    if out is None:
-        raise ValueError(f"apply_morphism: image {ys} of {s} is not a valid element")
-    return out
-
-
-def check_morphism(m: Morphism, kind: str, window: Window) -> FamilyReport:
-    """Verify morphism health on a window.
-
-    kind is "rank-dividing" (rank of the image divides the rank) or
-    "rank-multiplying" (rank divides the image rank).  For rank-multiplying
-    maps the root bijection condition needed for pullbacks is checked: for
-    every s and d | rank(s), s has a root by d exactly when its image has.
-    Additivity needs no check: the image of a coordinate sum under an
-    integer matrix is the sum of the images.  Per element s, in window
-    order: its image and rank direction (divisor None), then its roots
-    (divisor d).
-    """
-    if kind not in ("rank-dividing", "rank-multiplying"):
-        raise ValueError(f"check_morphism: unknown kind {kind!r}")
-    source, target = m.source, m.target
-
-    def checks():
-        for s in source.elements(window):
-            try:
-                phi_s = apply_morphism(m, s)
-            except ValueError as exc:
-                yield s, None, f"image of {s}: {exc}"
-                continue
-            rs, rp = source.rank(s), target.rank(phi_s)
-            if kind == "rank-dividing":
-                detail = f"rank {rp} of image of {s} does not divide rank {rs}"
-                yield s, None, detail if rs % rp else None
-                continue
-            detail = f"rank {rs} of {s} does not divide image rank {rp}"
-            yield s, None, detail if rp % rs else None
-            rooted = {d for _, d in source.unit_divisors(s)}  # the d with a root s/d
-            for d in divisors(rs):
-                same = (d in rooted) == (target.nth_root(phi_s, d) is not None)
-                yield s, d, None if same else f"root sets of {s} and its image differ at d={d}"
-
-    return FamilyReport.collect(checks())
 
 
 # -- JSON plumbing -----------------------------------------------------------

@@ -14,7 +14,8 @@ from sievekit import cli
 from sievekit.gaussseq import SequenceSpec, a_from_matrix_trace
 from sievekit.qgauss import PolyFamily
 from sievekit.qpoly import IntPoly, ZERO, q_binomial
-from sievekit.semigroup import PositiveIntegers, Window
+from sievekit.semigroup import Chain, PositiveIntegers, Window
+from sievekit.transport import Morphism, multiply, pullback
 
 ZPOS = PositiveIntegers()
 
@@ -90,6 +91,28 @@ def qb0(n: int, k: int) -> IntPoly:
     if n < 0 or k < 0 or k > n:
         return ZERO
     return q_binomial(n, k)
+
+
+def chain_product(F: PolyFamily, G: PolyFamily, through_middle: bool = False) -> PolyFamily:
+    """F on base[T] and G chained into one family on base[T][U], as the
+    product of two pullbacks along coordinate projections.
+
+    h at (..., t, u) is F(..., t) * G(..., u), G on base[U] (the base is
+    shared), or F(..., t) * G(t, u) when ``through_middle``, G on
+    zpos[U].  The window takes F's max_rank and extra bounds and G's bound
+    on u.
+    """
+    inst = Chain(F.instance, G.instance.extra)
+    n = len(inst.row)
+    bounds = F.instance.resolve_bounds(F.window) + G.instance.resolve_bounds(G.window)[-1:]
+    window = Window(F.window.max_rank, bounds)
+
+    def projection(target, picks) -> Morphism:
+        return Morphism(inst, target, [[int(i == j) for j in range(n)] for i in picks])
+
+    picks = (n - 2, n - 1) if through_middle else (*range(n - 2), n - 1)
+    return multiply(pullback(F, projection(F.instance, range(n - 1)), window),
+                    pullback(G, projection(G.instance, picks), window))
 
 
 def strict_path_recurrence(max_n: int) -> list[int]:

@@ -19,8 +19,11 @@ summing [rank t]_{q^d} b_t over the roots (which one sum per gcd class
 replaced), q -> q^m by spreading the coefficients (``subst_power``, once
 ``IntPoly.subst_power``), Ramanujan sums as divisor sums (which von
 Sterneck's closed form replaced), Riordan rows with D^n recomputed for
-every entry, and the transport layer's fiber directions read off the
-reduced row echelon form over the rationals.
+every entry, the transport layer's fiber directions read off the
+reduced row echelon form over the rationals, and the two chainings of
+families as one product on the extended chain (``chain_prefix`` and
+``chain_suffix``, which a product of two pullbacks along coordinate
+projections replaced).
 The dense ``mul``, the per-decomposition ``construct_from_c`` and the
 per-root ``construct_from_b`` stay here as the oracles for the library's
 two product paths, its knapsack and its class sums.  The product identity
@@ -40,7 +43,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import cycle
 from math import comb, factorial, gcd, prod
-from typing import Sequence
+from typing import Callable, Sequence
 
 from series_oracle import RationalSeries, lift
 from sievekit.arith import divisors, mobius
@@ -52,6 +55,7 @@ from sievekit.qgauss import (
     PolyFamily,
 )
 from sievekit.qpoly import ONE, ZERO, IntPoly, fold, q_int
+from sievekit.semigroup import Chain, PositiveIntegers, Window
 
 
 # -- dense arithmetic -------------------------------------------------------------
@@ -395,3 +399,60 @@ def fiber_directions(matrix) -> set[int]:
             if mat[pr][fc]:
                 moving.add(c)
     return moving
+
+
+# -- chainings -------------------------------------------------------------------
+
+
+def _chain_shapes(F: PolyFamily, G: PolyFamily) -> tuple[Chain, Chain]:
+    if not isinstance(F.instance, Chain) or not isinstance(G.instance, Chain):
+        raise ValueError("chaining needs two chain instances")
+    return F.instance, G.instance
+
+
+def _chain_product(F: PolyFamily, G: PolyFamily, bounds, g_key: Callable) -> PolyFamily:
+    """h at e is F(e minus its last coordinate) * G(g_key(e)), on F's chain
+    extended by G's extra, with the given extra bounds."""
+    f, g = F.as_dict(), G.as_dict()
+    return PolyFamily.from_function(
+        Chain(F.instance, G.instance.extra),
+        Window(F.window.max_rank, bounds),
+        lambda e: f[e[:-1]] * g[g_key(e)],
+    )
+
+
+def chain_prefix(F: PolyFamily, G: PolyFamily) -> PolyFamily:
+    """Combine families sharing a base: h at (s, t, u) is F(s, t) * G(s, u).
+
+    F lives on base[T], G on base[U] with the same base and matching base
+    windows; the result lives on base[T][U].
+    """
+    fi, gi = _chain_shapes(F, G)
+    if fi.base != gi.base:
+        raise ValueError("chain_prefix: the two chains must share a base instance")
+    fb = fi.resolve_bounds(F.window)
+    gb = gi.resolve_bounds(G.window)
+    if F.window.max_rank != G.window.max_rank or fb[:-1] != gb[:-1]:
+        raise ValueError("chain_prefix: base windows differ")
+    return _chain_product(F, G, fb + (gb[-1],), lambda e: e[:-2] + (e[-1],))
+
+
+def chain_suffix(F: PolyFamily, G: PolyFamily) -> PolyFamily:
+    """Chain through the middle coordinate: h at (s, t, u) is F(s, t) * G(t, u).
+
+    The middle coordinate must itself be ranked, so F's extra kind must be
+    "pos" and G's base the plain positive integers; G's window has to reach
+    as high as F's middle bound.  The result lives on base[T][U].
+    """
+    fi, gi = _chain_shapes(F, G)
+    if fi.extra != "pos":
+        raise ValueError('chain_suffix: the middle coordinate must have kind "pos"')
+    if not isinstance(gi.base, PositiveIntegers):
+        raise ValueError("chain_suffix: the second family must sit over plain ranks")
+    fb = fi.resolve_bounds(F.window)
+    gb = gi.resolve_bounds(G.window)
+    if fb[-1][1] > G.window.max_rank:
+        raise ValueError(
+            "chain_suffix: middle bound exceeds the second family's window"
+        )
+    return _chain_product(F, G, fb + (gb[-1],), lambda e: (e[-2], e[-1]))

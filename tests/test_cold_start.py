@@ -32,6 +32,8 @@ POLYNOMIALS = SEQUENCES | {"qpoly", "qgauss"}  # qgauss
 FESTOONS = POLYNOMIALS | {"objects"}  # csp over words and festoons
 EVERY_MODULE = FESTOONS | {"tubings"}  # csp tubings-cycle
 BIJECTIONS = ENTRY | {"tubings"}  # bijection
+# no command loads transport; importing it loads the modules it builds on
+TRANSPORT = {"arith", "semigroup", "gaussseq", "qpoly", "qgauss", "transport"}
 
 # stdlib modules no start needs: every job's arithmetic is integral, and
 # the records and annotations need neither dataclasses nor typing, and the
@@ -84,4 +86,12 @@ def test_importing_cli_loads_only_the_decoders(args):
     res, modules = run_fresh(*args)
     assert res.returncode == 0, res.stderr.decode()[-2000:]
     assert library_modules(modules) == ENTRY
+    assert not modules & SLOW_STDLIB
+
+
+def test_importing_transport_loads_only_what_it_builds_on():
+    # in process, tests import qgauss first and so hide an import cycle
+    res, modules = run_fresh("-c", "import sievekit.transport")
+    assert res.returncode == 0, res.stderr.decode()[-2000:]
+    assert library_modules(modules) == TRANSPORT
     assert not modules & SLOW_STDLIB

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import inspect
 import itertools
+import random
 import sys
 from fractions import Fraction
 from math import comb
@@ -19,7 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qpoly_oracle as oracle
-from helpers import corrupt, sequence_corpus, zpos_spec
+from helpers import chain_product, corrupt, sequence_corpus, zpos_spec
 from series_oracle import RationalSeries
 from sievekit.arith import divisors, ramanujan_sum
 from sievekit.gaussseq import (
@@ -34,7 +35,6 @@ from sievekit.qgauss import (
     NonIntegerCoefficient,
     PolyFamily,
     _divide_one_minus_power,
-    _fiber_directions,
     _weighted_multinomial,
     check_qgauss_definition,
     construct_from_b,
@@ -57,7 +57,8 @@ from sievekit.qpoly import (
     ramanujan_classes,
     slot_size,
 )
-from sievekit.semigroup import Chain, FreeRanked, Morphism, PositiveIntegers, Window
+from sievekit.semigroup import EXTRA_KINDS, Chain, FreeRanked, PositiveIntegers, Window
+from sievekit.transport import Morphism, _fiber_directions
 
 ZPOS = PositiveIntegers()
 
@@ -627,5 +628,60 @@ def test_riordan_rows_random(numer, lead, tail, max_n):
     st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3, 5]), min_size=width, max_size=width),
     min_size=1, max_size=4)))
 def test_fiber_directions_match_rational_elimination(rows):
-    m = Morphism(PositiveIntegers(), PositiveIntegers(), rows)
+    def beads(count):  # an instance with one coordinate per column or row
+        return FreeRanked(tuple((f"x{i}", 1) for i in range(count)))
+
+    m = Morphism(beads(len(rows[0])), beads(len(rows)), rows)
     assert _fiber_directions(m) == oracle.fiber_directions(rows)
+
+
+extra_kinds = st.sampled_from(EXTRA_KINDS)
+extra_bounds = st.tuples(st.integers(-2, 1), st.integers(1, 3))  # not empty for any kind
+seeds = st.integers(0, 2**32)
+
+
+def random_family(inst, window: Window, seed: int) -> PolyFamily:
+    """A family whose polynomial at s is drawn from the seed and s."""
+    def poly(s):
+        rng = random.Random(hash((seed, s)))
+        return IntPoly(rng.randint(-3, 3) for _ in range(rng.randint(0, 4)))
+
+    return PolyFamily.from_function(inst, window, poly)
+
+
+def over(kinds) -> Chain | PositiveIntegers:
+    """zpos, or the chain over it with the given extras."""
+    base = ZPOS
+    for kind in kinds:
+        base = Chain(base, kind)
+    return base
+
+
+@settings(max_examples=80)
+@given(st.lists(st.tuples(extra_kinds, extra_bounds), max_size=2), extra_kinds, extra_kinds,
+       extra_bounds, extra_bounds, st.integers(1, 3), seeds, seeds)
+def test_chain_prefix_is_a_product_of_pullbacks(base, t_kind, u_kind, t_bounds, u_bounds,
+                                                max_rank, f_seed, g_seed):
+    kinds, shared = [k for k, _ in base], tuple(b for _, b in base)
+    F = random_family(Chain(over(kinds), t_kind), Window(max_rank, shared + (t_bounds,)), f_seed)
+    G = random_family(Chain(over(kinds), u_kind), Window(max_rank, shared + (u_bounds,)), g_seed)
+    assert chain_product(F, G) == oracle.chain_prefix(F, G)
+
+
+@settings(max_examples=80)
+@given(st.lists(st.tuples(extra_kinds, extra_bounds), max_size=2), extra_kinds,
+       extra_bounds, extra_bounds, st.integers(1, 3), st.integers(1, 4), seeds, seeds)
+def test_chain_suffix_is_a_product_of_pullbacks(base, u_kind, t_bounds, u_bounds, max_rank,
+                                                g_rank, f_seed, g_seed):
+    # the middle coordinate is G's rank, so a "pos" extra; past G's
+    # window both refuse
+    kinds, shared = [k for k, _ in base], tuple(b for _, b in base)
+    F = random_family(Chain(over(kinds), "pos"), Window(max_rank, shared + (t_bounds,)), f_seed)
+    G = random_family(Chain(ZPOS, u_kind), Window(g_rank, (u_bounds,)), g_seed)
+    if t_bounds[1] > g_rank:
+        with pytest.raises(ValueError, match="middle bound"):
+            oracle.chain_suffix(F, G)
+        with pytest.raises(ValueError, match="outside the family window"):
+            chain_product(F, G, through_middle=True)
+    else:
+        assert chain_product(F, G, through_middle=True) == oracle.chain_suffix(F, G)

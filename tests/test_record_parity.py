@@ -21,9 +21,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from sievekit import cli, gaussseq, objects, qgauss, semigroup
+from sievekit import cli, gaussseq, objects, qgauss, semigroup, transport
 from sievekit.semigroup import (EXTRA_KINDS, Chain, FamilyCheckFailure, FreeRanked,
-                                Morphism, PositiveIntegers, Record, Window)
+                                PositiveIntegers, Record, Window)
+from sievekit.transport import Morphism
 
 GOLDEN_JOBS = json.loads(Path(__file__).with_name("golden_configs.json").read_text())
 
@@ -34,7 +35,7 @@ FIELDS = {  # each record class's fields, as its dataclass declared them
     semigroup.PositiveIntegers: (),
     semigroup.Chain: ("base", "extra"),
     semigroup.FreeRanked: ("beads",),
-    semigroup.Morphism: ("source", "target", "matrix"),
+    transport.Morphism: ("source", "target", "matrix"),
     gaussseq.SequenceSpec: ("instance", "window", "role", "values"),
     gaussseq.TruncatedSeries: ("coeffs", "order"),
     qgauss.PolyFamily: ("instance", "window", "polys"),

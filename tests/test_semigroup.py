@@ -11,16 +11,14 @@ from hypothesis import given, strategies as st
 from sievekit.semigroup import (
     Chain,
     FreeRanked,
-    Morphism,
     PositiveIntegers,
     Window,
-    apply_morphism,
-    check_morphism,
     decode_element,
     encode_element,
     instance_from_config,
     window_from_config,
 )
+from sievekit.transport import Morphism, apply_morphism, check_morphism
 
 ZPOS = PositiveIntegers()
 TWO_LETTERS = FreeRanked((("a", 1), ("b", 1)))
@@ -303,9 +301,8 @@ class TestMorphisms:
         with pytest.raises(ValueError):
             apply_morphism(m, 3)
         # one row for a target of two coordinates
-        short = Morphism(Chain(ZPOS, "nonneg"), Chain(ZPOS, "nonneg"), [(1, 0)])
         with pytest.raises(ValueError, match="height"):
-            apply_morphism(short, (5, 3))
+            Morphism(Chain(ZPOS, "nonneg"), Chain(ZPOS, "nonneg"), [(1, 0)])
 
     def test_check_morphism_flags_rank_direction(self):
         doubler = Morphism(ZPOS, ZPOS, [(2,)])
@@ -315,10 +312,22 @@ class TestMorphisms:
         assert any("does not divide" in f.detail for f in rep.failures)
 
     def test_matrix_must_be_rectangular(self):
-        with pytest.raises(ValueError, match="needs a matrix"):
-            Morphism(ZPOS, ZPOS, ())
+        for matrix in ((), 1, None):
+            with pytest.raises(ValueError, match="needs a matrix"):
+                Morphism(ZPOS, ZPOS, matrix)
         with pytest.raises(ValueError, match="ragged"):
             Morphism(Chain(ZPOS, "nonneg"), ZPOS, [(1, 0), (1,)])
+        with pytest.raises(ValueError, match="width does not match source arity"):
+            Morphism(ZPOS, ZPOS, [(1, 0)])
+        with pytest.raises(ValueError, match="width does not match source arity"):
+            Morphism(Chain(ZPOS, "nonneg"), ZPOS, [(1,)])
+        with pytest.raises(ValueError, match="height does not match target arity"):
+            Morphism(ZPOS, Chain(ZPOS, "nonneg"), [(1,)])
+        with pytest.raises(ValueError, match="height does not match target arity"):
+            Morphism(ZPOS, ZPOS, [(1,), (1,)])
+        for row in (1, None, {1}, iter([1])):
+            with pytest.raises(ValueError, match="row must be a sequence"):
+                Morphism(ZPOS, ZPOS, [row])
 
     @pytest.mark.parametrize("entry", [1.7, 2.0, "2", True, None])
     def test_matrix_entries_must_be_integers(self, entry):

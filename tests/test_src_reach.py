@@ -48,12 +48,10 @@ TRACER_HOOKS = {
 AWAITING_A_COMMAND = {
     "qgauss.equivalent_mod",  # item 4, the formula check
     "gaussseq.a_from_matrix_trace",  # item 6, closed walks
-    "qgauss.chain_prefix",  # item 9, transport
-    "qgauss.chain_suffix",
-    "qgauss.multiply",
-    "qgauss.pullback",
-    "qgauss.pushforward",
-    "semigroup.check_morphism",
+    "transport.check_morphism",  # item 9, transport
+    "transport.multiply",
+    "transport.pullback",
+    "transport.pushforward",
 }
 
 

@@ -19,7 +19,8 @@ from sievekit.qgauss import (
     equivalent_mod,
 )
 from sievekit.qpoly import q_power
-from sievekit.semigroup import Chain, Morphism, PositiveIntegers, Window, check_morphism
+from sievekit.semigroup import Chain, PositiveIntegers, Window
+from sievekit.transport import Morphism, check_morphism
 
 ZPOS = PositiveIntegers()
 

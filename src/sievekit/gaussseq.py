@@ -235,12 +235,13 @@ def c_from_a(a: SequenceSpec) -> SequenceSpec:
     ad = a.as_dict()
     elems = inst.elements(win)
     cs = CheckedTable()
+    support: list = []  # (t, c_t) for each t so far with c_t != 0, in order
     for s in elems:
         if s not in ad:
             raise ValueError(f"c_from_a: role-a spec has no value at {s!r}")
         total = ad[s]
-        for t, ct in cs.items():
-            u = inst._subtract(s, t) if ct else None
+        for t, ct in support:
+            u = inst._subtract(s, t)
             if u is None:
                 continue
             if u not in ad:
@@ -252,7 +253,9 @@ def c_from_a(a: SequenceSpec) -> SequenceSpec:
         rk = inst._rank(s)
         if total % rk:
             raise NonIntegerWitness(s, total, rk, "c")
-        cs[s] = total // rk
+        cs[s] = ct = total // rk
+        if ct:
+            support.append((s, ct))
     return SequenceSpec(inst, win, "c", cs)
 
 

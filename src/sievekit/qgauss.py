@@ -25,7 +25,6 @@ import functools
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from math import comb
 from operator import add, mul, sub
-from types import MappingProxyType
 
 from .arith import mobius
 from .gaussseq import SequenceSpec, _require_role
@@ -98,9 +97,6 @@ class PolyFamily(Record):
         """The family of ``fn`` over the window, whose listing gives valid
         elements in canonical order: they are not checked again."""
         return cls(instance, window, CheckedTable((s, fn(s)) for s in instance.elements(window)))
-
-    def as_dict(self) -> Mapping:
-        return MappingProxyType(self._table)
 
     def value(self, s) -> IntPoly:
         try:

@@ -178,9 +178,6 @@ class IntPoly:
     def __sub__(self, other: "IntPoly | int") -> "IntPoly":
         return self + (-_coerce(other))
 
-    def __rsub__(self, other: "IntPoly | int") -> "IntPoly":
-        return _coerce(other) + (-self)
-
     def __mul__(self, other: "IntPoly | int") -> "IntPoly":
         """Product.  When both operands have at least KRONECKER_MIN_TERMS
         nonzero terms it is one integer product of the packed operands

@@ -15,8 +15,8 @@ linear ``row`` of the coordinates, checked in ``_SemigroupBase`` alone.
 Elements are raw payloads (int or tuple), not wrapper objects; instances are
 frozen ``Record`` values and all operations are pure.  Division is by repetition:
 t divides s when s = d*t for a positive integer d, so d | rank(s).  All
-instances are cancellative and torsion free, so the root s/d (``nth_root``)
-and the difference s - t (``_subtract``) are each one element or None.
+instances are cancellative and torsion free, so the root s/d and the
+difference s - t (``_subtract``) are each one element or None.
 Maps between instances, integer matrices on the coordinates, live in
 ``transport``.
 
@@ -224,11 +224,11 @@ class _SemigroupBase:
     coordinate i is at least ``floors[i]`` (None: unbounded) and the rank,
     the dot product with ``row``, is at least 1.
 
-    An element is validated once, where it enters: a public method of one
-    element validates it, then makes the one unchecked read (``_rank``,
-    ``_sort_key``, ``_divisor_roots``) that kernels walking elements
-    validated before (a window listing's, a table's, a decoded config's)
-    make directly, as they make ``_subtract``, which has no checked twin.
+    An element is validated once, where it enters.  Kernels read elements
+    validated before (a window listing's, a table's, a decoded config's,
+    one that ``_build`` returned) unchecked: ``_rank``, ``_sort_key``,
+    ``_divisor_roots``, ``_subtract``.  The public reads of one element,
+    ``sort_key`` and ``unit_divisors``, validate it first.
     """
 
     floors: tuple[int | None, ...]
@@ -256,10 +256,6 @@ class _SemigroupBase:
     def _rank(self, s) -> int:
         return sum(map(mul, s, self.row))
 
-    def rank(self, s) -> int:
-        self.validate(s)
-        return self._rank(s)
-
     def _remainder_ok(self, remaining: tuple[int, ...]) -> bool:
         """Whether a remainder may still be a sum of parts."""
         return all(c >= 0 for c, lo in zip(remaining, self.floors) if lo is not None)
@@ -272,21 +268,14 @@ class _SemigroupBase:
         self.validate(s)
         return self._sort_key(s)
 
-    def nth_root(self, s, d: int):
-        """The unique t with d*t = s, or None."""
-        self.validate(s)
-        if d < 1:
-            raise ValueError(f"nth_root: need d >= 1, got {d}")
-        cs = self.coords(s)
-        if any(c % d for c in cs):
-            return None
-        return self._build(tuple(c // d for c in cs))
-
     @functools.cached_property
-    def _roots(self) -> dict:  # divisor_roots of each element asked for
+    def _roots(self) -> dict:  # the roots of each element asked for
         return {}
 
     def _divisor_roots(self, s) -> tuple[tuple[int, object], ...]:
+        """(d, the root t with d*t = s, or None) for every d dividing rank(s),
+        ascending in d, built once per element from its coordinates (d divides
+        them all when it divides their gcd) and kept in ``_roots``."""
         if s not in (known := self._roots):
             cs = self.coords(s)
             g = gcd(*cs)
@@ -296,17 +285,11 @@ class _SemigroupBase:
             ))
         return known[s]
 
-    def divisor_roots(self, s) -> tuple[tuple[int, object], ...]:
-        """(d, the root t with d*t = s, or None) for every d dividing rank(s),
-        ascending in d, built once per element from its coordinates (d divides
-        them all when it divides their gcd) and kept in ``_roots``.  s is
-        validated before the lookup, as True hashes like 1."""
-        self.validate(s)
-        return self._divisor_roots(s)
-
     def unit_divisors(self, s) -> list[tuple[object, int]]:
-        """All pairs (t, d) with d*t = s, ascending in d; (s, 1) included."""
-        return [(t, d) for d, t in self.divisor_roots(s) if t is not None]
+        """All pairs (t, d) with d*t = s, ascending in d; (s, 1) included.
+        s is validated before the lookup, as True hashes like 1."""
+        self.validate(s)
+        return [(t, d) for d, t in self._divisor_roots(s) if t is not None]
 
     def _subtract(self, s, t):  # the unique u with u + t = s, or None
         return self._build(tuple(map(sub, self.coords(s), self.coords(t))))
@@ -357,15 +340,12 @@ class _SemigroupBase:
 
     def elements(self, window: Window) -> list:
         """Window contents in canonical (rank, coordinates) order, as a new
-        list.  The window keeps the listing (``_list``) of each instance,
-        so a job lists it once; one that ``admit`` refuses is not kept."""
+        list.  The window keeps each instance's listing (its ``_list``), so
+        a job lists it once; one that ``admit`` refuses is not kept."""
         listed = window._listed
         if self not in listed:
             listed[self] = self._list(window)
         return list(listed[self])
-
-    def _list(self, window: Window) -> list:
-        raise NotImplementedError
 
     def check_window(self, window: Window) -> None:
         """Refuse a window that sets a bound this instance does not read,
@@ -522,11 +502,6 @@ class FreeRanked(_SemigroupBase, Record):
 
     def describe(self) -> str:
         return f"FreeRanked{self.row}"
-
-    def size(self, s) -> int:
-        """Total bead count |alpha|."""
-        self.validate(s)
-        return sum(s)
 
     def check_window(self, window: Window) -> None:
         super().check_window(window)

@@ -10,7 +10,9 @@ projections: (..., t, u) -> (..., t) and (..., t, u) -> (..., u) when the
 two share a base, (..., t, u) -> (..., t) and (..., t, u) -> (t, u) when
 the middle coordinate is the second family's rank.
 
-No command runs this layer, so no command loads this module.
+Its elements come from a window listing, a family or ``_build``, so it
+reads their ranks and roots unchecked.  No command runs this layer, so no
+command loads this module.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 import warnings
 from collections.abc import Iterable, Sequence
 
-from .arith import divisors
 from .qgauss import PolyFamily
 from .qpoly import ZERO
 from .semigroup import (
@@ -107,16 +108,17 @@ def check_morphism(m: Morphism, kind: str, window: Window) -> FamilyReport:
             except ValueError as exc:
                 yield s, None, f"image of {s}: {exc}"
                 continue
-            rs, rp = source.rank(s), target.rank(phi_s)
+            rs, rp = source._rank(s), target._rank(phi_s)
             if kind == "rank-dividing":
                 detail = f"rank {rp} of image of {s} does not divide rank {rs}"
                 yield s, None, detail if rs % rp else None
                 continue
             detail = f"rank {rs} of {s} does not divide image rank {rp}"
             yield s, None, detail if rp % rs else None
-            rooted = {d for _, d in source.unit_divisors(s)}  # the d with a root s/d
-            for d in divisors(rs):
-                same = (d in rooted) == (target.nth_root(phi_s, d) is not None)
+            # a d that does not divide rp leaves phi_s no root by d
+            rooted = {d for d, t in target._divisor_roots(phi_s) if t is not None}
+            for d, t in source._divisor_roots(s):
+                same = (t is not None) == (d in rooted)
                 yield s, d, None if same else f"root sets of {s} and its image differ at d={d}"
 
     return FamilyReport.collect(checks())
@@ -170,7 +172,7 @@ def _boundary_contact(
         return (
             bool(moving)
             and window.max_total is not None
-            and inst.size(s) >= window.max_total
+            and sum(s) >= window.max_total
         )
     return False
 
@@ -198,7 +200,7 @@ def pushforward(F: PolyFamily, m: Morphism, target_window: Window) -> PolyFamily
         if p:
             if edge is None and _boundary_contact(F.instance, F.window, s, moving):
                 edge = s
-            if rank_jump is None and F.instance.rank(s) != target.rank(t):
+            if rank_jump is None and F.instance._rank(s) != target._rank(t):
                 rank_jump = s
     if edge is not None:
         warnings.warn(
@@ -222,7 +224,7 @@ def pullback(G: PolyFamily, m: Morphism, source_window: Window) -> PolyFamily:
     """Restrict a target family along the morphism: f_s = g at the image of s."""
     if m.target != G.instance:
         raise ValueError("pullback: family instance does not match morphism target")
-    lookup = G.as_dict()
+    lookup = G._table
 
     def build(s):
         t = apply_morphism(m, s)
@@ -239,6 +241,6 @@ def multiply(F: PolyFamily, G: PolyFamily) -> PolyFamily:
     """Entrywise product of two families on the same torsion-free window."""
     if F.instance != G.instance or F.window != G.window:
         raise ValueError("multiply needs families on the same instance/window")
-    g = G.as_dict()
+    g = G._table
     pairs = tuple((s, p * g[s]) for s, p in F.polys)
     return PolyFamily(F.instance, F.window, pairs)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 
+import semigroup_oracle
 from series_oracle import RationalSeries
 from sievekit import cli
 from sievekit.gaussseq import SequenceSpec, a_from_matrix_trace
@@ -128,7 +129,7 @@ def strict_path_recurrence(max_n: int) -> list[int]:
 
 def corrupt(F: PolyFamily, s) -> PolyFamily:
     """Bump the entry at s by q^(rank-1); breaks the congruence at rank >= 2."""
-    bump = IntPoly.monomial(1, F.instance.rank(s) - 1)
+    bump = IntPoly.monomial(1, semigroup_oracle.rank(F.instance, s) - 1)
     pairs = tuple((t, p + bump if t == s else p) for t, p in F.polys)
     return PolyFamily(F.instance, F.window, pairs)
 

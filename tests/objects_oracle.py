@@ -17,6 +17,7 @@ import itertools
 from collections import Counter
 from typing import Mapping, Sequence
 
+import semigroup_oracle
 from sievekit.gaussseq import SequenceSpec
 from sievekit.objects import CyclicObject, _content_items, _nonneg_support
 from sievekit.qpoly import IntPoly
@@ -71,7 +72,7 @@ def festoons_by_content(beads, alpha) -> list[CyclicObject]:
             mults[inst.label_index(label)] = mult
         alpha = tuple(mults)
     inst.validate(alpha)
-    n = inst.rank(alpha)
+    n = semigroup_oracle.rank(inst, alpha)
     items = []
     for (label, length), mult in zip(inst.beads, alpha):
         items.extend([(label, 0, length)] * mult)
@@ -85,14 +86,14 @@ def festoons_by_content(beads, alpha) -> list[CyclicObject]:
 def _colored_festoons(c: SequenceSpec, s, signed: bool) -> list[CyclicObject]:
     inst = c.instance
     support = c.support() if signed else _nonneg_support(c, "c")
-    n = inst.rank(s)
+    n = semigroup_oracle.rank(inst, s)
     kind = "signed-festoon" if signed else "festoon"
     out: dict = {}
     for parts in inst.decompositions(s, support=support):
         negatives = sum(1 for t in parts if c.value(t) < 0)
         sign = -1 if signed and negatives % 2 else 1
         for perm in dict.fromkeys(itertools.permutations(parts)):
-            lengths = [inst.rank(t) for t in perm]
+            lengths = [semigroup_oracle.rank(inst, t) for t in perm]
             color_ranges = [range(1, abs(c.value(t)) + 1) for t in perm]
             for colors in itertools.product(*color_ranges):
                 beads = list(zip(perm, colors, lengths))
@@ -108,13 +109,13 @@ def festoons_colored(c: SequenceSpec, s) -> list[CyclicObject]:
 def festoons_repeated(b: SequenceSpec, s) -> list[CyclicObject]:
     _nonneg_support(b, "b")
     inst = b.instance
-    n = inst.rank(s)
+    n = semigroup_oracle.rank(inst, s)
     out = []
-    for t, d in inst.unit_divisors(s):
+    for t, d in semigroup_oracle.unit_divisors(inst, s):
         bt = b.value(t)
         if not bt:
             continue
-        rt = inst.rank(t)
+        rt = semigroup_oracle.rank(inst, t)
         for color in range(1, bt + 1):
             for r in range(rt):
                 slots = tuple((t, color, (i - r) % rt == 0) for i in range(n))

@@ -45,6 +45,7 @@ from itertools import cycle
 from math import comb, factorial, gcd, prod
 from typing import Callable, Sequence
 
+import semigroup_oracle
 from series_oracle import RationalSeries, lift
 from sievekit.arith import divisors, mobius
 from sievekit.gaussseq import NonIntegerWitness, SequenceSpec
@@ -235,13 +236,13 @@ def reduce_mod_q_int(p: IntPoly, n: int) -> IntPoly:
 
 def check_qgauss_definition(F: PolyFamily) -> FamilyReport:
     inst = F.instance
-    lookup = F.as_dict()
+    lookup = dict(F.polys)
     failures: list[FamilyCheckFailure] = []
     checked = 0
     for s, _ in F.polys:
-        rk = inst.rank(s)
+        rk = semigroup_oracle.rank(inst, s)
         total = ZERO
-        for t, d in inst.unit_divisors(s):
+        for t, d in semigroup_oracle.unit_divisors(inst, s):
             mu = mobius(d)
             if mu:
                 total = total + subst_power(lookup[t], d) * mu
@@ -285,8 +286,8 @@ def construct_ramanujan(a: SequenceSpec) -> PolyFamily:
     inst = a.instance
 
     def build(s):
-        rk = inst.rank(s)
-        pairs = [(a.value(t), d) for t, d in inst.unit_divisors(s)]
+        rk = semigroup_oracle.rank(inst, s)
+        pairs = [(a.value(t), d) for t, d in semigroup_oracle.unit_divisors(inst, s)]
         coeffs = []
         for j in range(rk):
             coeffs.append(sum(at * ramanujan_sum(j, d) for at, d in pairs))
@@ -307,7 +308,7 @@ def construct_from_c(c: SequenceSpec, power=q_power) -> PolyFamily:
     support = c.support()
 
     def build(s):
-        rk = inst.rank(s)
+        rk = semigroup_oracle.rank(inst, s)
         total = ZERO
         for parts in inst.decompositions(s, support=support):
             mults = Counter(parts)
@@ -327,10 +328,11 @@ def construct_from_b(b: SequenceSpec) -> PolyFamily:
 
     def build(s):
         total = ZERO
-        for t, d in inst.unit_divisors(s):
+        for t, d in semigroup_oracle.unit_divisors(inst, s):
             bt = b.value(t)
             if bt:
-                total = total + mul(subst_power(q_int(inst.rank(t)), d), IntPoly((bt,)))
+                rt = semigroup_oracle.rank(inst, t)
+                total = total + mul(subst_power(q_int(rt), d), IntPoly((bt,)))
         return total
 
     return PolyFamily.from_function(inst, b.window, build)
@@ -413,7 +415,7 @@ def _chain_shapes(F: PolyFamily, G: PolyFamily) -> tuple[Chain, Chain]:
 def _chain_product(F: PolyFamily, G: PolyFamily, bounds, g_key: Callable) -> PolyFamily:
     """h at e is F(e minus its last coordinate) * G(g_key(e)), on F's chain
     extended by G's extra, with the given extra bounds."""
-    f, g = F.as_dict(), G.as_dict()
+    f, g = dict(F.polys), dict(G.polys)
     return PolyFamily.from_function(
         Chain(F.instance, G.instance.extra),
         Window(F.window.max_rank, bounds),

@@ -6,8 +6,10 @@ Before the instances became data (a floor per coordinate and a rank row),
 ``_build``, ``validate``, ``rank`` and ``_remainder_ok``, and the root set
 s/d and the difference set s - t came back as lists of at most one
 element.  This module keeps those definitions (the two sets as
-``root_list`` and ``difference_list``), dispatching on the instance class.  It borrows from the library only the instance
-classes, their ``extras`` and ``lengths``, and ``divisors``.
+``root_list`` and ``difference_list``), dispatching on the instance class.
+It borrows from the library only the instance classes, their ``extras``
+and ``lengths``, and ``divisors``.  The other oracles read ranks, roots
+and unit divisors here, not from the instances they check.
 
 ``free_walk`` is the free window listing that pushed every admissible
 multiplicity of a bead onto its stack before taking the first.

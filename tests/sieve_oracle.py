@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+import semigroup_oracle
 from sievekit.arith import divisors
 from sievekit.objects import fixed_points
 from sievekit.qgauss import FamilyCheckFailure, FamilyReport
@@ -58,15 +59,14 @@ def _report(checked: int, failures: list) -> FamilyReport:
 
 def check_qgauss_roots(F) -> FamilyReport:
     inst = F.instance
-    lookup = F.as_dict()
+    lookup = dict(F.polys)
     failures = []
     checked = 0
     for s, p in F.polys:
-        rk = inst.rank(s)
+        rk = semigroup_oracle.rank(inst, s)
         for d in divisors(rk):
             expected = 0
-            t = inst.nth_root(s, d)
-            if t is not None:
+            for t in semigroup_oracle.root_list(inst, s, d):
                 if t not in lookup:
                     raise ValueError(
                         f"family window does not cover the root {t!r} of {s!r}"
@@ -87,12 +87,11 @@ def verify_lyndon(family) -> FamilyReport:
     failures = []
     checked = 0
     for s, objs in family.sets:
-        n = inst.rank(s)
+        n = semigroup_oracle.rank(inst, s)
         for d in divisors(n):
             got = len(fixed_points(objs, d)) if objs else 0
             expected = 0
-            t = inst.nth_root(s, d)
-            if t is not None:
+            for t in semigroup_oracle.root_list(inst, s, d):
                 if t not in lookup:
                     raise ValueError(
                         f"family window does not cover the root {t!r} of {s!r}"
@@ -112,7 +111,7 @@ def verify_csp(family, F) -> FamilyReport:
     checked = 0
     for s, objs in family.sets:
         poly = F.value(s)
-        for d in divisors(inst.rank(s)):
+        for d in divisors(semigroup_oracle.rank(inst, s)):
             got = eval_at_primitive_root(poly, d)
             expected = len(fixed_points(objs, d)) if objs else 0
             checked += 1
@@ -132,7 +131,7 @@ def verify_signed_csp(family, F) -> FamilyReport:
     failures = []
     checked = 0
     for s, objs in family.sets:
-        n = inst.rank(s)
+        n = semigroup_oracle.rank(inst, s)
         if n % 2 == 0:
             continue
         poly = F.value(s)

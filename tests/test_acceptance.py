@@ -73,6 +73,7 @@ from sievekit.tubings import (
 
 from helpers import (partition_numbers, qb0, sequence_corpus, sigma, strict_path_recurrence,
                      zpos_spec)
+import semigroup_oracle
 from objects_oracle import barrier_festoons, compositions, maj_polynomial, orbit_census
 from qpoly_oracle import c_from_b_series
 from tubings_oracle import delannoy_to_marked, ref_unmark, step_heights
@@ -92,7 +93,7 @@ def nonzero(d: dict) -> dict:
 
 
 def corrupt(F: PolyFamily, s) -> PolyFamily:
-    bump = IntPoly.monomial(1, F.instance.rank(s) - 1)
+    bump = IntPoly.monomial(1, semigroup_oracle.rank(F.instance, s) - 1)
     pairs = tuple((t, p + bump if t == s else p) for t, p in F.polys)
     return PolyFamily(F.instance, F.window, pairs)
 
@@ -135,7 +136,7 @@ def valid_family_pool() -> tuple:
 
 def first_corruptible(F: PolyFamily):
     for s, _ in F.polys:
-        if F.instance.rank(s) >= 2:
+        if semigroup_oracle.rank(F.instance, s) >= 2:
             return s
     raise AssertionError("family has no element of rank 2 or more")
 

@@ -11,10 +11,10 @@ what their oracles (``tests/qpoly_oracle.py``, ``tests/sieve_oracle.py``)
 report, failures and details included, on families with planted faults on
 positive-integer, free and chain instances; and on passing families they,
 and the csp checks, must divide by no polynomial at all.
-``unit_divisors`` and ``divisor_roots`` must list the roots
+``unit_divisors`` and ``_divisor_roots`` must list the roots
 ``tests/semigroup_oracle.py`` finds; an instance builds them once per
-element and still refuses every invalid element, ``True`` included, also
-after a whole ``csp`` job.  A job validates each element once, where it
+element, and its public reads still refuse every invalid element, ``True``
+included, also after a whole ``csp`` job.  A job validates each element once, where it
 enters, and the kernels read ranks and roots unchecked.  The
 checks read each polynomial through ``PolyFamily.folds`` only: their
 details must be what the folds and remainders they replaced give, and
@@ -174,7 +174,7 @@ def planted(draw, kind: str) -> tuple[PolyFamily, set[str]]:
     faults = set()
     for s in draw(st.lists(st.sampled_from([s for s, _ in F.polys]), min_size=1, max_size=3,
                            unique=True)):
-        rank = inst.rank(s)
+        rank = semigroup_oracle.rank(inst, s)
         fault = draw(st.sampled_from(FAULTS))
         shift = IntPoly.monomial(draw(st.integers(-3, 3).filter(bool)), draw(st.integers(0, 4)))
         if fault == "bump":
@@ -213,11 +213,11 @@ def test_the_unplanted_families_pass(F):
 def definition_by_remainders(F: PolyFamily) -> FamilyReport:
     """The definition report with each detail as ``reduce_mod_q_int`` gave
     it: the remainder of the Mobius-weighted divisor sum modulo [rank]_q."""
-    inst, lookup = F.instance, F.as_dict()
+    inst, lookup = F.instance, dict(F.polys)
 
     def checks():
         for s, _ in F.polys:
-            rank = inst.rank(s)
+            rank = semigroup_oracle.rank(inst, s)
             total = ZERO
             for t, d in inst.unit_divisors(s):
                 total = total + qpoly_oracle.subst_power(lookup[t], d) * mobius(d)
@@ -230,11 +230,11 @@ def definition_by_remainders(F: PolyFamily) -> FamilyReport:
 def equivalence_by_remainders(F: PolyFamily, G: PolyFamily) -> FamilyReport:
     """The ``equivalent_mod`` report from the difference of each pair of
     polynomials reduced modulo q^rank - 1."""
-    g = G.as_dict()
+    g = dict(G.polys)
 
     def checks():
         for s, p in F.polys:
-            rank = F.instance.rank(s)
+            rank = semigroup_oracle.rank(F.instance, s)
             diff = reduce_mod_qn_minus_1(p - g[s], rank)
             yield s, rank, f"difference {diff}" if diff else None
 
@@ -324,14 +324,14 @@ def test_each_polynomial_is_folded_once(fold_calls):
     grid = PolyFamily.from_function(NK, Window(12, ((0, 12),)), lambda s: q_binomial(*s))
     assert check_qgauss_definition(grid).ok
     assert check_qgauss_roots(grid).ok
-    assert fold_calls == [NK.rank(s) for s, _ in grid.polys]
+    assert fold_calls == [semigroup_oracle.rank(NK, s) for s, _ in grid.polys]
     fold_calls.clear()
     letters = FreeRanked((("a", 1), ("b", 1), ("c", 1)))
     census = festoon_census("words", letters, Window(6))
     fund = fund_family(letters, Window(6))
     assert verify_csp(census, fund).ok
     assert verify_signed_csp(census, fund).ok
-    assert fold_calls == [letters.rank(s) for s, _ in fund.polys]
+    assert fold_calls == [semigroup_oracle.rank(letters, s) for s, _ in fund.polys]
 
 
 @pytest.fixture
@@ -356,7 +356,7 @@ def test_each_element_has_its_roots_built_once(divisor_calls):
     grid = PolyFamily.from_function(nk, Window(12, ((0, 12),)), lambda s: q_binomial(*s))
     assert check_qgauss_definition(grid).ok
     assert check_qgauss_roots(grid).ok
-    assert sorted(divisor_calls) == sorted(nk.rank(s) for s, _ in grid.polys)
+    assert sorted(divisor_calls) == sorted(semigroup_oracle.rank(nk, s) for s, _ in grid.polys)
     divisor_calls.clear()
     zpos = PositiveIntegers()
     lucas = dict(sequence_corpus(24))["lucas"]
@@ -372,9 +372,9 @@ def test_each_element_has_its_roots_built_once(divisor_calls):
 def test_kept_roots_refuse_what_validation_refuses(inst, kept, refused):
     """``True`` hashes as 1, so a lookup before the element check would
     hand it the kept roots of 1."""
-    assert inst.divisor_roots(kept) == ((1, kept),)
-    assert inst.divisor_roots(kept) is inst.divisor_roots(kept)
-    for call in (inst.divisor_roots, inst.unit_divisors, lambda s: inst.nth_root(s, 1)):
+    assert inst.unit_divisors(kept) == [(kept, 1)]
+    assert inst._divisor_roots(kept) is inst._divisor_roots(kept)
+    for call in (inst.unit_divisors, inst.sort_key):
         with pytest.raises(ValueError, match="invalid element"):
             call(refused)
 
@@ -394,8 +394,7 @@ def test_a_full_job_leaves_the_public_reads_checked(config, kept, refused):
     assert cli.cmd_csp(*job)[1] == 0
     inst = job[1] if len(job) == 3 else job[1].instance  # beads, or a sequence's
     assert kept in inst._roots
-    reads = (inst.rank, inst.divisor_roots, inst.unit_divisors, lambda s: inst.nth_root(s, 1),
-             lambda s: encode_element(inst, s))
+    reads = (inst.unit_divisors, inst.sort_key, lambda s: encode_element(inst, s))
     for s in refused:
         for read in reads:
             with pytest.raises(ValueError, match="invalid element"):
@@ -473,7 +472,7 @@ def multiples(draw) -> tuple[object, object]:
 def test_roots_match_the_oracle(case):
     inst, s = case
     assert inst.unit_divisors(s) == semigroup_oracle.unit_divisors(inst, s)
-    roots = inst.divisor_roots(s)
+    roots = inst._divisor_roots(s)  # s is valid: unit_divisors checked it
     assert [d for d, _ in roots] == divisors(semigroup_oracle.rank(inst, s))
     for d, t in roots:
         assert ([] if t is None else [t]) == semigroup_oracle.root_list(inst, s, d)

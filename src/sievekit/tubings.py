@@ -11,11 +11,13 @@ i-th tube of the graph in enumeration order).  ``tubing_masks`` enumerates
 these bitsets with the vertices they cover, and the bijections and the
 cyclic census run on them; the frozenset functions convert at their edges.
 For the bijections a second walk, taking the same branches, also carries
-each tubing's steps in vertex order, two edits per added tube, and
-``round_trip`` reads each tubing's path off them (on the cycle, four
-slices) and decodes it back, checking that it is a path as it goes.  A cycle path decodes in one scan that also
-finds, from the path's lowest level, where the cycle was cut; only the
-tubes through vertex 0 make it read the steps before the cut again.
+each tubing's steps in vertex order, two edits per added tube, and yields
+each tubing's path (on the cycle, four slices of the steps).
+``round_trip`` decodes each path back with the graph's decoder, which
+checks that it is a path as it goes: on the interval one right-to-left
+scan with no stack; on the cycle one left-to-right scan that also finds,
+from the path's lowest level, where the cycle was cut, and reads the
+steps before the cut again only for the tubes through vertex 0.
 
 Lattice paths are strings over U = (1,1), D = (1,-1), F = (2,0), and the
 length of a path is its x-extent.  The height of a step is the y-coordinate
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from math import comb
 
 from .arith import divisors
@@ -98,7 +100,6 @@ class _Graph:
         for start, length in tubes:
             mask = ((1 << length) - 1) << start
             self.masks.append((mask | mask >> n) & self.full)  # wrap on the cycle
-        self._rotations: dict[int, tuple[int, int]] = {}
 
     def indices(self, tubes: Iterable[Tube]) -> list[int]:
         """Index of each tube; ValueError on a tube that does not fit."""
@@ -120,26 +121,21 @@ class _Graph:
         tubes = self.tubes
         return frozenset([tubes[i] for i in _bits(bits)])
 
-    def rotate(self, bits: int, step: int) -> int:
-        """Rotate every tube of a cycle tube set by ``step`` vertices.
+    def rotation(self, step: int) -> tuple[int, int]:
+        """The masks (stay, wrap) that rotate every tube of a cycle tube set
+        by ``step`` vertices, 0 <= step < n: the rotated set is
+        ``(bits << step) & stay | (bits >> (n - step)) & wrap``.
 
         Tube (start, length) has index (length - 1) * n + start, so the
         rotation turns each length's n-bit block: bits that stay in their
         block shift up by step, the top step bits wrap to the bottom.
         """
-        n = self.n
-        step %= n
-        if not step:
-            return bits
-        if step not in self._rotations:
-            low = (1 << step) - 1
-            stay = wrap = 0
-            for block in range(0, len(self.tubes), n):
-                stay |= (self.full ^ low) << block
-                wrap |= low << block
-            self._rotations[step] = (stay, wrap)
-        stay, wrap = self._rotations[step]
-        return (bits << step) & stay | (bits >> (n - step)) & wrap
+        low = (1 << step) - 1
+        stay = wrap = 0
+        for block in range(0, len(self.tubes), self.n):
+            stay |= (self.full ^ low) << block
+            wrap |= low << block
+        return stay, wrap
 
     @functools.cached_property
     def compat(self) -> list[int]:
@@ -192,6 +188,16 @@ class _Graph:
                 if tube in index:
                     ends[a][b] = 1 << index[tube]
         return start, before, opened, ends
+
+    @functools.cached_property
+    def decode(self) -> Callable[[str], int]:
+        """The tube bitset a path of P_n decodes to, or -1 for a word not in
+        P_n: the Schröder paths of length 2n for the n-interval
+        (``_interval_decoder``), the Delannoy paths of length 2(n - 1) for
+        the n-cycle (``_cycle_decoder``).  Built on first use over
+        ``path_tables``, so a round trip is one call."""
+        make = _interval_decoder if self.kind == "interval" else _cycle_decoder
+        return make(self.n, self.path_tables[3])
 
 
 @functools.lru_cache(maxsize=None)
@@ -283,26 +289,45 @@ def _walk(graph: _Graph, candidates: int) -> Iterator[tuple[int, int]]:
             push((candidates & later[t], bits | 1 << t, covered | masks[t]))
 
 
-def _path_walk(graph: _Graph, candidates: int) -> Iterator[tuple[int, int, str]]:
-    """``_walk``, each tubing with its steps in vertex order: per vertex a
-    rise for each tube that starts at it, then a fall if it is a tube's
-    final, else a flat.  The walk takes the same branches in the same
-    order; ``_image`` reads a tubing's path off its state.
+def _path_walk(graph: _Graph, candidates: int) -> Iterator[tuple[int, str]]:
+    """``_walk``, each tubing with its path in P_n, as (bitset, path) pairs.
 
-    A tube t joins after every tube of lower index, its subtubes among
-    them, so what the branch has not covered of t is t's own, and t's final
-    is the highest vertex of that which t wraps to below its start (on the
+    The walk takes the same branches in the same order and carries each
+    tubing's steps in vertex order: per vertex a rise for each tube that
+    starts at it, then a fall if it is a tube's final, else a flat.  A tube
+    t joins after every tube of lower index, its subtubes among them, so
+    what the branch has not covered of t is t's own, and t's final is the
+    highest vertex of that which t wraps to below its start (on the
     cycle), else its highest.  Adding t puts a rise in front of its start's
     steps and turns its final's flat into a fall; ``opened`` places both.
+
+    On the interval the steps are the Schröder path.  The cycle is cut
+    after its last free vertex, cut - 1, and walked from vertex cut: a
+    nonnegative path ending in that vertex's flat, marked at the last step
+    of vertex 0.  Unmarking drops the final flat and turns the mark to the
+    front, which leaves the steps of vertices 1..cut-2, the last step of
+    vertex 0, the steps of vertices cut..n-1, then the rises of vertex 0;
+    or, when vertex 0 is the cut vertex (cut = 1), the steps of vertices
+    1..n-1.  Four slices of the steps at vertex boundaries make it.
     """
-    masks, later = graph.masks, graph.later
+    masks, later, full = graph.masks, graph.later, graph.full
     start, before, opened, _ = graph.path_tables
     at_start, through = [opened[s] for s in start], opened[1:]
+    cycle = graph.kind == "cycle"
     stack = [(candidates, 0, 0, "F" * graph.n)]
     push, pop = stack.append, stack.pop
     while stack:
         candidates, bits, covered, steps = pop()
-        yield bits, covered, steps
+        if not cycle:
+            yield bits, steps
+        else:
+            one = 1 + (bits & opened[1]).bit_count()  # where vertex 1's steps begin
+            cut = (~covered & full).bit_length()  # no cycle tubing covers every vertex
+            if cut == 1:
+                yield bits, steps[one:]
+            else:
+                free = cut - 1 + (bits & opened[cut - 1]).bit_count()  # its steps: one flat
+                yield bits, steps[one:free] + steps[one - 1] + steps[free + 1:] + steps[:one - 1]
         rest = candidates
         while rest:
             t = rest.bit_length() - 1
@@ -399,145 +424,129 @@ def count_paths(length: int, kind: str = "delannoy") -> int:
 # -- the bijections ----------------------------------------------------------------
 
 
-def _image(graph: _Graph, bits: int, covered: int, steps: str) -> str:
-    """The path of a tubing, from its state in ``_path_walk``.
-
-    On the interval the steps in vertex order are the Schröder path.  The
-    cycle is cut after its last free vertex, cut - 1, and walked from
-    vertex cut: a nonnegative path ending in that vertex's flat, marked at
-    the last step of vertex 0.  Unmarking drops the final flat and turns
-    the mark to the front, which leaves the steps of vertices 1..cut-2,
-    the last step of vertex 0, the steps of vertices cut..n-1, then the
-    rises of vertex 0; or, when vertex 0 is the cut vertex (cut = 1), the
-    steps of vertices 1..n-1.  Four slices of the steps at vertex
-    boundaries (``opened``) make it.
-    """
-    if graph.kind == "interval":
-        return steps
-    opened = graph.path_tables[2]
-    one = 1 + (bits & opened[1]).bit_count()  # where vertex 1's steps begin
-    cut = (~covered & graph.full).bit_length()  # no cycle tubing covers every vertex
-    if cut == 1:
-        return steps[one:]
-    free = cut - 1 + (bits & opened[cut - 1]).bit_count()  # its steps: one flat
-    return steps[one:free] + steps[one - 1] + steps[free + 1 :] + steps[: one - 1]
-
-
-def _decode(graph: _Graph, path: str) -> int:
-    """The tube bitset a Schröder path over the interval's n vertices
-    decodes to; -1 for a path with an unknown step, a fall below 0, an end
-    off height 0 or other than n vertices (flats and falls): the paths
+def _interval_decoder(n: int, ends: list[list[int]]) -> Callable[[str], int]:
+    """The decoder of Schröder paths over the n-interval, given its ``ends``
+    table (rows and columns 0..n): the tube bitset of a path, or -1 for a
+    word with other than n vertices (flats and falls), an unknown step, a
+    fall below 0 or an end off height 0: the words that
     ``enumerate_paths(2n, "schroder")`` omits.
 
-    Each rise opens a tube at the current vertex; it closes right before
-    the next flat or fall at the rise's height, or at the end of the path.
+    Each rise opens a tube at its vertex; the tube closes right before the
+    next flat or fall taken from the rise's height, or at the end of the
+    path.  So one scan from the right, with the height from the end,
+    records in ``nxt[h]`` the vertex of the last flat or fall taken from
+    height h (n, the path's end, at first), and each rise from height h
+    ORs in ``ends[v][nxt[h]]``.  Heights counted from the end stay
+    nonnegative and end at 0 exactly when the path, read from the start,
+    never falls below 0 and ends at height 0.
     """
-    ends = graph.path_tables[3]
-    bits = h = v = 0
-    # of each open rise, innermost last: its height (under a sentinel; they
-    # never decrease up the stack), and the row of ``ends`` of its vertex
-    heights, rows = [None], []
-    try:
-        for s in path:
+
+    def decode(path: str) -> int:
+        if len(path) - path.count("U") != n:
+            return -1
+        nxt = [n] * (n + 1)  # heights from the end: at most the n falls
+        bits = h = 0
+        v = n
+        for s in reversed(path):
             if s == "U":
-                heights.append(h)
-                rows.append(ends[v])
-                h += 1
-                continue
-            while heights[-1] == h:
-                heights.pop()
-                bits |= rows.pop()[v]
-            v += 1
-            if s == "D" and h:
+                if not h:
+                    return -1
                 h -= 1
-            elif s != "F":
+                bits |= ends[v][nxt[h]]
+            elif s == "F":
+                v -= 1
+                nxt[h] = v
+            elif s == "D":
+                v -= 1
+                h += 1
+                nxt[h] = v
+            else:
                 return -1
-    except IndexError:  # a vertex past n: ``ends`` has rows and columns 0..n
-        return -1
-    if h or v != graph.n:
-        return -1
-    for row in rows:
-        bits |= row[v]
-    return bits
+        return -1 if h else bits
+
+    return decode
 
 
-def _preimage(graph: _Graph, path: str) -> int:
-    """The tube bitset a path of P_n decodes to, or -1 for a path not in
-    P_n: the Schröder paths of length 2n for the n-interval, the Delannoy
-    paths of length 2(n - 1) for the n-cycle.
+def _cycle_decoder(n: int, ends: list[list[int]]) -> Callable[[str], int]:
+    """The decoder of Delannoy paths of length 2(n - 1) over the n-cycle,
+    given its ``ends`` table (rows and columns 0..2n-1, counted modulo n):
+    the tube bitset of a path, or -1 for a word that is no such path.
 
-    A Delannoy path is a marked path unmarked (see ``_image``).  Read as it
-    stands, it is the marked path's steps from vertex 1 on, with the mark,
-    vertex 0's last step, in the place of the flat of vertex cut - 1, and
-    vertex 0's rises last.  So decoded as a Schröder path with its flats
-    and falls numbered 1..n-1, each tube that closes before the end is
-    right: the rises open at the mark are those the flat would close.  The
-    same scan refuses an unknown step, an end off height 0 or other than
-    n - 1 vertices, and finds the mark from the path's lowest level: the
-    last flat at that level if there is one, else the first step down to
-    it if the path dips below 0, else none (vertex 0 is the cut vertex).
-    The tubes still open at the end run through vertex 0; the marked path
-    closes them at the mark, in the steps before it, which are read again
-    numbered from n, or at the flat of vertex cut - 1.
+    A Delannoy path is a marked path unmarked (see ``_path_walk``).  Read
+    as it stands, it is the marked path's steps from vertex 1 on, with the
+    mark, vertex 0's last step, in the place of the flat of vertex cut - 1,
+    and vertex 0's rises last.  So decoded as a Schröder path from the left
+    with its flats and falls numbered 1..n-1 (each rise closes right before
+    the next flat or fall taken from its height), each tube that closes
+    before the end is right: the rises open at the mark are those the flat
+    would close.  The same scan refuses an unknown step, an end off height
+    0 or other than n - 1 vertices, and finds the mark from the path's
+    lowest level: the last flat at that level if there is one, else the
+    first step down to it if the path dips below 0, else none (vertex 0 is
+    the cut vertex).  The tubes still open at the end run through vertex
+    0; the marked path closes them at the mark, in the steps before it,
+    which are read again numbered from n, or at the flat of vertex cut - 1.
     """
-    if graph.kind == "interval":
-        return _decode(graph, path)
-    n, ends = graph.n, graph.path_tables[3]  # rows and columns 0..2n-1
-    bits = h = low = 0
-    v, mark, cut = 1, len(path), 1
-    heights, rows = [None], []  # as in ``_decode``
-    try:
-        for t, s in enumerate(path):
-            if s == "U":
-                heights.append(h)
-                rows.append(ends[v])
-                h += 1
-                continue
-            while heights[-1] == h:
+
+    def decode(path: str) -> int:
+        bits = h = low = 0
+        v, mark, cut = 1, len(path), 1
+        # of each open rise, innermost last: its height (under a sentinel;
+        # they never decrease up the stack), and the row of ``ends`` of its vertex
+        heights, rows = [None], []
+        try:
+            for t, s in enumerate(path):
+                if s == "U":
+                    heights.append(h)
+                    rows.append(ends[v])
+                    h += 1
+                    continue
+                while heights[-1] == h:
+                    heights.pop()
+                    bits |= rows.pop()[v]
+                if s == "D":
+                    h -= 1
+                    if h < low:
+                        low, mark, cut = h, t, v + 1
+                elif s != "F":
+                    return -1
+                elif h == low:
+                    mark, cut = t, v + 1
+                v += 1
+        except IndexError:  # a vertex past 2n - 1
+            return -1
+        if h or v != n:
+            return -1
+        if rows and mark < len(path):
+            while heights[-1] == 0:  # the mark, at height 0 after the path's end
                 heights.pop()
-                bits |= rows.pop()[v]
-            if s == "D":
-                h -= 1
-                if h < low:
-                    low, mark, cut = h, t, v + 1
-            elif s != "F":
-                return -1
-            elif h == low:
-                mark, cut = t, v + 1
-            v += 1
-    except IndexError:  # a vertex past 2n - 1
-        return -1
-    if h or v != n:
-        return -1
-    if rows and mark < len(path):
-        while heights[-1] == 0:  # the mark, at height 0 after the path's end
-            heights.pop()
-            bits |= rows.pop()[n]
-        h, v = -(path[mark] == "D"), n + 1
-        for s in path[:mark]:
-            if not rows:
-                break
-            if s == "U":
-                heights.append(h)
-                rows.append(ends[v])
-                h += 1
-                continue
-            while heights[-1] == h:
-                heights.pop()
-                bits |= rows.pop()[v]
-            v += 1
-            h -= s == "D"
-    for row in rows:  # the flat of vertex cut - 1
-        bits |= row[n + cut - 1]
-    return bits
+                bits |= rows.pop()[n]
+            h, v = -(path[mark] == "D"), n + 1
+            for s in path[:mark]:
+                if not rows:
+                    break
+                if s == "U":
+                    heights.append(h)
+                    rows.append(ends[v])
+                    h += 1
+                    continue
+                while heights[-1] == h:
+                    heights.pop()
+                    bits |= rows.pop()[v]
+                v += 1
+                h -= s == "D"
+        for row in rows:  # the flat of vertex cut - 1
+            bits |= row[n + cut - 1]
+        return bits
+
+    return decode
 
 
 def tubing_paths(n: int, kind: str) -> Iterator[tuple[int, str]]:
     """Each tubing of the n-interval or n-cycle with its path, as (bitset,
     path) pairs in the order of ``tubing_masks``."""
     graph = _capped_graph(n, kind)
-    for bits, covered, steps in _path_walk(graph, graph.every):
-        yield bits, _image(graph, bits, covered, steps)
+    return _path_walk(graph, graph.every)
 
 
 def round_trip(n: int, kind: str) -> tuple[int, tuple[int, str] | None]:
@@ -545,11 +554,10 @@ def round_trip(n: int, kind: str) -> tuple[int, tuple[int, str] | None]:
     in the order of ``tubing_masks``: the number that come back, and the
     first tubing (bitset and path) whose path is not in P_n or decodes to
     another bitset, or None."""
-    graph, image, preimage = _capped_graph(n, kind), _image, _preimage
-    count = 0
-    for bits, covered, steps in _path_walk(graph, graph.every):
-        path = image(graph, bits, covered, steps)
-        if preimage(graph, path) != bits:
+    graph = _capped_graph(n, kind)
+    decode, count = graph.decode, 0
+    for bits, path in _path_walk(graph, graph.every):
+        if decode(path) != bits:
             return count, (bits, path)
         count += 1
     return count, None
@@ -564,16 +572,16 @@ def mask_to_path(n: int, bits: int, kind: str = "interval") -> str:
     """
     graph = _capped_graph(n, kind)
     walk = _path_walk(graph, _tube_set(graph, bits))
-    state = next(itertools.islice(walk, bits.bit_count(), None))
-    if state[0] != bits:
+    reached, path = next(itertools.islice(walk, bits.bit_count(), None))
+    if reached != bits:
         raise ValueError(f"not a valid {kind} tubing")
-    return _image(graph, *state)
+    return path
 
 
 def path_to_mask(n: int, path: str, kind: str = "interval") -> int:
     """The tube bitset a path of P_n decodes to; ValueError for a path
     outside P_n."""
-    bits = _preimage(_capped_graph(n, kind), path)
+    bits = _capped_graph(n, kind).decode(path)
     if bits < 0:
         name, length = ("Schröder", 2 * n) if kind == "interval" else ("Delannoy", 2 * n - 2)
         raise ValueError(f"{path!r} is not a {name} path of length {length}")
@@ -652,7 +660,7 @@ def check_improper_job(max_rank: int, grading: str = "tubes", colors: int = 1) -
     objects than ``admit`` lets through."""
     if not 1 <= max_rank <= MAX_CYCLE:
         raise ValueError(f"max_rank must be in 1..{MAX_CYCLE}, got {max_rank}")
-    if grading not in _GRADINGS:
+    if not isinstance(grading, str) or grading not in _GRADINGS:
         raise ValueError(f"unknown grading {grading!r}")
     if colors < 1:
         raise ValueError(f"colors must be at least 1, got {colors}")
@@ -701,6 +709,11 @@ def improper_cycle_census(
     fall into k/d orbits of size d, and colors**(k/d) of its colorings are
     fixed.  Every rotation of an enumerated bitset is enumerated with the
     same grade, so the sets are closed under rotation by construction.
+
+    The grade and the weight depend on a tubing only through its tube
+    count k and covered vertices, so each length's tubings are tallied by
+    (k, covered, d) for d = 1 and each order d that fixes them, and each
+    tally is graded and weighted once.
     """
     from .objects import Census
     from .qgauss import PolyFamily
@@ -709,27 +722,29 @@ def improper_cycle_census(
     instance, window_at, grade, poly = _GRADINGS[grading]
     window = window_at(max_rank)
     weight = [colors**k for k in range(max_rank)]
-    counts: dict = {}
-    fixed: dict = {}  # (s, d) -> colored objects fixed by the order-d rotation, d > 1
+    fixed: dict = {}  # (s, d) -> colored objects the order-d rotation fixes (d = 1: all)
     for n in range(1, max_rank + 1):
-        rotate = _graph(n, "cycle").rotate
-        orders = [d for d in divisors(n) if d > 1]
+        graph = _graph(n, "cycle")
+        # the rotations of order d > 1 as (d, step, n - step, stay, wrap),
+        # and per tube count k < n those whose order divides k
+        turns = [(d, n // d, n - n // d, *graph.rotation(n // d)) for d in divisors(n) if d > 1]
+        turns = [[r for r in turns if not k % r[0]] for k in range(n)]
+        tally: dict = {}  # (k, covered, d) -> tubings the order-d rotation fixes
         for bits, covered in tubing_masks(n, "cycle"):
-            free = n - covered.bit_count()
             k = bits.bit_count()
-            s = grade(n, k, free)
-            counts[s] = counts.get(s, 0) + weight[k]
-            for d in orders:
-                if not k % d and rotate(bits, n // d) == bits:
-                    fixed[s, d] = fixed.get((s, d), 0) + weight[k // d]
+            key = k, covered, 1
+            tally[key] = tally.get(key, 0) + 1
+            for d, step, back, stay, wrap in turns[k]:
+                if (bits << step) & stay | (bits >> back) & wrap == bits:
+                    key = k, covered, d
+                    tally[key] = tally.get(key, 0) + 1
+        for (k, covered, d), c in tally.items():
+            s = grade(n, k, n - covered.bit_count())
+            fixed[s, d] = fixed.get((s, d), 0) + c * weight[k // d]
     rows = []
     for s in instance.elements(window):
-        count = counts.get(s, 0)
-        by_order = {
-            d: (fixed.get((s, d), 0) if d > 1 else count, 0)
-            for d in divisors(instance._rank(s))
-        }
-        rows.append((s, count, by_order))
+        by_order = {d: (fixed.get((s, d), 0), 0) for d in divisors(instance._rank(s))}
+        rows.append((s, by_order[1][0], by_order))
     return (
         Census(instance, window, tuple(rows)),
         PolyFamily.from_function(instance, window, lambda s: poly(s, colors)),

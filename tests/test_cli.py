@@ -561,6 +561,13 @@ class TestTubingGuards:
         assert res.returncode == 1
         assert f"unknown role {role!r}" in res.stderr
 
+    @pytest.mark.parametrize("grading", [["x"], {"free": 1}, "Free"])
+    def test_unknown_grading_is_named(self, tmp_path, grading):
+        res = run_cli(tmp_path, "csp", {**TUBINGS, "max_rank": 4, "grading": grading})
+        assert res.returncode == 1
+        assert res.stderr.startswith("config error:")
+        assert f"unknown grading {grading!r}" in res.stderr
+
     def test_colored_count_cap_names_the_estimate(self, tmp_path):
         res = run_cli(tmp_path, "csp", {**TUBINGS, "max_rank": 7, "colors": 9})
         assert res.returncode == 1

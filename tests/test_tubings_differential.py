@@ -67,7 +67,9 @@ def test_free_and_final_vertices_match_sets(kind):
     sizes = range(1, 9) if kind == "interval" else range(1, 8)
     for n in sizes:
         graph = _graph(n, kind)
-        for bits, covered, steps in tb._path_walk(graph, graph.every):
+        walks = zip(tubing_masks(n, kind), tb._path_walk(graph, graph.every), strict=True)
+        for (bits, covered), (walked, path) in walks:
+            assert walked == bits
             tubing = graph.tubing(bits)
             vertices = set().union(*(oracle.tube_vertices(n, t, kind) for t in tubing))
             assert covered == sum(1 << v for v in vertices)
@@ -75,26 +77,23 @@ def test_free_and_final_vertices_match_sets(kind):
                 assert free_vertices(n, tubing, kind) == set(range(n)) - vertices
             # the walk carries each tubing's steps in vertex order: a rise
             # per tube that starts at a vertex, then a fall at each tube's
-            # final vertex and a flat elsewhere
+            # final vertex and a flat elsewhere; the path is those steps on
+            # the interval, four slices of them on the cycle
             finals = set(oracle.final_vertices(n, tubing, kind).values())
             starts = [sum(1 for s, _ in tubing if s == v) for v in range(n)]
-            assert steps == "".join("U" * k + ("D" if v in finals else "F")
-                                    for v, k in enumerate(starts))
-            if kind == "interval":
-                assert steps == oracle.table_mask_to_path(n, bits, kind)
-            else:  # the cycle's path is four slices of them
-                assert tb._image(graph, bits, covered, steps) == oracle.table_mask_to_path(
-                    n, bits, kind)
+            steps = ["U" * k + ("D" if v in finals else "F") for v, k in enumerate(starts)]
+            assert path == oracle.vertex_order_path(n, kind, steps, covered)
+            assert path == oracle.table_mask_to_path(n, bits, kind)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_the_path_walk_lists_the_census_walk_in_order(kind):
     for n in range(1, 8):
         graph = _graph(n, kind)
-        plain = list(tubing_masks(n, kind))
-        assert [state[:2] for state in tb._path_walk(graph, graph.every)] == plain
+        plain = [bits for bits, _ in tubing_masks(n, kind)]
+        assert [bits for bits, _ in tb._path_walk(graph, graph.every)] == plain
         # and over the tubes of one tubing, as mask_to_path walks
-        for bits, _ in plain[:: max(1, len(plain) // 50)]:
+        for bits in plain[:: max(1, len(plain) // 50)]:
             assert [s[0] for s in tb._walk(graph, bits)] == [
                 s[0] for s in tb._path_walk(graph, bits)]
 
@@ -393,12 +392,18 @@ def test_is_path_accepts_exactly_the_enumerated_paths():
             assert {w for w in words if is_path(w, length, kind)} == listed
 
 
+def _rotate(graph, bits, step):
+    """A cycle tube set rotated by ``step`` vertices, as the census rotates it."""
+    stay, wrap = graph.rotation(step)
+    return (bits << step) & stay | (bits >> (graph.n - step)) & wrap
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_cycle_rotation_maps_tubings_to_tubings_of_the_same_grade(n):
     graph = _graph(n, "cycle")
     covered_by = dict(tubing_masks(n, "cycle"))
     for bits, covered in covered_by.items():
-        turned = graph.rotate(bits, 1)
+        turned = _rotate(graph, bits, 1)
         assert turned in covered_by
         assert turned.bit_count() == bits.bit_count()
         assert covered_by[turned].bit_count() == covered.bit_count()
@@ -406,7 +411,7 @@ def test_cycle_rotation_maps_tubings_to_tubings_of_the_same_grade(n):
         tubes = graph.tubing(bits)
         for step in range(n):
             want = graph.bits(((s + step) % n, length) for s, length in tubes)
-            assert graph.rotate(bits, step) == want
+            assert _rotate(graph, bits, step) == want
 
 
 CENSUS_JOBS = [(8, g, 1) for g in ("free", "tubes", "all")] + [
@@ -429,37 +434,36 @@ def test_bitset_census_equals_the_oracle_census(job):
 # -- the streaming bijection check against the stored one -------------------------------
 
 
-def _swapped(image, n, kind, a, b):
-    """The kernel's image map with the paths of the bitsets a and b of the
+def _swapped(walk, n, kind, a, b):
+    """The kernel's path walk with the paths of the bitsets a and b of the
     n-vertex graph of the kind exchanged."""
     pa, pb = mask_to_path(n, a, kind), mask_to_path(n, b, kind)
 
-    def swapped(graph, bits, *state):
-        out = image(graph, bits, *state)
-        if (graph.n, graph.kind) == (n, kind) and out in (pa, pb):
-            return pb if out == pa else pa
-        return out
+    def swapped(graph, candidates):
+        for bits, path in walk(graph, candidates):
+            if (graph.n, graph.kind) == (n, kind) and path in (pa, pb):
+                path = pb if path == pa else pa
+            yield bits, path
 
     return swapped
 
 
-def _misdecoded(preimage, n, kind, path, wrong):
-    """The kernel's decoder, except that ``path`` on the n-vertex graph of
-    the kind decodes to the bitset ``wrong``."""
+def _misdecoded(decode, path, wrong):
+    """A graph's decoder, except that ``path`` decodes to the bitset ``wrong``."""
 
-    def misdecoded(graph, p):
-        return wrong if (graph.n, graph.kind, p) == (n, kind, path) else preimage(graph, p)
+    def misdecoded(p):
+        return wrong if p == path else decode(p)
 
     return misdecoded
 
 
 def _plant(monkeypatch, fault):
     """Plant a fault at size 4 where both bijection checks reach it: in
-    ``tb._image``, the path of a tubing's walk state, which the streaming
-    loop calls per tubing and ``mask_to_path`` (under the frozenset maps of
-    the stored check) calls once per bitset; in ``tb._preimage``, which
-    ``round_trip`` and ``path_to_mask`` call; or in the path set, listed
-    and counted."""
+    ``tb._path_walk``, the walk that yields each tubing's path, which the
+    streaming loop runs over every tubing and ``mask_to_path`` (under the
+    frozenset maps of the stored check) runs to one bitset; in the 4-vertex
+    graph's ``decode``, which ``round_trip`` and ``path_to_mask`` call; or
+    in the path set, listed and counted."""
     n = 4
     kind = fault.split("-")[0]
     interval = [bits for bits, *_ in tubing_masks(n, "interval")]
@@ -469,10 +473,10 @@ def _plant(monkeypatch, fault):
     else:
         swap, (victim, wrong) = (improper[7], improper[30]), (improper[20], improper[2])
     if fault.endswith("-swap"):
-        monkeypatch.setattr(tb, "_image", _swapped(tb._image, n, kind, *swap))
+        monkeypatch.setattr(tb, "_path_walk", _swapped(tb._path_walk, n, kind, *swap))
     elif fault.endswith("-decode"):
-        path = mask_to_path(n, victim, kind)
-        monkeypatch.setattr(tb, "_preimage", _misdecoded(tb._preimage, n, kind, path, wrong))
+        graph, path = _graph(n, kind), mask_to_path(n, victim, kind)
+        monkeypatch.setattr(graph, "decode", _misdecoded(graph.decode, path, wrong))
     else:  # the path set, listed and counted, misses one path
         target = (2 * n, "schroder") if kind == "interval" else (2 * (n - 1), "delannoy")
         paths, count = tb.enumerate_paths, tb.count_paths
@@ -528,16 +532,17 @@ def test_planted_non_path_image_names_its_tubing(monkeypatch, kind, planted):
     naming the tubing and the image, in the streaming check as in the
     stored one."""
     n = 4
-    image = tb._image
+    walk = tb._path_walk
     victim = [bits for bits, covered in tubing_masks(n, kind) if covered != 15][11]
     passing = run_job("bijection", {"kind": kind, "max_n": n - 1})[0]["per_n"]
 
-    def planted_image(graph, bits, *state):
-        if (graph.n, graph.kind, bits) == (n, kind, victim):
-            return planted
-        return image(graph, bits, *state)
+    def planted_walk(graph, candidates):
+        for bits, path in walk(graph, candidates):
+            if (graph.n, graph.kind, bits) == (n, kind, victim):
+                path = planted
+            yield bits, path
 
-    monkeypatch.setattr(tb, "_image", planted_image)
+    monkeypatch.setattr(tb, "_path_walk", planted_walk)
     payload, code = run_job("bijection", {"kind": kind, "max_n": 5})
     assert (payload, code) == oracle.bijection_payload(tb, kind, 5)
     assert code == 2 and payload["ok"] is False
@@ -558,10 +563,10 @@ def _target(n, kind):
 
 @pytest.mark.parametrize("n,kind", KERNEL_SIZES, ids=[f"{n}-{k}" for n, k in KERNEL_SIZES])
 def test_path_maps_match_the_list_building_kernels(n, kind):
-    """Every tubing's path, read off its walk state as ``round_trip`` does
-    and by ``mask_to_path``, is the reference path; every path of the
-    target set P_n, not only the images, decodes to the reference bitset;
-    and the table-driven kernels the walk replaced agree."""
+    """Every tubing's path, as the walk yields it to ``round_trip`` and to
+    ``mask_to_path``, is the reference path; every path of the target set
+    P_n, not only the images, decodes to the reference bitset; and the
+    table-driven kernels the walk replaced agree."""
     if kind == "interval":
         ref_fwd = oracle.ref_interval_mask_to_schroder
         ref_inv = oracle.ref_schroder_to_interval_mask
@@ -570,15 +575,14 @@ def test_path_maps_match_the_list_building_kernels(n, kind):
         ref_fwd, ref_inv = oracle.ref_cycle_mask_to_delannoy, oracle.ref_delannoy_to_cycle_mask
         wrap, ref_wrap = tb.cycle_tubing_to_delannoy, oracle.ref_cycle_tubing_to_delannoy
     graph = _graph(n, kind)
-    for state in tb._path_walk(graph, graph.every):
-        bits = state[0]
+    for bits, image in tb._path_walk(graph, graph.every):
         path = ref_fwd(n, bits)
-        assert tb._image(graph, *state) == path == oracle.table_mask_to_path(n, bits, kind)
+        assert image == path == oracle.table_mask_to_path(n, bits, kind)
         if n <= 6:  # the single-mask map walks to its bitset
             assert mask_to_path(n, bits, kind) == path
     for path in enumerate_paths(*_target(n, kind)):
         bits = ref_inv(n, path)
-        assert tb._preimage(graph, path) == bits == oracle.table_path_to_mask(n, path, kind)
+        assert graph.decode(path) == bits == oracle.table_path_to_mask(n, path, kind)
         assert path_to_mask(n, path, kind) == bits
     if n <= 5:  # the frozenset forms go through the same kernel
         for bits, *_ in tubing_masks(n, kind):
@@ -604,7 +608,9 @@ def _non_paths(paths, n, kind):
 @pytest.mark.parametrize("n,kind", KERNEL_SIZES, ids=[f"{n}-{k}" for n, k in KERNEL_SIZES])
 def test_one_pass_decoder_refuses_exactly_what_is_path_refuses(n, kind):
     """The decoder refuses exactly the words outside P_n, and decodes each
-    path of P_n to the reference bitset: on the cycle, the scan that finds
+    path of P_n to the reference bitset: on the interval, the stackless
+    scan from the right gives the value and the refusal of the stack
+    decoder it replaced, word by word; on the cycle, the scan that finds
     the mark decodes as it goes, and the tubes through vertex 0 close in a
     second read of the steps before the mark."""
     graph = _graph(n, kind)
@@ -619,12 +625,14 @@ def test_one_pass_decoder_refuses_exactly_what_is_path_refuses(n, kind):
     ref = (oracle.ref_schroder_to_interval_mask if kind == "interval"
            else oracle.ref_delannoy_to_cycle_mask)
     for w in words:
-        got = tb._preimage(graph, w)
+        got = graph.decode(w)
         assert (got >= 0) == is_path(w, length, target), w
         if got >= 0:
             assert got == ref(n, w), w
+        if kind == "interval":
+            assert got == oracle.stack_decode(graph, w), w
     refused = words - set(paths)
-    assert refused and all(tb._preimage(graph, w) == -1 for w in refused)
+    assert refused and all(graph.decode(w) == -1 for w in refused)
     with pytest.raises(ValueError, match="is not a"):
         path_to_mask(n, min(refused), kind)
 

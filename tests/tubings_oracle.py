@@ -599,8 +599,10 @@ def _table_decode(n: int, kind: str, path: str) -> int:
     return bits
 
 
-def table_mask_to_path(n: int, bits: int, kind: str) -> str:
-    steps, covered = _vertex_steps(n, kind, bits)
+def vertex_order_path(n: int, kind: str, steps: list[str], covered: int) -> str:
+    """The path of a tubing from its steps per vertex, in vertex order, and
+    the vertices it covers: the steps on the interval, four slices of them
+    at vertex boundaries on the cycle (cut after the last free vertex)."""
     if kind == "interval":
         return "".join(steps)
     cut = (~covered & ((1 << n) - 1)).bit_length()
@@ -608,6 +610,52 @@ def table_mask_to_path(n: int, bits: int, kind: str) -> str:
         return "".join(steps[1:])
     first = steps[0]
     return "".join(steps[1 : cut - 1]) + first[-1] + "".join(steps[cut:]) + first[:-1]
+
+
+def table_mask_to_path(n: int, bits: int, kind: str) -> str:
+    return vertex_order_path(n, kind, *_vertex_steps(n, kind, bits))
+
+
+def stack_decode(graph, path: str) -> int:
+    """The library's interval decoder before its stackless right-to-left
+    scan, unchanged: one scan from the left that keeps the open rises on a
+    stack.  ``graph`` is the library's ``_Graph`` of an n-interval.
+
+    The tube bitset a Schröder path over the interval's n vertices
+    decodes to; -1 for a path with an unknown step, a fall below 0, an end
+    off height 0 or other than n vertices (flats and falls): the paths
+    ``enumerate_paths(2n, "schroder")`` omits.
+
+    Each rise opens a tube at the current vertex; it closes right before
+    the next flat or fall at the rise's height, or at the end of the path.
+    """
+    ends = graph.path_tables[3]
+    bits = h = v = 0
+    # of each open rise, innermost last: its height (under a sentinel; they
+    # never decrease up the stack), and the row of ``ends`` of its vertex
+    heights, rows = [None], []
+    try:
+        for s in path:
+            if s == "U":
+                heights.append(h)
+                rows.append(ends[v])
+                h += 1
+                continue
+            while heights[-1] == h:
+                heights.pop()
+                bits |= rows.pop()[v]
+            v += 1
+            if s == "D" and h:
+                h -= 1
+            elif s != "F":
+                return -1
+    except IndexError:  # a vertex past n: ``ends`` has rows and columns 0..n
+        return -1
+    if h or v != graph.n:
+        return -1
+    for row in rows:
+        bits |= row[v]
+    return bits
 
 
 def table_path_to_mask(n: int, path: str, kind: str) -> int:

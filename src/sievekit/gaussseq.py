@@ -200,25 +200,32 @@ def a_from_c(c: SequenceSpec) -> SequenceSpec:
 
     The recursion may pass through elements outside the window (their "a"
     values are intermediate); it terminates because every support element
-    has rank >= 1.
+    has rank >= 1, and runs on a stack of generators, past the recursion limit.
     """
     _require_role(c, "c")
     inst, win = c.instance, c.window
     cd = {s: v for s, v in c.values if v}
     memo: dict = {}
 
-    def rec(s) -> int:
-        if s in memo:
-            return memo[s]
+    def rec(s):
         total = inst._rank(s) * cd.get(s, 0)
         for t, ct in cd.items():
             u = inst._subtract(s, t)
             if u is not None:
-                total += ct * rec(u)
+                if u not in memo:
+                    yield u  # valued on the stack before this resumes
+                total += ct * memo[u]
         memo[s] = total
-        return total
 
-    out = CheckedTable((s, rec(s)) for s in inst.elements(win))
+    out = CheckedTable()
+    for s in inst.elements(win):
+        stack = [rec(s)]
+        while stack:
+            if (u := next(stack[-1], None)) is None:
+                stack.pop()
+            else:
+                stack.append(rec(u))
+        out[s] = memo[s]
     return SequenceSpec(inst, win, "a", out)
 
 

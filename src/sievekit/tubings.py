@@ -15,9 +15,9 @@ each tubing's steps in vertex order, two edits per added tube, and yields
 each tubing's path (on the cycle, four slices of the steps).
 ``round_trip`` decodes each path back with the graph's decoder, which
 checks that it is a path as it goes: on the interval one right-to-left
-scan with no stack; on the cycle one left-to-right scan that also finds,
-from the path's lowest level, where the cycle was cut, and reads the
-steps before the cut again only for the tubes through vertex 0.
+scan with no stack; on the cycle one left-to-right scan that finds, from
+the path's lowest level, where the cycle was cut, then the interval's
+scan of the marked path that cutting there made.
 
 Lattice paths are strings over U = (1,1), D = (1,-1), F = (2,0), and the
 length of a path is its x-extent.  The height of a step is the y-coordinate
@@ -90,8 +90,6 @@ class _Graph:
     """
 
     def __init__(self, n: int, kind: str) -> None:
-        if kind not in ("interval", "cycle"):
-            raise ValueError(f"unknown graph kind {kind!r}")
         tubes = interval_tubes(n) if kind == "interval" else cycle_tubes(n)
         self.n, self.kind, self.full = n, kind, (1 << n) - 1
         self.tubes, self.every = tubes, (1 << len(tubes)) - 1
@@ -171,7 +169,7 @@ class _Graph:
         ``v + (bits & opened[v]).bit_count()``.  ``ends[a][b]`` is the bit of
         the tube on vertices a..b-1, or 0 where there is no such tube; on
         the cycle a and b run to 2n - 1 and count modulo n, as the decoder
-        numbers the vertices it reads twice past n.
+        numbers the n vertices of a marked path from its cut vertex on.
         """
         n, cycle, index = self.n, self.kind == "cycle", self.index
         start = [s for s, _ in self.tubes]
@@ -192,10 +190,10 @@ class _Graph:
     @functools.cached_property
     def decode(self) -> Callable[[str], int]:
         """The tube bitset a path of P_n decodes to, or -1 for a word not in
-        P_n: the Schröder paths of length 2n for the n-interval
-        (``_interval_decoder``), the Delannoy paths of length 2(n - 1) for
-        the n-cycle (``_cycle_decoder``).  Built on first use over
-        ``path_tables``, so a round trip is one call."""
+        P_n: the Schröder paths of length 2n for the n-interval, the
+        Delannoy paths of length 2(n - 1) for the n-cycle, which
+        ``_cycle_decoder`` cuts before it runs ``_interval_decoder``'s scan.
+        Built on first use over ``path_tables``, so a round trip is one call."""
         make = _interval_decoder if self.kind == "interval" else _cycle_decoder
         return make(self.n, self.path_tables[3])
 
@@ -424,7 +422,7 @@ def count_paths(length: int, kind: str = "delannoy") -> int:
 # -- the bijections ----------------------------------------------------------------
 
 
-def _interval_decoder(n: int, ends: list[list[int]]) -> Callable[[str], int]:
+def _interval_decoder(n: int, ends: list[list[int]]) -> Callable[..., int]:
     """The decoder of Schröder paths over the n-interval, given its ``ends``
     table (rows and columns 0..n): the tube bitset of a path, or -1 for a
     word with other than n vertices (flats and falls), an unknown step, a
@@ -435,18 +433,18 @@ def _interval_decoder(n: int, ends: list[list[int]]) -> Callable[[str], int]:
     next flat or fall taken from the rise's height, or at the end of the
     path.  So one scan from the right, with the height from the end,
     records in ``nxt[h]`` the vertex of the last flat or fall taken from
-    height h (n, the path's end, at first), and each rise from height h
-    ORs in ``ends[v][nxt[h]]``.  Heights counted from the end stay
-    nonnegative and end at 0 exactly when the path, read from the start,
-    never falls below 0 and ends at height 0.
+    height h (the path's end at first), and each rise from height h ORs in
+    ``ends[v][nxt[h]]``.  Heights counted from the end stay nonnegative
+    and end at 0 exactly when the path, read from the start, never falls
+    below 0 and ends at height 0.  Vertices are numbered from ``first``: 0
+    here, the cut vertex where ``_cycle_decoder`` scans its marked path.
     """
 
-    def decode(path: str) -> int:
+    def decode(path: str, first: int = 0) -> int:
         if len(path) - path.count("U") != n:
             return -1
-        nxt = [n] * (n + 1)  # heights from the end: at most the n falls
-        bits = h = 0
-        v = n
+        v, bits, h = first + n, 0, 0
+        nxt = [v] * (n + 1)  # heights from the end: at most the n falls
         for s in reversed(path):
             if s == "U":
                 if not h:
@@ -472,72 +470,32 @@ def _cycle_decoder(n: int, ends: list[list[int]]) -> Callable[[str], int]:
     given its ``ends`` table (rows and columns 0..2n-1, counted modulo n):
     the tube bitset of a path, or -1 for a word that is no such path.
 
-    A Delannoy path is a marked path unmarked (see ``_path_walk``).  Read
-    as it stands, it is the marked path's steps from vertex 1 on, with the
-    mark, vertex 0's last step, in the place of the flat of vertex cut - 1,
-    and vertex 0's rises last.  So decoded as a Schröder path from the left
-    with its flats and falls numbered 1..n-1 (each rise closes right before
-    the next flat or fall taken from its height), each tube that closes
-    before the end is right: the rises open at the mark are those the flat
-    would close.  The same scan refuses an unknown step, an end off height
-    0 or other than n - 1 vertices, and finds the mark from the path's
-    lowest level: the last flat at that level if there is one, else the
-    first step down to it if the path dips below 0, else none (vertex 0 is
-    the cut vertex).  The tubes still open at the end run through vertex
-    0; the marked path closes them at the mark, in the steps before it,
-    which are read again numbered from n, or at the flat of vertex cut - 1.
+    It undoes the unmarking of ``_path_walk``.  One scan from the left
+    finds the mark: the last flat at the path's lowest level, else the
+    first step down to it if the path dips below 0, else none.  Swapping
+    the steps on either side of the mark and appending the final flat
+    restores the marked path, which the interval's scan decodes with its
+    n vertices numbered from cut, the vertex after the mark's.
     """
+    scan = _interval_decoder(n, ends)
 
-    def decode(path: str) -> int:
-        bits = h = low = 0
-        v, mark, cut = 1, len(path), 1
-        # of each open rise, innermost last: its height (under a sentinel;
-        # they never decrease up the stack), and the row of ``ends`` of its vertex
-        heights, rows = [None], []
-        try:
-            for t, s in enumerate(path):
-                if s == "U":
-                    heights.append(h)
-                    rows.append(ends[v])
-                    h += 1
-                    continue
-                while heights[-1] == h:
-                    heights.pop()
-                    bits |= rows.pop()[v]
-                if s == "D":
-                    h -= 1
-                    if h < low:
-                        low, mark, cut = h, t, v + 1
-                elif s != "F":
-                    return -1
-                elif h == low:
-                    mark, cut = t, v + 1
-                v += 1
-        except IndexError:  # a vertex past 2n - 1
-            return -1
-        if h or v != n:
-            return -1
-        if rows and mark < len(path):
-            while heights[-1] == 0:  # the mark, at height 0 after the path's end
-                heights.pop()
-                bits |= rows.pop()[n]
-            h, v = -(path[mark] == "D"), n + 1
-            for s in path[:mark]:
-                if not rows:
-                    break
-                if s == "U":
-                    heights.append(h)
-                    rows.append(ends[v])
-                    h += 1
-                    continue
-                while heights[-1] == h:
-                    heights.pop()
-                    bits |= rows.pop()[v]
-                v += 1
-                h -= s == "D"
-        for row in rows:  # the flat of vertex cut - 1
-            bits |= row[n + cut - 1]
-        return bits
+    def decode(path: str) -> int:  # the scan refuses a wrong vertex count or end height
+        h, low, mark = 0, 0, -1
+        for t, s in enumerate(path):
+            if s == "U":
+                h += 1
+            elif s == "D":
+                h -= 1
+                if h < low:
+                    low, mark = h, t
+            elif s != "F":
+                return -1
+            elif h == low:
+                mark = t
+        if mark < 0:  # vertex 0 is the cut vertex
+            return scan(path + "F", 1)
+        cut = mark - path.count("U", 0, mark) + 2  # the path's vertices number from 1
+        return scan(path[mark + 1:] + path[mark] + path[:mark] + "F", cut)
 
     return decode
 

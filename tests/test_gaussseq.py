@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -27,6 +29,7 @@ from helpers import (
     lucas_numbers,
     ordered_decomposition_count,
     repeated_bead_count,
+    run_job,
     sequence_corpus,
     sigma,
     zpos_spec,
@@ -116,6 +119,37 @@ class TestRoleTransforms:
         assert a.value((2, 0)) == 1
         assert a.value((2, 1)) == 0  # no unit divisor hits (2,1) but the trivial one
         assert nonzero(b_from_a(a)) == {(1, 0): 1, (1, 1): 1}
+
+    def test_a_from_c_descends_past_the_recursion_limit(self):
+        """With c = 2 at (1, -1), a_s = 2 a_(s - (1, -1)) walks s - t =
+        (n - 1, x + 1) out of the window's extra bounds, down to rank 1:
+        from rank 250 a chain of 249 differences, past a recursion limit
+        lowered to 100 frames above the test's own.  Only the diagonal
+        x = -n, where a = 2^n, is nonzero."""
+        inst, win = Chain(ZPOS, "ints"), Window(250, ((-3, 3),))
+        c = SequenceSpec.from_mapping(inst, win, "c", {(1, -1): 2})
+        depth, frame = 0, sys._getframe()
+        while frame:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            a = a_from_c(c)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert nonzero(a) == {(1, -1): 2, (2, -2): 4, (3, -3): 8}
+        assert len(a.values) == 250 * 7
+        # the job that found it, smaller: a csp census over the same support
+        cfg = {"family": "festoons-colored", "c": {
+            "instance": {"kind": "chain", "extra": "ints",
+                         "window": {"max_rank": 250, "extra_bounds": [-3, 3]}},
+            "role": "c", "support": [[[1, -1], 1]]}}
+        sys.setrecursionlimit(depth + 100)
+        try:
+            payload, code = run_job("csp", cfg)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert code == 0 and payload["ok"]
 
 
 class TestCheckGauss:

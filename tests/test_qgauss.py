@@ -56,6 +56,39 @@ def both_ok(F):
     return check_qgauss_definition(F).ok and check_qgauss_roots(F).ok
 
 
+def near_gauss_rows(inst, window, box):
+    """Both checks on the Ramanujan family of each Gauss row whose entry at
+    each window element s lies in ``box(s)``, and on every change of one of
+    its coefficients below degree rank(s) by -1 or +1: they pass the same
+    families and fail the others first at the same element.  Returns the
+    (families, passed) counts."""
+    elements = inst.elements(window)
+    families = passed = 0
+    for row in itertools.product(*map(box, elements)):
+        a = SequenceSpec.from_mapping(inst, window, "a", dict(zip(elements, row)))
+        try:
+            F = construct_ramanujan(a)
+        except NonIntegerCoefficient:
+            continue
+        table = dict(F.polys)
+        nearby = [F]
+        for s in elements:
+            for j, step in itertools.product(range(inst._rank(s)), (-1, 1)):
+                coeffs = list(F.folds[s])  # f_s has degree below rank(s)
+                coeffs[j] += step
+                nearby.append(PolyFamily(inst, window, tuple(
+                    {**table, s: IntPoly(coeffs)}.items())))
+        for G in nearby:
+            rep_d, rep_r = check_qgauss_definition(G), check_qgauss_roots(G)
+            assert rep_d.ok == rep_r.ok, (row, G.polys)
+            if rep_d.ok:
+                passed += 1
+            else:
+                assert rep_d.failures[0].element == rep_r.failures[0].element, (row, G.polys)
+        families += len(nearby)
+    return families, passed
+
+
 class TestConstructions:
     def test_ramanujan_of_powers_of_two(self):
         a = zpos_spec("a", {n: 2**n for n in range(1, 7)}, 6)
@@ -217,29 +250,26 @@ class TestCheckers:
         coefficients below degree rank(s) by -1 or +1 (1,333 families): both
         checks pass the same families, and fail the others first at the
         same element."""
-        families = passed = 0
-        for row in itertools.product(range(-2, 3), repeat=6):
-            try:
-                F = construct_ramanujan(zpos_spec("a", dict(enumerate(row, start=1)), 6))
-            except NonIntegerCoefficient:
-                continue
-            table = dict(F.polys)
-            nearby = [F]
-            for s, j, step in itertools.product(range(1, 7), range(6), (-1, 1)):
-                if j < s:
-                    coeffs = list(F.folds[s])  # f_s has degree below s
-                    coeffs[j] += step
-                    nearby.append(PolyFamily(ZPOS, F.window, tuple(
-                        {**table, s: IntPoly(coeffs)}.items())))
-            for G in nearby:
-                rep_d, rep_r = check_qgauss_definition(G), check_qgauss_roots(G)
-                assert rep_d.ok == rep_r.ok, (row, G.polys)
-                if rep_d.ok:
-                    passed += 1
-                else:
-                    assert rep_d.failures[0].element == rep_r.failures[0].element, (row, G.polys)
-            families += len(nearby)
-        assert (families, passed) == (1333, 31)
+        assert near_gauss_rows(ZPOS, Window(6), lambda s: range(-2, 3)) == (1333, 31)
+
+    def test_checkers_agree_near_every_gauss_row_of_a_chain_window(self):
+        """As on zpos, on chain(zpos, nonneg) at max_rank 4 with extra
+        bounds (0, 1), entries in -2..2 at rank 1 and -1..1 above: 35 Gauss
+        rows, 1,435 families."""
+        def box(s):
+            return range(-2, 3) if s[0] == 1 else range(-1, 2)
+
+        assert near_gauss_rows(NK, Window(4, ((0, 1),)), box) == (1435, 105)
+
+    def test_checkers_agree_near_every_gauss_row_of_a_free_window(self):
+        """As on zpos, on beads of lengths 1 and 2 at max_rank 4, entries in
+        -2..2 at rank 1 and 2 and -1..1 above: 7 Gauss rows, 329 families."""
+        inst = FreeRanked((("a", 1), ("b", 2)))
+
+        def box(s):
+            return range(-2, 3) if inst._rank(s) <= 2 else range(-1, 2)
+
+        assert near_gauss_rows(inst, Window(4), box) == (329, 7)
 
     def test_roots_checker_needs_covered_roots(self):
         pairs = tuple((n, q_int(n)) for n in range(2, 5))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import functools
 import itertools
 import re
 
@@ -608,11 +609,10 @@ def _non_paths(paths, n, kind):
 @pytest.mark.parametrize("n,kind", KERNEL_SIZES, ids=[f"{n}-{k}" for n, k in KERNEL_SIZES])
 def test_one_pass_decoder_refuses_exactly_what_is_path_refuses(n, kind):
     """The decoder refuses exactly the words outside P_n, and decodes each
-    path of P_n to the reference bitset: on the interval, the stackless
-    scan from the right gives the value and the refusal of the stack
-    decoder it replaced, word by word; on the cycle, the scan that finds
-    the mark decodes as it goes, and the tubes through vertex 0 close in a
-    second read of the steps before the mark."""
+    path of P_n to the reference bitset, and gives the value and the
+    refusal of the stack decoder it replaced, word by word: on the
+    interval, the stackless scan from the right; on the cycle, the scan
+    that finds the mark, then the interval's scan of the marked path."""
     graph = _graph(n, kind)
     length, target = _target(n, kind)
     paths = enumerate_paths(length, target)
@@ -624,13 +624,16 @@ def test_one_pass_decoder_refuses_exactly_what_is_path_refuses(n, kind):
         words |= {w for group in _words_up_to(length + 4).values() for w in group}
     ref = (oracle.ref_schroder_to_interval_mask if kind == "interval"
            else oracle.ref_delannoy_to_cycle_mask)
+    if kind == "interval":
+        replaced = functools.partial(oracle.stack_decode, graph)
+    else:
+        replaced = oracle.stack_cycle_decoder(n, graph.path_tables[3])
     for w in words:
         got = graph.decode(w)
         assert (got >= 0) == is_path(w, length, target), w
         if got >= 0:
             assert got == ref(n, w), w
-        if kind == "interval":
-            assert got == oracle.stack_decode(graph, w), w
+        assert got == replaced(w), w
     refused = words - set(paths)
     assert refused and all(graph.decode(w) == -1 for w in refused)
     with pytest.raises(ValueError, match="is not a"):

@@ -10,9 +10,11 @@ once ran first, the graded census of improper cycle tubings counted
 from the set-based enumeration, and the list-building tubing <-> path
 kernels (``ref_*``) that the table-driven ones replaced, the one-scan
 marked-path restoration (``delannoy_to_marked``) that the cycle decoder
-ran before it decoded, and those
+ran before it decoded, those
 table-driven kernels (``table_*``), which the maps carried down the tubing
-walk replaced in turn.  They compute nothing with the library,
+walk replaced in turn, and the two decoders that kept a stack of open
+rises (``stack_decode``, ``stack_cycle_decoder``), which one stackless
+scan replaced.  They compute nothing with the library,
 so a regression there cannot hide behind its own code; ``cycle_family``
 only puts its objects into the library's containers, which the checks
 under test read.
@@ -23,7 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from typing import Iterable
+from typing import Callable, Iterable
 
 
 def tube_vertices(n: int, tube, kind: str = "interval") -> frozenset:
@@ -666,3 +668,82 @@ def table_path_to_mask(n: int, path: str, kind: str) -> int:
     tubes = all_tubes(n, kind)
     decoded = (tubes[i] for i in _set_bits(_table_decode(n, kind, p)))
     return _tubes_to_bits(n, kind, (((start + shift) % n, length) for start, length in decoded))
+
+
+def stack_cycle_decoder(n: int, ends: list[list[int]]) -> Callable[[str], int]:
+    """The library's cycle decoder before it cut the cycle and ran the
+    interval's stackless scan, unchanged: one left-to-right scan that keeps
+    the open rises on a stack.
+
+    The decoder of Delannoy paths of length 2(n - 1) over the n-cycle,
+    given its ``ends`` table (rows and columns 0..2n-1, counted modulo n):
+    the tube bitset of a path, or -1 for a word that is no such path.
+
+    A Delannoy path is a marked path unmarked (see ``_path_walk``).  Read
+    as it stands, it is the marked path's steps from vertex 1 on, with the
+    mark, vertex 0's last step, in the place of the flat of vertex cut - 1,
+    and vertex 0's rises last.  So decoded as a Schröder path from the left
+    with its flats and falls numbered 1..n-1 (each rise closes right before
+    the next flat or fall taken from its height), each tube that closes
+    before the end is right: the rises open at the mark are those the flat
+    would close.  The same scan refuses an unknown step, an end off height
+    0 or other than n - 1 vertices, and finds the mark from the path's
+    lowest level: the last flat at that level if there is one, else the
+    first step down to it if the path dips below 0, else none (vertex 0 is
+    the cut vertex).  The tubes still open at the end run through vertex
+    0; the marked path closes them at the mark, in the steps before it,
+    which are read again numbered from n, or at the flat of vertex cut - 1.
+    """
+
+    def decode(path: str) -> int:
+        bits = h = low = 0
+        v, mark, cut = 1, len(path), 1
+        # of each open rise, innermost last: its height (under a sentinel;
+        # they never decrease up the stack), and the row of ``ends`` of its vertex
+        heights, rows = [None], []
+        try:
+            for t, s in enumerate(path):
+                if s == "U":
+                    heights.append(h)
+                    rows.append(ends[v])
+                    h += 1
+                    continue
+                while heights[-1] == h:
+                    heights.pop()
+                    bits |= rows.pop()[v]
+                if s == "D":
+                    h -= 1
+                    if h < low:
+                        low, mark, cut = h, t, v + 1
+                elif s != "F":
+                    return -1
+                elif h == low:
+                    mark, cut = t, v + 1
+                v += 1
+        except IndexError:  # a vertex past 2n - 1
+            return -1
+        if h or v != n:
+            return -1
+        if rows and mark < len(path):
+            while heights[-1] == 0:  # the mark, at height 0 after the path's end
+                heights.pop()
+                bits |= rows.pop()[n]
+            h, v = -(path[mark] == "D"), n + 1
+            for s in path[:mark]:
+                if not rows:
+                    break
+                if s == "U":
+                    heights.append(h)
+                    rows.append(ends[v])
+                    h += 1
+                    continue
+                while heights[-1] == h:
+                    heights.pop()
+                    bits |= rows.pop()[v]
+                v += 1
+                h -= s == "D"
+        for row in rows:  # the flat of vertex cut - 1
+            bits |= row[n + cut - 1]
+        return bits
+
+    return decode

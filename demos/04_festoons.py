@@ -20,10 +20,8 @@ from sievekit.objects import (
     festoons_repeated,
     fixed_points,
     signed_festoons,
-    verify_csp,
-    verify_lyndon,
 )
-from sievekit.qgauss import construct_from_c
+from sievekit.qgauss import construct_from_c, verify_csp, verify_lyndon
 from sievekit.semigroup import PositiveIntegers, Window
 
 ZPOS = PositiveIntegers()

@@ -9,8 +9,7 @@ and their gradings carry sieving polynomials.
 """
 
 from sievekit.gaussseq import TruncatedSeries, solve_functional_equation
-from sievekit.objects import verify_csp
-from sievekit.qgauss import PolyFamily
+from sievekit.qgauss import PolyFamily, verify_csp
 from sievekit.tubings import (
     count_paths,
     cycle_tubing_to_delannoy,

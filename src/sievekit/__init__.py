@@ -7,8 +7,9 @@ The package is organised bottom-up:
 - ``semigroup``: ranked commutative semigroups and their windows.
 - ``gaussseq``: integer sequences indexed by a semigroup and the divisibility
   congruences that tie them together.
-- ``qgauss``: polynomial-valued refinements of those sequences and their
-  root-of-unity characterisation.
+- ``qgauss``: polynomial-valued refinements of those sequences, their
+  root-of-unity characterisation, and the sieve checks of an object census
+  against a family.
 - ``transport``: morphisms between instances, and pushforward, pullback
   and products of polynomial families along them.
 - ``objects``: words and festoons, cyclic objects that realise the

@@ -16,8 +16,8 @@ decodes its config in its command's decode.
 
 Every job is a fresh process, so the module level holds only what every
 command reads: the command line, JSON and the ``semigroup`` decoders.
-Each decode and run imports the rest of the library it uses at the top
-of its body, and a job loads only its command's modules.
+Each decode and run imports the rest of the library it uses in its body,
+on the branch that uses it, and a job loads only the modules it runs.
 """
 
 from __future__ import annotations
@@ -119,7 +119,6 @@ def _closed_form(cfg: dict) -> tuple:
 
 def _decode_qgauss(cfg: dict) -> tuple:
     """The construction's name, its build callable, its arguments and the checks."""
-    from .gaussseq import sequence_from_config
     from .qgauss import (PolyFamily, check_qgauss_definition, check_qgauss_roots,
                          construct_from_b, construct_from_c, construct_ramanujan,
                          fund_family)
@@ -154,6 +153,8 @@ def _decode_qgauss(cfg: dict) -> tuple:
         beads, window = FreeRanked(cfg["beads"]), window_from_config(cfg["window"])
         window_elements(beads, window)
         return name, build, (beads, window), checks
+    from .gaussseq import sequence_from_config  # only a sequence source loads gaussseq
+
     spec = sequence_from_config(cfg["sequence"])
     if spec.role != role:
         raise ValueError(
@@ -192,9 +193,6 @@ def _decode_csp(cfg: dict) -> tuple:
     """The family name and its source: (max_rank, grading, colors) for
     tubings-cycle, the beads and a window, or a sequence.  A family that
     predicts more objects than ``admit`` lets through is refused here."""
-    from .gaussseq import sequence_from_config
-    from .objects import predicted_count
-
     if not isinstance(cfg, dict) or "family" not in cfg:
         raise ValueError("csp config: missing family name")
     name = cfg["family"]
@@ -213,6 +211,8 @@ def _decode_csp(cfg: dict) -> tuple:
             f"csp config: {name!r} is not a cyclic family "
             f"(expected {', '.join(_FESTOONS)} or tubings-cycle)"
         )
+    from .objects import predicted_count
+
     key = _FESTOONS[name]
     keys = {"family", key, *(("window",) if key == "beads" else ())}
     require_keys(cfg, keys, keys, "csp config")
@@ -220,6 +220,8 @@ def _decode_csp(cfg: dict) -> tuple:
         source = (FreeRanked(cfg["beads"]), window_from_config(cfg["window"]))
         window_elements(*source)
     else:
+        from .gaussseq import sequence_from_config
+
         source = (sequence_from_config(cfg[key]),)
     admit(predicted_count(name, *source), "predicted objects")
     return (name, *source)
@@ -228,26 +230,29 @@ def _decode_csp(cfg: dict) -> tuple:
 def cmd_csp(name: str, *source) -> tuple[dict, int]:
     """Count a cyclic family per element and run the sieving checks, over
     the source that ``_decode_csp`` returns."""
-    from .objects import (CyclicFamily, festoon_census, festoons_repeated, verify_csp,
-                          verify_lyndon, verify_signed_csp)
-    from .qgauss import construct_from_b, construct_from_c, fund_family
+    from .qgauss import verify_csp, verify_lyndon, verify_signed_csp
 
     if name == "tubings-cycle":
         from .tubings import improper_cycle_census  # only this family loads tubings
 
         census, poly = improper_cycle_census(*source)
-    elif len(source) == 2:  # beads and a window
-        census, poly = festoon_census(name, *source), fund_family(*source)
-    elif name == "festoons-repeated":
-        # festoon_census counts this family as well, but the benchmark's
-        # trace (bench/tracer.py, bench/tests/test_bench.py) reads the
-        # objects layer of this job from the span of festoons_repeated and
-        # its object count; the job moves to the census with the benchmark.
-        (b,) = source
-        fam = CyclicFamily.from_generator(b.instance, b.window, lambda s: festoons_repeated(b, s))
-        census, poly = fam.census(), construct_from_b(b)
-    else:
-        census, poly = festoon_census(name, *source), construct_from_c(*source)
+    else:  # only a festoon family loads objects
+        from .objects import CyclicFamily, festoon_census, festoons_repeated
+        from .qgauss import construct_from_b, construct_from_c, fund_family
+
+        if len(source) == 2:  # beads and a window
+            census, poly = festoon_census(name, *source), fund_family(*source)
+        elif name == "festoons-repeated":
+            # festoon_census counts this family as well, but the benchmark's trace
+            # (bench/tracer.py, bench/tests/test_bench.py) reads the objects layer of
+            # this job from the span of festoons_repeated and its object count; the
+            # job moves to the census with the benchmark.
+            (b,) = source
+            fam = CyclicFamily.from_generator(b.instance, b.window,
+                                              lambda s: festoons_repeated(b, s))
+            census, poly = fam.census(), construct_from_b(b)
+        else:
+            census, poly = festoon_census(name, *source), construct_from_c(*source)
     payload: dict = {"command": "csp", "family": name}
     inst = census.instance
     payload["counts"] = [[encode_element(inst, s), count] for s, count, _ in census.rows]

@@ -15,8 +15,11 @@ E_d * c_d(j), c_d the Ramanujan sum.  The canonical f_s is that vector
 divided by rank(s), and f_s passes the root test at every d exactly when
 rank(s) times f_s folded modulo q^rank - 1 equals it.  Both checks read a
 family only through those folds, which ``PolyFamily.folds`` builds once
-per family, as do the sieving checks of ``objects``.  Moving families
-along morphisms is ``transport``'s.
+per family.  Moving families along morphisms is ``transport``'s.
+
+The sieve checks of a cyclic family share those kernels.  They read a
+``Census``, the object counts and rotation-fixed counts per element,
+which ``objects`` and ``tubings`` build.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from math import comb
 from operator import add, mul, sub
 
 from .arith import mobius
-from .gaussseq import SequenceSpec, _require_role
 from .qpoly import (
     IntPoly,
     eval_at_primitive_root,
@@ -54,6 +56,8 @@ from .semigroup import (  # FamilyCheckFailure and FamilyReport are re-exported
     encode_element,
     window_table,
 )
+
+# only the sequence constructions import gaussseq, each inside its body
 
 
 class NonIntegerCoefficient(ValueError):
@@ -140,6 +144,8 @@ def construct_ramanujan(a: SequenceSpec) -> PolyFamily:
     range.  Integer coefficients certify the sieve congruence; the first
     fractional one raises NonIntegerCoefficient.
     """
+    from .gaussseq import _require_role
+
     _require_role(a, "a")
     inst = a.instance
 
@@ -162,6 +168,8 @@ def construct_from_b(b: SequenceSpec) -> PolyFamily:
     j of f_s sums b_t over the roots with d | gcd(j, rank(s)): one sum per
     gcd class, gathered by the class index of ``qpoly.gcd_classes``.
     """
+    from .gaussseq import _require_role
+
     _require_role(b, "b")
     inst = b.instance
 
@@ -234,6 +242,8 @@ def construct_from_c(c: SequenceSpec) -> PolyFamily:
     state's absolute coefficients sum to at most T_k(1), and each weight
     step adds each of them at most once into a coefficient of f_s.
     """
+    from .gaussseq import _require_role
+
     _require_role(c, "c")
     inst = c.instance
     max_rank, row = c.window.max_rank, inst.row
@@ -370,6 +380,65 @@ def equivalent_mod(F: PolyFamily, G: PolyFamily) -> FamilyReport:
             yield s, len(f), None if f == g[s] else f"difference {IntPoly(map(sub, f, g[s]))}"
 
     return FamilyReport.collect(checks())
+
+
+# -- cyclic sieving: a census against a family ---------------------------------
+
+
+class Census(Record):
+    """What the sieve checks read of a cyclic family, per window element.
+
+    ``rows`` holds ``(s, count, fixed)`` in canonical element order:
+    ``count`` objects sit at s, and ``fixed[d] = (positive, negative)``
+    counts those fixed by the order-d rotation, for each d dividing rank(s).
+    """
+
+    instance: _SemigroupBase
+    window: Window
+    rows: tuple[tuple[object, int, dict[int, tuple[int, int]]], ...]
+
+    def counts(self) -> dict:
+        return {s: count for s, count, _ in self.rows}
+
+
+def verify_lyndon(census: Census) -> FamilyReport:
+    """Check the fixed-point law: C_d-invariants match root-set totals."""
+    counts = census.counts()
+
+    def compare(s, fixed, roots):
+        for d, t in roots:
+            got = sum(fixed[d])
+            expected = root_total(counts, s, t)
+            yield None if got == expected else f"fixed {got} != {expected}"
+
+    rows = ((s, fixed) for s, _, fixed in census.rows)
+    return check_divisors(census.instance, rows, compare)
+
+
+def _require_match(census: Census, F: PolyFamily, who: str) -> None:
+    if census.instance != F.instance or census.window != F.window:
+        raise ValueError(f"{who} needs matching instance and window")
+
+
+def verify_csp(census: Census, F: PolyFamily) -> FamilyReport:
+    """Check cyclic sieving: root-of-unity values count C_d-invariants."""
+    _require_match(census, F, "verify_csp")
+    items = ((s, (F.folds[s], fixed)) for s, _, fixed in census.rows)
+    return check_root_values(
+        census.instance, items, lambda s, fixed, d, t: sum(fixed[d]), "fixed count "
+    )
+
+
+def verify_signed_csp(census: Census, F: PolyFamily) -> FamilyReport:
+    """Signed sieving check at odd ranks: values match signed fixed counts."""
+    _require_match(census, F, "verify_signed_csp")
+    inst = census.instance
+    items = (
+        (s, (F.folds[s], fixed)) for s, _, fixed in census.rows if inst._rank(s) % 2
+    )
+    return check_root_values(
+        inst, items, lambda s, fixed, d, t: fixed[d][0] - fixed[d][1], "signed fixed count "
+    )
 
 
 # -- fundamental family on free instances --------------------------------------

@@ -36,8 +36,8 @@ from math import comb
 from .arith import divisors
 from .semigroup import Chain, PositiveIntegers, Window, admit
 
-# objects, qgauss and qpoly are imported inside the census and polynomial
-# functions, so a bijection job, a fresh process, loads none of them.
+# qgauss and qpoly are imported inside the census and polynomial functions,
+# so a bijection job, a fresh process, loads neither.
 
 Tube = tuple[int, int]
 Tubing = frozenset
@@ -673,8 +673,7 @@ def improper_cycle_census(
     (k, covered, d) for d = 1 and each order d that fixes them, and each
     tally is graded and weighted once.
     """
-    from .objects import Census
-    from .qgauss import PolyFamily
+    from .qgauss import Census, PolyFamily
 
     check_improper_job(max_rank, grading, colors)
     instance, window_at, grade, poly = _GRADINGS[grading]
@@ -724,6 +723,7 @@ def tubings_all_improper(max_rank: int) -> Census:
     return improper_cycle_census(max_rank, "all")[0]
 
 
+@functools.lru_cache(maxsize=None)
 def free_vertex_polynomial(n: int, k: int) -> IntPoly:
     """Sieving polynomial for improper cycle tubings with k free vertices.
 
@@ -739,6 +739,7 @@ def free_vertex_polynomial(n: int, k: int) -> IntPoly:
     return total
 
 
+@functools.lru_cache(maxsize=None)
 def tube_count_polynomial(n: int, k: int, colors: int = 1) -> IntPoly:
     """Sieving polynomial for improper cycle tubings with k tubes."""
     from .qpoly import q_binomial, q_power
@@ -749,6 +750,7 @@ def tube_count_polynomial(n: int, k: int, colors: int = 1) -> IntPoly:
     return f
 
 
+@functools.lru_cache(maxsize=None)
 def improper_total_polynomial(n: int) -> IntPoly:
     """Sieving polynomial for all improper cycle tubings of length n."""
     from .qpoly import ZERO

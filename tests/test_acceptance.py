@@ -23,18 +23,15 @@ from sievekit.gaussseq import (
     SequenceSpec,
 )
 from sievekit.objects import (
-    Census,
     CyclicFamily,
     festoons_by_content,
     festoons_colored,
     festoons_repeated,
     signed_festoons,
-    verify_csp,
-    verify_lyndon,
-    verify_signed_csp,
     words_with_content,
 )
 from sievekit.qgauss import (
+    Census,
     PolyFamily,
     check_qgauss_definition,
     check_qgauss_roots,
@@ -43,6 +40,9 @@ from sievekit.qgauss import (
     construct_ramanujan,
     equivalent_mod,
     fund_family,
+    verify_csp,
+    verify_lyndon,
+    verify_signed_csp,
 )
 from sievekit.qpoly import (
     IntPoly,

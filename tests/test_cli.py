@@ -982,8 +982,9 @@ def test_every_golden_job_lists_its_window_at_most_once(monkeypatch, case):
 # patching gaussseq leaves alone: only cmd_seq's transforms are forbidden.
 WORK = {
     qgauss: ("construct_ramanujan", "construct_from_b", "construct_from_c", "fund_family",
-             "check_qgauss_definition", "check_qgauss_roots"),
-    objects: ("festoon_census", "verify_csp", "verify_lyndon", "verify_signed_csp"),
+             "check_qgauss_definition", "check_qgauss_roots", "verify_csp", "verify_lyndon",
+             "verify_signed_csp"),
+    objects: ("festoon_census",),
     tb: ("improper_cycle_census", "tubing_masks", "round_trip"),
     gaussseq: ("riordan_rows", "a_from_b", "b_from_a", "a_from_c", "c_from_a"),
 }

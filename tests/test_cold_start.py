@@ -28,12 +28,18 @@ GOLDEN_JOBS = json.loads(Path(__file__).with_name("golden_configs.json").read_te
 
 ENTRY = {"cli", "arith", "semigroup"}  # what importing cli loads
 SEQUENCES = ENTRY | {"gaussseq"}  # seq, riordan
-POLYNOMIALS = SEQUENCES | {"qpoly", "qgauss"}  # qgauss
-FESTOONS = POLYNOMIALS | {"objects"}  # csp over words and festoons
-EVERY_MODULE = FESTOONS | {"tubings"}  # csp tubings-cycle
+POLYNOMIALS = ENTRY | {"qpoly", "qgauss"}  # qgauss closed_form and fund
+SEQUENCE_POLYNOMIALS = POLYNOMIALS | {"gaussseq"}  # qgauss from a sequence
+FESTOONS = SEQUENCE_POLYNOMIALS | {"objects"}  # csp over words and festoons
+TUBING_SIEVES = POLYNOMIALS | {"tubings"}  # csp tubings-cycle
 BIJECTIONS = ENTRY | {"tubings"}  # bijection
-# no command loads transport; importing it loads the modules it builds on
-TRANSPORT = {"arith", "semigroup", "gaussseq", "qpoly", "qgauss", "transport"}
+# Importing a layer loads only the modules it builds on.  No command loads
+# transport.
+LAYERS = {
+    "transport": {"arith", "semigroup", "qpoly", "qgauss", "transport"},
+    "tubings": {"arith", "semigroup", "tubings"},
+    "qgauss": {"arith", "semigroup", "qpoly", "qgauss"},
+}
 
 # stdlib modules no start needs: every job's arithmetic is integral, and
 # the records and annotations need neither dataclasses nor typing, and the
@@ -43,9 +49,9 @@ SLOW_STDLIB = {"fractions", "decimal", "dataclasses", "inspect", "typing", "shut
 
 def expected_modules(command: str, config: dict) -> set[str]:
     if command == "qgauss":
-        return POLYNOMIALS
+        return SEQUENCE_POLYNOMIALS if "sequence" in config else POLYNOMIALS
     if command == "csp":
-        return EVERY_MODULE if config["family"] == "tubings-cycle" else FESTOONS
+        return TUBING_SIEVES if config["family"] == "tubings-cycle" else FESTOONS
     if command == "bijection":
         return BIJECTIONS
     return SEQUENCES
@@ -89,9 +95,10 @@ def test_importing_cli_loads_only_the_decoders(args):
     assert not modules & SLOW_STDLIB
 
 
-def test_importing_transport_loads_only_what_it_builds_on():
-    # in process, tests import qgauss first and so hide an import cycle
-    res, modules = run_fresh("-c", "import sievekit.transport")
+@pytest.mark.parametrize("layer", sorted(LAYERS))
+def test_importing_a_layer_loads_only_what_it_builds_on(layer):
+    # in process, tests import every module first and so hide an import cycle
+    res, modules = run_fresh("-c", f"import sievekit.{layer}")
     assert res.returncode == 0, res.stderr.decode()[-2000:]
-    assert library_modules(modules) == TRANSPORT
+    assert library_modules(modules) == LAYERS[layer]
     assert not modules & SLOW_STDLIB

@@ -23,12 +23,10 @@ from sievekit.objects import (
     fixed_points,
     predicted_count,
     signed_festoons,
-    verify_csp,
-    verify_lyndon,
-    verify_signed_csp,
     words_with_content,
 )
-from sievekit.qgauss import PolyFamily, construct_from_b, construct_from_c, fund_family
+from sievekit.qgauss import (PolyFamily, construct_from_b, construct_from_c, fund_family,
+                             verify_csp, verify_lyndon, verify_signed_csp)
 from sievekit.qpoly import ZERO, q_binomial, q_multinomial, reduce_mod_qn_minus_1
 from sievekit.semigroup import Chain, FreeRanked, PositiveIntegers, Window
 

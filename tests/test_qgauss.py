@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 
 from sievekit import qgauss
 from sievekit.gaussseq import SequenceSpec, a_from_c, b_from_a, c_from_a
+from sievekit.objects import festoon_census
 from sievekit.qgauss import (
+    Census,
     NonIntegerCoefficient,
     PolyFamily,
     check_qgauss_definition,
@@ -20,6 +23,8 @@ from sievekit.qgauss import (
     construct_ramanujan,
     equivalent_mod,
     fund_family,
+    verify_csp,
+    verify_lyndon,
 )
 from sievekit.qpoly import (
     IntPoly,
@@ -85,6 +90,49 @@ def near_gauss_rows(inst, window, box):
                 passed += 1
             else:
                 assert rep_d.failures[0].element == rep_r.failures[0].element, (row, G.polys)
+        families += len(nearby)
+    return families, passed
+
+
+def census_box(census):
+    """``verify_csp`` on a census of objects, against the Ramanujan family of
+    each Gauss row within 1 of its counts at every element, and against each
+    family made from one of those by adding to the coefficients of one
+    element s, below degree rank(s), a nonzero vector with entries in
+    -1..1: the census passes ``verify_lyndon``, and ``verify_csp`` passes
+    exactly the q-Gauss families with F(1) equal to the counts.  Each census
+    made by moving one fixed count by -1 or +1 fails ``verify_lyndon``, and
+    ``verify_csp`` against every q-Gauss family of the box.  Returns the
+    (families, passed) counts."""
+    inst, window = census.instance, census.window
+    elements, counts = inst.elements(window), census.counts()
+    assert verify_lyndon(census).ok
+    moved = []
+    for i, (s, count, fixed) in enumerate(census.rows):
+        for d, step in itertools.product(fixed, (-1, 1)):
+            row = (s, count, {**fixed, d: (fixed[d][0] + step, fixed[d][1])})
+            moved.append(Census(inst, window, census.rows[:i] + (row,) + census.rows[i + 1:]))
+    assert not any(verify_lyndon(C).ok for C in moved)
+    families = passed = 0
+    for row in itertools.product(*(range(counts[s] - 1, counts[s] + 2) for s in elements)):
+        a = SequenceSpec.from_mapping(inst, window, "a", dict(zip(elements, row)))
+        try:
+            F = construct_ramanujan(a)
+        except NonIntegerCoefficient:
+            continue
+        assert not any(verify_csp(C, F).ok for C in moved), row
+        table = dict(F.polys)
+        nearby = [F]
+        for s in elements:
+            for change in itertools.product((-1, 0, 1), repeat=inst._rank(s)):
+                if any(change):
+                    poly = IntPoly(map(add, F.folds[s], change))  # f_s has degree below rank(s)
+                    nearby.append(PolyFamily(inst, window, tuple({**table, s: poly}.items())))
+        for G in nearby:
+            at_one = all(sum(G.folds[s]) == counts[s] for s in elements)
+            ok = verify_csp(census, G).ok
+            assert ok == (check_qgauss_roots(G).ok and at_one), (row, G.polys)
+            passed += ok
         families += len(nearby)
     return families, passed
 
@@ -270,6 +318,23 @@ class TestCheckers:
             return range(-2, 3) if inst._rank(s) <= 2 else range(-1, 2)
 
         assert near_gauss_rows(inst, Window(4), box) == (329, 7)
+
+    def test_csp_passes_exactly_the_gauss_families_of_the_counts_of_words(self):
+        """The census box (``census_box``) on the words over two letters at
+        max_rank 3: 25 Gauss rows, 3,325 families, 32 moved censuses."""
+        words = festoon_census("words", FreeRanked((("a", 1), ("b", 1))), Window(3))
+        assert census_box(words) == (3325, 1)
+
+    @pytest.mark.parametrize("max_rank, c, expected", [
+        (5, {1: 1, 2: 1}, (1795, 1)),
+        (4, {1: 2, 3: 1}, (585, 1)),
+    ])
+    def test_csp_passes_exactly_the_gauss_families_of_the_counts_of_festoons(
+            self, max_rank, c, expected):
+        """The census box on festoons-colored over zpos: 5 Gauss rows each,
+        1,795 and 585 families."""
+        spec = SequenceSpec.from_mapping(ZPOS, Window(max_rank), "c", c)
+        assert census_box(festoon_census("festoons-colored", spec)) == expected
 
     def test_roots_checker_needs_covered_roots(self):
         pairs = tuple((n, q_int(n)) for n in range(2, 5))

@@ -40,7 +40,7 @@ FIELDS = {  # each record class's fields, as its dataclass declared them
     gaussseq.TruncatedSeries: ("coeffs", "order"),
     qgauss.PolyFamily: ("instance", "window", "polys"),
     objects.CyclicFamily: ("instance", "window", "sets"),
-    objects.Census: ("instance", "window", "rows"),
+    qgauss.Census: ("instance", "window", "rows"),
 }
 WINDOW_FIELDS = ["max_rank", ("extra_bounds", object, dataclasses.field(default=())),
                  ("max_total", object, dataclasses.field(default=None))]

@@ -40,7 +40,7 @@ from helpers import sequence_corpus
 from sievekit import cli, qgauss, semigroup
 from sievekit.arith import divisors, mobius
 from sievekit.gaussseq import SequenceSpec
-from sievekit.objects import festoon_census, verify_csp, verify_lyndon, verify_signed_csp
+from sievekit.objects import festoon_census
 from sievekit.qgauss import (
     PolyFamily,
     check_qgauss_definition,
@@ -49,6 +49,9 @@ from sievekit.qgauss import (
     construct_ramanujan,
     equivalent_mod,
     fund_family,
+    verify_csp,
+    verify_lyndon,
+    verify_signed_csp,
 )
 from sievekit.qpoly import (
     ZERO,

@@ -33,9 +33,6 @@ from sievekit.objects import (
     festoons_repeated,
     necklaces,
     signed_festoons,
-    verify_csp,
-    verify_lyndon,
-    verify_signed_csp,
     words_with_content,
 )
 from sievekit.qgauss import (
@@ -45,6 +42,9 @@ from sievekit.qgauss import (
     construct_from_c,
     construct_ramanujan,
     fund_family,
+    verify_csp,
+    verify_lyndon,
+    verify_signed_csp,
 )
 from sievekit.qpoly import IntPoly, eval_at_primitive_root, q_binomial
 from sievekit.semigroup import Chain, FreeRanked, PositiveIntegers, Window

@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 
 from sievekit.gaussseq import NoSolution, TruncatedSeries, solve_functional_equation
-from sievekit.objects import verify_csp, verify_lyndon
-from sievekit.qgauss import PolyFamily
+from sievekit.qgauss import PolyFamily, verify_csp, verify_lyndon
 from sievekit.qpoly import ONE, q_power
 from sievekit.semigroup import MAX_OBJECTS
 from sievekit.tubings import (

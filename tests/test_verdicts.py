@@ -10,13 +10,14 @@ from __future__ import annotations
 from helpers import corrupt, zpos_spec
 from sievekit.arith import totient
 from sievekit.gaussseq import check_gauss
-from sievekit.objects import festoon_census, verify_csp
+from sievekit.objects import festoon_census
 from sievekit.qgauss import (
     PolyFamily,
     check_qgauss_definition,
     check_qgauss_roots,
     construct_from_c,
     equivalent_mod,
+    verify_csp,
 )
 from sievekit.qpoly import q_power
 from sievekit.semigroup import Chain, PositiveIntegers, Window

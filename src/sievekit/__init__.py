@@ -3,6 +3,7 @@
 The package is organised bottom-up:
 
 - ``arith``: divisor sums, Mobius and totient functions, Ramanujan sums.
+- ``config``: the checks every config decode shares, and the size cap.
 - ``qpoly``: integer polynomials in q, q-binomials, values at roots of unity.
 - ``semigroup``: ranked commutative semigroups and their windows.
 - ``gaussseq``: integer sequences indexed by a semigroup and the divisibility

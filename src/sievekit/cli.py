@@ -15,37 +15,27 @@ traceback and is never taken for a config error.  A new job source
 decodes its config in its command's decode.
 
 Every job is a fresh process, so the module level holds only what every
-command reads: the command line, JSON and the ``semigroup`` decoders.
+command reads: the command line, JSON and the checks of ``config``.
 Each decode and run imports the rest of the library it uses in its body,
 on the branch that uses it, and a job loads only the modules it runs.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
 import sys
 from contextlib import nullcontext
 from json.encoder import encode_basestring_ascii
 
-from .semigroup import (
-    Chain,
-    FreeRanked,
-    PositiveIntegers,
-    admit,
-    encode_element,
-    require_keys,
-    strict_int,
-    window_elements,
-    window_from_config,
-)
+from .config import admit, require_keys, strict_int
 
 
 def _witness(payload: dict, instance, e: ValueError) -> tuple[dict, int]:
     """The failed payload naming the element where a division was not exact
     (``e`` is a NonIntegerWitness or a NonIntegerCoefficient)."""
+    from .semigroup import encode_element
+
     payload["ok"] = False
     payload["witness"] = {"element": encode_element(instance, e.element), "detail": str(e)}
     return payload, 2
@@ -64,6 +54,7 @@ def _verdict(payload: dict, reports: dict, instance) -> tuple[dict, int]:
 
 def _decode_seq(cfg: dict) -> tuple:
     from .gaussseq import sequence_from_config
+    from .semigroup import Chain
 
     require_keys(cfg, {"sequence"}, {"sequence"}, "seq config")
     spec = sequence_from_config(cfg["sequence"])
@@ -74,6 +65,7 @@ def _decode_seq(cfg: dict) -> tuple:
 
 def cmd_seq(spec) -> tuple[dict, int]:
     from .gaussseq import NonIntegerWitness, a_from_b, a_from_c, b_from_a, c_from_a
+    from .semigroup import encode_element
 
     payload: dict = {"command": "seq", "role": spec.role}
     try:
@@ -101,6 +93,7 @@ def _closed_form(cfg: dict) -> tuple:
     """The instance, window and polynomial of a closed_form config; only
     q-power reads a base."""
     from .qpoly import q_binomial, q_power
+    from .semigroup import Chain, PositiveIntegers, window_elements, window_from_config
 
     require_keys(cfg, {"name", "window", "base"}, {"name", "window"}, "closed_form config")
     name = cfg["name"]
@@ -122,6 +115,7 @@ def _decode_qgauss(cfg: dict) -> tuple:
     from .qgauss import (PolyFamily, check_qgauss_definition, check_qgauss_roots,
                          construct_from_b, construct_from_c, construct_ramanujan,
                          fund_family)
+    from .semigroup import FreeRanked, window_elements, window_from_config
 
     # Each construction with the role of the sequence it builds from; fund
     # (role None) builds from beads and a window instead.
@@ -212,6 +206,7 @@ def _decode_csp(cfg: dict) -> tuple:
             f"(expected {', '.join(_FESTOONS)} or tubings-cycle)"
         )
     from .objects import predicted_count
+    from .semigroup import FreeRanked, window_elements, window_from_config
 
     key = _FESTOONS[name]
     keys = {"family", key, *(("window",) if key == "beads" else ())}
@@ -231,6 +226,7 @@ def cmd_csp(name: str, *source) -> tuple[dict, int]:
     """Count a cyclic family per element and run the sieving checks, over
     the source that ``_decode_csp`` returns."""
     from .qgauss import verify_csp, verify_lyndon, verify_signed_csp
+    from .semigroup import encode_element
 
     if name == "tubings-cycle":
         from .tubings import improper_cycle_census  # only this family loads tubings
@@ -409,47 +405,62 @@ _COMMANDS = {  # each command's decode and run
 }
 
 
-def _refuse(message: str):
-    """The parsers' error hook: a bad command line is a config error, not
-    argparse's exit 2, which here means a verification failed."""
-    raise ValueError(message)
+_USAGE = """\
+usage: sievekit {seq,qgauss,csp,bijection,riordan} --config PATH
+                [--format {json,table}] [--out PATH]
+
+  -h, --help             show this help and exit
+  --config PATH          a JSON job config
+  --format {json,table}  table (the default) or JSON
+  --out PATH             write output here instead of stdout
+"""
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: ``parse_args``
-    leaves no state on it."""
-    # a fixed width, what a non-terminal gets, spares argparse its shutil import
-    formatter = functools.partial(argparse.HelpFormatter, width=78)
-    parser = argparse.ArgumentParser(
-        prog="sievekit",
-        description="sieve congruences, sieving polynomials, and their object families",
-        formatter_class=formatter,
-    )
-    parser.error = _refuse
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name, formatter_class=formatter)
-        p.error = _refuse
-        p.add_argument("--config", required=True, help="path to a JSON job config")
-        p.add_argument("--format", choices=("json", "table"), default="table")
-        p.add_argument("--out", help="write output here instead of stdout")
-    return parser
+def _parse(argv: list[str]) -> tuple | None:
+    """``(command, config, format, out)`` of a command line in the grammar
+    of ``_USAGE``, or None for help.  An option is given at most once, as
+    ``--opt VALUE`` or ``--opt=VALUE``, with a value not starting with "-".
+    Anything else raises ValueError: exit 2 means a verification failed."""
+    if argv[:1] in (["-h"], ["--help"]):
+        return None
+    if not argv or argv[0] not in _COMMANDS:
+        raise ValueError(f"expected a command ({', '.join(_COMMANDS)}), got {argv[:1]}")
+    opts: dict = {}
+    rest = iter(argv[1:])
+    for arg in rest:
+        if arg in ("-h", "--help"):
+            return None
+        name, eq, value = arg.partition("=")
+        if name not in ("--config", "--format", "--out") or name in opts:
+            raise ValueError(f"unknown or repeated option {arg!r}")
+        value = opts[name] = value if eq else next(rest, "-")  # none left reads as "-"
+        if value.startswith("-"):
+            raise ValueError(f"{name} needs a value, and one not starting with '-'")
+        if name == "--format" and value not in ("json", "table"):
+            raise ValueError(f"--format is json or table, got {value!r}")
+        if name == "--out" and not value:
+            raise ValueError("--out needs a path")
+    if "--config" not in opts:
+        raise ValueError("--config is required")
+    return argv[0], opts["--config"], opts.get("--format", "table"), opts.get("--out")
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _parser()
     # --out is opened after the decode, so a config error leaves an existing
     # file as it was, and before the run, so a bad path costs no work.  It is
     # opened to append, and a regular file is cut only once the render ends,
     # so a failed run leaves it as it was too, and removes one it created.
     try:
-        args = parser.parse_args(argv)
-        decode, run = _COMMANDS[args.command]
-        with open(args.config, "r", encoding="utf-8") as fh:
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            sys.stdout.write(_USAGE)
+            return 0
+        command, config, fmt, path = args
+        decode, run = _COMMANDS[command]
+        with open(config, "r", encoding="utf-8") as fh:
             job = decode(json.load(fh))
-        created = args.out and not os.path.lexists(args.out)
-        out = open(args.out, "a", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+        created = path and not os.path.lexists(path)
+        out = open(path, "a", encoding="utf-8") if path else nullcontext(sys.stdout)
     except (OSError, ValueError, TypeError, RecursionError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
@@ -457,14 +468,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with out as fh:
             payload, code = run(*job)
-            text = (_render_json(payload) + "\n"
-                    if args.format == "json" else _render_table(payload))
-            if args.out and os.path.isfile(args.out):  # a device or a pipe takes no cut
+            text = _render_json(payload) + "\n" if fmt == "json" else _render_table(payload)
+            if path and os.path.isfile(path):  # a device or a pipe takes no cut
                 fh.truncate(0)
             fh.write(text)
     except BaseException:
         if created:
-            os.unlink(args.out)
+            os.unlink(path)
         raise
     return code
 

@@ -29,6 +29,7 @@ from collections.abc import Callable, Iterable, Mapping
 from types import MappingProxyType
 
 from .arith import divisors, mobius
+from .config import require_keys, strict_int
 from .semigroup import (
     CheckedTable,
     FamilyReport,
@@ -38,8 +39,6 @@ from .semigroup import (
     _SemigroupBase,
     decode_element,
     instance_from_config,
-    require_keys,
-    strict_int,
     window_elements,
     window_table,
 )

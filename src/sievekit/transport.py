@@ -20,6 +20,7 @@ from __future__ import annotations
 import warnings
 from collections.abc import Iterable, Sequence
 
+from .config import strict_int
 from .qgauss import PolyFamily
 from .qpoly import ZERO
 from .semigroup import (
@@ -29,7 +30,6 @@ from .semigroup import (
     Record,
     Window,
     _SemigroupBase,
-    strict_int,
 )
 
 

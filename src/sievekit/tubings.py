@@ -34,10 +34,10 @@ from collections.abc import Callable, Iterable, Iterator
 from math import comb
 
 from .arith import divisors
-from .semigroup import Chain, PositiveIntegers, Window, admit
+from .config import admit
 
-# qgauss and qpoly are imported inside the census and polynomial functions,
-# so a bijection job, a fresh process, loads neither.
+# semigroup, qgauss and qpoly are imported inside the gradings, the census
+# and the polynomials, so a bijection job, a fresh process, loads none.
 
 Tube = tuple[int, int]
 Tubing = frozenset
@@ -575,30 +575,33 @@ def delannoy_to_cycle_tubing(n: int, path: str) -> Tubing:
 # -- the cyclic census of improper cycle tubings -----------------------------------
 
 
-# How improper cycle tubings of lengths 1..max_rank are graded, per grading:
-# the instance, the window at max_rank, grade(length, tube count,
-# free-vertex count) for the element a tubing belongs to, and the sieving
-# polynomial poly(s, colors) at an element.
-_GRADINGS = {
-    "free": (
-        Chain(PositiveIntegers(), "pos"),
-        lambda max_rank: Window(max_rank, ((1, max_rank),)),
-        lambda n, tubes, free: (n, free),
-        lambda s, colors: free_vertex_polynomial(*s),
-    ),
-    "tubes": (
-        Chain(PositiveIntegers(), "nonneg"),
-        lambda max_rank: Window(max_rank, ((0, max_rank),)),
-        lambda n, tubes, free: (n, tubes),
-        lambda s, colors: tube_count_polynomial(s[0], s[1], colors),
-    ),
-    "all": (
-        PositiveIntegers(),
-        Window,
-        lambda n, tubes, free: n,
-        lambda s, colors: improper_total_polynomial(s),
-    ),
-}
+@functools.cache
+def _gradings() -> dict:
+    """Per grading of improper cycle tubings: the instance, the window at
+    max_rank, grade(length, tube count, free-vertex count) for the element
+    a tubing belongs to, and the sieving polynomial poly(s, colors)."""
+    from .semigroup import Chain, PositiveIntegers, Window
+
+    return {
+        "free": (
+            Chain(PositiveIntegers(), "pos"),
+            lambda max_rank: Window(max_rank, ((1, max_rank),)),
+            lambda n, tubes, free: (n, free),
+            lambda s, colors: free_vertex_polynomial(*s),
+        ),
+        "tubes": (
+            Chain(PositiveIntegers(), "nonneg"),
+            lambda max_rank: Window(max_rank, ((0, max_rank),)),
+            lambda n, tubes, free: (n, tubes),
+            lambda s, colors: tube_count_polynomial(s[0], s[1], colors),
+        ),
+        "all": (
+            PositiveIntegers(),
+            Window,
+            lambda n, tubes, free: n,
+            lambda s, colors: improper_total_polynomial(s),
+        ),
+    }
 
 
 def improper_tubing_count(max_rank: int, colors: int = 1) -> int:
@@ -618,7 +621,7 @@ def check_improper_job(max_rank: int, grading: str = "tubes", colors: int = 1) -
     objects than ``admit`` lets through."""
     if not 1 <= max_rank <= MAX_CYCLE:
         raise ValueError(f"max_rank must be in 1..{MAX_CYCLE}, got {max_rank}")
-    if not isinstance(grading, str) or grading not in _GRADINGS:
+    if not isinstance(grading, str) or grading not in _gradings():
         raise ValueError(f"unknown grading {grading!r}")
     if colors < 1:
         raise ValueError(f"colors must be at least 1, got {colors}")
@@ -676,7 +679,7 @@ def improper_cycle_census(
     from .qgauss import Census, PolyFamily
 
     check_improper_job(max_rank, grading, colors)
-    instance, window_at, grade, poly = _GRADINGS[grading]
+    instance, window_at, grade, poly = _gradings()[grading]
     window = window_at(max_rank)
     weight = [colors**k for k in range(max_rank)]
     fixed: dict = {}  # (s, d) -> colored objects the order-d rotation fixes (d = 1: all)

@@ -7,6 +7,10 @@ so a library regression cannot hide behind its own code.
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import functools
+import io
 import random
 
 import semigroup_oracle
@@ -26,6 +30,45 @@ def run_job(command: str, cfg: dict) -> tuple[dict, int]:
     decode, then its run, without ``main``'s reading and rendering."""
     decode, run = cli._COMMANDS[command]
     return run(*decode(cfg))
+
+
+def _refuse(message: str):
+    raise ValueError(message)
+
+
+@functools.cache
+def _argparse_parser() -> argparse.ArgumentParser:
+    """The argparse parser that ``cli`` built before its fixed grammar, as
+    it built it: a refusal raises ValueError, and help exits 0."""
+    formatter = functools.partial(argparse.HelpFormatter, width=78)
+    parser = argparse.ArgumentParser(
+        prog="sievekit",
+        description="sieve congruences, sieving polynomials, and their object families",
+        formatter_class=formatter,
+    )
+    parser.error = _refuse
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in cli._COMMANDS:
+        p = sub.add_parser(name, formatter_class=formatter)
+        p.error = _refuse
+        p.add_argument("--config", required=True, help="path to a JSON job config")
+        p.add_argument("--format", choices=("json", "table"), default="table")
+        p.add_argument("--out", help="write output here instead of stdout")
+    return parser
+
+
+def argparse_parse(argv: list[str]):
+    """The oracle of ``cli._parse``: ``(command, config, format, out)`` of
+    what argparse accepted, "help" or "refused"."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            args = _argparse_parser().parse_args(argv)
+    except SystemExit as e:
+        assert e.code == 0
+        return "help"
+    except ValueError:
+        return "refused"
+    return args.command, args.config, args.format, args.out
 
 
 def sigma(n: int) -> int:

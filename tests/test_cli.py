@@ -13,15 +13,56 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import run_job
+from helpers import argparse_parse, run_job
 from sievekit import cli, gaussseq, objects, qgauss
 from sievekit import tubings as tb
+from sievekit.config import MAX_OBJECTS
 from sievekit.objects import CyclicFamily
 from sievekit.qgauss import PolyFamily
-from sievekit.semigroup import MAX_OBJECTS, Chain, FreeRanked, PositiveIntegers
+from sievekit.semigroup import Chain, FreeRanked, PositiveIntegers
 
 PKG = [sys.executable, "-m", "sievekit"]
+
+
+# Command-line pieces, drawn mostly from the grammar: a command or junk
+# first, then options in any order with and without "=", sometimes
+# repeated, abbreviated or unknown, values with and without a leading "-",
+# help and junk.
+GOOD = {
+    "first": st.sampled_from(list(cli._COMMANDS)),
+    "--config": st.sampled_from(("a.json", "b.json")),
+    "--format": st.sampled_from(("json", "table")),
+    "--out": st.sampled_from(("o.txt", "p.txt")),
+}
+JUNK = {
+    "first": st.sampled_from(("verify", "", "-h", "--help", "--config")),
+    "option": st.sampled_from(("--conf", "--form", "--o", "--he", "--bogus", "-x")),
+    "value": st.sampled_from(("xml", "", "-x", "-1", "-", "--help", "--")),
+    "single": st.sampled_from(("-h", "--help", "--", "junk", "bijection", "--out=")),
+}
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    def junk(kind: str) -> str | None:  # one draw in ten is junk
+        return draw(JUNK[kind]) if draw(st.integers(0, 9)) == 0 else None
+
+    argv = [junk("first") or draw(GOOD["first"])]
+    options = draw(st.permutations(["--config", "--format", "--out"]))
+    options = options[:draw(st.integers(0, 3))] + draw(st.lists(st.sampled_from(options),
+                                                                max_size=1))
+    for option in options:
+        if single := junk("single"):
+            argv.append(single)
+        value = junk("value") or draw(GOOD[option])
+        option = junk("option") or option
+        argv += [f"{option}={value}"] if draw(st.booleans()) else [option, value]
+    if draw(st.integers(0, 7)) == 0:
+        argv.pop()  # an option may lose its value
+    return argv
 
 
 def run_cli(tmp_path, command: str, cfg: dict, fmt: str = "json", extra=()):
@@ -862,14 +903,24 @@ class TestRefusalPoint:
 
 
 class TestUsage:
-    """A command line that argparse refuses exits 1 like any config error;
+    """A command line outside the grammar exits 1 like any config error;
     2 means a verification failed."""
 
     @pytest.mark.parametrize("argv", [
         [],
         ["verify"],
         ["riordan", "--config", "{cfg}", "--format", "xml"],
-    ], ids=["no-command", "unknown-command", "unknown-format"])
+        ["riordan", "--format", "json"],
+        ["riordan", "--config"],
+        ["riordan", "--config", "{cfg}", "--bogus"],
+        ["riordan", "--config", "{cfg}", "--out", ""],
+        ["riordan", "--config", "{cfg}", "--config", "{cfg}"],
+        ["riordan", "--conf", "{cfg}"],
+        ["riordan", "--config", "{cfg}", "--form", "json"],
+        ["riordan", "--config", "-x"],
+    ], ids=["no-command", "unknown-command", "unknown-format", "no-config",
+            "config-without-value", "unknown-option", "empty-out", "repeated-config",
+            "abbreviated-config", "abbreviated-format", "dash-value"])
     def test_a_bad_command_line_is_a_config_error(self, tmp_path, argv):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"series": {"numer": [1]}, "max_n": 3}))
@@ -883,10 +934,53 @@ class TestUsage:
         res = subprocess.run(PKG + ["--help"], capture_output=True, text=True)
         assert res.returncode == 0 and res.stdout.startswith("usage: sievekit")
 
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["csp", "-h"],
+                                      ["csp", "--config", "cfg.json", "--help"],
+                                      ["csp", "--format=json", "-h", "--format", "xml"]])
+    def test_help_in_place_of_the_command_or_an_option_exits_0(self, argv, capsys):
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: sievekit") and err == ""
+
+    def test_main_without_arguments_reads_sys_argv(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "interval", "max_n": 3}))
+        argv = ["bijection", "--config", str(cfg), "--format=json"]
+        code = cli.main(argv)
+        expected = capsys.readouterr()
+        monkeypatch.setattr(sys, "argv", ["sievekit", *argv])
+        assert (cli.main(), capsys.readouterr()) == (code, expected)
+        assert code == 0 and json.loads(expected.out)["ok"]
+
+    @settings(max_examples=400)
+    @given(command_lines())
+    def test_the_grammar_accepts_what_argparse_accepted_and_no_more(self, argv):
+        """The argparse parser that the command line had before its fixed
+        grammar is the oracle: what the grammar accepts, argparse accepted
+        with the same options, and help is help to both.  Argparse also
+        took abbreviations, a repeated option (the last one won), an empty
+        --out, and a value starting with "-" in some cases (a negative
+        number, a lone "-", --opt=-VALUE); the grammar refuses each, and
+        accepts every other command line that argparse accepted."""
+        try:
+            new = cli._parse(argv)
+        except ValueError:
+            new = "refused"
+        old = argparse_parse(argv)
+        if new != "refused":
+            assert old == ("help" if new is None else new)
+        if isinstance(old, tuple):
+            names = [arg.partition("=")[0] for arg in argv if arg.startswith("--")]
+            abbreviated = set(names) - {"--config", "--format", "--out", "--help"}
+            # argparse reads --opt=-- as an empty list
+            dashed = any(isinstance(v, list) or (v or "").startswith("-") for v in old[1:])
+            if not (abbreviated or len(set(names)) < len(names) or old[3] == "" or dashed):
+                assert new == old
+
     def test_one_process_reuses_its_parser_and_leaks_nothing(self, tmp_path, capsys):
-        """main builds its parser once per process: after a refused command
-        line, runs of two commands in both formats, one taking the default
-        format after a json run, print what a fresh process prints."""
+        """After a refused command line, runs of two commands in both
+        formats, one taking the default format after a json run, print what
+        a fresh process prints."""
         bij = tmp_path / "bij.json"
         bij.write_text(json.dumps({"kind": "cycle", "max_n": 4}))
         rio = tmp_path / "rio.json"
@@ -898,7 +992,6 @@ class TestUsage:
             ["bijection", "--config", str(bij)],  # table, the default
             ["riordan", "--config", str(rio), "--format", "table"],
         ]
-        assert cli._parser() is cli._parser()
         for argv in runs:
             fresh = subprocess.run(PKG + argv, capture_output=True, text=True)
             code = cli.main(argv)

@@ -26,25 +26,28 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_JOBS = json.loads(Path(__file__).with_name("golden_configs.json").read_text())
 
-ENTRY = {"cli", "arith", "semigroup"}  # what importing cli loads
-SEQUENCES = ENTRY | {"gaussseq"}  # seq, riordan
-POLYNOMIALS = ENTRY | {"qpoly", "qgauss"}  # qgauss closed_form and fund
+ENTRY = {"cli", "config"}  # what importing cli loads
+SEQUENCES = ENTRY | {"arith", "semigroup", "gaussseq"}  # seq, riordan
+POLYNOMIALS = ENTRY | {"arith", "semigroup", "qpoly", "qgauss"}  # qgauss closed_form and fund
 SEQUENCE_POLYNOMIALS = POLYNOMIALS | {"gaussseq"}  # qgauss from a sequence
 FESTOONS = SEQUENCE_POLYNOMIALS | {"objects"}  # csp over words and festoons
 TUBING_SIEVES = POLYNOMIALS | {"tubings"}  # csp tubings-cycle
-BIJECTIONS = ENTRY | {"tubings"}  # bijection
+BIJECTIONS = ENTRY | {"arith", "tubings"}  # bijection
 # Importing a layer loads only the modules it builds on.  No command loads
 # transport.
 LAYERS = {
-    "transport": {"arith", "semigroup", "qpoly", "qgauss", "transport"},
-    "tubings": {"arith", "semigroup", "tubings"},
-    "qgauss": {"arith", "semigroup", "qpoly", "qgauss"},
+    "transport": {"arith", "config", "semigroup", "qpoly", "qgauss", "transport"},
+    "tubings": {"arith", "config", "tubings"},
+    "qgauss": {"arith", "config", "semigroup", "qpoly", "qgauss"},
 }
 
-# stdlib modules no start needs: every job's arithmetic is integral, and
-# the records and annotations need neither dataclasses nor typing, and the
-# help text has a fixed width, so no terminal size is read through shutil
-SLOW_STDLIB = {"fractions", "decimal", "dataclasses", "inspect", "typing", "shutil"}
+# stdlib modules no start needs: every job's arithmetic is integral, the
+# records and annotations need neither dataclasses nor typing, and the
+# command line has a fixed grammar and a fixed help text, so no start
+# builds an argparse parser (which loads gettext and locale) or reads the
+# terminal size through shutil
+SLOW_STDLIB = {"fractions", "decimal", "dataclasses", "inspect", "typing", "shutil",
+               "argparse", "gettext", "locale"}
 
 
 def expected_modules(command: str, config: dict) -> set[str]:

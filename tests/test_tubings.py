@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from sievekit.config import MAX_OBJECTS
 from sievekit.gaussseq import NoSolution, TruncatedSeries, solve_functional_equation
 from sievekit.qgauss import PolyFamily, verify_csp, verify_lyndon
 from sievekit.qpoly import ONE, q_power
-from sievekit.semigroup import MAX_OBJECTS
 from sievekit.tubings import (
     bijection_roundtrips,
     check_bijection_job,

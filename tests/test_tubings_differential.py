@@ -15,9 +15,9 @@ import tubings_oracle as oracle
 from helpers import corrupt, run_job
 from tubings_oracle import is_path
 from sievekit import tubings as tb
+from sievekit.config import MAX_OBJECTS
 from sievekit.qgauss import Census, verify_csp, verify_lyndon
 from sievekit.qpoly import ZERO
-from sievekit.semigroup import MAX_OBJECTS
 from sievekit.tubings import (
     MAX_CYCLE,
     _graph,

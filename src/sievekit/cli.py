@@ -465,9 +465,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 1
 
+    limit = sys.get_int_max_str_digits()
     try:
         with out as fh:
             payload, code = run(*job)
+            sys.set_int_max_str_digits(0)  # an exact answer prints all its digits
             text = _render_json(payload) + "\n" if fmt == "json" else _render_table(payload)
             if path and os.path.isfile(path):  # a device or a pipe takes no cut
                 fh.truncate(0)
@@ -476,6 +478,8 @@ def main(argv: list[str] | None = None) -> int:
         if created:
             os.unlink(path)
         raise
+    finally:
+        sys.set_int_max_str_digits(limit)
     return code
 
 

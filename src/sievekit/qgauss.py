@@ -32,6 +32,8 @@ from operator import add, mul, sub
 from .arith import mobius
 from .qpoly import (
     IntPoly,
+    div_one_minus_q_pow,
+    divide_one_minus_power,
     eval_at_primitive_root,
     fold,
     gcd_classes,
@@ -186,29 +188,9 @@ def _weighted_multinomial(weight: int, mults: Sequence[int]) -> IntPoly:
     """Exact ([weight]_q / [sum]_q) times the q-multinomial of mults.
 
     The ratio of q-integers is (1 - q^weight) / (1 - q^sum), so this is one
-    sparse product and one sparse exact division.
+    sparse product and one checked division (``div_one_minus_q_pow``).
     """
-    total = sum(mults)
-    return (q_multinomial(mults) * one_minus_q_pow(weight)).exact_div(
-        one_minus_q_pow(total)
-    )
-
-
-def _divide_one_minus_power(p: int, k: int, width: int) -> int:
-    """p / (1 - X^k) for k >= 1, both packed at X = 2^width (``kronecker_pack``)
-    with coefficients that fit: the stride-k prefix sum of p's coefficients,
-    by adds shifted k, 2k, 4k, ... slots, cut to the quotient's slots as a
-    signed value.  Multiplying back checks it: ArithmeticError if inexact."""
-    bits = max(width * (abs(p).bit_length() // width + 1 - k), 0)  # the quotient's
-    q, shift = p, width * k
-    while shift < bits:
-        q += q << shift
-        shift <<= 1
-    half = 1 << bits >> 1  # at bits 0 nothing is cut, and only p = 0 passes the check
-    q = (q + half & 2 * half - 1) - half
-    if q - (q << width * k) != p:
-        raise ArithmeticError(f"exact_div: not a multiple of 1 - q^{k}")
-    return q
+    return div_one_minus_q_pow(q_multinomial(mults) * one_minus_q_pow(weight), sum(mults))
 
 
 def construct_from_c(c: SequenceSpec) -> PolyFamily:
@@ -234,13 +216,14 @@ def construct_from_c(c: SequenceSpec) -> PolyFamily:
     so each product and sum is one integer operation.  The weight depends
     on a decomposition only through its number of parts, so it is applied
     once per state: times 1 - q^rank(s), one shift and one subtraction,
-    then divided by 1 - q^k (``_divide_one_minus_power``).  Slots of B
-    bits hold twice the largest sum over k of T_k(1) at a partial sum, T_k
-    the state of the same knapsack on plain integers with the factors
-    C(k + m, m) * |c_t|^m.  As q-binomials and q_power(|c|, m) are
-    nonnegative and q_power(-c, m) is a sign or shift of q_power(c, m), a
-    state's absolute coefficients sum to at most T_k(1), and each weight
-    step adds each of them at most once into a coefficient of f_s.
+    then divided by 1 - q^k, a checked stride sum (``divide_one_minus_power``,
+    the one exact division).  Slots of B bits hold twice the largest sum
+    over k of T_k(1) at a partial sum, T_k the state of the same knapsack
+    on plain integers with the factors C(k + m, m) * |c_t|^m.  As
+    q-binomials and q_power(|c|, m) are nonnegative and q_power(-c, m) is a
+    sign or shift of q_power(c, m), a state's absolute coefficients sum to
+    at most T_k(1), and each weight step adds each of them at most once
+    into a coefficient of f_s.
     """
     from .gaussseq import _require_role
 
@@ -290,7 +273,7 @@ def construct_from_c(c: SequenceSpec) -> PolyFamily:
         rk = inst._rank(s)
         total = 0
         for count, terms in sums.get(inst.coords(s), {}).items():
-            total += _divide_one_minus_power(terms - (terms << width * rk), count, width)
+            total += divide_one_minus_power(terms - (terms << width * rk), count, width)
         return IntPoly(kronecker_unpack(total, size))
 
     return PolyFamily.from_function(inst, c.window, build)

@@ -2,15 +2,14 @@
 
 Polynomials are dense, exact and immutable: a tuple of int coefficients in
 ascending order of exponent, with no trailing zeros.  The zero polynomial is
-the empty tuple and has degree ``None``.  Everything here stays in Z[q];
-division is only ever performed when it is exact, and a failed exactness
-check raises instead of falling back to floats.
+the empty tuple and has degree ``None``.  Everything here stays in Z[q],
+and a failed exactness check raises instead of falling back to floats.
 
 The q-analogues are products and quotients of the two-term factors
 1 - q^m: binomials, multinomials and cyclotomic polynomials directly, and
-q-powers as sums of such products.  No step divides by a dense polynomial:
-each division is by one factor 1 - q^m, costs time linear in the degree,
-and is checked to be exact.
+q-powers as sums of such products.  So the one exact division is by one
+factor 1 - q^k (``divide_one_minus_power``): a stride-k prefix sum on the
+Kronecker-packed dividend, a few shifted adds, checked by multiplying back.
 
 Products take one of two paths.  When either operand has fewer than
 ``KRONECKER_MIN_TERMS`` nonzero terms (every factor 1 - q^m has two), the
@@ -115,6 +114,34 @@ def kronecker_unpack(value: int, size: int) -> tuple[int, ...]:
     return tuple([c - half for c in slots])
 
 
+def divide_one_minus_power(p: int, k: int, width: int) -> int:
+    """p / (1 - X^k) for k >= 1, both packed at X = 2^width (``kronecker_pack``)
+    with coefficients that fit: the stride-k prefix sum of p's coefficients,
+    by adds shifted k, 2k, 4k, ... slots, cut to the quotient's slots as a
+    signed value.  Multiplying back checks it: ArithmeticError if inexact."""
+    bits = max(width * (abs(p).bit_length() // width + 1 - k), 0)  # the quotient's
+    q, shift = p, width * k
+    while shift < bits:
+        q += q << shift
+        shift <<= 1
+    half = 1 << bits >> 1  # at bits 0 nothing is cut, and only p = 0 passes the check
+    q = (q + half & 2 * half - 1) - half
+    if q - (q << width * k) != p:
+        raise ArithmeticError(f"divide_one_minus_power: not a multiple of 1 - q^{k}")
+    return q
+
+
+def div_one_minus_q_pow(p: IntPoly, k: int) -> IntPoly:
+    """p / (1 - q^k) for k >= 1, exactly: ``divide_one_minus_power`` on
+    slots that hold sum |p|.  That bounds each quotient coefficient and each
+    residue sum of p mod k, so a passing check proves that 1 - q^k divides p."""
+    if k < 1:
+        raise ValueError(f"div_one_minus_q_pow: need k >= 1, got {k}")
+    size = slot_size(sum(map(abs, p.coeffs)))
+    return IntPoly._trimmed(kronecker_unpack(
+        divide_one_minus_power(kronecker_pack(p.coeffs, size), k, 8 * size), size))
+
+
 class IntPoly:
     """A polynomial in q with integer coefficients.
 
@@ -212,46 +239,31 @@ class IntPoly:
         return out
 
     def __divmod__(self, other: "IntPoly") -> tuple["IntPoly", "IntPoly"]:
-        """Long division; every reduction step must divide exactly in Z.
-
-        Each step touches only the nonzero terms of the divisor, so division
-        by 1 - q^m is linear in the degree.  A lead coefficient of 1 or -1
-        divides every integer, so its steps need no remainder test.  The
-        steps clear every coefficient from the divisor's degree up, so the
-        remainder is read off the ones below it.
-        """
+        """Long division by a divisor whose lead is 1 or -1 (any other is a
+        ValueError).  Each step clears one coefficient from the divisor's
+        degree up, touching only the divisor's nonzero terms, and the
+        remainder is read off the ones below it."""
         if not other.coeffs:
             raise ZeroDivisionError("IntPoly division by zero")
         lead = other.coeffs[-1]
+        if lead not in (1, -1):
+            raise ValueError(f"IntPoly division needs a lead of 1 or -1, got {lead}")
         rem = list(self.coeffs)
         dn = len(other.coeffs) - 1
         if len(rem) <= dn:
             return ZERO, self
         lower = [(j - dn, c) for j, c in enumerate(other.coeffs[:-1]) if c]
-        unit = lead in (1, -1)
         quo = [0] * (len(rem) - dn)
         for i in range(len(rem) - 1, dn - 1, -1):
             c = rem[i]
             if c == 0:
                 continue
-            if unit:
-                step = c * lead
-            else:
-                step, r = divmod(c, lead)
-                if r:
-                    raise ArithmeticError("IntPoly division is not exact over Z")
+            step = c * lead
             quo[i - dn] = step
             rem[i] = 0
             for j, oc in lower:
                 rem[i + j] -= step * oc
         return IntPoly._trimmed(tuple(quo)), IntPoly(rem[:dn])
-
-    def exact_div(self, other: "IntPoly") -> "IntPoly":
-        """Quotient self / other, raising unless the remainder is zero."""
-        quo, rem = divmod(self, other)
-        if rem:
-            raise ArithmeticError(f"exact_div: {self} is not a multiple of {other}")
-        return quo
 
     def __repr__(self) -> str:
         return f"IntPoly({self.coeffs!r})"
@@ -365,7 +377,7 @@ def q_binomial(n: int, k: int) -> IntPoly:
     With a = max(k, n - k) and m = min(k, n - k), it is entry m of the
     row [a + j choose j], j = 0, 1, ..., and each entry is built from the
     one before as [a + j choose j] = [a + j - 1 choose j - 1] *
-    (1 - q^(a+j)) / (1 - q^j), one sparse product and one exact division.
+    (1 - q^(a+j)) / (1 - q^j), a sparse product and a checked stride sum.
     The row of each a is kept and extended only past its last entry, so
     asking for [a + j choose j] for j = 1..m builds each once, with no
     recursion.
@@ -386,7 +398,7 @@ def q_binomial(n: int, k: int) -> IntPoly:
     a, m = max(k, n - k), min(k, n - k)
     row = _q_binomial_row(a)
     for j in range(len(row), m + 1):
-        row.append((row[-1] * one_minus_q_pow(a + j)).exact_div(one_minus_q_pow(j)))
+        row.append(div_one_minus_q_pow(row[-1] * one_minus_q_pow(a + j), j))
     return row[m]
 
 
@@ -480,7 +492,7 @@ def cyclotomic(d: int) -> IntPoly:
 
     For d > 1 it is the product of (1 - q^e)^mobius(d/e) over the divisors
     e of d: the factors with exponent 1 are multiplied out first, then
-    those with exponent -1 divided out, each division exact.
+    those with exponent -1 divided out, each by a checked stride sum.
 
     >>> cyclotomic(6).coeffs
     (1, -1, 1)
@@ -498,7 +510,7 @@ def cyclotomic(d: int) -> IntPoly:
         elif mu == -1:
             divide.append(e)
     for e in divide:
-        out = out.exact_div(one_minus_q_pow(e))
+        out = div_one_minus_q_pow(out, e)
     return out
 
 

@@ -12,9 +12,9 @@ minus its top entry (``reduce_mod_q_int``, which the checks on
 ``PolyFamily.folds`` replaced), the Ramanujan vector as one pass over all n
 entries per divisor (which the kernel on gcd classes replaced), the
 Ramanujan construction summing one Ramanujan sum per coefficient and
-dividing them by the rank (``scale_div``, once ``IntPoly.scale_div``), the
-from-c construction listing the decompositions of each element and
-dividing by [rank]_q once per decomposition, the from-b construction
+dividing them by the rank (``scale_div``), the from-c construction
+listing the decompositions of each element and dividing by [rank]_q once
+per decomposition, the from-b construction
 summing [rank t]_{q^d} b_t over the roots (which one sum per gcd class
 replaced), q -> q^m by spreading the coefficients (``subst_power``, once
 ``IntPoly.subst_power``), Ramanujan sums as divisor sums (which von
@@ -24,10 +24,12 @@ reduced row echelon form over the rationals, and the two chainings of
 families as one product on the extended chain (``chain_prefix`` and
 ``chain_suffix``, which a product of two pullbacks along coordinate
 projections replaced).
-The dense ``mul``, the per-decomposition ``construct_from_c`` and the
-per-root ``construct_from_b`` stay here as the oracles for the library's
-two product paths, its knapsack and its class sums.  The product identity
-sum c_n x^n = 1 - prod (1 - x^n)^{b_n} on the positive integers
+The dense ``mul``, long division (``divmod_``, ``exact_div``), the
+per-decomposition ``construct_from_c`` and the per-root
+``construct_from_b`` stay here as the oracles for the library's two
+product paths, its one division by 1 - q^k, its knapsack and its class
+sums.  The product identity sum c_n x^n = 1 - prod (1 - x^n)^{b_n} on
+the positive integers
 (``c_from_b_series``) is a route from role "b" to role "c" that shares
 nothing with ``c_from_a``.
 They borrow from the library only what that rewrite left alone: the

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -785,6 +786,33 @@ class TestRiordan:
         assert res.returncode == 1 and res.stdout == ""
         assert res.stderr.startswith("config error:")
         assert "Traceback" not in res.stderr
+
+
+X, BASE = 10**4000, 10**3000  # 4001 and 3001 digits, under the limit as config values
+LONG_RESULTS = {  # each job's integers of more than 3000 digits, in printed order
+    "riordan": ({"series": {"numer": [1, X]}, "max_n": 3}, [2 * X, 3 * X**2, 3 * X]),
+    "qgauss": ({"closed_form": {"name": "q-power", "base": BASE, "window": {"max_rank": 2}}},
+               [BASE, BASE * (BASE + 1) // 2, BASE * (BASE - 1) // 2]),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("command", sorted(LONG_RESULTS))
+def test_results_past_the_digit_limit_print_in_full(tmp_path, capsys, command, fmt):
+    """Python refuses to turn an int of more than 4300 digits into a string
+    (sys.get_int_max_str_digits); main lifts that for its render alone."""
+    cfg, want = LONG_RESULTS[command]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    limit = sys.get_int_max_str_digits()
+    assert cli.main([command, "--config", str(path), "--format", fmt]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    printed = [n for n in re.findall(r"-?\d+", capsys.readouterr().out) if len(n) > 3000]
+    sys.set_int_max_str_digits(0)
+    try:
+        assert printed == [str(n) for n in want]
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class TestRefusalPoint:

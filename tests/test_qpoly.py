@@ -14,6 +14,7 @@ from sievekit.qpoly import (
     ONE,
     ZERO,
     cyclotomic,
+    div_one_minus_q_pow,
     eval_at_primitive_root,
     q_binomial,
     q_factorial,
@@ -64,9 +65,10 @@ class TestIntPoly:
         assert quot * b + rem == a
         assert len(rem.coeffs) < len(b.coeffs)
 
-    def test_exact_div_raises_on_remainder(self):
-        with pytest.raises(ArithmeticError):
-            IntPoly((1, 1, 1)).exact_div(IntPoly((1, 1)))
+    def test_div_one_minus_q_pow_raises_on_remainder(self):
+        for k in range(1, 5):
+            with pytest.raises(ArithmeticError):
+                div_one_minus_q_pow(IntPoly((1, 1, 1)), k)
 
     def test_scale_div_requires_divisibility(self):
         assert scale_div((2, 4), 2) == IntPoly((1, 2))

@@ -35,7 +35,6 @@ from sievekit.gaussseq import (
 from sievekit.qgauss import (
     NonIntegerCoefficient,
     PolyFamily,
-    _divide_one_minus_power,
     _weighted_multinomial,
     check_qgauss_definition,
     construct_from_b,
@@ -50,8 +49,11 @@ from sievekit.qpoly import (
     _q_exp_nonneg,
     _q_exp_row,
     cyclotomic,
+    div_one_minus_q_pow,
+    divide_one_minus_power,
     kronecker_pack,
     kronecker_unpack,
+    one_minus_q_pow,
     q_binomial,
     q_multinomial,
     q_power,
@@ -137,18 +139,44 @@ class TestArithmetic:
 
     @given(coeff_lists, divisor_polys())
     def test_divmod(self, a, d):
+        # long division takes a divisor whose lead is 1 or -1, and no other
         p = IntPoly(a)
-        got = outcome(divmod, p, d)
-        want = outcome(oracle.divmod_, p, d)
-        assert _coeffs(got) == _coeffs(want)
+        if d.coeffs[-1] in (1, -1):
+            assert _coeffs(divmod(p, d)) == _coeffs(oracle.divmod_(p, d))
+        else:
+            with pytest.raises(ValueError):
+                divmod(p, d)
 
-    @given(coeff_lists, divisor_polys(), st.lists(st.integers(-3, 3), max_size=3))
-    def test_exact_div(self, quotient, d, offset):
-        # a multiple of d, knocked off it when the offset is nonzero
+    @given(coeff_lists | st.lists(st.integers(-2**70, 2**70), max_size=12), st.integers(1, 16),
+           st.lists(st.integers(-3, 3), max_size=3))
+    def test_div_one_minus_q_pow(self, quotient, k, offset):
+        # a multiple of 1 - q^k, knocked off it when the offset is nonzero
+        d = one_minus_q_pow(k)
         p = IntPoly(quotient) * d + IntPoly(offset)
-        got = outcome(IntPoly.exact_div, p, d)
         want = outcome(oracle.exact_div, p, d)
-        assert _coeffs(got) == _coeffs(want)
+        if isinstance(want, IntPoly):
+            assert div_one_minus_q_pow(p, k).coeffs == want.coeffs
+        else:
+            with pytest.raises(want[0]):
+                div_one_minus_q_pow(p, k)
+
+    @pytest.mark.parametrize("bits", [7, 8, 15, 16, 31, 32, 63, 64, 65, 256])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_div_one_minus_q_pow_reaches_the_coefficient_bound(self, bits, sign):
+        # p = m [t]_{q^k} (1 - q^(tk)) has sum|p| = 2tm, and the middle
+        # coefficient of its quotient m [t]_{q^k}^2 is tm = sum|p| / 2 =
+        # 2^bits - t: the most a quotient can reach, as each residue sum of
+        # a multiple is 0.  A slot sized by max|p| = m would wrap it.
+        t = KRONECKER_MIN_TERMS
+        m = sign * ((2**bits - 1) // t)
+        for k in (1, 2, 5):
+            p = IntPoly(([1] + [0] * (k - 1)) * t) * m * one_minus_q_pow(t * k)
+            quotient = div_one_minus_q_pow(p, k)
+            top = max(map(abs, quotient.coeffs))
+            assert top.bit_length() == bits and 2 * top == sum(map(abs, p.coeffs))
+            assert quotient.coeffs == oracle.exact_div(p, one_minus_q_pow(k)).coeffs
+            with pytest.raises(ArithmeticError):
+                div_one_minus_q_pow(p + IntPoly.monomial(1, k), k)
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
@@ -503,10 +531,10 @@ def test_packed_division_by_one_minus_a_power(coeffs, k, j, scale):
     width = 8 * size
     packed = kronecker_pack(p.coeffs, size)
     product = packed - (packed << width * k)
-    assert _divide_one_minus_power(product, k, width) == packed
+    assert divide_one_minus_power(product, k, width) == packed
     assert kronecker_unpack(packed, size) == p.coeffs
     with pytest.raises(ArithmeticError):
-        _divide_one_minus_power(product + (1 << width * j), k, width)
+        divide_one_minus_power(product + (1 << width * j), k, width)
 
 
 # weight magnitudes at and around the 1-, 2-, 4- and 8-byte slot edges

@@ -56,6 +56,7 @@ from sievekit.qgauss import (
 from sievekit.qpoly import (
     ZERO,
     IntPoly,
+    _q_binomial_row,
     cyclotomic,
     eval_at_primitive_root,
     fold,
@@ -277,6 +278,8 @@ def divisions(monkeypatch):
 
 
 def test_checkers_divide_only_to_describe_a_failure(divisions):
+    for cache in (q_binomial, _q_binomial_row, cyclotomic):
+        cache.cache_clear()  # so each is built here, with no long division
     grid = PolyFamily.from_function(NK, Window(12, ((0, 12),)), lambda s: q_binomial(*s))
     fund = fund_family(FREE, Window(8))
     letters = FreeRanked((("a", 1), ("b", 1), ("c", 1)))
@@ -285,8 +288,8 @@ def test_checkers_divide_only_to_describe_a_failure(divisions):
         (festoon_census("words", letters, Window(6)), fund_family(letters, Window(6))),
     ]
     for d in range(1, 13):
-        cyclotomic(d)  # built by exact divisions, once
-    divisions.clear()  # the constructions divide exactly; the checks must not
+        cyclotomic(d)  # built by checked divisions by 1 - q^e, once
+    assert divisions == []  # neither the constructions nor the checks divide
     for F in (grid, fund):
         assert check_qgauss_definition(F).ok
         assert check_qgauss_roots(F).ok
